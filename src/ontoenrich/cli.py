@@ -24,6 +24,7 @@ from .pipeline import (
     run_patterns,
     run_relatedness,
 )
+from .textpipe import MAX_NGRAM_LEN
 
 STAGE_EXIT_CODES = {
     "config": 2,
@@ -57,7 +58,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--top-k", dest="top_k", type=int,
                         help="keep at most k targets per missing term")
     parser.add_argument("--max-phrase-len", dest="max_phrase_len", type=int,
-                        help="longest phrase the corpus index answers from postings (default 3)")
+                        help="longest phrase the corpus index answers from postings "
+                        f"(default {MAX_NGRAM_LEN})")
     parser.add_argument("--out-dir", dest="out_dir", type=Path, help="output directory")
 
 
@@ -95,7 +97,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         threshold=float(merged.get("threshold", 0.5)),
         distance_cap=float(merged.get("ngd_cap", 1.0)),
         top_k=int(merged["top_k"]) if merged.get("top_k") is not None else None,
-        max_phrase_len=int(merged.get("max_phrase_len", 3)),
+        max_phrase_len=int(merged.get("max_phrase_len", MAX_NGRAM_LEN)),
     )
 
 
@@ -110,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--corpus", type=Path, required=True)
     index.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
     index.add_argument("--stopwords", type=Path)
-    index.add_argument("--max-phrase-len", dest="max_phrase_len", type=int, default=3)
+    index.add_argument("--max-phrase-len", dest="max_phrase_len", type=int,
+                       default=MAX_NGRAM_LEN)
 
     for name, help_text in [
         ("enrich", "run the full enrichment pipeline"),

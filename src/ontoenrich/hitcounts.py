@@ -14,18 +14,23 @@ Snapshot file format (UTF-8, tab-separated):
 
 Pair co-occurrence entries use the key ``"<a>" "<b>"`` with both phrases
 normalized and sorted, e.g. ``H\t"jawa" "java"\t480000``.
+
+Index file format (``CorpusIndex.save``; ``load`` requires the P record):
+
+    N  <total-documents>
+    M  <max-phrase-len>
+    P  <punctuation characters, sorted and concatenated>
+    D  <doc-id>  <span>|<span>|...    (tokens in a span joined by spaces)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, runtime_checkable
+from typing import Iterable, Mapping, Protocol
 
 from .ontology import normalize_label
-from .textpipe import Corpus, Stoplist, split_spans
-
-DEFAULT_MAX_PHRASE_LEN = 3
+from .textpipe import MAX_NGRAM_LEN, Corpus, Stoplist, split_spans
 
 # Punctuation treated as phrase boundaries when no stoplist is given.
 # "|" must stay a boundary: the index file format separates spans with it.
@@ -36,7 +41,6 @@ class EmptyCorpusError(ValueError):
     """An index cannot be built over zero documents."""
 
 
-@runtime_checkable
 class HitCountProvider(Protocol):
     def hits(self, phrase: str) -> int: ...
 
@@ -73,13 +77,13 @@ class CorpusIndex:
     def __init__(
         self,
         doc_spans: Mapping[str, tuple[tuple[str, ...], ...]],
-        max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN,
+        max_phrase_len: int = MAX_NGRAM_LEN,
         punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
     ):
         if not doc_spans:
             raise EmptyCorpusError("cannot index an empty corpus")
-        if max_phrase_len < 3:
-            raise ValueError("max_phrase_len must be at least 3")
+        if max_phrase_len < MAX_NGRAM_LEN:
+            raise ValueError(f"max_phrase_len must be at least {MAX_NGRAM_LEN}")
         self._doc_spans = {doc_id: doc_spans[doc_id] for doc_id in sorted(doc_spans)}
         self._max_phrase_len = max_phrase_len
         self._punctuation = punctuation
@@ -95,11 +99,9 @@ class CorpusIndex:
     def build(
         cls,
         corpus: Corpus,
-        max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN,
+        max_phrase_len: int = MAX_NGRAM_LEN,
         punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
     ) -> "CorpusIndex":
-        if len(corpus) == 0:
-            raise EmptyCorpusError("cannot index an empty corpus")
         stoplist = Stoplist(words=frozenset(), punctuation=punctuation)
         doc_spans = {
             doc.id: tuple(
@@ -150,8 +152,11 @@ class CorpusIndex:
     # ---- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"N\t{self.total_docs()}", f"M\t{self._max_phrase_len}"]
+        punctuation = "".join(sorted(self._punctuation))
+        lines = [f"N\t{self.total_docs()}", f"M\t{self._max_phrase_len}", f"P\t{punctuation}"]
         for doc_id, spans in self._doc_spans.items():
+            if any("|" in token for span in spans for token in span):
+                raise ValueError(f"document {doc_id!r} has a token containing the separator '|'")
             rendered = "|".join(" ".join(span) for span in spans)
             lines.append(f"D\t{doc_id}\t{rendered}")
         return "".join(line + "\n" for line in lines)
@@ -162,7 +167,8 @@ class CorpusIndex:
     @classmethod
     def load(cls, path: str | Path) -> "CorpusIndex":
         doc_spans: dict[str, tuple[tuple[str, ...], ...]] = {}
-        max_phrase_len = DEFAULT_MAX_PHRASE_LEN
+        max_phrase_len = MAX_NGRAM_LEN
+        punctuation: frozenset[str] | None = None
         for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             if not raw.strip() or raw.startswith("#"):
                 continue
@@ -171,6 +177,10 @@ class CorpusIndex:
                 continue  # implied by the D records
             if fields[0] == "M":
                 max_phrase_len = int(fields[1])
+            elif fields[0] == "P":
+                if len(fields) != 2:
+                    raise ValueError(f"{path}: line {lineno}: P record needs 2 fields")
+                punctuation = frozenset(fields[1])
             elif fields[0] == "D":
                 if len(fields) != 3:
                     raise ValueError(f"{path}: line {lineno}: D record needs 3 fields")
@@ -180,7 +190,9 @@ class CorpusIndex:
                 doc_spans[fields[1]] = spans
             else:
                 raise ValueError(f"{path}: line {lineno}: unknown record {fields[0]!r}")
-        return cls(doc_spans, max_phrase_len)
+        if punctuation is None:
+            raise ValueError(f"{path}: missing P punctuation record")
+        return cls(doc_spans, max_phrase_len, punctuation)
 
 
 @dataclass(frozen=True)
@@ -240,5 +252,5 @@ class SnapshotTable:
         return self.declared_total
 
 
-def build_index(corpus: Corpus, max_phrase_len: int = DEFAULT_MAX_PHRASE_LEN) -> CorpusIndex:
+def build_index(corpus: Corpus, max_phrase_len: int = MAX_NGRAM_LEN) -> CorpusIndex:
     return CorpusIndex.build(corpus, max_phrase_len)

@@ -17,7 +17,7 @@ makes save(load(f)) byte-identical for canonically ordered input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -112,9 +112,6 @@ class SensePath:
     """Hypernymy chain from one sense of a concept up to its root."""
 
     steps: tuple[tuple[str, int], ...]
-
-    def concept_ids(self) -> tuple[str, ...]:
-        return tuple(cid for cid, _ in self.steps)
 
 
 @dataclass(frozen=True)
@@ -257,10 +254,6 @@ class Ontology:
     def axioms(self) -> tuple[Axiom, ...]:
         return self._axioms
 
-    @property
-    def relations(self) -> frozenset[RelationKind]:
-        return frozenset(a.relation for a in self._axioms)
-
     def concept(self, concept_id: str) -> Concept:
         try:
             return self._concepts[concept_id]
@@ -331,12 +324,6 @@ class Ontology:
             list(self._instances.values()) + list(instances),
             list(self._axioms) + [canonicalize_axiom(a) for a in axioms],
         )
-
-    def add_axiom(self, axiom: Axiom) -> "Ontology":
-        """Add one axiom; re-adding an identical axiom is a no-op."""
-        if canonicalize_axiom(axiom).key in self._axiom_keys:
-            return self
-        return self.with_additions(axioms=[axiom])
 
     # ---- serialization ---------------------------------------------------
 

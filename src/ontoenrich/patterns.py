@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import importlib.resources
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .hitcounts import HitCountProvider
-from .ontology import Axiom, Evidence, RelationKind, normalize_label
+from .ontology import RelationKind, normalize_label
 
 NEGATION_WORDS = frozenset(
     {"no", "not", "never", "none", "neither", "nor", "cannot",
@@ -100,12 +100,8 @@ _SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
 _VOWELS = "aeiou"
 
 
-def pluralize_word(word: str, exceptions: Mapping[str, str] | None = None) -> str:
-    """Naive English pluralization; irregulars come from the exceptions map."""
-    if exceptions:
-        override = exceptions.get(word.lower())
-        if override is not None:
-            return override
+def pluralize_word(word: str) -> str:
+    """Naive English pluralization."""
     if word.endswith(_SIBILANT_ENDINGS):
         return word + "es"
     if len(word) > 1 and word.endswith("y") and word[-2].lower() not in _VOWELS:
@@ -113,23 +109,10 @@ def pluralize_word(word: str, exceptions: Mapping[str, str] | None = None) -> st
     return word + "s"
 
 
-def pluralize_term(term: str, exceptions: Mapping[str, str] | None = None) -> str:
+def pluralize_term(term: str) -> str:
     """Pluralize the head (last) word of a possibly multi-word term."""
     words = term.split()
-    return " ".join(words[:-1] + [pluralize_word(words[-1], exceptions)])
-
-
-def load_plural_exceptions(path: str | Path) -> dict[str, str]:
-    exceptions = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        singular, _, plural = line.partition("\t")
-        if not plural:
-            raise ValueError(f"{path}: expected <singular>\\t<plural>, got {line!r}")
-        exceptions[singular.lower()] = plural
-    return exceptions
+    return " ".join(words[:-1] + [pluralize_word(words[-1])])
 
 
 def _resolve_articles(query: str) -> str:
@@ -148,7 +131,6 @@ def instantiate_patterns(
     t_miss: str,
     t_in: str,
     catalogue: Sequence[PatternTemplate],
-    plural_exceptions: Mapping[str, str] | None = None,
 ) -> list[tuple[str, str]]:
     """Expand every template for the pair; returns (pattern id, query string)."""
     if not t_miss.strip() or not t_in.strip():
@@ -157,7 +139,7 @@ def instantiate_patterns(
     def fill(match: re.Match) -> str:
         letter, plural = match.group(1), match.group(2)
         term = t_miss if letter == "X" else t_in
-        return pluralize_term(term, plural_exceptions) if plural else term
+        return pluralize_term(term) if plural else term
 
     queries = []
     for template in catalogue:
@@ -185,10 +167,6 @@ class RelationSuggestion:
     group_hits: Mapping[str, int]
     queries: tuple[QueryRecord, ...]
     tied: bool = False
-    resolved_senses: tuple[int, ...] | None = None
-
-    def with_senses(self, senses: Iterable[int]) -> "RelationSuggestion":
-        return replace(self, resolved_senses=tuple(senses))
 
 
 def extract_relation(
@@ -196,14 +174,13 @@ def extract_relation(
     t_in: str,
     provider: HitCountProvider,
     catalogue: Sequence[PatternTemplate],
-    plural_exceptions: Mapping[str, str] | None = None,
 ) -> RelationSuggestion:
     """Arbitrate one relation for a candidate pair from pattern hit counts."""
     by_id = {template.id: template for template in catalogue}
     records = []
     group_hits: dict[str, int] = {}
     group_relation: dict[str, RelationKind] = {}
-    for pattern_id, query in instantiate_patterns(t_miss, t_in, catalogue, plural_exceptions):
+    for pattern_id, query in instantiate_patterns(t_miss, t_in, catalogue):
         template = by_id[pattern_id]
         count = provider.pattern_hits(query)
         records.append(QueryRecord(pattern_id, template.group, template.relation, query, count))
@@ -240,40 +217,6 @@ def extract_relation(
 def slug(surface: str) -> str:
     """Concept id for a new term: normalized label with hyphens for spaces."""
     return normalize_label(surface).replace(" ", "-")
-
-
-@dataclass(frozen=True)
-class EnrichmentAxioms:
-    """Axioms proposed by arbitration, before hierarchy placement applies them."""
-
-    axioms: tuple[Axiom, ...]
-    instance_terms: frozenset[str]     # missing terms to insert as instances
-
-
-def build_axioms(suggestions: Iterable[RelationSuggestion]) -> EnrichmentAxioms:
-    """One enriched axiom per suggestion and sense; duplicates collapse."""
-    axioms: dict[tuple, Axiom] = {}
-    instance_terms = set()
-    for suggestion in suggestions:
-        subject = slug(suggestion.missing_term)
-        object_ = slug(suggestion.ontology_term)
-        if suggestion.relation is RelationKind.INSTANCE_OF:
-            instance_terms.add(suggestion.missing_term)
-        evidence = Evidence(
-            suggestion.winning_group or FALLBACK_MARKER, suggestion.winner_hits
-        )
-        for sense in suggestion.resolved_senses or (1,):
-            axiom = Axiom(
-                relation=suggestion.relation,
-                subject=subject,
-                object=object_,
-                object_sense=sense,
-                provenance="enriched",
-                evidence=evidence,
-            )
-            axioms.setdefault(axiom.key, axiom)
-    ordered = tuple(sorted(axioms.values(), key=lambda a: a.key))
-    return EnrichmentAxioms(ordered, frozenset(instance_terms))
 
 
 def write_pattern_audit(suggestions: Iterable[RelationSuggestion], path: str | Path) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,11 +42,9 @@ from .relatedness import (
     write_matrix,
 )
 from .textpipe import (
-    Corpus,
+    MAX_NGRAM_LEN,
     Gazetteer,
     NGram,
-    Stoplist,
-    TermPartition,
     default_stoplist,
     load_corpus,
     load_stoplist,
@@ -55,17 +54,13 @@ from .textpipe import (
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("config", "ontology", "corpus", "hits", "relatedness", "extraction",
-          "enrichment", "evaluation")
-
 
 class StageError(RuntimeError):
     """Pipeline failure tagged with the stage that raised it."""
 
-    def __init__(self, stage: str, cause: BaseException):
+    def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 class ConfigError(ValueError):
@@ -84,7 +79,7 @@ class RunConfig:
     threshold: float = 0.5
     distance_cap: float = 1.0
     top_k: int | None = None
-    max_phrase_len: int = 3
+    max_phrase_len: int = MAX_NGRAM_LEN
 
     def validate(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
@@ -93,8 +88,8 @@ class RunConfig:
             raise ConfigError("distance cap must be >= 0")
         if self.top_k is not None and self.top_k < 1:
             raise ConfigError("top-k must be >= 1")
-        if self.max_phrase_len < 3:
-            raise ConfigError("max phrase length must be >= 3")
+        if self.max_phrase_len < MAX_NGRAM_LEN:
+            raise ConfigError(f"max phrase length must be >= {MAX_NGRAM_LEN}")
         for name in ("corpus", "ontology", "snapshot", "stopwords", "gazetteer", "patterns"):
             path = getattr(self, name)
             if path is not None and not Path(path).exists():
@@ -105,11 +100,6 @@ class RunConfig:
 class RunState:
     config: RunConfig
     ontology: Ontology
-    stoplist: Stoplist
-    gazetteer: Gazetteer
-    catalogue: list[PatternTemplate]
-    corpus: Corpus
-    partition: TermPartition
     provider: HitCountProvider
     provider_id: str
     eliminated: list[NGram]
@@ -125,17 +115,15 @@ def _sha256(path: Path | None) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+@contextmanager
 def _stage(stage: str):
-    class _Guard:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(stage, exc) from exc
-            return False
-
-    return _Guard()
+    """Tag an ``Exception`` from the block with the stage; interrupts pass through."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(stage, exc) from exc
 
 
 def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
@@ -207,11 +195,6 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
     return RunState(
         config=config,
         ontology=ontology,
-        stoplist=stoplist,
-        gazetteer=gazetteer,
-        catalogue=catalogue,
-        corpus=corpus,
-        partition=partition,
         provider=provider,
         provider_id=provider_id,
         eliminated=eliminated,
@@ -318,7 +301,7 @@ def run_patterns(config: RunConfig) -> Path:
     return out
 
 
-def run_index(corpus_path: Path, out_dir: Path, max_phrase_len: int = 3,
+def run_index(corpus_path: Path, out_dir: Path, max_phrase_len: int = MAX_NGRAM_LEN,
               stopwords: Path | None = None) -> Path:
     """Build the corpus index and persist it."""
     with _stage("config"):

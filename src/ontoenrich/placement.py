@@ -19,9 +19,9 @@ the sense is unresolved.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .hitcounts import HitCountProvider
 from .ontology import (
@@ -37,6 +37,9 @@ from .relatedness import DegenerateDenominatorError, DistanceConfig, normalized_
 
 logger = logging.getLogger(__name__)
 
+# Path labels scored per sense, counted from the target.
+MAX_PATH_DEPTH = 5
+
 
 class UnresolvedSenseError(ValueError):
     """No sense path of the target had a usable label to score."""
@@ -50,7 +53,6 @@ class ConflictingDecisionError(ValueError):
 class PlacementConfig:
     distance: DistanceConfig = DistanceConfig()
     denominator: float | None = None   # batch sum a relatedness run computed
-    max_path_depth: int = 5            # path labels scored, counted from the target
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,9 @@ class PlacementDecision:
         return self.suggestion.missing_term
 
 
-def _path_labels(ontology: Ontology, path, max_depth: int) -> tuple[str, ...]:
+def _path_labels(ontology: Ontology, path) -> tuple[str, ...]:
     return tuple(
-        ontology.concepts[cid].label for cid, _ in path.steps[:max_depth]
+        ontology.concepts[cid].label for cid, _ in path.steps[:MAX_PATH_DEPTH]
     )
 
 
@@ -101,7 +103,7 @@ def disambiguate_sense(
     distances: dict[str, float] = {}
     usable: dict[str, float] = {}
     for path in paths:
-        for label in _path_labels(ontology, path, cfg.max_path_depth):
+        for label in _path_labels(ontology, path):
             if label in distances:
                 continue
             try:
@@ -122,7 +124,7 @@ def disambiguate_sense(
 
     scores = []
     for path, sense in zip(paths, concept.senses):
-        labels = _path_labels(ontology, path, cfg.max_path_depth)
+        labels = _path_labels(ontology, path)
         scored = tuple(label for label in labels if label in usable)
         if not scored:
             scores.append(PathScore(sense, labels, scored, None))
@@ -163,7 +165,7 @@ def place_concept(
     concept = ontology.concepts[match.id]
     if len(concept.senses) == 1:
         return PlacementDecision(
-            suggestion=suggestion.with_senses((1,)),
+            suggestion=suggestion,
             target_concept=match.id,
             senses=(1,),
             case="case1",
@@ -172,7 +174,7 @@ def place_concept(
         suggestion.missing_term, match.id, ontology, provider, cfg
     )
     return PlacementDecision(
-        suggestion=suggestion.with_senses(senses),
+        suggestion=suggestion,
         target_concept=match.id,
         senses=senses,
         case="case2",
@@ -208,14 +210,7 @@ def place_all(
                 failures.append(PlacementFailure(suggestion, str(exc)))
                 continue
             if composite:
-                decision = PlacementDecision(
-                    suggestion=decision.suggestion,
-                    target_concept=decision.target_concept,
-                    senses=decision.senses,
-                    case="case3-composite",
-                    subcase=decision.case,
-                    path_scores=decision.path_scores,
-                )
+                decision = replace(decision, case="case3-composite", subcase=decision.case)
             decisions.append(decision)
     return decisions, failures
 

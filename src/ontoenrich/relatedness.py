@@ -26,7 +26,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .hitcounts import HitCountProvider
 from .textpipe import NGram
@@ -112,10 +112,6 @@ class RelatednessMatrix:
         col = self.ontology_terms.index(ontology_term)
         return self.cells[row][col]
 
-    def row(self, missing_term: str) -> dict[str, float]:
-        idx = self.missing_terms.index(missing_term)
-        return dict(zip(self.ontology_terms, self.cells[idx]))
-
 
 def _sorted_unique(terms: Iterable[str], side: str) -> tuple[str, ...]:
     ordered = sorted(set(terms), key=lambda t: (t.lower(), t))
@@ -180,7 +176,6 @@ class CandidateSet:
     """Per missing term: ontology terms at or above the threshold, best first."""
 
     per_term: Mapping[str, tuple[tuple[str, float], ...]]
-    threshold: float
 
     def pairs(self) -> list[tuple[str, str]]:
         return [
@@ -202,7 +197,7 @@ def select_candidates(matrix: RelatednessMatrix, cfg: SelectionConfig) -> Candid
         if cfg.top_k is not None:
             scored = scored[: cfg.top_k]
         per_term[miss] = tuple(scored)
-    return CandidateSet(per_term, cfg.threshold)
+    return CandidateSet(per_term)
 
 
 def write_matrix(matrix: RelatednessMatrix, path: str | Path) -> None:

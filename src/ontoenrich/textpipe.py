@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .ontology import Ontology, normalize_label
 
+# Longest mined term in tokens; the corpus index must answer this length too.
 MAX_NGRAM_LEN = 3
 
 
@@ -86,11 +87,6 @@ def split_spans(text: str, stoplist: Stoplist) -> list[list[str]]:
     return spans
 
 
-def strip_stopwords(text: str, stoplist: Stoplist) -> list[str]:
-    """Flat token sequence with stoplist words and punctuation removed."""
-    return [token for span in split_spans(text, stoplist) for token in span]
-
-
 @dataclass(eq=False)
 class NGram:
     """1-3 word term; identity is the case-folded token tuple."""
@@ -121,16 +117,13 @@ class NGram:
 
 
 def tokenize_ngrams(
-    spans: Sequence[Sequence[str]] | Sequence[str],
+    spans: Sequence[Sequence[str]],
     doc_id: str | None = None,
 ) -> set[NGram]:
     """All unigrams, bigrams and trigrams inside each span.
 
-    Accepts either a list of spans or a flat token list (treated as one
-    span). Duplicates merge, accumulating source document ids.
+    Duplicates merge, accumulating source document ids.
     """
-    if spans and isinstance(spans[0], str):
-        spans = [spans]  # type: ignore[list-item]
     merged: dict[tuple[str, ...], NGram] = {}
     for span in spans:
         tokens = list(span)
@@ -162,9 +155,6 @@ class Corpus:
         ids = [d.id for d in self.documents]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate document ids in corpus")
-
-    def __len__(self):
-        return len(self.documents)
 
 
 def load_corpus(root: str | Path) -> Corpus:
@@ -260,14 +250,3 @@ def partition_terms(
         else:
             missing.append(gram)
     return TermPartition(tuple(known), tuple(missing))
-
-
-def pos_tag(term: NGram | str, ontology: Ontology) -> frozenset[str]:
-    """Grammatical categories recorded for the term's concept in the ontology."""
-    surface = term.surface if isinstance(term, NGram) else term
-    match = ontology.contains_term(surface)
-    if match is None:
-        raise LookupError(f"term {surface!r} is not in the ontology")
-    if match.kind == "instance":
-        return frozenset()
-    return ontology.concepts[match.id].categories

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ontoenrich import pipeline
 from ontoenrich.cli import main
 from ontoenrich.hitcounts import CorpusIndex
 from ontoenrich.ontology import RelationKind, load_ontology
@@ -185,6 +186,15 @@ def test_empty_corpus_exits_hits_code(tmp_path):
         "enrich", "--corpus", empty, "--ontology", MINI, "--out-dir", tmp_path / "o"
     )
     assert code == 5
+
+
+def test_interrupt_is_not_a_stage_failure(tmp_path, tiny_corpus, monkeypatch):
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "load_corpus", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run("enrich", "--corpus", tiny_corpus, "--ontology", MINI, "--out-dir", tmp_path / "out")
 
 
 def test_relatedness_subcommand_writes_matrix_only(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ontoenrich.hitcounts import (
+    DEFAULT_PUNCTUATION,
     CorpusIndex,
     EmptyCorpusError,
     SnapshotTable,
@@ -89,14 +90,38 @@ def test_long_pattern_query_scans(four_docs):
 
 
 def test_index_save_load_round_trip(tmp_path, four_docs):
-    index = build_index(four_docs)
-    first, second = tmp_path / "a.idx", tmp_path / "b.idx"
-    index.save(first)
-    CorpusIndex.load(first).save(second)
-    assert first.read_bytes() == second.read_bytes()
-    reloaded = CorpusIndex.load(first)
-    assert reloaded.hits("java") == 3
-    assert reloaded.pair_hits("java", "island") == 2
+    cases = [
+        (four_docs, DEFAULT_PUNCTUATION, {"java": 3, "java island": 2, "sea coast": 1}),
+        # "." is no boundary here, so "three." is one token before and after a reload
+        (
+            corpus_of({"d/1": "one two three. four"}),
+            frozenset("|"),
+            {"two three.": 1, "two three": 0, "three. four": 1},
+        ),
+    ]
+    for i, (corpus, punctuation, expected) in enumerate(cases):
+        index = CorpusIndex.build(corpus, punctuation=punctuation)
+        first, second = tmp_path / f"{i}a.idx", tmp_path / f"{i}b.idx"
+        index.save(first)
+        reloaded = CorpusIndex.load(first)
+        reloaded.save(second)
+        assert first.read_bytes() == second.read_bytes()
+        for built in (index, reloaded):
+            assert {query: built.hits(query) for query in expected} == expected
+    assert reloaded.pair_hits("two three.", "four") == 1
+
+    # Without "|" as a boundary a token can hold one, and the span field would split it.
+    piped = CorpusIndex.build(corpus_of({"d/1": "a|b c"}), punctuation=frozenset("."))
+    assert piped.hits("a|b c") == 1
+    with pytest.raises(ValueError, match="token containing"):
+        piped.save(tmp_path / "piped.idx")
+
+
+def test_index_load_requires_punctuation_record(tmp_path):
+    path = tmp_path / "old.idx"
+    path.write_text("N\t1\nM\t3\nD\td/1\tjava island\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="missing P"):
+        CorpusIndex.load(path)
 
 
 def test_snapshot_known_term():

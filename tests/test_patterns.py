@@ -4,14 +4,11 @@ from hypothesis import given, settings, strategies as st
 from ontoenrich.hitcounts import SnapshotTable
 from ontoenrich.ontology import RelationKind
 from ontoenrich.patterns import (
-    FALLBACK_MARKER,
     NEGATION_WORDS,
     PatternTemplate,
-    build_axioms,
     default_catalogue,
     extract_relation,
     instantiate_patterns,
-    load_plural_exceptions,
     parse_catalogue,
     pluralize_term,
     pluralize_word,
@@ -102,14 +99,6 @@ def test_pluralize_term_pluralizes_head_word():
     assert pluralize_term("corporate body") == "corporate bodies"
 
 
-def test_plural_exceptions_file(tmp_path):
-    path = tmp_path / "irregular.tsv"
-    path.write_text("person\tpeople\nfoot\tfeet\n", encoding="utf-8")
-    exceptions = load_plural_exceptions(path)
-    assert pluralize_word("person", exceptions) == "people"
-    assert pluralize_term("flat foot", exceptions) == "flat feet"
-
-
 def test_extract_hyponymy_from_dominant_pattern(catalogue):
     provider = snapshot_of({"corporate body is an organization": 80_700})
     suggestion = extract_relation("corporate body", "organization", provider, catalogue)
@@ -161,41 +150,6 @@ def test_winner_count_is_group_maximum(catalogue):
     provider = snapshot_of({"jawa is an island": 12, "jawa is a kind of island": 3})
     suggestion = extract_relation("jawa", "island", provider, catalogue)
     assert suggestion.winner_hits == max(suggestion.group_hits.values()) == 15
-
-
-def test_build_axioms_from_hyponymy_suggestion(catalogue):
-    provider = snapshot_of({"corporate body is an organization": 80_700})
-    suggestion = extract_relation("corporate body", "organization", provider, catalogue)
-    bundle = build_axioms([suggestion.with_senses([2])])
-    assert len(bundle.axioms) == 1
-    axiom = bundle.axioms[0]
-    assert axiom.relation is RelationKind.HYPONYMY
-    assert (axiom.subject, axiom.object, axiom.object_sense) == (
-        "corporate-body", "organization", 2,
-    )
-    assert axiom.provenance == "enriched"
-    assert axiom.evidence.hits == 80_700
-    assert bundle.instance_terms == frozenset()
-
-
-def test_build_axioms_empty():
-    bundle = build_axioms([])
-    assert bundle.axioms == ()
-
-
-def test_build_axioms_deduplicates(catalogue):
-    provider = snapshot_of({})
-    suggestion = extract_relation("jawa", "Java", provider, catalogue)
-    bundle = build_axioms([suggestion, suggestion])
-    assert len(bundle.axioms) == 1
-    assert bundle.axioms[0].evidence.pattern_id == FALLBACK_MARKER
-
-
-def test_build_axioms_marks_instance_terms(catalogue):
-    provider = snapshot_of({"jakarta is an instance of a city": 5})
-    suggestion = extract_relation("jakarta", "city", provider, catalogue)
-    bundle = build_axioms([suggestion])
-    assert bundle.instance_terms == frozenset({"jakarta"})
 
 
 def test_slug():

@@ -205,7 +205,7 @@ def test_enrich_hyponymy_stored_in_hypernymy_direction(onto, snapshot):
     assert line in enriched.to_text().splitlines()
     # hypernymy stays acyclic with the new leaf attached
     paths = enriched.semantic_paths_from("corporate-body")
-    assert paths[0].concept_ids()[:2] == ("corporate-body", "organization")
+    assert [cid for cid, _ in paths[0].steps[:2]] == ["corporate-body", "organization"]
 
 
 def test_enrich_instance_of_adds_instance_not_concept(onto, snapshot):

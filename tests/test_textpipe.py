@@ -14,9 +14,7 @@ from ontoenrich.textpipe import (
     load_corpus,
     parse_stoplist,
     partition_terms,
-    pos_tag,
     split_spans,
-    strip_stopwords,
     tokenize_corpus,
     tokenize_ngrams,
 )
@@ -45,18 +43,19 @@ def mini_onto(mini_ontology_path):
 
 
 def test_strip_stopwords_drops_words_and_punctuation(stoplist):
-    tokens = strip_stopwords(JAVA_SENTENCE, stoplist)
+    spans = split_spans(JAVA_SENTENCE, stoplist)
+    tokens = [token for span in spans for token in span]
     assert tokens == ["Java", "Indonesian", "Jawa", "island", "Indonesia"]
     for banned in ["is", "an", "of", "(", ")", ":"]:
         assert banned not in tokens
 
 
 def test_strip_stopwords_empty_text(stoplist):
-    assert strip_stopwords("", stoplist) == []
+    assert split_spans("", stoplist) == []
 
 
 def test_strip_stopwords_only_stopwords(stoplist):
-    assert strip_stopwords("the of an a , . ( )", stoplist) == []
+    assert split_spans("the of an a , . ( )", stoplist) == []
 
 
 def test_spans_break_at_stopwords_and_punctuation(stoplist):
@@ -70,7 +69,7 @@ def test_hyphenated_words_are_single_tokens(stoplist):
 
 
 def test_tokenize_flat_three_tokens():
-    grams = tokenize_ngrams(["java", "island", "indonesia"])
+    grams = tokenize_ngrams([["java", "island", "indonesia"]])
     surfaces = {g.surface for g in grams}
     assert len(grams) == 6
     assert "java island indonesia" in surfaces
@@ -78,7 +77,7 @@ def test_tokenize_flat_three_tokens():
 
 
 def test_tokenize_single_token():
-    grams = tokenize_ngrams(["java"])
+    grams = tokenize_ngrams([["java"]])
     assert {g.surface for g in grams} == {"java"}
 
 
@@ -107,7 +106,7 @@ def test_partition_java_article(stoplist, mini_onto):
 
 
 def test_partition_instance_match(stoplist, mini_onto):
-    grams = tokenize_ngrams(["Jakarta"])
+    grams = tokenize_ngrams([["Jakarta"]])
     partition = partition_terms(grams, mini_onto, Gazetteer.empty())
     assert partition.known[0].source == "instance"
     assert partition.known[0].concept_id == "jakarta"
@@ -120,7 +119,7 @@ def test_partition_empty_input(mini_onto):
 
 def test_partition_all_in_gazetteer(mini_onto):
     gaz = Gazetteer.from_pairs([("zorbium", "mineral"), ("fennite", "mineral")])
-    grams = tokenize_ngrams(["zorbium"]) | tokenize_ngrams(["fennite"])
+    grams = tokenize_ngrams([["zorbium"]]) | tokenize_ngrams([["fennite"]])
     partition = partition_terms(grams, mini_onto, gaz)
     assert partition.missing == ()
     assert all(k.source == "gazetteer" for k in partition.known)
@@ -128,26 +127,21 @@ def test_partition_all_in_gazetteer(mini_onto):
 
 def test_partition_gazetteer_checked_before_ontology(mini_onto):
     gaz = Gazetteer.from_pairs([("Java", "location")])
-    partition = partition_terms(tokenize_ngrams(["Java"]), mini_onto, gaz)
+    partition = partition_terms(tokenize_ngrams([["Java"]]), mini_onto, gaz)
     assert partition.known[0].source == "gazetteer"
     assert partition.known[0].kind == "location"
 
 
 def test_pos_tag_two_categories(mini_onto):
-    assert pos_tag("book", mini_onto) == frozenset({"noun", "verb"})
+    assert mini_onto.concepts["book"].categories == frozenset({"noun", "verb"})
 
 
 def test_pos_tag_single_category(mini_onto):
-    assert pos_tag("plays", mini_onto) == frozenset({"verb"})
+    assert mini_onto.concepts["plays"].categories == frozenset({"verb"})
 
 
 def test_pos_tag_unrecorded_is_empty(mini_onto):
-    assert pos_tag("island", mini_onto) == frozenset()
-
-
-def test_pos_tag_missing_term_raises(mini_onto):
-    with pytest.raises(LookupError):
-        pos_tag("jawa", mini_onto)
+    assert mini_onto.concepts["island"].categories == frozenset()
 
 
 def test_corpus_loading(tmp_path):
