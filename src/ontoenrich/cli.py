@@ -24,7 +24,6 @@ from .pipeline import (
     run_patterns,
     run_relatedness,
 )
-from .textpipe import MAX_NGRAM_LEN
 
 STAGE_EXIT_CODES = {
     "config": 2,
@@ -39,7 +38,7 @@ STAGE_EXIT_CODES = {
 
 _CONFIG_KEYS = (
     "corpus", "ontology", "snapshot", "stopwords", "gazetteer", "patterns",
-    "out_dir", "threshold", "ngd_cap", "top_k", "max_phrase_len",
+    "out_dir", "threshold", "ngd_cap", "top_k",
 )
 
 
@@ -57,9 +56,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="distance substituted when a pair never co-occurs (default 1.0)")
     parser.add_argument("--top-k", dest="top_k", type=int,
                         help="keep at most k targets per missing term")
-    parser.add_argument("--max-phrase-len", dest="max_phrase_len", type=int,
-                        help="longest phrase the corpus index answers from postings "
-                        f"(default {MAX_NGRAM_LEN})")
     parser.add_argument("--out-dir", dest="out_dir", type=Path, help="output directory")
 
 
@@ -70,6 +66,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
         unknown = set(loaded) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
@@ -86,19 +84,26 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     for required in ("corpus", "ontology", "out_dir"):
         if merged.get(required) is None:
             raise ConfigError(f"--{required.replace('_', '-')} is required")
-    return RunConfig(
-        corpus=Path(merged["corpus"]),
-        ontology=Path(merged["ontology"]),
-        out_dir=Path(merged["out_dir"]),
-        snapshot=Path(merged["snapshot"]) if merged.get("snapshot") else None,
-        stopwords=Path(merged["stopwords"]) if merged.get("stopwords") else None,
-        gazetteer=Path(merged["gazetteer"]) if merged.get("gazetteer") else None,
-        patterns=Path(merged["patterns"]) if merged.get("patterns") else None,
-        threshold=float(merged.get("threshold", 0.5)),
-        distance_cap=float(merged.get("ngd_cap", 1.0)),
-        top_k=int(merged["top_k"]) if merged.get("top_k") is not None else None,
-        max_phrase_len=int(merged.get("max_phrase_len", MAX_NGRAM_LEN)),
-    )
+    if any(isinstance(merged.get(key), bool) for key in ("threshold", "ngd_cap", "top_k")):
+        raise ConfigError("threshold, ngd_cap and top_k take numbers, not true or false")
+    top_k = merged.get("top_k")
+    if top_k is not None and not isinstance(top_k, int):
+        raise ConfigError(f"top_k must be an integer, got {top_k!r}")
+    try:
+        return RunConfig(
+            corpus=Path(merged["corpus"]),
+            ontology=Path(merged["ontology"]),
+            out_dir=Path(merged["out_dir"]),
+            snapshot=Path(merged["snapshot"]) if merged.get("snapshot") else None,
+            stopwords=Path(merged["stopwords"]) if merged.get("stopwords") else None,
+            gazetteer=Path(merged["gazetteer"]) if merged.get("gazetteer") else None,
+            patterns=Path(merged["patterns"]) if merged.get("patterns") else None,
+            threshold=float(merged.get("threshold", 0.5)),
+            distance_cap=float(merged.get("ngd_cap", 1.0)),
+            top_k=top_k,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--corpus", type=Path, required=True)
     index.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
     index.add_argument("--stopwords", type=Path)
-    index.add_argument("--max-phrase-len", dest="max_phrase_len", type=int,
-                       default=MAX_NGRAM_LEN)
 
     for name, help_text in [
         ("enrich", "run the full enrichment pipeline"),
@@ -137,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "index":
-            out = run_index(args.corpus, args.out_dir, args.max_phrase_len, args.stopwords)
+            out = run_index(args.corpus, args.out_dir, args.stopwords)
         elif args.command == "enrich":
             out = run_enrichment(_run_config(args))
         elif args.command == "relatedness":

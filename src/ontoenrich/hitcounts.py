@@ -18,7 +18,6 @@ normalized and sorted, e.g. ``H\t"jawa" "java"\t480000``.
 Index file format (``CorpusIndex.save``; ``load`` requires the P record):
 
     N  <total-documents>
-    M  <max-phrase-len>
     P  <punctuation characters, sorted and concatenated>
     D  <doc-id>  <span>|<span>|...    (tokens in a span joined by spaces)
 """
@@ -30,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 
 from .ontology import normalize_label
-from .textpipe import MAX_NGRAM_LEN, Corpus, Stoplist, split_spans
+from .textpipe import MAX_NGRAM_LEN, Corpus, phrases, punctuation_spans
 
 # Punctuation treated as phrase boundaries when no stoplist is given.
 # "|" must stay a boundary: the index file format separates spans with it.
@@ -59,8 +58,7 @@ def pair_key(a: str, b: str) -> str:
 
 def _phrase_tokens(query: str, punctuation: frozenset[str]) -> tuple[str, ...] | None:
     """Normalized token tuple, or None when the query spans punctuation."""
-    stoplist = Stoplist(words=frozenset(), punctuation=punctuation)
-    spans = split_spans(query, stoplist)
+    spans = punctuation_spans(query, punctuation)
     if len(spans) != 1:
         return None
     return tuple(token.lower() for token in spans[0])
@@ -69,7 +67,7 @@ def _phrase_tokens(query: str, punctuation: frozenset[str]) -> tuple[str, ...] |
 class CorpusIndex:
     """Inverted index of contiguous token phrases over a document corpus.
 
-    Phrases up to ``max_phrase_len`` tokens are answered from posting lists;
+    Phrases up to ``MAX_NGRAM_LEN`` tokens are answered from posting lists;
     longer queries (pattern strings) intersect unigram postings and verify
     adjacency against the stored token spans.
     """
@@ -77,40 +75,32 @@ class CorpusIndex:
     def __init__(
         self,
         doc_spans: Mapping[str, tuple[tuple[str, ...], ...]],
-        max_phrase_len: int = MAX_NGRAM_LEN,
         punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
     ):
         if not doc_spans:
             raise EmptyCorpusError("cannot index an empty corpus")
-        if max_phrase_len < MAX_NGRAM_LEN:
-            raise ValueError(f"max_phrase_len must be at least {MAX_NGRAM_LEN}")
         self._doc_spans = {doc_id: doc_spans[doc_id] for doc_id in sorted(doc_spans)}
-        self._max_phrase_len = max_phrase_len
         self._punctuation = punctuation
         self._postings: dict[tuple[str, ...], set[str]] = {}
         for doc_id, spans in self._doc_spans.items():
             for span in spans:
-                for length in range(1, max_phrase_len + 1):
-                    for start in range(len(span) - length + 1):
-                        phrase = span[start : start + length]
-                        self._postings.setdefault(phrase, set()).add(doc_id)
+                for phrase in phrases(span):
+                    self._postings.setdefault(phrase, set()).add(doc_id)
 
     @classmethod
     def build(
         cls,
         corpus: Corpus,
-        max_phrase_len: int = MAX_NGRAM_LEN,
         punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
     ) -> "CorpusIndex":
-        stoplist = Stoplist(words=frozenset(), punctuation=punctuation)
         doc_spans = {
             doc.id: tuple(
                 tuple(token.lower() for token in span)
-                for span in split_spans(doc.text, stoplist)
+                for span in punctuation_spans(doc.text, punctuation)
             )
             for doc in corpus.documents
         }
-        return cls(doc_spans, max_phrase_len, punctuation)
+        return cls(doc_spans, punctuation)
 
     def _scan_long_phrase(self, tokens: tuple[str, ...]) -> set[str]:
         candidates: set[str] | None = None
@@ -133,7 +123,7 @@ class CorpusIndex:
         tokens = _phrase_tokens(phrase, self._punctuation)
         if not tokens:
             return set()
-        if len(tokens) <= self._max_phrase_len:
+        if len(tokens) <= MAX_NGRAM_LEN:
             return self._postings.get(tokens, set())
         return self._scan_long_phrase(tokens)
 
@@ -153,7 +143,7 @@ class CorpusIndex:
 
     def to_text(self) -> str:
         punctuation = "".join(sorted(self._punctuation))
-        lines = [f"N\t{self.total_docs()}", f"M\t{self._max_phrase_len}", f"P\t{punctuation}"]
+        lines = [f"N\t{self.total_docs()}", f"P\t{punctuation}"]
         for doc_id, spans in self._doc_spans.items():
             if any("|" in token for span in spans for token in span):
                 raise ValueError(f"document {doc_id!r} has a token containing the separator '|'")
@@ -167,7 +157,6 @@ class CorpusIndex:
     @classmethod
     def load(cls, path: str | Path) -> "CorpusIndex":
         doc_spans: dict[str, tuple[tuple[str, ...], ...]] = {}
-        max_phrase_len = MAX_NGRAM_LEN
         punctuation: frozenset[str] | None = None
         for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             if not raw.strip() or raw.startswith("#"):
@@ -175,9 +164,7 @@ class CorpusIndex:
             fields = raw.split("\t")
             if fields[0] == "N":
                 continue  # implied by the D records
-            if fields[0] == "M":
-                max_phrase_len = int(fields[1])
-            elif fields[0] == "P":
+            if fields[0] == "P":
                 if len(fields) != 2:
                     raise ValueError(f"{path}: line {lineno}: P record needs 2 fields")
                 punctuation = frozenset(fields[1])
@@ -192,7 +179,7 @@ class CorpusIndex:
                 raise ValueError(f"{path}: line {lineno}: unknown record {fields[0]!r}")
         if punctuation is None:
             raise ValueError(f"{path}: missing P punctuation record")
-        return cls(doc_spans, max_phrase_len, punctuation)
+        return cls(doc_spans, punctuation)
 
 
 @dataclass(frozen=True)
@@ -252,5 +239,5 @@ class SnapshotTable:
         return self.declared_total
 
 
-def build_index(corpus: Corpus, max_phrase_len: int = MAX_NGRAM_LEN) -> CorpusIndex:
-    return CorpusIndex.build(corpus, max_phrase_len)
+def build_index(corpus: Corpus) -> CorpusIndex:
+    return CorpusIndex.build(corpus)

@@ -2,7 +2,7 @@
 
 Every run is deterministic: identical configuration and inputs produce
 byte-identical output files (fixed orderings, fixed float formatting, no
-timestamps). A manifest records the knobs that shaped the run.
+timestamps). A manifest records the run's knobs and a sha256 of each input.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .relatedness import (
     write_matrix,
 )
 from .textpipe import (
-    MAX_NGRAM_LEN,
+    Corpus,
     Gazetteer,
     NGram,
     default_stoplist,
@@ -79,7 +79,6 @@ class RunConfig:
     threshold: float = 0.5
     distance_cap: float = 1.0
     top_k: int | None = None
-    max_phrase_len: int = MAX_NGRAM_LEN
 
     def validate(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
@@ -88,8 +87,6 @@ class RunConfig:
             raise ConfigError("distance cap must be >= 0")
         if self.top_k is not None and self.top_k < 1:
             raise ConfigError("top-k must be >= 1")
-        if self.max_phrase_len < MAX_NGRAM_LEN:
-            raise ConfigError(f"max phrase length must be >= {MAX_NGRAM_LEN}")
         for name in ("corpus", "ontology", "snapshot", "stopwords", "gazetteer", "patterns"):
             path = getattr(self, name)
             if path is not None and not Path(path).exists():
@@ -102,6 +99,7 @@ class RunState:
     ontology: Ontology
     provider: HitCountProvider
     provider_id: str
+    corpus_sha256: str
     eliminated: list[NGram]
     retained: list[NGram]
     matrix: RelatednessMatrix | None
@@ -113,6 +111,17 @@ def _sha256(path: Path | None) -> str:
     if path is None:
         return "-"
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _corpus_sha256(corpus: Corpus) -> str:
+    """Digest of the sorted doc ids and their texts, each prefixed by its byte length."""
+    digest = hashlib.sha256()
+    for doc in sorted(corpus.documents, key=lambda d: d.id):
+        for field in (doc.id, doc.text):
+            data = field.encode("utf-8")
+            digest.update(len(data).to_bytes(8, "big"))
+            digest.update(data)
+    return digest.hexdigest()
 
 
 @contextmanager
@@ -142,6 +151,7 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
             Gazetteer.load(config.gazetteer) if config.gazetteer else Gazetteer.empty()
         )
         corpus = load_corpus(config.corpus)
+        corpus_sha256 = _corpus_sha256(corpus)
         ngrams = tokenize_corpus(corpus, stoplist)
         partition = partition_terms(ngrams, ontology, gazetteer)
 
@@ -150,9 +160,7 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
             provider: HitCountProvider = SnapshotTable.load(config.snapshot)
             provider_id = f"snapshot:{Path(config.snapshot).name}"
         else:
-            provider = CorpusIndex.build(
-                corpus, config.max_phrase_len, punctuation=stoplist.punctuation
-            )
+            provider = CorpusIndex.build(corpus, punctuation=stoplist.punctuation)
             provider_id = f"index:{Path(config.corpus).name},docs={provider.total_docs()}"
 
     with _stage("relatedness"):
@@ -197,6 +205,7 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
         ontology=ontology,
         provider=provider,
         provider_id=provider_id,
+        corpus_sha256=corpus_sha256,
         eliminated=eliminated,
         retained=retained,
         matrix=matrix,
@@ -215,11 +224,12 @@ def _write_manifest(state: RunState, path: Path) -> None:
     config = state.config
     entries = {
         "catalogue_sha256": _sha256(config.patterns) if config.patterns else "builtin",
+        "corpus_sha256": state.corpus_sha256,
         "distance_cap": repr(config.distance_cap),
         "gazetteer_sha256": _sha256(config.gazetteer),
-        "max_phrase_len": str(config.max_phrase_len),
         "ontology_sha256": _sha256(config.ontology),
         "provider": state.provider_id,
+        "snapshot_sha256": _sha256(config.snapshot),
         "stopwords_sha256": _sha256(config.stopwords) if config.stopwords else "builtin",
         "threshold": repr(config.threshold),
         "tool_version": __version__,
@@ -301,8 +311,7 @@ def run_patterns(config: RunConfig) -> Path:
     return out
 
 
-def run_index(corpus_path: Path, out_dir: Path, max_phrase_len: int = MAX_NGRAM_LEN,
-              stopwords: Path | None = None) -> Path:
+def run_index(corpus_path: Path, out_dir: Path, stopwords: Path | None = None) -> Path:
     """Build the corpus index and persist it."""
     with _stage("config"):
         if not Path(corpus_path).exists():
@@ -311,7 +320,7 @@ def run_index(corpus_path: Path, out_dir: Path, max_phrase_len: int = MAX_NGRAM_
         stoplist = load_stoplist(stopwords) if stopwords else default_stoplist()
         corpus = load_corpus(corpus_path)
     with _stage("hits"):
-        index = CorpusIndex.build(corpus, max_phrase_len, punctuation=stoplist.punctuation)
+        index = CorpusIndex.build(corpus, punctuation=stoplist.punctuation)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     index.save(out / "index.tsv")

@@ -3,20 +3,23 @@ stopword removal, n-gram extraction within stopword-delimited spans, and the
 known/missing split against an ontology plus a gazetteer.
 
 N-grams never cross a removed stopword or a punctuation character: the text
-is cut into spans at those positions and unigrams/bigrams/trigrams are
-emitted inside each span only. Hyphenated words stay single tokens.
+is cut into spans at punctuation, then at stopwords, and 1-3 token n-grams
+are emitted inside each span only. Hyphenated words stay single tokens.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .ontology import Ontology, normalize_label
 
-# Longest mined term in tokens; the corpus index must answer this length too.
+# Longest mined term in tokens; the corpus index answers this length from postings.
 MAX_NGRAM_LEN = 3
 
 
@@ -53,38 +56,36 @@ def default_stoplist() -> Stoplist:
     return parse_stoplist(data.read_text(encoding="utf-8"))
 
 
+@lru_cache(maxsize=None)
+def _punctuation_pattern(punctuation: frozenset[str]) -> re.Pattern[str] | None:
+    if not punctuation:
+        return None
+    return re.compile("[" + "".join(re.escape(ch) for ch in sorted(punctuation)) + "]+")
+
+
+def punctuation_spans(text: str, punctuation: frozenset[str]) -> list[list[str]]:
+    """Whitespace-separated tokens, cut into spans at punctuation characters."""
+    pattern = _punctuation_pattern(punctuation)
+    pieces = pattern.split(text) if pattern is not None else [text]
+    return [tokens for piece in pieces if (tokens := piece.split())]
+
+
 def split_spans(text: str, stoplist: Stoplist) -> list[list[str]]:
-    """Cut text into token spans at stopword and punctuation boundaries."""
-    spans: list[list[str]] = []
-    current: list[str] = []
+    """Cut text into token spans at punctuation, then at stopwords."""
+    return [
+        list(run)
+        for span in punctuation_spans(text, stoplist.punctuation)
+        for is_stop, run in groupby(span, key=stoplist.is_stopword)
+        if not is_stop
+    ]
 
-    def close():
-        nonlocal current
-        if current:
-            spans.append(current)
-            current = []
 
-    def emit(piece: list[str]):
-        if not piece:
-            return
-        token = "".join(piece)
-        if stoplist.is_stopword(token):
-            close()
-        else:
-            current.append(token)
-        piece.clear()
-
-    for raw in text.split():
-        piece: list[str] = []
-        for ch in raw:
-            if ch in stoplist.punctuation:
-                emit(piece)
-                close()
-            else:
-                piece.append(ch)
-        emit(piece)
-    close()
-    return spans
+def phrases(span: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """Every run of 1..MAX_NGRAM_LEN tokens in the span, by length, then start."""
+    tokens = tuple(span)
+    for length in range(1, MAX_NGRAM_LEN + 1):
+        for start in range(len(tokens) - length + 1):
+            yield tokens[start : start + length]
 
 
 @dataclass(eq=False)
@@ -126,13 +127,11 @@ def tokenize_ngrams(
     """
     merged: dict[tuple[str, ...], NGram] = {}
     for span in spans:
-        tokens = list(span)
-        for length in range(1, MAX_NGRAM_LEN + 1):
-            for start in range(len(tokens) - length + 1):
-                gram = NGram(tuple(tokens[start : start + length]))
-                existing = merged.setdefault(gram.key, gram)
-                if doc_id is not None:
-                    existing.doc_ids.add(doc_id)
+        for tokens in phrases(span):
+            gram = NGram(tokens)
+            existing = merged.setdefault(gram.key, gram)
+            if doc_id is not None:
+                existing.doc_ids.add(doc_id)
     return set(merged.values())
 
 

@@ -9,6 +9,40 @@ from __future__ import annotations
 import math
 
 
+def walk_spans(text: str, stoplist) -> list[list[str]]:
+    """Token spans cut at stopwords and punctuation, one character at a time."""
+    spans: list[list[str]] = []
+    current: list[str] = []
+
+    def close():
+        nonlocal current
+        if current:
+            spans.append(current)
+            current = []
+
+    def emit(piece: list[str]):
+        if not piece:
+            return
+        token = "".join(piece)
+        if stoplist.is_stopword(token):
+            close()
+        else:
+            current.append(token)
+        piece.clear()
+
+    for raw in text.split():
+        piece: list[str] = []
+        for ch in raw:
+            if ch in stoplist.punctuation:
+                emit(piece)
+                close()
+            else:
+                piece.append(ch)
+        emit(piece)
+    close()
+    return spans
+
+
 def scan_phrase_docs(doc_tokens: dict[str, list[str]], phrase: str) -> set[str]:
     """Documents containing the phrase as a contiguous token run (brute force)."""
     needle = phrase.lower().split()

@@ -1,10 +1,12 @@
+import argparse
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from ontoenrich import pipeline
-from ontoenrich.cli import main
+from ontoenrich.cli import _CONFIG_KEYS, build_parser, main
 from ontoenrich.hitcounts import CorpusIndex
 from ontoenrich.ontology import RelationKind, load_ontology
 
@@ -17,6 +19,10 @@ SNAPSHOT = FIXTURES / "snapshots" / "worked_examples.tsv"
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def manifest_of(out: Path) -> dict[str, str]:
+    return dict(line.split("\t") for line in (out / "manifest.tsv").read_text().splitlines())
 
 
 @pytest.fixture
@@ -115,15 +121,49 @@ def test_manifest_records_run_knobs(tmp_path):
         "--snapshot", SNAPSHOT, "--threshold", 0.7, "--ngd-cap", 0.9,
         "--top-k", 2, "--out-dir", out,
     ) == 0
-    manifest = dict(
-        line.split("\t") for line in (out / "manifest.tsv").read_text().splitlines()
-    )
+    manifest = manifest_of(out)
     assert manifest["threshold"] == "0.7"
     assert manifest["distance_cap"] == "0.9"
     assert manifest["top_k"] == "2"
     assert manifest["provider"] == "snapshot:worked_examples.tsv"
     assert manifest["catalogue_sha256"] == "builtin"
     assert len(manifest["ontology_sha256"]) == 64
+
+
+def test_manifest_identifies_snapshot_by_content(tmp_path):
+    manifests = []
+    for name, text in [("a", SNAPSHOT.read_text()),
+                       ("b", SNAPSHOT.read_text().replace("\t480000", "\t480001"))]:
+        snapshot = tmp_path / name / SNAPSHOT.name
+        snapshot.parent.mkdir()
+        snapshot.write_text(text, encoding="utf-8")
+        out = tmp_path / f"out-{name}"
+        assert run(
+            "enrich", "--corpus", FIXTURES / "corpus_examples", "--ontology", MINI,
+            "--snapshot", snapshot, "--top-k", 1, "--out-dir", out,
+        ) == 0
+        manifests.append(manifest_of(out))
+    first, second = manifests
+    assert first["provider"] == second["provider"] == f"snapshot:{SNAPSHOT.name}"
+    assert first["snapshot_sha256"] != second["snapshot_sha256"]
+    assert first["snapshot_sha256"] == hashlib.sha256(SNAPSHOT.read_bytes()).hexdigest()
+    assert first["corpus_sha256"] == second["corpus_sha256"]
+
+
+def test_manifest_identifies_corpus_by_content(tmp_path, tiny_corpus):
+    manifests = []
+    for name in ("before", "after"):
+        out = tmp_path / name
+        assert run(
+            "enrich", "--corpus", tiny_corpus, "--ontology", MINI, "--top-k", 1,
+            "--out-dir", out,
+        ) == 0
+        manifests.append(manifest_of(out))
+        (tiny_corpus / "islands" / "four.txt").write_text("sea coast reefs", encoding="utf-8")
+    first, second = manifests
+    assert first["provider"] == second["provider"]
+    assert first["snapshot_sha256"] == second["snapshot_sha256"] == "-"
+    assert first["corpus_sha256"] != second["corpus_sha256"]
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -144,9 +184,7 @@ def test_config_file_with_flag_override(tmp_path):
     assert run(
         "enrich", "--config", config, "--threshold", 0.5, "--out-dir", out
     ) == 0
-    manifest = dict(
-        line.split("\t") for line in (out / "manifest.tsv").read_text().splitlines()
-    )
+    manifest = manifest_of(out)
     assert manifest["threshold"] == "0.5"  # flag beats config file
     assert manifest["top_k"] == "1"        # config file fills the gap
 
@@ -155,6 +193,47 @@ def test_config_file_unknown_key_rejected(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"corpsu": "x"}), encoding="utf-8")
     assert run("enrich", "--config", config, "--out-dir", tmp_path / "o") == 2
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ({"threshold": "high"}, []),
+        ({"threshold": None}, []),
+        ({"threshold": True}, []),
+        ({"ngd_cap": None}, []),
+        ({"top_k": 2.7}, []),
+        ({"top_k": "2"}, []),
+        (["threshold", 0.5], []),
+        (None, ["--threshold", 1.5]),
+        (None, ["--threshold", -0.1]),
+        (None, ["--top-k", 0]),
+        (None, ["--ngd-cap", -1]),
+    ],
+)
+def test_bad_knob_values_exit_config_code(tmp_path, capsys, config, flags):
+    argv = ["enrich", "--corpus", FIXTURES / "corpus_examples", "--ontology", MINI,
+            "--snapshot", SNAPSHOT, "--out-dir", tmp_path / "o", *flags]
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", path]
+    assert run(*argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_keys_match_run_flags():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    for name in ("enrich", "relatedness", "patterns"):
+        dests = [
+            action.dest for action in subparsers.choices[name]._actions
+            if action.dest not in ("help", "config")
+        ]
+        assert sorted(dests) == sorted(_CONFIG_KEYS), name
 
 
 def test_missing_required_flags_exit_config_code(tmp_path):

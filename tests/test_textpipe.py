@@ -1,7 +1,7 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ontoenrich.ontology import load_ontology
 from ontoenrich.textpipe import (
@@ -18,6 +18,8 @@ from ontoenrich.textpipe import (
     tokenize_corpus,
     tokenize_ngrams,
 )
+
+from helpers import walk_spans
 
 MINI_ONTOLOGY = Path(__file__).resolve().parent.parent / "fixtures" / "mini_ontology.tsv"
 
@@ -209,3 +211,36 @@ def test_property_no_ngram_crosses_stopword(text):
             for span in joined
             for i in range(len(span) - n + 1)
         )
+
+
+_DEFAULT_WORDS = "\n".join(sorted(default_stoplist().words))
+STOPLISTS = {
+    "default": default_stoplist(),
+    "no-punctuation": parse_stoplist(_DEFAULT_WORDS),
+    "odd-punctuation": parse_stoplist(_DEFAULT_WORDS + "\n-\n]\n^\n\\\n"),
+}
+
+
+def test_stoplist_variants_punctuation():
+    assert STOPLISTS["odd-punctuation"].punctuation == frozenset("-]^\\")
+    no_punctuation = STOPLISTS["no-punctuation"]
+    assert no_punctuation.punctuation == frozenset()
+    assert split_spans("deep reef, (shallow) bay", no_punctuation) == [
+        ["deep", "reef,", "(shallow)", "bay"]
+    ]
+
+
+# Pieces are joined without separators, so words, stopwords and punctuation
+# also fuse into single raw tokens such as "The-reef]".
+_PIECES = st.sampled_from(
+    ["java", "Reef", "sea-bay", "Hindu-Buddhist", "the", "The", "OF", "aN", "-",
+     " ", "\t", "\n", "\x1c", ",", ".", "(", ")", "[", "]", "^", "\\", "|", ":"]
+)
+
+
+@pytest.mark.parametrize("variant", sorted(STOPLISTS))
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PIECES, max_size=40).map("".join))
+def test_property_split_spans_equals_character_walk(variant, text):
+    stoplist = STOPLISTS[variant]
+    assert split_spans(text, stoplist) == walk_spans(text, stoplist)
