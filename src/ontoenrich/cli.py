@@ -36,27 +36,26 @@ STAGE_EXIT_CODES = {
     "evaluation": 9,
 }
 
-_CONFIG_KEYS = (
-    "corpus", "ontology", "snapshot", "stopwords", "gazetteer", "patterns",
-    "out_dir", "threshold", "ngd_cap", "top_k",
-)
+_PATH_KEYS = ("corpus", "ontology", "out_dir", "snapshot", "stopwords", "gazetteer", "patterns")
+_CONFIG_KEYS = (*_PATH_KEYS, "threshold", "ngd_cap", "top_k")
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON file with option defaults")
-    parser.add_argument("--corpus", type=Path, help="corpus directory (one subdir per domain)")
-    parser.add_argument("--ontology", type=Path, help="ontology file to enrich")
-    parser.add_argument("--snapshot", type=Path,
+    # Path flags stay strings until _run_config, which rejects an empty one.
+    parser.add_argument("--corpus", help="corpus directory (one subdir per domain)")
+    parser.add_argument("--ontology", help="ontology file to enrich")
+    parser.add_argument("--snapshot",
                         help="hit-count snapshot file; omit to index the corpus itself")
-    parser.add_argument("--stopwords", type=Path, help="stoplist file (default: built in)")
-    parser.add_argument("--gazetteer", type=Path, help="entity gazetteer file")
-    parser.add_argument("--patterns", type=Path, help="pattern catalogue file (default: built in)")
+    parser.add_argument("--stopwords", help="stoplist file (default: built in)")
+    parser.add_argument("--gazetteer", help="entity gazetteer file")
+    parser.add_argument("--patterns", help="pattern catalogue file (default: built in)")
     parser.add_argument("--threshold", type=float, help="relatedness threshold (default 0.5)")
     parser.add_argument("--ngd-cap", dest="ngd_cap", type=float,
                         help="distance substituted when a pair never co-occurs (default 1.0)")
     parser.add_argument("--top-k", dest="top_k", type=int,
                         help="keep at most k targets per missing term")
-    parser.add_argument("--out-dir", dest="out_dir", type=Path, help="output directory")
+    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -79,11 +78,21 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _path(key: str, value) -> Path | None:
+    """None stays absent; a non-empty string or Path is a path; anything else is an error."""
+    if value is None:
+        return None
+    if isinstance(value, Path) or (isinstance(value, str) and value):
+        return Path(value)
+    raise ConfigError(f"{key} must be a non-empty path, got {value!r}")
+
+
 def _run_config(args: argparse.Namespace) -> RunConfig:
     merged = _merge_config(args)
     for required in ("corpus", "ontology", "out_dir"):
         if merged.get(required) is None:
             raise ConfigError(f"--{required.replace('_', '-')} is required")
+    paths = {key: _path(key, merged.get(key)) for key in _PATH_KEYS}
     if any(isinstance(merged.get(key), bool) for key in ("threshold", "ngd_cap", "top_k")):
         raise ConfigError("threshold, ngd_cap and top_k take numbers, not true or false")
     top_k = merged.get("top_k")
@@ -91,13 +100,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"top_k must be an integer, got {top_k!r}")
     try:
         return RunConfig(
-            corpus=Path(merged["corpus"]),
-            ontology=Path(merged["ontology"]),
-            out_dir=Path(merged["out_dir"]),
-            snapshot=Path(merged["snapshot"]) if merged.get("snapshot") else None,
-            stopwords=Path(merged["stopwords"]) if merged.get("stopwords") else None,
-            gazetteer=Path(merged["gazetteer"]) if merged.get("gazetteer") else None,
-            patterns=Path(merged["patterns"]) if merged.get("patterns") else None,
+            **paths,
             threshold=float(merged.get("threshold", 0.5)),
             distance_cap=float(merged.get("ngd_cap", 1.0)),
             top_k=top_k,

@@ -35,6 +35,8 @@ from .textpipe import MAX_NGRAM_LEN, Corpus, phrases, punctuation_spans
 # "|" must stay a boundary: the index file format separates spans with it.
 DEFAULT_PUNCTUATION = frozenset('():,.;!?"[]{}|')
 
+_NO_DOCS: frozenset[str] = frozenset()
+
 
 class EmptyCorpusError(ValueError):
     """An index cannot be built over zero documents."""
@@ -68,8 +70,10 @@ class CorpusIndex:
     """Inverted index of contiguous token phrases over a document corpus.
 
     Phrases up to ``MAX_NGRAM_LEN`` tokens are answered from posting lists;
-    longer queries (pattern strings) intersect unigram postings and verify
-    adjacency against the stored token spans.
+    longer queries (pattern strings) take their candidates from the postings
+    of their ``MAX_NGRAM_LEN``-token windows and verify adjacency against the
+    stored token spans. ``pair_hits`` memoizes each term's posting set by
+    phrase string, so a batch of pairs looks each term up once.
     """
 
     def __init__(
@@ -82,6 +86,7 @@ class CorpusIndex:
         self._doc_spans = {doc_id: doc_spans[doc_id] for doc_id in sorted(doc_spans)}
         self._punctuation = punctuation
         self._postings: dict[tuple[str, ...], set[str]] = {}
+        self._term_docs: dict[str, set[str]] = {}  # pair_hits memo, keyed by phrase
         for doc_id, spans in self._doc_spans.items():
             for span in spans:
                 for phrase in phrases(span):
@@ -103,13 +108,16 @@ class CorpusIndex:
         return cls(doc_spans, punctuation)
 
     def _scan_long_phrase(self, tokens: tuple[str, ...]) -> set[str]:
-        candidates: set[str] | None = None
-        for token in set(tokens):
-            docs = self._postings.get((token,), set())
-            candidates = docs if candidates is None else candidates & docs
+        postings = [
+            self._postings.get(tokens[i : i + MAX_NGRAM_LEN], _NO_DOCS)
+            for i in range(len(tokens) - MAX_NGRAM_LEN + 1)
+        ]
+        postings.sort(key=len)
+        candidates = postings[0]
+        for docs in postings[1:]:
             if not candidates:
                 return set()
-        assert candidates is not None
+            candidates = candidates & docs
         matched = set()
         n = len(tokens)
         for doc_id in candidates:
@@ -119,7 +127,7 @@ class CorpusIndex:
                     break
         return matched
 
-    def doc_ids(self, phrase: str) -> set[str]:
+    def _doc_ids(self, phrase: str) -> set[str]:
         tokens = _phrase_tokens(phrase, self._punctuation)
         if not tokens:
             return set()
@@ -128,10 +136,16 @@ class CorpusIndex:
         return self._scan_long_phrase(tokens)
 
     def hits(self, phrase: str) -> int:
-        return len(self.doc_ids(phrase))
+        return len(self._doc_ids(phrase))
+
+    def _term_doc_ids(self, phrase: str) -> set[str]:
+        docs = self._term_docs.get(phrase)
+        if docs is None:
+            docs = self._term_docs[phrase] = self._doc_ids(phrase)
+        return docs
 
     def pair_hits(self, a: str, b: str) -> int:
-        return len(self.doc_ids(a) & self.doc_ids(b))
+        return len(self._term_doc_ids(a) & self._term_doc_ids(b))
 
     def pattern_hits(self, query: str) -> int:
         return self.hits(query)

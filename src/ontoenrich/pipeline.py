@@ -8,7 +8,6 @@ timestamps). A manifest records the run's knobs and a sha256 of each input.
 from __future__ import annotations
 
 import hashlib
-import logging
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,8 +50,6 @@ from .textpipe import (
     partition_terms,
     tokenize_corpus,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class StageError(RuntimeError):
@@ -173,13 +170,7 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
             k.ngram.surface for k in partition.known if k.source == "concept"
         ]
         t_in, _ = drop_unusable_terms(known_concept_terms, provider)
-        t_miss, unusable_miss = drop_unusable_terms(
-            [gram.surface for gram in retained], provider
-        )
-        if unusable_miss:
-            logger.warning(
-                "%d retained terms cannot enter the relatedness batch", len(unusable_miss)
-            )
+        t_miss, _ = drop_unusable_terms([gram.surface for gram in retained], provider)
         matrix = None
         if t_miss and t_in:
             matrix = relatedness_matrix(

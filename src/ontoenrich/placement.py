@@ -33,7 +33,7 @@ from .ontology import (
     RelationKind,
 )
 from .patterns import FALLBACK_MARKER, RelationSuggestion, slug
-from .relatedness import DegenerateDenominatorError, DistanceConfig, normalized_distance
+from .relatedness import DistanceConfig, distance_from_counts
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +43,10 @@ MAX_PATH_DEPTH = 5
 
 class UnresolvedSenseError(ValueError):
     """No sense path of the target had a usable label to score."""
+
+    def __init__(self, message: str, path_scores: tuple["PathScore", ...]):
+        super().__init__(message)
+        self.path_scores = path_scores
 
 
 class ConflictingDecisionError(ValueError):
@@ -100,6 +104,8 @@ def disambiguate_sense(
         raise ValueError(f"{target!r} has a single sense; nothing to disambiguate")
 
     paths = ontology.semantic_paths_from(target)
+    n = provider.total_docs()
+    f_miss = provider.hits(t_miss)
     distances: dict[str, float] = {}
     usable: dict[str, float] = {}
     for path in paths:
@@ -107,10 +113,13 @@ def disambiguate_sense(
             if label in distances:
                 continue
             try:
-                value = normalized_distance(t_miss, label, provider, cfg.distance)
-            except (ValueError, DegenerateDenominatorError):
+                value = distance_from_counts(
+                    t_miss, label, f_miss, provider.hits(label),
+                    provider.pair_hits(t_miss, label), n, cfg.distance,
+                )
+            except ValueError:
                 distances[label] = float("nan")
-                logger.warning(
+                logger.debug(
                     "sense scoring skips label %r for %r (unusable hit counts)",
                     label, t_miss,
                 )
@@ -140,7 +149,7 @@ def disambiguate_sense(
     defined = [s for s in scores if s.score is not None]
     if not defined:
         raise UnresolvedSenseError(
-            f"no sense path of {target!r} has a label with usable hit counts"
+            f"no sense path of {target!r} has a label with usable hit counts", tuple(scores)
         )
     best = max(s.score for s in defined)
     winners = tuple(s.sense for s in defined if s.score == best)
@@ -194,24 +203,41 @@ def place_all(
     provider: HitCountProvider,
     cfg: PlacementConfig = PlacementConfig(),
 ) -> tuple[list[PlacementDecision], list[PlacementFailure]]:
-    """Place every suggestion; terms with several targets become composite."""
+    """Place every suggestion; terms with several targets become composite.
+
+    Sense-path labels skipped for unusable hit counts are summed up in one
+    warning per call.
+    """
     by_term: dict[str, list[RelationSuggestion]] = {}
     for suggestion in suggestions:
         by_term.setdefault(suggestion.missing_term, []).append(suggestion)
 
     decisions, failures = [], []
+    skipped: set[str] = set()  # sense-path labels without usable hit counts
     for term in sorted(by_term, key=str.lower):
         group = sorted(by_term[term], key=lambda s: s.ontology_term.lower())
         composite = len(group) > 1
         for suggestion in group:
             try:
                 decision = place_concept(suggestion, ontology, provider, cfg)
-            except (UnresolvedSenseError, LookupError) as exc:
+            except UnresolvedSenseError as exc:
+                failures.append(PlacementFailure(suggestion, str(exc)))
+                path_scores = exc.path_scores
+            except LookupError as exc:
                 failures.append(PlacementFailure(suggestion, str(exc)))
                 continue
-            if composite:
-                decision = replace(decision, case="case3-composite", subcase=decision.case)
-            decisions.append(decision)
+            else:
+                if composite:
+                    decision = replace(decision, case="case3-composite", subcase=decision.case)
+                decisions.append(decision)
+                path_scores = decision.path_scores
+            for score in path_scores:
+                skipped.update(set(score.labels) - set(score.scored_labels))
+    if skipped:
+        logger.warning(
+            "sense scoring skips %d labels with unusable hit counts: %s",
+            len(skipped), ", ".join(repr(label) for label in sorted(skipped)),
+        )
     return decisions, failures
 
 

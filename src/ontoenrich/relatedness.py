@@ -18,6 +18,9 @@ over the whole batch of (missing term, ontology term) pairs in a run:
     relatedness(m, t) = 1 - distance(m, t) / sum over all batch pairs
 
 which lands every cell in [0, 1]; 1 means maximally related.
+
+The batch fetches f1 once per row and column term and N once; per cell it
+asks the provider only for f2.
 """
 
 from __future__ import annotations
@@ -47,22 +50,22 @@ class DistanceConfig:
             raise ValueError("zero co-occurrence cap must be >= 0")
 
 
-def normalized_distance(
+def distance_from_counts(
     a: str,
     b: str,
-    provider: HitCountProvider,
+    fa: int,
+    fb: int,
+    f2: int,
+    n: int,
     cfg: DistanceConfig = DistanceConfig(),
 ) -> float:
-    """Co-occurrence distance between two terms; see the module docstring."""
-    fa, fb = provider.hits(a), provider.hits(b)
+    """Co-occurrence distance from the hit counts of a, b, the pair and N."""
     if fa <= 0 or fb <= 0:
         raise ValueError(f"distance needs positive hit counts, got {a!r}={fa}, {b!r}={fb}")
-    n = provider.total_docs()
     if n <= max(fa, fb):
         raise DegenerateDenominatorError(
             f"collection size {n} must exceed the hit counts of {a!r} and {b!r}"
         )
-    f2 = provider.pair_hits(a, b)
     if f2 == 0:
         return cfg.zero_cooccurrence_cap
     if f2 > min(fa, fb):
@@ -75,6 +78,19 @@ def normalized_distance(
     return numerator / denominator
 
 
+def normalized_distance(
+    a: str,
+    b: str,
+    provider: HitCountProvider,
+    cfg: DistanceConfig = DistanceConfig(),
+) -> float:
+    """Co-occurrence distance between two terms; see the module docstring."""
+    return distance_from_counts(
+        a, b, provider.hits(a), provider.hits(b), provider.pair_hits(a, b),
+        provider.total_docs(), cfg,
+    )
+
+
 def ngram_hits_filter(missing: Iterable[NGram], provider: HitCountProvider) -> list[NGram]:
     """Keep exactly the n-grams with a positive hit count, in lexicographic order."""
     ordered = sorted(missing, key=lambda g: g.key)
@@ -84,7 +100,10 @@ def ngram_hits_filter(missing: Iterable[NGram], provider: HitCountProvider) -> l
 def drop_unusable_terms(
     terms: Iterable[str], provider: HitCountProvider
 ) -> tuple[list[str], list[str]]:
-    """Split terms into usable (0 < hits < N) and dropped, warning per drop."""
+    """Split terms into usable (0 < hits < N) and dropped.
+
+    Warns once per call naming the dropped terms; per-term counts go to DEBUG.
+    """
     kept, dropped = [], []
     n = provider.total_docs()
     for term in sorted(set(terms), key=str.lower):
@@ -93,10 +112,15 @@ def drop_unusable_terms(
             kept.append(term)
         else:
             dropped.append(term)
-            logger.warning(
+            logger.debug(
                 "dropping term %r from the relatedness batch (hits=%d, total docs=%d)",
                 term, count, n,
             )
+    if dropped:
+        logger.warning(
+            "dropping %d terms from the relatedness batch (hits 0 or >= total docs %d): %s",
+            len(dropped), n, ", ".join(repr(term) for term in dropped),
+        )
     return kept, dropped
 
 
@@ -136,9 +160,17 @@ def relatedness_matrix(
     """
     rows = _sorted_unique(missing_terms, "missing")
     cols = _sorted_unique(ontology_terms, "ontology")
-    distances = [
-        [normalized_distance(miss, term, provider, cfg) for term in cols] for miss in rows
-    ]
+    n = provider.total_docs()
+    col_hits = [provider.hits(term) for term in cols]
+    distances = []
+    for miss in rows:
+        f_miss = provider.hits(miss)
+        distances.append([
+            distance_from_counts(
+                miss, term, f_miss, f_term, provider.pair_hits(miss, term), n, cfg
+            )
+            for term, f_term in zip(cols, col_hits)
+        ])
     denominator = 0.0
     for row in distances:
         for value in row:

@@ -209,11 +209,24 @@ def test_config_file_unknown_key_rejected(tmp_path):
         (None, ["--threshold", -0.1]),
         (None, ["--top-k", 0]),
         (None, ["--ngd-cap", -1]),
+        ({"snapshot": ""}, []),
+        ({"snapshot": False}, []),
+        ({"snapshot": 0}, []),
+        ({"stopwords": ""}, []),
+        ({"gazetteer": False}, []),
+        ({"patterns": ["x"]}, []),
+        (None, ["--snapshot", ""]),
+        (None, ["--stopwords", ""]),
+        (None, ["--corpus", ""]),
+        (None, ["--out-dir", ""]),
     ],
 )
 def test_bad_knob_values_exit_config_code(tmp_path, capsys, config, flags):
     argv = ["enrich", "--corpus", FIXTURES / "corpus_examples", "--ontology", MINI,
-            "--snapshot", SNAPSHOT, "--out-dir", tmp_path / "o", *flags]
+            "--out-dir", tmp_path / "o"]
+    if not isinstance(config, dict) or "snapshot" not in config:
+        argv += ["--snapshot", SNAPSHOT]  # a flag would override the config file's value
+    argv += flags
     if config is not None:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config), encoding="utf-8")

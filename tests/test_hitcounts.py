@@ -203,18 +203,18 @@ _MARKS = st.sampled_from([""] * 12 + [",", ".", "(", ")"])
 
 @st.composite
 def long_phrase_cases(draw):
-    """Documents with punctuation tokens, and 4-8 token queries, half of them
+    """Documents with punctuation tokens, and 4-12 token queries, half of them
     windows of a document's words (which match unless the window crosses
     punctuation)."""
     texts, words_of = {}, {}
     for i in range(draw(st.integers(1, 8))):
-        words = draw(st.lists(_LONG_WORDS, min_size=8, max_size=30))
+        words = draw(st.lists(_LONG_WORDS, min_size=12, max_size=30))
         marks = draw(st.lists(_MARKS, min_size=len(words), max_size=len(words)))
         texts[f"d/{i}"] = " ".join(f"{word} {mark}" for word, mark in zip(words, marks))
         words_of[f"d/{i}"] = words
     queries = []
     for _ in range(draw(st.integers(1, 8))):
-        length = draw(st.integers(4, 8))
+        length = draw(st.integers(4, 12))
         if draw(st.booleans()):
             words = words_of[draw(st.sampled_from(sorted(words_of)))]
             start = draw(st.integers(0, len(words) - length))
@@ -232,3 +232,41 @@ def test_property_long_phrase_equals_scan_oracle(case):
     doc_tokens = {doc_id: text.split() for doc_id, text in texts.items()}
     for query in queries:
         assert index.hits(query) == scan_hits(doc_tokens, query)
+
+
+@pytest.mark.parametrize(
+    "text, query, absent_windows",
+    [
+        ("a b c . b c d", "a b c d", 0),          # both windows, split by punctuation
+        ("a b c , c d e", "a b c d e", 1),        # all windows but "b c d"
+        ("x y x y y x y x", "x y x y x", 0),      # "x y x" twice in the query
+        ("x y x . y x", "x y x y x", 1),          # "y x y" absent
+    ],
+)
+def test_long_phrase_absent_though_its_windows_occur(text, query, absent_windows):
+    index = build_index(corpus_of({"d/0": text, "d/1": "filler"}))
+    tokens = query.split()
+    windows = {" ".join(tokens[i : i + 3]) for i in range(len(tokens) - 2)}
+    assert all(index.hits(token) == 1 for token in tokens)
+    assert sum(index.hits(window) == 0 for window in windows) == absent_windows
+    assert index.hits(query) == scan_hits({"d/0": text.split()}, query) == 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    small_corpora(),
+    st.lists(_WORDS, min_size=1, max_size=5),
+    st.lists(_WORDS, min_size=1, max_size=5),
+    st.lists(st.sampled_from(["hits a", "hits b", "pair a b", "pair b a"]), min_size=1, max_size=8),
+)
+def test_property_interleaved_queries_equal_scan_oracle(texts, phrase_a, phrase_b, calls):
+    index = build_index(corpus_of(texts))
+    doc_tokens = {doc_id: text.split() for doc_id, text in texts.items()}
+    terms = {"a": " ".join(phrase_a), "b": " ".join(phrase_b)}
+    for call in calls:
+        kind, *names = call.split()
+        args = [terms[name] for name in names]
+        if kind == "hits":
+            assert index.hits(*args) == scan_hits(doc_tokens, *args)
+        else:
+            assert index.pair_hits(*args) == scan_pair_hits(doc_tokens, *args)

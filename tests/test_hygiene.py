@@ -5,6 +5,8 @@
   outside its own definition by the package, the scripts, the benchmark or
   the acceptance tests. Methods are out of scope: without types an
   attribute name cannot be tied to one class.
+* Every private top-level function in ``src/ontoenrich`` is used by the
+  package outside its own definition.
 """
 
 import ast
@@ -55,18 +57,33 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_public_definitions_have_users():
+def unused_definitions(is_checked, users) -> list[str]:
+    """Top-level definitions in the package that no user file references
+    outside the definition itself."""
     defined = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in parse(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if is_checked(node):
                 defined[node.name] = path.name
     used = set()
-    for path in USERS:
+    for path in users:
         for node in parse(path).body:
             names = referenced_names(node)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(node.name)
             used |= names
-    unused = sorted(f"{module}: {name}" for name, module in defined.items() if name not in used)
-    assert unused == []
+    return sorted(f"{module}: {name}" for name, module in defined.items() if name not in used)
+
+
+def test_public_definitions_have_users():
+    def public(node):
+        return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+    assert unused_definitions(public, USERS) == []
+
+
+def test_private_functions_have_callers():
+    def private(node):
+        return isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+
+    assert unused_definitions(private, sorted(PACKAGE.glob("*.py"))) == []

@@ -141,6 +141,24 @@ def test_place_all_records_unresolved_sense(onto):
     assert "usable" in failures[0].reason
 
 
+def test_place_all_warns_once_for_skipped_labels(onto, caplog):
+    table = SnapshotTable.from_pairs([("corporate body", 10), ("polity", 10)], total_docs=100)
+    suggestions = [suggest("corporate body", "organization"), suggest("polity", "organization")]
+    with caplog.at_level("DEBUG", logger="ontoenrich.placement"):
+        _, failures = place_all(suggestions, onto, table)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    debug = [r for r in caplog.records if r.levelname == "DEBUG"]
+    assert len(failures) == 2
+    with pytest.raises(UnresolvedSenseError) as unresolved:
+        disambiguate_sense("polity", "organization", onto, table)
+    labels = sorted({label for score in unresolved.value.path_scores for label in score.labels})
+    assert warnings == [
+        f"sense scoring skips {len(labels)} labels with unusable hit counts: "
+        + ", ".join(repr(label) for label in labels)
+    ]
+    assert len(debug) == 2 * len(labels)
+
+
 def test_place_concept_unknown_target(onto, snapshot):
     with pytest.raises(LookupError):
         place_concept(suggest("polder", "atlantis"), onto, snapshot)

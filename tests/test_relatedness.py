@@ -20,7 +20,7 @@ from ontoenrich.relatedness import (
 )
 from ontoenrich.textpipe import Corpus, Document, NGram
 
-from helpers import log2_distance, oracle_matrix
+from helpers import log2_distance, oracle_matrix, scan_hits, scan_pair_hits
 
 SNAPSHOTS = Path(__file__).resolve().parent.parent / "fixtures" / "snapshots"
 
@@ -151,6 +151,57 @@ def test_matrix_matches_scan_oracle_on_synthetic_corpus():
         assert matrix.value(miss, term) == pytest.approx(expected, abs=1e-12)
 
 
+class CountingProvider:
+    """Counts the calls of each provider method before delegating."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = {"hits": 0, "pair_hits": 0, "pattern_hits": 0, "total_docs": 0}
+
+    def hits(self, phrase):
+        self.calls["hits"] += 1
+        return self.inner.hits(phrase)
+
+    def pair_hits(self, a, b):
+        self.calls["pair_hits"] += 1
+        return self.inner.pair_hits(a, b)
+
+    def pattern_hits(self, query):
+        self.calls["pattern_hits"] += 1
+        return self.inner.pattern_hits(query)
+
+    def total_docs(self):
+        self.calls["total_docs"] += 1
+        return self.inner.total_docs()
+
+
+def test_matrix_fetches_each_term_count_once():
+    doc_tokens = {
+        f"d/{i}": text.split()
+        for i, text in enumerate([
+            "m1 k1 k3", "m1 k1", "m2 k2 k3", "m3 k4", "m1 m2 k2", "k1 k2 k3 k4",
+            "m3 k3", "m2", "k4", "filler",
+        ])
+    }
+    rows, cols = ["m1", "m2", "m3"], ["k1", "k2", "k3", "k4"]
+    entries = [(term, scan_hits(doc_tokens, term)) for term in rows + cols]
+    entries += [
+        (pair_key(miss, term), scan_pair_hits(doc_tokens, miss, term))
+        for miss in rows for term in cols
+    ]
+    provider = CountingProvider(SnapshotTable.from_pairs(entries, len(doc_tokens)))
+    matrix = relatedness_matrix(rows, cols, provider)
+    assert provider.calls == {
+        "hits": len(rows) + len(cols),
+        "pair_hits": len(rows) * len(cols),
+        "pattern_hits": 0,
+        "total_docs": 1,
+    }
+    oracle = oracle_matrix(doc_tokens, rows, cols)
+    for (miss, term), expected in oracle.items():
+        assert matrix.value(miss, term) == pytest.approx(expected, abs=1e-12)
+
+
 def test_empty_sets_rejected():
     table = snapshot_of({"a": 4}, {}, 64)
     with pytest.raises(ValueError, match="empty"):
@@ -161,11 +212,19 @@ def test_empty_sets_rejected():
 
 def test_drop_unusable_terms_warns(caplog):
     table = snapshot_of({"a": 4, "b": 0, "c": 64}, {}, 64)
-    with caplog.at_level("WARNING"):
+    with caplog.at_level("DEBUG", logger="ontoenrich.relatedness"):
         kept, dropped = drop_unusable_terms(["a", "b", "c"], table)
     assert kept == ["a"]
     assert dropped == ["b", "c"]
-    assert caplog.text.count("dropping term") == 2
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    debug = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+    assert warnings == [
+        "dropping 2 terms from the relatedness batch (hits 0 or >= total docs 64): 'b', 'c'"
+    ]
+    assert debug == [
+        "dropping term 'b' from the relatedness batch (hits=0, total docs=64)",
+        "dropping term 'c' from the relatedness batch (hits=64, total docs=64)",
+    ]
 
 
 def row_matrix(values: dict[str, float], miss: str = "jawa") -> RelatednessMatrix:
