@@ -117,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     index = sub.add_parser("index", help="build and persist the corpus phrase index")
-    index.add_argument("--corpus", type=Path, required=True)
-    index.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
-    index.add_argument("--stopwords", type=Path)
+    index.add_argument("--corpus", required=True)
+    index.add_argument("--out-dir", dest="out_dir", required=True)
+    index.add_argument("--stopwords")
 
     for name, help_text in [
         ("enrich", "run the full enrichment pipeline"),
@@ -129,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_run_flags(sub.add_parser(name, help=help_text))
 
     evaluate = sub.add_parser("eval", help="compare system judgments against expert ones")
-    evaluate.add_argument("--system", type=Path, required=True)
-    evaluate.add_argument("--expert", type=Path, required=True)
-    evaluate.add_argument("--out-dir", dest="out_dir", type=Path, required=True)
+    evaluate.add_argument("--system", required=True)
+    evaluate.add_argument("--expert", required=True)
+    evaluate.add_argument("--out-dir", dest="out_dir", required=True)
     evaluate.add_argument("--ignore-relation", action="store_true",
                           help="match placements on term, target and sense only")
     return parser
@@ -143,7 +143,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "index":
-            out = run_index(args.corpus, args.out_dir, args.stopwords)
+            out = run_index(_path("corpus", args.corpus), _path("out_dir", args.out_dir),
+                            _path("stopwords", args.stopwords))
         elif args.command == "enrich":
             out = run_enrichment(_run_config(args))
         elif args.command == "relatedness":
@@ -151,7 +152,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "patterns":
             out = run_patterns(_run_config(args))
         else:
-            out = run_eval(args.system, args.expert, args.out_dir, not args.ignore_relation)
+            out = run_eval(_path("system", args.system), _path("expert", args.expert),
+                           _path("out_dir", args.out_dir), not args.ignore_relation)
     except ConfigError as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return STAGE_EXIT_CODES["config"]

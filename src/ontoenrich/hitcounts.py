@@ -3,7 +3,9 @@
 Two interchangeable implementations of one contract:
 
 * ``CorpusIndex`` answers exact contiguous-phrase queries over a local corpus
-  (counts are document frequencies, not raw occurrence counts).
+  (counts are document frequencies, not raw occurrence counts). It reads the
+  ``textpipe.PhraseTable`` that mining filled, so each document is split once
+  per run, and a mined term's doc ids are the posting set it answers from.
 * ``SnapshotTable`` replays counts recorded in a file, so runs against
   external engines stay reproducible offline. Absent keys count 0.
 
@@ -29,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 
 from .ontology import normalize_label
-from .textpipe import MAX_NGRAM_LEN, Corpus, phrases, punctuation_spans
+from .textpipe import MAX_NGRAM_LEN, Corpus, PhraseTable, punctuation_spans, tokenize_corpus
 
 # Punctuation treated as phrase boundaries when no stoplist is given.
 # "|" must stay a boundary: the index file format separates spans with it.
@@ -67,49 +69,29 @@ def _phrase_tokens(query: str, punctuation: frozenset[str]) -> tuple[str, ...] |
 
 
 class CorpusIndex:
-    """Inverted index of contiguous token phrases over a document corpus.
+    """Inverted index of contiguous token phrases over a phrase table.
 
-    Phrases up to ``MAX_NGRAM_LEN`` tokens are answered from posting lists;
-    longer queries (pattern strings) take their candidates from the postings
-    of their ``MAX_NGRAM_LEN``-token windows and verify adjacency against the
-    stored token spans. ``pair_hits`` memoizes each term's posting set by
+    Phrases up to ``MAX_NGRAM_LEN`` tokens are answered from the table's
+    posting sets; longer queries (pattern strings) take their candidates from
+    the postings of their ``MAX_NGRAM_LEN``-token windows and verify adjacency
+    against the table's token spans. ``pair_hits`` memoizes each term's posting set by
     phrase string, so a batch of pairs looks each term up once.
     """
 
-    def __init__(
-        self,
-        doc_spans: Mapping[str, tuple[tuple[str, ...], ...]],
-        punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
-    ):
-        if not doc_spans:
+    def __init__(self, table: PhraseTable):
+        if not table.doc_spans:
             raise EmptyCorpusError("cannot index an empty corpus")
-        self._doc_spans = {doc_id: doc_spans[doc_id] for doc_id in sorted(doc_spans)}
-        self._punctuation = punctuation
-        self._postings: dict[tuple[str, ...], set[str]] = {}
+        self._table = table
         self._term_docs: dict[str, set[str]] = {}  # pair_hits memo, keyed by phrase
-        for doc_id, spans in self._doc_spans.items():
-            for span in spans:
-                for phrase in phrases(span):
-                    self._postings.setdefault(phrase, set()).add(doc_id)
 
     @classmethod
-    def build(
-        cls,
-        corpus: Corpus,
-        punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
-    ) -> "CorpusIndex":
-        doc_spans = {
-            doc.id: tuple(
-                tuple(token.lower() for token in span)
-                for span in punctuation_spans(doc.text, punctuation)
-            )
-            for doc in corpus.documents
-        }
-        return cls(doc_spans, punctuation)
+    def build(cls, table: PhraseTable) -> "CorpusIndex":
+        """Index over a table that ``textpipe.tokenize_corpus`` filled."""
+        return cls(table)
 
     def _scan_long_phrase(self, tokens: tuple[str, ...]) -> set[str]:
         postings = [
-            self._postings.get(tokens[i : i + MAX_NGRAM_LEN], _NO_DOCS)
+            self._table.postings.get(tokens[i : i + MAX_NGRAM_LEN], _NO_DOCS)
             for i in range(len(tokens) - MAX_NGRAM_LEN + 1)
         ]
         postings.sort(key=len)
@@ -121,18 +103,18 @@ class CorpusIndex:
         matched = set()
         n = len(tokens)
         for doc_id in candidates:
-            for span in self._doc_spans[doc_id]:
+            for span in self._table.doc_spans[doc_id]:
                 if any(span[i : i + n] == tokens for i in range(len(span) - n + 1)):
                     matched.add(doc_id)
                     break
         return matched
 
     def _doc_ids(self, phrase: str) -> set[str]:
-        tokens = _phrase_tokens(phrase, self._punctuation)
+        tokens = _phrase_tokens(phrase, self._table.punctuation)
         if not tokens:
             return set()
         if len(tokens) <= MAX_NGRAM_LEN:
-            return self._postings.get(tokens, set())
+            return self._table.postings.get(tokens, set())
         return self._scan_long_phrase(tokens)
 
     def hits(self, phrase: str) -> int:
@@ -151,14 +133,14 @@ class CorpusIndex:
         return self.hits(query)
 
     def total_docs(self) -> int:
-        return len(self._doc_spans)
+        return len(self._table.doc_spans)
 
     # ---- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
-        punctuation = "".join(sorted(self._punctuation))
+        punctuation = "".join(sorted(self._table.punctuation))
         lines = [f"N\t{self.total_docs()}", f"P\t{punctuation}"]
-        for doc_id, spans in self._doc_spans.items():
+        for doc_id, spans in sorted(self._table.doc_spans.items()):
             if any("|" in token for span in spans for token in span):
                 raise ValueError(f"document {doc_id!r} has a token containing the separator '|'")
             rendered = "|".join(" ".join(span) for span in spans)
@@ -170,7 +152,7 @@ class CorpusIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusIndex":
-        doc_spans: dict[str, tuple[tuple[str, ...], ...]] = {}
+        table = PhraseTable(frozenset())
         punctuation: frozenset[str] | None = None
         for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             if not raw.strip() or raw.startswith("#"):
@@ -185,15 +167,13 @@ class CorpusIndex:
             elif fields[0] == "D":
                 if len(fields) != 3:
                     raise ValueError(f"{path}: line {lineno}: D record needs 3 fields")
-                spans = tuple(
-                    tuple(span.split(" ")) for span in fields[2].split("|") if span
-                )
-                doc_spans[fields[1]] = spans
+                table.add(fields[1], (span.split(" ") for span in fields[2].split("|") if span))
             else:
                 raise ValueError(f"{path}: line {lineno}: unknown record {fields[0]!r}")
         if punctuation is None:
             raise ValueError(f"{path}: missing P punctuation record")
-        return cls(doc_spans, punctuation)
+        table.punctuation = punctuation
+        return cls(table)
 
 
 @dataclass(frozen=True)
@@ -254,4 +234,4 @@ class SnapshotTable:
 
 
 def build_index(corpus: Corpus) -> CorpusIndex:
-    return CorpusIndex.build(corpus)
+    return CorpusIndex.build(tokenize_corpus(corpus, DEFAULT_PUNCTUATION))

@@ -8,6 +8,7 @@ timestamps). A manifest records the run's knobs and a sha256 of each input.
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,8 +81,8 @@ class RunConfig:
     def validate(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.distance_cap < 0:
-            raise ConfigError("distance cap must be >= 0")
+        if not (math.isfinite(self.distance_cap) and self.distance_cap >= 0):
+            raise ConfigError(f"distance cap must be finite and >= 0, got {self.distance_cap}")
         if self.top_k is not None and self.top_k < 1:
             raise ConfigError("top-k must be >= 1")
         for name in ("corpus", "ontology", "snapshot", "stopwords", "gazetteer", "patterns"):
@@ -149,15 +150,16 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
         )
         corpus = load_corpus(config.corpus)
         corpus_sha256 = _corpus_sha256(corpus)
-        ngrams = tokenize_corpus(corpus, stoplist)
-        partition = partition_terms(ngrams, ontology, gazetteer)
+        table = tokenize_corpus(corpus, stoplist.punctuation)
+        partition = partition_terms(table.mined_terms(stoplist), ontology, gazetteer)
 
     with _stage("hits"):
         if config.snapshot is not None:
+            del table  # the mined terms keep their own posting sets
             provider: HitCountProvider = SnapshotTable.load(config.snapshot)
             provider_id = f"snapshot:{Path(config.snapshot).name}"
         else:
-            provider = CorpusIndex.build(corpus, punctuation=stoplist.punctuation)
+            provider = CorpusIndex.build(table)
             provider_id = f"index:{Path(config.corpus).name},docs={provider.total_docs()}"
 
     with _stage("relatedness"):
@@ -311,7 +313,7 @@ def run_index(corpus_path: Path, out_dir: Path, stopwords: Path | None = None) -
         stoplist = load_stoplist(stopwords) if stopwords else default_stoplist()
         corpus = load_corpus(corpus_path)
     with _stage("hits"):
-        index = CorpusIndex.build(corpus, punctuation=stoplist.punctuation)
+        index = CorpusIndex.build(tokenize_corpus(corpus, stoplist.punctuation))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     index.save(out / "index.tsv")

@@ -1,10 +1,12 @@
 """Corpus ingestion and the text mining steps that feed the statistics:
-stopword removal, n-gram extraction within stopword-delimited spans, and the
+one phrase table per corpus, the mined n-grams taken from it, and the
 known/missing split against an ontology plus a gazetteer.
 
-N-grams never cross a removed stopword or a punctuation character: the text
-is cut into spans at punctuation, then at stopwords, and 1-3 token n-grams
-are emitted inside each span only. Hyphenated words stay single tokens.
+Each document is split into spans at punctuation once; every 1-3 token phrase
+inside a span gets a posting set of document ids in one table, which the
+corpus index also answers from. The mined n-grams are the phrases with no
+stopword token, so they never cross a stopword or a punctuation character.
+Hyphenated words stay single tokens.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import importlib.resources
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -27,9 +28,6 @@ MAX_NGRAM_LEN = 3
 class Stoplist:
     words: frozenset[str]          # case-folded word entries
     punctuation: frozenset[str]    # single-character separators
-
-    def is_stopword(self, token: str) -> bool:
-        return token.lower() in self.words
 
 
 def parse_stoplist(text: str) -> Stoplist:
@@ -70,24 +68,6 @@ def punctuation_spans(text: str, punctuation: frozenset[str]) -> list[list[str]]
     return [tokens for piece in pieces if (tokens := piece.split())]
 
 
-def split_spans(text: str, stoplist: Stoplist) -> list[list[str]]:
-    """Cut text into token spans at punctuation, then at stopwords."""
-    return [
-        list(run)
-        for span in punctuation_spans(text, stoplist.punctuation)
-        for is_stop, run in groupby(span, key=stoplist.is_stopword)
-        if not is_stop
-    ]
-
-
-def phrases(span: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """Every run of 1..MAX_NGRAM_LEN tokens in the span, by length, then start."""
-    tokens = tuple(span)
-    for length in range(1, MAX_NGRAM_LEN + 1):
-        for start in range(len(tokens) - length + 1):
-            yield tokens[start : start + length]
-
-
 @dataclass(eq=False)
 class NGram:
     """1-3 word term; identity is the case-folded token tuple."""
@@ -115,24 +95,6 @@ class NGram:
 
     def __repr__(self):
         return f"NGram({self.surface!r})"
-
-
-def tokenize_ngrams(
-    spans: Sequence[Sequence[str]],
-    doc_id: str | None = None,
-) -> set[NGram]:
-    """All unigrams, bigrams and trigrams inside each span.
-
-    Duplicates merge, accumulating source document ids.
-    """
-    merged: dict[tuple[str, ...], NGram] = {}
-    for span in spans:
-        for tokens in phrases(span):
-            gram = NGram(tokens)
-            existing = merged.setdefault(gram.key, gram)
-            if doc_id is not None:
-                existing.doc_ids.add(doc_id)
-    return set(merged.values())
 
 
 @dataclass(frozen=True)
@@ -174,15 +136,53 @@ def load_corpus(root: str | Path) -> Corpus:
     return Corpus(tuple(documents))
 
 
-def tokenize_corpus(corpus: Corpus, stoplist: Stoplist) -> set[NGram]:
-    """Merged n-gram set over all documents, with document accounting."""
-    merged: dict[tuple[str, ...], NGram] = {}
+class PhraseTable:
+    """Every document's lowercased punctuation spans, the posting set of each
+    1..MAX_NGRAM_LEN phrase in them, and each phrase's first surface form in
+    load order (kept only where it differs from the lowercased phrase)."""
+
+    def __init__(self, punctuation: frozenset[str]):
+        self.punctuation = punctuation
+        self.doc_spans: dict[str, tuple[tuple[str, ...], ...]] = {}
+        self.postings: dict[tuple[str, ...], set[str]] = {}
+        self.surfaces: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self.postings)
+
+    def add(self, doc_id: str, spans: Iterable[Sequence[str]]) -> None:
+        if doc_id in self.doc_spans:
+            raise ValueError(f"duplicate document id {doc_id!r}")
+        lowered_spans = []
+        for span in spans:
+            lowered = tuple(token.lower() for token in span)
+            cased = lowered != tuple(span)
+            lowered_spans.append(lowered)
+            for length in range(1, MAX_NGRAM_LEN + 1):
+                for start in range(len(lowered) - length + 1):
+                    phrase = lowered[start : start + length]
+                    docs = self.postings.get(phrase)
+                    if docs is not None:
+                        docs.add(doc_id)
+                        continue
+                    self.postings[phrase] = {doc_id}
+                    if cased and (surface := tuple(span[start : start + length])) != phrase:
+                        self.surfaces[phrase] = surface
+        self.doc_spans[doc_id] = tuple(lowered_spans)
+
+    def mined_terms(self, stoplist: Stoplist) -> Iterator[NGram]:
+        """The phrases with no stopword token; each term's doc ids are its posting set."""
+        for phrase, docs in self.postings.items():
+            if stoplist.words.isdisjoint(phrase):
+                yield NGram(self.surfaces.get(phrase, phrase), docs)
+
+
+def tokenize_corpus(corpus: Corpus, punctuation: frozenset[str]) -> PhraseTable:
+    """Split each document at punctuation once and fill one phrase table."""
+    table = PhraseTable(punctuation)
     for doc in corpus.documents:
-        for gram in tokenize_ngrams(split_spans(doc.text, stoplist), doc_id=doc.id):
-            existing = merged.setdefault(gram.key, gram)
-            if existing is not gram:
-                existing.doc_ids.update(gram.doc_ids)
-    return set(merged.values())
+        table.add(doc.id, punctuation_spans(doc.text, punctuation))
+    return table
 
 
 @dataclass(frozen=True)

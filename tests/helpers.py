@@ -24,7 +24,7 @@ def walk_spans(text: str, stoplist) -> list[list[str]]:
         if not piece:
             return
         token = "".join(piece)
-        if stoplist.is_stopword(token):
+        if token.lower() in stoplist.words:
             close()
         else:
             current.append(token)
@@ -41,6 +41,20 @@ def walk_spans(text: str, stoplist) -> list[list[str]]:
         emit(piece)
     close()
     return spans
+
+
+def walk_terms(docs: list[tuple[str, str]], stoplist, max_len: int) -> dict:
+    """Key -> (first surface, doc ids) of every 1..max_len window of the
+    ``walk_spans`` spans, over (doc id, text) pairs in load order."""
+    terms: dict[tuple[str, ...], tuple[tuple[str, ...], set[str]]] = {}
+    for doc_id, text in docs:
+        for span in walk_spans(text, stoplist):
+            for n in range(1, max_len + 1):
+                for i in range(len(span) - n + 1):
+                    window = tuple(span[i : i + n])
+                    key = tuple(token.lower() for token in window)
+                    terms.setdefault(key, (window, set()))[1].add(doc_id)
+    return terms
 
 
 def scan_phrase_docs(doc_tokens: dict[str, list[str]], phrase: str) -> set[str]:

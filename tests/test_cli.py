@@ -219,6 +219,10 @@ def test_config_file_unknown_key_rejected(tmp_path):
         (None, ["--stopwords", ""]),
         (None, ["--corpus", ""]),
         (None, ["--out-dir", ""]),
+        (None, ["--ngd-cap", "nan"]),
+        (None, ["--ngd-cap", "inf"]),
+        ({"ngd_cap": float("nan")}, []),
+        ({"ngd_cap": float("inf")}, []),
     ],
 )
 def test_bad_knob_values_exit_config_code(tmp_path, capsys, config, flags):
@@ -234,6 +238,26 @@ def test_bad_knob_values_exit_config_code(tmp_path, capsys, config, flags):
     assert run(*argv) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "--corpus", "", "--out-dir", "o"],
+        ["index", "--corpus", "corpus", "--out-dir", ""],
+        ["index", "--corpus", "corpus", "--out-dir", "o", "--stopwords", ""],
+        ["eval", "--system", "", "--expert", "expert.tsv", "--out-dir", "o"],
+        ["eval", "--system", "expert.tsv", "--expert", "", "--out-dir", "o"],
+        ["eval", "--system", "expert.tsv", "--expert", "expert.tsv", "--out-dir", ""],
+    ],
+)
+def test_empty_path_flags_exit_config_code(tmp_path, tiny_corpus, monkeypatch, capsys, argv):
+    (tmp_path / "expert.tsv").write_bytes((FIXTURES / "eval" / "expert.tsv").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert run(*argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before  # nothing written, not even into "."
 
 
 def test_config_keys_match_run_flags():

@@ -41,19 +41,23 @@ def planted_triples() -> set[tuple[str, str, str]]:
     }
 
 
+DESK_ARGS = ("--corpus", DESK / "corpus", "--ontology", DESK / "ontology.tsv",
+             "--gazetteer", DESK / "gazetteer.tsv", "--top-k", "3")
+
+
+def run_cli(*argv, seed: str = HASH_SEEDS[0]) -> None:
+    src = Path(ontoenrich.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+    subprocess.run([sys.executable, *map(str, argv)], env=env, cwd=ROOT,
+                   check=True, capture_output=True, timeout=300)
+
+
 @pytest.fixture(scope="module")
 def desk_runs(tmp_path_factory) -> dict[str, Path]:
-    src = Path(ontoenrich.__file__).resolve().parent.parent
     runs = {}
     for seed in HASH_SEEDS:
         out = tmp_path_factory.mktemp(f"desk-hashseed-{seed}")
-        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
-        subprocess.run(
-            [sys.executable, "-m", "ontoenrich.cli", "enrich",
-             "--corpus", DESK / "corpus", "--ontology", DESK / "ontology.tsv",
-             "--gazetteer", DESK / "gazetteer.tsv", "--top-k", "3", "--out-dir", out],
-            env=env, check=True, capture_output=True, timeout=300,
-        )
+        run_cli("-m", "ontoenrich.cli", "enrich", *DESK_ARGS, "--out-dir", out, seed=seed)
         runs[seed] = out
     return runs
 
@@ -75,3 +79,17 @@ def test_desk_outputs_identical_across_hash_seeds(desk_runs):
     first, second = (desk_runs[seed] for seed in HASH_SEEDS)
     for name in OUTPUTS:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_recorded_snapshot_replays_desk_run(desk_runs, tmp_path):
+    # The benchmark records an index run's hit counts through a proxy that
+    # offers only hits, pair_hits, pattern_hits and total_docs, then replays them.
+    snapshot, recorded, replayed = tmp_path / "desk.snapshot", tmp_path / "rec", tmp_path / "rep"
+    run_cli(ROOT / "perfbench" / "harness.py", "record", snapshot,
+            "enrich", *DESK_ARGS, "--out-dir", recorded)
+    run_cli("-m", "ontoenrich.cli", "enrich", *DESK_ARGS, "--snapshot", snapshot,
+            "--out-dir", replayed)
+    for name in OUTPUTS:
+        assert (recorded / name).read_bytes() == (desk_runs[HASH_SEEDS[0]] / name).read_bytes()
+        if name != "manifest.tsv":  # the manifest names the provider
+            assert (replayed / name).read_bytes() == (recorded / name).read_bytes(), name

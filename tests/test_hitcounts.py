@@ -11,7 +11,7 @@ from ontoenrich.hitcounts import (
     build_index,
     pair_key,
 )
-from ontoenrich.textpipe import Corpus, Document
+from ontoenrich.textpipe import Corpus, Document, tokenize_corpus
 
 from helpers import scan_hits, scan_pair_hits
 
@@ -95,7 +95,7 @@ def test_index_save_load_round_trip(tmp_path, four_docs):
         ),
     ]
     for i, (corpus, punctuation, expected) in enumerate(cases):
-        index = CorpusIndex.build(corpus, punctuation=punctuation)
+        index = CorpusIndex.build(tokenize_corpus(corpus, punctuation))
         first, second = tmp_path / f"{i}a.idx", tmp_path / f"{i}b.idx"
         index.save(first)
         reloaded = CorpusIndex.load(first)
@@ -106,7 +106,7 @@ def test_index_save_load_round_trip(tmp_path, four_docs):
     assert reloaded.pair_hits("two three.", "four") == 1
 
     # Without "|" as a boundary a token can hold one, and the span field would split it.
-    piped = CorpusIndex.build(corpus_of({"d/1": "a|b c"}), punctuation=frozenset("."))
+    piped = CorpusIndex.build(tokenize_corpus(corpus_of({"d/1": "a|b c"}), frozenset(".")))
     assert piped.hits("a|b c") == 1
     with pytest.raises(ValueError, match="token containing"):
         piped.save(tmp_path / "piped.idx")
@@ -116,6 +116,13 @@ def test_index_load_requires_punctuation_record(tmp_path):
     path = tmp_path / "old.idx"
     path.write_text("N\t1\nD\td/1\tjava island\n", encoding="utf-8")
     with pytest.raises(ValueError, match="missing P"):
+        CorpusIndex.load(path)
+
+
+def test_index_load_rejects_duplicate_document(tmp_path):
+    path = tmp_path / "twice.idx"
+    path.write_text("N\t2\nP\t.\nD\td/1\tjava\nD\td/1\tisland\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="duplicate document id 'd/1'"):
         CorpusIndex.load(path)
 
 

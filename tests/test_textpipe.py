@@ -3,23 +3,22 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ontoenrich.hitcounts import CorpusIndex
 from ontoenrich.ontology import load_ontology
 from ontoenrich.textpipe import (
+    MAX_NGRAM_LEN,
     Corpus,
     Document,
     Gazetteer,
     NGram,
-    Stoplist,
     default_stoplist,
     load_corpus,
     parse_stoplist,
     partition_terms,
-    split_spans,
     tokenize_corpus,
-    tokenize_ngrams,
 )
 
-from helpers import walk_spans
+from helpers import walk_terms
 
 MINI_ONTOLOGY = Path(__file__).resolve().parent.parent / "fixtures" / "mini_ontology.tsv"
 
@@ -44,60 +43,68 @@ def mini_onto(mini_ontology_path):
     return load_ontology(mini_ontology_path)
 
 
+def mine(stoplist, *texts: str) -> dict[tuple[str, ...], NGram]:
+    """Mined terms of one document per text, keyed by their token key."""
+    corpus = Corpus(tuple(Document(f"d/{i}", "d", text) for i, text in enumerate(texts)))
+    table = tokenize_corpus(corpus, stoplist.punctuation)
+    return {gram.key: gram for gram in table.mined_terms(stoplist)}
+
+
+def surfaces(grams) -> set[str]:
+    return {gram.surface for gram in grams}
+
+
 def test_strip_stopwords_drops_words_and_punctuation(stoplist):
-    spans = split_spans(JAVA_SENTENCE, stoplist)
-    tokens = [token for span in spans for token in span]
-    assert tokens == ["Java", "Indonesian", "Jawa", "island", "Indonesia"]
+    grams = mine(stoplist, JAVA_SENTENCE).values()
+    unigrams = [gram.surface for gram in grams if len(gram.key) == 1]
+    assert sorted(unigrams) == ["Indonesia", "Indonesian", "Java", "Jawa", "island"]
     for banned in ["is", "an", "of", "(", ")", ":"]:
-        assert banned not in tokens
+        assert not any(banned in gram.key for gram in grams)
 
 
 def test_strip_stopwords_empty_text(stoplist):
-    assert split_spans("", stoplist) == []
+    table = tokenize_corpus(Corpus(()), stoplist.punctuation)
+    assert len(table) == 0 and list(table.mined_terms(stoplist)) == []
 
 
 def test_strip_stopwords_only_stopwords(stoplist):
-    assert split_spans("the of an a , . ( )", stoplist) == []
+    assert mine(stoplist, "the of an a , . ( )") == {}
 
 
 def test_spans_break_at_stopwords_and_punctuation(stoplist):
-    spans = split_spans("its capital city, Jakarta.", stoplist)
-    assert spans == [["capital", "city"], ["Jakarta"]]
+    grams = mine(stoplist, "its capital city, Jakarta.").values()
+    assert surfaces(grams) == {"capital", "city", "capital city", "Jakarta"}
 
 
 def test_hyphenated_words_are_single_tokens(stoplist):
-    spans = split_spans("powerful Hindu-Buddhist kingdoms", stoplist)
-    assert spans == [["powerful", "Hindu-Buddhist", "kingdoms"]]
-
-
-def test_tokenize_flat_three_tokens():
-    grams = tokenize_ngrams([["java", "island", "indonesia"]])
-    surfaces = {g.surface for g in grams}
+    grams = mine(stoplist, "powerful Hindu-Buddhist kingdoms").values()
     assert len(grams) == 6
-    assert "java island indonesia" in surfaces
-    assert "island indonesia" in surfaces
+    assert "powerful Hindu-Buddhist kingdoms" in surfaces(grams)
 
 
-def test_tokenize_single_token():
-    grams = tokenize_ngrams([["java"]])
-    assert {g.surface for g in grams} == {"java"}
+def test_tokenize_flat_three_tokens(stoplist):
+    grams = mine(stoplist, "java island indonesia").values()
+    assert len(grams) == 6
+    assert {"java island indonesia", "island indonesia"} <= surfaces(grams)
+
+
+def test_tokenize_single_token(stoplist):
+    assert surfaces(mine(stoplist, "java").values()) == {"java"}
 
 
 def test_tokenize_java_article_contains_expected_ngrams(stoplist):
-    grams = tokenize_ngrams(split_spans(JAVA_ARTICLE, stoplist))
-    keys = {g.key for g in grams}
+    keys = mine(stoplist, JAVA_ARTICLE).keys()
     assert ("dutch", "east", "indies") in keys
     assert ("hindu-buddhist", "kingdoms") in keys
     assert ("capital", "city") in keys
 
 
 def test_ngrams_never_cross_boundaries(stoplist):
-    grams = tokenize_ngrams(split_spans("island of Indonesia", stoplist))
-    assert {g.surface for g in grams} == {"island", "Indonesia"}
+    assert surfaces(mine(stoplist, "island of Indonesia").values()) == {"island", "Indonesia"}
 
 
 def test_partition_java_article(stoplist, mini_onto):
-    grams = tokenize_ngrams(split_spans(JAVA_ARTICLE, stoplist))
+    grams = mine(stoplist, JAVA_ARTICLE).values()
     partition = partition_terms(grams, mini_onto, Gazetteer.empty())
     known = {k.ngram.surface.lower() for k in partition.known}
     missing = {m.surface.lower() for m in partition.missing}
@@ -107,9 +114,8 @@ def test_partition_java_article(stoplist, mini_onto):
     assert "hindu-buddhist" in missing
 
 
-def test_partition_instance_match(stoplist, mini_onto):
-    grams = tokenize_ngrams([["Jakarta"]])
-    partition = partition_terms(grams, mini_onto, Gazetteer.empty())
+def test_partition_instance_match(mini_onto):
+    partition = partition_terms([NGram(("Jakarta",))], mini_onto, Gazetteer.empty())
     assert partition.known[0].source == "instance"
     assert partition.known[0].concept_id == "jakarta"
 
@@ -121,7 +127,7 @@ def test_partition_empty_input(mini_onto):
 
 def test_partition_all_in_gazetteer(mini_onto):
     gaz = Gazetteer.from_pairs([("zorbium", "mineral"), ("fennite", "mineral")])
-    grams = tokenize_ngrams([["zorbium"]]) | tokenize_ngrams([["fennite"]])
+    grams = [NGram(("zorbium",)), NGram(("fennite",))]
     partition = partition_terms(grams, mini_onto, gaz)
     assert partition.missing == ()
     assert all(k.source == "gazetteer" for k in partition.known)
@@ -129,7 +135,7 @@ def test_partition_all_in_gazetteer(mini_onto):
 
 def test_partition_gazetteer_checked_before_ontology(mini_onto):
     gaz = Gazetteer.from_pairs([("Java", "location")])
-    partition = partition_terms(tokenize_ngrams([["Java"]]), mini_onto, gaz)
+    partition = partition_terms([NGram(("Java",))], mini_onto, gaz)
     assert partition.known[0].source == "gazetteer"
     assert partition.known[0].kind == "location"
 
@@ -162,9 +168,27 @@ def test_document_accounting_merges_sources(stoplist):
             Document("d/two", "d", "java coffee"),
         )
     )
-    grams = tokenize_corpus(corpus, stoplist)
+    table = tokenize_corpus(corpus, stoplist.punctuation)
+    grams = list(table.mined_terms(stoplist))
     java = next(g for g in grams if g.key == ("java",))
     assert java.doc_ids == {"d/one", "d/two"}
+    # A mined term's doc ids are the posting set the index answers from, not a copy.
+    index = CorpusIndex.build(table)
+    for gram in grams:
+        assert gram.doc_ids is table.postings[gram.key]
+        assert index.hits(gram.surface) == len(gram.doc_ids)
+
+
+def test_first_surface_follows_load_order(tmp_path, stoplist):
+    # Domain "a" loads before "a-b", but "a-b/..." sorts before "a/...".
+    for domain, text in [("a", "Java island"), ("a-b", "java coffee")]:
+        (tmp_path / domain).mkdir()
+        (tmp_path / domain / "doc.txt").write_text(text, encoding="utf-8")
+    corpus = load_corpus(tmp_path)
+    assert [doc.id for doc in corpus.documents] == ["a/doc.txt", "a-b/doc.txt"]
+    grams = {g.key: g for g in tokenize_corpus(corpus, stoplist.punctuation).mined_terms(stoplist)}
+    assert grams[("java",)].surface == "Java"
+    assert grams[("java",)].doc_ids == {"a/doc.txt", "a-b/doc.txt"}
 
 
 def test_stoplist_requires_words():
@@ -178,7 +202,7 @@ _STOPS = st.sampled_from(["the", "of", "an"])
 
 @st.composite
 def texts(draw):
-    parts = draw(st.lists(st.one_of(_WORDS, _STOPS), min_size=0, max_size=12))
+    parts = draw(st.lists(st.one_of(_WORDS, _STOPS), min_size=1, max_size=12))
     return " ".join(parts)
 
 
@@ -186,7 +210,7 @@ def texts(draw):
 def test_property_partition_totality(text):
     stoplist = default_stoplist()
     onto = load_ontology(MINI_ONTOLOGY)
-    grams = tokenize_ngrams(split_spans(text, stoplist))
+    grams = mine(stoplist, text).values()
     partition = partition_terms(grams, onto, Gazetteer.empty())
     assert len(partition.known) + len(partition.missing) == len(grams)
 
@@ -194,23 +218,18 @@ def test_property_partition_totality(text):
 @given(texts())
 def test_property_tokenization_deterministic(text):
     stoplist = default_stoplist()
-    first = {g.key for g in tokenize_ngrams(split_spans(text, stoplist))}
-    second = {g.key for g in tokenize_ngrams(split_spans(text, stoplist))}
+    first = {g.key: g.surface for g in mine(stoplist, text).values()}
+    second = {g.key: g.surface for g in mine(stoplist, text).values()}
     assert first == second
 
 
 @given(texts())
 def test_property_no_ngram_crosses_stopword(text):
     stoplist = default_stoplist()
-    spans = split_spans(text, stoplist)
-    for gram in tokenize_ngrams(spans):
-        joined = [tuple(t.lower() for t in span) for span in spans]
-        n = len(gram.key)
-        assert any(
-            span[i : i + n] == gram.key
-            for span in joined
-            for i in range(len(span) - n + 1)
-        )
+    words = tuple(text.lower().split())
+    for key in mine(stoplist, text):
+        assert stoplist.words.isdisjoint(key)
+        assert any(words[i : i + len(key)] == key for i in range(len(words)))
 
 
 _DEFAULT_WORDS = "\n".join(sorted(default_stoplist().words))
@@ -225,22 +244,25 @@ def test_stoplist_variants_punctuation():
     assert STOPLISTS["odd-punctuation"].punctuation == frozenset("-]^\\")
     no_punctuation = STOPLISTS["no-punctuation"]
     assert no_punctuation.punctuation == frozenset()
-    assert split_spans("deep reef, (shallow) bay", no_punctuation) == [
-        ["deep", "reef,", "(shallow)", "bay"]
-    ]
+    assert ("reef,", "(shallow)", "bay") in mine(no_punctuation, "deep reef, (shallow) bay")
 
 
 # Pieces are joined without separators, so words, stopwords and punctuation
 # also fuse into single raw tokens such as "The-reef]".
 _PIECES = st.sampled_from(
-    ["java", "Reef", "sea-bay", "Hindu-Buddhist", "the", "The", "OF", "aN", "-",
-     " ", "\t", "\n", "\x1c", ",", ".", "(", ")", "[", "]", "^", "\\", "|", ":"]
+    ["java", "Java", "Reef", "reef", "sea-bay", "Hindu-Buddhist", "the", "The", "OF", "aN",
+     "-", " ", "\t", "\n", "\x1c", ",", ".", "(", ")", "[", "]", "^", "\\", "|", ":"]
 )
 
 
 @pytest.mark.parametrize("variant", sorted(STOPLISTS))
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_PIECES, max_size=40).map("".join))
-def test_property_split_spans_equals_character_walk(variant, text):
+@given(st.lists(st.lists(_PIECES, max_size=40).map("".join), min_size=1, max_size=3))
+def test_property_mined_terms_equal_character_walk(variant, texts):
     stoplist = STOPLISTS[variant]
-    assert split_spans(text, stoplist) == walk_spans(text, stoplist)
+    # Ids sort against load order, so a first surface taken in id order shows.
+    docs = [(f"d{9 - i}/doc", text) for i, text in enumerate(texts) if text.strip()]
+    corpus = Corpus(tuple(Document(doc_id, "d", text) for doc_id, text in docs))
+    mined = tokenize_corpus(corpus, stoplist.punctuation).mined_terms(stoplist)
+    got = {gram.key: (gram.tokens, gram.doc_ids) for gram in mined}
+    assert got == walk_terms(docs, stoplist, MAX_NGRAM_LEN)
