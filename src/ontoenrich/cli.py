@@ -1,6 +1,6 @@
 """Command line front door.
 
-Subcommands: ``index``, ``enrich``, ``relatedness``, ``patterns``, ``eval``.
+Subcommands: ``index``, ``enrich``, ``relatedness``, ``eval``.
 Options can also come from a JSON config file (``--config``); explicit flags
 win over config file values. Exit codes: 0 on success, otherwise one distinct
 code per failing stage (see STAGE_EXIT_CODES).
@@ -21,7 +21,6 @@ from .pipeline import (
     run_enrichment,
     run_eval,
     run_index,
-    run_patterns,
     run_relatedness,
 )
 
@@ -124,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in [
         ("enrich", "run the full enrichment pipeline"),
         ("relatedness", "compute and export the relatedness matrix only"),
-        ("patterns", "export the pattern query audit only"),
     ]:
         _add_run_flags(sub.add_parser(name, help=help_text))
 
@@ -149,8 +147,6 @@ def main(argv: list[str] | None = None) -> int:
             out = run_enrichment(_run_config(args))
         elif args.command == "relatedness":
             out = run_relatedness(_run_config(args))
-        elif args.command == "patterns":
-            out = run_patterns(_run_config(args))
         else:
             out = run_eval(_path("system", args.system), _path("expert", args.expert),
                            _path("out_dir", args.out_dir), not args.ignore_relation)

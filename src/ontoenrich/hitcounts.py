@@ -37,8 +37,6 @@ from .textpipe import MAX_NGRAM_LEN, Corpus, PhraseTable, punctuation_spans, tok
 # "|" must stay a boundary: the index file format separates spans with it.
 DEFAULT_PUNCTUATION = frozenset('():,.;!?"[]{}|')
 
-_NO_DOCS: frozenset[str] = frozenset()
-
 
 class EmptyCorpusError(ValueError):
     """An index cannot be built over zero documents."""
@@ -62,6 +60,10 @@ def pair_key(a: str, b: str) -> str:
 
 def _phrase_tokens(query: str, punctuation: frozenset[str]) -> tuple[str, ...] | None:
     """Normalized token tuple, or None when the query spans punctuation."""
+    # Look for punctuation in the query as given: lowercasing can turn a
+    # punctuation character (such as "Ⓐ") into one that is not.
+    if punctuation.isdisjoint(query):
+        return tuple(query.lower().split()) or None
     spans = punctuation_spans(query, punctuation)
     if len(spans) != 1:
         return None
@@ -73,9 +75,12 @@ class CorpusIndex:
 
     Phrases up to ``MAX_NGRAM_LEN`` tokens are answered from the table's
     posting sets; longer queries (pattern strings) take their candidates from
-    the postings of their ``MAX_NGRAM_LEN``-token windows and verify adjacency
-    against the table's token spans. ``pair_hits`` memoizes each term's posting set by
-    phrase string, so a batch of pairs looks each term up once.
+    the intersected postings of their ``MAX_NGRAM_LEN``-token windows and
+    verify adjacency against the table's token spans. The window walk answers
+    0 at the first window with no posting, before it intersects anything.
+    A query without punctuation is lowercased and split once. ``pair_hits``
+    memoizes each term's posting set by phrase string, so a batch of pairs
+    looks each term up once.
     """
 
     def __init__(self, table: PhraseTable):
@@ -90,16 +95,14 @@ class CorpusIndex:
         return cls(table)
 
     def _scan_long_phrase(self, tokens: tuple[str, ...]) -> set[str]:
-        postings = [
-            self._table.postings.get(tokens[i : i + MAX_NGRAM_LEN], _NO_DOCS)
-            for i in range(len(tokens) - MAX_NGRAM_LEN + 1)
-        ]
-        postings.sort(key=len)
-        candidates = postings[0]
-        for docs in postings[1:]:
-            if not candidates:
+        postings = []
+        for i in range(len(tokens) - MAX_NGRAM_LEN + 1):
+            docs = self._table.postings.get(tokens[i : i + MAX_NGRAM_LEN])
+            if not docs:
                 return set()
-            candidates = candidates & docs
+            postings.append(docs)
+        postings.sort(key=len)
+        candidates = set.intersection(*postings)
         matched = set()
         n = len(tokens)
         for doc_id in candidates:
@@ -130,7 +133,7 @@ class CorpusIndex:
         return len(self._term_doc_ids(a) & self._term_doc_ids(b))
 
     def pattern_hits(self, query: str) -> int:
-        return self.hits(query)
+        return len(self._doc_ids(query))
 
     def total_docs(self) -> int:
         return len(self._table.doc_spans)

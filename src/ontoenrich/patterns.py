@@ -8,15 +8,23 @@ forms) pool their counts before arbitration. When every query returns zero
 the pair falls back to the weak "related-to" relation: the statistics already
 vouched for the pair, the catalogue just cannot name the relation.
 
+Each template is compiled once, when it is built: the literal text around
+its two slots and the slot keys (``X``, ``X:pl``, ``Y``, ``Y:pl``). A query is
+those pieces joined with the pair's terms, whitespace collapsed, and each
+``a(n)`` token resolved against the token after it, so an ``a(n)`` that a
+term brings in is resolved too. Each term is pluralized once per pair, not
+once per plural slot.
+
 Templates never contain negation operators; the catalogue loader rejects
-them, so no negated query is ever issued.
+them, so no negated query is ever issued. Pattern ids are unique within a
+catalogue.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -47,10 +55,13 @@ class PatternTemplate:
     relation: RelationKind
     group: str
     template: str
+    # Compiled once: the literal text around the two slots, and the slot keys.
+    _pieces: tuple[str, str, str] = field(init=False, repr=False, compare=False)
+    _slots: tuple[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        slots = _SLOT_RE.findall(self.template)
-        letters = [letter for letter, _ in slots]
+        parts = _SLOT_RE.split(self.template)  # literal, letter, ":pl" or None, literal, ...
+        letters = parts[1::3]
         if sorted(letters) != ["X", "Y"]:
             raise ValueError(
                 f"pattern {self.id!r} must contain exactly one X and one Y slot"
@@ -61,11 +72,29 @@ class PatternTemplate:
             raise ValueError(f"pattern {self.id!r} contains negation {sorted(banned)}")
         if self.relation is RelationKind.RELATED_TO:
             raise ValueError("related-to is the fallback relation, not a pattern relation")
+        object.__setattr__(self, "_pieces", tuple(parts[0::3]))
+        object.__setattr__(self, "_slots", tuple(
+            letter + (plural or "") for letter, plural in zip(letters, parts[2::3])
+        ))
+
+    def query(self, slot_values: Mapping[str, str]) -> str:
+        """Query string for the values of ``X``, ``X:pl``, ``Y`` and ``Y:pl``:
+        whitespace collapsed, each ``a(n)`` token resolved against the next token."""
+        before, middle, after = self._pieces
+        first, second = self._slots
+        tokens = (before + slot_values[first] + middle + slot_values[second] + after).split()
+        if "a(n)" in tokens:
+            for i, token in enumerate(tokens):
+                if token == "a(n)":
+                    nxt = tokens[i + 1] if i + 1 < len(tokens) else ""
+                    tokens[i] = "an" if nxt[:1].lower() in _VOWELS else "a"
+        return " ".join(tokens)
 
 
 def parse_catalogue(text: str, source: str = "<string>") -> list[PatternTemplate]:
     templates = []
     groups: dict[str, RelationKind] = {}
+    ids: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -74,6 +103,8 @@ def parse_catalogue(text: str, source: str = "<string>") -> list[PatternTemplate
         if len(fields) != 5 or fields[0] != "P":
             raise ValueError(f"{source}: line {lineno}: expected P\\t<id>\\t<relation>\\t<group>\\t<template>")
         _, pattern_id, relation_text, group, template = fields
+        if pattern_id in ids:
+            raise ValueError(f"{source}: line {lineno}: duplicate pattern id {pattern_id!r}")
         try:
             relation = RelationKind(relation_text)
         except ValueError:
@@ -82,6 +113,7 @@ def parse_catalogue(text: str, source: str = "<string>") -> list[PatternTemplate
             raise ValueError(
                 f"{source}: line {lineno}: group {group!r} mixes relations"
             )
+        ids.add(pattern_id)
         templates.append(PatternTemplate(pattern_id, relation, group, template))
     return templates
 
@@ -115,18 +147,6 @@ def pluralize_term(term: str) -> str:
     return " ".join(words[:-1] + [pluralize_word(words[-1])])
 
 
-def _resolve_articles(query: str) -> str:
-    tokens = query.split()
-    resolved = []
-    for i, token in enumerate(tokens):
-        if token == "a(n)":
-            nxt = tokens[i + 1] if i + 1 < len(tokens) else ""
-            resolved.append("an" if nxt[:1].lower() in _VOWELS else "a")
-        else:
-            resolved.append(token)
-    return " ".join(resolved)
-
-
 def instantiate_patterns(
     t_miss: str,
     t_in: str,
@@ -135,17 +155,11 @@ def instantiate_patterns(
     """Expand every template for the pair; returns (pattern id, query string)."""
     if not t_miss.strip() or not t_in.strip():
         raise ValueError("pattern instantiation needs two non-empty terms")
-
-    def fill(match: re.Match) -> str:
-        letter, plural = match.group(1), match.group(2)
-        term = t_miss if letter == "X" else t_in
-        return pluralize_term(term) if plural else term
-
-    queries = []
-    for template in catalogue:
-        query = _SLOT_RE.sub(fill, template.template)
-        queries.append((template.id, _resolve_articles(query)))
-    return queries
+    slot_values = {
+        "X": t_miss, "X:pl": pluralize_term(t_miss),
+        "Y": t_in, "Y:pl": pluralize_term(t_in),
+    }
+    return [(template.id, template.query(slot_values)) for template in catalogue]
 
 
 @dataclass(frozen=True)
@@ -176,14 +190,13 @@ def extract_relation(
     catalogue: Sequence[PatternTemplate],
 ) -> RelationSuggestion:
     """Arbitrate one relation for a candidate pair from pattern hit counts."""
-    by_id = {template.id: template for template in catalogue}
     records = []
     group_hits: dict[str, int] = {}
     group_relation: dict[str, RelationKind] = {}
-    for pattern_id, query in instantiate_patterns(t_miss, t_in, catalogue):
-        template = by_id[pattern_id]
+    queries = instantiate_patterns(t_miss, t_in, catalogue)
+    for template, (_, query) in zip(catalogue, queries):
         count = provider.pattern_hits(query)
-        records.append(QueryRecord(pattern_id, template.group, template.relation, query, count))
+        records.append(QueryRecord(template.id, template.group, template.relation, query, count))
         group_hits[template.group] = group_hits.get(template.group, 0) + count
         group_relation[template.group] = template.relation
 

@@ -65,6 +65,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _require_inputs(**paths: Path | None) -> None:
+    """Raise ConfigError for the first given input path that does not exist."""
+    for name, path in paths.items():
+        if path is not None and not Path(path).exists():
+            raise ConfigError(f"{name} path {path} does not exist")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     corpus: Path
@@ -85,10 +92,9 @@ class RunConfig:
             raise ConfigError(f"distance cap must be finite and >= 0, got {self.distance_cap}")
         if self.top_k is not None and self.top_k < 1:
             raise ConfigError("top-k must be >= 1")
-        for name in ("corpus", "ontology", "snapshot", "stopwords", "gazetteer", "patterns"):
-            path = getattr(self, name)
-            if path is not None and not Path(path).exists():
-                raise ConfigError(f"{name} path {path} does not exist")
+        _require_inputs(corpus=self.corpus, ontology=self.ontology, snapshot=self.snapshot,
+                       stopwords=self.stopwords, gazetteer=self.gazetteer,
+                       patterns=self.patterns)
 
 
 @dataclass
@@ -294,21 +300,10 @@ def run_relatedness(config: RunConfig) -> Path:
     return out
 
 
-def run_patterns(config: RunConfig) -> Path:
-    """Stop after relation arbitration; write the query audit and manifest."""
-    state = _prepare(config, need_extraction=True)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_pattern_audit(state.suggestions, out / "pattern_audit.tsv")
-    _write_manifest(state, out / "manifest.tsv")
-    return out
-
-
 def run_index(corpus_path: Path, out_dir: Path, stopwords: Path | None = None) -> Path:
     """Build the corpus index and persist it."""
     with _stage("config"):
-        if not Path(corpus_path).exists():
-            raise ConfigError(f"corpus path {corpus_path} does not exist")
+        _require_inputs(corpus=corpus_path, stopwords=stopwords)
     with _stage("corpus"):
         stoplist = load_stoplist(stopwords) if stopwords else default_stoplist()
         corpus = load_corpus(corpus_path)
@@ -322,6 +317,8 @@ def run_index(corpus_path: Path, out_dir: Path, stopwords: Path | None = None) -
 
 def run_eval(system_path: Path, expert_path: Path, out_dir: Path,
              require_relation: bool = True) -> Path:
+    with _stage("config"):
+        _require_inputs(system=system_path, expert=expert_path)
     with _stage("evaluation"):
         system = Judgments.load(system_path)
         expert = Judgments.load(expert_path)

@@ -7,6 +7,12 @@ base-2 logs) so the implementations under test share no code path with it.
 from __future__ import annotations
 
 import math
+import re
+
+from ontoenrich.patterns import pluralize_term
+
+_SLOT_RE = re.compile(r"\{([XY])(:pl)?\}")
+_VOWELS = "aeiou"
 
 
 def walk_spans(text: str, stoplist) -> list[list[str]]:
@@ -55,6 +61,37 @@ def walk_terms(docs: list[tuple[str, str]], stoplist, max_len: int) -> dict:
                     key = tuple(token.lower() for token in window)
                     terms.setdefault(key, (window, set()))[1].add(doc_id)
     return terms
+
+
+def _resolve_articles(query: str) -> str:
+    tokens = query.split()
+    resolved = []
+    for i, token in enumerate(tokens):
+        if token == "a(n)":
+            nxt = tokens[i + 1] if i + 1 < len(tokens) else ""
+            resolved.append("an" if nxt[:1].lower() in _VOWELS else "a")
+        else:
+            resolved.append(token)
+    return " ".join(resolved)
+
+
+def reference_instantiate(t_miss: str, t_in: str, catalogue) -> list[tuple[str, str]]:
+    """Pattern queries by a regex fill of each template, then whitespace
+    collapse and ``a(n)`` resolution over the filled string. It shares
+    ``pluralize_term`` with the package: it checks the fill, not the plural rule."""
+    if not t_miss.strip() or not t_in.strip():
+        raise ValueError("pattern instantiation needs two non-empty terms")
+
+    def fill(match: re.Match) -> str:
+        letter, plural = match.group(1), match.group(2)
+        term = t_miss if letter == "X" else t_in
+        return pluralize_term(term) if plural else term
+
+    queries = []
+    for template in catalogue:
+        query = _SLOT_RE.sub(fill, template.template)
+        queries.append((template.id, _resolve_articles(query)))
+    return queries
 
 
 def scan_phrase_docs(doc_tokens: dict[str, list[str]], phrase: str) -> set[str]:

@@ -249,6 +249,11 @@ def test_bad_knob_values_exit_config_code(tmp_path, capsys, config, flags):
         ["eval", "--system", "", "--expert", "expert.tsv", "--out-dir", "o"],
         ["eval", "--system", "expert.tsv", "--expert", "", "--out-dir", "o"],
         ["eval", "--system", "expert.tsv", "--expert", "expert.tsv", "--out-dir", ""],
+        # missing input files
+        ["index", "--corpus", "ghost", "--out-dir", "o"],
+        ["index", "--corpus", "corpus", "--out-dir", "o", "--stopwords", "ghost.txt"],
+        ["eval", "--system", "ghost.tsv", "--expert", "expert.tsv", "--out-dir", "o"],
+        ["eval", "--system", "expert.tsv", "--expert", "ghost.tsv", "--out-dir", "o"],
     ],
 )
 def test_empty_path_flags_exit_config_code(tmp_path, tiny_corpus, monkeypatch, capsys, argv):
@@ -265,7 +270,7 @@ def test_config_keys_match_run_flags():
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    for name in ("enrich", "relatedness", "patterns"):
+    for name in ("enrich", "relatedness"):
         dests = [
             action.dest for action in subparsers.choices[name]._actions
             if action.dest not in ("help", "config")
@@ -326,15 +331,22 @@ def test_relatedness_subcommand_writes_matrix_only(tmp_path):
     assert header.startswith("term\t")
 
 
-def test_patterns_subcommand_writes_audit_only(tmp_path):
+def test_patterns_subcommand_writes_audit_only(tmp_path, capsys):
+    # The `patterns` subcommand is gone: `enrich` writes the same pattern_audit.tsv.
     out = tmp_path / "out"
+    with pytest.raises(SystemExit) as refused:
+        run(
+            "patterns", "--corpus", FIXTURES / "corpus_corp", "--ontology", MINI,
+            "--snapshot", SNAPSHOT, "--top-k", 1, "--out-dir", out,
+        )
+    assert refused.value.code == 2
+    assert not out.exists()
     assert run(
-        "patterns", "--corpus", FIXTURES / "corpus_corp", "--ontology", MINI,
+        "enrich", "--corpus", FIXTURES / "corpus_corp", "--ontology", MINI,
         "--snapshot", SNAPSHOT, "--top-k", 1, "--out-dir", out,
     ) == 0
     audit = (out / "pattern_audit.tsv").read_text()
     assert "corporate body is an organization\t80700" in audit
-    assert not (out / "enriched_ontology.tsv").exists()
 
 
 def test_eval_identical_files_all_ones(tmp_path):

@@ -87,6 +87,13 @@ def test_long_pattern_query_scans(four_docs):
 def test_index_save_load_round_trip(tmp_path, four_docs):
     cases = [
         (four_docs, DEFAULT_PUNCTUATION, {"java": 3, "java island": 2, "sea coast": 1}),
+        # "Ⓐ" is a boundary but its lowercase "ⓐ" is not: a query is cut at
+        # punctuation as given, before it is lowercased.
+        (
+            corpus_of({"d/1": "java ⓐ reef"}),
+            frozenset("Ⓐ"),
+            {"java Ⓐ reef": 0, "JAVA ⓐ REEF": 1},
+        ),
         # "." is no boundary here, so "three." is one token before and after a reload
         (
             corpus_of({"d/1": "one two three. four"}),

@@ -16,6 +16,8 @@ from ontoenrich.patterns import (
     write_pattern_audit,
 )
 
+from helpers import reference_instantiate
+
 
 @pytest.fixture(scope="module")
 def catalogue():
@@ -67,6 +69,15 @@ def test_catalogue_rejects_negation_templates():
 def test_catalogue_rejects_missing_slots():
     with pytest.raises(ValueError, match="slot"):
         PatternTemplate("bad", RelationKind.HYPONYMY, "g", "{X} is a thing")
+
+
+def test_catalogue_rejects_duplicate_ids():
+    text = (
+        "P\ta\thyponymy\tg\t{X} is a {Y}\n"
+        "P\ta\tmeronymy\th\t{X} is part of {Y}\n"
+    )
+    with pytest.raises(ValueError, match="line 2: duplicate pattern id 'a'"):
+        parse_catalogue(text)
 
 
 def test_catalogue_rejects_mixed_relation_groups():
@@ -190,3 +201,46 @@ def test_property_arbitration_picks_maximal_group(miss, target, counts):
         assert suggestion.winner_hits == best
         for count in suggestion.group_hits.values():
             assert suggestion.winner_hits >= count
+
+
+# Slots glued to punctuation and to "a(n)", slots in Y-then-X order, a
+# trailing "a(n)", two "a(n)" in a row, and runs of whitespace in a template.
+ODD_CATALOGUE = [
+    PatternTemplate("odd-glued", RelationKind.HYPONYMY, "odd-1", "({X}) a(n) {Y:pl}'s"),
+    PatternTemplate("odd-article", RelationKind.MERONYMY, "odd-2", "a(n){X} is a(n) {Y} a(n)"),
+    PatternTemplate("odd-order", RelationKind.SYNONYMY, "odd-3", "\t {Y:pl}  a(n)  a(n) {X:pl} "),
+    PatternTemplate("odd-bare", RelationKind.INSTANCE_OF, "odd-4", "{X}{Y}"),
+]
+
+
+_TERM_WORDS = st.sampled_from(
+    ["apple", "Orange", "body", "Idea", "box", "key", "Unit", "y", "a(n)", "A(N)", "a(n)x",
+     "{Y}", "Église"]
+)
+_GAPS = st.sampled_from([" ", "  ", "\t", " \n "])
+_EDGES = st.sampled_from(["", " ", "\t "])
+
+
+@st.composite
+def pattern_terms(draw):
+    """Terms with runs of whitespace, vowel and consonant starts, upper case
+    and ``a(n)`` tokens; blank when no word is drawn."""
+    text = draw(_EDGES)
+    for i, word in enumerate(draw(st.lists(_TERM_WORDS, max_size=4))):
+        text += (draw(_GAPS) if i else "") + word
+    return text + draw(_EDGES)
+
+
+@pytest.mark.parametrize("name", ["default", "odd"])
+@settings(max_examples=300, deadline=None)
+@given(miss=pattern_terms(), target=pattern_terms())
+def test_property_instantiation_equals_regex_fill(name, miss, target):
+    catalogue = default_catalogue() if name == "default" else ODD_CATALOGUE
+    if not miss.strip() or not target.strip():
+        for instantiate in (instantiate_patterns, reference_instantiate):
+            with pytest.raises(ValueError):
+                instantiate(miss, target, catalogue)
+        return
+    assert instantiate_patterns(miss, target, catalogue) == reference_instantiate(
+        miss, target, catalogue
+    )
