@@ -33,6 +33,7 @@ STAGE_EXIT_CODES = {
     "extraction": 7,
     "enrichment": 8,
     "evaluation": 9,
+    "output": 10,
 }
 
 _PATH_KEYS = ("corpus", "ontology", "out_dir", "snapshot", "stopwords", "gazetteer", "patterns")

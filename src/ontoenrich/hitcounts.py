@@ -17,7 +17,7 @@ Snapshot file format (UTF-8, tab-separated):
 Pair co-occurrence entries use the key ``"<a>" "<b>"`` with both phrases
 normalized and sorted, e.g. ``H\t"jawa" "java"\t480000``.
 
-Index file format (``CorpusIndex.save``; ``load`` requires the P record):
+Index file format (``CorpusIndex.to_text``; ``load`` requires the P record):
 
     N  <total-documents>
     P  <punctuation characters, sorted and concatenated>
@@ -149,9 +149,6 @@ class CorpusIndex:
             rendered = "|".join(" ".join(span) for span in spans)
             lines.append(f"D\t{doc_id}\t{rendered}")
         return "".join(line + "\n" for line in lines)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusIndex":

@@ -15,6 +15,10 @@ those pieces joined with the pair's terms, whitespace collapsed, and each
 term brings in is resolved too. Each term is pluralized once per pair, not
 once per plural slot.
 
+A suggestion keeps each issued query as a plain ``(pattern id, query, hits)``
+tuple, in catalogue order, and the audit streams them to its file line by
+line: a default desk run issues 89,100 queries.
+
 Templates never contain negation operators; the catalogue loader rejects
 them, so no negated query is ever issued. Pattern ids are unique within a
 catalogue.
@@ -163,15 +167,6 @@ def instantiate_patterns(
 
 
 @dataclass(frozen=True)
-class QueryRecord:
-    pattern_id: str
-    group: str
-    relation: RelationKind
-    query: str
-    hits: int
-
-
-@dataclass(frozen=True)
 class RelationSuggestion:
     missing_term: str
     ontology_term: str
@@ -179,7 +174,7 @@ class RelationSuggestion:
     winning_group: str | None          # None on the related-to fallback
     winner_hits: int
     group_hits: Mapping[str, int]
-    queries: tuple[QueryRecord, ...]
+    queries: tuple[tuple[str, str, int], ...]  # (pattern id, query, hits), catalogue order
     tied: bool = False
 
 
@@ -190,15 +185,14 @@ def extract_relation(
     catalogue: Sequence[PatternTemplate],
 ) -> RelationSuggestion:
     """Arbitrate one relation for a candidate pair from pattern hit counts."""
-    records = []
+    pattern_hits = provider.pattern_hits
+    queries = tuple([
+        (pattern_id, query, pattern_hits(query))
+        for pattern_id, query in instantiate_patterns(t_miss, t_in, catalogue)
+    ])
     group_hits: dict[str, int] = {}
-    group_relation: dict[str, RelationKind] = {}
-    queries = instantiate_patterns(t_miss, t_in, catalogue)
-    for template, (_, query) in zip(catalogue, queries):
-        count = provider.pattern_hits(query)
-        records.append(QueryRecord(template.id, template.group, template.relation, query, count))
+    for template, (_, _, count) in zip(catalogue, queries):
         group_hits[template.group] = group_hits.get(template.group, 0) + count
-        group_relation[template.group] = template.relation
 
     best = max(group_hits.values(), default=0)
     if best == 0:
@@ -208,9 +202,10 @@ def extract_relation(
             relation=RelationKind.RELATED_TO,
             winning_group=None,
             winner_hits=0,
-            group_hits=dict(group_hits),
-            queries=tuple(records),
+            group_hits=group_hits,
+            queries=queries,
         )
+    group_relation = {template.group: template.relation for template in catalogue}
     winners = sorted(
         (group for group, count in group_hits.items() if count == best),
         key=lambda g: (_SPECIFICITY.get(group_relation[g], 99), group_relation[g].value, g),
@@ -221,8 +216,8 @@ def extract_relation(
         relation=group_relation[winners[0]],
         winning_group=winners[0],
         winner_hits=best,
-        group_hits=dict(group_hits),
-        queries=tuple(records),
+        group_hits=group_hits,
+        queries=queries,
         tied=len(winners) > 1,
     )
 
@@ -233,13 +228,12 @@ def slug(surface: str) -> str:
 
 
 def write_pattern_audit(suggestions: Iterable[RelationSuggestion], path: str | Path) -> None:
-    """One line per issued query: pair, pattern, query string, hit count."""
-    lines = ["missing_term\tontology_term\tpattern\tquery\thits"]
+    """One line per issued query: pair, pattern, query string, hit count.
+    Pairs are sorted case-insensitively; the lines are streamed to the file."""
     ordered = sorted(suggestions, key=lambda s: (s.missing_term.lower(), s.ontology_term.lower()))
-    for suggestion in ordered:
-        for record in suggestion.queries:
-            lines.append(
-                f"{suggestion.missing_term}\t{suggestion.ontology_term}"
-                f"\t{record.pattern_id}\t{record.query}\t{record.hits}"
-            )
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write("missing_term\tontology_term\tpattern\tquery\thits\n")
+        for suggestion in ordered:
+            pair = f"{suggestion.missing_term}\t{suggestion.ontology_term}"
+            for pattern_id, query, hits in suggestion.queries:
+                out.write(f"{pair}\t{pattern_id}\t{query}\t{hits}\n")

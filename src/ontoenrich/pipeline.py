@@ -3,6 +3,7 @@
 Every run is deterministic: identical configuration and inputs produce
 byte-identical output files (fixed orderings, fixed float formatting, no
 timestamps). A manifest records the run's knobs and a sha256 of each input.
+Creating the output directory and writing into it is the ``output`` stage.
 """
 
 from __future__ import annotations
@@ -279,24 +280,26 @@ def run_enrichment(config: RunConfig) -> Path:
         )
         enriched, report = enrich_ontology(state.ontology, decisions, failures)
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_ontology(enriched, out / "enriched_ontology.tsv")
-    _write_matrix_or_header(state, out / "relatedness_matrix.tsv")
-    write_pattern_audit(state.suggestions, out / "pattern_audit.tsv")
-    write_enrichment_report(report, out / "enrichment_report.tsv")
-    _write_system_judgments(state, report.outcomes, out / "system_judgments.tsv")
-    _write_manifest(state, out / "manifest.tsv")
+    with _stage("output"):
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        save_ontology(enriched, out / "enriched_ontology.tsv")
+        _write_matrix_or_header(state, out / "relatedness_matrix.tsv")
+        write_pattern_audit(state.suggestions, out / "pattern_audit.tsv")
+        write_enrichment_report(report, out / "enrichment_report.tsv")
+        _write_system_judgments(state, report.outcomes, out / "system_judgments.tsv")
+        _write_manifest(state, out / "manifest.tsv")
     return out
 
 
 def run_relatedness(config: RunConfig) -> Path:
     """Stop after the relatedness matrix; write matrix and manifest only."""
     state = _prepare(config, need_extraction=False)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_matrix_or_header(state, out / "relatedness_matrix.tsv")
-    _write_manifest(state, out / "manifest.tsv")
+    with _stage("output"):
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_matrix_or_header(state, out / "relatedness_matrix.tsv")
+        _write_manifest(state, out / "manifest.tsv")
     return out
 
 
@@ -309,9 +312,11 @@ def run_index(corpus_path: Path, out_dir: Path, stopwords: Path | None = None) -
         corpus = load_corpus(corpus_path)
     with _stage("hits"):
         index = CorpusIndex.build(tokenize_corpus(corpus, stoplist.punctuation))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    index.save(out / "index.tsv")
+    with _stage("output"):
+        text = index.to_text()  # fails on an unsavable token before --out-dir exists
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "index.tsv").write_text(text, encoding="utf-8")
     return out
 
 
@@ -323,7 +328,8 @@ def run_eval(system_path: Path, expert_path: Path, out_dir: Path,
         system = Judgments.load(system_path)
         expert = Judgments.load(expert_path)
         rows = precision_report(system, expert, require_relation)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_precision_report(rows, out / "precision_report.tsv")
+    with _stage("output"):
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_precision_report(rows, out / "precision_report.tsv")
     return out

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+from pathlib import Path
 
 from ontoenrich.patterns import pluralize_term
 
@@ -92,6 +93,20 @@ def reference_instantiate(t_miss: str, t_in: str, catalogue) -> list[tuple[str, 
         query = _SLOT_RE.sub(fill, template.template)
         queries.append((template.id, _resolve_articles(query)))
     return queries
+
+
+def reference_pattern_audit(suggestions, path) -> None:
+    """The pattern audit built as one line list and written as one joined
+    string; the streamed ``write_pattern_audit`` must match it byte for byte."""
+    lines = ["missing_term\tontology_term\tpattern\tquery\thits"]
+    ordered = sorted(suggestions, key=lambda s: (s.missing_term.lower(), s.ontology_term.lower()))
+    for suggestion in ordered:
+        for pattern_id, query, hits in suggestion.queries:
+            lines.append(
+                f"{suggestion.missing_term}\t{suggestion.ontology_term}"
+                f"\t{pattern_id}\t{query}\t{hits}"
+            )
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def scan_phrase_docs(doc_tokens: dict[str, list[str]], phrase: str) -> set[str]:

@@ -318,6 +318,41 @@ def test_interrupt_is_not_a_stage_failure(tmp_path, tiny_corpus, monkeypatch):
         run("enrich", "--corpus", tiny_corpus, "--ontology", MINI, "--out-dir", tmp_path / "out")
 
 
+@pytest.mark.parametrize("command", ["enrich", "relatedness", "eval"])
+def test_out_dir_that_is_a_file_exits_output_code(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    if command == "eval":
+        argv = ["eval", "--system", FIXTURES / "eval" / "system.tsv",
+                "--expert", FIXTURES / "eval" / "expert.tsv"]
+    else:
+        argv = [command, "--corpus", FIXTURES / "corpus_examples", "--ontology", MINI,
+                "--snapshot", SNAPSHOT]
+    assert run(*argv, "--out-dir", taken) == 10
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1 and errors[0].startswith("error [output] "), err
+    assert "Traceback" not in err
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_unsavable_index_exits_output_code_and_creates_nothing(tmp_path, capsys):
+    # With "." the only punctuation, "a|b" is one token, and "|" separates
+    # spans in index.tsv.
+    corpus = tmp_path / "corpus"
+    (corpus / "d").mkdir(parents=True)
+    (corpus / "d" / "x.txt").write_text("a|b c\n", encoding="utf-8")
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_text("the\n.\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("index", "--corpus", corpus, "--stopwords", stoplist, "--out-dir", out) == 10
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1 and errors[0].startswith("error [output] "), err
+    assert "separator '|'" in errors[0] and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_relatedness_subcommand_writes_matrix_only(tmp_path):
     out = tmp_path / "out"
     assert run(

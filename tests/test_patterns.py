@@ -6,6 +6,7 @@ from ontoenrich.ontology import RelationKind
 from ontoenrich.patterns import (
     NEGATION_WORDS,
     PatternTemplate,
+    RelationSuggestion,
     default_catalogue,
     extract_relation,
     instantiate_patterns,
@@ -16,7 +17,7 @@ from ontoenrich.patterns import (
     write_pattern_audit,
 )
 
-from helpers import reference_instantiate
+from helpers import reference_instantiate, reference_pattern_audit
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +179,44 @@ def test_audit_export(tmp_path, catalogue):
     assert len(lines) == 1 + len(suggestion.queries)
 
 
+# Terms that collide on case, with the ASCII and non-ASCII case folds that
+# str.lower treats unevenly ("İ" lowers to two code points, "ẞ" to "ß").
+_AUDIT_TERMS = st.sampled_from(
+    ["jawa", "Jawa", "JAWA", "java", "Église", "église", "ÉGLISE", "straße", "STRASSE",
+     "Straẞe", "İstanbul", "istanbul", "ǅemal", "日本", "naïve bay", "Naïve Bay"]
+)
+_AUDIT_RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from(["hypo-isa", "mero-part", "syn-aka", "é-1"]),
+        st.text(alphabet="abc éß İ-", min_size=1, max_size=12),
+        st.integers(0, 10**9),
+    ),
+    max_size=4,
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.builds(
+        RelationSuggestion,
+        missing_term=_AUDIT_TERMS,
+        ontology_term=_AUDIT_TERMS,
+        relation=st.just(RelationKind.RELATED_TO),
+        winning_group=st.none(),
+        winner_hits=st.just(0),
+        group_hits=st.just({}),
+        queries=_AUDIT_RECORDS,
+    ),
+    max_size=8,
+))
+def test_property_streamed_audit_equals_joined_audit(tmp_path_factory, suggestions):
+    # The suggestions arrive in drawn order, not sorted; both writers sort them.
+    out = tmp_path_factory.mktemp("audit")
+    write_pattern_audit(suggestions, out / "streamed.tsv")
+    reference_pattern_audit(suggestions, out / "joined.tsv")
+    assert (out / "streamed.tsv").read_bytes() == (out / "joined.tsv").read_bytes()
+
+
 _TERMS = st.sampled_from(["jawa", "corporate body", "engine", "rex", "bay"])
 _TARGETS = st.sampled_from(["organization", "island", "car", "dog"])
 
@@ -193,6 +232,11 @@ def test_property_arbitration_picks_maximal_group(miss, target, counts):
     queries = instantiate_patterns(miss, target, catalogue)
     provider = snapshot_of({query: count for (_, query), count in zip(queries, counts)})
     suggestion = extract_relation(miss, target, provider, catalogue)
+    # one (pattern id, query, hits) record per template, in catalogue order
+    assert [pattern_id for pattern_id, _, _ in suggestion.queries] == [t.id for t in catalogue]
+    assert suggestion.queries == tuple(
+        (pattern_id, query, provider.pattern_hits(query)) for pattern_id, query in queries
+    )
     assert suggestion.group_hits  # exactly one suggestion per pair, never dropped
     best = max(suggestion.group_hits.values())
     if best == 0:

@@ -160,6 +160,20 @@ def test_corpus_loading(tmp_path):
     assert [d.id for d in corpus.documents] == ["islands/a.txt", "islands/b.txt"]
     assert corpus.documents[0].domain == "islands"
 
+    # Symlinks to a domain or an article are followed; stray top-level files,
+    # nested directories and broken links are skipped; names sort as strings.
+    (tmp_path / "README").write_text("not a domain", encoding="utf-8")
+    (tmp_path / "islands" / "nested").mkdir()
+    (tmp_path / "islands" / "nested" / "c.txt").write_text("Bali island", encoding="utf-8")
+    (tmp_path / "islands" / "B.txt").write_text("Sumatra island", encoding="utf-8")
+    (tmp_path / "islands" / "é.txt").write_text("Flores island", encoding="utf-8")
+    (tmp_path / "islands" / "link.txt").symlink_to(tmp_path / "islands" / "a.txt")
+    (tmp_path / "islands" / "broken.txt").symlink_to(tmp_path / "ghost.txt")
+    (tmp_path / "atolls").symlink_to(tmp_path / "islands", target_is_directory=True)
+    ids = [d.id for d in load_corpus(tmp_path).documents]
+    expected = ["B.txt", "a.txt", "b.txt", "link.txt", "é.txt"]
+    assert ids == [f"{domain}/{name}" for domain in ("atolls", "islands") for name in expected]
+
 
 def test_document_accounting_merges_sources(stoplist):
     corpus = Corpus(
