@@ -6,10 +6,13 @@ Two interchangeable implementations of one contract:
   (counts are document frequencies, not raw occurrence counts). It reads the
   ``textpipe.PhraseTable`` that mining filled, so each document is split once
   per run, and a mined term's doc ids are the posting set it answers from.
+  Term, pair and pattern queries go through one lookup path, which answers
+  nearly every pattern query from the posting of its first window alone.
 * ``SnapshotTable`` replays counts recorded in a file, so runs against
   external engines stay reproducible offline. Absent keys count 0.
 
-Snapshot file format (UTF-8, tab-separated):
+Snapshot file format (UTF-8, tab-separated; exactly one N record, with a
+positive total, and no key twice once normalized):
 
     N  <total-documents>
     H  <query string>  <count>
@@ -58,29 +61,30 @@ def pair_key(a: str, b: str) -> str:
     return f'"{first}" "{second}"'
 
 
-def _phrase_tokens(query: str, punctuation: frozenset[str]) -> tuple[str, ...] | None:
-    """Normalized token tuple, or None when the query spans punctuation."""
-    # Look for punctuation in the query as given: lowercasing can turn a
-    # punctuation character (such as "Ⓐ") into one that is not.
-    if punctuation.isdisjoint(query):
-        return tuple(query.lower().split()) or None
+def _phrase_tokens(query: str, punctuation: frozenset[str]) -> list[str] | None:
+    """Normalized tokens of a query that holds punctuation, or None when the
+    query spans it."""
     spans = punctuation_spans(query, punctuation)
     if len(spans) != 1:
         return None
-    return tuple(token.lower() for token in spans[0])
+    return [token.lower() for token in spans[0]]
 
 
 class CorpusIndex:
     """Inverted index of contiguous token phrases over a phrase table.
 
-    Phrases up to ``MAX_NGRAM_LEN`` tokens are answered from the table's
-    posting sets; longer queries (pattern strings) take their candidates from
-    the intersected postings of their ``MAX_NGRAM_LEN``-token windows and
-    verify adjacency against the table's token spans. The window walk answers
-    0 at the first window with no posting, before it intersects anything.
-    A query without punctuation is lowercased and split once. ``pair_hits``
-    memoizes each term's posting set by phrase string, so a batch of pairs
-    looks each term up once.
+    ``hits``, ``pair_hits`` and ``pattern_hits`` share one lookup path. A
+    query without punctuation is lowercased and split once; punctuation is
+    looked for in the query as given, since ``str.lower`` maps a punctuation
+    character such as ``Ⓐ`` to one that is not. Phrases up to
+    ``MAX_NGRAM_LEN`` tokens are answered from the table's posting sets.
+    A longer query (a pattern string) answers 0 when its first
+    ``MAX_NGRAM_LEN``-token window has no posting, which is how nearly every
+    pattern query ends; otherwise it takes its candidates from the
+    intersected postings of all its windows, stops at the first window with
+    no posting, and verifies adjacency against the table's token spans.
+    ``pair_hits`` memoizes each term's posting set by phrase string, so a
+    batch of pairs looks each term up once.
     """
 
     def __init__(self, table: PhraseTable):
@@ -94,9 +98,10 @@ class CorpusIndex:
         """Index over a table that ``textpipe.tokenize_corpus`` filled."""
         return cls(table)
 
-    def _scan_long_phrase(self, tokens: tuple[str, ...]) -> set[str]:
-        postings = []
-        for i in range(len(tokens) - MAX_NGRAM_LEN + 1):
+    def _scan_long_phrase(self, tokens: tuple[str, ...], first: set[str]) -> set[str]:
+        """Documents holding the phrase, given the postings of its first window."""
+        postings = [first]
+        for i in range(1, len(tokens) - MAX_NGRAM_LEN + 1):
             docs = self._table.postings.get(tokens[i : i + MAX_NGRAM_LEN])
             if not docs:
                 return set()
@@ -113,12 +118,19 @@ class CorpusIndex:
         return matched
 
     def _doc_ids(self, phrase: str) -> set[str]:
-        tokens = _phrase_tokens(phrase, self._table.punctuation)
-        if not tokens:
-            return set()
+        table = self._table
+        if table.punctuation.isdisjoint(phrase):
+            tokens = phrase.lower().split()
+        else:
+            tokens = _phrase_tokens(phrase, table.punctuation)
+            if tokens is None:
+                return set()
         if len(tokens) <= MAX_NGRAM_LEN:
-            return self._table.postings.get(tokens, set())
-        return self._scan_long_phrase(tokens)
+            return table.postings.get(tuple(tokens), set())
+        first = table.postings.get(tuple(tokens[:MAX_NGRAM_LEN]))
+        if not first:
+            return set()
+        return self._scan_long_phrase(tuple(tokens), first)
 
     def hits(self, phrase: str) -> int:
         return len(self._doc_ids(phrase))
@@ -132,8 +144,7 @@ class CorpusIndex:
     def pair_hits(self, a: str, b: str) -> int:
         return len(self._term_doc_ids(a) & self._term_doc_ids(b))
 
-    def pattern_hits(self, query: str) -> int:
-        return len(self._doc_ids(query))
+    pattern_hits = hits
 
     def total_docs(self) -> int:
         return len(self._table.doc_spans)
@@ -176,6 +187,15 @@ class CorpusIndex:
         return cls(table)
 
 
+def _count(text: str) -> int | None:
+    """text as an integer >= 0, or None."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value >= 0 else None
+
+
 @dataclass(frozen=True)
 class SnapshotTable:
     """Replayable hit counts keyed by normalized query string."""
@@ -194,25 +214,36 @@ class SnapshotTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "SnapshotTable":
+        """Read a snapshot file; one positive N record, and no key twice
+        once normalized."""
         total = None
-        pairs = []
+        entries: dict[str, int] = {}
         for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             fields = line.split("\t")
             if fields[0] == "N" and len(fields) == 2:
-                total = int(fields[1])
+                if total is not None:
+                    raise ValueError(f"{path}: line {lineno}: second N record")
+                total = _count(fields[1])
+                if not total:
+                    raise ValueError(
+                        f"{path}: line {lineno}: N must be a positive integer, got {fields[1]!r}"
+                    )
             elif fields[0] == "H" and len(fields) == 3:
-                try:
-                    pairs.append((fields[1], int(fields[2])))
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: bad count {fields[2]!r}") from None
+                count = _count(fields[2])
+                if count is None:
+                    raise ValueError(f"{path}: line {lineno}: bad count {fields[2]!r}")
+                key = normalize_label(fields[1])
+                if key in entries:
+                    raise ValueError(f"{path}: line {lineno}: duplicate key {key!r}")
+                entries[key] = count
             else:
                 raise ValueError(f"{path}: line {lineno}: expected N or H record")
         if total is None:
             raise ValueError(f"{path}: missing N header record")
-        return cls.from_pairs(pairs, total)
+        return cls(entries, total)
 
     def save(self, path: str | Path) -> None:
         lines = [f"N\t{self.declared_total}"]

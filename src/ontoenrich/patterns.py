@@ -8,12 +8,20 @@ forms) pool their counts before arbitration. When every query returns zero
 the pair falls back to the weak "related-to" relation: the statistics already
 vouched for the pair, the catalogue just cannot name the relation.
 
-Each template is compiled once, when it is built: the literal text around
-its two slots and the slot keys (``X``, ``X:pl``, ``Y``, ``Y:pl``). A query is
-those pieces joined with the pair's terms, whitespace collapsed, and each
-``a(n)`` token resolved against the token after it, so an ``a(n)`` that a
-term brings in is resolved too. Each term is pluralized once per pair, not
-once per plural slot.
+A catalogue is compiled once, when it is parsed, into one format string with
+a line per template: whitespace collapsed, ``{``/``}`` escaped, and each
+standalone ``a(n)`` resolved against the literal after it or, when a slot
+follows, left as a field that takes its article from that slot's first
+character. One format call and one split per pair then yield every query in
+catalogue order. That holds when both terms are normalized (single spaces, no
+edge whitespace) and have no token that is a piece of ``a(n)``, since a piece
+glued to a slot's neighbour can complete one. Mined terms are joined by single
+spaces, and the default stoplist holds ``a``, so nearly all qualify. Any other
+pair takes the general path: each template's literal pieces joined with the
+slot values, whitespace collapsed and each ``a(n)`` token resolved against the
+token after it, so an ``a(n)`` that a term brings in is resolved too. Each
+term is pluralized once per pair, not once per plural slot. A plain sequence
+of templates is compiled on the fly.
 
 A suggestion keeps each issued query as a plain ``(pattern id, query, hits)``
 tuple, in catalogue order, and the audit streams them to its file line by
@@ -90,12 +98,74 @@ class PatternTemplate:
         if "a(n)" in tokens:
             for i, token in enumerate(tokens):
                 if token == "a(n)":
-                    nxt = tokens[i + 1] if i + 1 < len(tokens) else ""
-                    tokens[i] = "an" if nxt[:1].lower() in _VOWELS else "a"
+                    tokens[i] = _article(tokens[i + 1][:1] if i + 1 < len(tokens) else "")
         return " ".join(tokens)
 
 
-def parse_catalogue(text: str, source: str = "<string>") -> list[PatternTemplate]:
+# Format fields of a compiled template line: the four slot values, then the
+# article of X and of Y (pluralizing keeps a term's first character).
+_SLOT_FIELDS = {"X": "{0}", "X:pl": "{1}", "Y": "{2}", "Y:pl": "{3}"}
+_ARTICLE_FIELDS = {"{0}": "{4}", "{1}": "{4}", "{2}": "{5}", "{3}": "{5}"}
+# Tokens that are an "a(n)", or could make one glued to a template literal
+# or to the other term, as "{X}(n)" does with X = "a".
+_ARTICLE_PIECES = frozenset("a(n)"[i:j] for i in range(4) for j in range(i + 1, 5))
+
+
+def _article(first_char: str) -> str:
+    """The article an ``a(n)`` takes before a token starting with first_char."""
+    return "an" if first_char.lower() in _VOWELS else "a"
+
+
+def _compile(template: PatternTemplate) -> str:
+    """One format line for the template: ``PatternTemplate.query`` with each
+    slot left as its field, for normalized terms without an ``a(n)`` piece."""
+    before, middle, after = (
+        piece.replace("{", "{{").replace("}", "}}") for piece in template._pieces
+    )
+    first, second = (_SLOT_FIELDS[slot] for slot in template._slots)
+    tokens = (before + first + middle + second + after).split()
+    for i, token in enumerate(tokens):
+        if token == "a(n)":
+            nxt = tokens[i + 1] if i + 1 < len(tokens) else ""
+            # A field opens with "{" and a digit; a literal brace is doubled.
+            tokens[i] = _ARTICLE_FIELDS.get(nxt[:3]) or _article(nxt[:1])
+    return " ".join(tokens)
+
+
+def _compilable(term: str) -> bool:
+    """Whether the term can fill a compiled format: normalized, no ``a(n)`` piece."""
+    words = term.split()
+    return bool(words) and term == " ".join(words) and _ARTICLE_PIECES.isdisjoint(words)
+
+
+class PatternCatalogue(tuple):
+    """Templates in catalogue order, compiled into one format with a line
+    per template."""
+
+    def __new__(cls, templates: Iterable[PatternTemplate]):
+        self = super().__new__(cls, templates)
+        self.ids = tuple(template.id for template in self)
+        self.groups = tuple(template.group for template in self)
+        self._format = "\n".join(_compile(template) for template in self)
+        return self
+
+    def queries(self, t_miss: str, t_in: str) -> list[str]:
+        """Query string of every template for the pair, in catalogue order."""
+        if self and _compilable(t_miss) and _compilable(t_in):
+            return self._format.format(
+                t_miss, pluralize_term(t_miss), t_in, pluralize_term(t_in),
+                _article(t_miss[:1]), _article(t_in[:1]),
+            ).split("\n")
+        if not t_miss.strip() or not t_in.strip():
+            raise ValueError("pattern instantiation needs two non-empty terms")
+        slot_values = {
+            "X": t_miss, "X:pl": pluralize_term(t_miss),
+            "Y": t_in, "Y:pl": pluralize_term(t_in),
+        }
+        return [template.query(slot_values) for template in self]
+
+
+def parse_catalogue(text: str, source: str = "<string>") -> PatternCatalogue:
     templates = []
     groups: dict[str, RelationKind] = {}
     ids: set[str] = set()
@@ -119,15 +189,15 @@ def parse_catalogue(text: str, source: str = "<string>") -> list[PatternTemplate
             )
         ids.add(pattern_id)
         templates.append(PatternTemplate(pattern_id, relation, group, template))
-    return templates
+    return PatternCatalogue(templates)
 
 
-def load_catalogue(path: str | Path) -> list[PatternTemplate]:
+def load_catalogue(path: str | Path) -> PatternCatalogue:
     path = Path(path)
     return parse_catalogue(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def default_catalogue() -> list[PatternTemplate]:
+def default_catalogue() -> PatternCatalogue:
     data = importlib.resources.files("ontoenrich").joinpath("data/patterns.tsv")
     return parse_catalogue(data.read_text(encoding="utf-8"))
 
@@ -151,19 +221,18 @@ def pluralize_term(term: str) -> str:
     return " ".join(words[:-1] + [pluralize_word(words[-1])])
 
 
+def _compiled(catalogue: Sequence[PatternTemplate]) -> PatternCatalogue:
+    return catalogue if isinstance(catalogue, PatternCatalogue) else PatternCatalogue(catalogue)
+
+
 def instantiate_patterns(
     t_miss: str,
     t_in: str,
     catalogue: Sequence[PatternTemplate],
 ) -> list[tuple[str, str]]:
     """Expand every template for the pair; returns (pattern id, query string)."""
-    if not t_miss.strip() or not t_in.strip():
-        raise ValueError("pattern instantiation needs two non-empty terms")
-    slot_values = {
-        "X": t_miss, "X:pl": pluralize_term(t_miss),
-        "Y": t_in, "Y:pl": pluralize_term(t_in),
-    }
-    return [(template.id, template.query(slot_values)) for template in catalogue]
+    catalogue = _compiled(catalogue)
+    return list(zip(catalogue.ids, catalogue.queries(t_miss, t_in)))
 
 
 @dataclass(frozen=True)
@@ -185,14 +254,16 @@ def extract_relation(
     catalogue: Sequence[PatternTemplate],
 ) -> RelationSuggestion:
     """Arbitrate one relation for a candidate pair from pattern hit counts."""
+    catalogue = _compiled(catalogue)
     pattern_hits = provider.pattern_hits
     queries = tuple([
         (pattern_id, query, pattern_hits(query))
-        for pattern_id, query in instantiate_patterns(t_miss, t_in, catalogue)
+        for pattern_id, query in zip(catalogue.ids, catalogue.queries(t_miss, t_in))
     ])
-    group_hits: dict[str, int] = {}
-    for template, (_, _, count) in zip(catalogue, queries):
-        group_hits[template.group] = group_hits.get(template.group, 0) + count
+    group_hits = dict.fromkeys(catalogue.groups, 0)
+    for group, (_, _, count) in zip(catalogue.groups, queries):
+        if count:
+            group_hits[group] += count
 
     best = max(group_hits.values(), default=0)
     if best == 0:

@@ -3,7 +3,8 @@
 Every run is deterministic: identical configuration and inputs produce
 byte-identical output files (fixed orderings, fixed float formatting, no
 timestamps). A manifest records the run's knobs and a sha256 of each input.
-Creating the output directory and writing into it is the ``output`` stage.
+Creating the output directory and writing into it is the ``output`` stage;
+an output directory that could not be created is rejected with the config.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .evaluation import Judgments, precision_report, write_precision_report
 from .hitcounts import CorpusIndex, HitCountProvider, SnapshotTable
 from .ontology import Ontology, load_ontology, save_ontology
 from .patterns import (
-    PatternTemplate,
+    PatternCatalogue,
     RelationSuggestion,
     default_catalogue,
     extract_relation,
@@ -73,6 +74,16 @@ def _require_inputs(**paths: Path | None) -> None:
             raise ConfigError(f"{name} path {path} does not exist")
 
 
+def _require_output(out_dir: Path) -> None:
+    """Raise ConfigError when out_dir, or the nearest of its parents that
+    exists, is not a directory: the run could not write its outputs."""
+    path = Path(out_dir)
+    while not path.exists() and path.parent != path:
+        path = path.parent
+    if path.exists() and not path.is_dir():
+        raise ConfigError(f"out-dir {out_dir}: {path} exists and is not a directory")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     corpus: Path
@@ -96,6 +107,7 @@ class RunConfig:
         _require_inputs(corpus=self.corpus, ontology=self.ontology, snapshot=self.snapshot,
                        stopwords=self.stopwords, gazetteer=self.gazetteer,
                        patterns=self.patterns)
+        _require_output(self.out_dir)
 
 
 @dataclass
@@ -214,7 +226,7 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
     )
 
 
-def _catalogue(config: RunConfig) -> list[PatternTemplate]:
+def _catalogue(config: RunConfig) -> PatternCatalogue:
     if config.patterns is not None:
         return load_catalogue(config.patterns)
     return default_catalogue()
@@ -307,6 +319,7 @@ def run_index(corpus_path: Path, out_dir: Path, stopwords: Path | None = None) -
     """Build the corpus index and persist it."""
     with _stage("config"):
         _require_inputs(corpus=corpus_path, stopwords=stopwords)
+        _require_output(out_dir)
     with _stage("corpus"):
         stoplist = load_stoplist(stopwords) if stopwords else default_stoplist()
         corpus = load_corpus(corpus_path)
@@ -324,6 +337,7 @@ def run_eval(system_path: Path, expert_path: Path, out_dir: Path,
              require_relation: bool = True) -> Path:
     with _stage("config"):
         _require_inputs(system=system_path, expert=expert_path)
+        _require_output(out_dir)
     with _stage("evaluation"):
         system = Judgments.load(system_path)
         expert = Judgments.load(expert_path)

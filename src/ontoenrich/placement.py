@@ -9,6 +9,9 @@ Three cases, driven by the sense count of the target concept:
 * case3-composite - one term relates to several targets; each target is
   resolved as case1/case2 and every decision is tagged composite.
 
+``place_all`` resolves each distinct target term to its concept once per
+call, not once per suggestion, and builds composite decisions directly.
+
 Path scoring reuses the run's relatedness denominator so placement and
 candidate selection speak the same scale. Labels whose hit counts cannot
 support a distance (zero hits, or hits at the collection size) are skipped;
@@ -19,7 +22,7 @@ the sense is unresolved.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -156,6 +159,38 @@ def disambiguate_sense(
     return winners, tuple(scores)
 
 
+def _target_concept(term: str, ontology: Ontology) -> Concept:
+    """The concept a suggestion's target term names; LookupError otherwise."""
+    match = ontology.contains_term(term)
+    if match is None:
+        raise LookupError(f"target term {term!r} is not in the ontology")
+    if match.kind != "concept":
+        raise LookupError(
+            f"target term {term!r} resolves to an instance, which cannot anchor placement"
+        )
+    return ontology.concepts[match.id]
+
+
+def _decide(
+    suggestion: RelationSuggestion,
+    concept: Concept,
+    ontology: Ontology,
+    provider: HitCountProvider,
+    cfg: PlacementConfig,
+    composite: bool = False,
+) -> PlacementDecision:
+    if len(concept.senses) == 1:
+        senses, case, audit = (1,), "case1", ()
+    else:
+        senses, audit = disambiguate_sense(
+            suggestion.missing_term, concept.id, ontology, provider, cfg
+        )
+        case = "case2"
+    if composite:
+        return PlacementDecision(suggestion, concept.id, senses, "case3-composite", case, audit)
+    return PlacementDecision(suggestion, concept.id, senses, case, path_scores=audit)
+
+
 def place_concept(
     suggestion: RelationSuggestion,
     ontology: Ontology,
@@ -163,32 +198,8 @@ def place_concept(
     cfg: PlacementConfig = PlacementConfig(),
 ) -> PlacementDecision:
     """Resolve one (term, target) suggestion to target senses."""
-    match = ontology.contains_term(suggestion.ontology_term)
-    if match is None:
-        raise LookupError(f"target term {suggestion.ontology_term!r} is not in the ontology")
-    if match.kind != "concept":
-        raise LookupError(
-            f"target term {suggestion.ontology_term!r} resolves to an instance, "
-            "which cannot anchor placement"
-        )
-    concept = ontology.concepts[match.id]
-    if len(concept.senses) == 1:
-        return PlacementDecision(
-            suggestion=suggestion,
-            target_concept=match.id,
-            senses=(1,),
-            case="case1",
-        )
-    senses, audit = disambiguate_sense(
-        suggestion.missing_term, match.id, ontology, provider, cfg
-    )
-    return PlacementDecision(
-        suggestion=suggestion,
-        target_concept=match.id,
-        senses=senses,
-        case="case2",
-        path_scores=audit,
-    )
+    concept = _target_concept(suggestion.ontology_term, ontology)
+    return _decide(suggestion, concept, ontology, provider, cfg)
 
 
 @dataclass(frozen=True)
@@ -205,12 +216,20 @@ def place_all(
 ) -> tuple[list[PlacementDecision], list[PlacementFailure]]:
     """Place every suggestion; terms with several targets become composite.
 
+    Each distinct target term is resolved to its concept once per call.
     Sense-path labels skipped for unusable hit counts are summed up in one
     warning per call.
     """
     by_term: dict[str, list[RelationSuggestion]] = {}
+    targets: dict[str, Concept | LookupError] = {}
     for suggestion in suggestions:
         by_term.setdefault(suggestion.missing_term, []).append(suggestion)
+        target = suggestion.ontology_term
+        if target not in targets:
+            try:
+                targets[target] = _target_concept(target, ontology)
+            except LookupError as exc:
+                targets[target] = exc
 
     decisions, failures = [], []
     skipped: set[str] = set()  # sense-path labels without usable hit counts
@@ -218,17 +237,16 @@ def place_all(
         group = sorted(by_term[term], key=lambda s: s.ontology_term.lower())
         composite = len(group) > 1
         for suggestion in group:
+            concept = targets[suggestion.ontology_term]
+            if isinstance(concept, LookupError):
+                failures.append(PlacementFailure(suggestion, str(concept)))
+                continue
             try:
-                decision = place_concept(suggestion, ontology, provider, cfg)
+                decision = _decide(suggestion, concept, ontology, provider, cfg, composite)
             except UnresolvedSenseError as exc:
                 failures.append(PlacementFailure(suggestion, str(exc)))
                 path_scores = exc.path_scores
-            except LookupError as exc:
-                failures.append(PlacementFailure(suggestion, str(exc)))
-                continue
             else:
-                if composite:
-                    decision = replace(decision, case="case3-composite", subcase=decision.case)
                 decisions.append(decision)
                 path_scores = decision.path_scores
             for score in path_scores:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 from ontoenrich.patterns import pluralize_term
 
@@ -118,6 +119,27 @@ def scan_phrase_docs(doc_tokens: dict[str, list[str]], phrase: str) -> set[str]:
         lowered = [t.lower() for t in tokens]
         if any(lowered[i : i + n] == needle for i in range(len(lowered) - n + 1)):
             found.add(doc_id)
+    return found
+
+
+def walk_phrase_docs(texts: dict[str, str], query: str, punctuation) -> set[str]:
+    """Documents holding the query as a contiguous, case-folded token run of
+    one punctuation span; a query that punctuation cuts in two, or that has
+    no token, is in none. Queries and documents are cut by ``walk_spans``
+    with no stopwords."""
+    cut = SimpleNamespace(words=frozenset(), punctuation=punctuation)
+    spans = walk_spans(query, cut)
+    if len(spans) != 1:
+        return set()
+    needle = [token.lower() for token in spans[0]]
+    n = len(needle)
+    found = set()
+    for doc_id, text in texts.items():
+        for span in walk_spans(text, cut):
+            lowered = [token.lower() for token in span]
+            if any(lowered[i : i + n] == needle for i in range(len(lowered) - n + 1)):
+                found.add(doc_id)
+                break
     return found
 
 

@@ -309,6 +309,18 @@ def test_empty_corpus_exits_hits_code(tmp_path):
     assert code == 5
 
 
+@pytest.mark.parametrize("text", ["N\t-5\n", "N\tabc\n", "N\t9\nH\ta\t1\nH\tA\t2\n"])
+def test_bad_snapshot_exits_hits_code(tmp_path, capsys, text):
+    snapshot = tmp_path / "snap.tsv"
+    snapshot.write_text(text, encoding="utf-8")
+    code = run("enrich", "--corpus", FIXTURES / "corpus_examples", "--ontology", MINI,
+               "--snapshot", snapshot, "--out-dir", tmp_path / "out")
+    assert code == 5
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1 and errors[0].startswith(f"error [hits] {snapshot}: line ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_interrupt_is_not_a_stage_failure(tmp_path, tiny_corpus, monkeypatch):
     def interrupted(path):
         raise KeyboardInterrupt
@@ -318,21 +330,31 @@ def test_interrupt_is_not_a_stage_failure(tmp_path, tiny_corpus, monkeypatch):
         run("enrich", "--corpus", tiny_corpus, "--ontology", MINI, "--out-dir", tmp_path / "out")
 
 
-@pytest.mark.parametrize("command", ["enrich", "relatedness", "eval"])
-def test_out_dir_that_is_a_file_exits_output_code(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["enrich", "relatedness", "index", "eval"])
+def test_out_dir_that_is_a_file_exits_config_code(tmp_path, capsys, monkeypatch, command):
+    # Rejected with the config, before any corpus is read; so is an out-dir
+    # below a file.
+    def no_corpus(path):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(pipeline, "load_corpus", no_corpus)
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n", encoding="utf-8")
     if command == "eval":
         argv = ["eval", "--system", FIXTURES / "eval" / "system.tsv",
                 "--expert", FIXTURES / "eval" / "expert.tsv"]
+    elif command == "index":
+        argv = ["index", "--corpus", FIXTURES / "corpus_examples"]
     else:
         argv = [command, "--corpus", FIXTURES / "corpus_examples", "--ontology", MINI,
                 "--snapshot", SNAPSHOT]
-    assert run(*argv, "--out-dir", taken) == 10
-    err = capsys.readouterr().err
-    errors = [line for line in err.splitlines() if line.startswith("error")]
-    assert len(errors) == 1 and errors[0].startswith("error [output] "), err
-    assert "Traceback" not in err
+    for out_dir in (taken, taken / "sub"):
+        assert run(*argv, "--out-dir", out_dir) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error")]
+        assert len(errors) == 1 and errors[0].startswith("error [config] "), err
+        assert f"{taken} exists and is not a directory" in errors[0]
+        assert "Traceback" not in err
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 

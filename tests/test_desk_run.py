@@ -3,10 +3,12 @@
 The desk generator plants ten relations whose pattern sentences it writes
 into the corpus; a ``--top-k 3`` run must recover each with the planted
 relation and sense, name no other relation, and write the same bytes under
-different hash seeds.
+different hash seeds. The benchmark's record and trace harnesses must see
+every provider call a run makes.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -93,3 +95,23 @@ def test_recorded_snapshot_replays_desk_run(desk_runs, tmp_path):
         assert (recorded / name).read_bytes() == (desk_runs[HASH_SEEDS[0]] / name).read_bytes()
         if name != "manifest.tsv":  # the manifest names the provider
             assert (replayed / name).read_bytes() == (recorded / name).read_bytes(), name
+
+
+def test_traced_run_sees_every_traced_name_and_query(tmp_path):
+    # perfbench's per-module metrics come from spans around public names of
+    # ontoenrich.pipeline and around the provider; a refactor that renames
+    # one, or issues queries past the provider, would blind them silently.
+    examples = ("--corpus", ROOT / "fixtures" / "corpus_examples",
+                "--ontology", ROOT / "fixtures" / "mini_ontology.tsv",
+                "--snapshot", ROOT / "fixtures" / "snapshots" / "worked_examples.tsv")
+    report_path, traced, plain = tmp_path / "trace.json", tmp_path / "traced", tmp_path / "plain"
+    run_cli(ROOT / "perfbench" / "harness.py", "trace", report_path,
+            "enrich", *examples, "--out-dir", traced)
+    run_cli("-m", "ontoenrich.cli", "enrich", *examples, "--out-dir", plain)
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["absent"] == []
+    for name in OUTPUTS:
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+    audit = (plain / "pattern_audit.tsv").read_text(encoding="utf-8").splitlines()
+    calls, _, _ = report["spans"]["hitcounts.pattern_hits"]
+    assert calls == len(audit) - 1 > 0

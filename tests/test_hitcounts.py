@@ -13,7 +13,7 @@ from ontoenrich.hitcounts import (
 )
 from ontoenrich.textpipe import Corpus, Document, tokenize_corpus
 
-from helpers import scan_hits, scan_pair_hits
+from helpers import scan_hits, scan_pair_hits, walk_phrase_docs
 
 WORKED_SNAPSHOT = (
     Path(__file__).resolve().parent.parent / "fixtures" / "snapshots" / "worked_examples.tsv"
@@ -177,6 +177,25 @@ def test_snapshot_bad_count_reports_line(tmp_path):
         SnapshotTable.load(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("N\t-5\nH\tjava\t3\n", "line 1: N must be a positive integer, got '-5'"),
+        ("N\t0\n", "line 1: N must be a positive integer, got '0'"),
+        ("N\tabc\n", "line 1: N must be a positive integer, got 'abc'"),
+        ("N\t10\nH\tjava\t3\nN\t12\n", "line 3: second N record"),
+        ("N\t10\nH\tJava\t3\nH\tjava \t4\n", "line 3: duplicate key 'java'"),
+        ("N\t10\nH\tjava\t-3\n", "line 2: bad count '-3'"),
+    ],
+)
+def test_snapshot_load_rejects_bad_records(tmp_path, text, message):
+    path = tmp_path / "snap.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        SnapshotTable.load(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
 _WORDS = st.sampled_from(["java", "island", "sea", "reef", "tide", "palm", "bay", "cove"])
 
 
@@ -246,6 +265,65 @@ def test_property_long_phrase_equals_scan_oracle(case):
     doc_tokens = {doc_id: text.split() for doc_id, text in texts.items()}
     for query in queries:
         assert index.hits(query) == scan_hits(doc_tokens, query)
+
+
+_CASED_WORDS = st.sampled_from(["java", "Java", "JAVA", "sea", "Reef", "is", "a", "x", "y"])
+_PREFIXES = st.sampled_from([""] * 60 + ["(", '"'])
+_SUFFIXES = st.sampled_from([""] * 60 + [".", ",", ")", " ."])
+_CASES = st.sampled_from([str.lower, str.upper, str.title, str])
+
+
+def _punctuate(tokens: list[str], style: str, k: int) -> str:
+    """One of ``java is a``, ``(java is a``, ``java is a.``, ``java, is a``
+    and ``(java is) a``, for style plain, lead, trail, comma and paren."""
+    tokens = list(tokens)
+    if style == "lead":
+        tokens[0] = "(" + tokens[0]
+    elif style == "trail":
+        tokens[-1] += "."
+    elif style == "comma":
+        tokens[k - 1] += ","
+    elif style == "paren":
+        tokens[0], tokens[k - 1] = "(" + tokens[0], tokens[k - 1] + ")"
+    return " ".join(tokens)
+
+
+@st.composite
+def punctuated_query_cases(draw):
+    """Documents with punctuation glued to words or standing alone, and 1-12
+    token queries in mixed case with leading, trailing or inner punctuation;
+    half of them are windows of a document's words, so that the first window
+    of a long one has a posting."""
+    texts, words_of = {}, {}
+    for i in range(draw(st.integers(1, 6))):
+        words = draw(st.lists(_CASED_WORDS, min_size=8, max_size=24))
+        pieces = [draw(_PREFIXES) + word + draw(_SUFFIXES) for word in words]
+        texts[f"d/{i}"] = " ".join(pieces)
+        words_of[f"d/{i}"] = words
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(st.integers(1, 12))
+        words = words_of[draw(st.sampled_from(sorted(words_of)))]
+        if draw(st.booleans()) and length <= len(words):
+            start = draw(st.integers(0, len(words) - length))
+            tokens = [draw(_CASES)(word) for word in words[start : start + length]]
+        else:
+            tokens = draw(st.lists(_CASED_WORDS, min_size=length, max_size=length))
+        styles = ["plain", "lead", "trail"] + (["comma", "paren"] if length > 1 else [])
+        queries.append(_punctuate(
+            tokens, draw(st.sampled_from(styles)), draw(st.integers(1, max(1, length - 1)))
+        ))
+    return texts, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(punctuated_query_cases())
+def test_property_punctuated_queries_equal_walk_oracle(case):
+    texts, queries = case
+    index = build_index(corpus_of(texts))
+    for query in queries:
+        expected = len(walk_phrase_docs(texts, query, DEFAULT_PUNCTUATION))
+        assert index.hits(query) == index.pattern_hits(query) == expected, query
 
 
 @pytest.mark.parametrize(

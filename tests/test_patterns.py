@@ -248,12 +248,14 @@ def test_property_arbitration_picks_maximal_group(miss, target, counts):
 
 
 # Slots glued to punctuation and to "a(n)", slots in Y-then-X order, a
-# trailing "a(n)", two "a(n)" in a row, and runs of whitespace in a template.
+# trailing "a(n)", two "a(n)" in a row, runs of whitespace in a template, and
+# literal braces with an "a(n)" before one.
 ODD_CATALOGUE = [
     PatternTemplate("odd-glued", RelationKind.HYPONYMY, "odd-1", "({X}) a(n) {Y:pl}'s"),
     PatternTemplate("odd-article", RelationKind.MERONYMY, "odd-2", "a(n){X} is a(n) {Y} a(n)"),
     PatternTemplate("odd-order", RelationKind.SYNONYMY, "odd-3", "\t {Y:pl}  a(n)  a(n) {X:pl} "),
     PatternTemplate("odd-bare", RelationKind.INSTANCE_OF, "odd-4", "{X}{Y}"),
+    PatternTemplate("odd-brace", RelationKind.HYPONYMY, "odd-5", "{Z} {X} a(n) {{Y:pl}} a(n) {}"),
 ]
 
 
@@ -268,23 +270,52 @@ _EDGES = st.sampled_from(["", " ", "\t "])
 @st.composite
 def pattern_terms(draw):
     """Terms with runs of whitespace, vowel and consonant starts, upper case
-    and ``a(n)`` tokens; blank when no word is drawn."""
+    and ``a(n)`` tokens; blank when no word is drawn. Half are normalized,
+    as mined terms are."""
     text = draw(_EDGES)
     for i, word in enumerate(draw(st.lists(_TERM_WORDS, max_size=4))):
         text += (draw(_GAPS) if i else "") + word
-    return text + draw(_EDGES)
+    text += draw(_EDGES)
+    return " ".join(text.split()) if draw(st.booleans()) else text
 
 
 @pytest.mark.parametrize("name", ["default", "odd"])
-@settings(max_examples=300, deadline=None)
-@given(miss=pattern_terms(), target=pattern_terms())
-def test_property_instantiation_equals_regex_fill(name, miss, target):
+def test_property_instantiation_equals_regex_fill(name, monkeypatch):
     catalogue = default_catalogue() if name == "default" else ODD_CATALOGUE
-    if not miss.strip() or not target.strip():
-        for instantiate in (instantiate_patterns, reference_instantiate):
-            with pytest.raises(ValueError):
-                instantiate(miss, target, catalogue)
-        return
-    assert instantiate_patterns(miss, target, catalogue) == reference_instantiate(
-        miss, target, catalogue
+    # The general path fills each template through PatternTemplate.query;
+    # the compiled format does not call it.
+    general_calls = []
+    query = PatternTemplate.query
+    monkeypatch.setattr(
+        PatternTemplate, "query", lambda self, values: general_calls.append(1) or query(self, values)
     )
+    paths = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(miss=pattern_terms(), target=pattern_terms())
+    def check(miss, target):
+        if not miss.strip() or not target.strip():
+            for instantiate in (instantiate_patterns, reference_instantiate):
+                with pytest.raises(ValueError):
+                    instantiate(miss, target, catalogue)
+            return
+        before = len(general_calls)
+        assert instantiate_patterns(miss, target, catalogue) == reference_instantiate(
+            miss, target, catalogue
+        )
+        paths.add("general" if len(general_calls) > before else "compiled")
+
+    check()
+    assert paths == {"compiled", "general"}
+
+
+def test_mined_terms_take_the_compiled_format(catalogue, monkeypatch):
+    def general(self, values):
+        raise AssertionError("general path")
+
+    monkeypatch.setattr(PatternTemplate, "query", general)
+    queries = dict(instantiate_patterns("corporate body", "organization", catalogue))
+    assert queries["inst-of"] == "corporate body is an instance of an organization"
+    for odd_pair in [("corporate  body", "organization"), ("a(n) apple", "box"), ("x", "a")]:
+        with pytest.raises(AssertionError, match="general path"):
+            instantiate_patterns(*odd_pair, catalogue)
