@@ -205,11 +205,18 @@ class SnapshotTable:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, int]], total_docs: int) -> "SnapshotTable":
+        """Table of the pairs; rejects what ``load`` rejects: a total below 1,
+        a negative count, a key twice once normalized."""
+        if total_docs < 1:
+            raise ValueError(f"total must be a positive integer, got {total_docs!r}")
         entries = {}
         for query, count in pairs:
             if count < 0:
                 raise ValueError(f"negative count for {query!r}")
-            entries[normalize_label(query)] = count
+            key = normalize_label(query)
+            if key in entries:
+                raise ValueError(f"duplicate key {key!r}")
+            entries[key] = count
         return cls(entries, total_docs)
 
     @classmethod
@@ -257,8 +264,7 @@ class SnapshotTable:
     def pair_hits(self, a: str, b: str) -> int:
         return self.entries.get(pair_key(a, b), 0)
 
-    def pattern_hits(self, query: str) -> int:
-        return self.entries.get(normalize_label(query), 0)
+    pattern_hits = hits
 
     def total_docs(self) -> int:
         return self.declared_total

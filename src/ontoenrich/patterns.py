@@ -8,20 +8,20 @@ forms) pool their counts before arbitration. When every query returns zero
 the pair falls back to the weak "related-to" relation: the statistics already
 vouched for the pair, the catalogue just cannot name the relation.
 
-A catalogue is compiled once, when it is parsed, into one format string with
-a line per template: whitespace collapsed, ``{``/``}`` escaped, and each
-standalone ``a(n)`` resolved against the literal after it or, when a slot
-follows, left as a field that takes its article from that slot's first
-character. One format call and one split per pair then yield every query in
-catalogue order. That holds when both terms are normalized (single spaces, no
-edge whitespace) and have no token that is a piece of ``a(n)``, since a piece
-glued to a slot's neighbour can complete one. Mined terms are joined by single
-spaces, and the default stoplist holds ``a``, so nearly all qualify. Any other
-pair takes the general path: each template's literal pieces joined with the
-slot values, whitespace collapsed and each ``a(n)`` token resolved against the
-token after it, so an ``a(n)`` that a term brings in is resolved too. Each
-term is pluralized once per pair, not once per plural slot. A plain sequence
-of templates is compiled on the fly.
+A catalogue is compiled once, when it is built, into a format line per
+template: whitespace collapsed, ``{``/``}`` escaped, and each standalone
+``a(n)`` resolved against the literal after it or, when a slot follows, left
+as a field that takes its article from the first character of that slot's
+term. ``PatternCatalogue.queries`` is the one query builder. When both terms
+are normalized (single spaces, no edge whitespace) and have no token that is
+a piece of ``a(n)`` (a piece glued to a slot's neighbour can complete one),
+one format call on the joined lines and one split yield every query in
+catalogue order. Mined terms are joined by single spaces, and the default
+stoplist holds ``a``, so nearly all pairs qualify. Any other pair formats
+each line on its own, then collapses whitespace and resolves each ``a(n)``
+token against the token after it, so an ``a(n)`` that a term brings in, or
+that a term's edge whitespace sets apart from a slot, is resolved too. Each
+term is pluralized once per pair, not once per plural slot.
 
 A suggestion keeps each issued query as a plain ``(pattern id, query, hits)``
 tuple, in catalogue order, and the audit streams them to its file line by
@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import importlib.resources
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .hitcounts import HitCountProvider
 from .ontology import RelationKind, normalize_label
@@ -67,14 +67,9 @@ class PatternTemplate:
     relation: RelationKind
     group: str
     template: str
-    # Compiled once: the literal text around the two slots, and the slot keys.
-    _pieces: tuple[str, str, str] = field(init=False, repr=False, compare=False)
-    _slots: tuple[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        parts = _SLOT_RE.split(self.template)  # literal, letter, ":pl" or None, literal, ...
-        letters = parts[1::3]
-        if sorted(letters) != ["X", "Y"]:
+        if sorted(letter for letter, _ in _SLOT_RE.findall(self.template)) != ["X", "Y"]:
             raise ValueError(
                 f"pattern {self.id!r} must contain exactly one X and one Y slot"
             )
@@ -84,27 +79,11 @@ class PatternTemplate:
             raise ValueError(f"pattern {self.id!r} contains negation {sorted(banned)}")
         if self.relation is RelationKind.RELATED_TO:
             raise ValueError("related-to is the fallback relation, not a pattern relation")
-        object.__setattr__(self, "_pieces", tuple(parts[0::3]))
-        object.__setattr__(self, "_slots", tuple(
-            letter + (plural or "") for letter, plural in zip(letters, parts[2::3])
-        ))
-
-    def query(self, slot_values: Mapping[str, str]) -> str:
-        """Query string for the values of ``X``, ``X:pl``, ``Y`` and ``Y:pl``:
-        whitespace collapsed, each ``a(n)`` token resolved against the next token."""
-        before, middle, after = self._pieces
-        first, second = self._slots
-        tokens = (before + slot_values[first] + middle + slot_values[second] + after).split()
-        if "a(n)" in tokens:
-            for i, token in enumerate(tokens):
-                if token == "a(n)":
-                    tokens[i] = _article(tokens[i + 1][:1] if i + 1 < len(tokens) else "")
-        return " ".join(tokens)
 
 
 # Format fields of a compiled template line: the four slot values, then the
 # article of X and of Y (pluralizing keeps a term's first character).
-_SLOT_FIELDS = {"X": "{0}", "X:pl": "{1}", "Y": "{2}", "Y:pl": "{3}"}
+_SLOT_FIELDS = {("X", None): "{0}", ("X", ":pl"): "{1}", ("Y", None): "{2}", ("Y", ":pl"): "{3}"}
 _ARTICLE_FIELDS = {"{0}": "{4}", "{1}": "{4}", "{2}": "{5}", "{3}": "{5}"}
 # Tokens that are an "a(n)", or could make one glued to a template literal
 # or to the other term, as "{X}(n)" does with X = "a".
@@ -116,53 +95,56 @@ def _article(first_char: str) -> str:
     return "an" if first_char.lower() in _VOWELS else "a"
 
 
-def _compile(template: PatternTemplate) -> str:
-    """One format line for the template: ``PatternTemplate.query`` with each
-    slot left as its field, for normalized terms without an ``a(n)`` piece."""
-    before, middle, after = (
-        piece.replace("{", "{{").replace("}", "}}") for piece in template._pieces
-    )
-    first, second = (_SLOT_FIELDS[slot] for slot in template._slots)
-    tokens = (before + first + middle + second + after).split()
+def _resolve_articles(tokens: list[str], fields: Mapping[str, str] = {}) -> str:
+    """The tokens joined by single spaces, each standalone ``a(n)`` resolved
+    against the token after it: to the article field of the slot field that
+    token opens with, else to the article of its first character."""
     for i, token in enumerate(tokens):
         if token == "a(n)":
             nxt = tokens[i + 1] if i + 1 < len(tokens) else ""
             # A field opens with "{" and a digit; a literal brace is doubled.
-            tokens[i] = _ARTICLE_FIELDS.get(nxt[:3]) or _article(nxt[:1])
+            tokens[i] = fields.get(nxt[:3]) or _article(nxt[:1])
     return " ".join(tokens)
 
 
+def _compile(template: PatternTemplate) -> str:
+    """One format line for the template: ``{``/``}`` escaped, each slot left
+    as its field, whitespace collapsed and each standalone ``a(n)`` resolved."""
+    parts = _SLOT_RE.split(template.template)  # literal, letter, ":pl" or None, literal, ...
+    line = parts[0].replace("{", "{{").replace("}", "}}")
+    for letter, plural, literal in zip(parts[1::3], parts[2::3], parts[3::3]):
+        line += _SLOT_FIELDS[letter, plural] + literal.replace("{", "{{").replace("}", "}}")
+    return _resolve_articles(line.split(), _ARTICLE_FIELDS)
+
+
 def _compilable(term: str) -> bool:
-    """Whether the term can fill a compiled format: normalized, no ``a(n)`` piece."""
+    """Whether a non-blank term fills a line as is: normalized, no ``a(n)`` piece."""
     words = term.split()
-    return bool(words) and term == " ".join(words) and _ARTICLE_PIECES.isdisjoint(words)
+    return term == " ".join(words) and _ARTICLE_PIECES.isdisjoint(words)
 
 
 class PatternCatalogue(tuple):
-    """Templates in catalogue order, compiled into one format with a line
-    per template."""
+    """Templates in catalogue order, each compiled into a format line."""
 
     def __new__(cls, templates: Iterable[PatternTemplate]):
         self = super().__new__(cls, templates)
         self.ids = tuple(template.id for template in self)
         self.groups = tuple(template.group for template in self)
-        self._format = "\n".join(_compile(template) for template in self)
+        self._lines = tuple(_compile(template) for template in self)
+        self._format = "\n".join(self._lines)
         return self
 
     def queries(self, t_miss: str, t_in: str) -> list[str]:
         """Query string of every template for the pair, in catalogue order."""
-        if self and _compilable(t_miss) and _compilable(t_in):
-            return self._format.format(
-                t_miss, pluralize_term(t_miss), t_in, pluralize_term(t_in),
-                _article(t_miss[:1]), _article(t_in[:1]),
-            ).split("\n")
         if not t_miss.strip() or not t_in.strip():
             raise ValueError("pattern instantiation needs two non-empty terms")
-        slot_values = {
-            "X": t_miss, "X:pl": pluralize_term(t_miss),
-            "Y": t_in, "Y:pl": pluralize_term(t_in),
-        }
-        return [template.query(slot_values) for template in self]
+        values = (
+            t_miss, pluralize_term(t_miss), t_in, pluralize_term(t_in),
+            _article(t_miss.lstrip()[:1]), _article(t_in.lstrip()[:1]),
+        )
+        if self and _compilable(t_miss) and _compilable(t_in):
+            return self._format.format(*values).split("\n")
+        return [_resolve_articles(line.format(*values).split()) for line in self._lines]
 
 
 def parse_catalogue(text: str, source: str = "<string>") -> PatternCatalogue:
@@ -221,17 +203,12 @@ def pluralize_term(term: str) -> str:
     return " ".join(words[:-1] + [pluralize_word(words[-1])])
 
 
-def _compiled(catalogue: Sequence[PatternTemplate]) -> PatternCatalogue:
-    return catalogue if isinstance(catalogue, PatternCatalogue) else PatternCatalogue(catalogue)
-
-
 def instantiate_patterns(
     t_miss: str,
     t_in: str,
-    catalogue: Sequence[PatternTemplate],
+    catalogue: PatternCatalogue,
 ) -> list[tuple[str, str]]:
     """Expand every template for the pair; returns (pattern id, query string)."""
-    catalogue = _compiled(catalogue)
     return list(zip(catalogue.ids, catalogue.queries(t_miss, t_in)))
 
 
@@ -251,10 +228,9 @@ def extract_relation(
     t_miss: str,
     t_in: str,
     provider: HitCountProvider,
-    catalogue: Sequence[PatternTemplate],
+    catalogue: PatternCatalogue,
 ) -> RelationSuggestion:
     """Arbitrate one relation for a candidate pair from pattern hit counts."""
-    catalogue = _compiled(catalogue)
     pattern_hits = provider.pattern_hits
     queries = tuple([
         (pattern_id, query, pattern_hits(query))

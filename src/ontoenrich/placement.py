@@ -11,6 +11,11 @@ Three cases, driven by the sense count of the target concept:
 
 ``place_all`` resolves each distinct target term to its concept once per
 call, not once per suggestion, and builds composite decisions directly.
+``enrich_ontology`` then visits each placed term once: it resolves the id
+the term is inserted under (the one the ontology already names it by, else
+its slug made unique within the ontology and the batch), checks that no two
+decisions disagree on the relation for one id, target and sense, and emits
+the term's axioms and outcomes.
 
 Path scoring reuses the run's relatedness denominator so placement and
 candidate selection speak the same scale. Labels whose hit counts cannot
@@ -279,13 +284,13 @@ class EnrichmentReport:
     case2_ties: int
 
 
-def _fresh_id(base: str, ontology: Ontology) -> str:
-    if base not in ontology.concepts and base not in ontology.instances:
-        return base
-    counter = 2
-    while f"{base}-{counter}" in ontology.concepts or f"{base}-{counter}" in ontology.instances:
-        counter += 1
-    return f"{base}-{counter}"
+def _fresh_id(base: str, taken: set[str]) -> str:
+    """The first of base, base-2, base-3, ... not in taken, which it joins."""
+    new_id, counter = base, 2
+    while new_id in taken:
+        new_id, counter = f"{base}-{counter}", counter + 1
+    taken.add(new_id)
+    return new_id
 
 
 def enrich_ontology(
@@ -295,59 +300,53 @@ def enrich_ontology(
 ) -> tuple[Ontology, EnrichmentReport]:
     """Insert each placed term once and one axiom per decision and sense.
 
-    The input ontology is untouched (a new value is returned), re-running
-    with the same decisions is a no-op, and new terms are single-sense
-    leaves so the hypernymy structure stays acyclic.
+    Terms are visited once each, case-insensitively ordered. A term the
+    ontology already names keeps its id; a new one takes its slug, suffixed
+    with -2, -3, ... when the ontology or an earlier term of the batch holds
+    it. The input ontology is untouched (a new value is returned), re-running
+    with the same decisions is a no-op, and new terms are single-sense leaves
+    so the hypernymy structure stays acyclic.
     """
-    chosen: dict[tuple[str, str, int], RelationKind] = {}
-    for decision in decisions:
-        for sense in decision.senses:
-            key = (slug(decision.term), decision.target_concept, sense)
-            previous = chosen.setdefault(key, decision.suggestion.relation)
-            if previous is not decision.suggestion.relation:
-                raise ConflictingDecisionError(
-                    f"decisions disagree for {key}: {previous.value} vs "
-                    f"{decision.suggestion.relation.value}"
-                )
-
     by_term: dict[str, list[PlacementDecision]] = {}
     for decision in decisions:
         by_term.setdefault(decision.term, []).append(decision)
 
+    taken = {*ontology.concepts, *ontology.instances}
+    chosen: dict[tuple[str, str, int], RelationKind] = {}
     new_concepts: list[Concept] = []
     new_instances: list[Instance] = []
     new_axioms: list[Axiom] = []
     outcomes: list[EnrichmentOutcome] = []
-    term_ids: dict[str, tuple[str, str]] = {}
-
+    ties = 0
     for term in sorted(by_term, key=str.lower):
         group = sorted(by_term[term], key=lambda d: (d.target_concept, d.senses))
         existing = ontology.contains_term(term)
-        wants_instance = any(
-            d.suggestion.relation is RelationKind.INSTANCE_OF for d in group
-        )
         if existing is not None:
-            term_ids[term] = (existing.id, existing.kind)
+            inserted_id, inserted_kind = existing.id, existing.kind
         else:
-            new_id = _fresh_id(slug(term), ontology)
-            if wants_instance:
-                anchor = next(
-                    d for d in group if d.suggestion.relation is RelationKind.INSTANCE_OF
-                )
-                new_instances.append(Instance(new_id, term, anchor.target_concept))
-                term_ids[term] = (new_id, "instance")
-            else:
-                new_concepts.append(Concept(new_id, term))
-                term_ids[term] = (new_id, "concept")
-
-    for term in sorted(by_term, key=str.lower):
-        inserted_id, inserted_kind = term_ids[term]
-        for decision in sorted(by_term[term], key=lambda d: (d.target_concept, d.senses)):
-            suggestion = decision.suggestion
-            evidence = Evidence(
-                suggestion.winning_group or FALLBACK_MARKER, suggestion.winner_hits
+            inserted_id = _fresh_id(slug(term), taken)
+            anchor = next(
+                (d for d in group if d.suggestion.relation is RelationKind.INSTANCE_OF), None
             )
+            if anchor is None:
+                new_concepts.append(Concept(inserted_id, term))
+                inserted_kind = "concept"
+            else:
+                new_instances.append(Instance(inserted_id, term, anchor.target_concept))
+                inserted_kind = "instance"
+
+        for decision in group:
+            suggestion = decision.suggestion
+            pattern = suggestion.winning_group or FALLBACK_MARKER
+            evidence = Evidence(pattern, suggestion.winner_hits)
             for sense in decision.senses:
+                key = (inserted_id, decision.target_concept, sense)
+                previous = chosen.setdefault(key, suggestion.relation)
+                if previous is not suggestion.relation:
+                    raise ConflictingDecisionError(
+                        f"decisions disagree for {key}: {previous.value} vs "
+                        f"{suggestion.relation.value}"
+                    )
                 new_axioms.append(
                     Axiom(
                         relation=suggestion.relation,
@@ -367,19 +366,15 @@ def enrich_ontology(
                     senses=decision.senses,
                     relation=suggestion.relation,
                     case=decision.case,
-                    winning_pattern=suggestion.winning_group or FALLBACK_MARKER,
+                    winning_pattern=pattern,
                     winner_hits=suggestion.winner_hits,
                 )
             )
+            if decision.case in ("case2", "case3-composite") and len(decision.senses) > 1:
+                ties += 1
 
     enriched = ontology.with_additions(new_concepts, new_instances, new_axioms)
-    ties = sum(
-        1
-        for decision in decisions
-        if decision.case in ("case2", "case3-composite") and len(decision.senses) > 1
-    )
-    report = EnrichmentReport(tuple(outcomes), tuple(failures), ties)
-    return enriched, report
+    return enriched, EnrichmentReport(tuple(outcomes), tuple(failures), ties)
 
 
 def write_enrichment_report(report: EnrichmentReport, path: str | Path) -> None:

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,26 @@ def test_enrich_runs_are_byte_identical(tmp_path):
     for name in ["enriched_ontology.tsv", "relatedness_matrix.tsv", "pattern_audit.tsv",
                  "enrichment_report.tsv", "system_judgments.tsv", "manifest.tsv"]:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_enrich_terms_sharing_a_slug_both_inserted(tmp_path):
+    # Mined "marsh-cat" and "marsh cat" slug alike; each gets its own id
+    # instead of ending the run on a duplicate concept id.
+    desk = tmp_path / "desk"
+    shutil.copytree(FIXTURES / "desk", desk)
+    for i in range(3):
+        (desk / "corpus" / "animals" / f"marsh_{i}.txt").write_text(
+            "The marsh-cat of the bear is known there. The marsh cat is near the eagle.\n",
+            encoding="utf-8",
+        )
+    out = tmp_path / "out"
+    assert run(
+        "enrich", "--corpus", desk / "corpus", "--ontology", desk / "ontology.tsv",
+        "--gazetteer", desk / "gazetteer.tsv", "--top-k", 3, "--out-dir", out,
+    ) == 0
+    enriched = load_ontology(out / "enriched_ontology.tsv")
+    assert enriched.concepts["marsh-cat"].label == "marsh cat"
+    assert enriched.concepts["marsh-cat-2"].label == "marsh-cat"
 
 
 def test_manifest_records_run_knobs(tmp_path):

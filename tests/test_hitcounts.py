@@ -196,6 +196,19 @@ def test_snapshot_load_rejects_bad_records(tmp_path, text, message):
     assert str(caught.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize(
+    "pairs, total, message",
+    [
+        ([("java", 3)], -5, "total must be a positive integer, got -5"),
+        ([("java", 3)], 0, "total must be a positive integer, got 0"),
+        ([("Java", 3), ("java ", 4)], 10, "duplicate key 'java'"),
+    ],
+)
+def test_snapshot_from_pairs_rejects_what_load_rejects(pairs, total, message):
+    with pytest.raises(ValueError, match=message):
+        SnapshotTable.from_pairs(pairs, total)
+
+
 _WORDS = st.sampled_from(["java", "island", "sea", "reef", "tide", "palm", "bay", "cove"])
 
 

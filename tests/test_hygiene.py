@@ -3,13 +3,17 @@
 * Every import in ``src/ontoenrich`` is used.
 * Every public top-level function and class in ``src/ontoenrich`` is used
   outside its own definition by the package, the scripts, the benchmark or
-  the acceptance tests. Methods are out of scope: without types an
-  attribute name cannot be tied to one class.
+  the acceptance tests.
+* Every method in ``src/ontoenrich`` whose name no other function there
+  has is used by those same files outside its own definition. A name that
+  several functions share is out of scope: without types an attribute
+  cannot be tied to one class. So are dunder methods, which Python calls.
 * Every private top-level function in ``src/ontoenrich`` is used by the
   package outside its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,16 +30,30 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def node_names(node: ast.AST) -> list[str]:
+    """The name, attribute name or imported names one node uses."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
 def referenced_names(tree: ast.AST) -> set[str]:
     """Names, attribute names and imported names used anywhere in the tree."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
+    return {name for node in ast.walk(tree) for name in node_names(node)}
+
+
+def names_used_outside_own_definition(node: ast.AST) -> set[str]:
+    """``referenced_names``, except that a function or class does not use
+    its own name from inside its definition."""
+    names = set(node_names(node))
+    for child in ast.iter_child_nodes(node):
+        names |= names_used_outside_own_definition(child)
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names.discard(node.name)
     return names
 
 
@@ -57,33 +75,51 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def unused_definitions(is_checked, users) -> list[str]:
-    """Top-level definitions in the package that no user file references
-    outside the definition itself."""
-    defined = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in parse(path).body:
-            if is_checked(node):
-                defined[node.name] = path.name
+def unused_definitions(defined: dict[str, str], users) -> list[str]:
+    """The definitions, named as ``defined`` maps them, whose name no user
+    file references outside the definition itself."""
     used = set()
     for path in users:
-        for node in parse(path).body:
-            names = referenced_names(node)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names.discard(node.name)
-            used |= names
-    return sorted(f"{module}: {name}" for name, module in defined.items() if name not in used)
+        used |= names_used_outside_own_definition(parse(path))
+    return sorted(label for name, label in defined.items() if name not in used)
+
+
+def top_level(is_checked) -> dict[str, str]:
+    return {
+        node.name: f"{path.name}: {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in parse(path).body
+        if is_checked(node)
+    }
 
 
 def test_public_definitions_have_users():
     def public(node):
         return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
 
-    assert unused_definitions(public, USERS) == []
+    assert unused_definitions(top_level(public), USERS) == []
 
 
 def test_private_functions_have_callers():
     def private(node):
         return isinstance(node, ast.FunctionDef) and node.name.startswith("_")
 
-    assert unused_definitions(private, sorted(PACKAGE.glob("*.py"))) == []
+    assert unused_definitions(top_level(private), sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_methods_have_users():
+    functions = Counter()
+    methods = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.FunctionDef):
+                functions[node.name] += 1
+            elif isinstance(node, ast.ClassDef):
+                methods.update(
+                    (item.name, f"{path.name}: {node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+    unique = {name: label for name, label in methods.items() if functions[name] == 1}
+    assert unused_definitions(unique, USERS) == []

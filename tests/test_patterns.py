@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ontoenrich import patterns
 from ontoenrich.hitcounts import SnapshotTable
 from ontoenrich.ontology import RelationKind
 from ontoenrich.patterns import (
     NEGATION_WORDS,
+    PatternCatalogue,
     PatternTemplate,
     RelationSuggestion,
     default_catalogue,
@@ -48,7 +50,7 @@ def test_instantiation_article_against_consonant(catalogue):
 
 
 def test_instantiation_empty_catalogue():
-    assert instantiate_patterns("a", "b", []) == []
+    assert instantiate_patterns("a", "b", PatternCatalogue([])) == []
 
 
 def test_instantiation_rejects_empty_terms(catalogue):
@@ -250,13 +252,13 @@ def test_property_arbitration_picks_maximal_group(miss, target, counts):
 # Slots glued to punctuation and to "a(n)", slots in Y-then-X order, a
 # trailing "a(n)", two "a(n)" in a row, runs of whitespace in a template, and
 # literal braces with an "a(n)" before one.
-ODD_CATALOGUE = [
+ODD_CATALOGUE = PatternCatalogue([
     PatternTemplate("odd-glued", RelationKind.HYPONYMY, "odd-1", "({X}) a(n) {Y:pl}'s"),
     PatternTemplate("odd-article", RelationKind.MERONYMY, "odd-2", "a(n){X} is a(n) {Y} a(n)"),
     PatternTemplate("odd-order", RelationKind.SYNONYMY, "odd-3", "\t {Y:pl}  a(n)  a(n) {X:pl} "),
     PatternTemplate("odd-bare", RelationKind.INSTANCE_OF, "odd-4", "{X}{Y}"),
     PatternTemplate("odd-brace", RelationKind.HYPONYMY, "odd-5", "{Z} {X} a(n) {{Y:pl}} a(n) {}"),
-]
+])
 
 
 _TERM_WORDS = st.sampled_from(
@@ -282,12 +284,13 @@ def pattern_terms(draw):
 @pytest.mark.parametrize("name", ["default", "odd"])
 def test_property_instantiation_equals_regex_fill(name, monkeypatch):
     catalogue = default_catalogue() if name == "default" else ODD_CATALOGUE
-    # The general path fills each template through PatternTemplate.query;
-    # the compiled format does not call it.
+    # The per-line path resolves the articles of each formatted line; the
+    # one-call path does not (the catalogue resolved its own when it was built).
     general_calls = []
-    query = PatternTemplate.query
+    resolve = patterns._resolve_articles
     monkeypatch.setattr(
-        PatternTemplate, "query", lambda self, values: general_calls.append(1) or query(self, values)
+        patterns, "_resolve_articles",
+        lambda *args: general_calls.append(1) or resolve(*args),
     )
     paths = set()
 
@@ -310,10 +313,10 @@ def test_property_instantiation_equals_regex_fill(name, monkeypatch):
 
 
 def test_mined_terms_take_the_compiled_format(catalogue, monkeypatch):
-    def general(self, values):
+    def general(*args):
         raise AssertionError("general path")
 
-    monkeypatch.setattr(PatternTemplate, "query", general)
+    monkeypatch.setattr(patterns, "_resolve_articles", general)
     queries = dict(instantiate_patterns("corporate body", "organization", catalogue))
     assert queries["inst-of"] == "corporate body is an instance of an organization"
     for odd_pair in [("corporate  body", "organization"), ("a(n) apple", "box"), ("x", "a")]:

@@ -290,3 +290,22 @@ def test_new_concept_id_collision_gets_suffix(snapshot):
     # "polder" id is taken by a concept with a different label
     assert report.outcomes[0].inserted_id == "polder-2"
     assert enriched.concepts["polder-2"].label == "Polder"
+
+
+def test_new_terms_sharing_a_slug_get_distinct_ids(onto, snapshot):
+    # "marsh cat" and "marsh-cat" both slug to "marsh-cat"; the second term
+    # takes the next free suffix, and relations that differ between the two
+    # terms are not a conflict.
+    decisions = [
+        place_concept(suggest("marsh-cat", "concept", RelationKind.HYPONYMY, "hypo-isa", 3),
+                      onto, snapshot),
+        place_concept(suggest("marsh cat", "concept"), onto, snapshot),
+    ]
+    enriched, report = enrich_ontology(onto, decisions)
+    assert [(o.term, o.inserted_id) for o in report.outcomes] == [
+        ("marsh cat", "marsh-cat"), ("marsh-cat", "marsh-cat-2"),
+    ]
+    assert enriched.concepts["marsh-cat"].label == "marsh cat"
+    assert enriched.concepts["marsh-cat-2"].label == "marsh-cat"
+    assert enriched.has_axiom(RelationKind.RELATED_TO, "marsh-cat", "concept")
+    assert enriched.has_axiom(RelationKind.HYPONYMY, "marsh-cat-2", "concept")
