@@ -50,9 +50,11 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stopwords", help="stoplist file (default: built in)")
     parser.add_argument("--gazetteer", help="entity gazetteer file")
     parser.add_argument("--patterns", help="pattern catalogue file (default: built in)")
-    parser.add_argument("--threshold", type=float, help="relatedness threshold (default 0.5)")
+    parser.add_argument("--threshold", type=float,
+                        help=f"relatedness threshold (default {RunConfig.threshold})")
     parser.add_argument("--ngd-cap", dest="ngd_cap", type=float,
-                        help="distance substituted when a pair never co-occurs (default 1.0)")
+                        help="distance substituted when a pair never co-occurs "
+                             f"(default {RunConfig.distance_cap})")
     parser.add_argument("--top-k", dest="top_k", type=int,
                         help="keep at most k targets per missing term")
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")
@@ -101,8 +103,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     try:
         return RunConfig(
             **paths,
-            threshold=float(merged.get("threshold", 0.5)),
-            distance_cap=float(merged.get("ngd_cap", 1.0)),
+            threshold=float(merged.get("threshold", RunConfig.threshold)),
+            distance_cap=float(merged.get("ngd_cap", RunConfig.distance_cap)),
             top_k=top_k,
         )
     except (TypeError, ValueError) as exc:

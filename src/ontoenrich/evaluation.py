@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .ontology import normalize_label
+from .ontology import normalize_label, records
 
 logger = logging.getLogger(__name__)
 
@@ -58,10 +58,7 @@ class Judgments:
         eliminated: dict[str, set[str]] = {}
         retained: dict[str, set[str]] = {}
         placements: dict[str, set[Placement]] = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
+        for where, line in records(Path(path).read_text(encoding="utf-8"), str(path)):
             fields = line.split("\t")
             if fields[0] == "E" and len(fields) == 4:
                 _, domain, verdict, term = fields
@@ -71,18 +68,18 @@ class Judgments:
                 elif verdict == "retained":
                     retained.setdefault(domain, set()).add(term)
                 else:
-                    raise ValueError(f"{path}: line {lineno}: unknown verdict {verdict!r}")
+                    raise ValueError(f"{where}: unknown verdict {verdict!r}")
             elif fields[0] == "X" and len(fields) == 6:
                 _, domain, term, target, sense_text, relation = fields
                 try:
                     sense = int(sense_text)
                 except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: bad sense {sense_text!r}") from None
+                    raise ValueError(f"{where}: bad sense {sense_text!r}") from None
                 placements.setdefault(domain, set()).add(
                     Placement(normalize_label(term), target, sense, relation)
                 )
             else:
-                raise ValueError(f"{path}: line {lineno}: expected E or X record")
+                raise ValueError(f"{where}: expected E or X record")
         domains = sorted(set(eliminated) | set(retained) | set(placements))
         return cls(
             {

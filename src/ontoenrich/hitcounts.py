@@ -20,6 +20,10 @@ positive total, and no key twice once normalized):
 Pair co-occurrence entries use the key ``"<a>" "<b>"`` with both phrases
 normalized and sorted, e.g. ``H\t"jawa" "java"\t480000``.
 
+Both formats are read with ``ontology.records``: blank lines and lines whose
+first non-blank character is ``#`` are skipped, and every error names the
+file and line.
+
 Index file format (``CorpusIndex.to_text``; ``load`` requires the P record):
 
     N  <total-documents>
@@ -33,12 +37,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 
-from .ontology import normalize_label
-from .textpipe import MAX_NGRAM_LEN, Corpus, PhraseTable, punctuation_spans, tokenize_corpus
-
-# Punctuation treated as phrase boundaries when no stoplist is given.
-# "|" must stay a boundary: the index file format separates spans with it.
-DEFAULT_PUNCTUATION = frozenset('():,.;!?"[]{}|')
+from .ontology import normalize_label, records
+from .textpipe import (
+    MAX_NGRAM_LEN,
+    Corpus,
+    PhraseTable,
+    default_stoplist,
+    punctuation_spans,
+    tokenize_corpus,
+)
 
 
 class EmptyCorpusError(ValueError):
@@ -165,22 +172,20 @@ class CorpusIndex:
     def load(cls, path: str | Path) -> "CorpusIndex":
         table = PhraseTable(frozenset())
         punctuation: frozenset[str] | None = None
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not raw.strip() or raw.startswith("#"):
-                continue
-            fields = raw.split("\t")
+        for where, line in records(Path(path).read_text(encoding="utf-8"), str(path)):
+            fields = line.split("\t")
             if fields[0] == "N":
                 continue  # implied by the D records
             if fields[0] == "P":
                 if len(fields) != 2:
-                    raise ValueError(f"{path}: line {lineno}: P record needs 2 fields")
+                    raise ValueError(f"{where}: P record needs 2 fields")
                 punctuation = frozenset(fields[1])
             elif fields[0] == "D":
                 if len(fields) != 3:
-                    raise ValueError(f"{path}: line {lineno}: D record needs 3 fields")
+                    raise ValueError(f"{where}: D record needs 3 fields")
                 table.add(fields[1], (span.split(" ") for span in fields[2].split("|") if span))
             else:
-                raise ValueError(f"{path}: line {lineno}: unknown record {fields[0]!r}")
+                raise ValueError(f"{where}: unknown record {fields[0]!r}")
         if punctuation is None:
             raise ValueError(f"{path}: missing P punctuation record")
         table.punctuation = punctuation
@@ -225,29 +230,24 @@ class SnapshotTable:
         once normalized."""
         total = None
         entries: dict[str, int] = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
+        for where, line in records(Path(path).read_text(encoding="utf-8"), str(path)):
             fields = line.split("\t")
             if fields[0] == "N" and len(fields) == 2:
                 if total is not None:
-                    raise ValueError(f"{path}: line {lineno}: second N record")
+                    raise ValueError(f"{where}: second N record")
                 total = _count(fields[1])
                 if not total:
-                    raise ValueError(
-                        f"{path}: line {lineno}: N must be a positive integer, got {fields[1]!r}"
-                    )
+                    raise ValueError(f"{where}: N must be a positive integer, got {fields[1]!r}")
             elif fields[0] == "H" and len(fields) == 3:
                 count = _count(fields[2])
                 if count is None:
-                    raise ValueError(f"{path}: line {lineno}: bad count {fields[2]!r}")
+                    raise ValueError(f"{where}: bad count {fields[2]!r}")
                 key = normalize_label(fields[1])
                 if key in entries:
-                    raise ValueError(f"{path}: line {lineno}: duplicate key {key!r}")
+                    raise ValueError(f"{where}: duplicate key {key!r}")
                 entries[key] = count
             else:
-                raise ValueError(f"{path}: line {lineno}: expected N or H record")
+                raise ValueError(f"{where}: expected N or H record")
         if total is None:
             raise ValueError(f"{path}: missing N header record")
         return cls(entries, total)
@@ -271,4 +271,5 @@ class SnapshotTable:
 
 
 def build_index(corpus: Corpus) -> CorpusIndex:
-    return CorpusIndex.build(tokenize_corpus(corpus, DEFAULT_PUNCTUATION))
+    """Index over the corpus, cut at the default stoplist's punctuation."""
+    return CorpusIndex.build(tokenize_corpus(corpus, default_stoplist().punctuation))

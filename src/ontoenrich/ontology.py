@@ -1,7 +1,7 @@
 """Ontology model: labelled concepts with numbered senses, instances, and
 relation axioms, plus a line-based serialization format.
 
-File format (UTF-8, tab-separated, one record per line, `#` starts a comment):
+File format (UTF-8, tab-separated, one record per line):
 
     C  <concept-id>  <label>  <sense-count>
     G  <concept-id>  <category,category,...>
@@ -9,10 +9,16 @@ File format (UTF-8, tab-separated, one record per line, `#` starts a comment):
     A  <relation>  <subject-id>[#<sense>]  <object-id>[#<sense>]  <provenance>  [<pattern>  <hits>]
 
 Axioms are stored in a canonical direction: hyponymy lines are converted to
-hypernymy with the roles swapped, holonymy to meronymy. Queries mirror them
-back, so ``has_axiom`` answers for either direction. Saving writes records in
-a fixed order (concepts by id, categories, instances, axioms by key), which
-makes save(load(f)) byte-identical for canonically ordered input.
+hypernymy with the roles swapped, holonymy to meronymy. ``has_axiom``
+canonicalizes its query the same way, so it answers for either direction.
+Saving writes records in a fixed order (concepts by id, categories,
+instances, axioms by key), which makes save(load(f)) byte-identical for
+canonically ordered input.
+
+``records`` is the one line reader of every line-based input format in the
+package: a blank line, or one whose first non-blank character is ``#``, is
+skipped, and each record comes with the ``<source>: line <n>`` prefix its
+errors start with.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class OntologyParseError(ValueError):
@@ -50,18 +56,21 @@ _CANONICAL_INVERSE = {
     RelationKind.HYPONYMY: RelationKind.HYPERNYMY,
     RelationKind.HOLONYMY: RelationKind.MERONYMY,
 }
-_QUERY_INVERSE = {
-    RelationKind.HYPERNYMY: RelationKind.HYPONYMY,
-    RelationKind.HYPONYMY: RelationKind.HYPERNYMY,
-    RelationKind.MERONYMY: RelationKind.HOLONYMY,
-    RelationKind.HOLONYMY: RelationKind.MERONYMY,
-}
 _SYMMETRIC = {RelationKind.SYNONYMY, RelationKind.RELATED_TO}
 
 
 def normalize_label(surface: str) -> str:
     """Matching policy for labels and phrases: case-fold, collapse whitespace."""
     return " ".join(surface.split()).lower()
+
+
+def records(text: str, source: str) -> Iterator[tuple[str, str]]:
+    """``("<source>: line <n>", line)`` for each line of text that is not
+    blank and whose first non-blank character is not ``#``."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.lstrip()
+        if stripped and not stripped.startswith("#"):
+            yield f"{source}: line {lineno}", line
 
 
 @dataclass(frozen=True)
@@ -276,19 +285,11 @@ class Ontology:
         object_sense: int = 1,
     ) -> bool:
         """Axiom membership, mirroring inverse and symmetric relations."""
-        direct = (relation.value, subject, subject_sense, object, object_sense)
-        if direct in self._axiom_keys:
+        query = canonicalize_axiom(Axiom(relation, subject, object, subject_sense, object_sense))
+        if query.key in self._axiom_keys:
             return True
-        inverse = _QUERY_INVERSE.get(relation)
-        if inverse is not None:
-            mirrored = (inverse.value, object, object_sense, subject, subject_sense)
-            if mirrored in self._axiom_keys:
-                return True
-        if relation in _SYMMETRIC:
-            flipped = (relation.value, object, object_sense, subject, subject_sense)
-            if flipped in self._axiom_keys:
-                return True
-        return False
+        flipped = (relation.value, object, object_sense, subject, subject_sense)
+        return relation in _SYMMETRIC and flipped in self._axiom_keys
 
     def semantic_paths_from(self, concept_id: str) -> list[SensePath]:
         """One hypernymy path per sense, from the sense up to its root."""
@@ -356,15 +357,15 @@ class Ontology:
         return "".join(line + "\n" for line in lines)
 
 
-def _parse_ref(field_text: str, lineno: int) -> tuple[str, int]:
+def _parse_ref(field_text: str, where: str) -> tuple[str, int]:
     if "#" in field_text:
         ref, _, sense_text = field_text.rpartition("#")
         try:
             sense = int(sense_text)
         except ValueError:
-            raise OntologyParseError(f"line {lineno}: bad sense in {field_text!r}") from None
+            raise OntologyParseError(f"{where}: bad sense in {field_text!r}") from None
         if not ref:
-            raise OntologyParseError(f"line {lineno}: bad reference {field_text!r}")
+            raise OntologyParseError(f"{where}: bad reference {field_text!r}")
         return ref, sense
     return field_text, 1
 
@@ -375,62 +376,49 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
     instances: list[Instance] = []
     axioms: list[Axiom] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for where, line in records(text, source):
         fields = line.split("\t")
         kind = fields[0]
         if kind == "C":
             if len(fields) != 4:
-                raise OntologyParseError(f"{source}: line {lineno}: C record needs 4 fields")
+                raise OntologyParseError(f"{where}: C record needs 4 fields")
             _, cid, label, count_text = fields
             try:
                 count = int(count_text)
             except ValueError:
-                raise OntologyParseError(
-                    f"{source}: line {lineno}: bad sense count {count_text!r}"
-                ) from None
+                raise OntologyParseError(f"{where}: bad sense count {count_text!r}") from None
             if count < 1:
-                raise OntologyParseError(f"{source}: line {lineno}: sense count must be >= 1")
+                raise OntologyParseError(f"{where}: sense count must be >= 1")
             if cid in concepts:
-                raise OntologyValidationError(f"{source}: duplicate concept id {cid!r}")
+                raise OntologyValidationError(f"{where}: duplicate concept id {cid!r}")
             concepts[cid] = Concept(cid, label, tuple(range(1, count + 1)))
         elif kind == "G":
             if len(fields) != 3:
-                raise OntologyParseError(f"{source}: line {lineno}: G record needs 3 fields")
+                raise OntologyParseError(f"{where}: G record needs 3 fields")
             cats = frozenset(c.strip() for c in fields[2].split(",") if c.strip())
             categories[fields[1]] = cats
         elif kind == "I":
             if len(fields) != 4:
-                raise OntologyParseError(f"{source}: line {lineno}: I record needs 4 fields")
+                raise OntologyParseError(f"{where}: I record needs 4 fields")
             instances.append(Instance(fields[1], fields[2], fields[3]))
         elif kind == "A":
             if len(fields) not in (5, 7):
-                raise OntologyParseError(
-                    f"{source}: line {lineno}: A record needs 5 fields (7 with evidence)"
-                )
+                raise OntologyParseError(f"{where}: A record needs 5 fields (7 with evidence)")
             try:
                 relation = RelationKind(fields[1])
             except ValueError:
-                raise OntologyParseError(
-                    f"{source}: line {lineno}: unknown relation {fields[1]!r}"
-                ) from None
-            subject, subject_sense = _parse_ref(fields[2], lineno)
-            object_, object_sense = _parse_ref(fields[3], lineno)
+                raise OntologyParseError(f"{where}: unknown relation {fields[1]!r}") from None
+            subject, subject_sense = _parse_ref(fields[2], where)
+            object_, object_sense = _parse_ref(fields[3], where)
             provenance = fields[4]
             if provenance not in _PROVENANCES:
-                raise OntologyParseError(
-                    f"{source}: line {lineno}: unknown provenance {provenance!r}"
-                )
+                raise OntologyParseError(f"{where}: unknown provenance {provenance!r}")
             evidence = None
             if len(fields) == 7:
                 try:
                     evidence = Evidence(fields[5], int(fields[6]))
                 except ValueError:
-                    raise OntologyParseError(
-                        f"{source}: line {lineno}: bad evidence hits {fields[6]!r}"
-                    ) from None
+                    raise OntologyParseError(f"{where}: bad evidence hits {fields[6]!r}") from None
             axioms.append(
                 canonicalize_axiom(
                     Axiom(relation, subject, object_, subject_sense, object_sense,
@@ -438,7 +426,7 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
                 )
             )
         else:
-            raise OntologyParseError(f"{source}: line {lineno}: unknown record kind {kind!r}")
+            raise OntologyParseError(f"{where}: unknown record kind {kind!r}")
 
     merged = []
     for cid, concept in concepts.items():

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .hitcounts import HitCountProvider
-from .ontology import RelationKind, normalize_label
+from .ontology import RelationKind, normalize_label, records
 
 NEGATION_WORDS = frozenset(
     {"no", "not", "never", "none", "neither", "nor", "cannot",
@@ -151,24 +151,19 @@ def parse_catalogue(text: str, source: str = "<string>") -> PatternCatalogue:
     templates = []
     groups: dict[str, RelationKind] = {}
     ids: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for where, line in records(text, source):
         fields = line.split("\t")
         if len(fields) != 5 or fields[0] != "P":
-            raise ValueError(f"{source}: line {lineno}: expected P\\t<id>\\t<relation>\\t<group>\\t<template>")
+            raise ValueError(f"{where}: expected P\\t<id>\\t<relation>\\t<group>\\t<template>")
         _, pattern_id, relation_text, group, template = fields
         if pattern_id in ids:
-            raise ValueError(f"{source}: line {lineno}: duplicate pattern id {pattern_id!r}")
+            raise ValueError(f"{where}: duplicate pattern id {pattern_id!r}")
         try:
             relation = RelationKind(relation_text)
         except ValueError:
-            raise ValueError(f"{source}: line {lineno}: unknown relation {relation_text!r}") from None
+            raise ValueError(f"{where}: unknown relation {relation_text!r}") from None
         if groups.setdefault(group, relation) is not relation:
-            raise ValueError(
-                f"{source}: line {lineno}: group {group!r} mixes relations"
-            )
+            raise ValueError(f"{where}: group {group!r} mixes relations")
         ids.add(pattern_id)
         templates.append(PatternTemplate(pattern_id, relation, group, template))
     return PatternCatalogue(templates)
@@ -270,8 +265,9 @@ def extract_relation(
 
 
 def slug(surface: str) -> str:
-    """Concept id for a new term: normalized label with hyphens for spaces."""
-    return normalize_label(surface).replace(" ", "-")
+    """Id for a new term: normalized label with hyphens for spaces and for
+    ``#``, which an ontology file reads as a sense suffix."""
+    return normalize_label(surface).replace(" ", "-").replace("#", "-")
 
 
 def write_pattern_audit(suggestions: Iterable[RelationSuggestion], path: str | Path) -> None:

@@ -10,7 +10,6 @@ an output directory that could not be created is rejected with the config.
 from __future__ import annotations
 
 import hashlib
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,17 +92,18 @@ class RunConfig:
     stopwords: Path | None = None
     gazetteer: Path | None = None
     patterns: Path | None = None
-    threshold: float = 0.5
-    distance_cap: float = 1.0
+    threshold: float = SelectionConfig.threshold
+    distance_cap: float = DistanceConfig.zero_cooccurrence_cap
     top_k: int | None = None
 
     def validate(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
-        if not (math.isfinite(self.distance_cap) and self.distance_cap >= 0):
-            raise ConfigError(f"distance cap must be finite and >= 0, got {self.distance_cap}")
-        if self.top_k is not None and self.top_k < 1:
-            raise ConfigError("top-k must be >= 1")
+        """Reject what SelectionConfig or DistanceConfig rejects, a missing
+        input and an unusable out_dir, before any input is read."""
+        try:
+            SelectionConfig(self.threshold, self.top_k)
+            DistanceConfig(self.distance_cap)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         _require_inputs(corpus=self.corpus, ontology=self.ontology, snapshot=self.snapshot,
                        stopwords=self.stopwords, gazetteer=self.gazetteer,
                        patterns=self.patterns)

@@ -41,7 +41,7 @@ from .ontology import (
     RelationKind,
 )
 from .patterns import FALLBACK_MARKER, RelationSuggestion, slug
-from .relatedness import DistanceConfig, distance_from_counts
+from .relatedness import DistanceConfig, distance_from_counts, relatedness
 
 logger = logging.getLogger(__name__)
 
@@ -146,13 +146,8 @@ def disambiguate_sense(
         if not scored:
             scores.append(PathScore(sense, labels, scored, None))
             continue
-        if denominator == 0.0:
-            relatedness_values = [1.0 for _ in scored]
-        else:
-            relatedness_values = [1.0 - usable[label] / denominator for label in scored]
-        scores.append(
-            PathScore(sense, labels, scored, sum(relatedness_values) / len(scored))
-        )
+        values = [relatedness(usable[label], denominator) for label in scored]
+        scores.append(PathScore(sense, labels, scored, sum(values) / len(scored)))
 
     defined = [s for s in scores if s.score is not None]
     if not defined:

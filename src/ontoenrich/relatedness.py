@@ -17,10 +17,15 @@ over the whole batch of (missing term, ontology term) pairs in a run:
 
     relatedness(m, t) = 1 - distance(m, t) / sum over all batch pairs
 
-which lands every cell in [0, 1]; 1 means maximally related.
+which lands every cell in [0, 1]; 1 means maximally related. ``relatedness``
+is that formula, and sense placement scores its paths with it too.
 
 The batch fetches f1 once per row and column term and N once; per cell it
 asks the provider only for f2.
+
+``DistanceConfig`` and ``SelectionConfig`` hold the default and the valid
+range of each run setting (the cap; the threshold and the per-term cap);
+``pipeline.RunConfig`` and the command line take theirs from them.
 """
 
 from __future__ import annotations
@@ -46,8 +51,9 @@ class DistanceConfig:
     zero_cooccurrence_cap: float = 1.0
 
     def __post_init__(self):
-        if self.zero_cooccurrence_cap < 0:
-            raise ValueError("zero co-occurrence cap must be >= 0")
+        cap = self.zero_cooccurrence_cap
+        if not (math.isfinite(cap) and cap >= 0):
+            raise ValueError(f"distance cap must be finite and >= 0, got {cap}")
 
 
 def distance_from_counts(
@@ -180,13 +186,16 @@ def relatedness_matrix(
             "single-pair batch: relatedness is 0 by construction for (%r, %r)",
             rows[0], cols[0],
         )
-    if denominator == 0.0:
-        cells = tuple(tuple(1.0 for _ in cols) for _ in rows)
-    else:
-        cells = tuple(
-            tuple(1.0 - value / denominator for value in row) for row in distances
-        )
+    cells = tuple(tuple(relatedness(value, denominator) for value in row) for row in distances)
     return RelatednessMatrix(rows, cols, cells, denominator)
+
+
+def relatedness(distance: float, denominator: float) -> float:
+    """1 - distance / denominator, the relatedness of a pair whose batch
+    distances sum to denominator; 1.0 when they sum to 0."""
+    if denominator == 0.0:
+        return 1.0
+    return 1.0 - distance / denominator
 
 
 @dataclass(frozen=True)
@@ -198,9 +207,9 @@ class SelectionConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
+            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
 
 
 @dataclass(frozen=True)

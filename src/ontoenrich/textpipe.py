@@ -19,7 +19,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .ontology import Ontology, normalize_label
+from .ontology import Ontology, normalize_label, records
 
 # Longest mined term in tokens; the corpus index answers this length from postings.
 MAX_NGRAM_LEN = 3
@@ -31,23 +31,21 @@ class Stoplist:
     punctuation: frozenset[str]    # single-character separators
 
 
-def parse_stoplist(text: str) -> Stoplist:
+def parse_stoplist(text: str, source: str = "<string>") -> Stoplist:
     words, punct = set(), set()
-    for raw in text.splitlines():
-        entry = raw.strip()
-        if not entry or entry.startswith("#"):
-            continue
+    for _, line in records(text, source):
+        entry = line.strip()
         if len(entry) == 1 and not entry.isalnum():
             punct.add(entry)
         else:
             words.add(entry.lower())
     if not words:
-        raise ValueError("stoplist has no word entries")
+        raise ValueError(f"{source}: stoplist has no word entries")
     return Stoplist(frozenset(words), frozenset(punct))
 
 
 def load_stoplist(path: str | Path) -> Stoplist:
-    return parse_stoplist(Path(path).read_text(encoding="utf-8"))
+    return parse_stoplist(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def default_stoplist() -> Stoplist:
@@ -71,7 +69,7 @@ def punctuation_spans(text: str, punctuation: frozenset[str]) -> list[list[str]]
 
 @dataclass(eq=False)
 class NGram:
-    """1-3 word term; identity is the case-folded token tuple."""
+    """1-3 word term; ``key`` is its case-folded token tuple."""
 
     tokens: tuple[str, ...]
     doc_ids: set[str] = field(default_factory=set)
@@ -87,15 +85,6 @@ class NGram:
     @property
     def surface(self) -> str:
         return " ".join(self.tokens)
-
-    def __eq__(self, other):
-        return isinstance(other, NGram) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"NGram({self.surface!r})"
 
 
 @dataclass(frozen=True)
@@ -207,13 +196,10 @@ class Gazetteer:
     @classmethod
     def load(cls, path: str | Path) -> "Gazetteer":
         pairs = []
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
+        for where, line in records(Path(path).read_text(encoding="utf-8"), str(path)):
+            fields = line.strip().split("\t")
             if len(fields) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected <surface>\\t<kind>")
+                raise ValueError(f"{where}: expected <surface>\\t<kind>")
             pairs.append((fields[0], fields[1]))
         return cls.from_pairs(pairs)
 

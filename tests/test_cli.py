@@ -135,6 +135,31 @@ def test_enrich_terms_sharing_a_slug_both_inserted(tmp_path):
     assert enriched.concepts["marsh-cat-2"].label == "marsh-cat"
 
 
+def test_enriched_ontology_with_a_hash_term_loads_again(tmp_path):
+    corpus = tmp_path / "corpus" / "programming"
+    corpus.mkdir(parents=True)
+    for i in range(6):
+        (corpus / f"c{i}.txt").write_text(
+            "The c# language is known. A compiler of the c# language runs. c# is a language.\n",
+            encoding="utf-8",
+        )
+    for i in range(3):
+        (corpus / f"p{i}.txt").write_text(
+            "The python program runs on the compiler. A loop is fine.\n", encoding="utf-8"
+        )
+    ontology = tmp_path / "ontology.tsv"
+    ontology.write_text(
+        "".join(f"C\t{c}\t{c}\t1\n" for c in ("compiler", "language", "loop", "program")),
+        encoding="utf-8",
+    )
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["enrich", "--corpus", tmp_path / "corpus", "--top-k", 1]
+    assert run(*argv, "--ontology", ontology, "--out-dir", first) == 0
+    enriched = load_ontology(first / "enriched_ontology.tsv")
+    assert enriched.concepts["c-"].label == "c#"
+    assert run(*argv, "--ontology", first / "enriched_ontology.tsv", "--out-dir", second) == 0
+
+
 def test_manifest_records_run_knobs(tmp_path):
     out = tmp_path / "out"
     assert run(

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ontoenrich.hitcounts import (
-    DEFAULT_PUNCTUATION,
     CorpusIndex,
     EmptyCorpusError,
     SnapshotTable,
     build_index,
     pair_key,
 )
-from ontoenrich.textpipe import Corpus, Document, tokenize_corpus
+from ontoenrich.textpipe import Corpus, Document, default_stoplist, tokenize_corpus
 
 from helpers import scan_hits, scan_pair_hits, walk_phrase_docs
 
@@ -86,7 +85,7 @@ def test_long_pattern_query_scans(four_docs):
 
 def test_index_save_load_round_trip(tmp_path, four_docs):
     cases = [
-        (four_docs, DEFAULT_PUNCTUATION, {"java": 3, "java island": 2, "sea coast": 1}),
+        (four_docs, default_stoplist().punctuation, {"java": 3, "java island": 2, "sea coast": 1}),
         # "Ⓐ" is a boundary but its lowercase "ⓐ" is not: a query is cut at
         # punctuation as given, before it is lowercased.
         (
@@ -335,7 +334,7 @@ def test_property_punctuated_queries_equal_walk_oracle(case):
     texts, queries = case
     index = build_index(corpus_of(texts))
     for query in queries:
-        expected = len(walk_phrase_docs(texts, query, DEFAULT_PUNCTUATION))
+        expected = len(walk_phrase_docs(texts, query, default_stoplist().punctuation))
         assert index.hits(query) == index.pattern_hits(query) == expected, query
 
 

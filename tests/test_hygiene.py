@@ -10,6 +10,8 @@
   cannot be tied to one class. So are dunder methods, which Python calls.
 * Every private top-level function in ``src/ontoenrich`` is used by the
   package outside its own definition.
+* Only ``ontology.records`` splits text into lines: every line-based format
+  is read through it.
 """
 
 import ast
@@ -123,3 +125,21 @@ def test_methods_have_users():
                 )
     unique = {name: label for name, label in methods.items() if functions[name] == 1}
     assert unused_definitions(unique, USERS) == []
+
+
+def test_only_records_splits_lines():
+    def splits_lines(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "splitlines")
+
+    inside, outside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        reader = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and (path.name, node.name) == ("ontology.py", "records")]
+        allowed = {id(node) for top in reader for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if splits_lines(node):
+                (inside if id(node) in allowed else outside).append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert len(inside) == 1

@@ -168,6 +168,8 @@ def test_winner_count_is_group_maximum(catalogue):
 
 def test_slug():
     assert slug("Corporate  Body") == "corporate-body"
+    # An ontology file reads "c#" as concept "c" with sense "", so "#" goes too.
+    assert slug("C#") == "c-"
 
 
 def test_audit_export(tmp_path, catalogue):

@@ -264,6 +264,22 @@ def test_selection_config_validation():
         SelectionConfig(top_k=0)
 
 
+@pytest.mark.parametrize(
+    "config, kwargs",
+    [
+        (DistanceConfig, {"zero_cooccurrence_cap": float("nan")}),
+        (DistanceConfig, {"zero_cooccurrence_cap": float("inf")}),
+        (DistanceConfig, {"zero_cooccurrence_cap": -1.0}),
+        (SelectionConfig, {"threshold": 1.5}),
+        (SelectionConfig, {"threshold": float("nan")}),
+        (SelectionConfig, {"top_k": 0}),
+    ],
+)
+def test_settings_out_of_range_rejected_for_library_callers(config, kwargs):
+    with pytest.raises(ValueError, match="must be"):
+        config(**kwargs)
+
+
 def test_write_matrix_format(tmp_path):
     matrix = row_matrix({"Java": 0.72})
     out = tmp_path / "matrix.tsv"
