@@ -58,7 +58,7 @@ class Judgments:
         eliminated: dict[str, set[str]] = {}
         retained: dict[str, set[str]] = {}
         placements: dict[str, set[Placement]] = {}
-        for where, line in records(Path(path).read_text(encoding="utf-8"), str(path)):
+        for n, line in records(Path(path).read_text(encoding="utf-8")):
             fields = line.split("\t")
             if fields[0] == "E" and len(fields) == 4:
                 _, domain, verdict, term = fields
@@ -68,18 +68,18 @@ class Judgments:
                 elif verdict == "retained":
                     retained.setdefault(domain, set()).add(term)
                 else:
-                    raise ValueError(f"{where}: unknown verdict {verdict!r}")
+                    raise ValueError(f"{path}: line {n}: unknown verdict {verdict!r}")
             elif fields[0] == "X" and len(fields) == 6:
                 _, domain, term, target, sense_text, relation = fields
                 try:
                     sense = int(sense_text)
                 except ValueError:
-                    raise ValueError(f"{where}: bad sense {sense_text!r}") from None
+                    raise ValueError(f"{path}: line {n}: bad sense {sense_text!r}") from None
                 placements.setdefault(domain, set()).add(
                     Placement(normalize_label(term), target, sense, relation)
                 )
             else:
-                raise ValueError(f"{where}: expected E or X record")
+                raise ValueError(f"{path}: line {n}: expected E or X record")
         domains = sorted(set(eliminated) | set(retained) | set(placements))
         return cls(
             {

@@ -142,14 +142,15 @@ class CorpusIndex:
     def hits(self, phrase: str) -> int:
         return len(self._doc_ids(phrase))
 
-    def _term_doc_ids(self, phrase: str) -> set[str]:
-        docs = self._term_docs.get(phrase)
-        if docs is None:
-            docs = self._term_docs[phrase] = self._doc_ids(phrase)
-        return docs
-
     def pair_hits(self, a: str, b: str) -> int:
-        return len(self._term_doc_ids(a) & self._term_doc_ids(b))
+        memo = self._term_docs
+        try:
+            return len(memo[a] & memo[b])
+        except KeyError:
+            for phrase in (a, b):
+                if phrase not in memo:
+                    memo[phrase] = self._doc_ids(phrase)
+            return len(memo[a] & memo[b])
 
     pattern_hits = hits
 
@@ -172,20 +173,22 @@ class CorpusIndex:
     def load(cls, path: str | Path) -> "CorpusIndex":
         table = PhraseTable(frozenset())
         punctuation: frozenset[str] | None = None
-        for where, line in records(Path(path).read_text(encoding="utf-8"), str(path)):
+        for n, line in records(Path(path).read_text(encoding="utf-8")):
             fields = line.split("\t")
             if fields[0] == "N":
                 continue  # implied by the D records
             if fields[0] == "P":
                 if len(fields) != 2:
-                    raise ValueError(f"{where}: P record needs 2 fields")
+                    raise ValueError(f"{path}: line {n}: P record needs 2 fields")
                 punctuation = frozenset(fields[1])
             elif fields[0] == "D":
                 if len(fields) != 3:
-                    raise ValueError(f"{where}: D record needs 3 fields")
+                    raise ValueError(f"{path}: line {n}: D record needs 3 fields")
+                if fields[1] in table.doc_spans:
+                    raise ValueError(f"{path}: line {n}: duplicate document id {fields[1]!r}")
                 table.add(fields[1], (span.split(" ") for span in fields[2].split("|") if span))
             else:
-                raise ValueError(f"{where}: unknown record {fields[0]!r}")
+                raise ValueError(f"{path}: line {n}: unknown record {fields[0]!r}")
         if punctuation is None:
             raise ValueError(f"{path}: missing P punctuation record")
         table.punctuation = punctuation
@@ -230,24 +233,26 @@ class SnapshotTable:
         once normalized."""
         total = None
         entries: dict[str, int] = {}
-        for where, line in records(Path(path).read_text(encoding="utf-8"), str(path)):
+        for n, line in records(Path(path).read_text(encoding="utf-8")):
             fields = line.split("\t")
             if fields[0] == "N" and len(fields) == 2:
                 if total is not None:
-                    raise ValueError(f"{where}: second N record")
+                    raise ValueError(f"{path}: line {n}: second N record")
                 total = _count(fields[1])
                 if not total:
-                    raise ValueError(f"{where}: N must be a positive integer, got {fields[1]!r}")
+                    raise ValueError(
+                        f"{path}: line {n}: N must be a positive integer, got {fields[1]!r}"
+                    )
             elif fields[0] == "H" and len(fields) == 3:
                 count = _count(fields[2])
                 if count is None:
-                    raise ValueError(f"{where}: bad count {fields[2]!r}")
+                    raise ValueError(f"{path}: line {n}: bad count {fields[2]!r}")
                 key = normalize_label(fields[1])
                 if key in entries:
-                    raise ValueError(f"{where}: duplicate key {key!r}")
+                    raise ValueError(f"{path}: line {n}: duplicate key {key!r}")
                 entries[key] = count
             else:
-                raise ValueError(f"{where}: expected N or H record")
+                raise ValueError(f"{path}: line {n}: expected N or H record")
         if total is None:
             raise ValueError(f"{path}: missing N header record")
         return cls(entries, total)

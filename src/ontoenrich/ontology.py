@@ -17,8 +17,8 @@ canonically ordered input.
 
 ``records`` is the one line reader of every line-based input format in the
 package: a blank line, or one whose first non-blank character is ``#``, is
-skipped, and each record comes with the ``<source>: line <n>`` prefix its
-errors start with.
+skipped, and each record comes with its line number, which a reader puts in
+the ``<source>: line <n>:`` prefix of an error only when it raises.
 """
 
 from __future__ import annotations
@@ -64,13 +64,13 @@ def normalize_label(surface: str) -> str:
     return " ".join(surface.split()).lower()
 
 
-def records(text: str, source: str) -> Iterator[tuple[str, str]]:
-    """``("<source>: line <n>", line)`` for each line of text that is not
+def records(text: str) -> Iterator[tuple[int, str]]:
+    """``(n, line)`` for each line n (counted from 1) of text that is not
     blank and whose first non-blank character is not ``#``."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.lstrip()
         if stripped and not stripped.startswith("#"):
-            yield f"{source}: line {lineno}", line
+            yield lineno, line
 
 
 @dataclass(frozen=True)
@@ -357,68 +357,87 @@ class Ontology:
         return "".join(line + "\n" for line in lines)
 
 
-def _parse_ref(field_text: str, where: str) -> tuple[str, int]:
+def _parse_ref(field_text: str, source: str, n: int) -> tuple[str, int]:
     if "#" in field_text:
         ref, _, sense_text = field_text.rpartition("#")
         try:
             sense = int(sense_text)
         except ValueError:
-            raise OntologyParseError(f"{where}: bad sense in {field_text!r}") from None
+            raise OntologyParseError(f"{source}: line {n}: bad sense in {field_text!r}") from None
         if not ref:
-            raise OntologyParseError(f"{where}: bad reference {field_text!r}")
+            raise OntologyParseError(f"{source}: line {n}: bad reference {field_text!r}")
         return ref, sense
     return field_text, 1
 
 
 def parse_ontology(text: str, source: str = "<string>") -> Ontology:
+    """Ontology of the records in text; a concept or instance id declared
+    twice, a second G record for a concept and a G record for an undeclared
+    concept are rejected with the line of the offending record."""
     concepts: dict[str, Concept] = {}
-    categories: dict[str, frozenset[str]] = {}
-    instances: list[Instance] = []
+    categories: dict[str, tuple[frozenset[str], int]] = {}  # concept id -> (categories, line)
+    instances: dict[str, Instance] = {}
     axioms: list[Axiom] = []
 
-    for where, line in records(text, source):
+    for n, line in records(text):
         fields = line.split("\t")
         kind = fields[0]
         if kind == "C":
             if len(fields) != 4:
-                raise OntologyParseError(f"{where}: C record needs 4 fields")
+                raise OntologyParseError(f"{source}: line {n}: C record needs 4 fields")
             _, cid, label, count_text = fields
             try:
                 count = int(count_text)
             except ValueError:
-                raise OntologyParseError(f"{where}: bad sense count {count_text!r}") from None
+                raise OntologyParseError(
+                    f"{source}: line {n}: bad sense count {count_text!r}"
+                ) from None
             if count < 1:
-                raise OntologyParseError(f"{where}: sense count must be >= 1")
+                raise OntologyParseError(f"{source}: line {n}: sense count must be >= 1")
             if cid in concepts:
-                raise OntologyValidationError(f"{where}: duplicate concept id {cid!r}")
+                raise OntologyValidationError(f"{source}: line {n}: duplicate concept id {cid!r}")
+            if cid in instances:
+                raise OntologyValidationError(f"{source}: line {n}: duplicate id {cid!r}")
             concepts[cid] = Concept(cid, label, tuple(range(1, count + 1)))
         elif kind == "G":
             if len(fields) != 3:
-                raise OntologyParseError(f"{where}: G record needs 3 fields")
+                raise OntologyParseError(f"{source}: line {n}: G record needs 3 fields")
+            if fields[1] in categories:
+                raise OntologyValidationError(
+                    f"{source}: line {n}: second G record for concept {fields[1]!r}"
+                )
             cats = frozenset(c.strip() for c in fields[2].split(",") if c.strip())
-            categories[fields[1]] = cats
+            categories[fields[1]] = (cats, n)
         elif kind == "I":
             if len(fields) != 4:
-                raise OntologyParseError(f"{where}: I record needs 4 fields")
-            instances.append(Instance(fields[1], fields[2], fields[3]))
+                raise OntologyParseError(f"{source}: line {n}: I record needs 4 fields")
+            if fields[1] in concepts or fields[1] in instances:
+                raise OntologyValidationError(f"{source}: line {n}: duplicate id {fields[1]!r}")
+            instances[fields[1]] = Instance(fields[1], fields[2], fields[3])
         elif kind == "A":
             if len(fields) not in (5, 7):
-                raise OntologyParseError(f"{where}: A record needs 5 fields (7 with evidence)")
+                raise OntologyParseError(
+                    f"{source}: line {n}: A record needs 5 fields (7 with evidence)"
+                )
             try:
                 relation = RelationKind(fields[1])
             except ValueError:
-                raise OntologyParseError(f"{where}: unknown relation {fields[1]!r}") from None
-            subject, subject_sense = _parse_ref(fields[2], where)
-            object_, object_sense = _parse_ref(fields[3], where)
+                raise OntologyParseError(
+                    f"{source}: line {n}: unknown relation {fields[1]!r}"
+                ) from None
+            subject, subject_sense = _parse_ref(fields[2], source, n)
+            object_, object_sense = _parse_ref(fields[3], source, n)
             provenance = fields[4]
             if provenance not in _PROVENANCES:
-                raise OntologyParseError(f"{where}: unknown provenance {provenance!r}")
+                raise OntologyParseError(f"{source}: line {n}: unknown provenance {provenance!r}")
             evidence = None
             if len(fields) == 7:
                 try:
                     evidence = Evidence(fields[5], int(fields[6]))
                 except ValueError:
-                    raise OntologyParseError(f"{where}: bad evidence hits {fields[6]!r}") from None
+                    raise OntologyParseError(
+                        f"{source}: line {n}: bad evidence hits {fields[6]!r}"
+                    ) from None
             axioms.append(
                 canonicalize_axiom(
                     Axiom(relation, subject, object_, subject_sense, object_sense,
@@ -426,16 +445,18 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
                 )
             )
         else:
-            raise OntologyParseError(f"{where}: unknown record kind {kind!r}")
+            raise OntologyParseError(f"{source}: line {n}: unknown record kind {kind!r}")
 
     merged = []
     for cid, concept in concepts.items():
-        cats = categories.pop(cid, frozenset())
+        cats, _ = categories.pop(cid, (frozenset(), 0))
         merged.append(Concept(concept.id, concept.label, concept.senses, cats))
     if categories:
-        missing = sorted(categories)
-        raise OntologyValidationError(f"{source}: G records for undeclared concepts {missing}")
-    return Ontology(merged, instances, axioms)
+        cid, (_, n) = next(iter(categories.items()))  # the first in file order
+        raise OntologyValidationError(
+            f"{source}: line {n}: G record for undeclared concept {cid!r}"
+        )
+    return Ontology(merged, instances.values(), axioms)
 
 
 def load_ontology(path: str | Path) -> Ontology:

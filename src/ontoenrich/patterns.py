@@ -151,19 +151,21 @@ def parse_catalogue(text: str, source: str = "<string>") -> PatternCatalogue:
     templates = []
     groups: dict[str, RelationKind] = {}
     ids: set[str] = set()
-    for where, line in records(text, source):
+    for n, line in records(text):
         fields = line.split("\t")
         if len(fields) != 5 or fields[0] != "P":
-            raise ValueError(f"{where}: expected P\\t<id>\\t<relation>\\t<group>\\t<template>")
+            raise ValueError(
+                f"{source}: line {n}: expected P\\t<id>\\t<relation>\\t<group>\\t<template>"
+            )
         _, pattern_id, relation_text, group, template = fields
         if pattern_id in ids:
-            raise ValueError(f"{where}: duplicate pattern id {pattern_id!r}")
+            raise ValueError(f"{source}: line {n}: duplicate pattern id {pattern_id!r}")
         try:
             relation = RelationKind(relation_text)
         except ValueError:
-            raise ValueError(f"{where}: unknown relation {relation_text!r}") from None
+            raise ValueError(f"{source}: line {n}: unknown relation {relation_text!r}") from None
         if groups.setdefault(group, relation) is not relation:
-            raise ValueError(f"{where}: group {group!r} mixes relations")
+            raise ValueError(f"{source}: line {n}: group {group!r} mixes relations")
         ids.add(pattern_id)
         templates.append(PatternTemplate(pattern_id, relation, group, template))
     return PatternCatalogue(templates)

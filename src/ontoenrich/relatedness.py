@@ -20,8 +20,11 @@ over the whole batch of (missing term, ontology term) pairs in a run:
 which lands every cell in [0, 1]; 1 means maximally related. ``relatedness``
 is that formula, and sense placement scores its paths with it too.
 
-The batch fetches f1 once per row and column term and N once; per cell it
-asks the provider only for f2.
+The batch fetches N and takes log N once, and fetches f1, checks
+0 < f1 < N and takes log f1 once per row and column term. A cell then needs
+only its f2: one ``pair_hits`` call, the f2 <= min f1 check and log f2.
+Each log takes the argument ``distance_from_counts`` gives it, so every
+cell is the float that function returns.
 
 ``DistanceConfig`` and ``SelectionConfig`` hold the default and the valid
 range of each run setting (the cap; the threshold and the per-term cap);
@@ -30,9 +33,11 @@ range of each run setting (the cap; the threshold and the per-term cap);
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -163,20 +168,25 @@ def relatedness_matrix(
 
     All terms must already satisfy 0 < hits < total docs; the shared
     denominator is the ordered sum of the batch's pairwise distances.
+    A term that does not fails as ``distance_from_counts`` does at the first
+    bad cell in row-major order.
     """
     rows = _sorted_unique(missing_terms, "missing")
     cols = _sorted_unique(ontology_terms, "ontology")
     n = provider.total_docs()
     col_hits = [provider.hits(term) for term in cols]
-    distances = []
-    for miss in rows:
-        f_miss = provider.hits(miss)
-        distances.append([
-            distance_from_counts(
-                miss, term, f_miss, f_term, provider.pair_hits(miss, term), n, cfg
-            )
-            for term, f_term in zip(cols, col_hits)
-        ])
+    row_hits = [provider.hits(term) for term in rows]
+    pair_hits = provider.pair_hits
+    if all(0 < count < n for count in col_hits + row_hits):
+        distances = _distances(rows, row_hits, cols, col_hits, n, pair_hits, cfg)
+    else:  # distance_from_counts raises at the first cell of an unusable term
+        distances = [
+            [
+                distance_from_counts(miss, term, f_miss, f_term, pair_hits(miss, term), n, cfg)
+                for term, f_term in zip(cols, col_hits)
+            ]
+            for miss, f_miss in zip(rows, row_hits)
+        ]
     denominator = 0.0
     for row in distances:
         for value in row:
@@ -186,8 +196,34 @@ def relatedness_matrix(
             "single-pair batch: relatedness is 0 by construction for (%r, %r)",
             rows[0], cols[0],
         )
-    cells = tuple(tuple(relatedness(value, denominator) for value in row) for row in distances)
+    cells = tuple(tuple(map(relatedness, row, repeat(denominator))) for row in distances)
     return RelatednessMatrix(rows, cols, cells, denominator)
+
+
+def _distances(rows, row_hits, cols, col_hits, n, pair_hits, cfg) -> list[list[float]]:
+    """``distance_from_counts`` of every cell, for terms that all satisfy
+    0 < hits < n: each log but log f2 is taken once per term, and the larger
+    log and the denominator are picked per cell as that function picks them."""
+    log, cap = math.log, cfg.zero_cooccurrence_cap
+    log_n = log(n)
+    columns = [(term, f, log(f), log_n - log(f)) for term, f in zip(cols, col_hits)]
+    distances = []
+    for miss, f_miss in zip(rows, row_hits):
+        l_miss = log(f_miss)
+        d_miss = log_n - l_miss
+        row = []
+        for term, f_term, l_term, d_term in columns:
+            f2 = pair_hits(miss, term)
+            if f2 == 0:
+                row.append(cap)
+            elif f2 > f_miss or f2 > f_term:
+                row.append(distance_from_counts(miss, term, f_miss, f_term, f2, n, cfg))
+            elif l_miss < l_term:
+                row.append((l_term - log(f2)) / d_miss)
+            else:
+                row.append((l_miss - log(f2)) / d_term)
+        distances.append(row)
+    return distances
 
 
 def relatedness(distance: float, denominator: float) -> float:
@@ -227,23 +263,26 @@ class CandidateSet:
 
 
 def select_candidates(matrix: RelatednessMatrix, cfg: SelectionConfig) -> CandidateSet:
+    """Per row, the cells at or above the threshold ordered by value, then by
+    (lowercased term, term); with ``top_k``, the first k of that order."""
+    threshold, top_k = cfg.threshold, cfg.top_k
+    tie_keys = [(term.lower(), term) for term in matrix.ontology_terms]
     per_term = {}
-    for i, miss in enumerate(matrix.missing_terms):
-        scored = [
-            (term, matrix.cells[i][j])
-            for j, term in enumerate(matrix.ontology_terms)
-            if matrix.cells[i][j] >= cfg.threshold
-        ]
-        scored.sort(key=lambda pair: (-pair[1], pair[0].lower(), pair[0]))
-        if cfg.top_k is not None:
-            scored = scored[: cfg.top_k]
-        per_term[miss] = tuple(scored)
+    for miss, row in zip(matrix.missing_terms, matrix.cells):
+        scored = [(-value, key) for value, key in zip(row, tie_keys) if value >= threshold]
+        if top_k is None:
+            scored.sort()
+        else:
+            scored = heapq.nsmallest(top_k, scored)
+        per_term[miss] = tuple((key[1], -negated) for negated, key in scored)
     return CandidateSet(per_term)
 
 
 def write_matrix(matrix: RelatednessMatrix, path: str | Path) -> None:
-    """Tab-separated export: header row of column terms, one row per missing term."""
-    lines = ["\t".join(["term", *matrix.ontology_terms])]
-    for miss, row in zip(matrix.missing_terms, matrix.cells):
-        lines.append("\t".join([miss, *(f"{value:.6f}" for value in row)]))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    """Tab-separated export: header row of column terms, one row per missing
+    term; the rows are streamed to the file."""
+    row_format = "%s" + "\t%.6f" * len(matrix.ontology_terms) + "\n"
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write("\t".join(["term", *matrix.ontology_terms]) + "\n")
+        for miss, row in zip(matrix.missing_terms, matrix.cells):
+            out.write(row_format % (miss, *row))

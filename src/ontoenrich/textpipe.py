@@ -33,7 +33,7 @@ class Stoplist:
 
 def parse_stoplist(text: str, source: str = "<string>") -> Stoplist:
     words, punct = set(), set()
-    for _, line in records(text, source):
+    for _, line in records(text):
         entry = line.strip()
         if len(entry) == 1 and not entry.isalnum():
             punct.add(entry)
@@ -191,17 +191,29 @@ class Gazetteer:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "Gazetteer":
-        return cls({normalize_label(surface): kind for surface, kind in pairs})
+        """Gazetteer of the pairs; rejects a surface twice once normalized,
+        as ``load`` does."""
+        entries = {}
+        for surface, kind in pairs:
+            key = normalize_label(surface)
+            if key in entries:
+                raise ValueError(f"duplicate key {key!r}")
+            entries[key] = kind
+        return cls(entries)
 
     @classmethod
     def load(cls, path: str | Path) -> "Gazetteer":
-        pairs = []
-        for where, line in records(Path(path).read_text(encoding="utf-8"), str(path)):
+        """Read ``<surface>\\t<kind>`` lines; no surface twice once normalized."""
+        entries = {}
+        for n, line in records(Path(path).read_text(encoding="utf-8")):
             fields = line.strip().split("\t")
             if len(fields) != 2:
-                raise ValueError(f"{where}: expected <surface>\\t<kind>")
-            pairs.append((fields[0], fields[1]))
-        return cls.from_pairs(pairs)
+                raise ValueError(f"{path}: line {n}: expected <surface>\\t<kind>")
+            key = normalize_label(fields[0])
+            if key in entries:
+                raise ValueError(f"{path}: line {n}: duplicate key {key!r}")
+            entries[key] = fields[1]
+        return cls(entries)
 
     @classmethod
     def empty(cls) -> "Gazetteer":

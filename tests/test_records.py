@@ -63,3 +63,33 @@ def test_bad_record_error_names_file_and_line(tmp_path, name):
     with pytest.raises(ValueError) as error:
         load(path)
     assert str(error.value).startswith(f"{path}: line {len(NOISE) + 2}: ")
+
+
+ONTOLOGY = ["C\tlanguage\tlanguage\t1", "C\tc\tc\t2", "G\tc\tnoun", "I\ti\tcee\tlanguage"]
+
+# reader, valid record lines, a record that repeats one of their keys (or, in
+# the ontology, names an id the lines do not declare)
+REPEATS = {
+    "ontology-concept": (load_ontology, ONTOLOGY, "C\tc\tc\t1"),
+    "ontology-concept-named-by-instance": (load_ontology, ONTOLOGY, "C\ti\ti\t1"),
+    "ontology-categories": (load_ontology, ONTOLOGY, "G\tc\tverb"),
+    "ontology-categories-undeclared": (load_ontology, ONTOLOGY, "G\tzz\tnoun"),
+    "ontology-instance": (load_ontology, ONTOLOGY, "I\ti\tother\tlanguage"),
+    "ontology-instance-named-by-concept": (load_ontology, ONTOLOGY, "I\tc\tsea\tlanguage"),
+    "catalogue": (
+        load_catalogue, READERS["catalogue"][2], "P\tp1\tsynonymy\tsyn\t{X} and {Y}"
+    ),
+    "snapshot": (SnapshotTable.load, ["N\t10", "H\tJava\t3"], "H\tjava \t4"),
+    "index": (CorpusIndex.load, READERS["index"][2], "D\td/1\tsea"),
+    "gazetteer": (Gazetteer.load, ["Java\tplace", "Jakarta\tcity"], "java \tcity"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATS))
+def test_repeated_key_error_names_file_and_line(tmp_path, name):
+    load, lines, repeated = REPEATS[name]
+    load(write(tmp_path, "valid", lines))
+    path = write(tmp_path, name, lines + NOISE + [repeated])
+    with pytest.raises(ValueError) as error:
+        load(path)
+    assert str(error.value).startswith(f"{path}: line {len(lines) + len(NOISE) + 1}: ")

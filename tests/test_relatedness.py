@@ -11,9 +11,11 @@ from ontoenrich.relatedness import (
     DistanceConfig,
     RelatednessMatrix,
     SelectionConfig,
+    distance_from_counts,
     drop_unusable_terms,
     ngram_hits_filter,
     normalized_distance,
+    relatedness,
     relatedness_matrix,
     select_candidates,
     write_matrix,
@@ -337,3 +339,159 @@ def test_property_matrix_cells_in_unit_interval(texts):
     for row in matrix.cells:
         for cell in row:
             assert 0.0 <= cell <= 1.0
+
+
+def reference_matrix(rows, cols, provider, cfg=DistanceConfig()) -> RelatednessMatrix:
+    """Cell by cell from ``distance_from_counts`` and ``relatedness``, rows and
+    columns in the order given; raises what the first bad cell raises."""
+    n = provider.total_docs()
+    distances = [
+        [
+            distance_from_counts(
+                miss, term, provider.hits(miss), provider.hits(term),
+                provider.pair_hits(miss, term), n, cfg,
+            )
+            for term in cols
+        ]
+        for miss in rows
+    ]
+    denominator = 0.0
+    for row in distances:
+        for value in row:
+            denominator += value
+    cells = tuple(tuple(relatedness(value, denominator) for value in row) for row in distances)
+    return RelatednessMatrix(tuple(rows), tuple(cols), cells, denominator)
+
+
+@pytest.mark.parametrize(
+    "hits, pairs, error, message",
+    [
+        pytest.param(
+            {"a": 16, "d": 0, "b": 8, "c": 4}, {("a", "b"): 2, ("a", "c"): 1},
+            ValueError, "distance needs positive hit counts, got 'd'=0, 'b'=8",
+            id="row-term-with-zero-hits",
+        ),
+        pytest.param(
+            {"a": 16, "d": 8, "b": 8, "c": 64}, {("a", "b"): 2, ("d", "b"): 1},
+            DegenerateDenominatorError,
+            "collection size 64 must exceed the hit counts of 'a' and 'c'",
+            id="column-term-with-hits-equal-to-n",
+        ),
+        pytest.param(
+            {"a": 16, "d": 8, "b": 8, "c": 4},
+            {("a", "b"): 2, ("a", "c"): 5, ("d", "b"): 99},
+            ValueError,
+            "provider reports joint count 5 above min individual count for ('a', 'c')",
+            id="joint-count-above-min-after-a-good-cell",
+        ),
+        pytest.param(
+            {"a": 16, "d": 0, "b": 8, "c": 64}, {("a", "b"): 2},
+            DegenerateDenominatorError,
+            "collection size 64 must exceed the hit counts of 'a' and 'c'",
+            id="bad-column-cell-before-bad-row",
+        ),
+    ],
+)
+def test_matrix_raises_what_the_first_bad_cell_raises(hits, pairs, error, message):
+    table = snapshot_of(hits, pairs, 64)
+    rows, cols = ["a", "d"], ["b", "c"]
+    with pytest.raises(ValueError) as expected:
+        reference_matrix(rows, cols, table)
+    with pytest.raises(ValueError) as raised:
+        relatedness_matrix(rows, cols, table)
+    assert type(expected.value) is type(raised.value) is error
+    assert str(expected.value) == str(raised.value) == message
+
+
+_BASES = ["java", "island", "sea", "reef"]
+
+
+@st.composite
+def snapshot_batches(draw):
+    """A table over a few terms, and a row and a column set drawn from them in
+    either case, with no term on a side twice once lowercased. Small totals
+    give ties; every joint count is at most the smaller hit count."""
+    total = draw(st.integers(2, 9))
+    hits = {base: draw(st.integers(1, total - 1)) for base in _BASES}
+    disjoint = draw(st.booleans())  # with cap 0 every distance is 0
+    joint = {
+        (a, b): 0 if disjoint else draw(st.integers(0, min(hits[a], hits[b])))
+        for i, a in enumerate(_BASES) for b in _BASES[i:]
+    }
+    cap = 0.0 if disjoint else draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+    def side():
+        bases = draw(st.lists(st.sampled_from(_BASES), min_size=1, unique=True))
+        return sorted(
+            (draw(st.sampled_from([base, base.capitalize()])) for base in bases),
+            key=lambda t: (t.lower(), t),
+        )
+
+    return snapshot_of(hits, joint, total), side(), side(), DistanceConfig(cap)
+
+
+def reference_selection(matrix: RelatednessMatrix, threshold: float, top_k) -> CandidateSet:
+    per_term = {}
+    for miss, row in zip(matrix.missing_terms, matrix.cells):
+        scored = [(t, v) for t, v in zip(matrix.ontology_terms, row) if v >= threshold]
+        per_term[miss] = tuple(
+            sorted(scored, key=lambda pair: (-pair[1], pair[0].lower(), pair[0]))[:top_k]
+        )
+    return CandidateSet(per_term)
+
+
+def reference_write(matrix: RelatednessMatrix, path: Path) -> None:
+    lines = ["\t".join(["term", *matrix.ontology_terms])]
+    for miss, row in zip(matrix.missing_terms, matrix.cells):
+        lines.append("\t".join([miss, *(f"{value:.6f}" for value in row)]))
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(snapshot_batches(), st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+def test_property_matrix_and_selection_equal_cell_by_cell_reference(batch, threshold):
+    table, rows, cols, cfg = batch
+    matrix = relatedness_matrix(rows, cols, table, cfg)
+    assert matrix == reference_matrix(rows, cols, table, cfg)
+    for top_k in (None, 1, 3):
+        chosen = select_candidates(matrix, SelectionConfig(threshold, top_k))
+        assert chosen == reference_selection(matrix, threshold, top_k)
+
+
+_CELL_VALUES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def tied_matrices(draw, values=_CELL_VALUES):
+    """Matrices with case-variant column terms (``Java`` and ``java``) and
+    cells drawn from a few values, so most rows hold ties."""
+    cols = draw(st.lists(
+        st.sampled_from(["java", "Java", "JAVA", "island", "Island", "sea"]),
+        min_size=1, max_size=6, unique=True,
+    ))
+    rows = draw(st.lists(st.sampled_from(["jawa", "Jawa", "reef"]), min_size=1, unique=True))
+    cells = tuple(
+        tuple(draw(st.lists(values, min_size=len(cols), max_size=len(cols))))
+        for _ in rows
+    )
+    return RelatednessMatrix(tuple(rows), tuple(cols), cells, denominator=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_matrices(), st.sampled_from([0.0, 0.25, 0.75]))
+def test_property_selection_breaks_ties_like_the_sort_key(matrix, threshold):
+    for top_k in (None, 1, 3):
+        chosen = select_candidates(matrix, SelectionConfig(threshold, top_k))
+        assert chosen == reference_selection(matrix, threshold, top_k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(tied_matrices(values=st.floats()), snapshot_batches()))
+def test_property_written_matrix_equals_joined_lines(tmp_path_factory, drawn):
+    if isinstance(drawn, tuple):
+        table, rows, cols, cfg = drawn
+        drawn = relatedness_matrix(rows, cols, table, cfg)
+    out = tmp_path_factory.mktemp("matrix")
+    write_matrix(drawn, out / "streamed.tsv")
+    reference_write(drawn, out / "joined.tsv")
+    assert (out / "streamed.tsv").read_bytes() == (out / "joined.tsv").read_bytes()

@@ -140,6 +140,11 @@ def test_partition_gazetteer_checked_before_ontology(mini_onto):
     assert partition.known[0].kind == "location"
 
 
+def test_gazetteer_from_pairs_rejects_surface_twice_once_normalized():
+    with pytest.raises(ValueError, match="^duplicate key 'java'$"):
+        Gazetteer.from_pairs([("Java", "place"), ("java ", "city")])
+
+
 def test_pos_tag_two_categories(mini_onto):
     assert mini_onto.concepts["book"].categories == frozenset({"noun", "verb"})
 
