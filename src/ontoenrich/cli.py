@@ -1,6 +1,6 @@
 """Command line front door.
 
-Subcommands: ``index``, ``enrich``, ``relatedness``, ``eval``.
+Subcommands: ``enrich``, ``relatedness``, ``eval``.
 Options can also come from a JSON config file (``--config``); explicit flags
 win over config file values. Exit codes: 0 on success, otherwise one distinct
 code per failing stage (see STAGE_EXIT_CODES).
@@ -20,7 +20,6 @@ from .pipeline import (
     StageError,
     run_enrichment,
     run_eval,
-    run_index,
     run_relatedness,
 )
 
@@ -118,11 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    index = sub.add_parser("index", help="build and persist the corpus phrase index")
-    index.add_argument("--corpus", required=True)
-    index.add_argument("--out-dir", dest="out_dir", required=True)
-    index.add_argument("--stopwords")
-
     for name, help_text in [
         ("enrich", "run the full enrichment pipeline"),
         ("relatedness", "compute and export the relatedness matrix only"),
@@ -143,10 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "index":
-            out = run_index(_path("corpus", args.corpus), _path("out_dir", args.out_dir),
-                            _path("stopwords", args.stopwords))
-        elif args.command == "enrich":
+        if args.command == "enrich":
             out = run_enrichment(_run_config(args))
         elif args.command == "relatedness":
             out = run_relatedness(_run_config(args))

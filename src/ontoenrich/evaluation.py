@@ -9,6 +9,9 @@ Both the expert gold standard and a system's output use the same file format
 Three precision figures per domain: eliminated-term precision, retained-term
 precision, and placement precision (a placement matches when term, target and
 sense agree; relation agreement is required by default but can be waived).
+A file gives each (domain, term, target, sense) at most one relation: a second
+X record with another relation is rejected, since it would let either relation
+count as correct; an identical repeat is one placement.
 Empty system sets leave a metric undefined; undefined is reported as a
 marker, never as 0 or 1.
 """
@@ -57,7 +60,7 @@ class Judgments:
     def load(cls, path: str | Path) -> "Judgments":
         eliminated: dict[str, set[str]] = {}
         retained: dict[str, set[str]] = {}
-        placements: dict[str, set[Placement]] = {}
+        relations: dict[str, dict[tuple[str, str, int], str]] = {}
         for n, line in records(Path(path).read_text(encoding="utf-8")):
             fields = line.split("\t")
             if fields[0] == "E" and len(fields) == 4:
@@ -75,18 +78,26 @@ class Judgments:
                     sense = int(sense_text)
                 except ValueError:
                     raise ValueError(f"{path}: line {n}: bad sense {sense_text!r}") from None
-                placements.setdefault(domain, set()).add(
-                    Placement(normalize_label(term), target, sense, relation)
-                )
+                given = relations.setdefault(domain, {})
+                key = (normalize_label(term), target, sense)
+                if given.setdefault(key, relation) != relation:
+                    raise ValueError(
+                        f"{path}: line {n}: conflicting relation {relation!r} for {key[0]!r}"
+                        f" -> {target}#{sense} in {domain!r}: an earlier record gives"
+                        f" {given[key]!r}"
+                    )
             else:
                 raise ValueError(f"{path}: line {n}: expected E or X record")
-        domains = sorted(set(eliminated) | set(retained) | set(placements))
+        domains = sorted(set(eliminated) | set(retained) | set(relations))
         return cls(
             {
                 domain: DomainJudgments(
                     frozenset(eliminated.get(domain, ())),
                     frozenset(retained.get(domain, ())),
-                    frozenset(placements.get(domain, ())),
+                    frozenset(
+                        Placement(*key, relation)
+                        for key, relation in relations.get(domain, {}).items()
+                    ),
                 )
                 for domain in domains
             }

@@ -5,9 +5,10 @@ Two interchangeable implementations of one contract:
 * ``CorpusIndex`` answers exact contiguous-phrase queries over a local corpus
   (counts are document frequencies, not raw occurrence counts). It reads the
   ``textpipe.PhraseTable`` that mining filled, so each document is split once
-  per run, and a mined term's doc ids are the posting set it answers from.
-  Term, pair and pattern queries go through one lookup path, which answers
-  nearly every pattern query from the posting of its first window alone.
+  per run; a posting is the increasing list of the numbers of the documents
+  that hold the phrase. Term, pair and pattern queries go through one lookup
+  path, which answers nearly every pattern query from the posting of its
+  first window alone.
 * ``SnapshotTable`` replays counts recorded in a file, so runs against
   external engines stay reproducible offline. Absent keys count 0.
 
@@ -20,22 +21,16 @@ positive total, and no key twice once normalized):
 Pair co-occurrence entries use the key ``"<a>" "<b>"`` with both phrases
 normalized and sorted, e.g. ``H\t"jawa" "java"\t480000``.
 
-Both formats are read with ``ontology.records``: blank lines and lines whose
+The file is read with ``ontology.records``: blank lines and lines whose
 first non-blank character is ``#`` are skipped, and every error names the
 file and line.
-
-Index file format (``CorpusIndex.to_text``; ``load`` requires the P record):
-
-    N  <total-documents>
-    P  <punctuation characters, sorted and concatenated>
-    D  <doc-id>  <span>|<span>|...    (tokens in a span joined by spaces)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from .ontology import normalize_label, records
 from .textpipe import (
@@ -84,63 +79,62 @@ class CorpusIndex:
     query without punctuation is lowercased and split once; punctuation is
     looked for in the query as given, since ``str.lower`` maps a punctuation
     character such as ``Ⓐ`` to one that is not. Phrases up to
-    ``MAX_NGRAM_LEN`` tokens are answered from the table's posting sets.
-    A longer query (a pattern string) answers 0 when its first
-    ``MAX_NGRAM_LEN``-token window has no posting, which is how nearly every
-    pattern query ends; otherwise it takes its candidates from the
+    ``MAX_NGRAM_LEN`` tokens are answered from the table's posting lists of
+    document numbers. A longer query (a pattern string) answers 0 when its
+    first ``MAX_NGRAM_LEN``-token window has no posting, which is how nearly
+    every pattern query ends; otherwise it takes its candidates from the
     intersected postings of all its windows, stops at the first window with
     no posting, and verifies adjacency against the table's token spans.
-    ``pair_hits`` memoizes each term's posting set by phrase string, so a
-    batch of pairs looks each term up once.
+    ``pair_hits`` memoizes each term's posting as a set, keyed by phrase
+    string, so a batch of pairs looks each term up once.
     """
 
     def __init__(self, table: PhraseTable):
-        if not table.doc_spans:
+        if not table.doc_ids:
             raise EmptyCorpusError("cannot index an empty corpus")
         self._table = table
-        self._term_docs: dict[str, set[str]] = {}  # pair_hits memo, keyed by phrase
+        self._term_docs: dict[str, set[int]] = {}  # pair_hits memo, keyed by phrase
 
     @classmethod
     def build(cls, table: PhraseTable) -> "CorpusIndex":
         """Index over a table that ``textpipe.tokenize_corpus`` filled."""
         return cls(table)
 
-    def _scan_long_phrase(self, tokens: tuple[str, ...], first: set[str]) -> set[str]:
-        """Documents holding the phrase, given the postings of its first window."""
+    def _scan_long_phrase(self, tokens: tuple[str, ...], first: list[int]) -> Sequence[int]:
+        """Numbers of the documents holding the phrase, given the posting of
+        its first window."""
         postings = [first]
         for i in range(1, len(tokens) - MAX_NGRAM_LEN + 1):
             docs = self._table.postings.get(tokens[i : i + MAX_NGRAM_LEN])
             if not docs:
-                return set()
+                return ()
             postings.append(docs)
         postings.sort(key=len)
-        candidates = set.intersection(*postings)
-        matched = set()
         n = len(tokens)
-        for doc_id in candidates:
-            for span in self._table.doc_spans[doc_id]:
-                if any(span[i : i + n] == tokens for i in range(len(span) - n + 1)):
-                    matched.add(doc_id)
-                    break
-        return matched
+        doc_spans = self._table.doc_spans
+        return [
+            number for number in set(postings[0]).intersection(*postings[1:])
+            if any(span[i : i + n] == tokens
+                   for span in doc_spans[number] for i in range(len(span) - n + 1))
+        ]
 
-    def _doc_ids(self, phrase: str) -> set[str]:
+    def _doc_numbers(self, phrase: str) -> Sequence[int]:
         table = self._table
         if table.punctuation.isdisjoint(phrase):
             tokens = phrase.lower().split()
         else:
             tokens = _phrase_tokens(phrase, table.punctuation)
             if tokens is None:
-                return set()
+                return ()
         if len(tokens) <= MAX_NGRAM_LEN:
-            return table.postings.get(tuple(tokens), set())
+            return table.postings.get(tuple(tokens), ())
         first = table.postings.get(tuple(tokens[:MAX_NGRAM_LEN]))
         if not first:
-            return set()
+            return ()
         return self._scan_long_phrase(tuple(tokens), first)
 
     def hits(self, phrase: str) -> int:
-        return len(self._doc_ids(phrase))
+        return len(self._doc_numbers(phrase))
 
     def pair_hits(self, a: str, b: str) -> int:
         memo = self._term_docs
@@ -149,50 +143,13 @@ class CorpusIndex:
         except KeyError:
             for phrase in (a, b):
                 if phrase not in memo:
-                    memo[phrase] = self._doc_ids(phrase)
+                    memo[phrase] = set(self._doc_numbers(phrase))
             return len(memo[a] & memo[b])
 
     pattern_hits = hits
 
     def total_docs(self) -> int:
-        return len(self._table.doc_spans)
-
-    # ---- serialization ----------------------------------------------------
-
-    def to_text(self) -> str:
-        punctuation = "".join(sorted(self._table.punctuation))
-        lines = [f"N\t{self.total_docs()}", f"P\t{punctuation}"]
-        for doc_id, spans in sorted(self._table.doc_spans.items()):
-            if any("|" in token for span in spans for token in span):
-                raise ValueError(f"document {doc_id!r} has a token containing the separator '|'")
-            rendered = "|".join(" ".join(span) for span in spans)
-            lines.append(f"D\t{doc_id}\t{rendered}")
-        return "".join(line + "\n" for line in lines)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CorpusIndex":
-        table = PhraseTable(frozenset())
-        punctuation: frozenset[str] | None = None
-        for n, line in records(Path(path).read_text(encoding="utf-8")):
-            fields = line.split("\t")
-            if fields[0] == "N":
-                continue  # implied by the D records
-            if fields[0] == "P":
-                if len(fields) != 2:
-                    raise ValueError(f"{path}: line {n}: P record needs 2 fields")
-                punctuation = frozenset(fields[1])
-            elif fields[0] == "D":
-                if len(fields) != 3:
-                    raise ValueError(f"{path}: line {n}: D record needs 3 fields")
-                if fields[1] in table.doc_spans:
-                    raise ValueError(f"{path}: line {n}: duplicate document id {fields[1]!r}")
-                table.add(fields[1], (span.split(" ") for span in fields[2].split("|") if span))
-            else:
-                raise ValueError(f"{path}: line {n}: unknown record {fields[0]!r}")
-        if punctuation is None:
-            raise ValueError(f"{path}: missing P punctuation record")
-        table.punctuation = punctuation
-        return cls(table)
+        return len(self._table.doc_ids)
 
 
 def _count(text: str) -> int | None:

@@ -174,7 +174,7 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
 
     with _stage("hits"):
         if config.snapshot is not None:
-            del table  # the mined terms keep their own posting sets
+            del table  # the mined terms keep their own doc id sets
             provider: HitCountProvider = SnapshotTable.load(config.snapshot)
             provider_id = f"snapshot:{Path(config.snapshot).name}"
         else:
@@ -312,24 +312,6 @@ def run_relatedness(config: RunConfig) -> Path:
         out.mkdir(parents=True, exist_ok=True)
         _write_matrix_or_header(state, out / "relatedness_matrix.tsv")
         _write_manifest(state, out / "manifest.tsv")
-    return out
-
-
-def run_index(corpus_path: Path, out_dir: Path, stopwords: Path | None = None) -> Path:
-    """Build the corpus index and persist it."""
-    with _stage("config"):
-        _require_inputs(corpus=corpus_path, stopwords=stopwords)
-        _require_output(out_dir)
-    with _stage("corpus"):
-        stoplist = load_stoplist(stopwords) if stopwords else default_stoplist()
-        corpus = load_corpus(corpus_path)
-    with _stage("hits"):
-        index = CorpusIndex.build(tokenize_corpus(corpus, stoplist.punctuation))
-    with _stage("output"):
-        text = index.to_text()  # fails on an unsavable token before --out-dir exists
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "index.tsv").write_text(text, encoding="utf-8")
     return out
 
 

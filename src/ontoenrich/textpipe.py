@@ -2,11 +2,11 @@
 one phrase table per corpus, the mined n-grams taken from it, and the
 known/missing split against an ontology plus a gazetteer.
 
-Each document is split into spans at punctuation once; every 1-3 token phrase
-inside a span gets a posting set of document ids in one table, which the
-corpus index also answers from. The mined n-grams are the phrases with no
-stopword token, so they never cross a stopword or a punctuation character.
-Hyphenated words stay single tokens.
+Each document is split into spans at punctuation once and numbered in load
+order; every 1-3 token phrase inside a span gets a posting list of document
+numbers in one table, which the corpus index also answers from. The mined
+n-grams are the phrases with no stopword token, so they never cross a
+stopword or a punctuation character. Hyphenated words stay single tokens.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import importlib.resources
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -135,25 +136,28 @@ def _sorted_entries(directory: str | Path) -> list[os.DirEntry]:
 
 
 class PhraseTable:
-    """Every document's lowercased punctuation spans, the posting set of each
-    1..MAX_NGRAM_LEN phrase in them, and each phrase's first surface form in
-    load order (kept only where it differs from the lowercased phrase)."""
+    """Every document's lowercased punctuation spans, indexed by the
+    document's number in load order; the posting list of each
+    1..MAX_NGRAM_LEN phrase in them, the strictly increasing numbers of the
+    documents that hold it; and each phrase's first surface form in load
+    order (kept only where it differs from the lowercased phrase). Lowercased
+    tokens are interned, so equal tokens are one string object."""
 
     def __init__(self, punctuation: frozenset[str]):
         self.punctuation = punctuation
-        self.doc_spans: dict[str, tuple[tuple[str, ...], ...]] = {}
-        self.postings: dict[tuple[str, ...], set[str]] = {}
+        self.doc_ids: list[str] = []
+        self.doc_spans: list[tuple[tuple[str, ...], ...]] = []
+        self.postings: dict[tuple[str, ...], list[int]] = {}
         self.surfaces: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.postings)
 
     def add(self, doc_id: str, spans: Iterable[Sequence[str]]) -> None:
-        if doc_id in self.doc_spans:
-            raise ValueError(f"duplicate document id {doc_id!r}")
+        number = len(self.doc_ids)
         lowered_spans = []
         for span in spans:
-            lowered = tuple(token.lower() for token in span)
+            lowered = tuple(map(sys.intern, map(str.lower, span)))
             cased = lowered != tuple(span)
             lowered_spans.append(lowered)
             for length in range(1, MAX_NGRAM_LEN + 1):
@@ -161,18 +165,22 @@ class PhraseTable:
                     phrase = lowered[start : start + length]
                     docs = self.postings.get(phrase)
                     if docs is not None:
-                        docs.add(doc_id)
+                        if docs[-1] != number:
+                            docs.append(number)
                         continue
-                    self.postings[phrase] = {doc_id}
+                    self.postings[phrase] = [number]
                     if cased and (surface := tuple(span[start : start + length])) != phrase:
                         self.surfaces[phrase] = surface
-        self.doc_spans[doc_id] = tuple(lowered_spans)
+        self.doc_ids.append(doc_id)
+        self.doc_spans.append(tuple(lowered_spans))
 
     def mined_terms(self, stoplist: Stoplist) -> Iterator[NGram]:
-        """The phrases with no stopword token; each term's doc ids are its posting set."""
+        """The phrases with no stopword token, each with the ids of the
+        documents in its posting."""
+        doc_ids = self.doc_ids
         for phrase, docs in self.postings.items():
             if stoplist.words.isdisjoint(phrase):
-                yield NGram(self.surfaces.get(phrase, phrase), docs)
+                yield NGram(self.surfaces.get(phrase, phrase), {doc_ids[n] for n in docs})
 
 
 def tokenize_corpus(corpus: Corpus, punctuation: frozenset[str]) -> PhraseTable:

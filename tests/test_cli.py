@@ -8,10 +8,7 @@ import pytest
 
 from ontoenrich import pipeline
 from ontoenrich.cli import _CONFIG_KEYS, build_parser, main
-from ontoenrich.hitcounts import CorpusIndex
 from ontoenrich.ontology import RelationKind, load_ontology
-
-from helpers import scan_hits
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MINI = FIXTURES / "mini_ontology.tsv"
@@ -37,29 +34,12 @@ def tiny_corpus(tmp_path):
     return root
 
 
-def test_index_matches_scan_oracle(tmp_path, tiny_corpus):
-    out = tmp_path / "out"
-    assert run("index", "--corpus", tiny_corpus, "--out-dir", out) == 0
-    index = CorpusIndex.load(out / "index.tsv")
-    doc_tokens = {
-        f"islands/{name}": (tiny_corpus / "islands" / name).read_text().split()
-        for name in ["one.txt", "two.txt", "three.txt", "four.txt"]
-    }
-    for phrase in ["java", "island", "java island", "sea coast reef", "missing"]:
-        assert index.hits(phrase) == scan_hits(doc_tokens, phrase)
-
-
-def test_index_empty_corpus_fails_with_hits_code(tmp_path):
-    empty = tmp_path / "corpus"
-    empty.mkdir()
-    assert run("index", "--corpus", empty, "--out-dir", tmp_path / "out") == 5
-
-
-def test_index_rebuild_is_byte_identical(tmp_path, tiny_corpus):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run("index", "--corpus", tiny_corpus, "--out-dir", out_a) == 0
-    assert run("index", "--corpus", tiny_corpus, "--out-dir", out_b) == 0
-    assert (out_a / "index.tsv").read_bytes() == (out_b / "index.tsv").read_bytes()
+def test_index_subcommand_is_gone(tmp_path, tiny_corpus, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run("index", "--corpus", tiny_corpus, "--out-dir", tmp_path / "out")
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'index'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_enrich_worked_examples_related_to(tmp_path):
@@ -289,15 +269,17 @@ def test_bad_knob_values_exit_config_code(tmp_path, capsys, config, flags):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["index", "--corpus", "", "--out-dir", "o"],
-        ["index", "--corpus", "corpus", "--out-dir", ""],
-        ["index", "--corpus", "corpus", "--out-dir", "o", "--stopwords", ""],
+        ["relatedness", "--corpus", "", "--ontology", MINI, "--out-dir", "o"],
+        ["relatedness", "--corpus", "corpus", "--ontology", MINI, "--out-dir", ""],
+        ["relatedness", "--corpus", "corpus", "--ontology", MINI, "--out-dir", "o",
+         "--stopwords", ""],
         ["eval", "--system", "", "--expert", "expert.tsv", "--out-dir", "o"],
         ["eval", "--system", "expert.tsv", "--expert", "", "--out-dir", "o"],
         ["eval", "--system", "expert.tsv", "--expert", "expert.tsv", "--out-dir", ""],
         # missing input files
-        ["index", "--corpus", "ghost", "--out-dir", "o"],
-        ["index", "--corpus", "corpus", "--out-dir", "o", "--stopwords", "ghost.txt"],
+        ["relatedness", "--corpus", "ghost", "--ontology", MINI, "--out-dir", "o"],
+        ["relatedness", "--corpus", "corpus", "--ontology", MINI, "--out-dir", "o",
+         "--stopwords", "ghost.txt"],
         ["eval", "--system", "ghost.tsv", "--expert", "expert.tsv", "--out-dir", "o"],
         ["eval", "--system", "expert.tsv", "--expert", "ghost.tsv", "--out-dir", "o"],
     ],
@@ -376,7 +358,7 @@ def test_interrupt_is_not_a_stage_failure(tmp_path, tiny_corpus, monkeypatch):
         run("enrich", "--corpus", tiny_corpus, "--ontology", MINI, "--out-dir", tmp_path / "out")
 
 
-@pytest.mark.parametrize("command", ["enrich", "relatedness", "index", "eval"])
+@pytest.mark.parametrize("command", ["enrich", "relatedness", "eval"])
 def test_out_dir_that_is_a_file_exits_config_code(tmp_path, capsys, monkeypatch, command):
     # Rejected with the config, before any corpus is read; so is an out-dir
     # below a file.
@@ -389,8 +371,6 @@ def test_out_dir_that_is_a_file_exits_config_code(tmp_path, capsys, monkeypatch,
     if command == "eval":
         argv = ["eval", "--system", FIXTURES / "eval" / "system.tsv",
                 "--expert", FIXTURES / "eval" / "expert.tsv"]
-    elif command == "index":
-        argv = ["index", "--corpus", FIXTURES / "corpus_examples"]
     else:
         argv = [command, "--corpus", FIXTURES / "corpus_examples", "--ontology", MINI,
                 "--snapshot", SNAPSHOT]
@@ -402,23 +382,6 @@ def test_out_dir_that_is_a_file_exits_config_code(tmp_path, capsys, monkeypatch,
         assert f"{taken} exists and is not a directory" in errors[0]
         assert "Traceback" not in err
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
-
-
-def test_unsavable_index_exits_output_code_and_creates_nothing(tmp_path, capsys):
-    # With "." the only punctuation, "a|b" is one token, and "|" separates
-    # spans in index.tsv.
-    corpus = tmp_path / "corpus"
-    (corpus / "d").mkdir(parents=True)
-    (corpus / "d" / "x.txt").write_text("a|b c\n", encoding="utf-8")
-    stoplist = tmp_path / "stop.txt"
-    stoplist.write_text("the\n.\n", encoding="utf-8")
-    out = tmp_path / "out"
-    assert run("index", "--corpus", corpus, "--stopwords", stoplist, "--out-dir", out) == 10
-    err = capsys.readouterr().err
-    errors = [line for line in err.splitlines() if line.startswith("error")]
-    assert len(errors) == 1 and errors[0].startswith("error [output] "), err
-    assert "separator '|'" in errors[0] and "Traceback" not in err
-    assert not out.exists()
 
 
 def test_relatedness_subcommand_writes_matrix_only(tmp_path):

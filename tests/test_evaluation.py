@@ -112,6 +112,27 @@ def test_judgments_parse_error_reports_line(tmp_path):
         Judgments.load(path)
 
 
+def test_judgments_reject_a_second_relation_for_one_placement(tmp_path):
+    path = tmp_path / "expert.tsv"
+    lines = [
+        "X\tanimals\tmarsh cat\tanimal\t1\thyponymy",
+        "X\tanimals\tMarsh  cat\tanimal\t1\thyponymy",  # the same placement again
+        "X\tanimals\tmarsh cat\tanimal\t2\tsynonymy",   # another sense
+        "X\tpets\tmarsh cat\tanimal\t1\tsynonymy",      # another domain
+    ]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    loaded = Judgments.load(path)
+    assert len(loaded.domains["animals"].placements) == 2
+    path.write_text("".join(line + "\n" for line in lines) + "X\tanimals\tmarsh cat\tanimal"
+                    "\t1\tsynonymy\n", encoding="utf-8")
+    with pytest.raises(ValueError) as error:
+        Judgments.load(path)
+    assert str(error.value) == (
+        f"{path}: line 5: conflicting relation 'synonymy' for 'marsh cat' -> animal#1"
+        " in 'animals': an earlier record gives 'hyponymy'"
+    )
+
+
 def test_report_covers_expert_domains_and_warns_on_extras(tmp_path, caplog):
     expert = tmp_path / "expert.tsv"
     system = tmp_path / "system.tsv"

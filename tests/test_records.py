@@ -5,7 +5,7 @@ a record names the file and the line it is on."""
 import pytest
 
 from ontoenrich.evaluation import Judgments
-from ontoenrich.hitcounts import CorpusIndex, SnapshotTable
+from ontoenrich.hitcounts import SnapshotTable
 from ontoenrich.ontology import load_ontology
 from ontoenrich.patterns import load_catalogue
 from ontoenrich.textpipe import Gazetteer, load_stoplist
@@ -26,11 +26,6 @@ READERS = {
         "P\tp3\thyponymy",
     ),
     "snapshot": (SnapshotTable.load, None, ["N\t10", "H\tjava\t3"], "H\tjava"),
-    "index": (
-        CorpusIndex.load, lambda index: index.to_text(),
-        ["N\t2", "P\t.|", "D\td/1\tjava island|sea", "D\td/2\tjava"],
-        "X\td/3",
-    ),
     "gazetteer": (Gazetteer.load, None, ["Java\tplace", "Jakarta\tcity"], "a\tb\tc"),
     "judgments": (
         Judgments.load, None,
@@ -80,7 +75,9 @@ REPEATS = {
         load_catalogue, READERS["catalogue"][2], "P\tp1\tsynonymy\tsyn\t{X} and {Y}"
     ),
     "snapshot": (SnapshotTable.load, ["N\t10", "H\tJava\t3"], "H\tjava \t4"),
-    "index": (CorpusIndex.load, READERS["index"][2], "D\td/1\tsea"),
+    "judgments-conflicting-relation": (
+        Judgments.load, READERS["judgments"][2], "X\tanimals\tMarsh Cat\tanimal\t1\tsynonymy"
+    ),
     "gazetteer": (Gazetteer.load, ["Java\tplace", "Jakarta\tcity"], "java \tcity"),
 }
 

@@ -1,4 +1,5 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,11 +192,17 @@ def test_document_accounting_merges_sources(stoplist):
     grams = list(table.mined_terms(stoplist))
     java = next(g for g in grams if g.key == ("java",))
     assert java.doc_ids == {"d/one", "d/two"}
-    # A mined term's doc ids are the posting set the index answers from, not a copy.
+    # A mined term's doc ids are those of the posting the index answers from.
     index = CorpusIndex.build(table)
     for gram in grams:
-        assert gram.doc_ids is table.postings[gram.key]
+        assert gram.doc_ids == {table.doc_ids[n] for n in table.postings[gram.key]}
         assert index.hits(gram.surface) == len(gram.doc_ids)
+
+
+def test_corpus_rejects_a_repeated_document_id():
+    # The one owner of the rule: a phrase table numbers whatever it is given.
+    with pytest.raises(ValueError, match="^duplicate document ids in corpus$"):
+        Corpus((Document("d/one", "d", "java"), Document("d/one", "d", "island")))
 
 
 def test_first_surface_follows_load_order(tmp_path, stoplist):
@@ -285,3 +292,24 @@ def test_property_mined_terms_equal_character_walk(variant, texts):
     mined = tokenize_corpus(corpus, stoplist.punctuation).mined_terms(stoplist)
     got = {gram.key: (gram.tokens, gram.doc_ids) for gram in mined}
     assert got == walk_terms(docs, stoplist, MAX_NGRAM_LEN)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_PIECES, max_size=40).map("".join), min_size=1, max_size=6))
+def test_property_postings_are_increasing_doc_numbers(texts):
+    stoplist = default_stoplist()
+    docs = [(f"d{9 - i}/doc", text) for i, text in enumerate(texts) if text.strip()]
+    corpus = Corpus(tuple(Document(doc_id, "d", text) for doc_id, text in docs))
+    table = tokenize_corpus(corpus, stoplist.punctuation)
+    assert table.doc_ids == [doc_id for doc_id, _ in docs]
+    # Every phrase, stopwords included: the walk with no stopwords.
+    cut = SimpleNamespace(words=frozenset(), punctuation=stoplist.punctuation)
+    walked = walk_terms(docs, cut, MAX_NGRAM_LEN)
+    assert table.postings.keys() == walked.keys()
+    for key, posting in table.postings.items():
+        assert type(posting) is list and all(type(n) is int for n in posting)
+        assert all(a < b for a, b in zip(posting, posting[1:]))
+        assert {table.doc_ids[n] for n in posting} == walked[key][1]
+    # Equal tokens are one object, across spans and documents.
+    tokens = [token for spans in table.doc_spans for span in spans for token in span]
+    assert len({id(token) for token in tokens}) == len(set(tokens))
