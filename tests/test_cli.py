@@ -8,7 +8,11 @@ import pytest
 
 from ontoenrich import pipeline
 from ontoenrich.cli import _CONFIG_KEYS, build_parser, main
+from ontoenrich.hitcounts import build_index
 from ontoenrich.ontology import RelationKind, load_ontology
+from ontoenrich.textpipe import load_corpus
+
+from helpers import scan_hits
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MINI = FIXTURES / "mini_ontology.tsv"
@@ -39,6 +43,30 @@ def test_index_subcommand_is_gone(tmp_path, tiny_corpus, capsys):
         run("index", "--corpus", tiny_corpus, "--out-dir", tmp_path / "out")
     assert exit_info.value.code == 2
     assert "invalid choice: 'index'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_index_matches_scan_oracle(tiny_corpus):
+    # The index enrich and relatedness build from a --corpus directory.
+    index = build_index(load_corpus(tiny_corpus))
+    doc_tokens = {
+        f"islands/{name}": (tiny_corpus / "islands" / name).read_text().split()
+        for name in ["one.txt", "two.txt", "three.txt", "four.txt"]
+    }
+    assert index.total_docs() == len(doc_tokens)
+    for phrase in ["java", "island", "java island", "sea coast reef", "missing"]:
+        assert index.hits(phrase) == scan_hits(doc_tokens, phrase)
+
+
+def test_index_empty_corpus_fails_with_hits_code(tmp_path, capsys):
+    # No snapshot, so relatedness builds a corpus index, which rejects no documents.
+    empty = tmp_path / "corpus"
+    empty.mkdir()
+    code = run(
+        "relatedness", "--corpus", empty, "--ontology", MINI, "--out-dir", tmp_path / "out"
+    )
+    assert code == 5
+    assert "cannot index an empty corpus" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
