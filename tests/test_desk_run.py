@@ -7,6 +7,7 @@ different hash seeds. The benchmark's record and trace harnesses must see
 every provider call a run makes.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -26,6 +27,16 @@ OUTPUTS = (
     "enrichment_report.tsv", "system_judgments.tsv", "manifest.tsv",
 )
 HASH_SEEDS = ("1", "2")
+# sha256 of each ``--top-k 3`` output; a change to any byte of them is a
+# change to the output contract, not a refactor.
+DESK_SHA256 = {
+    "enriched_ontology.tsv": "55bfb93e918bc57bca850e8cbfdc80fefa24f81a0d5a041cd6d6ec74b3a1d27a",
+    "relatedness_matrix.tsv": "d5dad41e002a4e168ca597ab66f91256b822c213be57961f5f227e076bff5290",
+    "pattern_audit.tsv": "5352996cb041de9c4dcc24c3dcc8fe65849eaf7b3cebbf76d138b21834ca31da",
+    "enrichment_report.tsv": "7a377ca002963a85a0ded49d150da1a871f9362d1ede7ecc1fa5d72b7032c9e6",
+    "system_judgments.tsv": "b90bcaf5480eb7f5f6b60fac01194092dc44d3d91fed07c04029dd146eaea578",
+    "manifest.tsv": "a8fc6d61b37f7830cdb01f8802499c5caf1a61d801a928f8f53c93370ed625c7",
+}
 
 
 def planted_triples() -> set[tuple[str, str, str]]:
@@ -81,6 +92,12 @@ def test_desk_outputs_identical_across_hash_seeds(desk_runs):
     first, second = (desk_runs[seed] for seed in HASH_SEEDS)
     for name in OUTPUTS:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_desk_outputs_match_pinned_sha256(desk_runs):
+    out = desk_runs[HASH_SEEDS[0]]
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    assert got == DESK_SHA256
 
 
 def test_recorded_snapshot_replays_desk_run(desk_runs, tmp_path):
