@@ -2,7 +2,8 @@
 
 Subcommands: ``enrich``, ``relatedness``, ``eval``.
 Options can also come from a JSON config file (``--config``); explicit flags
-win over config file values. Exit codes: 0 on success, otherwise one distinct
+win over config file values. ``-v`` logs per-term DEBUG detail on stderr and
+changes no output file. Exit codes: 0 on success, otherwise one distinct
 code per failing stage (see STAGE_EXIT_CODES).
 """
 
@@ -129,13 +130,16 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--out-dir", dest="out_dir", required=True)
     evaluate.add_argument("--ignore-relation", action="store_true",
                           help="match placements on term, target and sense only")
+    for command in sub.choices.values():
+        command.add_argument("-v", "--verbose", action="store_true",
+                             help="log at DEBUG level (per-term detail)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         if args.command == "enrich":
             out = run_enrichment(_run_config(args))

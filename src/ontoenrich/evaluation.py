@@ -9,9 +9,10 @@ Both the expert gold standard and a system's output use the same file format
 Three precision figures per domain: eliminated-term precision, retained-term
 precision, and placement precision (a placement matches when term, target and
 sense agree; relation agreement is required by default but can be waived).
-A file gives each (domain, term, target, sense) at most one relation: a second
-X record with another relation is rejected, since it would let either relation
-count as correct; an identical repeat is one placement.
+A file gives each (domain, term) at most one verdict and each (domain, term,
+target, sense) at most one relation: a second E or X record that contradicts
+an earlier one is rejected, since it would let either answer count as
+correct; an identical repeat is one judgment.
 Empty system sets leave a metric undefined; undefined is reported as a
 marker, never as 0 or 1.
 """
@@ -58,20 +59,21 @@ class Judgments:
 
     @classmethod
     def load(cls, path: str | Path) -> "Judgments":
-        eliminated: dict[str, set[str]] = {}
-        retained: dict[str, set[str]] = {}
+        verdicts: dict[str, dict[str, str]] = {}
         relations: dict[str, dict[tuple[str, str, int], str]] = {}
         for n, line in records(Path(path).read_text(encoding="utf-8")):
             fields = line.split("\t")
             if fields[0] == "E" and len(fields) == 4:
                 _, domain, verdict, term = fields
-                term = normalize_label(term)
-                if verdict == "eliminated":
-                    eliminated.setdefault(domain, set()).add(term)
-                elif verdict == "retained":
-                    retained.setdefault(domain, set()).add(term)
-                else:
+                if verdict not in ("eliminated", "retained"):
                     raise ValueError(f"{path}: line {n}: unknown verdict {verdict!r}")
+                judged = verdicts.setdefault(domain, {})
+                term = normalize_label(term)
+                if judged.setdefault(term, verdict) != verdict:
+                    raise ValueError(
+                        f"{path}: line {n}: conflicting verdict {verdict!r} for {term!r}"
+                        f" in {domain!r}: an earlier record gives {judged[term]!r}"
+                    )
             elif fields[0] == "X" and len(fields) == 6:
                 _, domain, term, target, sense_text, relation = fields
                 try:
@@ -88,12 +90,12 @@ class Judgments:
                     )
             else:
                 raise ValueError(f"{path}: line {n}: expected E or X record")
-        domains = sorted(set(eliminated) | set(retained) | set(relations))
+        domains = sorted(set(verdicts) | set(relations))
         return cls(
             {
                 domain: DomainJudgments(
-                    frozenset(eliminated.get(domain, ())),
-                    frozenset(retained.get(domain, ())),
+                    frozenset(t for t, v in verdicts.get(domain, {}).items() if v == "eliminated"),
+                    frozenset(t for t, v in verdicts.get(domain, {}).items() if v == "retained"),
                     frozenset(
                         Placement(*key, relation)
                         for key, relation in relations.get(domain, {}).items()

@@ -6,9 +6,9 @@ Two interchangeable implementations of one contract:
   (counts are document frequencies, not raw occurrence counts). It reads the
   ``textpipe.PhraseTable`` that mining filled, so each document is split once
   per run; a posting is the increasing list of the numbers of the documents
-  that hold the phrase. Term, pair and pattern queries go through one lookup
-  path, which answers nearly every pattern query from the posting of its
-  first window alone.
+  that hold a token. Term, pair and pattern queries go through one lookup
+  path, which answers nearly every pattern query from the phrase set's
+  answer for its first window alone.
 * ``SnapshotTable`` replays counts recorded in a file, so runs against
   external engines stay reproducible offline. Absent keys count 0.
 
@@ -78,14 +78,13 @@ class CorpusIndex:
     ``hits``, ``pair_hits`` and ``pattern_hits`` share one lookup path. A
     query without punctuation is lowercased and split once; punctuation is
     looked for in the query as given, since ``str.lower`` maps a punctuation
-    character such as ``Ⓐ`` to one that is not. Phrases up to
-    ``MAX_NGRAM_LEN`` tokens are answered from the table's posting lists of
-    document numbers. A longer query (a pattern string) answers 0 when its
-    first ``MAX_NGRAM_LEN``-token window has no posting, which is how nearly
-    every pattern query ends; otherwise it takes its candidates from the
-    intersected postings of all its windows, stops at the first window with
-    no posting, and verifies adjacency against the table's token spans.
-    ``pair_hits`` memoizes each term's posting as a set, keyed by phrase
+    character such as ``Ⓐ`` to one that is not. A query answers 0 unless
+    each of its ``MAX_NGRAM_LEN``-token windows (the whole query, when
+    shorter) is in the table's phrase set; the first window is tested here,
+    since that is how nearly every pattern query ends. Otherwise the table
+    answers a single token from its posting and a longer query from its
+    rarest token's posting, filtered by the documents' lowercased texts.
+    ``pair_hits`` memoizes each term's documents as a set, keyed by phrase
     string, so a batch of pairs looks each term up once.
     """
 
@@ -100,24 +99,6 @@ class CorpusIndex:
         """Index over a table that ``textpipe.tokenize_corpus`` filled."""
         return cls(table)
 
-    def _scan_long_phrase(self, tokens: tuple[str, ...], first: list[int]) -> Sequence[int]:
-        """Numbers of the documents holding the phrase, given the posting of
-        its first window."""
-        postings = [first]
-        for i in range(1, len(tokens) - MAX_NGRAM_LEN + 1):
-            docs = self._table.postings.get(tokens[i : i + MAX_NGRAM_LEN])
-            if not docs:
-                return ()
-            postings.append(docs)
-        postings.sort(key=len)
-        n = len(tokens)
-        doc_spans = self._table.doc_spans
-        return [
-            number for number in set(postings[0]).intersection(*postings[1:])
-            if any(span[i : i + n] == tokens
-                   for span in doc_spans[number] for i in range(len(span) - n + 1))
-        ]
-
     def _doc_numbers(self, phrase: str) -> Sequence[int]:
         table = self._table
         if table.punctuation.isdisjoint(phrase):
@@ -126,12 +107,11 @@ class CorpusIndex:
             tokens = _phrase_tokens(phrase, table.punctuation)
             if tokens is None:
                 return ()
-        if len(tokens) <= MAX_NGRAM_LEN:
-            return table.postings.get(tuple(tokens), ())
-        first = table.postings.get(tuple(tokens[:MAX_NGRAM_LEN]))
-        if not first:
+        phrases = table.phrases
+        if tuple(tokens[:MAX_NGRAM_LEN]) not in phrases or not phrases.issuperset(
+                zip(*[tokens[i:] for i in range(MAX_NGRAM_LEN)])):
             return ()
-        return self._scan_long_phrase(tuple(tokens), first)
+        return table.documents(tokens)
 
     def hits(self, phrase: str) -> int:
         return len(self._doc_numbers(phrase))

@@ -171,10 +171,13 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
         corpus_sha256 = _corpus_sha256(corpus)
         table = tokenize_corpus(corpus, stoplist.punctuation)
         partition = partition_terms(table.mined_terms(stoplist), ontology, gazetteer)
+        domains = [doc_id.split("/", 1)[0] for doc_id in table.doc_ids]
+        term_domains = {gram.surface: {domains[n] for n in table.documents(gram.key)}
+                        for gram in partition.missing}
 
     with _stage("hits"):
         if config.snapshot is not None:
-            del table  # the mined terms keep their own doc id sets
+            del table  # the run needs no more of it than term_domains holds
             provider: HitCountProvider = SnapshotTable.load(config.snapshot)
             provider_id = f"snapshot:{Path(config.snapshot).name}"
         else:
@@ -206,11 +209,6 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
             )
             for miss, target in candidates.pairs():
                 suggestions.append(extract_relation(miss, target, provider, catalogue))
-
-    term_domains: dict[str, set[str]] = {}
-    for gram in partition.missing:
-        domains = {doc_id.split("/", 1)[0] for doc_id in gram.doc_ids}
-        term_domains[gram.surface] = domains or {"unknown"}
 
     return RunState(
         config=config,

@@ -3,10 +3,11 @@ one phrase table per corpus, the mined n-grams taken from it, and the
 known/missing split against an ontology plus a gazetteer.
 
 Each document is split into spans at punctuation once and numbered in load
-order; every 1-3 token phrase inside a span gets a posting list of document
-numbers in one table, which the corpus index also answers from. The mined
-n-grams are the phrases with no stopword token, so they never cross a
-stopword or a punctuation character. Hyphenated words stay single tokens.
+order. One table holds every 1-3 token phrase inside a span, a posting list
+of document numbers per token and each document's lowercased text; the
+corpus index also answers from it. The mined n-grams are the phrases with
+no stopword token, so they never cross a stopword or a punctuation
+character. Hyphenated words stay single tokens.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 import importlib.resources
 import os
 import re
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -73,7 +73,6 @@ class NGram:
     """1-3 word term; ``key`` is its case-folded token tuple."""
 
     tokens: tuple[str, ...]
-    doc_ids: set[str] = field(default_factory=set)
 
     def __post_init__(self):
         if not 1 <= len(self.tokens) <= MAX_NGRAM_LEN:
@@ -136,51 +135,66 @@ def _sorted_entries(directory: str | Path) -> list[os.DirEntry]:
 
 
 class PhraseTable:
-    """Every document's lowercased punctuation spans, indexed by the
-    document's number in load order; the posting list of each
-    1..MAX_NGRAM_LEN phrase in them, the strictly increasing numbers of the
-    documents that hold it; and each phrase's first surface form in load
-    order (kept only where it differs from the lowercased phrase). Lowercased
-    tokens are interned, so equal tokens are one string object."""
+    """A corpus as the index answers it, documents numbered in load order:
+    ``phrases``, every lowercased 1..MAX_NGRAM_LEN token phrase inside a
+    punctuation span; ``postings``, each lowercased token's strictly
+    increasing document numbers; ``texts``, each document's lowercased tokens
+    joined by ``" "`` and spans by ``" \\n "``, padded with a space, so
+    ``" a b "`` is in a text exactly when one span has ``a b``; and
+    ``surfaces``, each phrase's first surface in load order where it is not
+    the phrase itself."""
 
     def __init__(self, punctuation: frozenset[str]):
         self.punctuation = punctuation
         self.doc_ids: list[str] = []
-        self.doc_spans: list[tuple[tuple[str, ...], ...]] = []
-        self.postings: dict[tuple[str, ...], list[int]] = {}
+        self.texts: list[str] = []
+        self.phrases: set[tuple[str, ...]] = set()
+        self.postings: dict[str, list[int]] = {}
         self.surfaces: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self.postings)
+        return len(self.phrases)
 
     def add(self, doc_id: str, spans: Iterable[Sequence[str]]) -> None:
         number = len(self.doc_ids)
+        phrases = self.phrases
         lowered_spans = []
         for span in spans:
-            lowered = tuple(map(sys.intern, map(str.lower, span)))
-            cased = lowered != tuple(span)
+            lowered = tuple(map(str.lower, span))
             lowered_spans.append(lowered)
+            # A walk adds every phrase inside its span, so the set holds the
+            # sub-phrases of what it holds: only a span with an unseen window
+            # of MAX_NGRAM_LEN tokens (or unseen whole, when shorter) is walked.
+            if lowered[:MAX_NGRAM_LEN] in phrases and phrases.issuperset(
+                    zip(*[lowered[i:] for i in range(MAX_NGRAM_LEN)])):
+                continue
             for length in range(1, MAX_NGRAM_LEN + 1):
                 for start in range(len(lowered) - length + 1):
                     phrase = lowered[start : start + length]
-                    docs = self.postings.get(phrase)
-                    if docs is not None:
-                        if docs[-1] != number:
-                            docs.append(number)
+                    if phrase in phrases:
                         continue
-                    self.postings[phrase] = [number]
-                    if cased and (surface := tuple(span[start : start + length])) != phrase:
+                    phrases.add(phrase)
+                    if (surface := tuple(span[start : start + length])) != phrase:
                         self.surfaces[phrase] = surface
+        postings = self.postings
+        for token in set().union(*lowered_spans):
+            postings.setdefault(token, []).append(number)
         self.doc_ids.append(doc_id)
-        self.doc_spans.append(tuple(lowered_spans))
+        self.texts.append(" " + " \n ".join(map(" ".join, lowered_spans)) + " ")
+
+    def documents(self, tokens: Sequence[str]) -> list[int]:
+        """Numbers of the documents that hold the lowercased tokens as one
+        run; every token must have a posting."""
+        rarest = min([self.postings[token] for token in tokens], key=len)
+        if len(tokens) == 1:
+            return rarest
+        needle = " " + " ".join(tokens) + " "
+        return [number for number in rarest if needle in self.texts[number]]
 
     def mined_terms(self, stoplist: Stoplist) -> Iterator[NGram]:
-        """The phrases with no stopword token, each with the ids of the
-        documents in its posting."""
-        doc_ids = self.doc_ids
-        for phrase, docs in self.postings.items():
-            if stoplist.words.isdisjoint(phrase):
-                yield NGram(self.surfaces.get(phrase, phrase), {doc_ids[n] for n in docs})
+        """The phrases with no stopword token."""
+        words, surfaces = stoplist.words, self.surfaces
+        return (NGram(surfaces.get(p, p)) for p in self.phrases if words.isdisjoint(p))
 
 
 def tokenize_corpus(corpus: Corpus, punctuation: frozenset[str]) -> PhraseTable:

@@ -329,9 +329,17 @@ def test_config_keys_match_run_flags():
     for name in ("enrich", "relatedness"):
         dests = [
             action.dest for action in subparsers.choices[name]._actions
-            if action.dest not in ("help", "config")
+            if action.dest not in ("help", "config", "verbose")
         ]
         assert sorted(dests) == sorted(_CONFIG_KEYS), name
+
+
+def test_every_subcommand_takes_verbose():
+    parser = build_parser()
+    for argv in (["enrich", "-v"], ["relatedness", "--verbose"],
+                 ["eval", "-v", "--system", "s", "--expert", "e", "--out-dir", "o"]):
+        assert parser.parse_args(argv).verbose, argv
+    assert not parser.parse_args(["enrich"]).verbose
 
 
 def test_missing_required_flags_exit_config_code(tmp_path):

@@ -58,11 +58,11 @@ DESK_ARGS = ("--corpus", DESK / "corpus", "--ontology", DESK / "ontology.tsv",
              "--gazetteer", DESK / "gazetteer.tsv", "--top-k", "3")
 
 
-def run_cli(*argv, seed: str = HASH_SEEDS[0]) -> None:
+def run_cli(*argv, seed: str = HASH_SEEDS[0]) -> subprocess.CompletedProcess:
     src = Path(ontoenrich.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
-    subprocess.run([sys.executable, *map(str, argv)], env=env, cwd=ROOT,
-                   check=True, capture_output=True, timeout=300)
+    return subprocess.run([sys.executable, *map(str, argv)], env=env, cwd=ROOT,
+                          check=True, capture_output=True, text=True, timeout=300)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +98,13 @@ def test_desk_outputs_match_pinned_sha256(desk_runs):
     out = desk_runs[HASH_SEEDS[0]]
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
     assert got == DESK_SHA256
+
+
+def test_verbose_run_logs_debug_lines_and_writes_the_same_files(desk_runs, tmp_path):
+    run = run_cli("-m", "ontoenrich.cli", "enrich", *DESK_ARGS, "-v", "--out-dir", tmp_path)
+    assert any(line.startswith("DEBUG ontoenrich.") for line in run.stderr.splitlines())
+    for name in OUTPUTS:
+        assert (tmp_path / name).read_bytes() == (desk_runs[HASH_SEEDS[0]] / name).read_bytes()
 
 
 def test_recorded_snapshot_replays_desk_run(desk_runs, tmp_path):

@@ -75,6 +75,9 @@ REPEATS = {
         load_catalogue, READERS["catalogue"][2], "P\tp1\tsynonymy\tsyn\t{X} and {Y}"
     ),
     "snapshot": (SnapshotTable.load, ["N\t10", "H\tJava\t3"], "H\tjava \t4"),
+    "judgments-conflicting-verdict": (
+        Judgments.load, READERS["judgments"][2], "E\tanimals\teliminated\tMarsh Cat"
+    ),
     "judgments-conflicting-relation": (
         Judgments.load, READERS["judgments"][2], "X\tanimals\tMarsh Cat\tanimal\t1\tsynonymy"
     ),

@@ -189,14 +189,12 @@ def test_document_accounting_merges_sources(stoplist):
         )
     )
     table = tokenize_corpus(corpus, stoplist.punctuation)
-    grams = list(table.mined_terms(stoplist))
-    java = next(g for g in grams if g.key == ("java",))
-    assert java.doc_ids == {"d/one", "d/two"}
-    # A mined term's doc ids are those of the posting the index answers from.
+    assert table.postings["java"] == [0, 1]
+    assert table.documents(("java",)) == [0, 1]
+    # A mined term's documents are those the index answers from.
     index = CorpusIndex.build(table)
-    for gram in grams:
-        assert gram.doc_ids == {table.doc_ids[n] for n in table.postings[gram.key]}
-        assert index.hits(gram.surface) == len(gram.doc_ids)
+    for gram in table.mined_terms(stoplist):
+        assert index.hits(gram.surface) == len(table.documents(gram.key)) > 0
 
 
 def test_corpus_rejects_a_repeated_document_id():
@@ -212,9 +210,10 @@ def test_first_surface_follows_load_order(tmp_path, stoplist):
         (tmp_path / domain / "doc.txt").write_text(text, encoding="utf-8")
     corpus = load_corpus(tmp_path)
     assert [doc.id for doc in corpus.documents] == ["a/doc.txt", "a-b/doc.txt"]
-    grams = {g.key: g for g in tokenize_corpus(corpus, stoplist.punctuation).mined_terms(stoplist)}
+    table = tokenize_corpus(corpus, stoplist.punctuation)
+    grams = {g.key: g for g in table.mined_terms(stoplist)}
     assert grams[("java",)].surface == "Java"
-    assert grams[("java",)].doc_ids == {"a/doc.txt", "a-b/doc.txt"}
+    assert [table.doc_ids[n] for n in table.documents(("java",))] == ["a/doc.txt", "a-b/doc.txt"]
 
 
 def test_stoplist_requires_words():
@@ -289,8 +288,11 @@ def test_property_mined_terms_equal_character_walk(variant, texts):
     # Ids sort against load order, so a first surface taken in id order shows.
     docs = [(f"d{9 - i}/doc", text) for i, text in enumerate(texts) if text.strip()]
     corpus = Corpus(tuple(Document(doc_id, "d", text) for doc_id, text in docs))
-    mined = tokenize_corpus(corpus, stoplist.punctuation).mined_terms(stoplist)
-    got = {gram.key: (gram.tokens, gram.doc_ids) for gram in mined}
+    table = tokenize_corpus(corpus, stoplist.punctuation)
+    got = {
+        gram.key: (gram.tokens, {table.doc_ids[n] for n in table.documents(gram.key)})
+        for gram in table.mined_terms(stoplist)
+    }
     assert got == walk_terms(docs, stoplist, MAX_NGRAM_LEN)
 
 
@@ -305,11 +307,13 @@ def test_property_postings_are_increasing_doc_numbers(texts):
     # Every phrase, stopwords included: the walk with no stopwords.
     cut = SimpleNamespace(words=frozenset(), punctuation=stoplist.punctuation)
     walked = walk_terms(docs, cut, MAX_NGRAM_LEN)
-    assert table.postings.keys() == walked.keys()
-    for key, posting in table.postings.items():
+    assert table.phrases == walked.keys()
+    assert len(table) == len(walked)
+    for key, (_, doc_ids) in walked.items():
+        assert {table.doc_ids[n] for n in table.documents(key)} == doc_ids
+        assert CorpusIndex.build(table).hits(" ".join(key)) == len(doc_ids)
+    assert table.postings.keys() == {key[0] for key in walked if len(key) == 1}
+    for token, posting in table.postings.items():
         assert type(posting) is list and all(type(n) is int for n in posting)
         assert all(a < b for a, b in zip(posting, posting[1:]))
-        assert {table.doc_ids[n] for n in posting} == walked[key][1]
-    # Equal tokens are one object, across spans and documents.
-    tokens = [token for spans in table.doc_spans for span in spans for token in span]
-    assert len({id(token) for token in tokens}) == len(set(tokens))
+        assert {table.doc_ids[n] for n in posting} == walked[(token,)][1]
