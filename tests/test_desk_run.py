@@ -37,6 +37,16 @@ DESK_SHA256 = {
     "system_judgments.tsv": "b90bcaf5480eb7f5f6b60fac01194092dc44d3d91fed07c04029dd146eaea578",
     "manifest.tsv": "a8fc6d61b37f7830cdb01f8802499c5caf1a61d801a928f8f53c93370ed625c7",
 }
+# sha256 of each output of a run with the CLI defaults (no ``--top-k``):
+# 8,100 pairs, every one through the pattern stage and into the audit.
+DESK_DEFAULTS_SHA256 = {
+    "enriched_ontology.tsv": "ebac28fbfa0b4a9db36a2001ab3273f06cffe1caff64ab6454d72018d8131dc7",
+    "relatedness_matrix.tsv": "d5dad41e002a4e168ca597ab66f91256b822c213be57961f5f227e076bff5290",
+    "pattern_audit.tsv": "42d90112d4c5cb80c052e6d761cae90ac532e9071c68cb3dd25bf827be761f58",
+    "enrichment_report.tsv": "f1689790b0d6eae9fcf07f928b7ae2c34eaad53e617729ef4312a24b668f8e72",
+    "system_judgments.tsv": "8212d44e3bbb78c68d0df1c3a92cf94ff60587824cbf98375970586137436be0",
+    "manifest.tsv": "1252e168f00b6c5b6d7b2c322ca0048e5ba95f17125625f7c574f1e5631cd314",
+}
 
 
 def planted_triples() -> set[tuple[str, str, str]]:
@@ -54,8 +64,9 @@ def planted_triples() -> set[tuple[str, str, str]]:
     }
 
 
-DESK_ARGS = ("--corpus", DESK / "corpus", "--ontology", DESK / "ontology.tsv",
-             "--gazetteer", DESK / "gazetteer.tsv", "--top-k", "3")
+DESK_DEFAULT_ARGS = ("--corpus", DESK / "corpus", "--ontology", DESK / "ontology.tsv",
+                     "--gazetteer", DESK / "gazetteer.tsv")
+DESK_ARGS = (*DESK_DEFAULT_ARGS, "--top-k", "3")
 
 
 def run_cli(*argv, seed: str = HASH_SEEDS[0]) -> subprocess.CompletedProcess:
@@ -98,6 +109,12 @@ def test_desk_outputs_match_pinned_sha256(desk_runs):
     out = desk_runs[HASH_SEEDS[0]]
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
     assert got == DESK_SHA256
+
+
+def test_desk_default_outputs_match_pinned_sha256(tmp_path):
+    run_cli("-m", "ontoenrich.cli", "enrich", *DESK_DEFAULT_ARGS, "--out-dir", tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    assert got == DESK_DEFAULTS_SHA256
 
 
 def test_verbose_run_logs_debug_lines_and_writes_the_same_files(desk_runs, tmp_path):
