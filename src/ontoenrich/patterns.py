@@ -20,12 +20,16 @@ catalogue order. Mined terms are joined by single spaces, and the default
 stoplist holds ``a``, so nearly all pairs qualify. Any other pair formats
 each line on its own, then collapses whitespace and resolves each ``a(n)``
 token against the token after it, so an ``a(n)`` that a term brings in, or
-that a term's edge whitespace sets apart from a slot, is resolved too. Each
-term is pluralized once per pair, not once per plural slot.
+that a term's edge whitespace sets apart from a slot, is resolved too. A
+catalogue works out each term's plural, article and whether it qualifies
+once, the first time the term fills a slot, not once per pair.
 
-A suggestion keeps each issued query as a plain ``(pattern id, query, hits)``
-tuple, in catalogue order, and the audit streams them to its file line by
-line: a default desk run issues 89,100 queries.
+A suggestion keeps its hit counts only, one per template in catalogue order;
+a default desk run issues 89,100 queries, and all but 10 of its 8,100 pairs
+count nothing. Every all-zero suggestion shares its catalogue's one zero
+tuple and one read-only zero ``group_hits`` mapping. The audit rebuilds
+each pair's queries with ``PatternCatalogue.queries`` when it writes them,
+and streams them to its file line by line.
 
 Templates never contain negation operators; the catalogue loader rejects
 them, so no negated query is ever issued. Pattern ids are unique within a
@@ -38,6 +42,7 @@ import importlib.resources
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .hitcounts import HitCountProvider
@@ -130,19 +135,30 @@ class PatternCatalogue(tuple):
         self = super().__new__(cls, templates)
         self.ids = tuple(template.id for template in self)
         self.groups = tuple(template.group for template in self)
+        self.zero_hits = (0,) * len(self)
+        self.zero_group_hits = MappingProxyType(dict.fromkeys(self.groups, 0))
         self._lines = tuple(_compile(template) for template in self)
         self._format = "\n".join(self._lines)
+        self._slots: dict[str, tuple[str, str, bool]] = {}
         return self
+
+    def _slot(self, term: str) -> tuple[str, str, bool]:
+        """The term's plural, its article and whether it is ``_compilable``."""
+        slot = self._slots.get(term)
+        if slot is None:
+            if not term.strip():
+                raise ValueError("pattern instantiation needs two non-empty terms")
+            slot = self._slots[term] = (
+                pluralize_term(term), _article(term.lstrip()[:1]), _compilable(term)
+            )
+        return slot
 
     def queries(self, t_miss: str, t_in: str) -> list[str]:
         """Query string of every template for the pair, in catalogue order."""
-        if not t_miss.strip() or not t_in.strip():
-            raise ValueError("pattern instantiation needs two non-empty terms")
-        values = (
-            t_miss, pluralize_term(t_miss), t_in, pluralize_term(t_in),
-            _article(t_miss.lstrip()[:1]), _article(t_in.lstrip()[:1]),
-        )
-        if self and _compilable(t_miss) and _compilable(t_in):
+        plural_miss, article_miss, compilable_miss = self._slot(t_miss)
+        plural_in, article_in, compilable_in = self._slot(t_in)
+        values = (t_miss, plural_miss, t_in, plural_in, article_miss, article_in)
+        if self and compilable_miss and compilable_in:
             return self._format.format(*values).split("\n")
         return [_resolve_articles(line.format(*values).split()) for line in self._lines]
 
@@ -217,7 +233,7 @@ class RelationSuggestion:
     winning_group: str | None          # None on the related-to fallback
     winner_hits: int
     group_hits: Mapping[str, int]
-    queries: tuple[tuple[str, str, int], ...]  # (pattern id, query, hits), catalogue order
+    hits: tuple[int, ...]              # one count per template, catalogue order
     tied: bool = False
 
 
@@ -228,15 +244,14 @@ def extract_relation(
     catalogue: PatternCatalogue,
 ) -> RelationSuggestion:
     """Arbitrate one relation for a candidate pair from pattern hit counts."""
-    pattern_hits = provider.pattern_hits
-    queries = tuple([
-        (pattern_id, query, pattern_hits(query))
-        for pattern_id, query in zip(catalogue.ids, catalogue.queries(t_miss, t_in))
-    ])
-    group_hits = dict.fromkeys(catalogue.groups, 0)
-    for group, (_, _, count) in zip(catalogue.groups, queries):
-        if count:
-            group_hits[group] += count
+    hits = tuple(map(provider.pattern_hits, catalogue.queries(t_miss, t_in)))
+    if any(hits):
+        group_hits = dict.fromkeys(catalogue.groups, 0)
+        for group, count in zip(catalogue.groups, hits):
+            if count:
+                group_hits[group] += count
+    else:  # nearly every pair: keep the catalogue's shared zero values instead
+        hits, group_hits = catalogue.zero_hits, catalogue.zero_group_hits
 
     best = max(group_hits.values(), default=0)
     if best == 0:
@@ -247,7 +262,7 @@ def extract_relation(
             winning_group=None,
             winner_hits=0,
             group_hits=group_hits,
-            queries=queries,
+            hits=hits,
         )
     group_relation = {template.group: template.relation for template in catalogue}
     winners = sorted(
@@ -261,7 +276,7 @@ def extract_relation(
         winning_group=winners[0],
         winner_hits=best,
         group_hits=group_hits,
-        queries=queries,
+        hits=hits,
         tied=len(winners) > 1,
     )
 
@@ -272,13 +287,17 @@ def slug(surface: str) -> str:
     return normalize_label(surface).replace(" ", "-").replace("#", "-")
 
 
-def write_pattern_audit(suggestions: Iterable[RelationSuggestion], path: str | Path) -> None:
+def write_pattern_audit(
+    suggestions: Iterable[RelationSuggestion], catalogue: PatternCatalogue, path: str | Path
+) -> None:
     """One line per issued query: pair, pattern, query string, hit count.
-    Pairs are sorted case-insensitively; the lines are streamed to the file."""
+    Pairs are sorted case-insensitively; each pair's queries are rebuilt
+    from the catalogue, and the lines are streamed to the file."""
     ordered = sorted(suggestions, key=lambda s: (s.missing_term.lower(), s.ontology_term.lower()))
     with Path(path).open("w", encoding="utf-8") as out:
         out.write("missing_term\tontology_term\tpattern\tquery\thits\n")
         for suggestion in ordered:
-            pair = f"{suggestion.missing_term}\t{suggestion.ontology_term}"
-            for pattern_id, query, hits in suggestion.queries:
-                out.write(f"{pair}\t{pattern_id}\t{query}\t{hits}\n")
+            miss, target = suggestion.missing_term, suggestion.ontology_term
+            queries = catalogue.queries(miss, target)
+            for pattern_id, query, hits in zip(catalogue.ids, queries, suggestion.hits):
+                out.write(f"{miss}\t{target}\t{pattern_id}\t{query}\t{hits}\n")

@@ -113,6 +113,7 @@ class RunConfig:
 @dataclass
 class RunState:
     config: RunConfig
+    catalogue: PatternCatalogue
     ontology: Ontology
     provider: HitCountProvider
     provider_id: str
@@ -212,6 +213,7 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
 
     return RunState(
         config=config,
+        catalogue=catalogue,
         ontology=ontology,
         provider=provider,
         provider_id=provider_id,
@@ -295,7 +297,7 @@ def run_enrichment(config: RunConfig) -> Path:
         out.mkdir(parents=True, exist_ok=True)
         save_ontology(enriched, out / "enriched_ontology.tsv")
         _write_matrix_or_header(state, out / "relatedness_matrix.tsv")
-        write_pattern_audit(state.suggestions, out / "pattern_audit.tsv")
+        write_pattern_audit(state.suggestions, state.catalogue, out / "pattern_audit.tsv")
         write_enrichment_report(report, out / "enrichment_report.tsv")
         _write_system_judgments(state, report.outcomes, out / "system_judgments.tsv")
         _write_manifest(state, out / "manifest.tsv")

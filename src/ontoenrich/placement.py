@@ -311,6 +311,7 @@ def enrich_ontology(
     new_concepts: list[Concept] = []
     new_instances: list[Instance] = []
     new_axioms: list[Axiom] = []
+    evidences: dict[tuple[str, int], Evidence] = {}  # one value per (pattern, hits)
     outcomes: list[EnrichmentOutcome] = []
     ties = 0
     for term in sorted(by_term, key=str.lower):
@@ -333,7 +334,10 @@ def enrich_ontology(
         for decision in group:
             suggestion = decision.suggestion
             pattern = suggestion.winning_group or FALLBACK_MARKER
-            evidence = Evidence(pattern, suggestion.winner_hits)
+            cited = (pattern, suggestion.winner_hits)
+            evidence = evidences.get(cited)
+            if evidence is None:
+                evidence = evidences[cited] = Evidence(*cited)
             for sense in decision.senses:
                 key = (inserted_id, decision.target_concept, sense)
                 previous = chosen.setdefault(key, suggestion.relation)

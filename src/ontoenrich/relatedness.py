@@ -264,17 +264,30 @@ class CandidateSet:
 
 def select_candidates(matrix: RelatednessMatrix, cfg: SelectionConfig) -> CandidateSet:
     """Per row, the cells at or above the threshold ordered by value, then by
-    (lowercased term, term); with ``top_k``, the first k of that order."""
+    (lowercased term, term); with ``top_k``, the first k of that order.
+
+    Warns once when a threshold above 0 admits every cell of a batch of more
+    than one: batch normalization puts each cell at 1 - distance / sum of the
+    batch's distances, so on a large batch the threshold rejects nothing."""
     threshold, top_k = cfg.threshold, cfg.top_k
     tie_keys = [(term.lower(), term) for term in matrix.ontology_terms]
     per_term = {}
+    cells = admitted = 0
     for miss, row in zip(matrix.missing_terms, matrix.cells):
         scored = [(-value, key) for value, key in zip(row, tie_keys) if value >= threshold]
+        cells += len(row)
+        admitted += len(scored)
         if top_k is None:
             scored.sort()
         else:
             scored = heapq.nsmallest(top_k, scored)
         per_term[miss] = tuple((key[1], -negated) for negated, key in scored)
+    if threshold > 0 and cells > 1 and admitted == cells:
+        logger.warning(
+            "threshold %r admits all %d relatedness cells (smallest %.6f): "
+            "it rejects no candidate pair",
+            threshold, cells, min(map(min, matrix.cells)),
+        )
     return CandidateSet(per_term)
 
 

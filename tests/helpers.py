@@ -96,13 +96,15 @@ def reference_instantiate(t_miss: str, t_in: str, catalogue) -> list[tuple[str, 
     return queries
 
 
-def reference_pattern_audit(suggestions, path) -> None:
+def reference_pattern_audit(suggestions, catalogue, path) -> None:
     """The pattern audit built as one line list and written as one joined
-    string; the streamed ``write_pattern_audit`` must match it byte for byte."""
+    string, each pair's queries filled by ``reference_instantiate``; the
+    streamed ``write_pattern_audit`` must match it byte for byte."""
     lines = ["missing_term\tontology_term\tpattern\tquery\thits"]
     ordered = sorted(suggestions, key=lambda s: (s.missing_term.lower(), s.ontology_term.lower()))
     for suggestion in ordered:
-        for pattern_id, query, hits in suggestion.queries:
+        queries = reference_instantiate(suggestion.missing_term, suggestion.ontology_term, catalogue)
+        for (pattern_id, query), hits in zip(queries, suggestion.hits, strict=True):
             lines.append(
                 f"{suggestion.missing_term}\t{suggestion.ontology_term}"
                 f"\t{pattern_id}\t{query}\t{hits}"

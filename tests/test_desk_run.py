@@ -138,6 +138,19 @@ def test_recorded_snapshot_replays_desk_run(desk_runs, tmp_path):
             assert (replayed / name).read_bytes() == (recorded / name).read_bytes(), name
 
 
+def test_saturation_warning_agrees_with_traced_admitted_cells(tmp_path):
+    # Every desk cell is above 0.9998, so the 0.5 threshold admits all 90 x 90.
+    report_path = tmp_path / "trace.json"
+    run = run_cli(ROOT / "perfbench" / "harness.py", "trace", report_path,
+                  "enrich", *DESK_ARGS, "--out-dir", tmp_path / "out")
+    counts = json.loads(report_path.read_text(encoding="utf-8"))["counts"]
+    assert counts["relatedness.admitted"] == counts["relatedness.cells"] == 8_100
+    assert [line for line in run.stderr.splitlines() if "admits all" in line] == [
+        "WARNING ontoenrich.relatedness: threshold 0.5 admits all 8100 relatedness cells"
+        " (smallest 0.999826): it rejects no candidate pair"
+    ]
+
+
 def test_traced_run_sees_every_traced_name_and_query(tmp_path):
     # perfbench's per-module metrics come from spans around public names of
     # ontoenrich.pipeline and around the provider; a refactor that renames

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,6 +135,63 @@ def test_extract_all_zero_falls_back_to_related_to(catalogue):
         assert suggestion.winner_hits == 0
 
 
+def test_all_zero_pairs_share_the_catalogue_zero_values(catalogue):
+    provider = snapshot_of({})
+    first = extract_relation("jawa", "Java", provider, catalogue)
+    second = extract_relation("Hindu-Buddhist", "Indonesia", provider, catalogue)
+    assert first.hits is second.hits is catalogue.zero_hits
+    assert first.group_hits is second.group_hits is catalogue.zero_group_hits
+    with pytest.raises(TypeError):
+        first.group_hits["hypo-isa"] = 1
+    # equal to a suggestion built from fresh zero values
+    assert first == RelationSuggestion(
+        missing_term="jawa",
+        ontology_term="Java",
+        relation=RelationKind.RELATED_TO,
+        winning_group=None,
+        winner_hits=0,
+        group_hits=dict.fromkeys(catalogue.groups, 0),
+        hits=(0,) * len(catalogue),
+    )
+
+
+def test_fallback_suggestions_retain_at_most_512_bytes_each():
+    # A default desk run keeps 8,090 related-to fallbacks until the audit is written.
+    catalogue = default_catalogue()
+    provider = snapshot_of({})
+    pairs = [(f"missing term {i}", f"known {j}") for i in range(40) for j in range(50)]
+    for miss, target in pairs:  # the catalogue keeps slot values per term, so warm them first
+        catalogue.queries(miss, target)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        suggestions = [extract_relation(miss, target, provider, catalogue)
+                       for miss, target in pairs]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(suggestions) == 2_000
+    assert all(s.relation is RelationKind.RELATED_TO for s in suggestions)
+    assert retained / len(suggestions) <= 512
+
+
+def test_catalogue_derives_each_term_slot_values_once(monkeypatch):
+    catalogue = default_catalogue()
+    plurals = []
+    monkeypatch.setattr(
+        patterns, "pluralize_term", lambda term: plurals.append(term) or pluralize_term(term)
+    )
+    for miss in ("jawa", "corporate body", "a(n) apple"):
+        for target in ("island", "organization"):
+            assert catalogue.queries(miss, target) == [
+                query for _, query in reference_instantiate(miss, target, catalogue)
+            ]
+    assert sorted(plurals) == ["a(n) apple", "corporate body", "island", "jawa", "organization"]
+    for blank_pair in [("jawa", " "), ("", "island")]:
+        with pytest.raises(ValueError, match="two non-empty terms"):
+            catalogue.queries(*blank_pair)
+
+
 def test_variant_counts_sum_within_group(catalogue):
     # two meronymy variants together outweigh one big hyponymy count
     provider = snapshot_of(
@@ -176,11 +235,11 @@ def test_audit_export(tmp_path, catalogue):
     provider = snapshot_of({"corporate body is an organization": 80_700})
     suggestion = extract_relation("corporate body", "organization", provider, catalogue)
     out = tmp_path / "audit.tsv"
-    write_pattern_audit([suggestion], out)
+    write_pattern_audit([suggestion], catalogue, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "missing_term\tontology_term\tpattern\tquery\thits"
     assert any("corporate body is an organization\t80700" in line for line in lines)
-    assert len(lines) == 1 + len(suggestion.queries)
+    assert len(lines) == 1 + len(suggestion.hits) == 1 + len(catalogue)
 
 
 # Terms that collide on case, with the ASCII and non-ASCII case folds that
@@ -189,14 +248,8 @@ _AUDIT_TERMS = st.sampled_from(
     ["jawa", "Jawa", "JAWA", "java", "Église", "église", "ÉGLISE", "straße", "STRASSE",
      "Straẞe", "İstanbul", "istanbul", "ǅemal", "日本", "naïve bay", "Naïve Bay"]
 )
-_AUDIT_RECORDS = st.lists(
-    st.tuples(
-        st.sampled_from(["hypo-isa", "mero-part", "syn-aka", "é-1"]),
-        st.text(alphabet="abc éß İ-", min_size=1, max_size=12),
-        st.integers(0, 10**9),
-    ),
-    max_size=4,
-).map(tuple)
+_TEMPLATES = len(default_catalogue())
+_AUDIT_HITS = st.lists(st.integers(0, 10**9), min_size=_TEMPLATES, max_size=_TEMPLATES).map(tuple)
 
 
 @settings(max_examples=200, deadline=None)
@@ -209,15 +262,16 @@ _AUDIT_RECORDS = st.lists(
         winning_group=st.none(),
         winner_hits=st.just(0),
         group_hits=st.just({}),
-        queries=_AUDIT_RECORDS,
+        hits=_AUDIT_HITS,
     ),
     max_size=8,
 ))
 def test_property_streamed_audit_equals_joined_audit(tmp_path_factory, suggestions):
     # The suggestions arrive in drawn order, not sorted; both writers sort them.
+    catalogue = default_catalogue()
     out = tmp_path_factory.mktemp("audit")
-    write_pattern_audit(suggestions, out / "streamed.tsv")
-    reference_pattern_audit(suggestions, out / "joined.tsv")
+    write_pattern_audit(suggestions, catalogue, out / "streamed.tsv")
+    reference_pattern_audit(suggestions, catalogue, out / "joined.tsv")
     assert (out / "streamed.tsv").read_bytes() == (out / "joined.tsv").read_bytes()
 
 
@@ -236,11 +290,9 @@ def test_property_arbitration_picks_maximal_group(miss, target, counts):
     queries = instantiate_patterns(miss, target, catalogue)
     provider = snapshot_of({query: count for (_, query), count in zip(queries, counts)})
     suggestion = extract_relation(miss, target, provider, catalogue)
-    # one (pattern id, query, hits) record per template, in catalogue order
-    assert [pattern_id for pattern_id, _, _ in suggestion.queries] == [t.id for t in catalogue]
-    assert suggestion.queries == tuple(
-        (pattern_id, query, provider.pattern_hits(query)) for pattern_id, query in queries
-    )
+    # one hit count per template, in catalogue order
+    assert len(suggestion.hits) == len(catalogue)
+    assert suggestion.hits == tuple(provider.pattern_hits(query) for _, query in queries)
     assert suggestion.group_hits  # exactly one suggestion per pair, never dropped
     best = max(suggestion.group_hits.values())
     if best == 0:

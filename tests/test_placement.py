@@ -5,13 +5,14 @@ import pytest
 from ontoenrich.hitcounts import SnapshotTable, pair_key
 from ontoenrich.ontology import (
     Concept,
+    Evidence,
     Ontology,
     RelationKind,
     load_ontology,
     parse_ontology,
     save_ontology,
 )
-from ontoenrich.patterns import RelationSuggestion
+from ontoenrich.patterns import FALLBACK_MARKER, RelationSuggestion
 from ontoenrich.placement import (
     ConflictingDecisionError,
     PlacementConfig,
@@ -44,7 +45,7 @@ def suggest(miss, target, relation=RelationKind.RELATED_TO, group=None, hits=0):
         winning_group=group,
         winner_hits=hits,
         group_hits={},
-        queries=(),
+        hits=(),
     )
 
 
@@ -262,6 +263,22 @@ def test_enriched_axioms_trace_back_to_suggestions(onto, snapshot):
     for axiom in added:
         outcome = by_pattern[axiom.evidence.pattern_id]
         assert axiom.evidence.hits == outcome.winner_hits
+
+
+def test_enriched_axioms_share_one_evidence_per_pattern_and_count(onto, snapshot):
+    suggestions = [
+        suggest("jawa", "Java"),
+        suggest("notion", "concept"),
+        suggest("corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700),
+    ]
+    decisions, failures = place_all(suggestions, onto, snapshot)
+    assert not failures
+    enriched, _ = enrich_ontology(onto, decisions)
+    added = [a for a in enriched.axioms if a.provenance == "enriched"]
+    assert len(added) == 3
+    fallback = [a.evidence for a in added if a.relation is RelationKind.RELATED_TO]
+    assert fallback == [Evidence(FALLBACK_MARKER, 0)] * 2
+    assert fallback[0] is fallback[1]
 
 
 def test_report_export(tmp_path, onto, snapshot):

@@ -259,6 +259,32 @@ def test_select_candidates_top_k_and_tie_order():
     assert chosen.per_term["jawa"] == (("c", 0.9), ("a", 0.7))
 
 
+SATURATION = "admits all"
+
+
+def test_select_candidates_warns_once_when_threshold_admits_every_cell(caplog):
+    matrix = RelatednessMatrix(("bay", "jawa"), ("island", "Java"), ((0.9, 0.8), (0.7, 0.95)), 1.0)
+    with caplog.at_level("WARNING", logger="ontoenrich.relatedness"):
+        chosen = select_candidates(matrix, SelectionConfig(threshold=0.5, top_k=1))
+    assert chosen.pairs() == [("bay", "island"), ("jawa", "Java")]
+    assert [r.getMessage() for r in caplog.records] == [
+        "threshold 0.5 admits all 4 relatedness cells (smallest 0.700000): "
+        "it rejects no candidate pair"
+    ]
+
+
+def test_select_candidates_no_saturation_warning_below_threshold_or_at_zero(caplog):
+    cases = [
+        (row_matrix({"Java": 0.72, "island": 0.56, "Indonesia": 0.69}), 0.6),  # one cell below
+        (row_matrix({"Java": 0.72, "island": 0.56}), 0.0),  # a zero threshold admits by design
+        (row_matrix({"Java": 0.72}), 0.5),  # a single cell is not a batch
+    ]
+    with caplog.at_level("WARNING", logger="ontoenrich.relatedness"):
+        for matrix, threshold in cases:
+            select_candidates(matrix, SelectionConfig(threshold))
+    assert not [r for r in caplog.records if SATURATION in r.getMessage()]
+
+
 def test_selection_config_validation():
     with pytest.raises(ValueError):
         SelectionConfig(threshold=1.2)
