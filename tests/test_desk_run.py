@@ -47,6 +47,15 @@ DESK_DEFAULTS_SHA256 = {
     "system_judgments.tsv": "8212d44e3bbb78c68d0df1c3a92cf94ff60587824cbf98375970586137436be0",
     "manifest.tsv": "1252e168f00b6c5b6d7b2c322ca0048e5ba95f17125625f7c574f1e5631cd314",
 }
+# sha256 of each output of the worked-examples run (``EXAMPLES_ARGS``, ``--top-k 1``).
+EXAMPLES_SHA256 = {
+    "enriched_ontology.tsv": "c406414836725b9c910c63396894d27032c356ea20c2cbcc3763dfb0884b723c",
+    "relatedness_matrix.tsv": "04468d907a8585ede13682b8f6ffdba3a04e6a7845debd87bd0426f2926214e3",
+    "pattern_audit.tsv": "ee93abc215046f9544746a9cc93b618145677d69c729d9a46d305701c6b6e80a",
+    "enrichment_report.tsv": "42bd292f2bd3216a0f6e8d15384b2b53fc98c37764889890675bda2c10c06ca4",
+    "system_judgments.tsv": "2f455b7f04b7609d66a47e72216b23b15fb5f204230a28e1c7048dd1cd77e92f",
+    "manifest.tsv": "d562e4fa8cc0480dc64e43eb1869e0862abf387f9bf8641bf4980f27685116f4",
+}
 
 
 def planted_triples() -> set[tuple[str, str, str]]:
@@ -67,6 +76,9 @@ def planted_triples() -> set[tuple[str, str, str]]:
 DESK_DEFAULT_ARGS = ("--corpus", DESK / "corpus", "--ontology", DESK / "ontology.tsv",
                      "--gazetteer", DESK / "gazetteer.tsv")
 DESK_ARGS = (*DESK_DEFAULT_ARGS, "--top-k", "3")
+EXAMPLES_ARGS = ("--corpus", ROOT / "fixtures" / "corpus_examples",
+                 "--ontology", ROOT / "fixtures" / "mini_ontology.tsv",
+                 "--snapshot", ROOT / "fixtures" / "snapshots" / "worked_examples.tsv")
 
 
 def run_cli(*argv, seed: str = HASH_SEEDS[0]) -> subprocess.CompletedProcess:
@@ -117,6 +129,13 @@ def test_desk_default_outputs_match_pinned_sha256(tmp_path):
     assert got == DESK_DEFAULTS_SHA256
 
 
+def test_worked_examples_outputs_match_pinned_sha256(tmp_path):
+    run_cli("-m", "ontoenrich.cli", "enrich", *EXAMPLES_ARGS, "--top-k", "1",
+            "--out-dir", tmp_path)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    assert got == EXAMPLES_SHA256
+
+
 def test_verbose_run_logs_debug_lines_and_writes_the_same_files(desk_runs, tmp_path):
     run = run_cli("-m", "ontoenrich.cli", "enrich", *DESK_ARGS, "-v", "--out-dir", tmp_path)
     assert any(line.startswith("DEBUG ontoenrich.") for line in run.stderr.splitlines())
@@ -155,13 +174,10 @@ def test_traced_run_sees_every_traced_name_and_query(tmp_path):
     # perfbench's per-module metrics come from spans around public names of
     # ontoenrich.pipeline and around the provider; a refactor that renames
     # one, or issues queries past the provider, would blind them silently.
-    examples = ("--corpus", ROOT / "fixtures" / "corpus_examples",
-                "--ontology", ROOT / "fixtures" / "mini_ontology.tsv",
-                "--snapshot", ROOT / "fixtures" / "snapshots" / "worked_examples.tsv")
     report_path, traced, plain = tmp_path / "trace.json", tmp_path / "traced", tmp_path / "plain"
     run_cli(ROOT / "perfbench" / "harness.py", "trace", report_path,
-            "enrich", *examples, "--out-dir", traced)
-    run_cli("-m", "ontoenrich.cli", "enrich", *examples, "--out-dir", plain)
+            "enrich", *EXAMPLES_ARGS, "--out-dir", traced)
+    run_cli("-m", "ontoenrich.cli", "enrich", *EXAMPLES_ARGS, "--out-dir", plain)
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["absent"] == []
     for name in OUTPUTS:
