@@ -84,15 +84,18 @@ class CorpusIndex:
     since that is how nearly every pattern query ends. Otherwise the table
     answers a single token from its posting and a longer query from its
     rarest token's posting, filtered by the documents' lowercased texts.
-    ``pair_hits`` memoizes each term's documents as a set, keyed by phrase
-    string, so a batch of pairs looks each term up once.
+    ``pair_hits`` memoizes each term's documents as an ``int`` bitset (bit n
+    set when document n holds the term), keyed by phrase string, so a batch
+    of pairs looks each term up once and a pair costs one ``&`` and one
+    ``bit_count``. A memoized term keeps about N/8 bytes for N documents,
+    however many of them hold it (an ``int`` stores 30 bits per 4 bytes).
     """
 
     def __init__(self, table: PhraseTable):
         if not table.doc_ids:
             raise EmptyCorpusError("cannot index an empty corpus")
         self._table = table
-        self._term_docs: dict[str, set[int]] = {}  # pair_hits memo, keyed by phrase
+        self._term_docs: dict[str, int] = {}  # pair_hits memo: phrase -> bitset
 
     @classmethod
     def build(cls, table: PhraseTable) -> "CorpusIndex":
@@ -116,15 +119,21 @@ class CorpusIndex:
     def hits(self, phrase: str) -> int:
         return len(self._doc_numbers(phrase))
 
+    def _bitset(self, phrase: str) -> int:
+        bits = bytearray((len(self._table.doc_ids) + 7) // 8)
+        for number in self._doc_numbers(phrase):
+            bits[number >> 3] |= 1 << (number & 7)
+        return int.from_bytes(bits, "little")
+
     def pair_hits(self, a: str, b: str) -> int:
         memo = self._term_docs
         try:
-            return len(memo[a] & memo[b])
+            return (memo[a] & memo[b]).bit_count()
         except KeyError:
             for phrase in (a, b):
                 if phrase not in memo:
-                    memo[phrase] = set(self._doc_numbers(phrase))
-            return len(memo[a] & memo[b])
+                    memo[phrase] = self._bitset(phrase)
+            return (memo[a] & memo[b]).bit_count()
 
     pattern_hits = hits
 

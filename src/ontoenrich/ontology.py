@@ -88,13 +88,13 @@ class Instance:
     concept_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Evidence:
     pattern_id: str
     hits: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Axiom:
     relation: RelationKind
     subject: str
@@ -334,15 +334,16 @@ class Ontology:
             return f"{ref}#{sense}"
         return ref
 
-    def to_text(self) -> str:
-        lines = []
-        for c in sorted(self._concepts.values(), key=lambda c: c.id):
-            lines.append(f"C\t{c.id}\t{c.label}\t{len(c.senses)}")
-        for c in sorted(self._concepts.values(), key=lambda c: c.id):
+    def lines(self) -> Iterator[str]:
+        """The records of the file format, each with its newline, in save order."""
+        concepts = sorted(self._concepts.values(), key=lambda c: c.id)
+        for c in concepts:
+            yield f"C\t{c.id}\t{c.label}\t{len(c.senses)}\n"
+        for c in concepts:
             if c.categories:
-                lines.append(f"G\t{c.id}\t{','.join(sorted(c.categories))}")
+                yield f"G\t{c.id}\t{','.join(sorted(c.categories))}\n"
         for inst in sorted(self._instances.values(), key=lambda i: i.id):
-            lines.append(f"I\t{inst.id}\t{inst.label}\t{inst.concept_id}")
+            yield f"I\t{inst.id}\t{inst.label}\t{inst.concept_id}\n"
         for a in self._axioms:
             parts = [
                 "A",
@@ -353,8 +354,10 @@ class Ontology:
             ]
             if a.evidence is not None:
                 parts += [a.evidence.pattern_id, str(a.evidence.hits)]
-            lines.append("\t".join(parts))
-        return "".join(line + "\n" for line in lines)
+            yield "\t".join(parts) + "\n"
+
+    def to_text(self) -> str:
+        return "".join(self.lines())
 
 
 def _parse_ref(field_text: str, source: str, n: int) -> tuple[str, int]:
@@ -465,4 +468,6 @@ def load_ontology(path: str | Path) -> Ontology:
 
 
 def save_ontology(ontology: Ontology, path: str | Path) -> None:
-    Path(path).write_text(ontology.to_text(), encoding="utf-8")
+    """Write ``ontology.to_text()``, streamed a record at a time."""
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.writelines(ontology.lines())

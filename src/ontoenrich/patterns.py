@@ -225,7 +225,7 @@ def instantiate_patterns(
     return list(zip(catalogue.ids, catalogue.queries(t_miss, t_in)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationSuggestion:
     missing_term: str
     ontology_term: str

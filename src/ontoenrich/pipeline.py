@@ -10,6 +10,8 @@ an output directory that could not be created is rejected with the config.
 from __future__ import annotations
 
 import hashlib
+import logging
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +54,9 @@ from .textpipe import (
     partition_terms,
     tokenize_corpus,
 )
+
+
+logger = logging.getLogger(__name__)
 
 
 class StageError(RuntimeError):
@@ -144,13 +149,16 @@ def _corpus_sha256(corpus: Corpus) -> str:
 
 @contextmanager
 def _stage(stage: str):
-    """Tag an ``Exception`` from the block with the stage; interrupts pass through."""
+    """Tag an ``Exception`` from the block with the stage; interrupts pass
+    through. A block that ends normally logs its wall time at INFO."""
+    start = time.perf_counter()
     try:
         yield
     except StageError:
         raise
     except Exception as exc:
         raise StageError(stage, exc) from exc
+    logger.info("stage %s: %.3f s", stage, time.perf_counter() - start)
 
 
 def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
@@ -171,6 +179,7 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
         corpus = load_corpus(config.corpus)
         corpus_sha256 = _corpus_sha256(corpus)
         table = tokenize_corpus(corpus, stoplist.punctuation)
+        del corpus  # the table holds what the run needs of the texts
         partition = partition_terms(table.mined_terms(stoplist), ontology, gazetteer)
         domains = [doc_id.split("/", 1)[0] for doc_id in table.doc_ids]
         term_domains = {gram.surface: {domains[n] for n in table.documents(gram.key)}
@@ -275,7 +284,9 @@ def _write_system_judgments(state: RunState, outcomes, path: Path) -> None:
                     f"\t{sense}\t{outcome.relation.value}"
                 )
     lines.sort()
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        for line in lines:
+            out.write(line + "\n")
 
 
 def run_enrichment(config: RunConfig) -> Path:

@@ -67,7 +67,7 @@ class PlacementConfig:
     denominator: float | None = None   # batch sum a relatedness run computed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathScore:
     sense: int
     labels: tuple[str, ...]
@@ -75,7 +75,7 @@ class PathScore:
     score: float | None                # None when no label was usable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacementDecision:
     suggestion: RelationSuggestion
     target_concept: str
@@ -202,7 +202,7 @@ def place_concept(
     return _decide(suggestion, concept, ontology, provider, cfg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacementFailure:
     suggestion: RelationSuggestion
     reason: str
@@ -259,7 +259,7 @@ def place_all(
     return decisions, failures
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnrichmentOutcome:
     term: str
     inserted_id: str
@@ -377,18 +377,21 @@ def enrich_ontology(
 
 
 def write_enrichment_report(report: EnrichmentReport, path: str | Path) -> None:
-    lines = ["term\ttarget\tsenses\trelation\tcase\tpattern\thits\tstatus"]
-    for outcome in sorted(report.outcomes, key=lambda o: (o.term.lower(), o.target_concept)):
-        senses = ",".join(str(s) for s in outcome.senses)
-        lines.append(
-            f"{outcome.term}\t{outcome.target_concept}\t{senses}"
-            f"\t{outcome.relation.value}\t{outcome.case}"
-            f"\t{outcome.winning_pattern}\t{outcome.winner_hits}\tapplied"
-        )
-    for failure in sorted(report.failures, key=lambda f: f.suggestion.missing_term.lower()):
-        lines.append(
-            f"{failure.suggestion.missing_term}\t{failure.suggestion.ontology_term}"
-            f"\t-\t{failure.suggestion.relation.value}\t-\t-\t-\tunresolved: {failure.reason}"
-        )
-    lines.append(f"# case2 ties: {report.case2_ties}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    """One line per outcome, then per failure, then the tie count; the lines
+    are streamed to the file."""
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write("term\ttarget\tsenses\trelation\tcase\tpattern\thits\tstatus\n")
+        for outcome in sorted(report.outcomes, key=lambda o: (o.term.lower(), o.target_concept)):
+            senses = ",".join(str(s) for s in outcome.senses)
+            out.write(
+                f"{outcome.term}\t{outcome.target_concept}\t{senses}"
+                f"\t{outcome.relation.value}\t{outcome.case}"
+                f"\t{outcome.winning_pattern}\t{outcome.winner_hits}\tapplied\n"
+            )
+        for failure in sorted(report.failures, key=lambda f: f.suggestion.missing_term.lower()):
+            out.write(
+                f"{failure.suggestion.missing_term}\t{failure.suggestion.ontology_term}"
+                f"\t-\t{failure.suggestion.relation.value}\t-\t-\t-"
+                f"\tunresolved: {failure.reason}\n"
+            )
+        out.write(f"# case2 ties: {report.case2_ties}\n")

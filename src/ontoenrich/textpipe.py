@@ -94,7 +94,7 @@ class Document:
     text: str
 
     def __post_init__(self):
-        if not self.text.strip():
+        if not self.text or self.text.isspace():
             raise ValueError(f"document {self.id!r} has empty text")
 
 

@@ -11,6 +11,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,19 @@ def test_worked_examples_outputs_match_pinned_sha256(tmp_path):
 def test_verbose_run_logs_debug_lines_and_writes_the_same_files(desk_runs, tmp_path):
     run = run_cli("-m", "ontoenrich.cli", "enrich", *DESK_ARGS, "-v", "--out-dir", tmp_path)
     assert any(line.startswith("DEBUG ontoenrich.") for line in run.stderr.splitlines())
+    for name in OUTPUTS:
+        assert (tmp_path / name).read_bytes() == (desk_runs[HASH_SEEDS[0]] / name).read_bytes()
+
+
+def test_verbose_run_logs_each_stage_time_in_run_order(desk_runs, tmp_path):
+    run = run_cli("-m", "ontoenrich.cli", "enrich", *DESK_ARGS, "-v", "--out-dir", tmp_path)
+    prefix = "INFO ontoenrich.pipeline: stage "
+    timed = [line[len(prefix):] for line in run.stderr.splitlines() if line.startswith(prefix)]
+    assert [line.split(":")[0] for line in timed] == [
+        "config", "ontology", "corpus", "hits", "relatedness", "extraction", "enrichment",
+        "output",
+    ]
+    assert all(re.fullmatch(r"[a-z]+: \d+\.\d{3} s", line) for line in timed), timed
     for name in OUTPUTS:
         assert (tmp_path / name).read_bytes() == (desk_runs[HASH_SEEDS[0]] / name).read_bytes()
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -367,3 +368,51 @@ def test_property_interleaved_queries_equal_scan_oracle(texts, phrase_a, phrase_
             assert index.hits(*args) == scan_hits(doc_tokens, *args)
         else:
             assert index.pair_hits(*args) == scan_pair_hits(doc_tokens, *args)
+
+
+@pytest.mark.parametrize("n_docs", [1, 7, 8, 9, 63, 64, 65, 1_000])
+def test_pair_hits_equal_scan_oracle_at_bit_boundaries(n_docs):
+    # Memoized bitsets hold bit n for document n: the terms sit in the first
+    # and the last document, at the edges of a byte and of a 30-bit digit.
+    texts = {}
+    for i in range(n_docs):
+        words = ["filler"]
+        if i % 3 == 0:
+            words.append("java island")
+        if i % 2 == 0:
+            words.append("coffee")
+        if i == 0:
+            words.append("tide")
+        if i == n_docs - 1:
+            words += ["java island coffee", "reef"]
+        texts[f"d/{i:04d}"] = " . ".join(words)
+    index = build_index(corpus_of(texts))
+    doc_tokens = {doc_id: text.split() for doc_id, text in texts.items()}
+    terms = ("java island", "coffee", "tide", "reef", "filler")
+    for _ in range(2):  # the second round answers from a warm memo
+        for a in terms:
+            for b in terms:
+                assert index.pair_hits(a, b) == scan_pair_hits(doc_tokens, a, b), (a, b)
+    assert index.pair_hits("reef", "java island") == 1
+    assert index.pair_hits("tide", "reef") == (n_docs == 1)
+
+
+def test_pair_memo_retains_one_bitset_per_term():
+    # 20 terms, each in every other one of 4,000 documents: a set of document
+    # numbers per term kept about 131 KB each. An int of N bits takes a
+    # 4-byte digit per 30 bits, plus its header and the memo's entry.
+    n_docs = 4_000
+    terms = [f"term{i}" for i in range(20)]
+    every_other = " ".join(terms)
+    index = build_index(corpus_of(
+        {f"d/{i:04d}": every_other if i % 2 else "filler" for i in range(n_docs)}
+    ))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for term in terms:
+            assert index.pair_hits(term, term) == n_docs // 2
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(terms) <= 4 * -(-n_docs // 30) + 64

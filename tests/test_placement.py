@@ -160,6 +160,24 @@ def test_place_all_warns_once_for_skipped_labels(onto, caplog):
     assert len(debug) == 2 * len(labels)
 
 
+def test_per_decision_records_keep_no_instance_dict(onto, snapshot):
+    # A default run keeps one suggestion, decision, outcome and axiom per pair.
+    suggestions = [
+        suggest("corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700),
+        suggest("corporate body", "atlantis"),
+    ]
+    decisions, failures = place_all(suggestions, onto, snapshot)
+    enriched, report = enrich_ontology(onto, decisions, failures)
+    axiom = next(a for a in enriched.axioms if a.provenance == "enriched")
+    records = [suggestions[0], decisions[0], decisions[0].path_scores[0], failures[0],
+               report.outcomes[0], axiom, axiom.evidence]
+    assert [type(r).__name__ for r in records] == [
+        "RelationSuggestion", "PlacementDecision", "PathScore", "PlacementFailure",
+        "EnrichmentOutcome", "Axiom", "Evidence",
+    ]
+    assert not any(hasattr(r, "__dict__") for r in records)
+
+
 def test_place_concept_unknown_target(onto, snapshot):
     with pytest.raises(LookupError):
         place_concept(suggest("polder", "atlantis"), onto, snapshot)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -202,6 +203,23 @@ def test_matrix_fetches_each_term_count_once():
     oracle = oracle_matrix(doc_tokens, rows, cols)
     for (miss, term), expected in oracle.items():
         assert matrix.value(miss, term) == pytest.approx(expected, abs=1e-12)
+
+
+def test_matrix_cells_share_one_float_per_distinct_distance():
+    # No pair co-occurs, so every cell has the capped distance: 108,000 cells
+    # keep a tuple slot each (8 B) and one shared float, not a float each.
+    missing = [f"missing {i}" for i in range(300)]
+    known = [f"known {j}" for j in range(360)]
+    table = SnapshotTable.from_pairs([(term, 10) for term in missing + known], total_docs=1_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        matrix = relatedness_matrix(missing, known, table)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len({id(value) for row in matrix.cells for value in row}) == 1
+    assert retained / (300 * 360) <= 10
 
 
 def test_empty_sets_rejected():

@@ -197,6 +197,13 @@ def test_document_accounting_merges_sources(stoplist):
         assert index.hits(gram.surface) == len(table.documents(gram.key)) > 0
 
 
+@pytest.mark.parametrize("text", ["", "　\x1c \n"])
+def test_document_rejects_text_of_only_whitespace(text):
+    # U+3000 and U+001C are whitespace to str.isspace as they are to str.strip.
+    with pytest.raises(ValueError, match="^document 'd/blank' has empty text$"):
+        Document("d/blank", "d", text)
+
+
 def test_corpus_rejects_a_repeated_document_id():
     # The one owner of the rule: a phrase table numbers whatever it is given.
     with pytest.raises(ValueError, match="^duplicate document ids in corpus$"):
