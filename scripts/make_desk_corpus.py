@@ -15,7 +15,7 @@ import random
 from pathlib import Path
 
 from ontoenrich.ontology import Axiom, Concept, Ontology, RelationKind, save_ontology
-from ontoenrich.patterns import default_catalogue, instantiate_patterns
+from ontoenrich.patterns import default_catalogue
 
 ROOT = Path(__file__).resolve().parent.parent
 DESK = ROOT / "fixtures" / "desk"
@@ -182,7 +182,7 @@ def planted_queries() -> dict[str, list[tuple[str, int]]]:
     for domain, entries in PLANTED.items():
         sentences = []
         for miss, target, pattern_id, n_docs in entries:
-            queries = dict(instantiate_patterns(miss, target, catalogue))
+            queries = dict(zip(catalogue.ids, catalogue.queries(miss, target)))
             sentences.append((f"A {queries[pattern_id]}.", n_docs))
         planted[domain] = sentences
     return planted

@@ -113,16 +113,6 @@ def _set_precision(system: Iterable[str], expert: Iterable[str]) -> float | None
     return len(system & expert) / len(system)
 
 
-def elimination_precision(system_eliminated, expert_eliminated) -> float | None:
-    """Share of system-eliminated terms the expert also eliminated."""
-    return _set_precision(system_eliminated, expert_eliminated)
-
-
-def retention_precision(system_retained, expert_retained) -> float | None:
-    """Share of system-retained terms the expert also retained."""
-    return _set_precision(system_retained, expert_retained)
-
-
 def enrichment_precision(
     system_placements: Iterable[Placement],
     expert_placements: Iterable[Placement],
@@ -179,10 +169,10 @@ def precision_report(
                 domain=domain,
                 expert_eliminated=len(gold.eliminated),
                 system_eliminated=len(mine.eliminated),
-                elimination=elimination_precision(mine.eliminated, gold.eliminated),
+                elimination=_set_precision(mine.eliminated, gold.eliminated),
                 expert_retained=len(gold.retained),
                 system_retained=len(mine.retained),
-                retention=retention_precision(mine.retained, gold.retained),
+                retention=_set_precision(mine.retained, gold.retained),
                 expert_placements=len(gold.placements),
                 system_placements=len(mine.placements),
                 enrichment=enrichment_precision(

@@ -33,14 +33,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .ontology import normalize_label, records
-from .textpipe import (
-    MAX_NGRAM_LEN,
-    Corpus,
-    PhraseTable,
-    default_stoplist,
-    punctuation_spans,
-    tokenize_corpus,
-)
+from .textpipe import MAX_NGRAM_LEN, PhraseTable, punctuation_spans
 
 
 class EmptyCorpusError(ValueError):
@@ -219,8 +212,3 @@ class SnapshotTable:
 
     def total_docs(self) -> int:
         return self.declared_total
-
-
-def build_index(corpus: Corpus) -> CorpusIndex:
-    """Index over the corpus, cut at the default stoplist's punctuation."""
-    return CorpusIndex.build(tokenize_corpus(corpus, default_stoplist().punctuation))

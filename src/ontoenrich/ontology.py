@@ -9,8 +9,8 @@ File format (UTF-8, tab-separated, one record per line):
     A  <relation>  <subject-id>[#<sense>]  <object-id>[#<sense>]  <provenance>  [<pattern>  <hits>]
 
 Axioms are stored in a canonical direction: hyponymy lines are converted to
-hypernymy with the roles swapped, holonymy to meronymy. ``has_axiom``
-canonicalizes its query the same way, so it answers for either direction.
+hypernymy with the roles swapped, holonymy to meronymy, by
+``canonicalize_axiom``, which also gives the stored key of either direction.
 Saving writes records in a fixed order (concepts by id, categories,
 instances, axioms by key), which makes save(load(f)) byte-identical for
 canonically ordered input.
@@ -56,7 +56,6 @@ _CANONICAL_INVERSE = {
     RelationKind.HYPONYMY: RelationKind.HYPERNYMY,
     RelationKind.HOLONYMY: RelationKind.MERONYMY,
 }
-_SYMMETRIC = {RelationKind.SYNONYMY, RelationKind.RELATED_TO}
 
 
 def normalize_label(surface: str) -> str:
@@ -203,7 +202,6 @@ class Ontology:
                 )
             axiom_map.setdefault(a.key, a)
         self._axioms: tuple[Axiom, ...] = tuple(sorted(axiom_map.values(), key=lambda a: a.key))
-        self._axiom_keys = frozenset(axiom_map)
 
         # sense -> hypernym parents, for path traversal
         self._parents: dict[tuple[str, int], list[tuple[str, int]]] = {}
@@ -275,21 +273,6 @@ class Ontology:
         if not key:
             return None
         return self._by_label.get(key)
-
-    def has_axiom(
-        self,
-        relation: RelationKind,
-        subject: str,
-        object: str,
-        subject_sense: int = 1,
-        object_sense: int = 1,
-    ) -> bool:
-        """Axiom membership, mirroring inverse and symmetric relations."""
-        query = canonicalize_axiom(Axiom(relation, subject, object, subject_sense, object_sense))
-        if query.key in self._axiom_keys:
-            return True
-        flipped = (relation.value, object, object_sense, subject, subject_sense)
-        return relation in _SYMMETRIC and flipped in self._axiom_keys
 
     def semantic_paths_from(self, concept_id: str) -> list[SensePath]:
         """One hypernymy path per sense, from the sense up to its root."""

@@ -27,9 +27,9 @@ once, the first time the term fills a slot, not once per pair.
 A suggestion keeps its hit counts only, one per template in catalogue order;
 a default desk run issues 89,100 queries, and all but 10 of its 8,100 pairs
 count nothing. Every all-zero suggestion shares its catalogue's one zero
-tuple and one read-only zero ``group_hits`` mapping. The audit rebuilds
-each pair's queries with ``PatternCatalogue.queries`` when it writes them,
-and streams them to its file line by line.
+tuple, and only a pair that counts something sums its counts per group.
+The audit rebuilds each pair's queries with ``PatternCatalogue.queries``
+when it writes them, and streams them to its file line by line.
 
 Templates never contain negation operators; the catalogue loader rejects
 them, so no negated query is ever issued. Pattern ids are unique within a
@@ -42,7 +42,6 @@ import importlib.resources
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .hitcounts import HitCountProvider
@@ -136,7 +135,6 @@ class PatternCatalogue(tuple):
         self.ids = tuple(template.id for template in self)
         self.groups = tuple(template.group for template in self)
         self.zero_hits = (0,) * len(self)
-        self.zero_group_hits = MappingProxyType(dict.fromkeys(self.groups, 0))
         self._lines = tuple(_compile(template) for template in self)
         self._format = "\n".join(self._lines)
         self._slots: dict[str, tuple[str, str, bool]] = {}
@@ -216,15 +214,6 @@ def pluralize_term(term: str) -> str:
     return " ".join(words[:-1] + [pluralize_word(words[-1])])
 
 
-def instantiate_patterns(
-    t_miss: str,
-    t_in: str,
-    catalogue: PatternCatalogue,
-) -> list[tuple[str, str]]:
-    """Expand every template for the pair; returns (pattern id, query string)."""
-    return list(zip(catalogue.ids, catalogue.queries(t_miss, t_in)))
-
-
 @dataclass(frozen=True, slots=True)
 class RelationSuggestion:
     missing_term: str
@@ -232,9 +221,7 @@ class RelationSuggestion:
     relation: RelationKind
     winning_group: str | None          # None on the related-to fallback
     winner_hits: int
-    group_hits: Mapping[str, int]
     hits: tuple[int, ...]              # one count per template, catalogue order
-    tied: bool = False
 
 
 def extract_relation(
@@ -245,39 +232,31 @@ def extract_relation(
 ) -> RelationSuggestion:
     """Arbitrate one relation for a candidate pair from pattern hit counts."""
     hits = tuple(map(provider.pattern_hits, catalogue.queries(t_miss, t_in)))
-    if any(hits):
-        group_hits = dict.fromkeys(catalogue.groups, 0)
-        for group, count in zip(catalogue.groups, hits):
-            if count:
-                group_hits[group] += count
-    else:  # nearly every pair: keep the catalogue's shared zero values instead
-        hits, group_hits = catalogue.zero_hits, catalogue.zero_group_hits
-
-    best = max(group_hits.values(), default=0)
-    if best == 0:
+    if not any(hits):  # nearly every pair: keep the catalogue's shared zero tuple
         return RelationSuggestion(
             missing_term=t_miss,
             ontology_term=t_in,
             relation=RelationKind.RELATED_TO,
             winning_group=None,
             winner_hits=0,
-            group_hits=group_hits,
-            hits=hits,
+            hits=catalogue.zero_hits,
         )
+    group_hits = dict.fromkeys(catalogue.groups, 0)
+    for group, count in zip(catalogue.groups, hits):
+        group_hits[group] += count
+    best = max(group_hits.values())
     group_relation = {template.group: template.relation for template in catalogue}
-    winners = sorted(
+    winner = min(
         (group for group, count in group_hits.items() if count == best),
         key=lambda g: (_SPECIFICITY.get(group_relation[g], 99), group_relation[g].value, g),
     )
     return RelationSuggestion(
         missing_term=t_miss,
         ontology_term=t_in,
-        relation=group_relation[winners[0]],
-        winning_group=winners[0],
+        relation=group_relation[winner],
+        winning_group=winner,
         winner_hits=best,
-        group_hits=group_hits,
         hits=hits,
-        tied=len(winners) > 1,
     )
 
 

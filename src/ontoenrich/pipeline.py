@@ -197,14 +197,13 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
     with _stage("relatedness"):
         retained = ngram_hits_filter(partition.missing, provider)
         retained_keys = {gram.key for gram in retained}
-        eliminated = [g for g in sorted(partition.missing, key=lambda g: g.key)
-                      if g.key not in retained_keys]
+        eliminated = [g for g in partition.missing if g.key not in retained_keys]
 
         known_concept_terms = [
             k.ngram.surface for k in partition.known if k.source == "concept"
         ]
-        t_in, _ = drop_unusable_terms(known_concept_terms, provider)
-        t_miss, _ = drop_unusable_terms([gram.surface for gram in retained], provider)
+        t_in = drop_unusable_terms(known_concept_terms, provider)
+        t_miss = drop_unusable_terms([gram.surface for gram in retained], provider)
         matrix = None
         if t_miss and t_in:
             matrix = relatedness_matrix(

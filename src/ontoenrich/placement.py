@@ -191,17 +191,6 @@ def _decide(
     return PlacementDecision(suggestion, concept.id, senses, case, path_scores=audit)
 
 
-def place_concept(
-    suggestion: RelationSuggestion,
-    ontology: Ontology,
-    provider: HitCountProvider,
-    cfg: PlacementConfig = PlacementConfig(),
-) -> PlacementDecision:
-    """Resolve one (term, target) suggestion to target senses."""
-    concept = _target_concept(suggestion.ontology_term, ontology)
-    return _decide(suggestion, concept, ontology, provider, cfg)
-
-
 @dataclass(frozen=True, slots=True)
 class PlacementFailure:
     suggestion: RelationSuggestion
@@ -262,8 +251,6 @@ def place_all(
 @dataclass(frozen=True, slots=True)
 class EnrichmentOutcome:
     term: str
-    inserted_id: str
-    inserted_kind: str                 # "concept" or "instance"
     target_concept: str
     senses: tuple[int, ...]
     relation: RelationKind
@@ -318,7 +305,7 @@ def enrich_ontology(
         group = sorted(by_term[term], key=lambda d: (d.target_concept, d.senses))
         existing = ontology.contains_term(term)
         if existing is not None:
-            inserted_id, inserted_kind = existing.id, existing.kind
+            inserted_id = existing.id
         else:
             inserted_id = _fresh_id(slug(term), taken)
             anchor = next(
@@ -326,10 +313,8 @@ def enrich_ontology(
             )
             if anchor is None:
                 new_concepts.append(Concept(inserted_id, term))
-                inserted_kind = "concept"
             else:
                 new_instances.append(Instance(inserted_id, term, anchor.target_concept))
-                inserted_kind = "instance"
 
         for decision in group:
             suggestion = decision.suggestion
@@ -359,8 +344,6 @@ def enrich_ontology(
             outcomes.append(
                 EnrichmentOutcome(
                     term=term,
-                    inserted_id=inserted_id,
-                    inserted_kind=inserted_kind,
                     target_concept=decision.target_concept,
                     senses=decision.senses,
                     relation=suggestion.relation,

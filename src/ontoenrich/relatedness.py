@@ -91,29 +91,14 @@ def distance_from_counts(
     return numerator / denominator
 
 
-def normalized_distance(
-    a: str,
-    b: str,
-    provider: HitCountProvider,
-    cfg: DistanceConfig = DistanceConfig(),
-) -> float:
-    """Co-occurrence distance between two terms; see the module docstring."""
-    return distance_from_counts(
-        a, b, provider.hits(a), provider.hits(b), provider.pair_hits(a, b),
-        provider.total_docs(), cfg,
-    )
-
-
 def ngram_hits_filter(missing: Iterable[NGram], provider: HitCountProvider) -> list[NGram]:
     """Keep exactly the n-grams with a positive hit count, in lexicographic order."""
     ordered = sorted(missing, key=lambda g: g.key)
     return [gram for gram in ordered if provider.hits(gram.surface) > 0]
 
 
-def drop_unusable_terms(
-    terms: Iterable[str], provider: HitCountProvider
-) -> tuple[list[str], list[str]]:
-    """Split terms into usable (0 < hits < N) and dropped.
+def drop_unusable_terms(terms: Iterable[str], provider: HitCountProvider) -> list[str]:
+    """The usable terms (0 < hits < N), case-insensitively ordered.
 
     Warns once per call naming the dropped terms; per-term counts go to DEBUG.
     """
@@ -134,7 +119,7 @@ def drop_unusable_terms(
             "dropping %d terms from the relatedness batch (hits 0 or >= total docs %d): %s",
             len(dropped), n, ", ".join(repr(term) for term in dropped),
         )
-    return kept, dropped
+    return kept
 
 
 @dataclass(frozen=True)
@@ -143,11 +128,6 @@ class RelatednessMatrix:
     ontology_terms: tuple[str, ...]
     cells: tuple[tuple[float, ...], ...]
     denominator: float
-
-    def value(self, missing_term: str, ontology_term: str) -> float:
-        row = self.missing_terms.index(missing_term)
-        col = self.ontology_terms.index(ontology_term)
-        return self.cells[row][col]
 
 
 def _sorted_unique(terms: Iterable[str], side: str) -> tuple[str, ...]:

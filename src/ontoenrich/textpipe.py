@@ -212,18 +212,6 @@ class Gazetteer:
     entries: Mapping[str, str]
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "Gazetteer":
-        """Gazetteer of the pairs; rejects a surface twice once normalized,
-        as ``load`` does."""
-        entries = {}
-        for surface, kind in pairs:
-            key = normalize_label(surface)
-            if key in entries:
-                raise ValueError(f"duplicate key {key!r}")
-            entries[key] = kind
-        return cls(entries)
-
-    @classmethod
     def load(cls, path: str | Path) -> "Gazetteer":
         """Read ``<surface>\\t<kind>`` lines; no surface twice once normalized."""
         entries = {}
@@ -249,8 +237,6 @@ class Gazetteer:
 class KnownTerm:
     ngram: NGram
     source: str                 # "gazetteer", "concept" or "instance"
-    concept_id: str | None = None
-    kind: str | None = None     # gazetteer entity kind
 
 
 @dataclass(frozen=True)
@@ -268,13 +254,12 @@ def partition_terms(
     """
     known, missing = [], []
     for gram in sorted(ngrams, key=lambda g: g.key):
-        kind = gazetteer.lookup(gram.surface)
-        if kind is not None:
-            known.append(KnownTerm(gram, "gazetteer", kind=kind))
+        if gazetteer.lookup(gram.surface) is not None:
+            known.append(KnownTerm(gram, "gazetteer"))
             continue
         match = ontology.contains_term(gram.surface)
         if match is not None:
-            known.append(KnownTerm(gram, match.kind, concept_id=match.id))
+            known.append(KnownTerm(gram, match.kind))
         else:
             missing.append(gram)
     return TermPartition(tuple(known), tuple(missing))

@@ -1,7 +1,12 @@
-"""Independent oracles used to freeze and cross-check expected values.
+"""Test helpers of two kinds, kept apart in this file.
 
-Everything here recounts from first principles (document scans, set algebra,
-base-2 logs) so the implementations under test share no code path with it.
+* Independent oracles freeze and cross-check expected values. They recount
+  from first principles (document scans, set algebra, base-2 logs), so the
+  implementations under test share no code path with them.
+* Thin wrappers, at the end of the file, give tests a convenience the
+  package does not export. Each one only feeds and reads package code that
+  a run uses, and adds no arithmetic of its own, so it is no oracle: a test
+  that goes through one checks the package code it calls.
 """
 
 from __future__ import annotations
@@ -11,7 +16,12 @@ import re
 from pathlib import Path
 from types import SimpleNamespace
 
+from ontoenrich.hitcounts import CorpusIndex, HitCountProvider
+from ontoenrich.ontology import Axiom, Ontology, RelationKind, canonicalize_axiom
 from ontoenrich.patterns import pluralize_term
+from ontoenrich.placement import PlacementConfig, PlacementDecision, place_all
+from ontoenrich.relatedness import DistanceConfig, RelatednessMatrix, distance_from_counts
+from ontoenrich.textpipe import Corpus, default_stoplist, tokenize_corpus
 
 _SLOT_RE = re.compile(r"\{([XY])(:pl)?\}")
 _VOWELS = "aeiou"
@@ -112,6 +122,14 @@ def reference_pattern_audit(suggestions, catalogue, path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def group_sums(hits, catalogue) -> dict[str, int]:
+    """Per-template hit counts summed per template group, catalogue order."""
+    sums = dict.fromkeys(catalogue.groups, 0)
+    for group, count in zip(catalogue.groups, hits, strict=True):
+        sums[group] += count
+    return sums
+
+
 def scan_phrase_docs(doc_tokens: dict[str, list[str]], phrase: str) -> set[str]:
     """Documents containing the phrase as a contiguous token run (brute force)."""
     needle = phrase.lower().split()
@@ -197,3 +215,54 @@ def naive_placement_matches(system: list, expert: list, require_relation: bool =
                 count += 1
                 break
     return count
+
+
+# ---- thin wrappers over package code ---------------------------------------
+
+
+def normalized_distance(
+    a: str, b: str, provider: HitCountProvider, cfg: DistanceConfig = DistanceConfig()
+) -> float:
+    """``distance_from_counts`` fed with the provider's counts of a, b, the pair and N."""
+    return distance_from_counts(
+        a, b, provider.hits(a), provider.hits(b), provider.pair_hits(a, b),
+        provider.total_docs(), cfg,
+    )
+
+
+def cell(matrix: RelatednessMatrix, missing_term: str, ontology_term: str) -> float:
+    """The matrix cell in the row of missing_term and the column of ontology_term."""
+    row = matrix.missing_terms.index(missing_term)
+    return matrix.cells[row][matrix.ontology_terms.index(ontology_term)]
+
+
+def build_index(corpus: Corpus) -> CorpusIndex:
+    """Index over an in-memory corpus, cut at the default stoplist's punctuation."""
+    return CorpusIndex(tokenize_corpus(corpus, default_stoplist().punctuation))
+
+
+def id_queries(miss: str, target: str, catalogue) -> list[tuple[str, str]]:
+    """(pattern id, query) of every template for the pair, catalogue order."""
+    return list(zip(catalogue.ids, catalogue.queries(miss, target), strict=True))
+
+
+def place_one(
+    suggestion, ontology: Ontology, provider: HitCountProvider,
+    cfg: PlacementConfig = PlacementConfig(),
+) -> PlacementDecision:
+    """The decision ``place_all`` makes for one suggestion, which takes its
+    non-composite path; a placement failure fails the test."""
+    decisions, failures = place_all([suggestion], ontology, provider, cfg)
+    assert failures == [], failures[0].reason
+    (decision,) = decisions
+    return decision
+
+
+def has_axiom(
+    ontology: Ontology, relation: RelationKind, subject: str, object_: str,
+    subject_sense: int = 1, object_sense: int = 1,
+) -> bool:
+    """Whether the ontology stores the axiom, given in either direction of an
+    inverse pair (hyponymy for hypernymy, holonymy for meronymy)."""
+    key = canonicalize_axiom(Axiom(relation, subject, object_, subject_sense, object_sense)).key
+    return any(axiom.key == key for axiom in ontology.axioms)

@@ -11,26 +11,25 @@ from pathlib import Path
 import pytest
 
 from ontoenrich.cli import main as cli_main
-from ontoenrich.evaluation import (
-    Judgments,
-    elimination_precision,
-    enrichment_precision,
-    retention_precision,
-)
-from ontoenrich.hitcounts import SnapshotTable, build_index, pair_key
+from ontoenrich.evaluation import Judgments, enrichment_precision, precision_report
+from ontoenrich.hitcounts import SnapshotTable, pair_key
 from ontoenrich.ontology import RelationKind, load_ontology
 from ontoenrich.patterns import default_catalogue, extract_relation
-from ontoenrich.placement import PlacementConfig, enrich_ontology, place_concept
-from ontoenrich.relatedness import (
-    DistanceConfig,
-    drop_unusable_terms,
-    ngram_hits_filter,
-    normalized_distance,
-    relatedness_matrix,
-)
+from ontoenrich.placement import enrich_ontology
+from ontoenrich.relatedness import drop_unusable_terms, ngram_hits_filter, relatedness_matrix
 from ontoenrich.textpipe import Corpus, Document, NGram
 
-from helpers import log2_distance, oracle_matrix, scan_hits, scan_pair_hits
+from helpers import (
+    build_index,
+    cell,
+    has_axiom,
+    log2_distance,
+    normalized_distance,
+    oracle_matrix,
+    place_one,
+    scan_hits,
+    scan_pair_hits,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MINI = FIXTURES / "mini_ontology.tsv"
@@ -54,11 +53,11 @@ def test_c1_snapshot_replay_hyponymy_placement():
     assert suggestion.relation is RelationKind.HYPONYMY
     assert suggestion.winner_hits == 80_700
 
-    decision = place_concept(suggestion, onto, snapshot)
+    decision = place_one(suggestion, onto, snapshot)
     assert decision.senses == (2,)  # the expert-designated social-group sense
     enriched, _ = enrich_ontology(onto, [decision])
-    assert enriched.has_axiom(
-        RelationKind.HYPONYMY, "corporate-body", "organization", object_sense=2
+    assert has_axiom(
+        enriched, RelationKind.HYPONYMY, "corporate-body", "organization", object_sense=2
     )
     assert time.perf_counter() - started < 1.0
 
@@ -73,11 +72,13 @@ def test_c2_related_to_fallback(tmp_path):
     )
     assert code == 0
     enriched = load_ontology(out / "enriched_ontology.tsv")
-    assert enriched.has_axiom(RelationKind.RELATED_TO, "jawa", "java", object_sense=1)
-    assert enriched.has_axiom(RelationKind.RELATED_TO, "hindu-buddhist", "indonesia")
+    assert has_axiom(enriched, RelationKind.RELATED_TO, "jawa", "java", object_sense=1)
+    assert has_axiom(enriched, RelationKind.RELATED_TO, "hindu-buddhist", "indonesia")
     # attached under the sport sense of football, not the ball sense
-    assert enriched.has_axiom(RelationKind.RELATED_TO, "ronaldo", "football", object_sense=1)
-    assert not enriched.has_axiom(RelationKind.RELATED_TO, "ronaldo", "football", object_sense=2)
+    assert has_axiom(enriched, RelationKind.RELATED_TO, "ronaldo", "football", object_sense=1)
+    assert not has_axiom(
+        enriched, RelationKind.RELATED_TO, "ronaldo", "football", object_sense=2
+    )
     assert time.perf_counter() - started < 1.0
 
 
@@ -116,7 +117,7 @@ def test_c4_relatedness_properties():
     assert normalized_distance("a", "b", together) == 0.0
     batch = relatedness_matrix(["a"], ["b", "c"], together)
     assert batch.denominator > 0
-    assert batch.value("a", "b") == 1.0
+    assert cell(batch, "a", "b") == 1.0
 
     rng = random.Random(404)
     vocab = ["java", "island", "sea", "reef", "tide", "palm", "bay"]
@@ -130,15 +131,15 @@ def test_c4_relatedness_properties():
             tokens = rng.choices(vocab, k=rng.randint(1, 12))
             docs[f"d/{i}"] = Document(f"d/{i}", "d", " ".join(tokens))
         index = build_index(Corpus(tuple(docs.values())))
-        usable, _ = drop_unusable_terms(vocab, index)
+        usable = drop_unusable_terms(vocab, index)
         if len(usable) < 2:
             continue
         cut = max(1, len(usable) // 2)
         missing, known = usable[:cut], usable[cut:]
         matrix = relatedness_matrix(missing, known, index)
         for row in matrix.cells:
-            for cell in row:
-                assert 0.0 <= cell <= 1.0
+            for value in row:
+                assert 0.0 <= value <= 1.0
         # log-base invariance on the first pair of the batch
         miss, term = matrix.missing_terms[0], matrix.ontology_terms[0]
         base_e = normalized_distance(miss, term, index)
@@ -173,7 +174,7 @@ def test_c5_oracle_equivalence():
             other = " ".join(rng.choices(vocab, k=rng.randint(1, 3)))
             assert index.hits(phrase) == scan_hits(doc_tokens, phrase)
             assert index.pair_hits(phrase, other) == scan_pair_hits(doc_tokens, phrase, other)
-        usable, _ = drop_unusable_terms(vocab, index)
+        usable = drop_unusable_terms(vocab, index)
         if len(usable) < 2:
             continue
         cut = max(1, len(usable) // 2)
@@ -181,7 +182,7 @@ def test_c5_oracle_equivalence():
         matrix = relatedness_matrix(missing, known, index)
         expected = oracle_matrix(doc_tokens, missing, known)
         for (miss, term), value in expected.items():
-            assert matrix.value(miss, term) == pytest.approx(value, abs=1e-12)
+            assert cell(matrix, miss, term) == pytest.approx(value, abs=1e-12)
         checked_matrices += 1
     elapsed = time.perf_counter() - started
     assert checked_matrices > 200
@@ -196,12 +197,12 @@ def test_c6_placement_cases(tmp_path):
 
     # case 1: single-sense target
     one = extract_relation("notion", "concept", snapshot, catalogue)
-    d1 = place_concept(one, onto, snapshot)
+    d1 = place_one(one, onto, snapshot)
     assert (d1.case, d1.senses) == ("case1", (1,))
 
     # case 2: seven-sense target steered to one path
     two = extract_relation("corporate body", "organization", snapshot, catalogue)
-    d2 = place_concept(two, onto, snapshot)
+    d2 = place_one(two, onto, snapshot)
     assert d2.case == "case2"
     assert d2.senses == (2,)
     assert len(d2.path_scores) == 7
@@ -241,18 +242,14 @@ def test_c7_evaluation_goldens():
     system = Judgments.load(FIXTURES / "eval" / "system.tsv")
 
     animals_gold = expert.domains["animals"]
-    assert elimination_precision(animals_gold.eliminated, animals_gold.eliminated) == 1.0
-    assert retention_precision(animals_gold.retained, animals_gold.retained) == 1.0
+    gold_rows = {row.domain: row for row in precision_report(expert, expert)}
+    assert gold_rows["animals"].elimination == 1.0
+    assert gold_rows["animals"].retention == 1.0
     assert enrichment_precision(animals_gold.placements, animals_gold.placements) == 1.0
 
-    elim = elimination_precision(
-        system.domains["animals"].eliminated, animals_gold.eliminated
-    )
-    assert round(elim, 2) == 0.84
-    retained = retention_precision(
-        system.domains["sports"].retained, expert.domains["sports"].retained
-    )
-    assert round(retained, 2) == 0.65
+    rows = {row.domain: row for row in precision_report(system, expert)}
+    assert round(rows["animals"].elimination, 2) == 0.84
+    assert round(rows["sports"].retention, 2) == 0.65
     placed = enrichment_precision(
         system.domains["animals"].placements, animals_gold.placements
     )
@@ -278,5 +275,5 @@ def test_c8_desk_scale_determinism(tmp_path):
     corpus_files = list((DESK / "corpus").rglob("*.txt"))
     assert len(corpus_files) == 500
     enriched = load_ontology(tmp_path / "a" / "enriched_ontology.tsv")
-    assert enriched.has_axiom(RelationKind.HYPONYMY, "grolith", "lion")
+    assert has_axiom(enriched, RelationKind.HYPONYMY, "grolith", "lion")
     assert first_elapsed < 60.0, f"desk run took {first_elapsed:.1f}s"

@@ -8,11 +8,10 @@ import pytest
 
 from ontoenrich import pipeline
 from ontoenrich.cli import _CONFIG_KEYS, build_parser, main
-from ontoenrich.hitcounts import build_index
 from ontoenrich.ontology import RelationKind, load_ontology
 from ontoenrich.textpipe import load_corpus
 
-from helpers import scan_hits
+from helpers import build_index, has_axiom, scan_hits
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MINI = FIXTURES / "mini_ontology.tsv"
@@ -78,8 +77,8 @@ def test_enrich_worked_examples_related_to(tmp_path):
     )
     assert code == 0
     enriched = load_ontology(out / "enriched_ontology.tsv")
-    assert enriched.has_axiom(RelationKind.RELATED_TO, "jawa", "java", object_sense=1)
-    assert enriched.has_axiom(RelationKind.RELATED_TO, "hindu-buddhist", "indonesia")
+    assert has_axiom(enriched, RelationKind.RELATED_TO, "jawa", "java", object_sense=1)
+    assert has_axiom(enriched, RelationKind.RELATED_TO, "hindu-buddhist", "indonesia")
     for name in ["relatedness_matrix.tsv", "pattern_audit.tsv", "enrichment_report.tsv",
                  "system_judgments.tsv", "manifest.tsv"]:
         assert (out / name).exists()
@@ -93,8 +92,8 @@ def test_enrich_corporate_body_hyponymy(tmp_path):
     )
     assert code == 0
     enriched = load_ontology(out / "enriched_ontology.tsv")
-    assert enriched.has_axiom(
-        RelationKind.HYPONYMY, "corporate-body", "organization", object_sense=2
+    assert has_axiom(
+        enriched, RelationKind.HYPONYMY, "corporate-body", "organization", object_sense=2
     )
 
 

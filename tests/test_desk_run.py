@@ -3,8 +3,10 @@
 The desk generator plants ten relations whose pattern sentences it writes
 into the corpus; a ``--top-k 3`` run must recover each with the planted
 relation and sense, name no other relation, and write the same bytes under
-different hash seeds. The benchmark's record and trace harnesses must see
-every provider call a run makes.
+different hash seeds. The six files of each standard run are pinned by
+sha256: desk ``--top-k 3``, desk defaults, the worked examples, and the
+seed-21 ``corpus10x`` and ``vocab4x`` benchmark workloads. The benchmark's
+record and trace harnesses must see every provider call a run makes.
 """
 
 import hashlib
@@ -56,6 +58,24 @@ EXAMPLES_SHA256 = {
     "enrichment_report.tsv": "42bd292f2bd3216a0f6e8d15384b2b53fc98c37764889890675bda2c10c06ca4",
     "system_judgments.tsv": "2f455b7f04b7609d66a47e72216b23b15fb5f204230a28e1c7048dd1cd77e92f",
     "manifest.tsv": "d562e4fa8cc0480dc64e43eb1869e0862abf387f9bf8641bf4980f27685116f4",
+}
+# sha256 of each output of the benchmark's seed-21 ``corpus10x`` and ``vocab4x``
+# workloads (``perfbench/gen.py``), run with ``--top-k 3``.
+CORPUS10X_SHA256 = {
+    "enriched_ontology.tsv": "9649ab15dc924fb4ff464b6490ab0c5ae0d0531f9d654f182e1b1419044b095c",
+    "relatedness_matrix.tsv": "1f2288dfb8b2e6985935e049615df61a823c9e4687df414e1d769a15676db545",
+    "pattern_audit.tsv": "c1c1417268f25e1121d60f1309f027fdeef0434ad65f457185dc32c79d5d28bb",
+    "enrichment_report.tsv": "3cb0593232ad59ccac779b5c994d69df4a6bd792d632dce05841e6dbb44470b2",
+    "system_judgments.tsv": "6f72b0923a9d5d6e2a13a0a5af10115fbc82eb3346e0d29194e96206ccb9c13c",
+    "manifest.tsv": "04748fb8f52e3caa89954c36ffd47175ca0412a24c3a93c8be075e0e76d92c22",
+}
+VOCAB4X_SHA256 = {
+    "enriched_ontology.tsv": "de940368485227131c8829e6077a6ccda79e8fa29399eb150f79dcbf5094f8e1",
+    "relatedness_matrix.tsv": "04c9ca1119f2d3fd50e9186001ee5ede930a77d2eedbebb2a4f96c0fe162b159",
+    "pattern_audit.tsv": "f64d7720598acd790ffbeac5194a1a2fc1ca55d8a7a35b3f356a59676678bbad",
+    "enrichment_report.tsv": "e04d32b8f47d2c9ed6d8b0b49a9f356532537de03e1b6fa1108991293a9d02d5",
+    "system_judgments.tsv": "cdccb86b883fcedf1937b6bae89696da7e79384a5f351763824d02d03474ec6e",
+    "manifest.tsv": "49314a6805981f7bb3d1e9b11946c9a8e41ba643ed3a987851f0a904e456075d",
 }
 
 
@@ -135,6 +155,25 @@ def test_worked_examples_outputs_match_pinned_sha256(tmp_path):
             "--out-dir", tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in OUTPUTS}
     assert got == EXAMPLES_SHA256
+
+
+@pytest.mark.parametrize(("doc_mult", "vocab_mult", "expected"), [
+    pytest.param(10, 1, CORPUS10X_SHA256, id="corpus10x"),
+    pytest.param(1, 4, VOCAB4X_SHA256, id="vocab4x"),
+])
+def test_generated_workload_outputs_match_pinned_sha256(tmp_path, monkeypatch, doc_mult,
+                                                         vocab_mult, expected):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    gen = importlib.import_module("gen")  # the benchmark's workload generator
+    inputs = tmp_path / "inputs"
+    desk = gen.load_desk_generator()
+    gen.write_workload(gen.generate(desk.SEED + 21, doc_mult, vocab_mult, desk=desk), inputs)
+    run_cli("-m", "ontoenrich.cli", "enrich", "--corpus", inputs / "corpus",
+            "--ontology", inputs / "ontology.tsv", "--gazetteer", inputs / "gazetteer.tsv",
+            "--top-k", "3", "--out-dir", tmp_path / "out")
+    out = tmp_path / "out"
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    assert got == expected
 
 
 def test_verbose_run_logs_debug_lines_and_writes_the_same_files(desk_runs, tmp_path):

@@ -7,10 +7,8 @@ from ontoenrich.evaluation import (
     DomainJudgments,
     Judgments,
     Placement,
-    elimination_precision,
     enrichment_precision,
     precision_report,
-    retention_precision,
     write_precision_report,
 )
 
@@ -26,22 +24,32 @@ def golden():
     return system, expert
 
 
+def judged(eliminated=(), retained=()) -> DomainJudgments:
+    return DomainJudgments(frozenset(eliminated), frozenset(retained), frozenset())
+
+
+def row_of(system: DomainJudgments, expert: DomainJudgments):
+    """The ``precision_report`` row of one domain judged as given."""
+    (row,) = precision_report(Judgments({"d": system}), Judgments({"d": expert}))
+    return row
+
+
 def test_identical_sets_score_one():
     terms = {"a", "b", "c"}
-    assert elimination_precision(terms, terms) == 1.0
-    assert retention_precision(terms, terms) == 1.0
+    assert row_of(judged(eliminated=terms), judged(eliminated=terms)).elimination == 1.0
+    assert row_of(judged(retained=terms), judged(retained=terms)).retention == 1.0
     placements = {Placement("a", "t", 1, "related-to")}
     assert enrichment_precision(placements, placements) == 1.0
 
 
 def test_disjoint_sets_score_zero():
-    assert elimination_precision({"a"}, {"b"}) == 0.0
-    assert retention_precision({"a"}, {"b"}) == 0.0
+    assert row_of(judged(eliminated={"a"}), judged(eliminated={"b"})).elimination == 0.0
+    assert row_of(judged(retained={"a"}), judged(retained={"b"})).retention == 0.0
 
 
 def test_empty_system_sets_are_undefined():
-    assert elimination_precision(set(), {"a"}) is None
-    assert retention_precision(set(), {"a"}) is None
+    assert row_of(judged(), judged(eliminated={"a"})).elimination is None
+    assert row_of(judged(), judged(retained={"a"})).retention is None
     assert enrichment_precision(set(), {Placement("a", "t", 1, "r")}) is None
 
 
@@ -67,18 +75,14 @@ def test_error_rate_complements_precision(golden):
 
 def test_golden_animals_elimination(golden):
     system, expert = golden
-    value = elimination_precision(
-        system.domains["animals"].eliminated, expert.domains["animals"].eliminated
-    )
+    value = {row.domain: row for row in precision_report(system, expert)}["animals"].elimination
     assert len(system.domains["animals"].eliminated) == 4221
     assert round(value, 2) == 0.84
 
 
 def test_golden_sports_retention(golden):
     system, expert = golden
-    value = retention_precision(
-        system.domains["sports"].retained, expert.domains["sports"].retained
-    )
+    value = {row.domain: row for row in precision_report(system, expert)}["sports"].retention
     assert len(expert.domains["sports"].retained) == 213
     assert len(system.domains["sports"].retained) == 323
     assert round(value, 2) == 0.65
@@ -173,10 +177,17 @@ _TERMS = st.sets(st.text(alphabet="abcdef", min_size=1, max_size=3), max_size=12
 
 @settings(max_examples=150, deadline=None)
 @given(system=_TERMS, expert=_TERMS, seed=st.randoms())
-def test_property_permutation_invariance(system, expert, seed):
-    as_list = list(system)
-    seed.shuffle(as_list)
-    assert elimination_precision(system, expert) == elimination_precision(as_list, expert)
+def test_property_permutation_invariance(tmp_path_factory, system, expert, seed):
+    # The report does not depend on the order of a judgments file's records.
+    records = [f"E\td\teliminated\t{term}\n" for term in sorted(system)]
+    path = tmp_path_factory.mktemp("judgments") / "system.tsv"
+    gold = Judgments({"d": judged(eliminated=expert)})
+    rows = []
+    for _ in range(2):
+        path.write_text("".join(records), encoding="utf-8")
+        rows.append(precision_report(Judgments.load(path), gold))
+        seed.shuffle(records)
+    assert rows[0] == rows[1]
 
 
 _PLACEMENTS = st.builds(
@@ -204,6 +215,6 @@ def test_property_matcher_agrees_with_naive_oracle(system, expert):
 @settings(max_examples=100, deadline=None)
 @given(system=_TERMS, expert=_TERMS)
 def test_property_precision_in_unit_interval(system, expert):
-    value = elimination_precision(system, expert)
+    value = row_of(judged(eliminated=system), judged(eliminated=expert)).elimination
     if system:
         assert 0.0 <= value <= 1.0

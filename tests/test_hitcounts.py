@@ -4,16 +4,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ontoenrich.hitcounts import (
-    CorpusIndex,
-    EmptyCorpusError,
-    SnapshotTable,
-    build_index,
-    pair_key,
-)
+from ontoenrich.hitcounts import CorpusIndex, EmptyCorpusError, SnapshotTable, pair_key
 from ontoenrich.textpipe import Corpus, Document, default_stoplist, tokenize_corpus
 
-from helpers import scan_hits, scan_pair_hits, walk_phrase_docs
+from helpers import build_index, scan_hits, scan_pair_hits, walk_phrase_docs
 
 WORKED_SNAPSHOT = (
     Path(__file__).resolve().parent.parent / "fixtures" / "snapshots" / "worked_examples.tsv"

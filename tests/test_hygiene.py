@@ -2,12 +2,18 @@
 
 * Every import in ``src/ontoenrich`` is used.
 * Every public top-level function and class in ``src/ontoenrich`` is used
-  outside its own definition by the package, the scripts, the benchmark or
-  the acceptance tests.
+  outside its own definition by the package, the scripts or the benchmark.
+  Tests are not users: a name only a test calls is dead code.
 * Every method in ``src/ontoenrich`` whose name no other function there
   has is used by those same files outside its own definition. A name that
   several functions share is out of scope: without types an attribute
   cannot be tied to one class. So are dunder methods, which Python calls.
+* Every class method and static method is referenced as ``Class.method``
+  (or ``module.Class.method``) by those same files, whatever other
+  functions share its name.
+* Every dataclass field is read as an attribute by those same files. Like
+  the method rule, this goes by name: a field is read when some attribute
+  of that name is loaded.
 * Every private top-level function in ``src/ontoenrich`` is used by the
   package outside its own definition.
 * Only ``ontology.records`` splits text into lines: every line-based format
@@ -24,7 +30,6 @@ USERS = (
     sorted((ROOT / "src").rglob("*.py"))
     + sorted((ROOT / "scripts").glob("*.py"))
     + sorted((ROOT / "perfbench").glob("*.py"))
-    + [ROOT / "tests" / "test_acceptance.py"]
 )
 
 
@@ -125,6 +130,59 @@ def test_methods_have_users():
                 )
     unique = {name: label for name, label in methods.items() if functions[name] == 1}
     assert unused_definitions(unique, USERS) == []
+
+
+def decorator_names(node: ast.FunctionDef | ast.ClassDef) -> set[str]:
+    """Names of the decorators, called (``@dataclass(frozen=True)``) or not."""
+    return {
+        name
+        for decorator in node.decorator_list
+        for name in node_names(decorator.func if isinstance(decorator, ast.Call) else decorator)
+    }
+
+
+def package_classes() -> list[tuple[str, ast.ClassDef]]:
+    return [
+        (path.name, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ClassDef)
+    ]
+
+
+def test_class_and_static_methods_have_users():
+    defined = {
+        (cls.name, item.name): f"{module}: {cls.name}.{item.name}"
+        for module, cls in package_classes()
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+        and decorator_names(item) & {"classmethod", "staticmethod"}
+    }
+    used = {
+        (owner, node.attr)
+        for path in USERS
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute)
+        for owner in node_names(node.value)
+    }
+    assert sorted(label for key, label in defined.items() if key not in used) == []
+
+
+def test_dataclass_fields_are_read():
+    fields = [
+        (item.target.id, f"{module}: {cls.name}.{item.target.id}")
+        for module, cls in package_classes()
+        if "dataclass" in decorator_names(cls)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    read = {
+        node.attr
+        for path in USERS
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(label for name, label in fields if name not in read) == []
 
 
 def test_only_records_splits_lines():

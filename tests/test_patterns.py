@@ -13,7 +13,6 @@ from ontoenrich.patterns import (
     RelationSuggestion,
     default_catalogue,
     extract_relation,
-    instantiate_patterns,
     parse_catalogue,
     pluralize_term,
     pluralize_word,
@@ -21,7 +20,7 @@ from ontoenrich.patterns import (
     write_pattern_audit,
 )
 
-from helpers import reference_instantiate, reference_pattern_audit
+from helpers import group_sums, id_queries, reference_instantiate, reference_pattern_audit
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +33,7 @@ def snapshot_of(patterns: dict[str, int], total: int = 8_000_000_000) -> Snapsho
 
 
 def test_instantiation_produces_expected_query_strings(catalogue):
-    queries = {q for _, q in instantiate_patterns("corporate body", "organization", catalogue)}
+    queries = set(catalogue.queries("corporate body", "organization"))
     assert "corporate body is an organization" in queries
     assert "corporate body is a kind of organization" in queries
     assert "corporate body is a part of an organization" in queries
@@ -42,27 +41,26 @@ def test_instantiation_produces_expected_query_strings(catalogue):
 
 
 def test_instantiation_includes_plural_variant(catalogue):
-    queries = {q for _, q in instantiate_patterns("corporate body", "organization", catalogue)}
+    queries = set(catalogue.queries("corporate body", "organization"))
     assert "corporate bodies are organizations" in queries
 
 
 def test_instantiation_article_against_consonant(catalogue):
-    queries = {q for _, q in instantiate_patterns("jawa", "peninsula", catalogue)}
+    queries = set(catalogue.queries("jawa", "peninsula"))
     assert "jawa is a peninsula" in queries
 
 
 def test_instantiation_empty_catalogue():
-    assert instantiate_patterns("a", "b", PatternCatalogue([])) == []
+    assert PatternCatalogue([]).queries("a", "b") == []
 
 
 def test_instantiation_rejects_empty_terms(catalogue):
     with pytest.raises(ValueError):
-        instantiate_patterns("", "organization", catalogue)
+        catalogue.queries("", "organization")
 
 
 def test_no_negated_query_is_ever_issued(catalogue):
-    queries = instantiate_patterns("corporate body", "organization", catalogue)
-    for _, query in queries:
+    for query in catalogue.queries("corporate body", "organization"):
         assert not set(query.lower().split()) & NEGATION_WORDS
 
 
@@ -121,9 +119,9 @@ def test_extract_hyponymy_from_dominant_pattern(catalogue):
     assert suggestion.relation is RelationKind.HYPONYMY
     assert suggestion.winning_group == "hypo-isa"
     assert suggestion.winner_hits == 80_700
-    assert suggestion.tied is False
-    assert suggestion.group_hits["hypo-isa"] == 80_700
-    assert all(count == 0 for group, count in suggestion.group_hits.items() if group != "hypo-isa")
+    sums = group_sums(suggestion.hits, catalogue)
+    assert sums["hypo-isa"] == 80_700
+    assert all(count == 0 for group, count in sums.items() if group != "hypo-isa")
 
 
 def test_extract_all_zero_falls_back_to_related_to(catalogue):
@@ -140,9 +138,6 @@ def test_all_zero_pairs_share_the_catalogue_zero_values(catalogue):
     first = extract_relation("jawa", "Java", provider, catalogue)
     second = extract_relation("Hindu-Buddhist", "Indonesia", provider, catalogue)
     assert first.hits is second.hits is catalogue.zero_hits
-    assert first.group_hits is second.group_hits is catalogue.zero_group_hits
-    with pytest.raises(TypeError):
-        first.group_hits["hypo-isa"] = 1
     # equal to a suggestion built from fresh zero values
     assert first == RelationSuggestion(
         missing_term="jawa",
@@ -150,7 +145,6 @@ def test_all_zero_pairs_share_the_catalogue_zero_values(catalogue):
         relation=RelationKind.RELATED_TO,
         winning_group=None,
         winner_hits=0,
-        group_hits=dict.fromkeys(catalogue.groups, 0),
         hits=(0,) * len(catalogue),
     )
 
@@ -204,7 +198,7 @@ def test_variant_counts_sum_within_group(catalogue):
     suggestion = extract_relation("engine", "car", provider, catalogue)
     assert suggestion.relation is RelationKind.MERONYMY
     assert suggestion.winner_hits == 110
-    assert suggestion.group_hits["mero-part"] == 110
+    assert group_sums(suggestion.hits, catalogue)["mero-part"] == 110
 
 
 def test_tie_prefers_more_specific_relation(catalogue):
@@ -216,13 +210,15 @@ def test_tie_prefers_more_specific_relation(catalogue):
     )
     suggestion = extract_relation("rex", "dog", provider, catalogue)
     assert suggestion.relation is RelationKind.INSTANCE_OF
-    assert suggestion.tied is True
+    assert suggestion.winning_group == "inst-of"
+    sums = group_sums(suggestion.hits, catalogue)
+    assert sums["inst-of"] == sums["hypo-isa"] == suggestion.winner_hits == 7
 
 
 def test_winner_count_is_group_maximum(catalogue):
     provider = snapshot_of({"jawa is an island": 12, "jawa is a kind of island": 3})
     suggestion = extract_relation("jawa", "island", provider, catalogue)
-    assert suggestion.winner_hits == max(suggestion.group_hits.values()) == 15
+    assert suggestion.winner_hits == max(group_sums(suggestion.hits, catalogue).values()) == 15
 
 
 def test_slug():
@@ -261,7 +257,6 @@ _AUDIT_HITS = st.lists(st.integers(0, 10**9), min_size=_TEMPLATES, max_size=_TEM
         relation=st.just(RelationKind.RELATED_TO),
         winning_group=st.none(),
         winner_hits=st.just(0),
-        group_hits=st.just({}),
         hits=_AUDIT_HITS,
     ),
     max_size=8,
@@ -287,20 +282,18 @@ _TARGETS = st.sampled_from(["organization", "island", "car", "dog"])
 )
 def test_property_arbitration_picks_maximal_group(miss, target, counts):
     catalogue = default_catalogue()
-    queries = instantiate_patterns(miss, target, catalogue)
-    provider = snapshot_of({query: count for (_, query), count in zip(queries, counts)})
+    queries = catalogue.queries(miss, target)
+    provider = snapshot_of({query: count for query, count in zip(queries, counts)})
     suggestion = extract_relation(miss, target, provider, catalogue)
     # one hit count per template, in catalogue order
     assert len(suggestion.hits) == len(catalogue)
-    assert suggestion.hits == tuple(provider.pattern_hits(query) for _, query in queries)
-    assert suggestion.group_hits  # exactly one suggestion per pair, never dropped
-    best = max(suggestion.group_hits.values())
+    assert suggestion.hits == tuple(provider.pattern_hits(query) for query in queries)
+    sums = group_sums(suggestion.hits, catalogue)
+    best = max(sums.values())
     if best == 0:
         assert suggestion.relation is RelationKind.RELATED_TO
     else:
-        assert suggestion.winner_hits == best
-        for count in suggestion.group_hits.values():
-            assert suggestion.winner_hits >= count
+        assert suggestion.winner_hits == best == sums[suggestion.winning_group]
 
 
 # Slots glued to punctuation and to "a(n)", slots in Y-then-X order, a
@@ -352,12 +345,12 @@ def test_property_instantiation_equals_regex_fill(name, monkeypatch):
     @given(miss=pattern_terms(), target=pattern_terms())
     def check(miss, target):
         if not miss.strip() or not target.strip():
-            for instantiate in (instantiate_patterns, reference_instantiate):
+            for instantiate in (id_queries, reference_instantiate):
                 with pytest.raises(ValueError):
                     instantiate(miss, target, catalogue)
             return
         before = len(general_calls)
-        assert instantiate_patterns(miss, target, catalogue) == reference_instantiate(
+        assert id_queries(miss, target, catalogue) == reference_instantiate(
             miss, target, catalogue
         )
         paths.add("general" if len(general_calls) > before else "compiled")
@@ -371,8 +364,8 @@ def test_mined_terms_take_the_compiled_format(catalogue, monkeypatch):
         raise AssertionError("general path")
 
     monkeypatch.setattr(patterns, "_resolve_articles", general)
-    queries = dict(instantiate_patterns("corporate body", "organization", catalogue))
+    queries = dict(id_queries("corporate body", "organization", catalogue))
     assert queries["inst-of"] == "corporate body is an instance of an organization"
     for odd_pair in [("corporate  body", "organization"), ("a(n) apple", "box"), ("x", "a")]:
         with pytest.raises(AssertionError, match="general path"):
-            instantiate_patterns(*odd_pair, catalogue)
+            catalogue.queries(*odd_pair)

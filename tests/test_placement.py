@@ -20,9 +20,10 @@ from ontoenrich.placement import (
     disambiguate_sense,
     enrich_ontology,
     place_all,
-    place_concept,
     write_enrichment_report,
 )
+
+from helpers import has_axiom, place_one
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -44,13 +45,12 @@ def suggest(miss, target, relation=RelationKind.RELATED_TO, group=None, hits=0):
         relation=relation,
         winning_group=group,
         winner_hits=hits,
-        group_hits={},
         hits=(),
     )
 
 
 def test_case1_single_sense_target(onto, snapshot):
-    decision = place_concept(suggest("notion", "concept"), onto, snapshot)
+    decision = place_one(suggest("notion", "concept"), onto, snapshot)
     assert decision.case == "case1"
     assert decision.senses == (1,)
     assert decision.target_concept == "concept"
@@ -60,7 +60,7 @@ def test_case2_seven_sense_target_steered_to_social_group(onto, snapshot):
     suggestion = suggest(
         "corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700
     )
-    decision = place_concept(suggestion, onto, snapshot)
+    decision = place_one(suggestion, onto, snapshot)
     assert decision.case == "case2"
     assert decision.senses == (2,)
     assert len(decision.path_scores) == 7
@@ -178,22 +178,26 @@ def test_per_decision_records_keep_no_instance_dict(onto, snapshot):
     assert not any(hasattr(r, "__dict__") for r in records)
 
 
-def test_place_concept_unknown_target(onto, snapshot):
-    with pytest.raises(LookupError):
-        place_concept(suggest("polder", "atlantis"), onto, snapshot)
+def test_place_all_records_unknown_target(onto, snapshot):
+    decisions, failures = place_all([suggest("polder", "atlantis")], onto, snapshot)
+    assert decisions == []
+    assert [f.reason for f in failures] == ["target term 'atlantis' is not in the ontology"]
 
 
-def test_place_concept_instance_target_rejected(onto, snapshot):
-    with pytest.raises(LookupError, match="instance"):
-        place_concept(suggest("polder", "Jakarta"), onto, snapshot)
+def test_place_all_records_instance_target(onto, snapshot):
+    decisions, failures = place_all([suggest("polder", "Jakarta")], onto, snapshot)
+    assert decisions == []
+    assert [f.reason for f in failures] == [
+        "target term 'Jakarta' resolves to an instance, which cannot anchor placement"
+    ]
 
 
 def test_enrich_adds_concept_and_related_to_axiom(onto, snapshot):
-    decision = place_concept(suggest("jawa", "Java"), onto, snapshot)
+    decision = place_one(suggest("jawa", "Java"), onto, snapshot)
     assert decision.case == "case2" and decision.senses == (1,)
     enriched, report = enrich_ontology(onto, [decision])
     assert "jawa" in enriched.concepts
-    assert enriched.has_axiom(RelationKind.RELATED_TO, "jawa", "java", object_sense=1)
+    assert has_axiom(enriched, RelationKind.RELATED_TO, "jawa", "java", object_sense=1)
     assert report.outcomes[0].relation is RelationKind.RELATED_TO
     # conservativity: every original record survives verbatim
     original_lines = set(onto.to_text().splitlines())
@@ -202,14 +206,14 @@ def test_enrich_adds_concept_and_related_to_axiom(onto, snapshot):
 
 
 def test_enrich_ronaldo_under_sport_sense_of_football(onto, snapshot):
-    decision = place_concept(suggest("Ronaldo", "football"), onto, snapshot)
+    decision = place_one(suggest("Ronaldo", "football"), onto, snapshot)
     assert decision.senses == (1,)  # the sport sense, not the ball sense
     enriched, _ = enrich_ontology(onto, [decision])
-    assert enriched.has_axiom(RelationKind.RELATED_TO, "ronaldo", "football", object_sense=1)
+    assert has_axiom(enriched, RelationKind.RELATED_TO, "ronaldo", "football", object_sense=1)
 
 
 def test_enrich_is_idempotent_and_double_run_stable(tmp_path, onto, snapshot):
-    decision = place_concept(suggest("jawa", "Java"), onto, snapshot)
+    decision = place_one(suggest("jawa", "Java"), onto, snapshot)
     once, _ = enrich_ontology(onto, [decision])
     twice, _ = enrich_ontology(once, [decision])
     first, second = tmp_path / "once.tsv", tmp_path / "twice.tsv"
@@ -231,10 +235,10 @@ def test_enrich_hyponymy_stored_in_hypernymy_direction(onto, snapshot):
     suggestion = suggest(
         "corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700
     )
-    decision = place_concept(suggestion, onto, snapshot)
+    decision = place_one(suggestion, onto, snapshot)
     enriched, _ = enrich_ontology(onto, [decision])
-    assert enriched.has_axiom(
-        RelationKind.HYPONYMY, "corporate-body", "organization", object_sense=2
+    assert has_axiom(
+        enriched, RelationKind.HYPONYMY, "corporate-body", "organization", object_sense=2
     )
     line = (
         "A\thypernymy\torganization#2\tcorporate-body\tenriched\thypo-isa\t80700"
@@ -249,18 +253,17 @@ def test_enrich_instance_of_adds_instance_not_concept(onto, snapshot):
     suggestion = suggest(
         "Bandung", "city", RelationKind.INSTANCE_OF, "inst-of", 1200
     )
-    decision = place_concept(suggestion, onto, snapshot)
-    enriched, report = enrich_ontology(onto, [decision])
+    decision = place_one(suggestion, onto, snapshot)
+    enriched, _ = enrich_ontology(onto, [decision])
     assert "bandung" in enriched.instances
     assert "bandung" not in enriched.concepts
     assert enriched.instances["bandung"].concept_id == "city"
-    assert enriched.has_axiom(RelationKind.INSTANCE_OF, "bandung", "city")
-    assert report.outcomes[0].inserted_kind == "instance"
+    assert has_axiom(enriched, RelationKind.INSTANCE_OF, "bandung", "city")
 
 
 def test_enrich_conflicting_relations_rejected(onto, snapshot):
-    first = place_concept(suggest("polder", "island"), onto, snapshot)
-    second = place_concept(
+    first = place_one(suggest("polder", "island"), onto, snapshot)
+    second = place_one(
         suggest("polder", "island", RelationKind.HYPONYMY, "hypo-isa", 5), onto, snapshot
     )
     with pytest.raises(ConflictingDecisionError):
@@ -300,7 +303,7 @@ def test_enriched_axioms_share_one_evidence_per_pattern_and_count(onto, snapshot
 
 
 def test_report_export(tmp_path, onto, snapshot):
-    decision = place_concept(suggest("jawa", "Java"), onto, snapshot)
+    decision = place_one(suggest("jawa", "Java"), onto, snapshot)
     _, report = enrich_ontology(onto, [decision])
     out = tmp_path / "report.tsv"
     write_enrichment_report(report, out)
@@ -320,10 +323,10 @@ def test_new_concept_id_collision_gets_suffix(snapshot):
     table = SnapshotTable.from_pairs(
         [("polder", 10), ("plain", 20), (pair_key("polder", "plain"), 5)], 100
     )
-    decision = place_concept(suggest("Polder", "plain"), onto, table)
-    enriched, report = enrich_ontology(onto, [decision])
+    decision = place_one(suggest("Polder", "plain"), onto, table)
+    enriched, _ = enrich_ontology(onto, [decision])
     # "polder" id is taken by a concept with a different label
-    assert report.outcomes[0].inserted_id == "polder-2"
+    assert [a.subject for a in enriched.axioms if a.provenance == "enriched"] == ["polder-2"]
     assert enriched.concepts["polder-2"].label == "Polder"
 
 
@@ -332,15 +335,12 @@ def test_new_terms_sharing_a_slug_get_distinct_ids(onto, snapshot):
     # takes the next free suffix, and relations that differ between the two
     # terms are not a conflict.
     decisions = [
-        place_concept(suggest("marsh-cat", "concept", RelationKind.HYPONYMY, "hypo-isa", 3),
-                      onto, snapshot),
-        place_concept(suggest("marsh cat", "concept"), onto, snapshot),
+        place_one(suggest("marsh-cat", "concept", RelationKind.HYPONYMY, "hypo-isa", 3),
+                  onto, snapshot),
+        place_one(suggest("marsh cat", "concept"), onto, snapshot),
     ]
-    enriched, report = enrich_ontology(onto, decisions)
-    assert [(o.term, o.inserted_id) for o in report.outcomes] == [
-        ("marsh cat", "marsh-cat"), ("marsh-cat", "marsh-cat-2"),
-    ]
+    enriched, _ = enrich_ontology(onto, decisions)
     assert enriched.concepts["marsh-cat"].label == "marsh cat"
     assert enriched.concepts["marsh-cat-2"].label == "marsh-cat"
-    assert enriched.has_axiom(RelationKind.RELATED_TO, "marsh-cat", "concept")
-    assert enriched.has_axiom(RelationKind.HYPONYMY, "marsh-cat-2", "concept")
+    assert has_axiom(enriched, RelationKind.RELATED_TO, "marsh-cat", "concept")
+    assert has_axiom(enriched, RelationKind.HYPONYMY, "marsh-cat-2", "concept")

