@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -186,7 +188,7 @@ class Ontology:
         for inst in sorted(self._instances.values(), key=lambda i: i.id):
             self._by_label.setdefault(normalize_label(inst.label), TermMatch(inst.id, "instance"))
 
-        axiom_map: dict[tuple, Axiom] = {}
+        checked: list[Axiom] = []
         for a in axioms:
             if a.relation in _CANONICAL_INVERSE:
                 raise OntologyValidationError(
@@ -200,8 +202,13 @@ class Ontology:
                 raise OntologyValidationError(
                     f"{a.relation.value} axiom with identical endpoints {a.subject!r}"
                 )
-            axiom_map.setdefault(a.key, a)
-        self._axioms: tuple[Axiom, ...] = tuple(sorted(axiom_map.values(), key=lambda a: a.key))
+            checked.append(a)
+        # A stable sort, then the first of each run of equal keys: of axioms
+        # with one key, the first in input order is kept.
+        checked.sort(key=attrgetter("key"))
+        self._axioms: tuple[Axiom, ...] = tuple(
+            next(run) for _, run in groupby(checked, key=attrgetter("key"))
+        )
 
         # sense -> hypernym parents, for path traversal
         self._parents: dict[tuple[str, int], list[tuple[str, int]]] = {}
@@ -302,11 +309,12 @@ class Ontology:
         instances: Iterable[Instance] = (),
         axioms: Iterable[Axiom] = (),
     ) -> "Ontology":
-        """New ontology with extra records; one validation pass for batches."""
+        """New ontology with extra records, validated with the old ones in
+        one pass; additions are canonicalized first."""
         return Ontology(
-            list(self._concepts.values()) + list(concepts),
-            list(self._instances.values()) + list(instances),
-            list(self._axioms) + [canonicalize_axiom(a) for a in axioms],
+            chain(self._concepts.values(), concepts),
+            chain(self._instances.values(), instances),
+            chain(self._axioms, map(canonicalize_axiom, axioms)),
         )
 
     # ---- serialization ---------------------------------------------------

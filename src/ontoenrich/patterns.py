@@ -29,7 +29,9 @@ a default desk run issues 89,100 queries, and all but 10 of its 8,100 pairs
 count nothing. Every all-zero suggestion shares its catalogue's one zero
 tuple, and only a pair that counts something sums its counts per group.
 The audit rebuilds each pair's queries with ``PatternCatalogue.queries``
-when it writes them, and streams them to its file line by line.
+when it writes them, and streams them to its file line by line. It orders
+the pairs with ``term_order``, which groups them by lowered missing term and
+sorts each group alone, so no pair holds a sort key tuple.
 
 Templates never contain negation operators; the catalogue loader rejects
 them, so no negated query is ever issued. Pattern ids are unique within a
@@ -41,8 +43,9 @@ from __future__ import annotations
 import importlib.resources
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .hitcounts import HitCountProvider
 from .ontology import RelationKind, normalize_label, records
@@ -266,13 +269,28 @@ def slug(surface: str) -> str:
     return normalize_label(surface).replace(" ", "-").replace("#", "-")
 
 
+def term_order(
+    records: Iterable, term: Callable[..., str], second: Callable[..., str]
+) -> Iterator:
+    """The records in the order of a stable sort on ``(term(r).lower(),
+    second(r))``: grouped by lowered term, each group sorted by ``second``
+    alone, so no record holds a key tuple and each term is lowered once."""
+    groups: dict[str, list] = {}
+    for record in records:
+        groups.setdefault(term(record).lower(), []).append(record)
+    for lowered in sorted(groups):
+        yield from sorted(groups[lowered], key=second)
+
+
 def write_pattern_audit(
     suggestions: Iterable[RelationSuggestion], catalogue: PatternCatalogue, path: str | Path
 ) -> None:
     """One line per issued query: pair, pattern, query string, hit count.
     Pairs are sorted case-insensitively; each pair's queries are rebuilt
     from the catalogue, and the lines are streamed to the file."""
-    ordered = sorted(suggestions, key=lambda s: (s.missing_term.lower(), s.ontology_term.lower()))
+    ordered = term_order(
+        suggestions, attrgetter("missing_term"), lambda s: s.ontology_term.lower()
+    )
     with Path(path).open("w", encoding="utf-8") as out:
         out.write("missing_term\tontology_term\tpattern\tquery\thits\n")
         for suggestion in ordered:

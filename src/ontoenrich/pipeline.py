@@ -266,26 +266,32 @@ def _write_matrix_or_header(state: RunState, path: Path) -> None:
         path.write_text("term\n", encoding="utf-8")
 
 
-def _write_system_judgments(state: RunState, outcomes, path: Path) -> None:
-    lines = []
-    for gram in state.eliminated:
-        for domain in sorted(state.term_domains[gram.surface]):
-            lines.append(f"E\t{domain}\teliminated\t{gram.surface}")
-    for gram in state.retained:
-        for domain in sorted(state.term_domains[gram.surface]):
-            lines.append(f"E\t{domain}\tretained\t{gram.surface}")
-    for outcome in outcomes:
-        domains = state.term_domains.get(outcome.term, {"unknown"})
-        for domain in sorted(domains):
-            for sense in outcome.senses:
-                lines.append(
-                    f"X\t{domain}\t{outcome.term}\t{outcome.target_concept}"
-                    f"\t{sense}\t{outcome.relation.value}"
-                )
-    lines.sort()
+def _write_system_judgments(state: RunState, decisions, path: Path) -> None:
+    """The E and X records, sorted. One pass puts a reference to each record
+    in a bucket per (kind, domain); each bucket is then formatted, sorted and
+    written in turn, in the order of its line prefix ``kind\tdomain\t``. A
+    domain holds no tab, so that order is the order of the sorted lines."""
+    buckets: dict[tuple[str, str], list] = {}
+    for status, grams in (("eliminated", state.eliminated), ("retained", state.retained)):
+        for gram in grams:
+            for domain in state.term_domains[gram.surface]:
+                buckets.setdefault(("E", domain), []).append((status, gram.surface))
+    for decision in decisions:
+        for domain in state.term_domains.get(decision.term, ("unknown",)):
+            buckets.setdefault(("X", domain), []).append(decision)
     with path.open("w", encoding="utf-8") as out:
-        for line in lines:
-            out.write(line + "\n")
+        for kind, domain in sorted(buckets, key=lambda bucket: "\t".join(bucket) + "\t"):
+            if kind == "E":
+                lines = [f"E\t{domain}\t{status}\t{surface}"
+                         for status, surface in buckets[kind, domain]]
+            else:
+                lines = [
+                    f"X\t{domain}\t{d.term}\t{d.target_concept}"
+                    f"\t{sense}\t{d.suggestion.relation.value}"
+                    for d in buckets[kind, domain] for sense in d.senses
+                ]
+            lines.sort()
+            out.writelines(line + "\n" for line in lines)
 
 
 def run_enrichment(config: RunConfig) -> Path:
@@ -309,7 +315,7 @@ def run_enrichment(config: RunConfig) -> Path:
         _write_matrix_or_header(state, out / "relatedness_matrix.tsv")
         write_pattern_audit(state.suggestions, state.catalogue, out / "pattern_audit.tsv")
         write_enrichment_report(report, out / "enrichment_report.tsv")
-        _write_system_judgments(state, report.outcomes, out / "system_judgments.tsv")
+        _write_system_judgments(state, report.decisions, out / "system_judgments.tsv")
         _write_manifest(state, out / "manifest.tsv")
     return out
 

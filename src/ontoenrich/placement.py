@@ -15,7 +15,9 @@ call, not once per suggestion, and builds composite decisions directly.
 the term is inserted under (the one the ontology already names it by, else
 its slug made unique within the ontology and the batch), checks that no two
 decisions disagree on the relation for one id, target and sense, and emits
-the term's axioms and outcomes.
+the term's axioms. The report keeps the applied decisions themselves, in
+visit order; its writer reads each line from a decision and its suggestion,
+grouped by lowered term (``patterns.term_order``).
 
 Path scoring reuses the run's relatedness denominator so placement and
 candidate selection speak the same scale. Labels whose hit counts cannot
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -40,7 +43,7 @@ from .ontology import (
     Ontology,
     RelationKind,
 )
-from .patterns import FALLBACK_MARKER, RelationSuggestion, slug
+from .patterns import FALLBACK_MARKER, RelationSuggestion, slug, term_order
 from .relatedness import DistanceConfig, distance_from_counts, relatedness
 
 logger = logging.getLogger(__name__)
@@ -248,20 +251,9 @@ def place_all(
     return decisions, failures
 
 
-@dataclass(frozen=True, slots=True)
-class EnrichmentOutcome:
-    term: str
-    target_concept: str
-    senses: tuple[int, ...]
-    relation: RelationKind
-    case: str
-    winning_pattern: str
-    winner_hits: int
-
-
 @dataclass(frozen=True)
 class EnrichmentReport:
-    outcomes: tuple[EnrichmentOutcome, ...]
+    decisions: tuple[PlacementDecision, ...]   # applied, in the order they were visited
     failures: tuple[PlacementFailure, ...]
     case2_ties: int
 
@@ -294,20 +286,24 @@ def enrich_ontology(
         by_term.setdefault(decision.term, []).append(decision)
 
     taken = {*ontology.concepts, *ontology.instances}
-    chosen: dict[tuple[str, str, int], RelationKind] = {}
+    # (id, target, sense) -> relation, kept across terms for ids the ontology
+    # already holds; a fresh id is one term's alone, so its dict goes with it.
+    chosen: dict[str, dict[tuple[str, str, int], RelationKind]] = {}
     new_concepts: list[Concept] = []
     new_instances: list[Instance] = []
     new_axioms: list[Axiom] = []
     evidences: dict[tuple[str, int], Evidence] = {}  # one value per (pattern, hits)
-    outcomes: list[EnrichmentOutcome] = []
+    applied: list[PlacementDecision] = []
     ties = 0
     for term in sorted(by_term, key=str.lower):
         group = sorted(by_term[term], key=lambda d: (d.target_concept, d.senses))
         existing = ontology.contains_term(term)
         if existing is not None:
             inserted_id = existing.id
+            relations = chosen.setdefault(inserted_id, {})
         else:
             inserted_id = _fresh_id(slug(term), taken)
+            relations = {}
             anchor = next(
                 (d for d in group if d.suggestion.relation is RelationKind.INSTANCE_OF), None
             )
@@ -318,14 +314,13 @@ def enrich_ontology(
 
         for decision in group:
             suggestion = decision.suggestion
-            pattern = suggestion.winning_group or FALLBACK_MARKER
-            cited = (pattern, suggestion.winner_hits)
+            cited = (suggestion.winning_group or FALLBACK_MARKER, suggestion.winner_hits)
             evidence = evidences.get(cited)
             if evidence is None:
                 evidence = evidences[cited] = Evidence(*cited)
             for sense in decision.senses:
                 key = (inserted_id, decision.target_concept, sense)
-                previous = chosen.setdefault(key, suggestion.relation)
+                previous = relations.setdefault(key, suggestion.relation)
                 if previous is not suggestion.relation:
                     raise ConflictingDecisionError(
                         f"decisions disagree for {key}: {previous.value} vs "
@@ -341,35 +336,28 @@ def enrich_ontology(
                         evidence=evidence,
                     )
                 )
-            outcomes.append(
-                EnrichmentOutcome(
-                    term=term,
-                    target_concept=decision.target_concept,
-                    senses=decision.senses,
-                    relation=suggestion.relation,
-                    case=decision.case,
-                    winning_pattern=pattern,
-                    winner_hits=suggestion.winner_hits,
-                )
-            )
+            applied.append(decision)
             if decision.case in ("case2", "case3-composite") and len(decision.senses) > 1:
                 ties += 1
 
     enriched = ontology.with_additions(new_concepts, new_instances, new_axioms)
-    return enriched, EnrichmentReport(tuple(outcomes), tuple(failures), ties)
+    return enriched, EnrichmentReport(tuple(applied), tuple(failures), ties)
 
 
 def write_enrichment_report(report: EnrichmentReport, path: str | Path) -> None:
-    """One line per outcome, then per failure, then the tie count; the lines
-    are streamed to the file."""
+    """One line per applied decision, then per failure, then the tie count;
+    the lines are streamed to the file."""
     with Path(path).open("w", encoding="utf-8") as out:
         out.write("term\ttarget\tsenses\trelation\tcase\tpattern\thits\tstatus\n")
-        for outcome in sorted(report.outcomes, key=lambda o: (o.term.lower(), o.target_concept)):
-            senses = ",".join(str(s) for s in outcome.senses)
+        ordered = term_order(report.decisions, attrgetter("term"), attrgetter("target_concept"))
+        for decision in ordered:
+            suggestion = decision.suggestion
+            senses = ",".join(str(s) for s in decision.senses)
             out.write(
-                f"{outcome.term}\t{outcome.target_concept}\t{senses}"
-                f"\t{outcome.relation.value}\t{outcome.case}"
-                f"\t{outcome.winning_pattern}\t{outcome.winner_hits}\tapplied\n"
+                f"{decision.term}\t{decision.target_concept}\t{senses}"
+                f"\t{suggestion.relation.value}\t{decision.case}"
+                f"\t{suggestion.winning_group or FALLBACK_MARKER}"
+                f"\t{suggestion.winner_hits}\tapplied\n"
             )
         for failure in sorted(report.failures, key=lambda f: f.suggestion.missing_term.lower()):
             out.write(

@@ -108,8 +108,14 @@ class Corpus:
             raise ValueError("duplicate document ids in corpus")
 
 
+# A tab, and every character at which ``str.splitlines`` ends a line.
+_FIELD_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 def load_corpus(root: str | Path) -> Corpus:
-    """Corpus layout: one subdirectory per domain, one text file per article."""
+    """Corpus layout: one subdirectory per domain, one text file per article.
+    A domain name is a field of the judgments file, so one that holds a tab
+    or a line break is rejected."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory {root} does not exist")
@@ -117,6 +123,10 @@ def load_corpus(root: str | Path) -> Corpus:
     for domain_dir in _sorted_entries(root):
         if not domain_dir.is_dir():
             continue
+        if not _FIELD_BREAKS.isdisjoint(domain_dir.name):
+            raise ValueError(
+                f"corpus domain directory {domain_dir.path!r} has a tab or line break in its name"
+            )
         for article in _sorted_entries(domain_dir.path):
             if article.is_file():
                 with open(article.path, encoding="utf-8") as handle:

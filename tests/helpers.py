@@ -106,12 +106,20 @@ def reference_instantiate(t_miss: str, t_in: str, catalogue) -> list[tuple[str, 
     return queries
 
 
+def tuple_key_order(records, term, second) -> list:
+    """The records stably sorted on ``(term(r).lower(), second(r))``, with a
+    key tuple per record: the order the grouped writers must keep."""
+    return sorted(records, key=lambda r: (term(r).lower(), second(r)))
+
+
 def reference_pattern_audit(suggestions, catalogue, path) -> None:
     """The pattern audit built as one line list and written as one joined
     string, each pair's queries filled by ``reference_instantiate``; the
     streamed ``write_pattern_audit`` must match it byte for byte."""
     lines = ["missing_term\tontology_term\tpattern\tquery\thits"]
-    ordered = sorted(suggestions, key=lambda s: (s.missing_term.lower(), s.ontology_term.lower()))
+    ordered = tuple_key_order(
+        suggestions, lambda s: s.missing_term, lambda s: s.ontology_term.lower()
+    )
     for suggestion in ordered:
         queries = reference_instantiate(suggestion.missing_term, suggestion.ontology_term, catalogue)
         for (pattern_id, query), hits in zip(queries, suggestion.hits, strict=True):

@@ -3,13 +3,17 @@ import hashlib
 import json
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from ontoenrich import pipeline
 from ontoenrich.cli import _CONFIG_KEYS, build_parser, main
+from ontoenrich.evaluation import Judgments
 from ontoenrich.ontology import RelationKind, load_ontology
-from ontoenrich.textpipe import load_corpus
+from ontoenrich.patterns import RelationSuggestion
+from ontoenrich.placement import PlacementDecision
+from ontoenrich.textpipe import NGram, load_corpus
 
 from helpers import build_index, has_axiom, scan_hits
 
@@ -165,6 +169,42 @@ def test_enriched_ontology_with_a_hash_term_loads_again(tmp_path):
     enriched = load_ontology(first / "enriched_ontology.tsv")
     assert enriched.concepts["c-"].label == "c#"
     assert run(*argv, "--ontology", first / "enriched_ontology.tsv", "--out-dir", second) == 0
+
+
+def test_system_judgments_written_per_bucket_equal_sorted_lines(tmp_path):
+    # "a" sorts before "a-b", "ab" and "a b" as a domain; and "a\x01" sorts
+    # before "a" as a line prefix, though not as a bare name.
+    domains = ["a", "a-b", "ab", "a b", "a\x01"]
+    term_domains = {"marsh cat": set(domains), "reef": {"ab", "a"}, "Reef": {"a b"}}
+    state = SimpleNamespace(
+        eliminated=[NGram(("reef",))],
+        retained=[NGram(("marsh", "cat")), NGram(("Reef",))],
+        term_domains=term_domains,
+    )
+
+    def decision(term, target, senses, relation):
+        suggestion = RelationSuggestion(term, target, relation, None, 0, ())
+        return PlacementDecision(suggestion, target, senses, "case2")
+
+    decisions = [
+        decision("marsh cat", "animal", (2, 1), RelationKind.HYPONYMY),
+        decision("Reef", "coast", (1,), RelationKind.RELATED_TO),
+        decision("ghost", "island", (1,), RelationKind.RELATED_TO),  # no domain: "unknown"
+    ]
+    path = tmp_path / "system_judgments.tsv"
+    pipeline._write_system_judgments(state, decisions, path)
+    lines = [
+        f"E\t{domain}\t{status}\t{gram.surface}"
+        for status, grams in (("eliminated", state.eliminated), ("retained", state.retained))
+        for gram in grams for domain in term_domains[gram.surface]
+    ] + [
+        f"X\t{domain}\t{d.term}\t{d.target_concept}\t{sense}\t{d.suggestion.relation.value}"
+        for d in decisions for domain in term_domains.get(d.term, {"unknown"})
+        for sense in d.senses
+    ]
+    assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in sorted(lines))
+    assert "X\tunknown\tghost\tisland\t1\trelated-to\n" in path.read_text(encoding="utf-8")
+    assert len(Judgments.load(path).domains) == len(domains) + 1
 
 
 def test_manifest_records_run_knobs(tmp_path):
@@ -370,6 +410,23 @@ def test_empty_corpus_exits_hits_code(tmp_path):
         "enrich", "--corpus", empty, "--ontology", MINI, "--out-dir", tmp_path / "o"
     )
     assert code == 5
+
+
+def test_domain_name_with_a_tab_exits_corpus_code(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(FIXTURES / "corpus_examples", corpus)
+    domain = corpus / "sci\tence"
+    domain.mkdir()
+    (domain / "a.txt").write_text("Java island", encoding="utf-8")
+    code = run("enrich", "--corpus", corpus, "--ontology", MINI, "--snapshot", SNAPSHOT,
+               "--out-dir", tmp_path / "out")
+    assert code == 4
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == [
+        f"error [corpus] corpus domain directory {str(domain)!r}"
+        " has a tab or line break in its name"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", ["N\t-5\n", "N\tabc\n", "N\t9\nH\ta\t1\nH\tA\t2\n"])

@@ -11,6 +11,7 @@ from ontoenrich.ontology import (
     OntologyValidationError,
     RelationKind,
     UnknownConceptError,
+    canonicalize_axiom,
     load_ontology,
     parse_ontology,
     save_ontology,
@@ -201,6 +202,116 @@ def test_duplicate_axiom_lines_collapse():
     onto = parse_ontology(text)
     related = [a for a in onto.axioms if a.relation is RelationKind.RELATED_TO]
     assert len(related) == 1
+
+
+def held(onto):
+    """Everything an ontology answers with: its text, records, paths and labels."""
+    labels = [r.label for r in (*onto.concepts.values(), *onto.instances.values())]
+    return (
+        onto.to_text(), onto.axioms, dict(onto.concepts), dict(onto.instances),
+        {cid: onto.semantic_paths_from(cid) for cid in onto.concepts},
+        {label: onto.contains_term(label) for label in labels},
+    )
+
+
+def test_with_additions_equals_fresh_build(small):
+    concepts = [Concept("jawa", "jawa"), Concept("corporate-body", "corporate body")]
+    instances = [Instance("bandung", "Bandung", "city")]
+    enriched = dict(provenance="enriched", evidence=Evidence("p", 1))
+    axioms = [
+        # the key of a base axiom, given as is and as its hyponymy inverse
+        Axiom(RelationKind.HYPERNYMY, "island", "java", object_sense=1, **enriched),
+        Axiom(RelationKind.HYPONYMY, "land", "entity", **enriched),
+        # one key twice among the additions
+        Axiom(RelationKind.RELATED_TO, "jawa", "java", object_sense=2, **enriched),
+        Axiom(RelationKind.RELATED_TO, "jawa", "java", object_sense=2, provenance="enriched",
+              evidence=Evidence("q", 2)),
+        Axiom(RelationKind.HYPONYMY, "corporate-body", "java", object_sense=2, **enriched),
+        Axiom(RelationKind.HOLONYMY, "island", "bandung", **enriched),
+    ]
+    added = small.with_additions(concepts, instances, axioms)
+    fresh = Ontology(
+        [*small.concepts.values(), *concepts],
+        [*small.instances.values(), *instances],
+        [*small.axioms, *map(canonicalize_axiom, axioms)],
+    )
+    assert held(added) == held(fresh)
+    by_key = {a.key: a for a in added.axioms}
+    assert by_key["hypernymy", "island", 1, "java", 1].provenance == "original"
+    assert by_key["hypernymy", "entity", 1, "land", 1].provenance == "original"
+    assert by_key["related-to", "jawa", 1, "java", 2].evidence == Evidence("p", 1)
+    assert by_key["hypernymy", "java", 2, "corporate-body", 1].provenance == "enriched"
+    assert by_key["meronymy", "bandung", 1, "island", 1].provenance == "enriched"
+    assert len(added.axioms) == len(small.axioms) + 3
+
+
+@given(st.data())
+def test_property_first_axiom_of_a_key_is_kept(data):
+    ids = ["a", "b", "c", "d"]
+    onto = Ontology([Concept(i, i, (1, 2)) for i in ids])
+    axioms = data.draw(st.lists(st.builds(
+        Axiom,
+        relation=st.sampled_from([RelationKind.RELATED_TO, RelationKind.SYNONYMY]),
+        subject=st.sampled_from(ids), object=st.sampled_from(ids),
+        subject_sense=st.sampled_from([1, 2]), object_sense=st.sampled_from([1, 2]),
+        provenance=st.sampled_from(["original", "enriched"]),
+        evidence=st.builds(Evidence, st.just("p"), st.integers(0, 3)),
+    ).filter(lambda a: (a.subject, a.subject_sense) != (a.object, a.object_sense)), max_size=12))
+    split = data.draw(st.integers(0, len(axioms)))
+    base = onto.with_additions(axioms=axioms[:split])
+    first: dict[tuple, Axiom] = {}
+    for axiom in axioms:
+        first.setdefault(axiom.key, axiom)
+    assert base.with_additions(axioms=axioms[split:]).axioms == tuple(
+        first[key] for key in sorted(first)
+    )
+
+
+_C = Concept
+_I = Instance
+
+
+def _hyper(parent, child, **senses):
+    return Axiom(RelationKind.HYPERNYMY, parent, child, **senses)
+
+
+# (base records, added records, message): each must fail a fresh Ontology of
+# the union and the same ontology reached by with_additions.
+_INVALID = {
+    "empty label": (([_C("a", "a")], [], []), ([_C("b", " ")], [], []), "empty label"),
+    "bad senses": (([_C("a", "a")], [], []), ([_C("b", "b", (1, 3))], [], []), "senses must be"),
+    "duplicate concept": (([_C("a", "a")], [], []), ([_C("a", "other")], [], []),
+                          "duplicate concept id 'a'"),
+    "duplicate instance": (([_C("a", "a")], [_I("i", "i", "a")], []),
+                           ([], [_I("i", "j", "a")], []), "duplicate id 'i'"),
+    "instance of unknown concept": (([_C("a", "a")], [], []), ([], [_I("i", "i", "z")], []),
+                                    "unknown concept 'z'"),
+    "undeclared id": (([_C("a", "a")], [], []),
+                      ([], [], [Axiom(RelationKind.RELATED_TO, "a", "ghost")]),
+                      "undeclared id 'ghost'"),
+    "sense out of range": (([_C("a", "a"), _C("b", "b", (1, 2))], [], []),
+                           ([], [], [_hyper("a", "b", object_sense=5)]), "sense 5 of 'b'"),
+    "instance sense": (([_C("a", "a")], [_I("i", "i", "a")], []),
+                       ([], [], [Axiom(RelationKind.RELATED_TO, "i", "a", subject_sense=2)]),
+                       "instance 'i' has no sense 2"),
+    "self loop": (([_C("a", "a")], [], []), ([], [], [_hyper("a", "a")]),
+                  "identical endpoints 'a'"),
+    "cycle between base concepts": (([_C("a", "a"), _C("b", "b")], [], [_hyper("a", "b")]),
+                                    ([], [], [Axiom(RelationKind.HYPONYMY, "a", "b")]),
+                                    "hypernymy cycle"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INVALID))
+def test_validation_errors_raised_through_with_additions(name):
+    (concepts, instances, axioms), (more_c, more_i, more_a), message = _INVALID[name]
+    with pytest.raises(OntologyValidationError, match=message) as fresh:
+        Ontology(concepts + more_c, instances + more_i,
+                 axioms + [canonicalize_axiom(a) for a in more_a])
+    base = Ontology(concepts, instances, axioms)
+    with pytest.raises(OntologyValidationError) as added:
+        base.with_additions(more_c, more_i, more_a)
+    assert str(added.value) == str(fresh.value)
 
 
 def test_categories_round_trip(tmp_path):

@@ -20,7 +20,13 @@ from ontoenrich.patterns import (
     write_pattern_audit,
 )
 
-from helpers import group_sums, id_queries, reference_instantiate, reference_pattern_audit
+from helpers import (
+    group_sums,
+    id_queries,
+    reference_instantiate,
+    reference_pattern_audit,
+    tuple_key_order,
+)
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +274,30 @@ def test_property_streamed_audit_equals_joined_audit(tmp_path_factory, suggestio
     write_pattern_audit(suggestions, catalogue, out / "streamed.tsv")
     reference_pattern_audit(suggestions, catalogue, out / "joined.tsv")
     assert (out / "streamed.tsv").read_bytes() == (out / "joined.tsv").read_bytes()
+
+
+# Surfaces and targets that tie under str.lower, so the order of tied pairs
+# shows whether the grouped sort is stable.
+_ORDER_TERMS = st.sampled_from(["Desk", "desk", "lamp", "Lamp", "desk lamp"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(_ORDER_TERMS, _ORDER_TERMS), max_size=12), data=st.data())
+def test_property_audit_order_equals_tuple_key_sort(tmp_path_factory, pairs, data):
+    catalogue = parse_catalogue("P\tp\thyponymy\tisa\t{X} is a(n) {Y}\n")
+    # One template, so one line per pair; its hit count numbers the pair.
+    suggestions = [
+        RelationSuggestion(miss, target, RelationKind.RELATED_TO, None, 0, (number,))
+        for number, (miss, target) in enumerate(pairs)
+    ]
+    suggestions = data.draw(st.permutations(suggestions))
+    path = tmp_path_factory.mktemp("order") / "audit.tsv"
+    write_pattern_audit(suggestions, catalogue, path)
+    written = [int(line.split("\t")[-1]) for line in path.read_text("utf-8").splitlines()[1:]]
+    expected = tuple_key_order(
+        suggestions, lambda s: s.missing_term, lambda s: s.ontology_term.lower()
+    )
+    assert written == [suggestion.hits[0] for suggestion in expected]
 
 
 _TERMS = st.sampled_from(["jawa", "corporate body", "engine", "rex", "bay"])

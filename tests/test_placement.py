@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ontoenrich.hitcounts import SnapshotTable, pair_key
 from ontoenrich.ontology import (
@@ -15,7 +16,9 @@ from ontoenrich.ontology import (
 from ontoenrich.patterns import FALLBACK_MARKER, RelationSuggestion
 from ontoenrich.placement import (
     ConflictingDecisionError,
+    EnrichmentReport,
     PlacementConfig,
+    PlacementDecision,
     UnresolvedSenseError,
     disambiguate_sense,
     enrich_ontology,
@@ -23,7 +26,7 @@ from ontoenrich.placement import (
     write_enrichment_report,
 )
 
-from helpers import has_axiom, place_one
+from helpers import has_axiom, place_one, tuple_key_order
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -161,19 +164,22 @@ def test_place_all_warns_once_for_skipped_labels(onto, caplog):
 
 
 def test_per_decision_records_keep_no_instance_dict(onto, snapshot):
-    # A default run keeps one suggestion, decision, outcome and axiom per pair.
+    # A default run keeps one suggestion, decision and axiom per pair: the
+    # report holds the decisions it was given, not a fourth record.
     suggestions = [
         suggest("corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700),
         suggest("corporate body", "atlantis"),
     ]
     decisions, failures = place_all(suggestions, onto, snapshot)
     enriched, report = enrich_ontology(onto, decisions, failures)
+    assert report.decisions
+    assert all(any(entry is d for d in decisions) for entry in report.decisions)
     axiom = next(a for a in enriched.axioms if a.provenance == "enriched")
     records = [suggestions[0], decisions[0], decisions[0].path_scores[0], failures[0],
-               report.outcomes[0], axiom, axiom.evidence]
+               axiom, axiom.evidence]
     assert [type(r).__name__ for r in records] == [
         "RelationSuggestion", "PlacementDecision", "PathScore", "PlacementFailure",
-        "EnrichmentOutcome", "Axiom", "Evidence",
+        "Axiom", "Evidence",
     ]
     assert not any(hasattr(r, "__dict__") for r in records)
 
@@ -198,7 +204,7 @@ def test_enrich_adds_concept_and_related_to_axiom(onto, snapshot):
     enriched, report = enrich_ontology(onto, [decision])
     assert "jawa" in enriched.concepts
     assert has_axiom(enriched, RelationKind.RELATED_TO, "jawa", "java", object_sense=1)
-    assert report.outcomes[0].relation is RelationKind.RELATED_TO
+    assert report.decisions[0].suggestion.relation is RelationKind.RELATED_TO
     # conservativity: every original record survives verbatim
     original_lines = set(onto.to_text().splitlines())
     enriched_lines = set(enriched.to_text().splitlines())
@@ -228,7 +234,7 @@ def test_enrich_empty_decisions_is_identity(tmp_path, onto):
     save_ontology(onto, before)
     save_ontology(enriched, after)
     assert before.read_bytes() == after.read_bytes()
-    assert report.outcomes == ()
+    assert report.decisions == ()
 
 
 def test_enrich_hyponymy_stored_in_hypernymy_direction(onto, snapshot):
@@ -270,6 +276,16 @@ def test_enrich_conflicting_relations_rejected(onto, snapshot):
         enrich_ontology(onto, [first, second])
 
 
+def test_enrich_conflict_across_terms_naming_one_concept_rejected(onto, snapshot):
+    # "Java" and "java" are two terms, but both keep the ontology's id "java".
+    first = place_one(suggest("Java", "island"), onto, snapshot)
+    second = place_one(
+        suggest("java", "island", RelationKind.MERONYMY, "mero", 5), onto, snapshot
+    )
+    with pytest.raises(ConflictingDecisionError, match="'java', 'island', 1"):
+        enrich_ontology(onto, [first, second])
+
+
 def test_enriched_axioms_trace_back_to_suggestions(onto, snapshot):
     suggestions = [
         suggest("jawa", "Java"),
@@ -279,11 +295,11 @@ def test_enriched_axioms_trace_back_to_suggestions(onto, snapshot):
     assert not failures
     enriched, report = enrich_ontology(onto, decisions)
     added = [a for a in enriched.axioms if a.provenance == "enriched"]
-    assert len(added) == len(report.outcomes) == 2
-    by_pattern = {o.winning_pattern: o for o in report.outcomes}
+    assert len(added) == len(report.decisions) == 2
+    by_pattern = {d.suggestion.winning_group or FALLBACK_MARKER: d for d in report.decisions}
     for axiom in added:
-        outcome = by_pattern[axiom.evidence.pattern_id]
-        assert axiom.evidence.hits == outcome.winner_hits
+        decision = by_pattern[axiom.evidence.pattern_id]
+        assert axiom.evidence.hits == decision.suggestion.winner_hits
 
 
 def test_enriched_axioms_share_one_evidence_per_pattern_and_count(onto, snapshot):
@@ -344,3 +360,25 @@ def test_new_terms_sharing_a_slug_get_distinct_ids(onto, snapshot):
     assert enriched.concepts["marsh-cat-2"].label == "marsh-cat"
     assert has_axiom(enriched, RelationKind.RELATED_TO, "marsh-cat", "concept")
     assert has_axiom(enriched, RelationKind.HYPONYMY, "marsh-cat-2", "concept")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(
+        st.sampled_from(["Desk", "desk", "lamp", "desk lamp"]),
+        st.sampled_from(["Lamp", "lamp", "chair"]),  # concept ids that tie under lower()
+    ), max_size=12),
+    data=st.data(),
+)
+def test_property_report_order_equals_tuple_key_sort(tmp_path_factory, pairs, data):
+    # winner_hits numbers each decision, so the written order names them.
+    decisions = [
+        PlacementDecision(suggest(term, target, hits=number), target, (1,), "case1")
+        for number, (term, target) in enumerate(pairs)
+    ]
+    decisions = data.draw(st.permutations(decisions))
+    path = tmp_path_factory.mktemp("order") / "report.tsv"
+    write_enrichment_report(EnrichmentReport(tuple(decisions), (), 0), path)
+    written = [int(line.split("\t")[6]) for line in path.read_text("utf-8").splitlines()[1:-1]]
+    expected = tuple_key_order(decisions, lambda d: d.term, lambda d: d.target_concept)
+    assert written == [decision.suggestion.winner_hits for decision in expected]

@@ -174,6 +174,17 @@ def test_corpus_loading(tmp_path):
     assert ids == [f"{domain}/{name}" for domain in ("atolls", "islands") for name in expected]
 
 
+@pytest.mark.parametrize("name", ["sci\tence", "sci\nence", "sci\rence", "sci\x1cence", "science\n"])
+def test_corpus_rejects_a_domain_name_that_breaks_a_judgments_field(tmp_path, name):
+    # A domain is a field of system_judgments.tsv; a tab or line break in it
+    # would make a file its own reader rejects.
+    (tmp_path / name).mkdir()
+    (tmp_path / name / "a.txt").write_text("Java island", encoding="utf-8")
+    with pytest.raises(ValueError, match="has a tab or line break in its name") as error:
+        load_corpus(tmp_path)
+    assert repr(str(tmp_path / name)) in str(error.value)
+
+
 def test_document_accounting_merges_sources(stoplist):
     corpus = Corpus(
         (
