@@ -45,13 +45,12 @@ from .relatedness import (
     write_matrix,
 )
 from .textpipe import (
-    Corpus,
     Gazetteer,
-    NGram,
     default_stoplist,
     load_corpus,
     load_stoplist,
     partition_terms,
+    read_documents,
     tokenize_corpus,
 )
 
@@ -123,8 +122,8 @@ class RunState:
     provider: HitCountProvider
     provider_id: str
     corpus_sha256: str
-    eliminated: list[NGram]
-    retained: list[NGram]
+    eliminated: list[str]
+    retained: list[str]
     matrix: RelatednessMatrix | None
     suggestions: list[RelationSuggestion]
     term_domains: dict[str, set[str]]
@@ -134,17 +133,6 @@ def _sha256(path: Path | None) -> str:
     if path is None:
         return "-"
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _corpus_sha256(corpus: Corpus) -> str:
-    """Digest of the sorted doc ids and their texts, each prefixed by its byte length."""
-    digest = hashlib.sha256()
-    for doc in sorted(corpus.documents, key=lambda d: d.id):
-        for field in (doc.id, doc.text):
-            data = field.encode("utf-8")
-            digest.update(len(data).to_bytes(8, "big"))
-            digest.update(data)
-    return digest.hexdigest()
 
 
 @contextmanager
@@ -176,14 +164,16 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
         gazetteer = (
             Gazetteer.load(config.gazetteer) if config.gazetteer else Gazetteer.empty()
         )
-        corpus = load_corpus(config.corpus)
-        corpus_sha256 = _corpus_sha256(corpus)
-        table = tokenize_corpus(corpus, stoplist.punctuation)
-        del corpus  # the table holds what the run needs of the texts
+        articles = load_corpus(config.corpus)
+        digest = hashlib.sha256()
+        table = tokenize_corpus(read_documents(articles, digest), stoplist.punctuation)
+        corpus_sha256 = digest.hexdigest()
         partition = partition_terms(table.mined_terms(stoplist), ontology, gazetteer)
         domains = [doc_id.split("/", 1)[0] for doc_id in table.doc_ids]
-        term_domains = {gram.surface: {domains[n] for n in table.documents(gram.key)}
-                        for gram in partition.missing}
+        term_domains = {
+            surface: {domains[n] for n in table.documents(surface.lower().split())}
+            for surface in partition.missing
+        }
 
     with _stage("hits"):
         if config.snapshot is not None:
@@ -196,14 +186,11 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
 
     with _stage("relatedness"):
         retained = ngram_hits_filter(partition.missing, provider)
-        retained_keys = {gram.key for gram in retained}
-        eliminated = [g for g in partition.missing if g.key not in retained_keys]
+        kept = set(retained)
+        eliminated = [surface for surface in partition.missing if surface not in kept]
 
-        known_concept_terms = [
-            k.ngram.surface for k in partition.known if k.source == "concept"
-        ]
-        t_in = drop_unusable_terms(known_concept_terms, provider)
-        t_miss = drop_unusable_terms([gram.surface for gram in retained], provider)
+        t_in = drop_unusable_terms(partition.concepts, provider)
+        t_miss = drop_unusable_terms(retained, provider)
         matrix = None
         if t_miss and t_in:
             matrix = relatedness_matrix(
@@ -272,12 +259,12 @@ def _write_system_judgments(state: RunState, decisions, path: Path) -> None:
     written in turn, in the order of its line prefix ``kind\tdomain\t``. A
     domain holds no tab, so that order is the order of the sorted lines."""
     buckets: dict[tuple[str, str], list] = {}
-    for status, grams in (("eliminated", state.eliminated), ("retained", state.retained)):
-        for gram in grams:
-            for domain in state.term_domains[gram.surface]:
-                buckets.setdefault(("E", domain), []).append((status, gram.surface))
+    for status, terms in (("eliminated", state.eliminated), ("retained", state.retained)):
+        for surface in terms:
+            for domain in state.term_domains[surface]:
+                buckets.setdefault(("E", domain), []).append((status, surface))
     for decision in decisions:
-        for domain in state.term_domains.get(decision.term, ("unknown",)):
+        for domain in state.term_domains[decision.term]:
             buckets.setdefault(("X", domain), []).append(decision)
     with path.open("w", encoding="utf-8") as out:
         for kind, domain in sorted(buckets, key=lambda bucket: "\t".join(bucket) + "\t"):

@@ -44,7 +44,6 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .hitcounts import HitCountProvider
-from .textpipe import NGram
 
 logger = logging.getLogger(__name__)
 
@@ -91,10 +90,9 @@ def distance_from_counts(
     return numerator / denominator
 
 
-def ngram_hits_filter(missing: Iterable[NGram], provider: HitCountProvider) -> list[NGram]:
-    """Keep exactly the n-grams with a positive hit count, in lexicographic order."""
-    ordered = sorted(missing, key=lambda g: g.key)
-    return [gram for gram in ordered if provider.hits(gram.surface) > 0]
+def ngram_hits_filter(missing: Iterable[str], provider: HitCountProvider) -> list[str]:
+    """Keep exactly the terms with a positive hit count, in their given order."""
+    return [term for term in missing if provider.hits(term) > 0]
 
 
 def drop_unusable_terms(terms: Iterable[str], provider: HitCountProvider) -> list[str]:

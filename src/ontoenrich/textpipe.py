@@ -1,13 +1,13 @@
 """Corpus ingestion and the text mining steps that feed the statistics:
-one phrase table per corpus, the mined n-grams taken from it, and the
+one phrase table per corpus, the mined terms taken from it, and the
 known/missing split against an ontology plus a gazetteer.
 
-Each document is split into spans at punctuation once and numbered in load
-order. One table holds every 1-3 token phrase inside a span, a posting list
-of document numbers per token and each document's lowercased text; the
-corpus index also answers from it. The mined n-grams are the phrases with
-no stopword token, so they never cross a stopword or a punctuation
-character. Hyphenated words stay single tokens.
+Each document is read once, split into spans at punctuation and numbered in
+document-id order. One table holds every 1-3 token phrase inside a span, a
+posting list of document numbers per token and each document's lowercased
+text; the corpus index also answers from it. The mined terms are the
+phrases with no stopword token, so they never cross a stopword or a
+punctuation character. Hyphenated words stay single tokens.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .ontology import Ontology, normalize_label, records
 
@@ -68,58 +68,19 @@ def punctuation_spans(text: str, punctuation: frozenset[str]) -> list[list[str]]
     return [tokens for piece in pieces if (tokens := piece.split())]
 
 
-@dataclass(eq=False)
-class NGram:
-    """1-3 word term; ``key`` is its case-folded token tuple."""
-
-    tokens: tuple[str, ...]
-
-    def __post_init__(self):
-        if not 1 <= len(self.tokens) <= MAX_NGRAM_LEN:
-            raise ValueError(f"n-gram length must be 1..{MAX_NGRAM_LEN}")
-
-    @property
-    def key(self) -> tuple[str, ...]:
-        return tuple(t.lower() for t in self.tokens)
-
-    @property
-    def surface(self) -> str:
-        return " ".join(self.tokens)
-
-
-@dataclass(frozen=True)
-class Document:
-    id: str
-    domain: str
-    text: str
-
-    def __post_init__(self):
-        if not self.text or self.text.isspace():
-            raise ValueError(f"document {self.id!r} has empty text")
-
-
-@dataclass(frozen=True)
-class Corpus:
-    documents: tuple[Document, ...]
-
-    def __post_init__(self):
-        ids = [d.id for d in self.documents]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate document ids in corpus")
-
-
 # A tab, and every character at which ``str.splitlines`` ends a line.
 _FIELD_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def load_corpus(root: str | Path) -> Corpus:
-    """Corpus layout: one subdirectory per domain, one text file per article.
-    A domain name is a field of the judgments file, so one that holds a tab
-    or a line break is rejected."""
+def load_corpus(root: str | Path) -> list[tuple[str, str]]:
+    """(doc id, path) of each article, in document-id order. Corpus layout:
+    one subdirectory per domain, one text file per article, whose id is
+    ``<domain>/<file name>``. A domain name is a field of the judgments
+    file, so one that holds a tab or a line break is rejected."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory {root} does not exist")
-    documents = []
+    articles = []
     for domain_dir in _sorted_entries(root):
         if not domain_dir.is_dir():
             continue
@@ -127,14 +88,26 @@ def load_corpus(root: str | Path) -> Corpus:
             raise ValueError(
                 f"corpus domain directory {domain_dir.path!r} has a tab or line break in its name"
             )
-        for article in _sorted_entries(domain_dir.path):
-            if article.is_file():
-                with open(article.path, encoding="utf-8") as handle:
-                    text = handle.read()
-                documents.append(Document(
-                    id=f"{domain_dir.name}/{article.name}", domain=domain_dir.name, text=text,
-                ))
-    return Corpus(tuple(documents))
+        articles += [(f"{domain_dir.name}/{article.name}", article.path)
+                     for article in _sorted_entries(domain_dir.path) if article.is_file()]
+    return sorted(articles)
+
+
+def read_documents(articles: Iterable[tuple[str, str]], digest) -> Iterator[tuple[str, str]]:
+    """(doc id, text) of each (doc id, path), the file read as UTF-8 text.
+    Each id and text is fed to digest, prefixed by its UTF-8 byte length, so
+    over ``load_corpus`` order the digest identifies the corpus by content.
+    A text of only whitespace is rejected."""
+    for doc_id, path in articles:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        if not text or text.isspace():
+            raise ValueError(f"document {doc_id!r} has empty text")
+        for field in (doc_id, text):
+            data = field.encode("utf-8")
+            digest.update(len(data).to_bytes(8, "big"))
+            digest.update(data)
+        yield doc_id, text
 
 
 def _sorted_entries(directory: str | Path) -> list[os.DirEntry]:
@@ -145,13 +118,14 @@ def _sorted_entries(directory: str | Path) -> list[os.DirEntry]:
 
 
 class PhraseTable:
-    """A corpus as the index answers it, documents numbered in load order:
+    """A corpus as the index answers it, documents numbered in the order
+    they were added (``load_corpus`` order in a run):
     ``phrases``, every lowercased 1..MAX_NGRAM_LEN token phrase inside a
     punctuation span; ``postings``, each lowercased token's strictly
     increasing document numbers; ``texts``, each document's lowercased tokens
     joined by ``" "`` and spans by ``" \\n "``, padded with a space, so
     ``" a b "`` is in a text exactly when one span has ``a b``; and
-    ``surfaces``, each phrase's first surface in load order where it is not
+    ``surfaces``, each phrase's first surface in that order where it is not
     the phrase itself."""
 
     def __init__(self, punctuation: frozenset[str]):
@@ -201,75 +175,68 @@ class PhraseTable:
         needle = " " + " ".join(tokens) + " "
         return [number for number in rarest if needle in self.texts[number]]
 
-    def mined_terms(self, stoplist: Stoplist) -> Iterator[NGram]:
-        """The phrases with no stopword token."""
+    def mined_terms(self, stoplist: Stoplist) -> Iterator[str]:
+        """The first surfaces of the phrases with no stopword token; a
+        surface's ``str.lower().split()`` is its phrase."""
         words, surfaces = stoplist.words, self.surfaces
-        return (NGram(surfaces.get(p, p)) for p in self.phrases if words.isdisjoint(p))
+        return (" ".join(surfaces.get(p, p)) for p in self.phrases if words.isdisjoint(p))
 
 
-def tokenize_corpus(corpus: Corpus, punctuation: frozenset[str]) -> PhraseTable:
-    """Split each document at punctuation once and fill one phrase table."""
+def tokenize_corpus(
+    documents: Iterable[tuple[str, str]], punctuation: frozenset[str]
+) -> PhraseTable:
+    """Split each (doc id, text) at punctuation once and fill one phrase table."""
     table = PhraseTable(punctuation)
-    for doc in corpus.documents:
-        table.add(doc.id, punctuation_spans(doc.text, punctuation))
+    for doc_id, text in documents:
+        table.add(doc_id, punctuation_spans(text, punctuation))
     return table
 
 
 @dataclass(frozen=True)
 class Gazetteer:
-    """Flat surface-to-entity-kind lookup standing in for a trained recognizer."""
+    """Normalized surfaces of known entities, standing in for a trained recognizer."""
 
-    entries: Mapping[str, str]
+    surfaces: frozenset[str]
 
     @classmethod
     def load(cls, path: str | Path) -> "Gazetteer":
-        """Read ``<surface>\\t<kind>`` lines; no surface twice once normalized."""
-        entries = {}
+        """Read ``<surface>\\t<kind>`` lines; no surface twice once normalized.
+        No run reads the kind, so it is not kept."""
+        surfaces = set()
         for n, line in records(Path(path).read_text(encoding="utf-8")):
             fields = line.strip().split("\t")
             if len(fields) != 2:
                 raise ValueError(f"{path}: line {n}: expected <surface>\\t<kind>")
             key = normalize_label(fields[0])
-            if key in entries:
+            if key in surfaces:
                 raise ValueError(f"{path}: line {n}: duplicate key {key!r}")
-            entries[key] = fields[1]
-        return cls(entries)
+            surfaces.add(key)
+        return cls(frozenset(surfaces))
 
     @classmethod
     def empty(cls) -> "Gazetteer":
-        return cls({})
-
-    def lookup(self, surface: str) -> str | None:
-        return self.entries.get(normalize_label(surface))
-
-
-@dataclass(frozen=True)
-class KnownTerm:
-    ngram: NGram
-    source: str                 # "gazetteer", "concept" or "instance"
+        return cls(frozenset())
 
 
 @dataclass(frozen=True)
 class TermPartition:
-    known: tuple[KnownTerm, ...]
-    missing: tuple[NGram, ...]
+    concepts: tuple[str, ...]   # known by a concept label
+    missing: tuple[str, ...]
 
 
 def partition_terms(
-    ngrams: Iterable[NGram], ontology: Ontology, gazetteer: Gazetteer
+    terms: Iterable[str], ontology: Ontology, gazetteer: Gazetteer
 ) -> TermPartition:
-    """Split n-grams into ontology/gazetteer-known and missing terms.
-
-    The gazetteer is consulted first, then concept and instance labels.
-    """
-    known, missing = [], []
-    for gram in sorted(ngrams, key=lambda g: g.key):
-        if gazetteer.lookup(gram.surface) is not None:
-            known.append(KnownTerm(gram, "gazetteer"))
+    """Split mined surfaces into those a concept label knows and the missing
+    ones, each sorted by ``str.lower``. A gazetteer entry, looked up first,
+    and an instance label are in neither."""
+    concepts, missing = [], []
+    for surface in sorted(terms, key=str.lower):
+        if normalize_label(surface) in gazetteer.surfaces:
             continue
-        match = ontology.contains_term(gram.surface)
-        if match is not None:
-            known.append(KnownTerm(gram, match.kind))
-        else:
-            missing.append(gram)
-    return TermPartition(tuple(known), tuple(missing))
+        match = ontology.contains_term(surface)
+        if match is None:
+            missing.append(surface)
+        elif match.kind == "concept":
+            concepts.append(surface)
+    return TermPartition(tuple(concepts), tuple(missing))

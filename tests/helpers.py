@@ -11,17 +11,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Iterable
 
 from ontoenrich.hitcounts import CorpusIndex, HitCountProvider
 from ontoenrich.ontology import Axiom, Ontology, RelationKind, canonicalize_axiom
 from ontoenrich.patterns import pluralize_term
 from ontoenrich.placement import PlacementConfig, PlacementDecision, place_all
 from ontoenrich.relatedness import DistanceConfig, RelatednessMatrix, distance_from_counts
-from ontoenrich.textpipe import Corpus, default_stoplist, tokenize_corpus
+from ontoenrich.textpipe import PhraseTable, default_stoplist, tokenize_corpus
 
 _SLOT_RE = re.compile(r"\{([XY])(:pl)?\}")
 _VOWELS = "aeiou"
@@ -63,7 +65,7 @@ def walk_spans(text: str, stoplist) -> list[list[str]]:
 
 def walk_terms(docs: list[tuple[str, str]], stoplist, max_len: int) -> dict:
     """Key -> (first surface, doc ids) of every 1..max_len window of the
-    ``walk_spans`` spans, over (doc id, text) pairs in load order."""
+    ``walk_spans`` spans, over (doc id, text) pairs in the given order."""
     terms: dict[tuple[str, ...], tuple[tuple[str, ...], set[str]]] = {}
     for doc_id, text in docs:
         for span in walk_spans(text, stoplist):
@@ -136,6 +138,18 @@ def group_sums(hits, catalogue) -> dict[str, int]:
     for group, count in zip(catalogue.groups, hits, strict=True):
         sums[group] += count
     return sums
+
+
+def corpus_digest(docs: Iterable[tuple[str, str]]) -> str:
+    """sha256 of the (doc id, text) pairs sorted by id, each id and text
+    prefixed by its UTF-8 byte length as 8 big-endian bytes."""
+    digest = hashlib.sha256()
+    for doc_id, text in sorted(docs):
+        for field in (doc_id, text):
+            data = field.encode("utf-8")
+            digest.update(len(data).to_bytes(8, "big"))
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def scan_phrase_docs(doc_tokens: dict[str, list[str]], phrase: str) -> set[str]:
@@ -244,9 +258,19 @@ def cell(matrix: RelatednessMatrix, missing_term: str, ontology_term: str) -> fl
     return matrix.cells[row][matrix.ontology_terms.index(ontology_term)]
 
 
-def build_index(corpus: Corpus) -> CorpusIndex:
-    """Index over an in-memory corpus, cut at the default stoplist's punctuation."""
-    return CorpusIndex(tokenize_corpus(corpus, default_stoplist().punctuation))
+def phrase_table(
+    docs: Iterable[tuple[str, str]], punctuation: frozenset[str] | None = None
+) -> PhraseTable:
+    """The table of in-memory (doc id, text) pairs, numbered in the given
+    order and cut at punctuation, by default the default stoplist's."""
+    if punctuation is None:
+        punctuation = default_stoplist().punctuation
+    return tokenize_corpus(docs, punctuation)
+
+
+def build_index(docs: Iterable[tuple[str, str]]) -> CorpusIndex:
+    """Index over the ``phrase_table`` of in-memory (doc id, text) pairs."""
+    return CorpusIndex(phrase_table(docs))
 
 
 def id_queries(miss: str, target: str, catalogue) -> list[tuple[str, str]]:

@@ -17,8 +17,6 @@ from ontoenrich.ontology import RelationKind, load_ontology
 from ontoenrich.patterns import default_catalogue, extract_relation
 from ontoenrich.placement import enrich_ontology
 from ontoenrich.relatedness import drop_unusable_terms, ngram_hits_filter, relatedness_matrix
-from ontoenrich.textpipe import Corpus, Document, NGram
-
 from helpers import (
     build_index,
     cell,
@@ -85,16 +83,16 @@ def test_c2_related_to_fallback(tmp_path):
 @pytest.mark.acceptance("3", "positive-hit filter keeps exactly the countable terms")
 def test_c3_hit_filter_exact():
     snapshot = SnapshotTable.load(SNAPSHOT)
-    grams = [
-        NGram(("Hindu-Buddhist",)),
-        NGram(("Bears", "aided", "excellent")),
-        NGram(("animals", "generally", "diurnal")),
-        NGram(("areas", "most")),
-        NGram(("jawa",)),
+    terms = [
+        "Hindu-Buddhist",
+        "Bears aided excellent",
+        "animals generally diurnal",
+        "areas most",
+        "jawa",
     ]
-    survivors = ngram_hits_filter(grams, snapshot)
-    assert {g.surface for g in survivors} == {"Hindu-Buddhist", "jawa"}
-    assert all(snapshot.hits(g.surface) > 0 for g in survivors)
+    survivors = ngram_hits_filter(terms, snapshot)
+    assert survivors == ["Hindu-Buddhist", "jawa"]
+    assert all(snapshot.hits(term) > 0 for term in survivors)
     assert snapshot.hits("Hindu-Buddhist") == 128_000
 
 
@@ -129,8 +127,8 @@ def test_c4_relatedness_properties():
         docs = {}
         for i in range(rng.randint(2, 10)):
             tokens = rng.choices(vocab, k=rng.randint(1, 12))
-            docs[f"d/{i}"] = Document(f"d/{i}", "d", " ".join(tokens))
-        index = build_index(Corpus(tuple(docs.values())))
+            docs[f"d/{i}"] = " ".join(tokens)
+        index = build_index(docs.items())
         usable = drop_unusable_terms(vocab, index)
         if len(usable) < 2:
             continue
@@ -164,10 +162,7 @@ def test_c5_oracle_equivalence():
         doc_tokens = {}
         for i in range(rng.randint(1, 16)):
             doc_tokens[f"d/{i:02d}"] = rng.choices(vocab, k=rng.randint(1, 50))
-        corpus = Corpus(
-            tuple(Document(i, "d", " ".join(t)) for i, t in sorted(doc_tokens.items()))
-        )
-        index = build_index(corpus)
+        index = build_index((i, " ".join(t)) for i, t in doc_tokens.items())
         assert index.total_docs() == len(doc_tokens)
         for _ in range(4):
             phrase = " ".join(rng.choices(vocab, k=rng.randint(1, 3)))

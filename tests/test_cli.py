@@ -13,9 +13,9 @@ from ontoenrich.evaluation import Judgments
 from ontoenrich.ontology import RelationKind, load_ontology
 from ontoenrich.patterns import RelationSuggestion
 from ontoenrich.placement import PlacementDecision
-from ontoenrich.textpipe import NGram, load_corpus
+from ontoenrich.textpipe import load_corpus, read_documents
 
-from helpers import build_index, has_axiom, scan_hits
+from helpers import build_index, corpus_digest, has_axiom, scan_hits
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MINI = FIXTURES / "mini_ontology.tsv"
@@ -51,7 +51,7 @@ def test_index_subcommand_is_gone(tmp_path, tiny_corpus, capsys):
 
 def test_index_matches_scan_oracle(tiny_corpus):
     # The index enrich and relatedness build from a --corpus directory.
-    index = build_index(load_corpus(tiny_corpus))
+    index = build_index(read_documents(load_corpus(tiny_corpus), hashlib.sha256()))
     doc_tokens = {
         f"islands/{name}": (tiny_corpus / "islands" / name).read_text().split()
         for name in ["one.txt", "two.txt", "three.txt", "four.txt"]
@@ -177,9 +177,7 @@ def test_system_judgments_written_per_bucket_equal_sorted_lines(tmp_path):
     domains = ["a", "a-b", "ab", "a b", "a\x01"]
     term_domains = {"marsh cat": set(domains), "reef": {"ab", "a"}, "Reef": {"a b"}}
     state = SimpleNamespace(
-        eliminated=[NGram(("reef",))],
-        retained=[NGram(("marsh", "cat")), NGram(("Reef",))],
-        term_domains=term_domains,
+        eliminated=["reef"], retained=["marsh cat", "Reef"], term_domains=term_domains
     )
 
     def decision(term, target, senses, relation):
@@ -189,22 +187,19 @@ def test_system_judgments_written_per_bucket_equal_sorted_lines(tmp_path):
     decisions = [
         decision("marsh cat", "animal", (2, 1), RelationKind.HYPONYMY),
         decision("Reef", "coast", (1,), RelationKind.RELATED_TO),
-        decision("ghost", "island", (1,), RelationKind.RELATED_TO),  # no domain: "unknown"
     ]
     path = tmp_path / "system_judgments.tsv"
     pipeline._write_system_judgments(state, decisions, path)
     lines = [
-        f"E\t{domain}\t{status}\t{gram.surface}"
-        for status, grams in (("eliminated", state.eliminated), ("retained", state.retained))
-        for gram in grams for domain in term_domains[gram.surface]
+        f"E\t{domain}\t{status}\t{surface}"
+        for status, terms in (("eliminated", state.eliminated), ("retained", state.retained))
+        for surface in terms for domain in term_domains[surface]
     ] + [
         f"X\t{domain}\t{d.term}\t{d.target_concept}\t{sense}\t{d.suggestion.relation.value}"
-        for d in decisions for domain in term_domains.get(d.term, {"unknown"})
-        for sense in d.senses
+        for d in decisions for domain in term_domains[d.term] for sense in d.senses
     ]
     assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in sorted(lines))
-    assert "X\tunknown\tghost\tisland\t1\trelated-to\n" in path.read_text(encoding="utf-8")
-    assert len(Judgments.load(path).domains) == len(domains) + 1
+    assert len(Judgments.load(path).domains) == len(domains)
 
 
 def test_manifest_records_run_knobs(tmp_path):
@@ -257,6 +252,35 @@ def test_manifest_identifies_corpus_by_content(tmp_path, tiny_corpus):
     assert first["provider"] == second["provider"]
     assert first["snapshot_sha256"] == second["snapshot_sha256"] == "-"
     assert first["corpus_sha256"] != second["corpus_sha256"]
+
+
+def test_manifest_corpus_digest_equals_oracle_over_id_order(tmp_path):
+    # Ids sort "a-b/..." before "a/...". Text is read in text mode, so a CRLF
+    # file is hashed with LF line ends.
+    root = tmp_path / "corpus"
+    files = {
+        "a/crlf.txt": (b"desk lamp\r\noffice chair\r\n", "desk lamp\noffice chair\n"),
+        "a/plain.txt": (b"filing cabinet", "filing cabinet"),
+        "a-b/\u00e9t\u00e9.txt": ("Caf\u00e9 \u0399\u03a3 \u0130stanbul stra\u00dfe".encode(),
+                          "Caf\u00e9 \u0399\u03a3 \u0130stanbul stra\u00dfe"),
+    }
+    for doc_id, (data, _) in files.items():
+        (root / doc_id).parent.mkdir(parents=True, exist_ok=True)
+        (root / doc_id).write_bytes(data)
+    out = tmp_path / "out"
+    assert run("relatedness", "--corpus", root, "--ontology", MINI, "--out-dir", out) == 0
+    expected = corpus_digest((doc_id, text) for doc_id, (_, text) in files.items())
+    assert manifest_of(out)["corpus_sha256"] == expected
+
+
+def test_blank_document_exits_corpus_code(tmp_path, tiny_corpus, capsys):
+    (tiny_corpus / "islands" / "blank.txt").write_text(" \n\t", encoding="utf-8")
+    code = run("enrich", "--corpus", tiny_corpus, "--ontology", MINI,
+               "--out-dir", tmp_path / "out")
+    assert code == 4
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == ["error [corpus] document 'islands/blank.txt' has empty text"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

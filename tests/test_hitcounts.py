@@ -5,35 +5,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ontoenrich.hitcounts import CorpusIndex, EmptyCorpusError, SnapshotTable, pair_key
-from ontoenrich.textpipe import Corpus, Document, default_stoplist, tokenize_corpus
+from ontoenrich.textpipe import default_stoplist
 
-from helpers import build_index, scan_hits, scan_pair_hits, walk_phrase_docs
+from helpers import build_index, phrase_table, scan_hits, scan_pair_hits, walk_phrase_docs
 
 WORKED_SNAPSHOT = (
     Path(__file__).resolve().parent.parent / "fixtures" / "snapshots" / "worked_examples.tsv"
 )
 
 
-def corpus_of(texts: dict[str, str]) -> Corpus:
-    return Corpus(tuple(Document(doc_id, "d", text) for doc_id, text in sorted(texts.items())))
-
-
 @pytest.fixture
 def four_docs():
-    return corpus_of(
-        {
-            "d/1": "java island tropics",
-            "d/2": "java island coffee",
-            "d/3": "java volcano",
-            "d/4": "sea coast reef",
-        }
-    )
+    return [
+        ("d/1", "java island tropics"),
+        ("d/2", "java island coffee"),
+        ("d/3", "java volcano"),
+        ("d/4", "sea coast reef"),
+    ]
 
 
 def test_hits_counts_documents_not_occurrences(four_docs):
     index = build_index(four_docs)
     assert index.hits("java") == 3  # frozen from the document-scan oracle
-    doc_tokens = {d.id: d.text.split() for d in four_docs.documents}
+    doc_tokens = {doc_id: text.split() for doc_id, text in four_docs}
     assert index.hits("java") == scan_hits(doc_tokens, "java")
 
 
@@ -44,19 +38,18 @@ def test_absent_phrase_hits_zero(four_docs):
 def test_pair_hits_is_posting_intersection(four_docs):
     index = build_index(four_docs)
     assert index.pair_hits("java", "island") == 2
-    doc_tokens = {d.id: d.text.split() for d in four_docs.documents}
+    doc_tokens = {doc_id: text.split() for doc_id, text in four_docs}
     assert index.pair_hits("java", "island") == scan_pair_hits(doc_tokens, "java", "island")
 
 
 def test_phrase_in_every_document_hits_total():
-    corpus = corpus_of({"d/1": "tide pool", "d/2": "tide line"})
-    index = build_index(corpus)
+    index = build_index([("d/1", "tide pool"), ("d/2", "tide line")])
     assert index.hits("tide") == index.total_docs() == 2
 
 
 def test_empty_corpus_rejected():
     with pytest.raises(EmptyCorpusError):
-        build_index(Corpus(()))
+        build_index([])
 
 
 def test_index_matches_are_case_insensitive(four_docs):
@@ -65,15 +58,13 @@ def test_index_matches_are_case_insensitive(four_docs):
 
 
 def test_phrase_cannot_cross_punctuation():
-    corpus = corpus_of({"d/1": "deep reef, shallow bay"})
-    index = build_index(corpus)
+    index = build_index([("d/1", "deep reef, shallow bay")])
     assert index.hits("reef shallow") == 0
     assert index.hits("shallow bay") == 1
 
 
 def test_long_pattern_query_scans(four_docs):
-    corpus = corpus_of({"d/1": "a corporate body is an organization with members"})
-    index = build_index(corpus)
+    index = build_index([("d/1", "a corporate body is an organization with members")])
     assert index.pattern_hits("corporate body is an organization") == 1
     assert index.pattern_hits("corporate body is a kind of organization") == 0
 
@@ -86,7 +77,7 @@ def test_build_index_matches_scan_oracle():
         "islands/three.txt": "java volcano of java",
         "seas/four.txt": "sea coast reef",
     }
-    index = build_index(corpus_of(texts))
+    index = build_index(texts.items())
     doc_tokens = {doc_id: text.split() for doc_id, text in texts.items()}
     for phrase in ["java", "island", "java island", "sea coast reef", "missing", "of",
                    "the java", "island of the", "of the tropics", "volcano of java",
@@ -101,21 +92,21 @@ def test_index_cuts_queries_at_its_own_punctuation(four_docs):
         # "Ⓐ" is a boundary but its lowercase "ⓐ" is not: a query is cut at
         # punctuation as given, before it is lowercased.
         (
-            corpus_of({"d/1": "java ⓐ reef"}),
+            [("d/1", "java ⓐ reef")],
             frozenset("Ⓐ"),
             {"java Ⓐ reef": 0, "JAVA ⓐ REEF": 1},
         ),
         # "." is no boundary here, so "three." is one token
         (
-            corpus_of({"d/1": "one two three. four"}),
+            [("d/1", "one two three. four")],
             frozenset("|"),
             {"two three.": 1, "two three": 0, "three. four": 1},
         ),
         # nor is "|" here
-        (corpus_of({"d/1": "a|b c"}), frozenset("."), {"a|b c": 1, "a": 0}),
+        ([("d/1", "a|b c")], frozenset("."), {"a|b c": 1, "a": 0}),
     ]
-    for corpus, punctuation, expected in cases:
-        index = CorpusIndex.build(tokenize_corpus(corpus, punctuation))
+    for docs, punctuation, expected in cases:
+        index = CorpusIndex.build(phrase_table(docs, punctuation))
         assert {query: index.hits(query) for query in expected} == expected
     assert index.pair_hits("a|b", "c") == 1
 
@@ -212,8 +203,7 @@ def small_corpora(draw):
 @settings(max_examples=120, deadline=None)
 @given(small_corpora(), st.lists(_WORDS, min_size=1, max_size=3), st.lists(_WORDS, min_size=1, max_size=3))
 def test_property_index_equals_scan_oracle(texts, phrase_a, phrase_b):
-    corpus = corpus_of(texts)
-    index = build_index(corpus)
+    index = build_index(texts.items())
     doc_tokens = {doc_id: text.split() for doc_id, text in texts.items()}
     a, b = " ".join(phrase_a), " ".join(phrase_b)
     assert index.hits(a) == scan_hits(doc_tokens, a)
@@ -224,7 +214,7 @@ def test_property_index_equals_scan_oracle(texts, phrase_a, phrase_b):
 @settings(max_examples=120, deadline=None)
 @given(small_corpora(), _WORDS, _WORDS)
 def test_property_provider_invariants(texts, a, b):
-    index = build_index(corpus_of(texts))
+    index = build_index(texts.items())
     pair = index.pair_hits(a, b)
     assert 0 <= pair <= min(index.hits(a), index.hits(b)) <= index.total_docs()
     assert index.pair_hits(a, b) == index.pair_hits(b, a)
@@ -261,7 +251,7 @@ def long_phrase_cases(draw):
 @given(long_phrase_cases())
 def test_property_long_phrase_equals_scan_oracle(case):
     texts, queries = case
-    index = build_index(corpus_of(texts))
+    index = build_index(texts.items())
     doc_tokens = {doc_id: text.split() for doc_id, text in texts.items()}
     for query in queries:
         assert index.hits(query) == scan_hits(doc_tokens, query)
@@ -320,7 +310,7 @@ def punctuated_query_cases(draw):
 @given(punctuated_query_cases())
 def test_property_punctuated_queries_equal_walk_oracle(case):
     texts, queries = case
-    index = build_index(corpus_of(texts))
+    index = build_index(texts.items())
     for query in queries:
         expected = len(walk_phrase_docs(texts, query, default_stoplist().punctuation))
         assert index.hits(query) == index.pattern_hits(query) == expected, query
@@ -336,7 +326,7 @@ def test_property_punctuated_queries_equal_walk_oracle(case):
     ],
 )
 def test_long_phrase_absent_though_its_windows_occur(text, query, absent_windows):
-    index = build_index(corpus_of({"d/0": text, "d/1": "filler"}))
+    index = build_index([("d/0", text), ("d/1", "filler")])
     tokens = query.split()
     windows = {" ".join(tokens[i : i + 3]) for i in range(len(tokens) - 2)}
     assert all(index.hits(token) == 1 for token in tokens)
@@ -352,7 +342,7 @@ def test_long_phrase_absent_though_its_windows_occur(text, query, absent_windows
     st.lists(st.sampled_from(["hits a", "hits b", "pair a b", "pair b a"]), min_size=1, max_size=8),
 )
 def test_property_interleaved_queries_equal_scan_oracle(texts, phrase_a, phrase_b, calls):
-    index = build_index(corpus_of(texts))
+    index = build_index(texts.items())
     doc_tokens = {doc_id: text.split() for doc_id, text in texts.items()}
     terms = {"a": " ".join(phrase_a), "b": " ".join(phrase_b)}
     for call in calls:
@@ -380,7 +370,7 @@ def test_pair_hits_equal_scan_oracle_at_bit_boundaries(n_docs):
         if i == n_docs - 1:
             words += ["java island coffee", "reef"]
         texts[f"d/{i:04d}"] = " . ".join(words)
-    index = build_index(corpus_of(texts))
+    index = build_index(texts.items())
     doc_tokens = {doc_id: text.split() for doc_id, text in texts.items()}
     terms = ("java island", "coffee", "tide", "reef", "filler")
     for _ in range(2):  # the second round answers from a warm memo
@@ -398,9 +388,9 @@ def test_pair_memo_retains_one_bitset_per_term():
     n_docs = 4_000
     terms = [f"term{i}" for i in range(20)]
     every_other = " ".join(terms)
-    index = build_index(corpus_of(
-        {f"d/{i:04d}": every_other if i % 2 else "filler" for i in range(n_docs)}
-    ))
+    index = build_index(
+        (f"d/{i:04d}", every_other if i % 2 else "filler") for i in range(n_docs)
+    )
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -13,7 +13,10 @@
   functions share its name.
 * Every dataclass field is read as an attribute by those same files. Like
   the method rule, this goes by name: a field is read when some attribute
-  of that name is loaded.
+  of that name is loaded. So a field that shares its name with a field of
+  another dataclass passes once either is read; the names that more than
+  one dataclass declares are pinned, and a new one fails until the reads
+  of each of its fields are checked by hand.
 * Every private top-level function in ``src/ontoenrich`` is used by the
   package outside its own definition.
 * Only ``ontology.records`` splits text into lines: every line-based format
@@ -168,14 +171,19 @@ def test_class_and_static_methods_have_users():
     assert sorted(label for key, label in defined.items() if key not in used) == []
 
 
-def test_dataclass_fields_are_read():
-    fields = [
+def dataclass_fields() -> list[tuple[str, str]]:
+    """(field name, ``module: Class.field``) of every package dataclass field."""
+    return [
         (item.target.id, f"{module}: {cls.name}.{item.target.id}")
         for module, cls in package_classes()
         if "dataclass" in decorator_names(cls)
         for item in cls.body
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
     ]
+
+
+def test_dataclass_fields_are_read():
+    fields = dataclass_fields()
     read = {
         node.attr
         for path in USERS
@@ -183,6 +191,19 @@ def test_dataclass_fields_are_read():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(label for name, label in fields if name not in read) == []
+
+
+# Field names that several dataclasses declare. The reads of each such field
+# were checked by hand; a name added here needs the same check.
+SHARED_FIELD_NAMES = [
+    "denominator", "eliminated", "hits", "id", "label", "ontology", "relation",
+    "retained", "sense", "senses", "suggestion", "threshold", "top_k",
+]
+
+
+def test_shared_dataclass_field_names_are_pinned():
+    names = Counter(name for name, _ in dataclass_fields())
+    assert sorted(name for name, count in names.items() if count > 1) == SHARED_FIELD_NAMES
 
 
 def test_only_records_splits_lines():

@@ -20,8 +20,6 @@ from ontoenrich.relatedness import (
     select_candidates,
     write_matrix,
 )
-from ontoenrich.textpipe import Corpus, Document, NGram
-
 from helpers import (
     build_index,
     cell,
@@ -80,9 +78,8 @@ def test_distance_rejects_inconsistent_joint_count():
 
 def test_filter_keeps_positive_hits_only():
     table = snapshot_of({"Hindu-Buddhist": 128_000}, {}, 8_000_000_000)
-    grams = [NGram(("Bears", "aided", "excellent")), NGram(("Hindu-Buddhist",))]
-    survivors = ngram_hits_filter(grams, table)
-    assert [g.surface for g in survivors] == ["Hindu-Buddhist"]
+    survivors = ngram_hits_filter(["Bears aided excellent", "Hindu-Buddhist"], table)
+    assert survivors == ["Hindu-Buddhist"]
 
 
 def test_filter_empty_input():
@@ -90,10 +87,10 @@ def test_filter_empty_input():
     assert ngram_hits_filter([], table) == []
 
 
-def test_filter_all_positive_preserves_everything_sorted():
+def test_filter_all_positive_keeps_input_order():
+    # The run hands it terms partition_terms has sorted; it sorts no more.
     table = snapshot_of({"b": 1, "a": 2}, {}, 10)
-    grams = [NGram(("b",)), NGram(("a",))]
-    assert [g.surface for g in ngram_hits_filter(grams, table)] == ["a", "b"]
+    assert ngram_hits_filter(["b", "a"], table) == ["b", "a"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,13 +101,11 @@ def test_filter_all_positive_preserves_everything_sorted():
 )
 def test_property_filter_sound(counts):
     table = snapshot_of(counts, {}, 100)
-    grams = {NGram((w,)) for w in ["a", "b", "c", "d", "e"]}
-    survivors = ngram_hits_filter(grams, table)
-    assert set(survivors) <= grams
-    assert all(table.hits(g.surface) > 0 for g in survivors)
-    assert {g.surface for g in grams} - {g.surface for g in survivors} == {
-        g.surface for g in grams if table.hits(g.surface) == 0
-    }
+    terms = ["a", "b", "c", "d", "e"]
+    survivors = ngram_hits_filter(terms, table)
+    assert survivors == [term for term in terms if term in survivors]
+    assert all(table.hits(term) > 0 for term in survivors)
+    assert set(terms) - set(survivors) == {term for term in terms if table.hits(term) == 0}
 
 
 def test_single_pair_matrix_is_zero_and_warns(caplog):
@@ -148,8 +143,7 @@ def test_matrix_matches_scan_oracle_on_synthetic_corpus():
         "d/7": "k1",
         "d/8": "k2 m2",
     }
-    corpus = Corpus(tuple(Document(i, "d", t) for i, t in sorted(texts.items())))
-    index = build_index(corpus)
+    index = build_index(texts.items())
     matrix = relatedness_matrix(["m1", "m2"], ["k1", "k2"], index)
     # frozen from the independent document-scan, base-2 oracle
     assert cell(matrix, "m1", "k1") == pytest.approx(0.762485835088762, abs=1e-12)
@@ -379,8 +373,7 @@ def corpora_with_terms(draw):
 @settings(max_examples=150, deadline=None)
 @given(corpora_with_terms())
 def test_property_matrix_cells_in_unit_interval(texts):
-    corpus = Corpus(tuple(Document(i, "d", t) for i, t in sorted(texts.items())))
-    index = build_index(corpus)
+    index = build_index(texts.items())
     usable = drop_unusable_terms(_WORDS, index)
     if len(usable) < 2:
         return

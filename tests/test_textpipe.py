@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,18 +9,17 @@ from ontoenrich.hitcounts import CorpusIndex
 from ontoenrich.ontology import load_ontology
 from ontoenrich.textpipe import (
     MAX_NGRAM_LEN,
-    Corpus,
-    Document,
     Gazetteer,
-    NGram,
+    TermPartition,
     default_stoplist,
     load_corpus,
     parse_stoplist,
     partition_terms,
+    read_documents,
     tokenize_corpus,
 )
 
-from helpers import walk_terms
+from helpers import phrase_table, walk_terms
 
 MINI_ONTOLOGY = Path(__file__).resolve().parent.parent / "fixtures" / "mini_ontology.tsv"
 
@@ -44,27 +44,26 @@ def mini_onto(mini_ontology_path):
     return load_ontology(mini_ontology_path)
 
 
-def mine(stoplist, *texts: str) -> dict[tuple[str, ...], NGram]:
-    """Mined terms of one document per text, keyed by their token key."""
-    corpus = Corpus(tuple(Document(f"d/{i}", "d", text) for i, text in enumerate(texts)))
-    table = tokenize_corpus(corpus, stoplist.punctuation)
-    return {gram.key: gram for gram in table.mined_terms(stoplist)}
+def mine(stoplist, *texts: str) -> dict[tuple[str, ...], str]:
+    """Mined surfaces of one document per text, keyed by their lowercased tokens."""
+    table = phrase_table([(f"d/{i}", text) for i, text in enumerate(texts)], stoplist.punctuation)
+    return {tuple(surface.lower().split()): surface for surface in table.mined_terms(stoplist)}
 
 
-def surfaces(grams) -> set[str]:
-    return {gram.surface for gram in grams}
+def surfaces(stoplist, *texts: str) -> set[str]:
+    return set(mine(stoplist, *texts).values())
 
 
 def test_strip_stopwords_drops_words_and_punctuation(stoplist):
-    grams = mine(stoplist, JAVA_SENTENCE).values()
-    unigrams = [gram.surface for gram in grams if len(gram.key) == 1]
+    grams = mine(stoplist, JAVA_SENTENCE)
+    unigrams = [surface for key, surface in grams.items() if len(key) == 1]
     assert sorted(unigrams) == ["Indonesia", "Indonesian", "Java", "Jawa", "island"]
     for banned in ["is", "an", "of", "(", ")", ":"]:
-        assert not any(banned in gram.key for gram in grams)
+        assert not any(banned in key for key in grams)
 
 
 def test_strip_stopwords_empty_text(stoplist):
-    table = tokenize_corpus(Corpus(()), stoplist.punctuation)
+    table = phrase_table([], stoplist.punctuation)
     assert len(table) == 0 and list(table.mined_terms(stoplist)) == []
 
 
@@ -73,24 +72,25 @@ def test_strip_stopwords_only_stopwords(stoplist):
 
 
 def test_spans_break_at_stopwords_and_punctuation(stoplist):
-    grams = mine(stoplist, "its capital city, Jakarta.").values()
-    assert surfaces(grams) == {"capital", "city", "capital city", "Jakarta"}
+    assert surfaces(stoplist, "its capital city, Jakarta.") == {
+        "capital", "city", "capital city", "Jakarta"
+    }
 
 
 def test_hyphenated_words_are_single_tokens(stoplist):
-    grams = mine(stoplist, "powerful Hindu-Buddhist kingdoms").values()
+    grams = surfaces(stoplist, "powerful Hindu-Buddhist kingdoms")
     assert len(grams) == 6
-    assert "powerful Hindu-Buddhist kingdoms" in surfaces(grams)
+    assert "powerful Hindu-Buddhist kingdoms" in grams
 
 
 def test_tokenize_flat_three_tokens(stoplist):
-    grams = mine(stoplist, "java island indonesia").values()
+    grams = surfaces(stoplist, "java island indonesia")
     assert len(grams) == 6
-    assert {"java island indonesia", "island indonesia"} <= surfaces(grams)
+    assert {"java island indonesia", "island indonesia"} <= grams
 
 
 def test_tokenize_single_token(stoplist):
-    assert surfaces(mine(stoplist, "java").values()) == {"java"}
+    assert surfaces(stoplist, "java") == {"java"}
 
 
 def test_tokenize_java_article_contains_expected_ngrams(stoplist):
@@ -101,42 +101,42 @@ def test_tokenize_java_article_contains_expected_ngrams(stoplist):
 
 
 def test_ngrams_never_cross_boundaries(stoplist):
-    assert surfaces(mine(stoplist, "island of Indonesia").values()) == {"island", "Indonesia"}
+    assert surfaces(stoplist, "island of Indonesia") == {"island", "Indonesia"}
 
 
 def test_partition_java_article(stoplist, mini_onto):
     grams = mine(stoplist, JAVA_ARTICLE).values()
     partition = partition_terms(grams, mini_onto, Gazetteer.empty())
-    known = {k.ngram.surface.lower() for k in partition.known}
-    missing = {m.surface.lower() for m in partition.missing}
+    concepts = {surface.lower() for surface in partition.concepts}
+    missing = {surface.lower() for surface in partition.missing}
     for surface in ["java", "island", "indonesia", "capital city", "dutch east indies"]:
-        assert surface in known
+        assert surface in concepts
     assert "jawa" in missing
     assert "hindu-buddhist" in missing
+    assert "jakarta" not in concepts | missing  # an instance label
+    for terms in (partition.concepts, partition.missing):
+        assert list(terms) == sorted(terms, key=str.lower)
 
 
 def test_partition_instance_match(mini_onto):
-    partition = partition_terms([NGram(("Jakarta",))], mini_onto, Gazetteer.empty())
-    assert partition.known[0].source == "instance"
+    partition = partition_terms(["Jakarta", "Java"], mini_onto, Gazetteer.empty())
+    assert partition == TermPartition(("Java",), ())
 
 
 def test_partition_empty_input(mini_onto):
-    partition = partition_terms([], mini_onto, Gazetteer.empty())
-    assert partition.known == () and partition.missing == ()
+    assert partition_terms([], mini_onto, Gazetteer.empty()) == TermPartition((), ())
 
 
 def test_partition_all_in_gazetteer(mini_onto):
-    gaz = Gazetteer({"zorbium": "mineral", "fennite": "mineral"})
-    grams = [NGram(("zorbium",)), NGram(("fennite",))]
-    partition = partition_terms(grams, mini_onto, gaz)
-    assert partition.missing == ()
-    assert all(k.source == "gazetteer" for k in partition.known)
+    gaz = Gazetteer(frozenset({"zorbium", "fennite"}))
+    partition = partition_terms(["zorbium", "Fennite"], mini_onto, gaz)
+    assert partition == TermPartition((), ())
 
 
 def test_partition_gazetteer_checked_before_ontology(mini_onto):
-    gaz = Gazetteer({"java": "location"})
-    partition = partition_terms([NGram(("Java",))], mini_onto, gaz)
-    assert partition.known[0].source == "gazetteer"
+    assert partition_terms(["Java"], mini_onto, Gazetteer.empty()).concepts == ("Java",)
+    gaz = Gazetteer(frozenset({"java"}))
+    assert partition_terms(["Java"], mini_onto, gaz) == TermPartition((), ())
 
 
 def test_pos_tag_two_categories(mini_onto):
@@ -155,9 +155,10 @@ def test_corpus_loading(tmp_path):
     (tmp_path / "islands").mkdir()
     (tmp_path / "islands" / "a.txt").write_text("Java island", encoding="utf-8")
     (tmp_path / "islands" / "b.txt").write_text("Jawa island", encoding="utf-8")
-    corpus = load_corpus(tmp_path)
-    assert [d.id for d in corpus.documents] == ["islands/a.txt", "islands/b.txt"]
-    assert corpus.documents[0].domain == "islands"
+    assert load_corpus(tmp_path) == [
+        ("islands/a.txt", str(tmp_path / "islands" / "a.txt")),
+        ("islands/b.txt", str(tmp_path / "islands" / "b.txt")),
+    ]
 
     # Symlinks to a domain or an article are followed; stray top-level files,
     # nested directories and broken links are skipped; names sort as strings.
@@ -169,7 +170,7 @@ def test_corpus_loading(tmp_path):
     (tmp_path / "islands" / "link.txt").symlink_to(tmp_path / "islands" / "a.txt")
     (tmp_path / "islands" / "broken.txt").symlink_to(tmp_path / "ghost.txt")
     (tmp_path / "atolls").symlink_to(tmp_path / "islands", target_is_directory=True)
-    ids = [d.id for d in load_corpus(tmp_path).documents]
+    ids = [doc_id for doc_id, _ in load_corpus(tmp_path)]
     expected = ["B.txt", "a.txt", "b.txt", "link.txt", "é.txt"]
     assert ids == [f"{domain}/{name}" for domain in ("atolls", "islands") for name in expected]
 
@@ -186,45 +187,56 @@ def test_corpus_rejects_a_domain_name_that_breaks_a_judgments_field(tmp_path, na
 
 
 def test_document_accounting_merges_sources(stoplist):
-    corpus = Corpus(
-        (
-            Document("d/one", "d", "Java island"),
-            Document("d/two", "d", "java coffee"),
-        )
-    )
-    table = tokenize_corpus(corpus, stoplist.punctuation)
+    table = phrase_table([("d/one", "Java island"), ("d/two", "java coffee")], stoplist.punctuation)
     assert table.postings["java"] == [0, 1]
     assert table.documents(("java",)) == [0, 1]
     # A mined term's documents are those the index answers from.
     index = CorpusIndex.build(table)
-    for gram in table.mined_terms(stoplist):
-        assert index.hits(gram.surface) == len(table.documents(gram.key)) > 0
+    for surface in table.mined_terms(stoplist):
+        assert index.hits(surface) == len(table.documents(surface.lower().split())) > 0
+
+
+def test_lowered_surface_splits_into_its_phrase(stoplist):
+    # A run looks a mined surface's documents up by surface.lower().split().
+    # "Σ" lowers to "ς" at a token end and to "σ" elsewhere, "İ" to two code
+    # points and "ß" to itself; each token of the table is lowered alone.
+    table = phrase_table(
+        [("d/1", "ΟΔΟΣ İstanbul straße"), ("d/2", "ΣΑΣ ΟΔΟΣ, İstanbul ΣΟΣ Straße")],
+        stoplist.punctuation,
+    )
+    mined = set(table.mined_terms(stoplist))
+    assert {"ΟΔΟΣ İstanbul straße", "ΣΑΣ ΟΔΟΣ", "İstanbul ΣΟΣ Straße"} <= mined
+    checked = 0
+    for phrase in table.phrases:
+        surface = " ".join(table.surfaces.get(phrase, phrase))
+        if surface in mined:
+            assert surface.lower().split() == list(phrase)
+            assert table.documents(surface.lower().split()) == table.documents(phrase)
+            checked += 1
+    assert checked == len(mined)
 
 
 @pytest.mark.parametrize("text", ["", "　\x1c \n"])
-def test_document_rejects_text_of_only_whitespace(text):
+def test_document_rejects_text_of_only_whitespace(tmp_path, text):
     # U+3000 and U+001C are whitespace to str.isspace as they are to str.strip.
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "blank").write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match="^document 'd/blank' has empty text$"):
-        Document("d/blank", "d", text)
+        list(read_documents(load_corpus(tmp_path), hashlib.sha256()))
 
 
-def test_corpus_rejects_a_repeated_document_id():
-    # The one owner of the rule: a phrase table numbers whatever it is given.
-    with pytest.raises(ValueError, match="^duplicate document ids in corpus$"):
-        Corpus((Document("d/one", "d", "java"), Document("d/one", "d", "island")))
-
-
-def test_first_surface_follows_load_order(tmp_path, stoplist):
-    # Domain "a" loads before "a-b", but "a-b/..." sorts before "a/...".
-    for domain, text in [("a", "Java island"), ("a-b", "java coffee")]:
+def test_first_surface_follows_document_id_order(tmp_path, stoplist):
+    # The domain "a" sorts before "a-b", but the id "a-b/..." before "a/...":
+    # documents are numbered, and first surfaces taken, in id order.
+    for domain, text in [("a", "desk lamp"), ("a-b", "Desk chair")]:
         (tmp_path / domain).mkdir()
         (tmp_path / domain / "doc.txt").write_text(text, encoding="utf-8")
-    corpus = load_corpus(tmp_path)
-    assert [doc.id for doc in corpus.documents] == ["a/doc.txt", "a-b/doc.txt"]
-    table = tokenize_corpus(corpus, stoplist.punctuation)
-    grams = {g.key: g for g in table.mined_terms(stoplist)}
-    assert grams[("java",)].surface == "Java"
-    assert [table.doc_ids[n] for n in table.documents(("java",))] == ["a/doc.txt", "a-b/doc.txt"]
+    documents = read_documents(load_corpus(tmp_path), hashlib.sha256())
+    table = tokenize_corpus(documents, stoplist.punctuation)
+    assert table.doc_ids == ["a-b/doc.txt", "a/doc.txt"]
+    assert table.documents(["desk"]) == [0, 1]
+    mined = set(table.mined_terms(stoplist))
+    assert "Desk" in mined and "desk" not in mined
 
 
 def test_stoplist_requires_words():
@@ -248,15 +260,14 @@ def test_property_partition_totality(text):
     onto = load_ontology(MINI_ONTOLOGY)
     grams = mine(stoplist, text).values()
     partition = partition_terms(grams, onto, Gazetteer.empty())
-    assert len(partition.known) + len(partition.missing) == len(grams)
+    instances = [s for s in grams if getattr(onto.contains_term(s), "kind", "") == "instance"]
+    assert sorted([*partition.concepts, *partition.missing, *instances]) == sorted(grams)
 
 
 @given(texts())
 def test_property_tokenization_deterministic(text):
     stoplist = default_stoplist()
-    first = {g.key: g.surface for g in mine(stoplist, text).values()}
-    second = {g.key: g.surface for g in mine(stoplist, text).values()}
-    assert first == second
+    assert mine(stoplist, text) == mine(stoplist, text)
 
 
 @given(texts())
@@ -298,12 +309,11 @@ def test_property_mined_terms_equal_character_walk(variant, texts):
     stoplist = STOPLISTS[variant]
     # Ids sort against load order, so a first surface taken in id order shows.
     docs = [(f"d{9 - i}/doc", text) for i, text in enumerate(texts) if text.strip()]
-    corpus = Corpus(tuple(Document(doc_id, "d", text) for doc_id, text in docs))
-    table = tokenize_corpus(corpus, stoplist.punctuation)
-    got = {
-        gram.key: (gram.tokens, {table.doc_ids[n] for n in table.documents(gram.key)})
-        for gram in table.mined_terms(stoplist)
-    }
+    table = phrase_table(docs, stoplist.punctuation)
+    got = {}
+    for surface in table.mined_terms(stoplist):
+        key = tuple(surface.lower().split())
+        got[key] = (tuple(surface.split()), {table.doc_ids[n] for n in table.documents(key)})
     assert got == walk_terms(docs, stoplist, MAX_NGRAM_LEN)
 
 
@@ -312,8 +322,7 @@ def test_property_mined_terms_equal_character_walk(variant, texts):
 def test_property_postings_are_increasing_doc_numbers(texts):
     stoplist = default_stoplist()
     docs = [(f"d{9 - i}/doc", text) for i, text in enumerate(texts) if text.strip()]
-    corpus = Corpus(tuple(Document(doc_id, "d", text) for doc_id, text in docs))
-    table = tokenize_corpus(corpus, stoplist.punctuation)
+    table = phrase_table(docs, stoplist.punctuation)
     assert table.doc_ids == [doc_id for doc_id, _ in docs]
     # Every phrase, stopwords included: the walk with no stopwords.
     cut = SimpleNamespace(words=frozenset(), punctuation=stoplist.punctuation)
