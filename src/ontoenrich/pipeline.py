@@ -9,12 +9,19 @@ an output directory that could not be created is rejected with the config.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+
+try:  # CPython 3.12+ built-in SHA-2: no OpenSSL libcrypto in the process
+    from _sha2 import sha256
+except ImportError:
+    try:  # the same built-in module's name on CPython 3.10-3.11
+        from _sha256 import sha256
+    except ImportError:  # builds without built-in hashes, such as FIPS ones
+        from hashlib import sha256
 
 from . import __version__
 from .evaluation import Judgments, precision_report, write_precision_report
@@ -132,7 +139,7 @@ class RunState:
 def _sha256(path: Path | None) -> str:
     if path is None:
         return "-"
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return sha256(Path(path).read_bytes()).hexdigest()
 
 
 @contextmanager
@@ -165,7 +172,7 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
             Gazetteer.load(config.gazetteer) if config.gazetteer else Gazetteer.empty()
         )
         articles = load_corpus(config.corpus)
-        digest = hashlib.sha256()
+        digest = sha256()
         table = tokenize_corpus(read_documents(articles, digest), stoplist.punctuation)
         corpus_sha256 = digest.hexdigest()
         partition = partition_terms(table.mined_terms(stoplist), ontology, gazetteer)

@@ -109,6 +109,17 @@ def run_cli(*argv, seed: str = HASH_SEEDS[0]) -> subprocess.CompletedProcess:
                           check=True, capture_output=True, text=True, timeout=300)
 
 
+def run_reporting_hashlib(out: Path, blocked: tuple[str, ...] = ()) -> bool:
+    """Run desk ``--top-k 3`` through ``cli.main`` in a fresh interpreter in
+    which the ``blocked`` modules cannot be imported, and return whether the
+    run loaded ``_hashlib``, hashlib's OpenSSL backend."""
+    block = "".join(f"sys.modules[{name!r}] = None; " for name in blocked)
+    script = (f"import sys; {block}from ontoenrich import cli; code = cli.main(sys.argv[1:]); "
+              "print('_hashlib' in sys.modules); sys.exit(code)")
+    run = run_cli("-c", script, "enrich", *DESK_ARGS, "--out-dir", out)
+    return run.stdout.splitlines()[-1] == "True"
+
+
 @pytest.fixture(scope="module")
 def desk_runs(tmp_path_factory) -> dict[str, Path]:
     runs = {}
@@ -142,6 +153,23 @@ def test_desk_outputs_match_pinned_sha256(desk_runs):
     out = desk_runs[HASH_SEEDS[0]]
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
     assert got == DESK_SHA256
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="this interpreter has no built-in sha256 module")
+def test_run_hashes_without_loading_openssl(desk_runs, tmp_path):
+    # OpenSSL's libcrypto costs every run about 3.5 MiB of peak RSS.
+    assert not run_reporting_hashlib(tmp_path)
+    for name in OUTPUTS:
+        assert (tmp_path / name).read_bytes() == (desk_runs[HASH_SEEDS[0]] / name).read_bytes()
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None,
+                    reason="this interpreter's hashlib has no OpenSSL backend")
+def test_run_without_builtin_sha256_hashes_through_hashlib(desk_runs, tmp_path):
+    assert run_reporting_hashlib(tmp_path, blocked=("_sha2", "_sha256"))
+    for name in OUTPUTS:
+        assert (tmp_path / name).read_bytes() == (desk_runs[HASH_SEEDS[0]] / name).read_bytes()
 
 
 def test_desk_default_outputs_match_pinned_sha256(tmp_path):

@@ -51,14 +51,10 @@ def node_names(node: ast.AST) -> list[str]:
     return []
 
 
-def referenced_names(tree: ast.AST) -> set[str]:
-    """Names, attribute names and imported names used anywhere in the tree."""
-    return {name for node in ast.walk(tree) for name in node_names(node)}
-
-
 def names_used_outside_own_definition(node: ast.AST) -> set[str]:
-    """``referenced_names``, except that a function or class does not use
-    its own name from inside its definition."""
+    """Names, attribute names and imported names used anywhere in the tree,
+    except that a function or class does not use its own name from inside
+    its definition."""
     names = set(node_names(node))
     for child in ast.iter_child_nodes(node):
         names |= names_used_outside_own_definition(child)
@@ -68,19 +64,18 @@ def names_used_outside_own_definition(node: ast.AST) -> set[str]:
 
 
 def test_no_unused_imports():
+    # Every import counts, also one nested in a ``try`` fallback chain.
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = parse(path)
-        imported = []
-        for node in tree.body:
+        imported, used = [], set()
+        for node in ast.walk(parse(path)):
             if isinstance(node, ast.Import):
                 imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                imported += [alias.asname or alias.name for alias in node.names]
-        used = set()
-        for node in tree.body:
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                used |= referenced_names(node)
+            elif isinstance(node, ast.ImportFrom):
+                if node.module != "__future__":
+                    imported += [alias.asname or alias.name for alias in node.names]
+            else:
+                used |= set(node_names(node))
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert unused == []
 
