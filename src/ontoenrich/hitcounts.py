@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from .ontology import normalize_label, records
+from .ontology import normalize_label, read_input, records
 from .textpipe import MAX_NGRAM_LEN, PhraseTable, punctuation_spans
 
 
@@ -167,12 +167,12 @@ class SnapshotTable:
         return cls(entries, total_docs)
 
     @classmethod
-    def load(cls, path: str | Path) -> "SnapshotTable":
+    def load(cls, path: str | Path, digest=None) -> "SnapshotTable":
         """Read a snapshot file; one positive N record, and no key twice
         once normalized."""
         total = None
         entries: dict[str, int] = {}
-        for n, line in records(Path(path).read_text(encoding="utf-8")):
+        for n, line in records(read_input(path, digest)):
             fields = line.split("\t")
             if fields[0] == "N" and len(fields) == 2:
                 if total is not None:

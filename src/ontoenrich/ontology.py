@@ -74,6 +74,15 @@ def records(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def read_input(path: str | Path, digest=None) -> str:
+    """The UTF-8 text of an input file, its bytes fed to digest when one is
+    given: a manifest names the bytes a run parsed, not a later reading."""
+    data = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(data)
+    return data.decode("utf-8")
+
+
 @dataclass(frozen=True)
 class Concept:
     id: str
@@ -453,9 +462,8 @@ def parse_ontology(text: str, source: str = "<string>") -> Ontology:
     return Ontology(merged, instances.values(), axioms)
 
 
-def load_ontology(path: str | Path) -> Ontology:
-    path = Path(path)
-    return parse_ontology(path.read_text(encoding="utf-8"), source=str(path))
+def load_ontology(path: str | Path, digest=None) -> Ontology:
+    return parse_ontology(read_input(path, digest), source=str(path))
 
 
 def save_ontology(ontology: Ontology, path: str | Path) -> None:

@@ -30,6 +30,7 @@ from .ontology import Ontology, load_ontology, save_ontology
 from .patterns import (
     PatternCatalogue,
     RelationSuggestion,
+    SideMasks,
     default_catalogue,
     extract_relation,
     load_catalogue,
@@ -128,18 +129,12 @@ class RunState:
     ontology: Ontology
     provider: HitCountProvider
     provider_id: str
-    corpus_sha256: str
+    input_sha256: dict[str, str]  # manifest key -> sha256 of the bytes the run parsed
     eliminated: list[str]
     retained: list[str]
     matrix: RelatednessMatrix | None
     suggestions: list[RelationSuggestion]
     term_domains: dict[str, set[str]]
-
-
-def _sha256(path: Path | None) -> str:
-    if path is None:
-        return "-"
-    return sha256(Path(path).read_bytes()).hexdigest()
 
 
 @contextmanager
@@ -157,24 +152,27 @@ def _stage(stage: str):
 
 
 def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
+    digests = {}  # input name -> digest of the bytes its loader parsed
+
+    def digest(name: str):
+        return digests.setdefault(name, sha256())
+
     with _stage("config"):
         config.validate()
-        catalogue = _catalogue(config)
+        catalogue = (load_catalogue(config.patterns, digest("catalogue"))
+                     if config.patterns is not None else default_catalogue())
 
     with _stage("ontology"):
-        ontology = load_ontology(config.ontology)
+        ontology = load_ontology(config.ontology, digest("ontology"))
 
     with _stage("corpus"):
-        stoplist = (
-            load_stoplist(config.stopwords) if config.stopwords else default_stoplist()
-        )
-        gazetteer = (
-            Gazetteer.load(config.gazetteer) if config.gazetteer else Gazetteer.empty()
-        )
+        stoplist = (load_stoplist(config.stopwords, digest("stopwords"))
+                    if config.stopwords else default_stoplist())
+        gazetteer = (Gazetteer.load(config.gazetteer, digest("gazetteer"))
+                     if config.gazetteer else Gazetteer.empty())
         articles = load_corpus(config.corpus)
-        digest = sha256()
-        table = tokenize_corpus(read_documents(articles, digest), stoplist.punctuation)
-        corpus_sha256 = digest.hexdigest()
+        table = tokenize_corpus(read_documents(articles, digest("corpus")),
+                                stoplist.punctuation)
         partition = partition_terms(table.mined_terms(stoplist), ontology, gazetteer)
         domains = [doc_id.split("/", 1)[0] for doc_id in table.doc_ids]
         term_domains = {
@@ -185,7 +183,7 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
     with _stage("hits"):
         if config.snapshot is not None:
             del table  # the run needs no more of it than term_domains holds
-            provider: HitCountProvider = SnapshotTable.load(config.snapshot)
+            provider: HitCountProvider = SnapshotTable.load(config.snapshot, digest("snapshot"))
             provider_id = f"snapshot:{Path(config.snapshot).name}"
         else:
             provider = CorpusIndex.build(table)
@@ -210,8 +208,17 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
             candidates = select_candidates(
                 matrix, SelectionConfig(config.threshold, config.top_k)
             )
-            for miss, target in candidates.pairs():
-                suggestions.append(extract_relation(miss, target, provider, catalogue))
+            # A snapshot's counts are not document frequencies: never pruned.
+            sides = SideMasks() if config.snapshot is None else None
+            pairs = candidates.pairs()
+            for miss, target in pairs:
+                suggestions.append(extract_relation(miss, target, provider, catalogue, sides))
+            if sides is None:
+                funnel = (0, len(pairs) * len(catalogue), 0)
+            else:
+                funnel = (sides.side_queries, sides.full_queries, sides.settled)
+            logger.info("patterns: %d pairs, %d side queries, %d full queries, "
+                        "%d pairs settled without a full query", len(pairs), *funnel)
 
     return RunState(
         config=config,
@@ -219,7 +226,11 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
         ontology=ontology,
         provider=provider,
         provider_id=provider_id,
-        corpus_sha256=corpus_sha256,
+        input_sha256={
+            "catalogue_sha256": "builtin", "gazetteer_sha256": "-", "snapshot_sha256": "-",
+            "stopwords_sha256": "builtin",
+            **{f"{name}_sha256": hashed.hexdigest() for name, hashed in digests.items()},
+        },
         eliminated=eliminated,
         retained=retained,
         matrix=matrix,
@@ -228,23 +239,12 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
     )
 
 
-def _catalogue(config: RunConfig) -> PatternCatalogue:
-    if config.patterns is not None:
-        return load_catalogue(config.patterns)
-    return default_catalogue()
-
-
 def _write_manifest(state: RunState, path: Path) -> None:
     config = state.config
     entries = {
-        "catalogue_sha256": _sha256(config.patterns) if config.patterns else "builtin",
-        "corpus_sha256": state.corpus_sha256,
+        **state.input_sha256,
         "distance_cap": repr(config.distance_cap),
-        "gazetteer_sha256": _sha256(config.gazetteer),
-        "ontology_sha256": _sha256(config.ontology),
         "provider": state.provider_id,
-        "snapshot_sha256": _sha256(config.snapshot),
-        "stopwords_sha256": _sha256(config.stopwords) if config.stopwords else "builtin",
         "threshold": repr(config.threshold),
         "tool_version": __version__,
         "top_k": "unbounded" if config.top_k is None else str(config.top_k),

@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .ontology import Ontology, normalize_label, records
+from .ontology import Ontology, normalize_label, read_input, records
 
 # Longest mined term in tokens; the corpus index answers this length from postings.
 MAX_NGRAM_LEN = 3
@@ -45,8 +45,8 @@ def parse_stoplist(text: str, source: str = "<string>") -> Stoplist:
     return Stoplist(frozenset(words), frozenset(punct))
 
 
-def load_stoplist(path: str | Path) -> Stoplist:
-    return parse_stoplist(Path(path).read_text(encoding="utf-8"), str(path))
+def load_stoplist(path: str | Path, digest=None) -> Stoplist:
+    return parse_stoplist(read_input(path, digest), str(path))
 
 
 def default_stoplist() -> Stoplist:
@@ -199,11 +199,11 @@ class Gazetteer:
     surfaces: frozenset[str]
 
     @classmethod
-    def load(cls, path: str | Path) -> "Gazetteer":
+    def load(cls, path: str | Path, digest=None) -> "Gazetteer":
         """Read ``<surface>\\t<kind>`` lines; no surface twice once normalized.
         No run reads the kind, so it is not kept."""
         surfaces = set()
-        for n, line in records(Path(path).read_text(encoding="utf-8")):
+        for n, line in records(read_input(path, digest)):
             fields = line.strip().split("\t")
             if len(fields) != 2:
                 raise ValueError(f"{path}: line {n}: expected <surface>\\t<kind>")

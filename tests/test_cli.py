@@ -10,6 +10,7 @@ import pytest
 from ontoenrich import pipeline
 from ontoenrich.cli import _CONFIG_KEYS, build_parser, main
 from ontoenrich.evaluation import Judgments
+from ontoenrich.hitcounts import SnapshotTable
 from ontoenrich.ontology import RelationKind, load_ontology
 from ontoenrich.patterns import RelationSuggestion
 from ontoenrich.placement import PlacementDecision
@@ -252,6 +253,53 @@ def test_manifest_identifies_corpus_by_content(tmp_path, tiny_corpus):
     assert first["provider"] == second["provider"]
     assert first["snapshot_sha256"] == second["snapshot_sha256"] == "-"
     assert first["corpus_sha256"] != second["corpus_sha256"]
+
+
+def test_manifest_names_the_input_bytes_the_run_loaded(tmp_path, monkeypatch):
+    # Every input file changes once all are loaded; the manifest still names
+    # the bytes the run parsed.
+    data = Path(pipeline.__file__).parent / "data"
+    inputs = {"ontology": MINI, "snapshot": SNAPSHOT, "gazetteer": FIXTURES / "gazetteer.tsv",
+              "stopwords": data / "stopwords.txt", "patterns": data / "patterns.tsv"}
+    loaded = {}
+    for flag, source in inputs.items():
+        copy = tmp_path / flag / source.name
+        copy.parent.mkdir()
+        shutil.copyfile(source, copy)
+        inputs[flag], loaded[flag] = copy, hashlib.sha256(copy.read_bytes()).hexdigest()
+    hits_filter = pipeline.ngram_hits_filter
+
+    def rewrite_inputs(*args):
+        for path in inputs.values():
+            path.write_text(path.read_text(encoding="utf-8") + "# rewritten\n", encoding="utf-8")
+        return hits_filter(*args)
+
+    monkeypatch.setattr(pipeline, "ngram_hits_filter", rewrite_inputs)
+    flags = [arg for flag, path in inputs.items() for arg in (f"--{flag}", path)]
+    assert run("enrich", "--corpus", FIXTURES / "corpus_examples", *flags, "--top-k", 1,
+               "--out-dir", tmp_path / "out") == 0
+    manifest = manifest_of(tmp_path / "out")
+    for flag, path in inputs.items():
+        key = "catalogue_sha256" if flag == "patterns" else f"{flag}_sha256"
+        assert manifest[key] == loaded[flag] != hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_snapshot_run_is_never_pruned(tmp_path):
+    # Snapshot counts are recorded numbers, not document frequencies: this
+    # full query counts 500 though neither of its side queries has a key.
+    text = SNAPSHOT.read_text(encoding="utf-8") + "H\tjawa is an instance of a java\t500\n"
+    snapshot = tmp_path / SNAPSHOT.name
+    snapshot.write_text(text, encoding="utf-8")
+    table = SnapshotTable.load(snapshot)
+    assert table.pattern_hits("Jawa is an instance of") == 0
+    assert table.pattern_hits("is an instance of a Java") == 0
+    out = tmp_path / "out"
+    assert run("enrich", "--corpus", FIXTURES / "corpus_examples", "--ontology", MINI,
+               "--snapshot", snapshot, "--top-k", 1, "--out-dir", out) == 0
+    audit = (out / "pattern_audit.tsv").read_text(encoding="utf-8").splitlines()
+    assert "Jawa\tJava\tinst-of\tJawa is an instance of a Java\t500" in audit
+    report = (out / "enrichment_report.tsv").read_text(encoding="utf-8").splitlines()
+    assert [row.split("\t")[3] for row in report if row.startswith("Jawa\t")] == ["instance-of"]
 
 
 def test_manifest_corpus_digest_equals_oracle_over_id_order(tmp_path):

@@ -224,18 +224,25 @@ def test_verbose_run_logs_each_stage_time_in_run_order(desk_runs, tmp_path):
         assert (tmp_path / name).read_bytes() == (desk_runs[HASH_SEEDS[0]] / name).read_bytes()
 
 
-def test_recorded_snapshot_replays_desk_run(desk_runs, tmp_path):
+def test_recorded_snapshot_replays_desk_run(tmp_path):
     # The benchmark records an index run's hit counts through a proxy that
     # offers only hits, pair_hits, pattern_hits and total_docs, then replays them.
-    snapshot, recorded, replayed = tmp_path / "desk.snapshot", tmp_path / "rec", tmp_path / "rep"
-    run_cli(ROOT / "perfbench" / "harness.py", "record", snapshot,
-            "enrich", *DESK_ARGS, "--out-dir", recorded)
-    run_cli("-m", "ontoenrich.cli", "enrich", *DESK_ARGS, "--snapshot", snapshot,
-            "--out-dir", replayed)
-    for name in OUTPUTS:
-        assert (recorded / name).read_bytes() == (desk_runs[HASH_SEEDS[0]] / name).read_bytes()
-        if name != "manifest.tsv":  # the manifest names the provider
-            assert (replayed / name).read_bytes() == (recorded / name).read_bytes(), name
+    # The recorded run prunes its pattern queries and the replay does not, so
+    # a query the record left out must count 0; the defaults case has 8,100 pairs.
+    for case, args, pinned in [("top-k-3", DESK_ARGS, DESK_SHA256),
+                               ("defaults", DESK_DEFAULT_ARGS, DESK_DEFAULTS_SHA256)]:
+        snapshot, recorded, replayed = (tmp_path / f"{case}.snapshot", tmp_path / f"{case}-rec",
+                                        tmp_path / f"{case}-rep")
+        run_cli(ROOT / "perfbench" / "harness.py", "record", snapshot,
+                "enrich", *args, "--out-dir", recorded)
+        run_cli("-m", "ontoenrich.cli", "enrich", *args, "--snapshot", snapshot,
+                "--out-dir", replayed)
+        got = {name: hashlib.sha256((recorded / name).read_bytes()).hexdigest()
+               for name in OUTPUTS}
+        assert got == pinned, case
+        for name in OUTPUTS:
+            if name != "manifest.tsv":  # the manifest names the provider
+                assert (replayed / name).read_bytes() == (recorded / name).read_bytes(), name
 
 
 def test_saturation_warning_agrees_with_traced_admitted_cells(tmp_path):
@@ -266,3 +273,22 @@ def test_traced_run_sees_every_traced_name_and_query(tmp_path):
     audit = (plain / "pattern_audit.tsv").read_text(encoding="utf-8").splitlines()
     calls, _, _ = report["spans"]["hitcounts.pattern_hits"]
     assert calls == len(audit) - 1 > 0
+
+
+def test_verbose_funnel_counts_every_traced_pattern_query(tmp_path):
+    report_path = tmp_path / "trace.json"
+    run = run_cli(ROOT / "perfbench" / "harness.py", "trace", report_path,
+                  "enrich", *DESK_ARGS, "-v", "--out-dir", tmp_path / "traced")
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    prefix = "INFO ontoenrich.pipeline: patterns: "
+    (funnel,) = [line[len(prefix):] for line in run.stderr.splitlines() if line.startswith(prefix)]
+    pairs, side, full, settled = map(int, re.fullmatch(
+        r"(\d+) pairs, (\d+) side queries, (\d+) full queries, "
+        r"(\d+) pairs settled without a full query", funnel).groups())
+    calls, _, _ = report["spans"]["hitcounts.pattern_hits"]
+    assert side + full == calls
+    assert pairs == report["counts"]["relatedness.candidate_pairs"] == 270
+    assert 0 < settled < pairs
+    assert full < (pairs - settled) * len(default_catalogue())
+    quiet = run_cli("-m", "ontoenrich.cli", "enrich", *DESK_ARGS, "--out-dir", tmp_path / "quiet")
+    assert len(quiet.stderr.splitlines()) == 2

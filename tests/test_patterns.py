@@ -11,6 +11,7 @@ from ontoenrich.patterns import (
     PatternCatalogue,
     PatternTemplate,
     RelationSuggestion,
+    SideMasks,
     default_catalogue,
     extract_relation,
     parse_catalogue,
@@ -19,13 +20,16 @@ from ontoenrich.patterns import (
     slug,
     write_pattern_audit,
 )
+from ontoenrich.textpipe import default_stoplist
 
 from helpers import (
+    build_index,
     group_sums,
     id_queries,
     reference_instantiate,
     reference_pattern_audit,
     tuple_key_order,
+    walk_phrase_docs,
 )
 
 
@@ -399,3 +403,77 @@ def test_mined_terms_take_the_compiled_format(catalogue, monkeypatch):
     for odd_pair in [("corporate  body", "organization"), ("a(n) apple", "box"), ("x", "a")]:
         with pytest.raises(AssertionError, match="general path"):
             catalogue.queries(*odd_pair)
+
+
+# Templates with Y before X, slots glued to literals and to each other,
+# punctuation in literals, "a(n)" before either slot and plural slots.
+PRUNE_TEMPLATES = [
+    "{X} is a(n) {Y}", "{Y:pl} such as {X:pl}", "{X}'s {Y}", "{X}-{Y}",
+    "a(n) {X} is like a(n) {Y}.", "{Y}, {X}", "{X} {Y:pl}",
+]
+_PREFIXES = st.sampled_from(["", "a(n) ", ", ", "the ", "("])
+_MIDDLES = st.sampled_from([" ", "", "'s ", "-", " is a(n) ", " such as ", ", ", ") "])
+_SUFFIXES = st.sampled_from(["", ".", " today", "'s", ")"])
+_PLURAL = st.sampled_from(["", ":pl"])
+# Mined-like terms, terms that are not compilable (an "a(n)" piece, runs of
+# whitespace, edge whitespace) and terms of or with punctuation.
+_PRUNE_TERMS = st.sampled_from(
+    ["apple", "Apple", "orange", "idea", "desk lamp", "box", "body", "a(n) apple", "apple a",
+     "desk  lamp", " box", ",", "(apple"]
+)
+_PRUNE_WORDS = st.sampled_from(
+    ["apple", "apples", "Apple", "orange", "oranges", "idea", "ideas", "desk", "lamp", "lamps",
+     "box", "boxes", "body", "bodies", "is", "a", "an", "such", "as", "like", "the", "today",
+     ",", ".", "(", ")", "'s", "-"]
+)
+
+
+@st.composite
+def prune_templates(draw):
+    first, second = draw(st.permutations(["X", "Y"]))
+    return (draw(_PREFIXES) + "{" + first + draw(_PLURAL) + "}" + draw(_MIDDLES)
+            + "{" + second + draw(_PLURAL) + "}" + draw(_SUFFIXES))
+
+
+def test_property_pruned_hits_equal_unpruned_and_document_scan():
+    # Side-query pruning is exact for a provider of document frequencies:
+    # per pair, the same counts as every query issued, and as a scan.
+    punctuation = default_stoplist().punctuation
+    seen = set()
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        # A glued template has empty sides, so only a catalogue without one
+        # can settle a pair.
+        templates = data.draw(st.lists(st.sampled_from(PRUNE_TEMPLATES), min_size=1, unique=True))
+        templates += data.draw(st.lists(prune_templates(), max_size=3))
+        catalogue = PatternCatalogue(
+            PatternTemplate(f"p{n}", RelationKind.HYPONYMY, f"g{n}", template)
+            for n, template in enumerate(templates)
+        )
+        pairs = data.draw(st.lists(st.tuples(_PRUNE_TERMS, _PRUNE_TERMS), min_size=1, max_size=6))
+        planted = st.sampled_from(
+            [query for pair in pairs for _, query in reference_instantiate(*pair, catalogue)]
+        )
+        docs = data.draw(st.lists(
+            st.lists(st.one_of(_PRUNE_WORDS, planted), min_size=1, max_size=8).map(" ".join),
+            min_size=1, max_size=5,
+        ))
+        texts = {f"d/{n}": text for n, text in enumerate(docs)}
+        index = build_index(texts.items())
+        sides = SideMasks()
+        for miss, target in pairs:
+            pruned = extract_relation(miss, target, index, catalogue, sides).hits
+            unpruned = tuple(map(index.pattern_hits, catalogue.queries(miss, target)))
+            scanned = tuple(len(walk_phrase_docs(texts, query, punctuation))
+                            for _, query in reference_instantiate(miss, target, catalogue))
+            assert pruned == unpruned == scanned, (miss, target)
+            seen.add("counted" if any(pruned) else "zero")
+        if sides.settled:
+            seen.add("settled")
+        if sides.full_queries < (len(pairs) - sides.settled) * len(catalogue):
+            seen.add("template pruned")
+
+    check()
+    assert seen == {"counted", "zero", "settled", "template pruned"}
