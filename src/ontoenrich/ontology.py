@@ -127,13 +127,6 @@ class Axiom:
 
 
 @dataclass(frozen=True)
-class SensePath:
-    """Hypernymy chain from one sense of a concept up to its root."""
-
-    steps: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
 class TermMatch:
     id: str
     kind: str  # "concept" or "instance"
@@ -290,8 +283,10 @@ class Ontology:
             return None
         return self._by_label.get(key)
 
-    def semantic_paths_from(self, concept_id: str) -> list[SensePath]:
-        """One hypernymy path per sense, from the sense up to its root."""
+    def semantic_paths_from(self, concept_id: str) -> list[tuple[tuple[str, int], ...]]:
+        """One hypernymy path per sense, in sense order: the tuple of
+        ``(concept id, sense)`` steps from the sense up to its root, each
+        step to the first of its hypernyms in (id, sense) order."""
         concept = self.concept(concept_id)
         paths = []
         for sense in concept.senses:
@@ -307,7 +302,7 @@ class Ontology:
                     break
                 seen.add(node)
                 steps.append(node)
-            paths.append(SensePath(tuple(steps)))
+            paths.append(tuple(steps))
         return paths
 
     # ---- updates (return new values) ------------------------------------

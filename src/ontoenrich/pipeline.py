@@ -36,14 +36,9 @@ from .patterns import (
     load_catalogue,
     write_pattern_audit,
 )
-from .placement import (
-    DistanceConfig,
-    PlacementConfig,
-    enrich_ontology,
-    place_all,
-    write_enrichment_report,
-)
+from .placement import enrich_ontology, place_all, write_enrichment_report
 from .relatedness import (
+    DistanceConfig,
     RelatednessMatrix,
     SelectionConfig,
     drop_unusable_terms,
@@ -53,9 +48,9 @@ from .relatedness import (
     write_matrix,
 )
 from .textpipe import (
-    Gazetteer,
     default_stoplist,
     load_corpus,
+    load_gazetteer,
     load_stoplist,
     partition_terms,
     read_documents,
@@ -168,8 +163,8 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
     with _stage("corpus"):
         stoplist = (load_stoplist(config.stopwords, digest("stopwords"))
                     if config.stopwords else default_stoplist())
-        gazetteer = (Gazetteer.load(config.gazetteer, digest("gazetteer"))
-                     if config.gazetteer else Gazetteer.empty())
+        gazetteer = (load_gazetteer(config.gazetteer, digest("gazetteer"))
+                     if config.gazetteer else frozenset())
         articles = load_corpus(config.corpus)
         table = tokenize_corpus(read_documents(articles, digest("corpus")),
                                 stoplist.punctuation)
@@ -293,13 +288,10 @@ def run_enrichment(config: RunConfig) -> Path:
     state = _prepare(config, need_extraction=True)
 
     with _stage("enrichment"):
-        placement_cfg = PlacementConfig(
-            distance=DistanceConfig(config.distance_cap),
-            denominator=state.matrix.denominator if state.matrix else None,
-        )
-        decisions, failures = place_all(
-            state.suggestions, state.ontology, state.provider, placement_cfg
-        )
+        # A run without a matrix has no suggestions, so its denominator is unread.
+        denominator = state.matrix.denominator if state.matrix is not None else 0.0
+        decisions, failures = place_all(state.suggestions, state.ontology, state.provider,
+                                        DistanceConfig(config.distance_cap), denominator)
         enriched, report = enrich_ontology(state.ontology, decisions, failures)
 
     with _stage("output"):

@@ -19,16 +19,22 @@ the term's axioms. The report keeps the applied decisions themselves, in
 visit order; its writer reads each line from a decision and its suggestion,
 grouped by lowered term (``patterns.term_order``).
 
-Path scoring reuses the run's relatedness denominator so placement and
-candidate selection speak the same scale. Labels whose hit counts cannot
-support a distance (zero hits, or hits at the collection size) are skipped;
-a path with no usable label cannot win, and if no path has a usable label
-the sense is unresolved.
+Path scoring takes the run's relatedness denominator D, so placement and
+candidate selection speak the same scale. A path scores 1 - (mean distance
+of its usable labels) / D, so for any D > 0 the winning senses do not
+depend on D, up to float rounding at near-ties. A label is usable when it
+and the new term both have 0 < hits < N, the rule of
+``relatedness.drop_unusable_terms``; other labels are skipped and named in
+one warning per ``place_all`` call. A path with no usable label cannot win,
+and if no path has a usable label the sense is unresolved. A joint count
+above a usable label's own count is a provider fault and raises, as it does
+in the matrix stage.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -55,27 +61,9 @@ MAX_PATH_DEPTH = 5
 class UnresolvedSenseError(ValueError):
     """No sense path of the target had a usable label to score."""
 
-    def __init__(self, message: str, path_scores: tuple["PathScore", ...]):
-        super().__init__(message)
-        self.path_scores = path_scores
-
 
 class ConflictingDecisionError(ValueError):
     """Two decisions disagree on the relation for the same term, target and sense."""
-
-
-@dataclass(frozen=True)
-class PlacementConfig:
-    distance: DistanceConfig = DistanceConfig()
-    denominator: float | None = None   # batch sum a relatedness run computed
-
-
-@dataclass(frozen=True, slots=True)
-class PathScore:
-    sense: int
-    labels: tuple[str, ...]
-    scored_labels: tuple[str, ...]
-    score: float | None                # None when no label was usable
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,17 +73,10 @@ class PlacementDecision:
     senses: tuple[int, ...]
     case: str                          # "case1", "case2" or "case3-composite"
     subcase: str | None = None         # case1/case2 inside a composite decision
-    path_scores: tuple[PathScore, ...] = ()
 
     @property
     def term(self) -> str:
         return self.suggestion.missing_term
-
-
-def _path_labels(ontology: Ontology, path) -> tuple[str, ...]:
-    return tuple(
-        ontology.concepts[cid].label for cid, _ in path.steps[:MAX_PATH_DEPTH]
-    )
 
 
 def disambiguate_sense(
@@ -103,63 +84,52 @@ def disambiguate_sense(
     target: str,
     ontology: Ontology,
     provider: HitCountProvider,
-    cfg: PlacementConfig = PlacementConfig(),
-) -> tuple[tuple[int, ...], tuple[PathScore, ...]]:
-    """Pick the maximally related sense path(s) of a multi-sense target.
+    distance: DistanceConfig,
+    denominator: float,
+    skipped: set[str],
+) -> tuple[int, ...]:
+    """The maximally related sense(s) of a multi-sense target.
 
-    Returns the winning sense set plus the per-path audit. The score of a
-    path is the mean relatedness between the new term and its usable labels.
+    A path's score is the mean relatedness between the new term and its
+    usable labels. Each label without usable hit counts is added to skipped.
     """
     concept = ontology.concept(target)
     if len(concept.senses) < 2:
         raise ValueError(f"{target!r} has a single sense; nothing to disambiguate")
 
-    paths = ontology.semantic_paths_from(target)
     n = provider.total_docs()
     f_miss = provider.hits(t_miss)
-    distances: dict[str, float] = {}
-    usable: dict[str, float] = {}
-    for path in paths:
-        for label in _path_labels(ontology, path):
-            if label in distances:
-                continue
-            try:
-                value = distance_from_counts(
-                    t_miss, label, f_miss, provider.hits(label),
-                    provider.pair_hits(t_miss, label), n, cfg.distance,
-                )
-            except ValueError:
-                distances[label] = float("nan")
-                logger.debug(
-                    "sense scoring skips label %r for %r (unusable hit counts)",
-                    label, t_miss,
-                )
-                continue
-            distances[label] = value
-            usable[label] = value
+    related: dict[str, float | None] = {}  # label -> relatedness; None if unusable
+    scores: list[tuple[int, float]] = []
+    for sense, path in zip(concept.senses, ontology.semantic_paths_from(target)):
+        values = []
+        for cid, _ in path[:MAX_PATH_DEPTH]:
+            label = ontology.concepts[cid].label
+            if label not in related:
+                f_label = provider.hits(label)
+                if 0 < f_miss < n and 0 < f_label < n:
+                    related[label] = relatedness(distance_from_counts(
+                        t_miss, label, f_miss, f_label, provider.pair_hits(t_miss, label),
+                        n, distance,
+                    ), denominator)
+                else:
+                    related[label] = None
+                    skipped.add(label)
+                    logger.debug(
+                        "sense scoring skips label %r for %r (unusable hit counts)",
+                        label, t_miss,
+                    )
+            if related[label] is not None:
+                values.append(related[label])
+        if values:
+            scores.append((sense, sum(values) / len(values)))
 
-    denominator = cfg.denominator
-    if denominator is None:
-        denominator = sum(usable[label] for label in sorted(usable))
-
-    scores = []
-    for path, sense in zip(paths, concept.senses):
-        labels = _path_labels(ontology, path)
-        scored = tuple(label for label in labels if label in usable)
-        if not scored:
-            scores.append(PathScore(sense, labels, scored, None))
-            continue
-        values = [relatedness(usable[label], denominator) for label in scored]
-        scores.append(PathScore(sense, labels, scored, sum(values) / len(scored)))
-
-    defined = [s for s in scores if s.score is not None]
-    if not defined:
+    if not scores:
         raise UnresolvedSenseError(
-            f"no sense path of {target!r} has a label with usable hit counts", tuple(scores)
+            f"no sense path of {target!r} has a label with usable hit counts"
         )
-    best = max(s.score for s in defined)
-    winners = tuple(s.sense for s in defined if s.score == best)
-    return winners, tuple(scores)
+    best = max(score for _, score in scores)
+    return tuple(sense for sense, score in scores if score == best)
 
 
 def _target_concept(term: str, ontology: Ontology) -> Concept:
@@ -174,26 +144,6 @@ def _target_concept(term: str, ontology: Ontology) -> Concept:
     return ontology.concepts[match.id]
 
 
-def _decide(
-    suggestion: RelationSuggestion,
-    concept: Concept,
-    ontology: Ontology,
-    provider: HitCountProvider,
-    cfg: PlacementConfig,
-    composite: bool = False,
-) -> PlacementDecision:
-    if len(concept.senses) == 1:
-        senses, case, audit = (1,), "case1", ()
-    else:
-        senses, audit = disambiguate_sense(
-            suggestion.missing_term, concept.id, ontology, provider, cfg
-        )
-        case = "case2"
-    if composite:
-        return PlacementDecision(suggestion, concept.id, senses, "case3-composite", case, audit)
-    return PlacementDecision(suggestion, concept.id, senses, case, path_scores=audit)
-
-
 @dataclass(frozen=True, slots=True)
 class PlacementFailure:
     suggestion: RelationSuggestion
@@ -204,11 +154,13 @@ def place_all(
     suggestions: Sequence[RelationSuggestion],
     ontology: Ontology,
     provider: HitCountProvider,
-    cfg: PlacementConfig = PlacementConfig(),
+    distance: DistanceConfig,
+    denominator: float,
 ) -> tuple[list[PlacementDecision], list[PlacementFailure]]:
     """Place every suggestion; terms with several targets become composite.
 
     Each distinct target term is resolved to its concept once per call.
+    Sense paths are scored on the relatedness scale of ``denominator``.
     Sense-path labels skipped for unusable hit counts are summed up in one
     warning per call.
     """
@@ -233,16 +185,18 @@ def place_all(
             if isinstance(concept, LookupError):
                 failures.append(PlacementFailure(suggestion, str(concept)))
                 continue
-            try:
-                decision = _decide(suggestion, concept, ontology, provider, cfg, composite)
-            except UnresolvedSenseError as exc:
-                failures.append(PlacementFailure(suggestion, str(exc)))
-                path_scores = exc.path_scores
+            if len(concept.senses) == 1:
+                senses, case = (1,), "case1"
             else:
-                decisions.append(decision)
-                path_scores = decision.path_scores
-            for score in path_scores:
-                skipped.update(set(score.labels) - set(score.scored_labels))
+                try:
+                    senses = disambiguate_sense(term, concept.id, ontology, provider,
+                                                distance, denominator, skipped)
+                except UnresolvedSenseError as exc:
+                    failures.append(PlacementFailure(suggestion, str(exc)))
+                    continue
+                case = "case2"
+            case, subcase = ("case3-composite", case) if composite else (case, None)
+            decisions.append(PlacementDecision(suggestion, concept.id, senses, case, subcase))
     if skipped:
         logger.warning(
             "sense scoring skips %d labels with unusable hit counts: %s",
@@ -279,7 +233,8 @@ def enrich_ontology(
     with -2, -3, ... when the ontology or an earlier term of the batch holds
     it. The input ontology is untouched (a new value is returned), re-running
     with the same decisions is a no-op, and new terms are single-sense leaves
-    so the hypernymy structure stays acyclic.
+    so the hypernymy structure stays acyclic. Logs one INFO line that counts
+    the decisions by case and by relation, the failures and the case-2 ties.
     """
     by_term: dict[str, list[PlacementDecision]] = {}
     for decision in decisions:
@@ -294,6 +249,8 @@ def enrich_ontology(
     new_axioms: list[Axiom] = []
     evidences: dict[tuple[str, int], Evidence] = {}  # one value per (pattern, hits)
     applied: list[PlacementDecision] = []
+    cases: Counter[str] = Counter()  # case, or case/subcase for a composite
+    kinds: Counter[RelationKind] = Counter()
     ties = 0
     for term in sorted(by_term, key=str.lower):
         group = sorted(by_term[term], key=lambda d: (d.target_concept, d.senses))
@@ -337,9 +294,19 @@ def enrich_ontology(
                     )
                 )
             applied.append(decision)
+            cases[decision.case if decision.subcase is None
+                  else f"{decision.case}/{decision.subcase}"] += 1
+            kinds[suggestion.relation] += 1
             if decision.case in ("case2", "case3-composite") and len(decision.senses) > 1:
                 ties += 1
 
+    logger.info(
+        "enrichment: %d decisions, by case (%s), by relation (%s), %d failures, "
+        "%d case-2 ties", len(applied),
+        ", ".join(f"{case} {count}" for case, count in sorted(cases.items())),
+        ", ".join(f"{kind.value} {count}" for kind, count in sorted(kinds.items())),
+        len(failures), ties,
+    )
     enriched = ontology.with_additions(new_concepts, new_instances, new_axioms)
     return enriched, EnrichmentReport(tuple(applied), tuple(failures), ties)
 

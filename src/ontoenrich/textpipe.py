@@ -192,30 +192,20 @@ def tokenize_corpus(
     return table
 
 
-@dataclass(frozen=True)
-class Gazetteer:
-    """Normalized surfaces of known entities, standing in for a trained recognizer."""
-
-    surfaces: frozenset[str]
-
-    @classmethod
-    def load(cls, path: str | Path, digest=None) -> "Gazetteer":
-        """Read ``<surface>\\t<kind>`` lines; no surface twice once normalized.
-        No run reads the kind, so it is not kept."""
-        surfaces = set()
-        for n, line in records(read_input(path, digest)):
-            fields = line.strip().split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}: line {n}: expected <surface>\\t<kind>")
-            key = normalize_label(fields[0])
-            if key in surfaces:
-                raise ValueError(f"{path}: line {n}: duplicate key {key!r}")
-            surfaces.add(key)
-        return cls(frozenset(surfaces))
-
-    @classmethod
-    def empty(cls) -> "Gazetteer":
-        return cls(frozenset())
+def load_gazetteer(path: str | Path, digest=None) -> frozenset[str]:
+    """The normalized surfaces of known entities, standing in for a trained
+    recognizer. Reads ``<surface>\\t<kind>`` lines, no surface twice once
+    normalized; no run reads the kind, so it is not kept."""
+    surfaces = set()
+    for n, line in records(read_input(path, digest)):
+        fields = line.strip().split("\t")
+        if len(fields) != 2:
+            raise ValueError(f"{path}: line {n}: expected <surface>\\t<kind>")
+        key = normalize_label(fields[0])
+        if key in surfaces:
+            raise ValueError(f"{path}: line {n}: duplicate key {key!r}")
+        surfaces.add(key)
+    return frozenset(surfaces)
 
 
 @dataclass(frozen=True)
@@ -225,14 +215,14 @@ class TermPartition:
 
 
 def partition_terms(
-    terms: Iterable[str], ontology: Ontology, gazetteer: Gazetteer
+    terms: Iterable[str], ontology: Ontology, gazetteer: frozenset[str]
 ) -> TermPartition:
     """Split mined surfaces into those a concept label knows and the missing
-    ones, each sorted by ``str.lower``. A gazetteer entry, looked up first,
-    and an instance label are in neither."""
+    ones, each sorted by ``str.lower``. A surface whose normalized form the
+    gazetteer holds, looked up first, and an instance label are in neither."""
     concepts, missing = [], []
     for surface in sorted(terms, key=str.lower):
-        if normalize_label(surface) in gazetteer.surfaces:
+        if normalize_label(surface) in gazetteer:
             continue
         match = ontology.contains_term(surface)
         if match is None:

@@ -21,7 +21,7 @@ from typing import Iterable
 from ontoenrich.hitcounts import CorpusIndex, HitCountProvider
 from ontoenrich.ontology import Axiom, Ontology, RelationKind, canonicalize_axiom
 from ontoenrich.patterns import pluralize_term
-from ontoenrich.placement import PlacementConfig, PlacementDecision, place_all
+from ontoenrich.placement import PlacementDecision, place_all
 from ontoenrich.relatedness import DistanceConfig, RelatednessMatrix, distance_from_counts
 from ontoenrich.textpipe import PhraseTable, default_stoplist, tokenize_corpus
 
@@ -223,6 +223,48 @@ def oracle_matrix(
     return {pair: 1.0 - d / denominator for pair, d in distances.items()}
 
 
+def reference_sense_scores(
+    t_miss: str,
+    target: str,
+    senses: Iterable[int],
+    parents: dict[tuple[str, int], list[tuple[str, int]]],
+    labels: dict[str, str],
+    hits: dict[str, int],
+    pair_hits: dict[str, int],
+    n: int,
+    cap: float,
+    denominator: float,
+    depth: int,
+) -> tuple[dict[int, tuple[float | None, tuple]], set[str]]:
+    """Sense scoring recomputed with base-2 logs, one label at a time.
+
+    Each sense's path climbs from ``(target, sense)`` to the smallest of each
+    node's hypernyms (``parents``) until a node has none. Of its first
+    ``depth`` steps, a label counts when it and t_miss both have
+    0 < hits < n, and the path scores the mean of 1 - distance / denominator
+    over those labels (None when none counts). Returns, per sense, the score
+    and the (hits, pair hits) of the counted labels in path order, plus the
+    labels that did not count. ``pair_hits`` maps a label to its joint count
+    with t_miss."""
+    scores, skipped = {}, set()
+    for sense in senses:
+        path = [(target, sense)]
+        while parents.get(path[-1]):
+            path.append(min(parents[path[-1]]))
+        values, profile = [], []
+        for cid, _ in path[:depth]:
+            label = labels[cid]
+            fa, fb = hits.get(t_miss, 0), hits.get(label, 0)
+            if 0 < fa < n and 0 < fb < n:
+                f2 = pair_hits.get(label, 0)
+                values.append(1.0 - log2_distance(fa, fb, f2, n, cap) / denominator)
+                profile.append((fb, f2))
+            else:
+                skipped.add(label)
+        scores[sense] = (sum(values) / len(values) if values else None, tuple(profile))
+    return scores, skipped
+
+
 def naive_placement_matches(system: list, expert: list, require_relation: bool = True) -> int:
     """O(n*m) pairwise matcher for placement precision."""
     count = 0
@@ -278,13 +320,12 @@ def id_queries(miss: str, target: str, catalogue) -> list[tuple[str, str]]:
     return list(zip(catalogue.ids, catalogue.queries(miss, target), strict=True))
 
 
-def place_one(
-    suggestion, ontology: Ontology, provider: HitCountProvider,
-    cfg: PlacementConfig = PlacementConfig(),
-) -> PlacementDecision:
+def place_one(suggestion, ontology: Ontology, provider: HitCountProvider) -> PlacementDecision:
     """The decision ``place_all`` makes for one suggestion, which takes its
-    non-composite path; a placement failure fails the test."""
-    decisions, failures = place_all([suggestion], ontology, provider, cfg)
+    non-composite path, at the default distance cap and denominator 1.0
+    (for any denominator above 0 the winning senses are the same, up to
+    float rounding at near-ties); a placement failure fails the test."""
+    decisions, failures = place_all([suggestion], ontology, provider, DistanceConfig(), 1.0)
     assert failures == [], failures[0].reason
     (decision,) = decisions
     return decision

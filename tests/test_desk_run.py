@@ -16,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -290,5 +291,34 @@ def test_verbose_funnel_counts_every_traced_pattern_query(tmp_path):
     assert pairs == report["counts"]["relatedness.candidate_pairs"] == 270
     assert 0 < settled < pairs
     assert full < (pairs - settled) * len(default_catalogue())
+    quiet = run_cli("-m", "ontoenrich.cli", "enrich", *DESK_ARGS, "--out-dir", tmp_path / "quiet")
+    assert len(quiet.stderr.splitlines()) == 2
+
+
+def test_verbose_placement_funnel_counts_every_traced_decision(tmp_path):
+    report_path, out = tmp_path / "trace.json", tmp_path / "traced"
+    run = run_cli(ROOT / "perfbench" / "harness.py", "trace", report_path,
+                  "enrich", *DESK_ARGS, "-v", "--out-dir", out)
+    counts = json.loads(report_path.read_text(encoding="utf-8"))["counts"]
+    prefix = "INFO ontoenrich.placement: enrichment: "
+    (funnel,) = [line[len(prefix):] for line in run.stderr.splitlines() if line.startswith(prefix)]
+    decisions, cases, relations, failures, ties = re.fullmatch(
+        r"(\d+) decisions, by case \((.*)\), by relation \((.*)\), (\d+) failures, "
+        r"(\d+) case-2 ties", funnel).groups()
+    by_case = {name: int(n) for name, n in (item.split(" ") for item in cases.split(", "))}
+    by_relation = {name: int(n) for name, n in (item.split(" ") for item in relations.split(", "))}
+    assert int(decisions) == sum(by_case.values()) == sum(by_relation.values())
+    assert int(decisions) == counts["placement.decisions"] == 270
+    assert sum(n for name, n in by_case.items() if "case2" in name) == (
+        counts["placement.case2_decisions"]) > 0
+    assert int(failures) == counts["placement.failures"]
+    report = (out / "enrichment_report.tsv").read_text(encoding="utf-8").splitlines()
+    assert report[-1] == f"# case2 ties: {ties}"
+    applied = [line.split("\t") for line in report[1:-1] if line.endswith("\tapplied")]
+    assert by_relation == Counter(row[3] for row in applied)
+    cases_written = Counter()
+    for name, n in by_case.items():
+        cases_written[name.split("/")[0]] += n
+    assert cases_written == Counter(row[4] for row in applied)
     quiet = run_cli("-m", "ontoenrich.cli", "enrich", *DESK_ARGS, "--out-dir", tmp_path / "quiet")
     assert len(quiet.stderr.splitlines()) == 2

@@ -191,8 +191,8 @@ def test_dataclass_fields_are_read():
 # Field names that several dataclasses declare. The reads of each such field
 # were checked by hand; a name added here needs the same check.
 SHARED_FIELD_NAMES = [
-    "denominator", "eliminated", "hits", "id", "label", "ontology", "relation",
-    "retained", "sense", "senses", "suggestion", "threshold", "top_k",
+    "eliminated", "hits", "id", "label", "ontology", "relation", "retained",
+    "senses", "suggestion", "threshold", "top_k",
 ]
 
 

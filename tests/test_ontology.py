@@ -95,13 +95,13 @@ def test_contains_term_matches_instances(small):
 def test_semantic_paths_single_sense(small):
     paths = small.semantic_paths_from("island")
     assert len(paths) == 1
-    assert [cid for cid, _ in paths[0].steps] == ["island", "land", "entity"]
+    assert [cid for cid, _ in paths[0]] == ["island", "land", "entity"]
 
 
 def test_semantic_paths_root_concept(small):
     paths = small.semantic_paths_from("entity")
     assert len(paths) == 1
-    assert paths[0].steps == (("entity", 1),)
+    assert paths[0] == (("entity", 1),)
 
 
 def test_semantic_paths_seven_senses():
@@ -111,7 +111,7 @@ def test_semantic_paths_seven_senses():
     onto = parse_ontology("\n".join(lines) + "\n")
     paths = onto.semantic_paths_from("organization")
     assert len(paths) == 7
-    assert all(p.steps[-1] == ("group", 1) for p in paths)
+    assert all(p[-1] == ("group", 1) for p in paths)
 
 
 def test_semantic_paths_unknown_concept(small):
@@ -371,5 +371,5 @@ def test_property_add_axiom_idempotent(onto, times):
 def test_property_paths_terminate(onto):
     for cid in onto.concepts:
         for path in onto.semantic_paths_from(cid):
-            assert len(path.steps) <= len(onto.concepts) * 3
-            assert path.steps[0][0] == cid
+            assert len(path) <= len(onto.concepts) * 3
+            assert path[0][0] == cid

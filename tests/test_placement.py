@@ -15,9 +15,9 @@ from ontoenrich.ontology import (
 )
 from ontoenrich.patterns import FALLBACK_MARKER, RelationSuggestion
 from ontoenrich.placement import (
+    MAX_PATH_DEPTH,
     ConflictingDecisionError,
     EnrichmentReport,
-    PlacementConfig,
     PlacementDecision,
     UnresolvedSenseError,
     disambiguate_sense,
@@ -25,8 +25,9 @@ from ontoenrich.placement import (
     place_all,
     write_enrichment_report,
 )
+from ontoenrich.relatedness import DistanceConfig, relatedness_matrix
 
-from helpers import has_axiom, place_one, tuple_key_order
+from helpers import has_axiom, place_one, reference_sense_scores, tuple_key_order
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -66,11 +67,9 @@ def test_case2_seven_sense_target_steered_to_social_group(onto, snapshot):
     decision = place_one(suggestion, onto, snapshot)
     assert decision.case == "case2"
     assert decision.senses == (2,)
-    assert len(decision.path_scores) == 7
-    winner = next(s for s in decision.path_scores if s.sense == 2)
-    assert "social group" in winner.labels
-    best = max(s.score for s in decision.path_scores if s.score is not None)
-    assert winner.score == best
+    paths = onto.semantic_paths_from("organization")
+    assert len(paths) == 7
+    assert "social group" in [onto.concepts[cid].label for cid, _ in paths[1][:MAX_PATH_DEPTH]]
 
 
 def test_case2_exact_tie_returns_both_senses():
@@ -92,24 +91,28 @@ def test_case2_exact_tie_returns_both_senses():
         ],
         total_docs=1000,
     )
-    senses, audit = disambiguate_sense("slome", "pitch", onto, table)
-    assert senses == (1, 2)
-    assert audit[0].score == audit[1].score
+    skipped = set()
+    assert disambiguate_sense("slome", "pitch", onto, table, DistanceConfig(), 1.0,
+                              skipped) == (1, 2)
+    assert skipped == set()
 
 
 def test_case2_all_labels_unusable_raises(onto):
     table = SnapshotTable.from_pairs([("corporate body", 10)], total_docs=100)
     with pytest.raises(UnresolvedSenseError):
-        disambiguate_sense("corporate body", "organization", onto, table)
+        disambiguate_sense("corporate body", "organization", onto, table, DistanceConfig(), 1.0,
+                           set())
 
 
-def test_case3_composite_one_term_three_targets(onto, snapshot):
-    suggestions = [
-        suggest("polder", "island"),
-        suggest("polder", "Java"),
-        suggest("polder", "organization"),
-    ]
-    table = SnapshotTable.from_pairs(
+COMPOSITE_SUGGESTIONS = [
+    suggest("polder", "island"),
+    suggest("polder", "Java"),
+    suggest("polder", "organization"),
+]
+
+
+def composite_table(polder_island: int) -> SnapshotTable:
+    return SnapshotTable.from_pairs(
         [
             ("polder", 1000),
             ("island", 300), ("land", 200), ("object", 500), ("entity", 600),
@@ -119,13 +122,18 @@ def test_case3_composite_one_term_three_targets(onto, snapshot):
             ("unit", 100), ("structure", 110), ("artifact", 120),
             ("arrangement", 130), ("condition", 140), ("state", 150),
             ("plan", 160), ("idea", 170),
-            (pair_key("polder", "island"), 500),
+            (pair_key("polder", "island"), polder_island),
             (pair_key("polder", "java"), 20),
             (pair_key("polder", "social group"), 40),
         ],
         total_docs=100_000,
     )
-    decisions, failures = place_all(suggestions, onto, table)
+
+
+def test_case3_composite_one_term_three_targets(onto):
+    decisions, failures = place_all(
+        COMPOSITE_SUGGESTIONS, onto, composite_table(300), DistanceConfig(), 1.0
+    )
     assert failures == []
     assert len(decisions) == 3
     assert all(d.case == "case3-composite" for d in decisions)
@@ -135,10 +143,23 @@ def test_case3_composite_one_term_three_targets(onto, snapshot):
     assert subcases["organization"] == "case2"
 
 
+def test_joint_count_above_a_label_count_raises_as_in_the_matrix_stage(onto):
+    # island (300 hits) is on a path of Java; a joint count of 500 with it is
+    # a provider fault, not a label to skip.
+    table = composite_table(500)
+    with pytest.raises(ValueError) as matrix_error:
+        relatedness_matrix(["polder"], ["island"], table)
+    with pytest.raises(ValueError) as placement_error:
+        place_all(COMPOSITE_SUGGESTIONS, onto, table, DistanceConfig(), 1.0)
+    assert str(placement_error.value) == str(matrix_error.value) == (
+        "provider reports joint count 500 above min individual count for ('polder', 'island')"
+    )
+
+
 def test_place_all_records_unresolved_sense(onto):
     table = SnapshotTable.from_pairs([("corporate body", 10)], total_docs=100)
     decisions, failures = place_all(
-        [suggest("corporate body", "organization")], onto, table
+        [suggest("corporate body", "organization")], onto, table, DistanceConfig(), 1.0
     )
     assert decisions == []
     assert len(failures) == 1
@@ -149,13 +170,17 @@ def test_place_all_warns_once_for_skipped_labels(onto, caplog):
     table = SnapshotTable.from_pairs([("corporate body", 10), ("polity", 10)], total_docs=100)
     suggestions = [suggest("corporate body", "organization"), suggest("polity", "organization")]
     with caplog.at_level("DEBUG", logger="ontoenrich.placement"):
-        _, failures = place_all(suggestions, onto, table)
+        _, failures = place_all(suggestions, onto, table, DistanceConfig(), 1.0)
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     debug = [r for r in caplog.records if r.levelname == "DEBUG"]
     assert len(failures) == 2
-    with pytest.raises(UnresolvedSenseError) as unresolved:
-        disambiguate_sense("polity", "organization", onto, table)
-    labels = sorted({label for score in unresolved.value.path_scores for label in score.labels})
+    path_labels = {
+        onto.concepts[cid].label
+        for path in onto.semantic_paths_from("organization") for cid, _ in path[:MAX_PATH_DEPTH]
+    }
+    labels = sorted(label for label in path_labels
+                    if not 0 < table.hits(label) < table.total_docs())
+    assert labels == sorted(path_labels)  # the table counts no label
     assert warnings == [
         f"sense scoring skips {len(labels)} labels with unusable hit counts: "
         + ", ".join(repr(label) for label in labels)
@@ -170,28 +195,28 @@ def test_per_decision_records_keep_no_instance_dict(onto, snapshot):
         suggest("corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700),
         suggest("corporate body", "atlantis"),
     ]
-    decisions, failures = place_all(suggestions, onto, snapshot)
+    decisions, failures = place_all(suggestions, onto, snapshot, DistanceConfig(), 1.0)
     enriched, report = enrich_ontology(onto, decisions, failures)
     assert report.decisions
     assert all(any(entry is d for d in decisions) for entry in report.decisions)
     axiom = next(a for a in enriched.axioms if a.provenance == "enriched")
-    records = [suggestions[0], decisions[0], decisions[0].path_scores[0], failures[0],
-               axiom, axiom.evidence]
+    records = [suggestions[0], decisions[0], failures[0], axiom, axiom.evidence]
     assert [type(r).__name__ for r in records] == [
-        "RelationSuggestion", "PlacementDecision", "PathScore", "PlacementFailure",
-        "Axiom", "Evidence",
+        "RelationSuggestion", "PlacementDecision", "PlacementFailure", "Axiom", "Evidence",
     ]
     assert not any(hasattr(r, "__dict__") for r in records)
 
 
 def test_place_all_records_unknown_target(onto, snapshot):
-    decisions, failures = place_all([suggest("polder", "atlantis")], onto, snapshot)
+    decisions, failures = place_all([suggest("polder", "atlantis")], onto, snapshot,
+                                   DistanceConfig(), 1.0)
     assert decisions == []
     assert [f.reason for f in failures] == ["target term 'atlantis' is not in the ontology"]
 
 
 def test_place_all_records_instance_target(onto, snapshot):
-    decisions, failures = place_all([suggest("polder", "Jakarta")], onto, snapshot)
+    decisions, failures = place_all([suggest("polder", "Jakarta")], onto, snapshot,
+                                   DistanceConfig(), 1.0)
     assert decisions == []
     assert [f.reason for f in failures] == [
         "target term 'Jakarta' resolves to an instance, which cannot anchor placement"
@@ -252,7 +277,7 @@ def test_enrich_hyponymy_stored_in_hypernymy_direction(onto, snapshot):
     assert line in enriched.to_text().splitlines()
     # hypernymy stays acyclic with the new leaf attached
     paths = enriched.semantic_paths_from("corporate-body")
-    assert [cid for cid, _ in paths[0].steps[:2]] == ["corporate-body", "organization"]
+    assert [cid for cid, _ in paths[0][:2]] == ["corporate-body", "organization"]
 
 
 def test_enrich_instance_of_adds_instance_not_concept(onto, snapshot):
@@ -291,7 +316,7 @@ def test_enriched_axioms_trace_back_to_suggestions(onto, snapshot):
         suggest("jawa", "Java"),
         suggest("corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700),
     ]
-    decisions, failures = place_all(suggestions, onto, snapshot)
+    decisions, failures = place_all(suggestions, onto, snapshot, DistanceConfig(), 1.0)
     assert not failures
     enriched, report = enrich_ontology(onto, decisions)
     added = [a for a in enriched.axioms if a.provenance == "enriched"]
@@ -308,7 +333,7 @@ def test_enriched_axioms_share_one_evidence_per_pattern_and_count(onto, snapshot
         suggest("notion", "concept"),
         suggest("corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700),
     ]
-    decisions, failures = place_all(suggestions, onto, snapshot)
+    decisions, failures = place_all(suggestions, onto, snapshot, DistanceConfig(), 1.0)
     assert not failures
     enriched, _ = enrich_ontology(onto, decisions)
     added = [a for a in enriched.axioms if a.provenance == "enriched"]
@@ -382,3 +407,80 @@ def test_property_report_order_equals_tuple_key_sort(tmp_path_factory, pairs, da
     written = [int(line.split("\t")[6]) for line in path.read_text("utf-8").splitlines()[1:-1]]
     expected = tuple_key_order(decisions, lambda d: d.term, lambda d: d.target_concept)
     assert written == [decision.suggestion.winner_hits for decision in expected]
+
+
+POOL = [f"c{i:02d}" for i in range(12)]  # ids sort as their index does
+# Hits in 100 docs: about one in nine counts 0, and one in nine 100.
+COUNTS = st.sampled_from([*range(1, 100), *[0] * 12, *[100] * 12])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    senses=st.integers(2, 4),
+    mirror=st.booleans(),
+    cap=st.floats(0.0, 2.0),
+    denominator=st.floats(0.05, 50.0),
+    data=st.data(),
+)
+def test_property_sense_scoring_equals_reference(senses, mirror, cap, denominator, data):
+    # Chains climb the pool in index order, so the hypernymy stays acyclic;
+    # they share concepts, and the longest run past MAX_PATH_DEPTH. In mirror
+    # mode sense 2 climbs the second half of the pool exactly as sense 1
+    # climbs the first, over labels with the same counts: an exact tie.
+    half = len(POOL) // 2
+    chain = st.lists(st.sampled_from(range(len(POOL) // (1 + mirror))), min_size=1,
+                     unique=True).map(sorted)
+    chains = [data.draw(chain, label=f"chain {sense}") for sense in range(1, senses + 1)]
+    if mirror:
+        chains[1] = [half + i for i in chains[0]]
+        chains[2:] = [[] for _ in chains[2:]]
+    edges = set()
+    for sense, steps in enumerate(chains, 1):
+        nodes = [("t", sense), *((POOL[i], 1) for i in steps)]
+        edges.update(zip(nodes[1:], nodes))  # (parent, child)
+    parents: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for parent, child in edges:
+        parents.setdefault(child, []).append(parent)
+    onto = parse_ontology(
+        f"C\tt\tt\t{senses}\n"
+        + "".join(f"C\t{cid}\t{cid}\t1\n" for cid in POOL)
+        + "".join(f"A\thypernymy\t{p}\t{c}" + (f"#{s}" if c == "t" else "") + "\toriginal\n"
+                  for (p, _), (c, s) in sorted(edges))
+    )
+
+    hits = {label: data.draw(COUNTS, label=label) for label in ["novel", "t", *POOL]}
+    if mirror:
+        hits.update({POOL[half + i]: hits[POOL[i]] for i in range(half)})
+    pair_hits = {
+        label: data.draw(st.integers(0, min(hits["novel"], count)), label=f"novel & {label}")
+        for label, count in hits.items() if label != "novel"
+    }
+    if mirror:
+        pair_hits.update({POOL[half + i]: pair_hits[POOL[i]] for i in range(half)})
+    table = SnapshotTable.from_pairs(
+        [*hits.items(), *((pair_key("novel", label), f2) for label, f2 in pair_hits.items())],
+        total_docs=100,
+    )
+
+    expected, expected_skipped = reference_sense_scores(
+        "novel", "t", range(1, senses + 1), parents, {cid: cid for cid in ["t", *POOL]},
+        hits, pair_hits, 100, cap, denominator, MAX_PATH_DEPTH,
+    )
+    skipped = set()
+    scored = {sense: score for sense, (score, _) in expected.items() if score is not None}
+    if not scored:
+        with pytest.raises(UnresolvedSenseError):
+            disambiguate_sense("novel", "t", onto, table, DistanceConfig(cap), denominator,
+                               skipped)
+        assert skipped == expected_skipped
+        return
+    winners = disambiguate_sense("novel", "t", onto, table, DistanceConfig(cap), denominator,
+                                 skipped)
+    assert skipped == expected_skipped
+    best = max(scored.values())
+    top = tuple(sorted(sense for sense, score in scored.items() if best - score <= 1e-9))
+    # One sense clear of the rest by more than 1e-9, or senses whose counted
+    # labels have the same counts in the same order, so equal floats: the
+    # winners are exactly those. Other near-ties are left to float rounding.
+    if len({expected[sense][1] for sense in top}) == 1:
+        assert winners == top

@@ -8,7 +8,7 @@ from ontoenrich.evaluation import Judgments
 from ontoenrich.hitcounts import SnapshotTable
 from ontoenrich.ontology import load_ontology
 from ontoenrich.patterns import load_catalogue
-from ontoenrich.textpipe import Gazetteer, load_stoplist
+from ontoenrich.textpipe import load_gazetteer, load_stoplist
 
 NOISE = ["", "  \t ", "  # note"]
 
@@ -26,7 +26,7 @@ READERS = {
         "P\tp3\thyponymy",
     ),
     "snapshot": (SnapshotTable.load, None, ["N\t10", "H\tjava\t3"], "H\tjava"),
-    "gazetteer": (Gazetteer.load, None, ["Java\tplace", "Jakarta\tcity"], "a\tb\tc"),
+    "gazetteer": (load_gazetteer, None, ["Java\tplace", "Jakarta\tcity"], "a\tb\tc"),
     "judgments": (
         Judgments.load, None,
         ["E\tanimals\tretained\tmarsh cat", "X\tanimals\tmarsh cat\tanimal\t1\thyponymy"],
@@ -81,7 +81,7 @@ REPEATS = {
     "judgments-conflicting-relation": (
         Judgments.load, READERS["judgments"][2], "X\tanimals\tMarsh Cat\tanimal\t1\tsynonymy"
     ),
-    "gazetteer": (Gazetteer.load, ["Java\tplace", "Jakarta\tcity"], "java \tcity"),
+    "gazetteer": (load_gazetteer, ["Java\tplace", "Jakarta\tcity"], "java \tcity"),
 }
 
 

@@ -9,7 +9,6 @@ from ontoenrich.hitcounts import CorpusIndex
 from ontoenrich.ontology import load_ontology
 from ontoenrich.textpipe import (
     MAX_NGRAM_LEN,
-    Gazetteer,
     TermPartition,
     default_stoplist,
     load_corpus,
@@ -106,7 +105,7 @@ def test_ngrams_never_cross_boundaries(stoplist):
 
 def test_partition_java_article(stoplist, mini_onto):
     grams = mine(stoplist, JAVA_ARTICLE).values()
-    partition = partition_terms(grams, mini_onto, Gazetteer.empty())
+    partition = partition_terms(grams, mini_onto, frozenset())
     concepts = {surface.lower() for surface in partition.concepts}
     missing = {surface.lower() for surface in partition.missing}
     for surface in ["java", "island", "indonesia", "capital city", "dutch east indies"]:
@@ -119,23 +118,23 @@ def test_partition_java_article(stoplist, mini_onto):
 
 
 def test_partition_instance_match(mini_onto):
-    partition = partition_terms(["Jakarta", "Java"], mini_onto, Gazetteer.empty())
+    partition = partition_terms(["Jakarta", "Java"], mini_onto, frozenset())
     assert partition == TermPartition(("Java",), ())
 
 
 def test_partition_empty_input(mini_onto):
-    assert partition_terms([], mini_onto, Gazetteer.empty()) == TermPartition((), ())
+    assert partition_terms([], mini_onto, frozenset()) == TermPartition((), ())
 
 
 def test_partition_all_in_gazetteer(mini_onto):
-    gaz = Gazetteer(frozenset({"zorbium", "fennite"}))
+    gaz = frozenset({"zorbium", "fennite"})
     partition = partition_terms(["zorbium", "Fennite"], mini_onto, gaz)
     assert partition == TermPartition((), ())
 
 
 def test_partition_gazetteer_checked_before_ontology(mini_onto):
-    assert partition_terms(["Java"], mini_onto, Gazetteer.empty()).concepts == ("Java",)
-    gaz = Gazetteer(frozenset({"java"}))
+    assert partition_terms(["Java"], mini_onto, frozenset()).concepts == ("Java",)
+    gaz = frozenset({"java"})
     assert partition_terms(["Java"], mini_onto, gaz) == TermPartition((), ())
 
 
@@ -259,7 +258,7 @@ def test_property_partition_totality(text):
     stoplist = default_stoplist()
     onto = load_ontology(MINI_ONTOLOGY)
     grams = mine(stoplist, text).values()
-    partition = partition_terms(grams, onto, Gazetteer.empty())
+    partition = partition_terms(grams, onto, frozenset())
     instances = [s for s in grams if getattr(onto.contains_term(s), "kind", "") == "instance"]
     assert sorted([*partition.concepts, *partition.missing, *instances]) == sorted(grams)
 
