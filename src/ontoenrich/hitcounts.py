@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .ontology import normalize_label, read_input, records
 from .textpipe import MAX_NGRAM_LEN, PhraseTable, punctuation_spans
@@ -212,3 +212,16 @@ class SnapshotTable:
 
     def total_docs(self) -> int:
         return self.declared_total
+
+    def run_test(self) -> Callable[[str], bool]:
+        """A test of whether a query's normalized text is a contiguous
+        whitespace-token run of a key that counts something. When it is not,
+        every query whose normalized text holds it as such a run counts 0.
+        The runs are built on each call and live as long as the test."""
+        runs = set()
+        for key, count in self.entries.items():
+            if count:
+                tokens = key.split()
+                runs.update(" ".join(tokens[i:j]) for i in range(len(tokens))
+                            for j in range(i + 1, len(tokens) + 1))
+        return lambda query: normalize_label(query) in runs

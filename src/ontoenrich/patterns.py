@@ -28,18 +28,19 @@ A suggestion keeps its hit counts only, one per template in catalogue order.
 Every all-zero suggestion shares its catalogue's one zero tuple, and only a
 pair that counts something sums its counts per group.
 
-A corpus index counts the documents that hold a query as one contiguous
-run of tokens, so a query never counts more than any contiguous run of its
-tokens. Each compiled line therefore has two side lines: the tokens on X's
-side of every token that holds a field of Y, and the same for Y. A side
-query depends on one term only, and ``SideMasks`` turns it, the first time
-a term fills a slot, into a bit mask of the templates it leaves viable: one
-whose side query counts something or is empty. A pair issues only the
-queries both its terms' masks leave viable, and a pair they leave none is
-settled before its queries are built. A default desk run issues 89,100
-queries without pruning and 2,039 with it (1,980 side, 59 full); 8,090 of
-its 8,100 pairs count nothing. A snapshot's counts are recorded numbers, not document
-frequencies, so a snapshot run is never pruned.
+Each compiled line has two side lines: the tokens on X's side of every
+token that holds a field of Y, and the same for Y. So a side query,
+normalized, is a whitespace-token run of its pair's full query, normalized.
+``SideMasks`` turns a term's side queries, the first time it fills a slot,
+into a bit mask of the templates it leaves viable: those whose side query is
+empty or passes the run's test. An index counts the documents that hold a
+query as one contiguous token run, so a query never counts more than a run
+of its tokens, and its test is the side query's count. A snapshot counts 0
+for a key it lacks or holds with 0, and its test is whether the side query
+is a token run of a non-zero key. A pair issues only the queries both masks
+leave viable, and a pair they leave none is settled before its queries are
+built. A default desk run issues 59 of its 89,100 queries after 1,980 side
+tests; 8,090 of its 8,100 pairs count nothing.
 
 The audit writes the pairs in ``term_order``, which groups them by lowered
 missing term and sorts each group alone, so no pair holds a sort key tuple.
@@ -303,32 +304,34 @@ class RelationSuggestion:
 
 
 class SideMasks:
-    """Per-run memo of the templates each term leaves viable in each slot,
-    for a provider whose counts are document frequencies of contiguous
-    phrases. It counts the side and full queries it issues and the pairs it
-    settles without a full query."""
+    """Per-run memo of the templates each term leaves viable in each slot.
+    ``test`` tells whether a side query may count something; it must be
+    true for each side query of every full query that counts something.
+    It counts the side tests and the full queries it makes, how many of
+    each counted something, and the pairs it settles without a full query."""
 
-    def __init__(self):
+    def __init__(self, test: Callable[[str], object]):
+        self._test = test
         self._masks: tuple[dict[str, int], dict[str, int]] = ({}, {})
-        self.side_queries = self.full_queries = self.settled = 0
+        self.side_tests = self.side_nonzero = 0
+        self.full_queries = self.full_nonzero = self.settled = 0
 
-    def _mask(
-        self, term: str, slot: int, provider: HitCountProvider, catalogue: PatternCatalogue
-    ) -> int:
+    def _mask(self, term: str, slot: int, catalogue: PatternCatalogue) -> int:
         """Bit n set when template n's side query for the term is empty or
-        counts something; every bit when the term has no side queries."""
+        passes the test; every bit when the term has no side queries."""
         mask = self._masks[slot].get(term)
         if mask is None:
             queries = catalogue.side_queries(term, slot)
             if queries is None:
                 mask = (1 << len(catalogue)) - 1
             else:
-                counts = {"": 1}  # an empty side query rules nothing out
+                passed = {"": True}  # an empty side query rules nothing out
                 for query in queries:
-                    if query not in counts:
-                        counts[query] = provider.pattern_hits(query)
-                        self.side_queries += 1
-                mask = sum(1 << n for n, query in enumerate(queries) if counts[query])
+                    if query not in passed:
+                        passed[query] = bool(self._test(query))
+                        self.side_tests += 1
+                        self.side_nonzero += passed[query]
+                mask = sum(1 << n for n, query in enumerate(queries) if passed[query])
             self._masks[slot][term] = mask
         return mask
 
@@ -337,17 +340,19 @@ class SideMasks:
     ) -> tuple[int, ...]:
         """The pair's count per template: 0 without a query where either
         term's mask clears the template's bit."""
-        viable = self._mask(t_miss, 0, provider, catalogue)
+        viable = self._mask(t_miss, 0, catalogue)
         if viable:
-            viable &= self._mask(t_in, 1, provider, catalogue)
+            viable &= self._mask(t_in, 1, catalogue)
         if not viable:
             self.settled += 1
             return catalogue.zero_hits
-        self.full_queries += viable.bit_count()
-        return tuple(
+        hits = tuple(
             provider.pattern_hits(query) if viable >> n & 1 else 0
             for n, query in enumerate(catalogue.queries(t_miss, t_in))
         )
+        self.full_queries += viable.bit_count()
+        self.full_nonzero += len(hits) - hits.count(0)
+        return hits
 
 
 def extract_relation(
@@ -355,15 +360,12 @@ def extract_relation(
     t_in: str,
     provider: HitCountProvider,
     catalogue: PatternCatalogue,
-    sides: SideMasks | None = None,
+    sides: SideMasks,
 ) -> RelationSuggestion:
-    """Arbitrate one relation for a candidate pair from pattern hit counts.
-    With ``sides``, which only a provider of document frequencies may use,
-    a template either term's side query rules out counts 0 unqueried."""
-    if sides is None:
-        hits = tuple(map(provider.pattern_hits, catalogue.queries(t_miss, t_in)))
-    else:
-        hits = sides.hits(t_miss, t_in, provider, catalogue)
+    """Arbitrate one relation for a candidate pair from pattern hit counts;
+    a template either term's side test in ``sides`` rules out counts 0
+    unqueried."""
+    hits = sides.hits(t_miss, t_in, provider, catalogue)
     if not any(hits):  # nearly every pair: keep the catalogue's shared zero tuple
         return RelationSuggestion(
             missing_term=t_miss,

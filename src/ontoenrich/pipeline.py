@@ -203,17 +203,17 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
             candidates = select_candidates(
                 matrix, SelectionConfig(config.threshold, config.top_k)
             )
-            # A snapshot's counts are not document frequencies: never pruned.
-            sides = SideMasks() if config.snapshot is None else None
+            # The index tests a side by its count, so a recorded or traced run
+            # sees every side query; the snapshot's runs are freed with sides.
+            sides = SideMasks(provider.pattern_hits if config.snapshot is None
+                              else provider.run_test())
             pairs = candidates.pairs()
             for miss, target in pairs:
                 suggestions.append(extract_relation(miss, target, provider, catalogue, sides))
-            if sides is None:
-                funnel = (0, len(pairs) * len(catalogue), 0)
-            else:
-                funnel = (sides.side_queries, sides.full_queries, sides.settled)
-            logger.info("patterns: %d pairs, %d side queries, %d full queries, "
-                        "%d pairs settled without a full query", len(pairs), *funnel)
+            logger.info("patterns: %d pairs, %d side tests (%d non-zero), %d full queries "
+                        "(%d non-zero), %d pairs settled without a full query", len(pairs),
+                        sides.side_tests, sides.side_nonzero, sides.full_queries,
+                        sides.full_nonzero, sides.settled)
 
     return RunState(
         config=config,

@@ -14,7 +14,7 @@ from ontoenrich.cli import main as cli_main
 from ontoenrich.evaluation import Judgments, enrichment_precision, precision_report
 from ontoenrich.hitcounts import SnapshotTable, pair_key
 from ontoenrich.ontology import RelationKind, load_ontology
-from ontoenrich.patterns import default_catalogue, extract_relation
+from ontoenrich.patterns import SideMasks, default_catalogue, extract_relation
 from ontoenrich.placement import enrich_ontology
 from ontoenrich.relatedness import (
     DistanceConfig,
@@ -51,7 +51,8 @@ def test_c1_snapshot_replay_hyponymy_placement():
     assert snapshot.pattern_hits("corporate body is an instance of an organization") == 0
 
     suggestion = extract_relation(
-        "corporate body", "organization", snapshot, default_catalogue()
+        "corporate body", "organization", snapshot, default_catalogue(),
+        SideMasks(snapshot.run_test()),
     )
     assert suggestion.relation is RelationKind.HYPONYMY
     assert suggestion.winner_hits == 80_700
@@ -194,14 +195,15 @@ def test_c6_placement_cases(tmp_path):
     snapshot = SnapshotTable.load(SNAPSHOT)
     onto = load_ontology(MINI)
     catalogue = default_catalogue()
+    sides = SideMasks(snapshot.run_test())
 
     # case 1: single-sense target
-    one = extract_relation("notion", "concept", snapshot, catalogue)
+    one = extract_relation("notion", "concept", snapshot, catalogue, sides)
     d1 = place_one(one, onto, snapshot)
     assert (d1.case, d1.senses) == ("case1", (1,))
 
     # case 2: seven-sense target steered to one path
-    two = extract_relation("corporate body", "organization", snapshot, catalogue)
+    two = extract_relation("corporate body", "organization", snapshot, catalogue, sides)
     d2 = place_one(two, onto, snapshot)
     assert d2.case == "case2"
     assert d2.senses == (2,)
@@ -218,7 +220,7 @@ def test_c6_placement_cases(tmp_path):
         100_000,
     )
     suggestions = [
-        extract_relation("polder", target, table, catalogue)
+        extract_relation("polder", target, table, catalogue, SideMasks(table.run_test()))
         for target in ["island", "Java", "concept"]
     ]
     decisions, failures = place_all(suggestions, onto, table, DistanceConfig(), 1.0)

@@ -284,20 +284,33 @@ def test_manifest_names_the_input_bytes_the_run_loaded(tmp_path, monkeypatch):
         assert manifest[key] == loaded[flag] != hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_snapshot_run_is_never_pruned(tmp_path):
-    # Snapshot counts are recorded numbers, not document frequencies: this
-    # full query counts 500 though neither of its side queries has a key.
-    text = SNAPSHOT.read_text(encoding="utf-8") + "H\tjawa is an instance of a java\t500\n"
+def test_snapshot_run_prunes_sides_that_are_no_token_run_of_a_nonzero_key(tmp_path,
+                                                                          monkeypatch):
+    # A snapshot counts 0 for a key it lacks or holds with 0, and each side
+    # query of a pair, normalized, is a token run of the pair's full key.
+    # This full query counts 500 though neither of its side queries has a
+    # key: both are token runs of it. The key recorded with 0 has sides that
+    # are no token run of a non-zero key, so its pair issues no full query.
+    text = SNAPSHOT.read_text(encoding="utf-8") + (
+        "H\tjawa is an instance of a java\t500\nH\tronaldo is a kind of football\t0\n"
+    )
     snapshot = tmp_path / SNAPSHOT.name
     snapshot.write_text(text, encoding="utf-8")
     table = SnapshotTable.load(snapshot)
     assert table.pattern_hits("Jawa is an instance of") == 0
     assert table.pattern_hits("is an instance of a Java") == 0
+    queries = []
+    pattern_hits = SnapshotTable.pattern_hits
+    monkeypatch.setattr(SnapshotTable, "pattern_hits",
+                        lambda self, query: queries.append(query) or pattern_hits(self, query))
     out = tmp_path / "out"
     assert run("enrich", "--corpus", FIXTURES / "corpus_examples", "--ontology", MINI,
                "--snapshot", snapshot, "--top-k", 1, "--out-dir", out) == 0
     audit = (out / "pattern_audit.tsv").read_text(encoding="utf-8").splitlines()
     assert "Jawa\tJava\tinst-of\tJawa is an instance of a Java\t500" in audit
+    assert "Ronaldo\tfootball\thypo-kind\tRonaldo is a kind of football\t0" in audit
+    assert "Jawa is an instance of a Java" in queries
+    assert [query for query in queries if query.startswith("Ronaldo ")] == []
     report = (out / "enrichment_report.tsv").read_text(encoding="utf-8").splitlines()
     assert [row.split("\t")[3] for row in report if row.startswith("Jawa\t")] == ["instance-of"]
 

@@ -98,9 +98,10 @@ def planted_triples() -> set[tuple[str, str, str]]:
 DESK_DEFAULT_ARGS = ("--corpus", DESK / "corpus", "--ontology", DESK / "ontology.tsv",
                      "--gazetteer", DESK / "gazetteer.tsv")
 DESK_ARGS = (*DESK_DEFAULT_ARGS, "--top-k", "3")
-EXAMPLES_ARGS = ("--corpus", ROOT / "fixtures" / "corpus_examples",
-                 "--ontology", ROOT / "fixtures" / "mini_ontology.tsv",
-                 "--snapshot", ROOT / "fixtures" / "snapshots" / "worked_examples.tsv")
+EXAMPLES_SNAPSHOT = ROOT / "fixtures" / "snapshots" / "worked_examples.tsv"
+EXAMPLES_INPUTS = ("--corpus", ROOT / "fixtures" / "corpus_examples",
+                   "--ontology", ROOT / "fixtures" / "mini_ontology.tsv")
+EXAMPLES_ARGS = (*EXAMPLES_INPUTS, "--snapshot", EXAMPLES_SNAPSHOT)
 
 
 def run_cli(*argv, seed: str = HASH_SEEDS[0]) -> subprocess.CompletedProcess:
@@ -108,6 +109,16 @@ def run_cli(*argv, seed: str = HASH_SEEDS[0]) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
     return subprocess.run([sys.executable, *map(str, argv)], env=env, cwd=ROOT,
                           check=True, capture_output=True, text=True, timeout=300)
+
+
+def pattern_funnel(stderr: str) -> tuple[int, ...]:
+    """The pattern stage's ``-v`` line: pairs, side tests and how many were
+    non-zero, full queries and how many were non-zero, settled pairs."""
+    prefix = "INFO ontoenrich.pipeline: patterns: "
+    (line,) = [line[len(prefix):] for line in stderr.splitlines() if line.startswith(prefix)]
+    return tuple(map(int, re.fullmatch(
+        r"(\d+) pairs, (\d+) side tests \((\d+) non-zero\), (\d+) full queries "
+        r"\((\d+) non-zero\), (\d+) pairs settled without a full query", line).groups()))
 
 
 def run_reporting_hashlib(out: Path, blocked: tuple[str, ...] = ()) -> bool:
@@ -228,22 +239,26 @@ def test_verbose_run_logs_each_stage_time_in_run_order(desk_runs, tmp_path):
 def test_recorded_snapshot_replays_desk_run(tmp_path):
     # The benchmark records an index run's hit counts through a proxy that
     # offers only hits, pair_hits, pattern_hits and total_docs, then replays them.
-    # The recorded run prunes its pattern queries and the replay does not, so
-    # a query the record left out must count 0; the defaults case has 8,100 pairs.
+    # The replay prunes from the snapshot's non-zero keys what the record
+    # pruned from the index's counts, and a query the record left out must
+    # count 0; the defaults case has 8,100 pairs.
     for case, args, pinned in [("top-k-3", DESK_ARGS, DESK_SHA256),
                                ("defaults", DESK_DEFAULT_ARGS, DESK_DEFAULTS_SHA256)]:
         snapshot, recorded, replayed = (tmp_path / f"{case}.snapshot", tmp_path / f"{case}-rec",
                                         tmp_path / f"{case}-rep")
-        run_cli(ROOT / "perfbench" / "harness.py", "record", snapshot,
-                "enrich", *args, "--out-dir", recorded)
-        run_cli("-m", "ontoenrich.cli", "enrich", *args, "--snapshot", snapshot,
-                "--out-dir", replayed)
+        record = run_cli(ROOT / "perfbench" / "harness.py", "record", snapshot,
+                         "enrich", *args, "-v", "--out-dir", recorded)
+        replay = run_cli("-m", "ontoenrich.cli", "enrich", *args, "--snapshot", snapshot,
+                         "-v", "--out-dir", replayed)
         got = {name: hashlib.sha256((recorded / name).read_bytes()).hexdigest()
                for name in OUTPUTS}
         assert got == pinned, case
         for name in OUTPUTS:
             if name != "manifest.tsv":  # the manifest names the provider
                 assert (replayed / name).read_bytes() == (recorded / name).read_bytes(), name
+        assert pattern_funnel(replay.stderr) == pattern_funnel(record.stderr), case
+    pairs, side, _, full, _, _ = pattern_funnel(replay.stderr)
+    assert (pairs, side, full) == (8_100, 1_980, 59)
 
 
 def test_saturation_warning_agrees_with_traced_admitted_cells(tmp_path):
@@ -263,17 +278,23 @@ def test_traced_run_sees_every_traced_name_and_query(tmp_path):
     # perfbench's per-module metrics come from spans around public names of
     # ontoenrich.pipeline and around the provider; a refactor that renames
     # one, or issues queries past the provider, would blind them silently.
+    # A snapshot's side tests are no provider queries, so the traced calls
+    # are the full queries; the added key keeps one pair's templates viable.
+    snapshot = tmp_path / "examples.snapshot"
+    snapshot.write_text(EXAMPLES_SNAPSHOT.read_text(encoding="utf-8")
+                        + "H\tjawa is an instance of a java\t500\n", encoding="utf-8")
+    args = (*EXAMPLES_INPUTS, "--snapshot", snapshot)
     report_path, traced, plain = tmp_path / "trace.json", tmp_path / "traced", tmp_path / "plain"
-    run_cli(ROOT / "perfbench" / "harness.py", "trace", report_path,
-            "enrich", *EXAMPLES_ARGS, "--out-dir", traced)
-    run_cli("-m", "ontoenrich.cli", "enrich", *EXAMPLES_ARGS, "--out-dir", plain)
+    run = run_cli(ROOT / "perfbench" / "harness.py", "trace", report_path,
+                  "enrich", *args, "-v", "--out-dir", traced)
+    run_cli("-m", "ontoenrich.cli", "enrich", *args, "--out-dir", plain)
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["absent"] == []
     for name in OUTPUTS:
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
-    audit = (plain / "pattern_audit.tsv").read_text(encoding="utf-8").splitlines()
+    _, _, _, full, _, _ = pattern_funnel(run.stderr)
     calls, _, _ = report["spans"]["hitcounts.pattern_hits"]
-    assert calls == len(audit) - 1 > 0
+    assert calls == full > 0
 
 
 def test_verbose_funnel_counts_every_traced_pattern_query(tmp_path):
@@ -281,13 +302,11 @@ def test_verbose_funnel_counts_every_traced_pattern_query(tmp_path):
     run = run_cli(ROOT / "perfbench" / "harness.py", "trace", report_path,
                   "enrich", *DESK_ARGS, "-v", "--out-dir", tmp_path / "traced")
     report = json.loads(report_path.read_text(encoding="utf-8"))
-    prefix = "INFO ontoenrich.pipeline: patterns: "
-    (funnel,) = [line[len(prefix):] for line in run.stderr.splitlines() if line.startswith(prefix)]
-    pairs, side, full, settled = map(int, re.fullmatch(
-        r"(\d+) pairs, (\d+) side queries, (\d+) full queries, "
-        r"(\d+) pairs settled without a full query", funnel).groups())
+    pairs, side, side_nonzero, full, full_nonzero, settled = pattern_funnel(run.stderr)
     calls, _, _ = report["spans"]["hitcounts.pattern_hits"]
     assert side + full == calls
+    assert side_nonzero + full_nonzero == report["counts"]["hitcounts.pattern_nonzero"]
+    assert 0 < side_nonzero < side and 0 < full_nonzero < full
     assert pairs == report["counts"]["relatedness.candidate_pairs"] == 270
     assert 0 < settled < pairs
     assert full < (pairs - settled) * len(default_catalogue())

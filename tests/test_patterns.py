@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ontoenrich import patterns
 from ontoenrich.hitcounts import SnapshotTable
-from ontoenrich.ontology import RelationKind
+from ontoenrich.ontology import RelationKind, normalize_label
 from ontoenrich.patterns import (
     NEGATION_WORDS,
     PatternCatalogue,
@@ -40,6 +40,11 @@ def catalogue():
 
 def snapshot_of(patterns: dict[str, int], total: int = 8_000_000_000) -> SnapshotTable:
     return SnapshotTable.from_pairs(list(patterns.items()), total)
+
+
+def extract(miss: str, target: str, table: SnapshotTable, catalogue) -> RelationSuggestion:
+    """``extract_relation`` pruned as a snapshot run prunes it."""
+    return extract_relation(miss, target, table, catalogue, SideMasks(table.run_test()))
 
 
 def test_instantiation_produces_expected_query_strings(catalogue):
@@ -125,7 +130,7 @@ def test_pluralize_term_pluralizes_head_word():
 
 def test_extract_hyponymy_from_dominant_pattern(catalogue):
     provider = snapshot_of({"corporate body is an organization": 80_700})
-    suggestion = extract_relation("corporate body", "organization", provider, catalogue)
+    suggestion = extract("corporate body", "organization", provider, catalogue)
     assert suggestion.relation is RelationKind.HYPONYMY
     assert suggestion.winning_group == "hypo-isa"
     assert suggestion.winner_hits == 80_700
@@ -137,7 +142,7 @@ def test_extract_hyponymy_from_dominant_pattern(catalogue):
 def test_extract_all_zero_falls_back_to_related_to(catalogue):
     provider = snapshot_of({})
     for pair in [("jawa", "Java"), ("Hindu-Buddhist", "Indonesia")]:
-        suggestion = extract_relation(*pair, provider, catalogue)
+        suggestion = extract(*pair, provider, catalogue)
         assert suggestion.relation is RelationKind.RELATED_TO
         assert suggestion.winning_group is None
         assert suggestion.winner_hits == 0
@@ -145,8 +150,8 @@ def test_extract_all_zero_falls_back_to_related_to(catalogue):
 
 def test_all_zero_pairs_share_the_catalogue_zero_values(catalogue):
     provider = snapshot_of({})
-    first = extract_relation("jawa", "Java", provider, catalogue)
-    second = extract_relation("Hindu-Buddhist", "Indonesia", provider, catalogue)
+    first = extract("jawa", "Java", provider, catalogue)
+    second = extract("Hindu-Buddhist", "Indonesia", provider, catalogue)
     assert first.hits is second.hits is catalogue.zero_hits
     # equal to a suggestion built from fresh zero values
     assert first == RelationSuggestion(
@@ -164,12 +169,13 @@ def test_fallback_suggestions_retain_at_most_512_bytes_each():
     catalogue = default_catalogue()
     provider = snapshot_of({})
     pairs = [(f"missing term {i}", f"known {j}") for i in range(40) for j in range(50)]
+    sides = SideMasks(provider.run_test())
     for miss, target in pairs:  # the catalogue keeps slot values per term, so warm them first
         catalogue.queries(miss, target)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        suggestions = [extract_relation(miss, target, provider, catalogue)
+        suggestions = [extract_relation(miss, target, provider, catalogue, sides)
                        for miss, target in pairs]
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -205,7 +211,7 @@ def test_variant_counts_sum_within_group(catalogue):
             "engine is a car": 100,
         }
     )
-    suggestion = extract_relation("engine", "car", provider, catalogue)
+    suggestion = extract("engine", "car", provider, catalogue)
     assert suggestion.relation is RelationKind.MERONYMY
     assert suggestion.winner_hits == 110
     assert group_sums(suggestion.hits, catalogue)["mero-part"] == 110
@@ -218,7 +224,7 @@ def test_tie_prefers_more_specific_relation(catalogue):
             "rex is an instance of a dog": 7,
         }
     )
-    suggestion = extract_relation("rex", "dog", provider, catalogue)
+    suggestion = extract("rex", "dog", provider, catalogue)
     assert suggestion.relation is RelationKind.INSTANCE_OF
     assert suggestion.winning_group == "inst-of"
     sums = group_sums(suggestion.hits, catalogue)
@@ -227,7 +233,7 @@ def test_tie_prefers_more_specific_relation(catalogue):
 
 def test_winner_count_is_group_maximum(catalogue):
     provider = snapshot_of({"jawa is an island": 12, "jawa is a kind of island": 3})
-    suggestion = extract_relation("jawa", "island", provider, catalogue)
+    suggestion = extract("jawa", "island", provider, catalogue)
     assert suggestion.winner_hits == max(group_sums(suggestion.hits, catalogue).values()) == 15
 
 
@@ -239,7 +245,7 @@ def test_slug():
 
 def test_audit_export(tmp_path, catalogue):
     provider = snapshot_of({"corporate body is an organization": 80_700})
-    suggestion = extract_relation("corporate body", "organization", provider, catalogue)
+    suggestion = extract("corporate body", "organization", provider, catalogue)
     out = tmp_path / "audit.tsv"
     write_pattern_audit([suggestion], catalogue, out)
     lines = out.read_text().splitlines()
@@ -318,7 +324,7 @@ def test_property_arbitration_picks_maximal_group(miss, target, counts):
     catalogue = default_catalogue()
     queries = catalogue.queries(miss, target)
     provider = snapshot_of({query: count for query, count in zip(queries, counts)})
-    suggestion = extract_relation(miss, target, provider, catalogue)
+    suggestion = extract(miss, target, provider, catalogue)
     # one hit count per template, in catalogue order
     assert len(suggestion.hits) == len(catalogue)
     assert suggestion.hits == tuple(provider.pattern_hits(query) for query in queries)
@@ -462,13 +468,71 @@ def test_property_pruned_hits_equal_unpruned_and_document_scan():
         ))
         texts = {f"d/{n}": text for n, text in enumerate(docs)}
         index = build_index(texts.items())
-        sides = SideMasks()
+        sides = SideMasks(index.pattern_hits)
         for miss, target in pairs:
             pruned = extract_relation(miss, target, index, catalogue, sides).hits
             unpruned = tuple(map(index.pattern_hits, catalogue.queries(miss, target)))
             scanned = tuple(len(walk_phrase_docs(texts, query, punctuation))
                             for _, query in reference_instantiate(miss, target, catalogue))
             assert pruned == unpruned == scanned, (miss, target)
+            seen.add("counted" if any(pruned) else "zero")
+        if sides.settled:
+            seen.add("settled")
+        if sides.full_queries < (len(pairs) - sides.settled) * len(catalogue):
+            seen.add("template pruned")
+
+    check()
+    assert seen == {"counted", "zero", "settled", "template pruned"}
+
+
+# Terms and literals whose lowering is not a plain per-character map: "Σ"
+# lowers by its neighbours (Final_Sigma), "İ" to two code points, and "ß"
+# lowers to itself but case-folds to "ss".
+_CASE_TEMPLATES = ["{X} İs a(n) {Y}", "{Y:pl} ΣΑΣ {X}", "{X}ß {Y}", "straße {X}'s {Y:pl}"]
+_SNAPSHOT_TERMS = st.sampled_from(
+    ["apple", "Apple", "desk lamp", "box", "a(n) apple", "apple a", "desk  lamp", " box", ",",
+     "(apple", "ΟΔΟΣ", "Σ", "ΣΑΣ plan", "İstanbul", "istanbul", "straße", "STRAẞE", "Straße box"]
+)
+
+
+def test_property_snapshot_pruned_hits_equal_unpruned():
+    # A snapshot prunes with the token runs of its non-zero keys: per pair,
+    # the same counts as every query issued.
+    seen = set()
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        templates = data.draw(st.lists(st.sampled_from(PRUNE_TEMPLATES + _CASE_TEMPLATES),
+                                       min_size=1, unique=True))
+        templates += data.draw(st.lists(prune_templates(), max_size=3))
+        catalogue = PatternCatalogue(
+            PatternTemplate(f"p{n}", RelationKind.HYPONYMY, f"g{n}", template)
+            for n, template in enumerate(templates)
+        )
+        pairs = data.draw(st.lists(st.tuples(_SNAPSHOT_TERMS, _SNAPSHOT_TERMS),
+                                   min_size=1, max_size=6))
+        full = [query for pair in pairs for query in catalogue.queries(*pair)]
+        # Keys: whole full queries, token runs of them and other words, in
+        # any case, counted 0 as often as not.
+        tokens = st.sampled_from(full).map(str.split)
+        run = tokens.flatmap(lambda words: st.tuples(
+            st.just(words), st.integers(0, len(words) - 1), st.integers(1, len(words))
+        )).map(lambda drawn: " ".join(drawn[0][drawn[1]:drawn[1] + drawn[2]]))
+        keys = data.draw(st.lists(
+            st.tuples(st.one_of(st.sampled_from(full), run, _PRUNE_WORDS),
+                      st.sampled_from([str, str.upper, str.title]), st.integers(0, 2)),
+            max_size=10,
+        ))
+        entries = {}
+        for key, case, count in keys:
+            entries.setdefault(normalize_label(case(key)), count)
+        table = SnapshotTable.from_pairs(entries.items(), 1_000)
+        sides = SideMasks(table.run_test())
+        for miss, target in pairs:
+            pruned = extract_relation(miss, target, table, catalogue, sides).hits
+            unpruned = tuple(map(table.pattern_hits, catalogue.queries(miss, target)))
+            assert pruned == unpruned, (miss, target)
             seen.add("counted" if any(pruned) else "zero")
         if sides.settled:
             seen.add("settled")
