@@ -31,79 +31,58 @@ logger = logging.getLogger(__name__)
 UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class Placement:
-    term: str
-    target: str
-    sense: int
-    relation: str
+# A placement's (term, target concept id, sense); judgments map each to one relation.
+PlacementKey = tuple[str, str, int]
 
 
 @dataclass(frozen=True)
 class DomainJudgments:
     eliminated: frozenset[str]
     retained: frozenset[str]
-    placements: frozenset[Placement]
-
-    def __post_init__(self):
-        overlap = self.eliminated & self.retained
-        if overlap:
-            raise ValueError(
-                f"terms judged both eliminated and retained: {sorted(overlap)[:5]}"
-            )
+    placements: Mapping[PlacementKey, str]
 
 
-@dataclass(frozen=True)
-class Judgments:
-    domains: Mapping[str, DomainJudgments]
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Judgments":
-        verdicts: dict[str, dict[str, str]] = {}
-        relations: dict[str, dict[tuple[str, str, int], str]] = {}
-        for n, line in records(Path(path).read_text(encoding="utf-8")):
-            fields = line.split("\t")
-            if fields[0] == "E" and len(fields) == 4:
-                _, domain, verdict, term = fields
-                if verdict not in ("eliminated", "retained"):
-                    raise ValueError(f"{path}: line {n}: unknown verdict {verdict!r}")
-                judged = verdicts.setdefault(domain, {})
-                term = normalize_label(term)
-                if judged.setdefault(term, verdict) != verdict:
-                    raise ValueError(
-                        f"{path}: line {n}: conflicting verdict {verdict!r} for {term!r}"
-                        f" in {domain!r}: an earlier record gives {judged[term]!r}"
-                    )
-            elif fields[0] == "X" and len(fields) == 6:
-                _, domain, term, target, sense_text, relation = fields
-                try:
-                    sense = int(sense_text)
-                except ValueError:
-                    raise ValueError(f"{path}: line {n}: bad sense {sense_text!r}") from None
-                given = relations.setdefault(domain, {})
-                key = (normalize_label(term), target, sense)
-                if given.setdefault(key, relation) != relation:
-                    raise ValueError(
-                        f"{path}: line {n}: conflicting relation {relation!r} for {key[0]!r}"
-                        f" -> {target}#{sense} in {domain!r}: an earlier record gives"
-                        f" {given[key]!r}"
-                    )
-            else:
-                raise ValueError(f"{path}: line {n}: expected E or X record")
-        domains = sorted(set(verdicts) | set(relations))
-        return cls(
-            {
-                domain: DomainJudgments(
-                    frozenset(t for t, v in verdicts.get(domain, {}).items() if v == "eliminated"),
-                    frozenset(t for t, v in verdicts.get(domain, {}).items() if v == "retained"),
-                    frozenset(
-                        Placement(*key, relation)
-                        for key, relation in relations.get(domain, {}).items()
-                    ),
+def load_judgments(path: str | Path) -> dict[str, DomainJudgments]:
+    """The judgments of each domain a file covers, in domain order."""
+    verdicts: dict[str, dict[str, str]] = {}
+    relations: dict[str, dict[PlacementKey, str]] = {}
+    for n, line in records(Path(path).read_text(encoding="utf-8")):
+        fields = line.split("\t")
+        if fields[0] == "E" and len(fields) == 4:
+            _, domain, verdict, term = fields
+            if verdict not in ("eliminated", "retained"):
+                raise ValueError(f"{path}: line {n}: unknown verdict {verdict!r}")
+            judged = verdicts.setdefault(domain, {})
+            term = normalize_label(term)
+            if judged.setdefault(term, verdict) != verdict:
+                raise ValueError(
+                    f"{path}: line {n}: conflicting verdict {verdict!r} for {term!r}"
+                    f" in {domain!r}: an earlier record gives {judged[term]!r}"
                 )
-                for domain in domains
-            }
+        elif fields[0] == "X" and len(fields) == 6:
+            _, domain, term, target, sense_text, relation = fields
+            try:
+                sense = int(sense_text)
+            except ValueError:
+                raise ValueError(f"{path}: line {n}: bad sense {sense_text!r}") from None
+            given = relations.setdefault(domain, {})
+            key = (normalize_label(term), target, sense)
+            if given.setdefault(key, relation) != relation:
+                raise ValueError(
+                    f"{path}: line {n}: conflicting relation {relation!r} for {key[0]!r}"
+                    f" -> {target}#{sense} in {domain!r}: an earlier record gives"
+                    f" {given[key]!r}"
+                )
+        else:
+            raise ValueError(f"{path}: line {n}: expected E or X record")
+    return {
+        domain: DomainJudgments(
+            frozenset(t for t, v in verdicts.get(domain, {}).items() if v == "eliminated"),
+            frozenset(t for t, v in verdicts.get(domain, {}).items() if v == "retained"),
+            relations.get(domain, {}),
         )
+        for domain in sorted(set(verdicts) | set(relations))
+    }
 
 
 def _set_precision(system: Iterable[str], expert: Iterable[str]) -> float | None:
@@ -114,22 +93,18 @@ def _set_precision(system: Iterable[str], expert: Iterable[str]) -> float | None
 
 
 def enrichment_precision(
-    system_placements: Iterable[Placement],
-    expert_placements: Iterable[Placement],
+    system: Mapping[PlacementKey, str],
+    expert: Mapping[PlacementKey, str],
     require_relation: bool = True,
 ) -> float | None:
     """Share of system placements that agree with an expert placement."""
-    system = frozenset(system_placements)
     if not system:
         return None
-    if require_relation:
-        expert_keys = {(p.term, p.target, p.sense, p.relation) for p in expert_placements}
-        matches = sum(
-            1 for p in system if (p.term, p.target, p.sense, p.relation) in expert_keys
-        )
-    else:
-        expert_keys = {(p.term, p.target, p.sense) for p in expert_placements}
-        matches = sum(1 for p in system if (p.term, p.target, p.sense) in expert_keys)
+    matches = sum(
+        1
+        for key, relation in system.items()
+        if key in expert and (not require_relation or expert[key] == relation)
+    )
     return matches / len(system)
 
 
@@ -154,16 +129,18 @@ class DomainPrecision:
 
 
 def precision_report(
-    system: Judgments, expert: Judgments, require_relation: bool = True
+    system: Mapping[str, DomainJudgments],
+    expert: Mapping[str, DomainJudgments],
+    require_relation: bool = True,
 ) -> list[DomainPrecision]:
     """Per-domain metrics for every domain the expert file covers."""
-    for domain in sorted(set(system.domains) - set(expert.domains)):
+    for domain in sorted(set(system) - set(expert)):
         logger.warning("system output covers domain %r the expert file does not", domain)
     rows = []
-    empty = DomainJudgments(frozenset(), frozenset(), frozenset())
-    for domain in sorted(expert.domains):
-        gold = expert.domains[domain]
-        mine = system.domains.get(domain, empty)
+    empty = DomainJudgments(frozenset(), frozenset(), {})
+    for domain in sorted(expert):
+        gold = expert[domain]
+        mine = system.get(domain, empty)
         rows.append(
             DomainPrecision(
                 domain=domain,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
@@ -126,12 +127,6 @@ class Axiom:
         )
 
 
-@dataclass(frozen=True)
-class TermMatch:
-    id: str
-    kind: str  # "concept" or "instance"
-
-
 _PROVENANCES = ("original", "enriched")
 
 
@@ -182,13 +177,13 @@ class Ontology:
                 )
             self._instances[inst.id] = inst
 
-        # Label index: normalized label -> (kind, id); concepts shadow instances,
+        # Label index: normalized label -> record; concepts shadow instances,
         # ties broken by id for determinism.
-        self._by_label: dict[str, TermMatch] = {}
+        self._by_label: dict[str, Concept | Instance] = {}
         for c in sorted(self._concepts.values(), key=lambda c: c.id, reverse=True):
-            self._by_label[normalize_label(c.label)] = TermMatch(c.id, "concept")
+            self._by_label[normalize_label(c.label)] = c
         for inst in sorted(self._instances.values(), key=lambda i: i.id):
-            self._by_label.setdefault(normalize_label(inst.label), TermMatch(inst.id, "instance"))
+            self._by_label.setdefault(normalize_label(inst.label), inst)
 
         checked: list[Axiom] = []
         for a in axioms:
@@ -238,23 +233,13 @@ class Ontology:
         raise OntologyValidationError(f"axiom references undeclared id {ref!r}")
 
     def _check_acyclic(self) -> None:
-        state: dict[tuple[str, int], int] = {}  # 1 = on stack, 2 = done
-
-        def visit(node: tuple[str, int]) -> None:
-            state[node] = 1
-            for parent in self._parents.get(node, ()):
-                mark = state.get(parent)
-                if mark == 1:
-                    raise OntologyValidationError(
-                        f"hypernymy cycle through {node[0]!r}#{node[1]}"
-                    )
-                if mark is None:
-                    visit(parent)
-            state[node] = 2
-
-        for node in list(self._parents):
-            if node not in state:
-                visit(node)
+        try:
+            TopologicalSorter(self._parents).prepare()
+        except CycleError as error:
+            node = error.args[1][0]
+            raise OntologyValidationError(
+                f"hypernymy cycle through {node[0]!r}#{node[1]}"
+            ) from None
 
     # ---- read API -------------------------------------------------------
 
@@ -276,8 +261,8 @@ class Ontology:
         except KeyError:
             raise UnknownConceptError(concept_id) from None
 
-    def contains_term(self, surface: str) -> TermMatch | None:
-        """Match a surface string against concept and instance labels."""
+    def contains_term(self, surface: str) -> Concept | Instance | None:
+        """The concept or instance whose label the surface string matches."""
         key = normalize_label(surface)
         if not key:
             return None
@@ -291,17 +276,8 @@ class Ontology:
         paths = []
         for sense in concept.senses:
             steps = [(concept_id, sense)]
-            seen = {(concept_id, sense)}
-            node = (concept_id, sense)
-            while True:
-                parents = self._parents.get(node)
-                if not parents:
-                    break
-                node = parents[0]
-                if node in seen:  # unreachable after the DAG check; guards anyway
-                    break
-                seen.add(node)
-                steps.append(node)
+            while parents := self._parents.get(steps[-1]):
+                steps.append(parents[0])
             paths.append(tuple(steps))
         return paths
 

@@ -12,17 +12,17 @@ A catalogue is compiled once, when it is built, into a format line per
 template: whitespace collapsed, ``{``/``}`` escaped, and each standalone
 ``a(n)`` resolved against the literal after it or, when a slot follows, left
 as a field that takes its article from the first character of that slot's
-term. ``PatternCatalogue.queries`` is the one query builder. When both terms
-are normalized (single spaces, no edge whitespace) and have no token that is
-a piece of ``a(n)`` (a piece glued to a slot's neighbour can complete one),
-one format call on the joined lines and one split yield every query in
-catalogue order. Mined terms are joined by single spaces, and the default
-stoplist holds ``a``, so nearly all pairs qualify. Any other pair formats
-each line on its own, then collapses whitespace and resolves each ``a(n)``
-token against the token after it, so an ``a(n)`` that a term brings in, or
-that a term's edge whitespace sets apart from a slot, is resolved too. A
-catalogue works out each term's plural, article and whether it qualifies
-once, the first time the term fills a slot, not once per pair.
+term. ``PatternCatalogue.queries`` is the one query builder: it formats
+each line with the pair's values, then collapses whitespace and resolves
+each ``a(n)`` token against the token after it, so an ``a(n)`` that a term
+brings in, or that a term's edge whitespace sets apart from a slot, is
+resolved too. Side tests (below) settle nearly every pair without it. A term
+is compilable when it is normalized (single spaces, no edge whitespace) and
+has no token that is a piece of ``a(n)`` (a piece glued to a slot's
+neighbour can complete one); mined terms are joined by single spaces, and
+the default stoplist holds ``a``, so nearly all terms are. A catalogue works
+out each term's plural, article and whether it is compilable once, the first
+time the term fills a slot, not once per pair.
 
 A suggestion keeps its hit counts only, one per template in catalogue order.
 Every all-zero suggestion shares its catalogue's one zero tuple, and only a
@@ -183,7 +183,6 @@ class PatternCatalogue(tuple):
         self.groups = tuple(template.group for template in self)
         self.zero_hits = (0,) * len(self)
         self._lines = tuple(_compile(template) for template in self)
-        self._format = "\n".join(self._lines)
         sides = [_side_lines(line) for line in self._lines]
         self._side_formats = tuple("\n".join(side[slot] for side in sides) for slot in (0, 1))
         # Fields 0-5 are the query fields, then one hit count per template.
@@ -214,9 +213,7 @@ class PatternCatalogue(tuple):
 
     def queries(self, t_miss: str, t_in: str) -> list[str]:
         """Query string of every template for the pair, in catalogue order."""
-        values, compilable = self._values(t_miss, t_in)
-        if self and compilable:
-            return self._format.format(*values).split("\n")
+        values, _ = self._values(t_miss, t_in)
         return [_resolve_articles(line.format(*values).split()) for line in self._lines]
 
     def side_queries(self, term: str, slot: int) -> list[str] | None:

@@ -24,7 +24,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .evaluation import Judgments, precision_report, write_precision_report
+from .evaluation import load_judgments, precision_report, write_precision_report
 from .hitcounts import CorpusIndex, HitCountProvider, SnapshotTable
 from .ontology import Ontology, load_ontology, save_ontology
 from .patterns import (
@@ -323,8 +323,8 @@ def run_eval(system_path: Path, expert_path: Path, out_dir: Path,
         _require_inputs(system=system_path, expert=expert_path)
         _require_output(out_dir)
     with _stage("evaluation"):
-        system = Judgments.load(system_path)
-        expert = Judgments.load(expert_path)
+        system = load_judgments(system_path)
+        expert = load_judgments(expert_path)
         rows = precision_report(system, expert, require_relation)
     with _stage("output"):
         out = Path(out_dir)

@@ -137,11 +137,11 @@ def _target_concept(term: str, ontology: Ontology) -> Concept:
     match = ontology.contains_term(term)
     if match is None:
         raise LookupError(f"target term {term!r} is not in the ontology")
-    if match.kind != "concept":
+    if not isinstance(match, Concept):
         raise LookupError(
             f"target term {term!r} resolves to an instance, which cannot anchor placement"
         )
-    return ontology.concepts[match.id]
+    return match
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .ontology import Ontology, normalize_label, read_input, records
+from .ontology import Concept, Ontology, normalize_label, read_input, records
 
 # Longest mined term in tokens; the corpus index answers this length from postings.
 MAX_NGRAM_LEN = 3
@@ -227,6 +227,6 @@ def partition_terms(
         match = ontology.contains_term(surface)
         if match is None:
             missing.append(surface)
-        elif match.kind == "concept":
+        elif isinstance(match, Concept):
             concepts.append(surface)
     return TermPartition(tuple(concepts), tuple(missing))

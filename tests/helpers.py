@@ -265,17 +265,14 @@ def reference_sense_scores(
     return scores, skipped
 
 
-def naive_placement_matches(system: list, expert: list, require_relation: bool = True) -> int:
-    """O(n*m) pairwise matcher for placement precision."""
+def naive_placement_matches(system: dict, expert: dict, require_relation: bool = True) -> int:
+    """O(n*m) pairwise matcher for placement precision over
+    ``(term, target, sense) -> relation`` mappings."""
     count = 0
-    for placed in system:
-        for gold in expert:
-            same = (
-                placed.term == gold.term
-                and placed.target == gold.target
-                and placed.sense == gold.sense
-            )
-            if same and (not require_relation or placed.relation == gold.relation):
+    for (term, target, sense), relation in system.items():
+        for (gold_term, gold_target, gold_sense), gold_relation in expert.items():
+            same = term == gold_term and target == gold_target and sense == gold_sense
+            if same and (not require_relation or relation == gold_relation):
                 count += 1
                 break
     return count

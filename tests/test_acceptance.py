@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ontoenrich.cli import main as cli_main
-from ontoenrich.evaluation import Judgments, enrichment_precision, precision_report
+from ontoenrich.evaluation import enrichment_precision, load_judgments, precision_report
 from ontoenrich.hitcounts import SnapshotTable, pair_key
 from ontoenrich.ontology import RelationKind, load_ontology
 from ontoenrich.patterns import SideMasks, default_catalogue, extract_relation
@@ -240,10 +240,10 @@ def test_c6_placement_cases(tmp_path):
 
 @pytest.mark.acceptance("7", "evaluation metrics against the bundled golden counts")
 def test_c7_evaluation_goldens():
-    expert = Judgments.load(FIXTURES / "eval" / "expert.tsv")
-    system = Judgments.load(FIXTURES / "eval" / "system.tsv")
+    expert = load_judgments(FIXTURES / "eval" / "expert.tsv")
+    system = load_judgments(FIXTURES / "eval" / "system.tsv")
 
-    animals_gold = expert.domains["animals"]
+    animals_gold = expert["animals"]
     gold_rows = {row.domain: row for row in precision_report(expert, expert)}
     assert gold_rows["animals"].elimination == 1.0
     assert gold_rows["animals"].retention == 1.0
@@ -253,7 +253,7 @@ def test_c7_evaluation_goldens():
     assert round(rows["animals"].elimination, 2) == 0.84
     assert round(rows["sports"].retention, 2) == 0.65
     placed = enrichment_precision(
-        system.domains["animals"].placements, animals_gold.placements
+        system["animals"].placements, animals_gold.placements
     )
     assert round(placed, 2) == 0.81
 

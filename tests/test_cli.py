@@ -9,7 +9,7 @@ import pytest
 
 from ontoenrich import pipeline
 from ontoenrich.cli import _CONFIG_KEYS, build_parser, main
-from ontoenrich.evaluation import Judgments
+from ontoenrich.evaluation import load_judgments
 from ontoenrich.hitcounts import SnapshotTable
 from ontoenrich.ontology import RelationKind, load_ontology
 from ontoenrich.patterns import RelationSuggestion
@@ -200,7 +200,7 @@ def test_system_judgments_written_per_bucket_equal_sorted_lines(tmp_path):
         for d in decisions for domain in term_domains[d.term] for sense in d.senses
     ]
     assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in sorted(lines))
-    assert len(Judgments.load(path).domains) == len(domains)
+    assert len(load_judgments(path)) == len(domains)
 
 
 def test_manifest_records_run_knobs(tmp_path):
@@ -612,6 +612,19 @@ def test_eval_bundled_goldens(tmp_path):
     assert "animals\t4989\t4221\t0.84\t0.16" in report
     assert "sports\t213\t323\t0.65" in report
     assert "animals\t100\t100\t0.81" in report
+
+
+def test_eval_ignore_relation_counts_a_placement_that_differs_only_in_relation(tmp_path):
+    system = tmp_path / "system.tsv"
+    expert = tmp_path / "expert.tsv"
+    system.write_text("X\tanimals\tmarsh cat\tanimal\t1\tsynonymy\n", encoding="utf-8")
+    expert.write_text("X\tanimals\tmarsh cat\tanimal\t1\thyponymy\n", encoding="utf-8")
+    for flags, precision in (([], "0.00"), (["--ignore-relation"], "1.00")):
+        out = tmp_path / f"out{len(flags)}"
+        assert run("eval", "--system", system, "--expert", expert, "--out-dir", out, *flags) == 0
+        report = (out / "precision_report.tsv").read_text()
+        assert report.endswith(f"# placement\ndomain\texpert\tsystem\tprecision\n"
+                               f"animals\t1\t1\t{precision}\n")
 
 
 def test_eval_empty_system_gives_undefined_markers(tmp_path):

@@ -88,7 +88,7 @@ def test_contains_term_case_and_whitespace(small):
 
 def test_contains_term_matches_instances(small):
     match = small.contains_term("jakarta")
-    assert match.kind == "instance"
+    assert isinstance(match, Instance)
     assert match.id == "jakarta"
 
 
@@ -172,6 +172,15 @@ def test_hypernymy_cycle_rejected():
     )
     with pytest.raises(OntologyValidationError, match="cycle"):
         parse_ontology(text)
+
+
+def test_deep_hypernymy_chain_loads_and_walks_to_its_root():
+    # Deeper than the interpreter's recursion limit: no check recurses per level.
+    depth = 5000
+    lines = [f"C\tc{n}\tc{n}\t1\n" for n in range(depth)]
+    lines += [f"A\thypernymy\tc{n + 1}\tc{n}\toriginal\n" for n in range(depth - 1)]
+    (path,) = parse_ontology("".join(lines)).semantic_paths_from("c0")
+    assert path == tuple((f"c{n}", 1) for n in range(depth))
 
 
 def test_holonymy_normalized_to_meronymy():

@@ -4,7 +4,7 @@ a record names the file and the line it is on."""
 
 import pytest
 
-from ontoenrich.evaluation import Judgments
+from ontoenrich.evaluation import load_judgments
 from ontoenrich.hitcounts import SnapshotTable
 from ontoenrich.ontology import load_ontology
 from ontoenrich.patterns import load_catalogue
@@ -28,7 +28,7 @@ READERS = {
     "snapshot": (SnapshotTable.load, None, ["N\t10", "H\tjava\t3"], "H\tjava"),
     "gazetteer": (load_gazetteer, None, ["Java\tplace", "Jakarta\tcity"], "a\tb\tc"),
     "judgments": (
-        Judgments.load, None,
+        load_judgments, None,
         ["E\tanimals\tretained\tmarsh cat", "X\tanimals\tmarsh cat\tanimal\t1\thyponymy"],
         "Q\tx",
     ),
@@ -76,10 +76,10 @@ REPEATS = {
     ),
     "snapshot": (SnapshotTable.load, ["N\t10", "H\tJava\t3"], "H\tjava \t4"),
     "judgments-conflicting-verdict": (
-        Judgments.load, READERS["judgments"][2], "E\tanimals\teliminated\tMarsh Cat"
+        load_judgments, READERS["judgments"][2], "E\tanimals\teliminated\tMarsh Cat"
     ),
     "judgments-conflicting-relation": (
-        Judgments.load, READERS["judgments"][2], "X\tanimals\tMarsh Cat\tanimal\t1\tsynonymy"
+        load_judgments, READERS["judgments"][2], "X\tanimals\tMarsh Cat\tanimal\t1\tsynonymy"
     ),
     "gazetteer": (load_gazetteer, ["Java\tplace", "Jakarta\tcity"], "java \tcity"),
 }

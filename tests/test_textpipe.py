@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ontoenrich.hitcounts import CorpusIndex
-from ontoenrich.ontology import load_ontology
+from ontoenrich.ontology import Instance, load_ontology
 from ontoenrich.textpipe import (
     MAX_NGRAM_LEN,
     TermPartition,
@@ -259,7 +259,7 @@ def test_property_partition_totality(text):
     onto = load_ontology(MINI_ONTOLOGY)
     grams = mine(stoplist, text).values()
     partition = partition_terms(grams, onto, frozenset())
-    instances = [s for s in grams if getattr(onto.contains_term(s), "kind", "") == "instance"]
+    instances = [s for s in grams if isinstance(onto.contains_term(s), Instance)]
     assert sorted([*partition.concepts, *partition.missing, *instances]) == sorted(grams)
 
 
