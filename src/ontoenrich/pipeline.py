@@ -26,7 +26,7 @@ except ImportError:
 from . import __version__
 from .evaluation import load_judgments, precision_report, write_precision_report
 from .hitcounts import CorpusIndex, HitCountProvider, SnapshotTable
-from .ontology import Ontology, load_ontology, save_ontology
+from .ontology import load_ontology, save_ontology
 from .patterns import (
     PatternCatalogue,
     RelationSuggestion,
@@ -48,6 +48,7 @@ from .relatedness import (
     write_matrix,
 )
 from .textpipe import (
+    FIELD_BREAKS,
     default_stoplist,
     load_corpus,
     load_gazetteer,
@@ -104,32 +105,22 @@ class RunConfig:
     top_k: int | None = None
 
     def validate(self) -> None:
-        """Reject what SelectionConfig or DistanceConfig rejects, a missing
+        """Reject what SelectionConfig or DistanceConfig rejects, a provider
+        input whose name the manifest cannot hold in one field, a missing
         input and an unusable out_dir, before any input is read."""
         try:
             SelectionConfig(self.threshold, self.top_k)
             DistanceConfig(self.distance_cap)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        named = Path(self.corpus if self.snapshot is None else self.snapshot).name
+        if not FIELD_BREAKS.isdisjoint(named):
+            raise ConfigError(f"input name {named!r} has a tab or line break, "
+                              "which the manifest's provider field cannot hold")
         _require_inputs(corpus=self.corpus, ontology=self.ontology, snapshot=self.snapshot,
                        stopwords=self.stopwords, gazetteer=self.gazetteer,
                        patterns=self.patterns)
         _require_output(self.out_dir)
-
-
-@dataclass
-class RunState:
-    config: RunConfig
-    catalogue: PatternCatalogue
-    ontology: Ontology
-    provider: HitCountProvider
-    provider_id: str
-    input_sha256: dict[str, str]  # manifest key -> sha256 of the bytes the run parsed
-    eliminated: list[str]
-    retained: list[str]
-    matrix: RelatednessMatrix | None
-    suggestions: list[RelationSuggestion]
-    term_domains: dict[str, set[str]]
 
 
 @contextmanager
@@ -146,7 +137,73 @@ def _stage(stage: str):
     logger.info("stage %s: %.3f s", stage, time.perf_counter() - start)
 
 
-def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
+def _suggest(config: RunConfig, matrix: RelatednessMatrix, provider: HitCountProvider,
+             catalogue: PatternCatalogue) -> list[RelationSuggestion]:
+    """One suggestion per candidate pair; the side masks go when it returns."""
+    with _stage("extraction"):
+        pairs = select_candidates(matrix, SelectionConfig(config.threshold, config.top_k)).pairs()
+        # The index tests a side by its count, so a recorded or traced run
+        # sees every side query; the snapshot's runs are freed with sides.
+        sides = SideMasks(provider.pattern_hits if config.snapshot is None
+                          else provider.run_test())
+        suggestions = [extract_relation(miss, target, provider, catalogue, sides)
+                       for miss, target in pairs]
+        logger.info("patterns: %d pairs, %d side tests (%d non-zero), %d full queries "
+                    "(%d non-zero), %d pairs settled without a full query", len(pairs),
+                    sides.side_tests, sides.side_nonzero, sides.full_queries,
+                    sides.full_nonzero, sides.settled)
+    return suggestions
+
+
+def _write_manifest(config: RunConfig, input_sha256: dict[str, str], provider_id: str,
+                    path: Path) -> None:
+    """input_sha256 maps a manifest key to the sha256 of the bytes the run parsed."""
+    entries = {
+        "catalogue_sha256": "builtin", "gazetteer_sha256": "-", "snapshot_sha256": "-",
+        "stopwords_sha256": "builtin",
+        **input_sha256,
+        "distance_cap": repr(config.distance_cap),
+        "provider": provider_id,
+        "threshold": repr(config.threshold),
+        "tool_version": __version__,
+        "top_k": "unbounded" if config.top_k is None else str(config.top_k),
+    }
+    lines = [f"{key}\t{value}" for key, value in sorted(entries.items())]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def _write_system_judgments(eliminated: list[str], retained: list[str],
+                            term_domains: dict[str, set[str]], decisions, path: Path) -> None:
+    """The E and X records, sorted. One pass puts a reference to each record
+    in a bucket per (kind, domain); each bucket is then formatted, sorted and
+    written in turn, in the order of its line prefix ``kind\tdomain\t``. A
+    domain holds no tab, so that order is the order of the sorted lines."""
+    buckets: dict[tuple[str, str], list] = {}
+    for status, terms in (("eliminated", eliminated), ("retained", retained)):
+        for surface in terms:
+            for domain in term_domains[surface]:
+                buckets.setdefault(("E", domain), []).append((status, surface))
+    for decision in decisions:
+        for domain in term_domains[decision.term]:
+            buckets.setdefault(("X", domain), []).append(decision)
+    with path.open("w", encoding="utf-8") as out:
+        for kind, domain in sorted(buckets, key=lambda bucket: "\t".join(bucket) + "\t"):
+            if kind == "E":
+                lines = [f"E\t{domain}\t{status}\t{surface}"
+                         for status, surface in buckets[kind, domain]]
+            else:
+                lines = [
+                    f"X\t{domain}\t{d.term}\t{d.target_concept}"
+                    f"\t{sense}\t{d.suggestion.relation.value}"
+                    for d in buckets[kind, domain] for sense in d.senses
+                ]
+            lines.sort()
+            out.writelines(line + "\n" for line in lines)
+
+
+def _run(config: RunConfig, enrich: bool) -> Path:
+    """Run the stages in order and write the command's outputs; with enrich
+    False, stop after the relatedness matrix and write it and the manifest."""
     digests = {}  # input name -> digest of the bytes its loader parsed
 
     def digest(name: str):
@@ -165,8 +222,7 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
                     if config.stopwords else default_stoplist())
         gazetteer = (load_gazetteer(config.gazetteer, digest("gazetteer"))
                      if config.gazetteer else frozenset())
-        articles = load_corpus(config.corpus)
-        table = tokenize_corpus(read_documents(articles, digest("corpus")),
+        table = tokenize_corpus(read_documents(load_corpus(config.corpus), digest("corpus")),
                                 stoplist.punctuation)
         partition = partition_terms(table.mined_terms(stoplist), ontology, gazetteer)
         domains = [doc_id.split("/", 1)[0] for doc_id in table.doc_ids]
@@ -197,124 +253,43 @@ def _prepare(config: RunConfig, need_extraction: bool) -> RunState:
                 t_miss, t_in, provider, DistanceConfig(config.distance_cap)
             )
 
-    suggestions: list[RelationSuggestion] = []
-    if need_extraction and matrix is not None:
-        with _stage("extraction"):
-            candidates = select_candidates(
-                matrix, SelectionConfig(config.threshold, config.top_k)
-            )
-            # The index tests a side by its count, so a recorded or traced run
-            # sees every side query; the snapshot's runs are freed with sides.
-            sides = SideMasks(provider.pattern_hits if config.snapshot is None
-                              else provider.run_test())
-            pairs = candidates.pairs()
-            for miss, target in pairs:
-                suggestions.append(extract_relation(miss, target, provider, catalogue, sides))
-            logger.info("patterns: %d pairs, %d side tests (%d non-zero), %d full queries "
-                        "(%d non-zero), %d pairs settled without a full query", len(pairs),
-                        sides.side_tests, sides.side_nonzero, sides.full_queries,
-                        sides.full_nonzero, sides.settled)
+    if enrich:
+        suggestions = ([] if matrix is None
+                       else _suggest(config, matrix, provider, catalogue))
+        with _stage("enrichment"):
+            # A run without a matrix has no suggestions, so its denominator is unread.
+            denominator = matrix.denominator if matrix is not None else 0.0
+            decisions, failures = place_all(suggestions, ontology, provider,
+                                            DistanceConfig(config.distance_cap), denominator)
+            enriched = enrich_ontology(ontology, decisions, failures)
 
-    return RunState(
-        config=config,
-        catalogue=catalogue,
-        ontology=ontology,
-        provider=provider,
-        provider_id=provider_id,
-        input_sha256={
-            "catalogue_sha256": "builtin", "gazetteer_sha256": "-", "snapshot_sha256": "-",
-            "stopwords_sha256": "builtin",
-            **{f"{name}_sha256": hashed.hexdigest() for name, hashed in digests.items()},
-        },
-        eliminated=eliminated,
-        retained=retained,
-        matrix=matrix,
-        suggestions=suggestions,
-        term_domains=term_domains,
-    )
-
-
-def _write_manifest(state: RunState, path: Path) -> None:
-    config = state.config
-    entries = {
-        **state.input_sha256,
-        "distance_cap": repr(config.distance_cap),
-        "provider": state.provider_id,
-        "threshold": repr(config.threshold),
-        "tool_version": __version__,
-        "top_k": "unbounded" if config.top_k is None else str(config.top_k),
-    }
-    lines = [f"{key}\t{value}" for key, value in sorted(entries.items())]
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-def _write_matrix_or_header(state: RunState, path: Path) -> None:
-    if state.matrix is not None:
-        write_matrix(state.matrix, path)
-    else:
-        path.write_text("term\n", encoding="utf-8")
-
-
-def _write_system_judgments(state: RunState, decisions, path: Path) -> None:
-    """The E and X records, sorted. One pass puts a reference to each record
-    in a bucket per (kind, domain); each bucket is then formatted, sorted and
-    written in turn, in the order of its line prefix ``kind\tdomain\t``. A
-    domain holds no tab, so that order is the order of the sorted lines."""
-    buckets: dict[tuple[str, str], list] = {}
-    for status, terms in (("eliminated", state.eliminated), ("retained", state.retained)):
-        for surface in terms:
-            for domain in state.term_domains[surface]:
-                buckets.setdefault(("E", domain), []).append((status, surface))
-    for decision in decisions:
-        for domain in state.term_domains[decision.term]:
-            buckets.setdefault(("X", domain), []).append(decision)
-    with path.open("w", encoding="utf-8") as out:
-        for kind, domain in sorted(buckets, key=lambda bucket: "\t".join(bucket) + "\t"):
-            if kind == "E":
-                lines = [f"E\t{domain}\t{status}\t{surface}"
-                         for status, surface in buckets[kind, domain]]
-            else:
-                lines = [
-                    f"X\t{domain}\t{d.term}\t{d.target_concept}"
-                    f"\t{sense}\t{d.suggestion.relation.value}"
-                    for d in buckets[kind, domain] for sense in d.senses
-                ]
-            lines.sort()
-            out.writelines(line + "\n" for line in lines)
+    with _stage("output"):
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        if enrich:
+            save_ontology(enriched, out / "enriched_ontology.tsv")
+        if matrix is not None:
+            write_matrix(matrix, out / "relatedness_matrix.tsv")
+        else:
+            (out / "relatedness_matrix.tsv").write_text("term\n", encoding="utf-8")
+        if enrich:
+            write_pattern_audit(suggestions, catalogue, out / "pattern_audit.tsv")
+            write_enrichment_report(decisions, failures, out / "enrichment_report.tsv")
+            _write_system_judgments(eliminated, retained, term_domains, decisions,
+                                    out / "system_judgments.tsv")
+        input_sha256 = {f"{name}_sha256": hashed.hexdigest() for name, hashed in digests.items()}
+        _write_manifest(config, input_sha256, provider_id, out / "manifest.tsv")
+    return out
 
 
 def run_enrichment(config: RunConfig) -> Path:
     """Full pipeline; returns the output directory it populated."""
-    state = _prepare(config, need_extraction=True)
-
-    with _stage("enrichment"):
-        # A run without a matrix has no suggestions, so its denominator is unread.
-        denominator = state.matrix.denominator if state.matrix is not None else 0.0
-        decisions, failures = place_all(state.suggestions, state.ontology, state.provider,
-                                        DistanceConfig(config.distance_cap), denominator)
-        enriched, report = enrich_ontology(state.ontology, decisions, failures)
-
-    with _stage("output"):
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_ontology(enriched, out / "enriched_ontology.tsv")
-        _write_matrix_or_header(state, out / "relatedness_matrix.tsv")
-        write_pattern_audit(state.suggestions, state.catalogue, out / "pattern_audit.tsv")
-        write_enrichment_report(report, out / "enrichment_report.tsv")
-        _write_system_judgments(state, report.decisions, out / "system_judgments.tsv")
-        _write_manifest(state, out / "manifest.tsv")
-    return out
+    return _run(config, enrich=True)
 
 
 def run_relatedness(config: RunConfig) -> Path:
     """Stop after the relatedness matrix; write matrix and manifest only."""
-    state = _prepare(config, need_extraction=False)
-    with _stage("output"):
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_matrix_or_header(state, out / "relatedness_matrix.tsv")
-        _write_manifest(state, out / "manifest.tsv")
-    return out
+    return _run(config, enrich=False)
 
 
 def run_eval(system_path: Path, expert_path: Path, out_dir: Path,

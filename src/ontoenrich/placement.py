@@ -15,9 +15,10 @@ call, not once per suggestion, and builds composite decisions directly.
 the term is inserted under (the one the ontology already names it by, else
 its slug made unique within the ontology and the batch), checks that no two
 decisions disagree on the relation for one id, target and sense, and emits
-the term's axioms. The report keeps the applied decisions themselves, in
-visit order; its writer reads each line from a decision and its suggestion,
-grouped by lowered term (``patterns.term_order``).
+the term's axioms and returns the enriched ontology. The report's writer
+reads each line from a decision and its suggestion, grouped by lowered term
+(``patterns.term_order``); a decision with several senses is a case-2 tie,
+since only case 2 places a term under more than one sense.
 
 Path scoring takes the run's relatedness denominator D, so placement and
 candidate selection speak the same scale. A path scores 1 - (mean distance
@@ -205,13 +206,6 @@ def place_all(
     return decisions, failures
 
 
-@dataclass(frozen=True)
-class EnrichmentReport:
-    decisions: tuple[PlacementDecision, ...]   # applied, in the order they were visited
-    failures: tuple[PlacementFailure, ...]
-    case2_ties: int
-
-
 def _fresh_id(base: str, taken: set[str]) -> str:
     """The first of base, base-2, base-3, ... not in taken, which it joins."""
     new_id, counter = base, 2
@@ -225,7 +219,7 @@ def enrich_ontology(
     ontology: Ontology,
     decisions: Sequence[PlacementDecision],
     failures: Sequence[PlacementFailure] = (),
-) -> tuple[Ontology, EnrichmentReport]:
+) -> Ontology:
     """Insert each placed term once and one axiom per decision and sense.
 
     Terms are visited once each, case-insensitively ordered. A term the
@@ -248,10 +242,8 @@ def enrich_ontology(
     new_instances: list[Instance] = []
     new_axioms: list[Axiom] = []
     evidences: dict[tuple[str, int], Evidence] = {}  # one value per (pattern, hits)
-    applied: list[PlacementDecision] = []
     cases: Counter[str] = Counter()  # case, or case/subcase for a composite
     kinds: Counter[RelationKind] = Counter()
-    ties = 0
     for term in sorted(by_term, key=str.lower):
         group = sorted(by_term[term], key=lambda d: (d.target_concept, d.senses))
         existing = ontology.contains_term(term)
@@ -293,30 +285,30 @@ def enrich_ontology(
                         evidence=evidence,
                     )
                 )
-            applied.append(decision)
             cases[decision.case if decision.subcase is None
                   else f"{decision.case}/{decision.subcase}"] += 1
             kinds[suggestion.relation] += 1
-            if decision.case in ("case2", "case3-composite") and len(decision.senses) > 1:
-                ties += 1
 
     logger.info(
         "enrichment: %d decisions, by case (%s), by relation (%s), %d failures, "
-        "%d case-2 ties", len(applied),
+        "%d case-2 ties", len(decisions),
         ", ".join(f"{case} {count}" for case, count in sorted(cases.items())),
         ", ".join(f"{kind.value} {count}" for kind, count in sorted(kinds.items())),
-        len(failures), ties,
+        len(failures), sum(len(d.senses) > 1 for d in decisions),
     )
-    enriched = ontology.with_additions(new_concepts, new_instances, new_axioms)
-    return enriched, EnrichmentReport(tuple(applied), tuple(failures), ties)
+    return ontology.with_additions(new_concepts, new_instances, new_axioms)
 
 
-def write_enrichment_report(report: EnrichmentReport, path: str | Path) -> None:
-    """One line per applied decision, then per failure, then the tie count;
-    the lines are streamed to the file."""
+def write_enrichment_report(
+    decisions: Sequence[PlacementDecision],
+    failures: Sequence[PlacementFailure],
+    path: str | Path,
+) -> None:
+    """One line per decision, then per failure, then the tie count; the
+    lines are streamed to the file."""
     with Path(path).open("w", encoding="utf-8") as out:
         out.write("term\ttarget\tsenses\trelation\tcase\tpattern\thits\tstatus\n")
-        ordered = term_order(report.decisions, attrgetter("term"), attrgetter("target_concept"))
+        ordered = term_order(decisions, attrgetter("term"), attrgetter("target_concept"))
         for decision in ordered:
             suggestion = decision.suggestion
             senses = ",".join(str(s) for s in decision.senses)
@@ -326,10 +318,10 @@ def write_enrichment_report(report: EnrichmentReport, path: str | Path) -> None:
                 f"\t{suggestion.winning_group or FALLBACK_MARKER}"
                 f"\t{suggestion.winner_hits}\tapplied\n"
             )
-        for failure in sorted(report.failures, key=lambda f: f.suggestion.missing_term.lower()):
+        for failure in sorted(failures, key=lambda f: f.suggestion.missing_term.lower()):
             out.write(
                 f"{failure.suggestion.missing_term}\t{failure.suggestion.ontology_term}"
                 f"\t-\t{failure.suggestion.relation.value}\t-\t-\t-"
                 f"\tunresolved: {failure.reason}\n"
             )
-        out.write(f"# case2 ties: {report.case2_ties}\n")
+        out.write(f"# case2 ties: {sum(len(d.senses) > 1 for d in decisions)}\n")

@@ -69,7 +69,7 @@ def punctuation_spans(text: str, punctuation: frozenset[str]) -> list[list[str]]
 
 
 # A tab, and every character at which ``str.splitlines`` ends a line.
-_FIELD_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+FIELD_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def load_corpus(root: str | Path) -> list[tuple[str, str]]:
@@ -84,7 +84,7 @@ def load_corpus(root: str | Path) -> list[tuple[str, str]]:
     for domain_dir in _sorted_entries(root):
         if not domain_dir.is_dir():
             continue
-        if not _FIELD_BREAKS.isdisjoint(domain_dir.name):
+        if not FIELD_BREAKS.isdisjoint(domain_dir.name):
             raise ValueError(
                 f"corpus domain directory {domain_dir.path!r} has a tab or line break in its name"
             )

@@ -59,7 +59,7 @@ def test_c1_snapshot_replay_hyponymy_placement():
 
     decision = place_one(suggestion, onto, snapshot)
     assert decision.senses == (2,)  # the expert-designated social-group sense
-    enriched, _ = enrich_ontology(onto, [decision])
+    enriched = enrich_ontology(onto, [decision])
     assert has_axiom(
         enriched, RelationKind.HYPONYMY, "corporate-body", "organization", object_sense=2
     )
@@ -229,8 +229,8 @@ def test_c6_placement_cases(tmp_path):
     assert {d.case for d in decisions} == {"case3-composite"}
 
     # conservativity and double-run idempotence, byte for byte
-    enriched_once, _ = enrich_ontology(onto, [d1, d2])
-    enriched_twice, _ = enrich_ontology(enriched_once, [d1, d2])
+    enriched_once = enrich_ontology(onto, [d1, d2])
+    enriched_twice = enrich_ontology(enriched_once, [d1, d2])
     first, second = tmp_path / "once.tsv", tmp_path / "twice.tsv"
     first.write_text(enriched_once.to_text(), encoding="utf-8")
     second.write_text(enriched_twice.to_text(), encoding="utf-8")

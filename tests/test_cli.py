@@ -1,9 +1,10 @@
 import argparse
 import hashlib
 import json
+import logging
+import re
 import shutil
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +22,9 @@ from helpers import build_index, corpus_digest, has_axiom, scan_hits
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MINI = FIXTURES / "mini_ontology.tsv"
 SNAPSHOT = FIXTURES / "snapshots" / "worked_examples.tsv"
+DESK = FIXTURES / "desk"
+DESK_ARGS = ("--corpus", DESK / "corpus", "--ontology", DESK / "ontology.tsv",
+             "--gazetteer", DESK / "gazetteer.tsv")
 
 
 def run(*argv) -> int:
@@ -177,9 +181,7 @@ def test_system_judgments_written_per_bucket_equal_sorted_lines(tmp_path):
     # before "a" as a line prefix, though not as a bare name.
     domains = ["a", "a-b", "ab", "a b", "a\x01"]
     term_domains = {"marsh cat": set(domains), "reef": {"ab", "a"}, "Reef": {"a b"}}
-    state = SimpleNamespace(
-        eliminated=["reef"], retained=["marsh cat", "Reef"], term_domains=term_domains
-    )
+    eliminated, retained = ["reef"], ["marsh cat", "Reef"]
 
     def decision(term, target, senses, relation):
         suggestion = RelationSuggestion(term, target, relation, None, 0, ())
@@ -190,10 +192,10 @@ def test_system_judgments_written_per_bucket_equal_sorted_lines(tmp_path):
         decision("Reef", "coast", (1,), RelationKind.RELATED_TO),
     ]
     path = tmp_path / "system_judgments.tsv"
-    pipeline._write_system_judgments(state, decisions, path)
+    pipeline._write_system_judgments(eliminated, retained, term_domains, decisions, path)
     lines = [
         f"E\t{domain}\t{status}\t{surface}"
-        for status, terms in (("eliminated", state.eliminated), ("retained", state.retained))
+        for status, terms in (("eliminated", eliminated), ("retained", retained))
         for surface in terms for domain in term_domains[surface]
     ] + [
         f"X\t{domain}\t{d.term}\t{d.target_concept}\t{sense}\t{d.suggestion.relation.value}"
@@ -514,6 +516,35 @@ def test_domain_name_with_a_tab_exits_corpus_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_corpus_name_with_a_tab_exits_config_code(tmp_path, capsys):
+    # An index run's manifest names the corpus directory in its provider field.
+    corpus = tmp_path / "cor\tpus"
+    shutil.copytree(FIXTURES / "corpus_examples", corpus)
+    code = run("enrich", "--corpus", corpus, "--ontology", MINI, "--out-dir", tmp_path / "out")
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == [
+        "error [config] input name 'cor\\tpus' has a tab or line break, "
+        "which the manifest's provider field cannot hold"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_snapshot_name_with_a_tab_exits_config_code(tmp_path, capsys):
+    # A snapshot run's manifest names the snapshot file in its provider field.
+    snapshot = tmp_path / "worked\texamples.tsv"
+    shutil.copy(SNAPSHOT, snapshot)
+    code = run("enrich", "--corpus", FIXTURES / "corpus_examples", "--ontology", MINI,
+               "--snapshot", snapshot, "--out-dir", tmp_path / "out")
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == [
+        "error [config] input name 'worked\\texamples.tsv' has a tab or line break, "
+        "which the manifest's provider field cannot hold"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text", ["N\t-5\n", "N\tabc\n", "N\t9\nH\ta\t1\nH\tA\t2\n"])
 def test_bad_snapshot_exits_hits_code(tmp_path, capsys, text):
     snapshot = tmp_path / "snap.tsv"
@@ -572,6 +603,30 @@ def test_relatedness_subcommand_writes_matrix_only(tmp_path):
     assert not (out / "enriched_ontology.tsv").exists()
     header = (out / "relatedness_matrix.tsv").read_text().splitlines()[0]
     assert header.startswith("term\t")
+
+
+def test_relatedness_writes_the_matrix_and_manifest_enrich_writes(tmp_path):
+    enriched, related = tmp_path / "enrich", tmp_path / "relatedness"
+    assert run("enrich", *DESK_ARGS, "--top-k", 3, "--out-dir", enriched) == 0
+    assert run("relatedness", *DESK_ARGS, "--top-k", 3, "--out-dir", related) == 0
+    shared = ["manifest.tsv", "relatedness_matrix.tsv"]
+    assert sorted(path.name for path in related.iterdir()) == shared
+    for name in shared:
+        assert (related / name).read_bytes() == (enriched / name).read_bytes(), name
+
+
+def test_verbose_tie_count_equals_the_report_line(tmp_path, caplog):
+    # Desk defaults place terms under tied senses; --top-k 3 places none.
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="ontoenrich.placement"):
+        assert run("enrich", *DESK_ARGS, "-v", "--out-dir", out) == 0
+    (funnel,) = [record.getMessage() for record in caplog.records
+                 if record.getMessage().startswith("enrichment: ")]
+    ties = int(re.search(r", (\d+) case-2 ties$", funnel).group(1))
+    report = (out / "enrichment_report.tsv").read_text(encoding="utf-8").splitlines()
+    assert report[-1] == f"# case2 ties: {ties}"
+    applied = [line.split("\t") for line in report[1:-1] if line.endswith("\tapplied")]
+    assert ties == sum("," in row[2] for row in applied) > 0
 
 
 def test_patterns_subcommand_writes_audit_only(tmp_path, capsys):

@@ -19,6 +19,9 @@
   of each of its fields are checked by hand.
 * Every private top-level function in ``src/ontoenrich`` is used by the
   package outside its own definition.
+* Every parameter of every function in ``src/ontoenrich`` is read in the
+  function's body, ``self`` and ``cls`` aside. A stub whose body is ``...``,
+  as a Protocol method's is, is out of scope.
 * Only ``ontology.records`` splits text into lines: every line-based format
   is read through it.
 """
@@ -191,14 +194,38 @@ def test_dataclass_fields_are_read():
 # Field names that several dataclasses declare. The reads of each such field
 # were checked by hand; a name added here needs the same check.
 SHARED_FIELD_NAMES = [
-    "eliminated", "hits", "id", "label", "ontology", "relation", "retained",
-    "senses", "suggestion", "threshold", "top_k",
+    "hits", "id", "label", "relation", "senses", "suggestion", "threshold", "top_k",
 ]
 
 
 def test_shared_dataclass_field_names_are_pinned():
     names = Counter(name for name, _ in dataclass_fields())
     assert sorted(name for name, count in names.items() if count > 1) == SHARED_FIELD_NAMES
+
+
+def is_stub(function: ast.FunctionDef) -> bool:
+    """A body of ``...`` alone, as a Protocol method has."""
+    statement, *rest = function.body
+    return (not rest and isinstance(statement, ast.Expr)
+            and isinstance(statement.value, ast.Constant) and statement.value.value is Ellipsis)
+
+
+def test_parameters_are_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function in ast.walk(parse(path)):
+            if not isinstance(function, ast.FunctionDef) or is_stub(function):
+                continue
+            arguments = function.args
+            parameters = [arg.arg for arg in (
+                *arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+                *filter(None, (arguments.vararg, arguments.kwarg)),
+            )]
+            read = {node.id for statement in function.body for node in ast.walk(statement)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}: {function.name}({parameter})" for parameter in parameters
+                       if parameter not in ("self", "cls", *read)]
+    assert unread == []
 
 
 def test_only_records_splits_lines():

@@ -17,7 +17,6 @@ from ontoenrich.patterns import FALLBACK_MARKER, RelationSuggestion
 from ontoenrich.placement import (
     MAX_PATH_DEPTH,
     ConflictingDecisionError,
-    EnrichmentReport,
     PlacementDecision,
     UnresolvedSenseError,
     disambiguate_sense,
@@ -189,16 +188,13 @@ def test_place_all_warns_once_for_skipped_labels(onto, caplog):
 
 
 def test_per_decision_records_keep_no_instance_dict(onto, snapshot):
-    # A default run keeps one suggestion, decision and axiom per pair: the
-    # report holds the decisions it was given, not a fourth record.
+    # A default run keeps one suggestion, decision and axiom per pair.
     suggestions = [
         suggest("corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700),
         suggest("corporate body", "atlantis"),
     ]
     decisions, failures = place_all(suggestions, onto, snapshot, DistanceConfig(), 1.0)
-    enriched, report = enrich_ontology(onto, decisions, failures)
-    assert report.decisions
-    assert all(any(entry is d for d in decisions) for entry in report.decisions)
+    enriched = enrich_ontology(onto, decisions, failures)
     axiom = next(a for a in enriched.axioms if a.provenance == "enriched")
     records = [suggestions[0], decisions[0], failures[0], axiom, axiom.evidence]
     assert [type(r).__name__ for r in records] == [
@@ -226,10 +222,9 @@ def test_place_all_records_instance_target(onto, snapshot):
 def test_enrich_adds_concept_and_related_to_axiom(onto, snapshot):
     decision = place_one(suggest("jawa", "Java"), onto, snapshot)
     assert decision.case == "case2" and decision.senses == (1,)
-    enriched, report = enrich_ontology(onto, [decision])
+    enriched = enrich_ontology(onto, [decision])
     assert "jawa" in enriched.concepts
     assert has_axiom(enriched, RelationKind.RELATED_TO, "jawa", "java", object_sense=1)
-    assert report.decisions[0].suggestion.relation is RelationKind.RELATED_TO
     # conservativity: every original record survives verbatim
     original_lines = set(onto.to_text().splitlines())
     enriched_lines = set(enriched.to_text().splitlines())
@@ -239,14 +234,14 @@ def test_enrich_adds_concept_and_related_to_axiom(onto, snapshot):
 def test_enrich_ronaldo_under_sport_sense_of_football(onto, snapshot):
     decision = place_one(suggest("Ronaldo", "football"), onto, snapshot)
     assert decision.senses == (1,)  # the sport sense, not the ball sense
-    enriched, _ = enrich_ontology(onto, [decision])
+    enriched = enrich_ontology(onto, [decision])
     assert has_axiom(enriched, RelationKind.RELATED_TO, "ronaldo", "football", object_sense=1)
 
 
 def test_enrich_is_idempotent_and_double_run_stable(tmp_path, onto, snapshot):
     decision = place_one(suggest("jawa", "Java"), onto, snapshot)
-    once, _ = enrich_ontology(onto, [decision])
-    twice, _ = enrich_ontology(once, [decision])
+    once = enrich_ontology(onto, [decision])
+    twice = enrich_ontology(once, [decision])
     first, second = tmp_path / "once.tsv", tmp_path / "twice.tsv"
     save_ontology(once, first)
     save_ontology(twice, second)
@@ -254,12 +249,11 @@ def test_enrich_is_idempotent_and_double_run_stable(tmp_path, onto, snapshot):
 
 
 def test_enrich_empty_decisions_is_identity(tmp_path, onto):
-    enriched, report = enrich_ontology(onto, [])
+    enriched = enrich_ontology(onto, [])
     before, after = tmp_path / "before.tsv", tmp_path / "after.tsv"
     save_ontology(onto, before)
     save_ontology(enriched, after)
     assert before.read_bytes() == after.read_bytes()
-    assert report.decisions == ()
 
 
 def test_enrich_hyponymy_stored_in_hypernymy_direction(onto, snapshot):
@@ -267,7 +261,7 @@ def test_enrich_hyponymy_stored_in_hypernymy_direction(onto, snapshot):
         "corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700
     )
     decision = place_one(suggestion, onto, snapshot)
-    enriched, _ = enrich_ontology(onto, [decision])
+    enriched = enrich_ontology(onto, [decision])
     assert has_axiom(
         enriched, RelationKind.HYPONYMY, "corporate-body", "organization", object_sense=2
     )
@@ -285,7 +279,7 @@ def test_enrich_instance_of_adds_instance_not_concept(onto, snapshot):
         "Bandung", "city", RelationKind.INSTANCE_OF, "inst-of", 1200
     )
     decision = place_one(suggestion, onto, snapshot)
-    enriched, _ = enrich_ontology(onto, [decision])
+    enriched = enrich_ontology(onto, [decision])
     assert "bandung" in enriched.instances
     assert "bandung" not in enriched.concepts
     assert enriched.instances["bandung"].concept_id == "city"
@@ -318,10 +312,10 @@ def test_enriched_axioms_trace_back_to_suggestions(onto, snapshot):
     ]
     decisions, failures = place_all(suggestions, onto, snapshot, DistanceConfig(), 1.0)
     assert not failures
-    enriched, report = enrich_ontology(onto, decisions)
+    enriched = enrich_ontology(onto, decisions)
     added = [a for a in enriched.axioms if a.provenance == "enriched"]
-    assert len(added) == len(report.decisions) == 2
-    by_pattern = {d.suggestion.winning_group or FALLBACK_MARKER: d for d in report.decisions}
+    assert len(added) == len(decisions) == 2
+    by_pattern = {d.suggestion.winning_group or FALLBACK_MARKER: d for d in decisions}
     for axiom in added:
         decision = by_pattern[axiom.evidence.pattern_id]
         assert axiom.evidence.hits == decision.suggestion.winner_hits
@@ -335,7 +329,7 @@ def test_enriched_axioms_share_one_evidence_per_pattern_and_count(onto, snapshot
     ]
     decisions, failures = place_all(suggestions, onto, snapshot, DistanceConfig(), 1.0)
     assert not failures
-    enriched, _ = enrich_ontology(onto, decisions)
+    enriched = enrich_ontology(onto, decisions)
     added = [a for a in enriched.axioms if a.provenance == "enriched"]
     assert len(added) == 3
     fallback = [a.evidence for a in added if a.relation is RelationKind.RELATED_TO]
@@ -345,9 +339,8 @@ def test_enriched_axioms_share_one_evidence_per_pattern_and_count(onto, snapshot
 
 def test_report_export(tmp_path, onto, snapshot):
     decision = place_one(suggest("jawa", "Java"), onto, snapshot)
-    _, report = enrich_ontology(onto, [decision])
     out = tmp_path / "report.tsv"
-    write_enrichment_report(report, out)
+    write_enrichment_report([decision], [], out)
     lines = out.read_text().splitlines()
     assert lines[0].startswith("term\ttarget")
     assert any(line.startswith("jawa\tjava\t1\trelated-to\tcase2") for line in lines)
@@ -365,7 +358,7 @@ def test_new_concept_id_collision_gets_suffix(snapshot):
         [("polder", 10), ("plain", 20), (pair_key("polder", "plain"), 5)], 100
     )
     decision = place_one(suggest("Polder", "plain"), onto, table)
-    enriched, _ = enrich_ontology(onto, [decision])
+    enriched = enrich_ontology(onto, [decision])
     # "polder" id is taken by a concept with a different label
     assert [a.subject for a in enriched.axioms if a.provenance == "enriched"] == ["polder-2"]
     assert enriched.concepts["polder-2"].label == "Polder"
@@ -380,7 +373,7 @@ def test_new_terms_sharing_a_slug_get_distinct_ids(onto, snapshot):
                   onto, snapshot),
         place_one(suggest("marsh cat", "concept"), onto, snapshot),
     ]
-    enriched, _ = enrich_ontology(onto, decisions)
+    enriched = enrich_ontology(onto, decisions)
     assert enriched.concepts["marsh-cat"].label == "marsh cat"
     assert enriched.concepts["marsh-cat-2"].label == "marsh-cat"
     assert has_axiom(enriched, RelationKind.RELATED_TO, "marsh-cat", "concept")
@@ -403,7 +396,7 @@ def test_property_report_order_equals_tuple_key_sort(tmp_path_factory, pairs, da
     ]
     decisions = data.draw(st.permutations(decisions))
     path = tmp_path_factory.mktemp("order") / "report.tsv"
-    write_enrichment_report(EnrichmentReport(tuple(decisions), (), 0), path)
+    write_enrichment_report(decisions, [], path)
     written = [int(line.split("\t")[6]) for line in path.read_text("utf-8").splitlines()[1:-1]]
     expected = tuple_key_order(decisions, lambda d: d.term, lambda d: d.target_concept)
     assert written == [decision.suggestion.winner_hits for decision in expected]
