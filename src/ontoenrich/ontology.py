@@ -54,6 +54,11 @@ class RelationKind(str, Enum):
     RELATED_TO = "related-to"
 
 
+# The output string of each relation, read once: ``Enum.value`` is a
+# Python-level property.
+RELATION_NAMES = {kind: kind.value for kind in RelationKind}
+
+
 # Inverse pairs; the first member of each pair is the stored direction.
 _CANONICAL_INVERSE = {
     RelationKind.HYPONYMY: RelationKind.HYPERNYMY,
@@ -119,7 +124,7 @@ class Axiom:
     def key(self) -> tuple:
         """Identity for deduplication: relation plus the ordered endpoints."""
         return (
-            self.relation.value,
+            RELATION_NAMES[self.relation],
             self.subject,
             self.subject_sense,
             self.object,
@@ -128,6 +133,8 @@ class Axiom:
 
 
 _PROVENANCES = ("original", "enriched")
+# The fields of ``Axiom.key``, in key order.
+_KEY_FIELDS = ("relation", "subject", "subject_sense", "object", "object_sense")
 
 
 def canonicalize_axiom(axiom: Axiom) -> Axiom:
@@ -189,7 +196,7 @@ class Ontology:
         for a in axioms:
             if a.relation in _CANONICAL_INVERSE:
                 raise OntologyValidationError(
-                    f"{a.relation.value} axioms must be canonicalized before storage"
+                    f"{RELATION_NAMES[a.relation]} axioms must be canonicalized before storage"
                 )
             self._check_endpoint(a, a.subject, a.subject_sense)
             self._check_endpoint(a, a.object, a.object_sense)
@@ -197,15 +204,17 @@ class Ontology:
                 (a.subject, a.subject_sense) == (a.object, a.object_sense)
             ):
                 raise OntologyValidationError(
-                    f"{a.relation.value} axiom with identical endpoints {a.subject!r}"
+                    f"{RELATION_NAMES[a.relation]} axiom with identical endpoints {a.subject!r}"
                 )
             checked.append(a)
-        # A stable sort, then the first of each run of equal keys: of axioms
-        # with one key, the first in input order is kept.
-        checked.sort(key=attrgetter("key"))
-        self._axioms: tuple[Axiom, ...] = tuple(
-            next(run) for _, run in groupby(checked, key=attrgetter("key"))
-        )
+        # Stable sorts on ``Axiom.key``'s fields, last field first, then the
+        # first of each run of equal keys: of axioms with one key, the first
+        # in input order is kept. One field at a time, no axiom holds a key
+        # tuple; a relation member orders and compares as its name.
+        for field in reversed(_KEY_FIELDS):
+            checked.sort(key=attrgetter(field))
+        key = attrgetter(*_KEY_FIELDS)
+        self._axioms: tuple[Axiom, ...] = tuple(next(run) for _, run in groupby(checked, key=key))
 
         # sense -> hypernym parents, for path traversal
         self._parents: dict[tuple[str, int], list[tuple[str, int]]] = {}
@@ -299,12 +308,6 @@ class Ontology:
 
     # ---- serialization ---------------------------------------------------
 
-    def _render_ref(self, ref: str, sense: int) -> str:
-        concept = self._concepts.get(ref)
-        if concept is not None and len(concept.senses) > 1:
-            return f"{ref}#{sense}"
-        return ref
-
     def lines(self) -> Iterator[str]:
         """The records of the file format, each with its newline, in save order."""
         concepts = sorted(self._concepts.values(), key=lambda c: c.id)
@@ -315,17 +318,14 @@ class Ontology:
                 yield f"G\t{c.id}\t{','.join(sorted(c.categories))}\n"
         for inst in sorted(self._instances.values(), key=lambda i: i.id):
             yield f"I\t{inst.id}\t{inst.label}\t{inst.concept_id}\n"
+        # A reference names its sense only when its concept has several.
+        several = {c.id for c in concepts if len(c.senses) > 1}
         for a in self._axioms:
-            parts = [
-                "A",
-                a.relation.value,
-                self._render_ref(a.subject, a.subject_sense),
-                self._render_ref(a.object, a.object_sense),
-                a.provenance,
-            ]
-            if a.evidence is not None:
-                parts += [a.evidence.pattern_id, str(a.evidence.hits)]
-            yield "\t".join(parts) + "\n"
+            subject = f"{a.subject}#{a.subject_sense}" if a.subject in several else a.subject
+            object_ = f"{a.object}#{a.object_sense}" if a.object in several else a.object
+            evidence = a.evidence
+            tail = "\n" if evidence is None else f"\t{evidence.pattern_id}\t{evidence.hits}\n"
+            yield f"A\t{RELATION_NAMES[a.relation]}\t{subject}\t{object_}\t{a.provenance}{tail}"
 
     def to_text(self) -> str:
         return "".join(self.lines())

@@ -44,9 +44,15 @@ tests; 8,090 of its 8,100 pairs count nothing.
 
 The audit writes the pairs in ``term_order``, which groups them by lowered
 missing term and sorts each group alone, so no pair holds a sort key tuple.
-A pair of compilable terms writes its lines with one format call on a block
-compiled with the catalogue; any other pair rebuilds its queries with
-``PatternCatalogue.queries``.
+Its lines come from two blocks compiled with the catalogue. The zero block
+has the zero counts in it, X's term, plural and article as format fields
+and each of Y's values as a ``%s``. The writer fills the fields once per
+run of pairs with one exact missing term (``%`` escaped), holds that block
+alone, and writes each such pair whose hits are the shared zero tuple and
+whose target is compilable with one ``%`` format. Any other pair of
+compilable terms fills the full block, with a field per hit count, in one
+format call; a pair with a term that is not compilable rebuilds its
+queries with ``PatternCatalogue.queries``.
 
 Templates never contain negation operators; the catalogue loader rejects
 them, so no negated query is ever issued. Pattern ids are unique within a
@@ -58,12 +64,12 @@ from __future__ import annotations
 import importlib.resources
 import re
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .hitcounts import HitCountProvider
-from .ontology import RelationKind, normalize_label, read_input, records
+from .ontology import RELATION_NAMES, RelationKind, normalize_label, read_input, records
 
 NEGATION_WORDS = frozenset(
     {"no", "not", "never", "none", "neither", "nor", "cannot",
@@ -110,6 +116,10 @@ _ARTICLE_FIELDS = {"{0}": "{4}", "{1}": "{4}", "{2}": "{5}", "{3}": "{5}"}
 # Field numbers of X's and Y's term and plural, and of all of each slot's values.
 _TERM_NUMBERS = (frozenset("01"), frozenset("23"))
 _SLOT_NUMBERS = (frozenset("014"), frozenset("235"))
+# The zero block's field for each of X's values, and the index in a target's
+# (term, plural, article) of the value each of Y's fields takes.
+_ZERO_X_FIELDS = {"0": "{0}", "1": "{1}", "4": "{2}"}
+_ZERO_Y_VALUES = {"2": 0, "3": 1, "5": 2}
 # A format field, or an escaped brace pair that looks like the start of one.
 _FIELD_RE = re.compile(r"\{\{|\{(\d)\}")
 # Tokens that are an "a(n)", or could make one glued to a template literal
@@ -175,7 +185,8 @@ def _compilable(term: str) -> bool:
 
 class PatternCatalogue(tuple):
     """Templates in catalogue order, each compiled into a format line, two
-    side lines and a block of audit lines."""
+    side lines and a block of audit lines; the audit lines of all of them
+    are also compiled once with zero counts."""
 
     def __new__(cls, templates: Iterable[PatternTemplate]):
         self = super().__new__(cls, templates)
@@ -185,11 +196,30 @@ class PatternCatalogue(tuple):
         self._lines = tuple(_compile(template) for template in self)
         sides = [_side_lines(line) for line in self._lines]
         self._side_formats = tuple("\n".join(side[slot] for side in sides) for slot in (0, 1))
+
+        def audit_block(counts: Iterable[str]) -> str:
+            return "".join(
+                f"{{0}}\t{{2}}\t{_escape(pattern_id)}\t{line}\t{count}\n"
+                for pattern_id, line, count in zip(self.ids, self._lines, counts)
+            )
+
         # Fields 0-5 are the query fields, then one hit count per template.
-        self._audit = "".join(
-            f"{{0}}\t{{2}}\t{_escape(pattern_id)}\t{line}\t{{{6 + n}}}\n"
-            for n, (pattern_id, line) in enumerate(zip(self.ids, self._lines))
-        )
+        self._audit = audit_block(f"{{{6 + n}}}" for n in range(len(self)))
+        # The same block with zero counts, in two stages: X's values are
+        # format fields 0-2, each of Y's is a "%s", and a literal "%" is doubled.
+        order: list[int] = []
+
+        def zero_field(match: re.Match) -> str:
+            number = match[1]
+            if number in _ZERO_Y_VALUES:
+                order.append(_ZERO_Y_VALUES[number])
+                return "%s"
+            return _ZERO_X_FIELDS.get(number, match[0])  # an escaped brace stays
+
+        zeros = audit_block("0" * len(self)).replace("%", "%%")
+        self._zero_block = _FIELD_RE.sub(zero_field, zeros)
+        # itemgetter needs an index; an empty catalogue's block takes none.
+        self._zero_values = itemgetter(*order) if order else lambda values: ()
         self._slots: dict[str, tuple[str, str, bool]] = {}
         return self
 
@@ -226,6 +256,23 @@ class PatternCatalogue(tuple):
             return None
         values = (term, plural, term, plural, article, article)
         return self._side_formats[slot].format(*values).split("\n")
+
+    def zero_block(self, t_miss: str) -> str | None:
+        """The audit lines of an all-zero pair with t_miss in X, as a ``%``
+        format over ``zero_values`` of its target; None when t_miss is not
+        ``_compilable``."""
+        plural, article, compilable = self._slot(t_miss)
+        if not compilable:
+            return None
+        return self._zero_block.format(
+            *(value.replace("%", "%%") for value in (t_miss, plural, article))
+        )
+
+    def zero_values(self, t_in: str) -> tuple[str, ...] | None:
+        """The values a ``zero_block`` takes for t_in in Y; None when t_in
+        is not ``_compilable``."""
+        plural, article, compilable = self._slot(t_in)
+        return self._zero_values((t_in, plural, article)) if compilable else None
 
     def audit_lines(self, t_miss: str, t_in: str, hits: tuple[int, ...]) -> str:
         """One line per template: pair, pattern id, query string, hit count."""
@@ -379,7 +426,9 @@ def extract_relation(
     group_relation = {template.group: template.relation for template in catalogue}
     winner = min(
         (group for group, count in group_hits.items() if count == best),
-        key=lambda g: (_SPECIFICITY.get(group_relation[g], 99), group_relation[g].value, g),
+        key=lambda g: (
+            _SPECIFICITY.get(group_relation[g], 99), RELATION_NAMES[group_relation[g]], g
+        ),
     )
     return RelationSuggestion(
         missing_term=t_miss,
@@ -415,12 +464,23 @@ def write_pattern_audit(
 ) -> None:
     """One line per template and pair: pair, pattern, query string, hit
     count. Pairs are sorted case-insensitively, and each pair's lines are
-    streamed to the file as ``PatternCatalogue.audit_lines`` gives them."""
+    streamed to the file. A pair of compilable terms whose hits are the
+    catalogue's ``zero_hits`` fills its missing term's ``zero_block``, which
+    is held while the pairs of that exact term follow one another; any
+    other pair writes ``PatternCatalogue.audit_lines``."""
     ordered = term_order(
         suggestions, attrgetter("missing_term"), lambda s: s.ontology_term.lower()
     )
+    zero_hits = catalogue.zero_hits
+    held_term = held = None
     with Path(path).open("w", encoding="utf-8") as out:
         out.write("missing_term\tontology_term\tpattern\tquery\thits\n")
-        out.writelines(
-            catalogue.audit_lines(s.missing_term, s.ontology_term, s.hits) for s in ordered
-        )
+        for s in ordered:
+            if s.hits is zero_hits:
+                if s.missing_term != held_term:
+                    held_term, held = s.missing_term, catalogue.zero_block(s.missing_term)
+                values = None if held is None else catalogue.zero_values(s.ontology_term)
+                if values is not None:
+                    out.write(held % values)
+                    continue
+            out.write(catalogue.audit_lines(s.missing_term, s.ontology_term, s.hits))

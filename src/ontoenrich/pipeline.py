@@ -26,7 +26,7 @@ except ImportError:
 from . import __version__
 from .evaluation import load_judgments, precision_report, write_precision_report
 from .hitcounts import CorpusIndex, HitCountProvider, SnapshotTable
-from .ontology import load_ontology, save_ontology
+from .ontology import RELATION_NAMES, load_ontology, save_ontology
 from .patterns import (
     PatternCatalogue,
     RelationSuggestion,
@@ -194,7 +194,7 @@ def _write_system_judgments(eliminated: list[str], retained: list[str],
             else:
                 lines = [
                     f"X\t{domain}\t{d.term}\t{d.target_concept}"
-                    f"\t{sense}\t{d.suggestion.relation.value}"
+                    f"\t{sense}\t{RELATION_NAMES[d.suggestion.relation]}"
                     for d in buckets[kind, domain] for sense in d.senses
                 ]
             lines.sort()

@@ -43,6 +43,7 @@ from typing import Sequence
 
 from .hitcounts import HitCountProvider
 from .ontology import (
+    RELATION_NAMES,
     Axiom,
     Concept,
     Evidence,
@@ -272,8 +273,8 @@ def enrich_ontology(
                 previous = relations.setdefault(key, suggestion.relation)
                 if previous is not suggestion.relation:
                     raise ConflictingDecisionError(
-                        f"decisions disagree for {key}: {previous.value} vs "
-                        f"{suggestion.relation.value}"
+                        f"decisions disagree for {key}: {RELATION_NAMES[previous]} vs "
+                        f"{RELATION_NAMES[suggestion.relation]}"
                     )
                 new_axioms.append(
                     Axiom(
@@ -293,7 +294,7 @@ def enrich_ontology(
         "enrichment: %d decisions, by case (%s), by relation (%s), %d failures, "
         "%d case-2 ties", len(decisions),
         ", ".join(f"{case} {count}" for case, count in sorted(cases.items())),
-        ", ".join(f"{kind.value} {count}" for kind, count in sorted(kinds.items())),
+        ", ".join(f"{RELATION_NAMES[kind]} {count}" for kind, count in sorted(kinds.items())),
         len(failures), sum(len(d.senses) > 1 for d in decisions),
     )
     return ontology.with_additions(new_concepts, new_instances, new_axioms)
@@ -311,17 +312,17 @@ def write_enrichment_report(
         ordered = term_order(decisions, attrgetter("term"), attrgetter("target_concept"))
         for decision in ordered:
             suggestion = decision.suggestion
-            senses = ",".join(str(s) for s in decision.senses)
             out.write(
-                f"{decision.term}\t{decision.target_concept}\t{senses}"
-                f"\t{suggestion.relation.value}\t{decision.case}"
+                f"{suggestion.missing_term}\t{decision.target_concept}"
+                f"\t{','.join(map(str, decision.senses))}"
+                f"\t{RELATION_NAMES[suggestion.relation]}\t{decision.case}"
                 f"\t{suggestion.winning_group or FALLBACK_MARKER}"
                 f"\t{suggestion.winner_hits}\tapplied\n"
             )
         for failure in sorted(failures, key=lambda f: f.suggestion.missing_term.lower()):
             out.write(
                 f"{failure.suggestion.missing_term}\t{failure.suggestion.ontology_term}"
-                f"\t-\t{failure.suggestion.relation.value}\t-\t-\t-"
+                f"\t-\t{RELATION_NAMES[failure.suggestion.relation]}\t-\t-\t-"
                 f"\tunresolved: {failure.reason}\n"
             )
         out.write(f"# case2 ties: {sum(len(d.senses) > 1 for d in decisions)}\n")

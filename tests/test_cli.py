@@ -4,6 +4,7 @@ import json
 import logging
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,36 @@ def test_system_judgments_written_per_bucket_equal_sorted_lines(tmp_path):
     ]
     assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in sorted(lines))
     assert len(load_judgments(path)) == len(domains)
+
+
+# A streamed writer holds a sort order or one record's text, never its file:
+# on desk defaults the peaks were 99 KiB for a 5,184 KiB audit, 103 KiB for a
+# 598 KiB report and 40 KiB for a 494 KiB ontology. A writer that builds its
+# file as a list of lines holds more than the file's size.
+STREAMED_PEAK_SHARE = 0.5
+
+
+def test_writers_stream_their_files(tmp_path, monkeypatch):
+    peaks = {}
+
+    def traced(writer):
+        def wrapper(*args):
+            tracemalloc.start()
+            try:
+                writer(*args)
+                peaks[args[-1].name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return wrapper
+
+    for name in ("write_pattern_audit", "write_enrichment_report", "save_ontology"):
+        monkeypatch.setattr(pipeline, name, traced(getattr(pipeline, name)))
+    out = tmp_path / "out"
+    assert run("enrich", *DESK_ARGS, "--out-dir", out) == 0
+    sizes = {name: (out / name).stat().st_size for name in peaks}
+    assert sorted(peaks) == ["enriched_ontology.tsv", "enrichment_report.tsv", "pattern_audit.tsv"]
+    assert {name: (peaks[name], sizes[name]) for name in peaks
+            if peaks[name] >= STREAMED_PEAK_SHARE * sizes[name]} == {}
 
 
 def test_manifest_records_run_knobs(tmp_path):

@@ -24,6 +24,8 @@
   as a Protocol method's is, is out of scope.
 * Only ``ontology.records`` splits text into lines: every line-based format
   is read through it.
+* Only ``ontology.RELATION_NAMES`` loads a ``.value`` attribute: every
+  relation's output string is read from it, not from ``Enum.value``.
 """
 
 import ast
@@ -228,19 +230,42 @@ def test_parameters_are_read():
     assert unread == []
 
 
+def nodes_inside_and_outside(is_counted, module: str, name: str) -> tuple[list[str], list[str]]:
+    """``module:line`` of each package node ``is_counted`` accepts, split by
+    whether it lies in the top-level function or assignment ``name`` of
+    ``module`` or elsewhere."""
+    def defines(node):
+        if isinstance(node, ast.FunctionDef):
+            return node.name == name
+        return isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets)
+
+    inside, outside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        owner = [node for node in tree.body if path.name == module and defines(node)]
+        allowed = {id(node) for top in owner for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if is_counted(node):
+                (inside if id(node) in allowed else outside).append(f"{path.name}:{node.lineno}")
+    return inside, outside
+
+
 def test_only_records_splits_lines():
     def splits_lines(node):
         return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "splitlines")
 
-    inside, outside = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = parse(path)
-        reader = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-                  and (path.name, node.name) == ("ontology.py", "records")]
-        allowed = {id(node) for top in reader for node in ast.walk(top)}
-        for node in ast.walk(tree):
-            if splits_lines(node):
-                (inside if id(node) in allowed else outside).append(f"{path.name}:{node.lineno}")
+    inside, outside = nodes_inside_and_outside(splits_lines, "ontology.py", "records")
+    assert outside == []
+    assert len(inside) == 1
+
+
+def test_only_relation_names_reads_enum_value():
+    def loads_value(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "value"
+                and isinstance(node.ctx, ast.Load))
+
+    inside, outside = nodes_inside_and_outside(loads_value, "ontology.py", "RELATION_NAMES")
     assert outside == []
     assert len(inside) == 1

@@ -255,31 +255,52 @@ def test_audit_export(tmp_path, catalogue):
 
 
 # Terms that collide on case, with the ASCII and non-ASCII case folds that
-# str.lower treats unevenly ("İ" lowers to two code points, "ẞ" to "ß").
+# str.lower treats unevenly ("İ" lowers to two code points, "ẞ" to "ß"); terms
+# that hold format syntax of either stage of the zero block; and terms that
+# are not compilable (a double space, edge whitespace, an "a(n)" piece).
 _AUDIT_TERMS = st.sampled_from(
     ["jawa", "Jawa", "JAWA", "java", "Église", "église", "ÉGLISE", "straße", "STRASSE",
-     "Straẞe", "İstanbul", "istanbul", "ǅemal", "日本", "naïve bay", "Naïve Bay"]
+     "Straẞe", "İstanbul", "istanbul", "ǅemal", "日本", "naïve bay", "Naïve Bay",
+     "{", "}", "{0}", "{x} bay", "100%", "%s", "50%s off", "%%(y)s",
+     "naïve  bay", " jawa", "jawa\t", "(n)", "rex a(n)"]
 )
-_TEMPLATES = len(default_catalogue())
-_AUDIT_HITS = st.lists(st.integers(0, 10**9), min_size=_TEMPLATES, max_size=_TEMPLATES).map(tuple)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(
-    st.builds(
-        RelationSuggestion,
-        missing_term=_AUDIT_TERMS,
-        ontology_term=_AUDIT_TERMS,
-        relation=st.just(RelationKind.RELATED_TO),
-        winning_group=st.none(),
-        winner_hits=st.just(0),
-        hits=_AUDIT_HITS,
+# The default catalogue, and one whose ids and literals hold "%", "%s", braces
+# and a literal glued to a slot, which a term's "a(n)" piece can complete.
+_AUDIT_CATALOGUES = (
+    default_catalogue(),
+    parse_catalogue(
+        "P\tpct-%s{0}\thyponymy\tisa\t{X} is 100% a(n) {Y} {0} %s\n"
+        "P\tglued\thyponymy\tisa\t{X} is a{Y}\n"
+        "P\tpct-pl\tmeronymy\tpart\t%d {X:pl} {{are}} parts of {Y:pl}%\n"
     ),
-    max_size=8,
-))
-def test_property_streamed_audit_equals_joined_audit(tmp_path_factory, suggestions):
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_property_streamed_audit_equals_joined_audit(tmp_path_factory, data):
+    catalogue = data.draw(st.sampled_from(_AUDIT_CATALOGUES))
+    size = len(catalogue)
+    # The shared zero tuple takes the zero block; an equal tuple that is not
+    # it, and any other counts, take audit_lines.
+    hits = st.one_of(
+        st.just(catalogue.zero_hits),
+        st.just(tuple([0] * size)),
+        st.lists(st.integers(0, 10**9), min_size=size, max_size=size).map(tuple),
+    )
+    suggestions = data.draw(st.lists(
+        st.builds(
+            RelationSuggestion,
+            missing_term=_AUDIT_TERMS,
+            ontology_term=_AUDIT_TERMS,
+            relation=st.just(RelationKind.RELATED_TO),
+            winning_group=st.none(),
+            winner_hits=st.just(0),
+            hits=hits,
+        ),
+        max_size=8,
+    ))
     # The suggestions arrive in drawn order, not sorted; both writers sort them.
-    catalogue = default_catalogue()
     out = tmp_path_factory.mktemp("audit")
     write_pattern_audit(suggestions, catalogue, out / "streamed.tsv")
     reference_pattern_audit(suggestions, catalogue, out / "joined.tsv")
