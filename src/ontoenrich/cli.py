@@ -10,7 +10,6 @@ code per failing stage (see STAGE_EXIT_CODES).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -23,6 +22,7 @@ from .pipeline import (
     run_eval,
     run_relatedness,
 )
+from .relatedness import DEFAULT_DISTANCE_CAP, DEFAULT_THRESHOLD
 
 STAGE_EXIT_CODES = {
     "config": 2,
@@ -51,10 +51,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gazetteer", help="entity gazetteer file")
     parser.add_argument("--patterns", help="pattern catalogue file (default: built in)")
     parser.add_argument("--threshold", type=float,
-                        help=f"relatedness threshold (default {RunConfig.threshold})")
+                        help=f"relatedness threshold (default {DEFAULT_THRESHOLD})")
     parser.add_argument("--ngd-cap", dest="ngd_cap", type=float,
                         help="distance substituted when a pair never co-occurs "
-                             f"(default {RunConfig.distance_cap})")
+                             f"(default {DEFAULT_DISTANCE_CAP})")
     parser.add_argument("--top-k", dest="top_k", type=int,
                         help="keep at most k targets per missing term")
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")
@@ -63,6 +63,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 def _merge_config(args: argparse.Namespace) -> dict:
     merged: dict = {}
     if getattr(args, "config", None):
+        import json  # only a run with a config file reads JSON
+
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
@@ -103,8 +105,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     try:
         return RunConfig(
             **paths,
-            threshold=float(merged.get("threshold", RunConfig.threshold)),
-            distance_cap=float(merged.get("ngd_cap", RunConfig.distance_cap)),
+            threshold=float(merged.get("threshold", DEFAULT_THRESHOLD)),
+            distance_cap=float(merged.get("ngd_cap", DEFAULT_DISTANCE_CAP)),
             top_k=top_k,
         )
     except (TypeError, ValueError) as exc:

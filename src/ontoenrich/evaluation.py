@@ -20,9 +20,8 @@ marker, never as 0 or 1.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .ontology import normalize_label, records
 
@@ -35,8 +34,7 @@ UNDEFINED = "undefined"
 PlacementKey = tuple[str, str, int]
 
 
-@dataclass(frozen=True)
-class DomainJudgments:
+class DomainJudgments(NamedTuple):
     eliminated: frozenset[str]
     retained: frozenset[str]
     placements: Mapping[PlacementKey, str]
@@ -108,8 +106,7 @@ def enrichment_precision(
     return matches / len(system)
 
 
-@dataclass(frozen=True)
-class DomainPrecision:
+class DomainPrecision(NamedTuple):
     domain: str
     expert_eliminated: int
     system_eliminated: int

@@ -28,9 +28,8 @@ file and line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from .ontology import normalize_label, read_input, records
 from .textpipe import MAX_NGRAM_LEN, PhraseTable, punctuation_spans
@@ -143,8 +142,7 @@ def _count(text: str) -> int | None:
     return value if value >= 0 else None
 
 
-@dataclass(frozen=True)
-class SnapshotTable:
+class SnapshotTable(NamedTuple):
     """Replayable hit counts keyed by normalized query string."""
 
     entries: Mapping[str, int]

@@ -23,13 +23,12 @@ the ``<source>: line <n>:`` prefix of an error only when it raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
 from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 class OntologyParseError(ValueError):
@@ -89,29 +88,25 @@ def read_input(path: str | Path, digest=None) -> str:
     return data.decode("utf-8")
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(NamedTuple):
     id: str
     label: str
     senses: tuple[int, ...] = (1,)
     categories: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     id: str
     label: str
     concept_id: str
 
 
-@dataclass(frozen=True, slots=True)
-class Evidence:
+class Evidence(NamedTuple):
     pattern_id: str
     hits: int
 
 
-@dataclass(frozen=True, slots=True)
-class Axiom:
+class Axiom(NamedTuple):
     relation: RelationKind
     subject: str
     object: str
@@ -142,15 +137,8 @@ def canonicalize_axiom(axiom: Axiom) -> Axiom:
     inverse = _CANONICAL_INVERSE.get(axiom.relation)
     if inverse is None:
         return axiom
-    return Axiom(
-        relation=inverse,
-        subject=axiom.object,
-        object=axiom.subject,
-        subject_sense=axiom.object_sense,
-        object_sense=axiom.subject_sense,
-        provenance=axiom.provenance,
-        evidence=axiom.evidence,
-    )
+    return Axiom(inverse, axiom.object, axiom.subject, axiom.object_sense, axiom.subject_sense,
+                 axiom.provenance, axiom.evidence)
 
 
 class Ontology:

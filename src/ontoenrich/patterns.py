@@ -63,10 +63,9 @@ from __future__ import annotations
 
 import importlib.resources
 import re
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .hitcounts import HitCountProvider
 from .ontology import RELATION_NAMES, RelationKind, normalize_label, read_input, records
@@ -89,24 +88,22 @@ _SPECIFICITY = {
 _SLOT_RE = re.compile(r"\{([XY])(:pl)?\}")
 
 
-@dataclass(frozen=True)
-class PatternTemplate:
-    id: str
-    relation: RelationKind
-    group: str
-    template: str
+class PatternTemplate(NamedTuple("PatternTemplate", [
+        ("id", str), ("relation", RelationKind), ("group", str), ("template", str)])):
+    """A template with one X and one Y slot, no negation word and a
+    relation other than the fallback; any other is rejected when built."""
 
-    def __post_init__(self):
-        if sorted(letter for letter, _ in _SLOT_RE.findall(self.template)) != ["X", "Y"]:
-            raise ValueError(
-                f"pattern {self.id!r} must contain exactly one X and one Y slot"
-            )
-        lowered = {tok.lower() for tok in self.template.split()}
-        banned = lowered & NEGATION_WORDS
+    __slots__ = ()
+
+    def __new__(cls, id: str, relation: RelationKind, group: str, template: str):
+        if sorted(letter for letter, _ in _SLOT_RE.findall(template)) != ["X", "Y"]:
+            raise ValueError(f"pattern {id!r} must contain exactly one X and one Y slot")
+        banned = {tok.lower() for tok in template.split()} & NEGATION_WORDS
         if banned:
-            raise ValueError(f"pattern {self.id!r} contains negation {sorted(banned)}")
-        if self.relation is RelationKind.RELATED_TO:
+            raise ValueError(f"pattern {id!r} contains negation {sorted(banned)}")
+        if relation is RelationKind.RELATED_TO:
             raise ValueError("related-to is the fallback relation, not a pattern relation")
+        return super().__new__(cls, id, relation, group, template)
 
 
 # Format fields of a compiled template line: the four slot values, then the
@@ -337,8 +334,7 @@ def pluralize_term(term: str) -> str:
     return " ".join(words[:-1] + [pluralize_word(words[-1])])
 
 
-@dataclass(frozen=True, slots=True)
-class RelationSuggestion:
+class RelationSuggestion(NamedTuple):
     missing_term: str
     ontology_term: str
     relation: RelationKind
@@ -411,14 +407,8 @@ def extract_relation(
     unqueried."""
     hits = sides.hits(t_miss, t_in, provider, catalogue)
     if not any(hits):  # nearly every pair: keep the catalogue's shared zero tuple
-        return RelationSuggestion(
-            missing_term=t_miss,
-            ontology_term=t_in,
-            relation=RelationKind.RELATED_TO,
-            winning_group=None,
-            winner_hits=0,
-            hits=catalogue.zero_hits,
-        )
+        return RelationSuggestion(t_miss, t_in, RelationKind.RELATED_TO, None, 0,
+                                  catalogue.zero_hits)
     group_hits = dict.fromkeys(catalogue.groups, 0)
     for group, count in zip(catalogue.groups, hits):
         group_hits[group] += count
@@ -430,14 +420,7 @@ def extract_relation(
             _SPECIFICITY.get(group_relation[g], 99), RELATION_NAMES[group_relation[g]], g
         ),
     )
-    return RelationSuggestion(
-        missing_term=t_miss,
-        ontology_term=t_in,
-        relation=group_relation[winner],
-        winning_group=winner,
-        winner_hits=best,
-        hits=hits,
-    )
+    return RelationSuggestion(t_miss, t_in, group_relation[winner], winner, best, hits)
 
 
 def slug(surface: str) -> str:

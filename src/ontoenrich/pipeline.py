@@ -12,8 +12,8 @@ from __future__ import annotations
 import logging
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 try:  # CPython 3.12+ built-in SHA-2: no OpenSSL libcrypto in the process
     from _sha2 import sha256
@@ -24,7 +24,6 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .evaluation import load_judgments, precision_report, write_precision_report
 from .hitcounts import CorpusIndex, HitCountProvider, SnapshotTable
 from .ontology import RELATION_NAMES, load_ontology, save_ontology
 from .patterns import (
@@ -38,6 +37,8 @@ from .patterns import (
 )
 from .placement import enrich_ontology, place_all, write_enrichment_report
 from .relatedness import (
+    DEFAULT_DISTANCE_CAP,
+    DEFAULT_THRESHOLD,
     DistanceConfig,
     RelatednessMatrix,
     SelectionConfig,
@@ -91,8 +92,7 @@ def _require_output(out_dir: Path) -> None:
         raise ConfigError(f"out-dir {out_dir}: {path} exists and is not a directory")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     corpus: Path
     ontology: Path
     out_dir: Path
@@ -100,8 +100,8 @@ class RunConfig:
     stopwords: Path | None = None
     gazetteer: Path | None = None
     patterns: Path | None = None
-    threshold: float = SelectionConfig.threshold
-    distance_cap: float = DistanceConfig.zero_cooccurrence_cap
+    threshold: float = DEFAULT_THRESHOLD
+    distance_cap: float = DEFAULT_DISTANCE_CAP
     top_k: int | None = None
 
     def validate(self) -> None:
@@ -294,6 +294,9 @@ def run_relatedness(config: RunConfig) -> Path:
 
 def run_eval(system_path: Path, expert_path: Path, out_dir: Path,
              require_relation: bool = True) -> Path:
+    # Only this command reads judgments, so only it imports their module.
+    from .evaluation import load_judgments, precision_report, write_precision_report
+
     with _stage("config"):
         _require_inputs(system=system_path, expert=expert_path)
         _require_output(out_dir)

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .hitcounts import HitCountProvider
 from .ontology import (
@@ -68,8 +67,7 @@ class ConflictingDecisionError(ValueError):
     """Two decisions disagree on the relation for the same term, target and sense."""
 
 
-@dataclass(frozen=True, slots=True)
-class PlacementDecision:
+class PlacementDecision(NamedTuple):
     suggestion: RelationSuggestion
     target_concept: str
     senses: tuple[int, ...]
@@ -146,8 +144,7 @@ def _target_concept(term: str, ontology: Ontology) -> Concept:
     return match
 
 
-@dataclass(frozen=True, slots=True)
-class PlacementFailure:
+class PlacementFailure(NamedTuple):
     suggestion: RelationSuggestion
     reason: str
 
@@ -276,16 +273,8 @@ def enrich_ontology(
                         f"decisions disagree for {key}: {RELATION_NAMES[previous]} vs "
                         f"{RELATION_NAMES[suggestion.relation]}"
                     )
-                new_axioms.append(
-                    Axiom(
-                        relation=suggestion.relation,
-                        subject=inserted_id,
-                        object=decision.target_concept,
-                        object_sense=sense,
-                        provenance="enriched",
-                        evidence=evidence,
-                    )
-                )
+                new_axioms.append(Axiom(suggestion.relation, inserted_id,
+                                        decision.target_concept, 1, sense, "enriched", evidence))
             cases[decision.case if decision.subcase is None
                   else f"{decision.case}/{decision.subcase}"] += 1
             kinds[suggestion.relation] += 1

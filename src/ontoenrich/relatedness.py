@@ -29,9 +29,10 @@ distinct distance, and every cell of that distance holds the same float
 object: a batch has far fewer distinct distances than cells (under 2,000 of
 108,000 on the ``vocab4x`` benchmark workload).
 
-``DistanceConfig`` and ``SelectionConfig`` hold the default and the valid
-range of each run setting (the cap; the threshold and the per-term cap);
-``pipeline.RunConfig`` and the command line take theirs from them.
+``DEFAULT_DISTANCE_CAP`` and ``DEFAULT_THRESHOLD`` are the defaults of the
+cap and the threshold, which ``pipeline.RunConfig`` and the command line
+take too. ``DistanceConfig`` and ``SelectionConfig`` check the valid range
+of each run setting (the cap; the threshold and the per-term cap).
 """
 
 from __future__ import annotations
@@ -39,27 +40,32 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .hitcounts import HitCountProvider
 
 logger = logging.getLogger(__name__)
+
+DEFAULT_DISTANCE_CAP = 1.0
+DEFAULT_THRESHOLD = 0.5
 
 
 class DegenerateDenominatorError(ValueError):
     """A term occurs in at least as many documents as the collection holds."""
 
 
-@dataclass(frozen=True)
-class DistanceConfig:
-    zero_cooccurrence_cap: float = 1.0
+class DistanceConfig(NamedTuple("DistanceConfig", [("zero_cooccurrence_cap", float)])):
+    """The distance of a pair that never co-occurs: finite and >= 0."""
 
-    def __post_init__(self):
-        cap = self.zero_cooccurrence_cap
-        if not (math.isfinite(cap) and cap >= 0):
-            raise ValueError(f"distance cap must be finite and >= 0, got {cap}")
+    __slots__ = ()
+
+    def __new__(cls, zero_cooccurrence_cap: float = DEFAULT_DISTANCE_CAP):
+        if not (math.isfinite(zero_cooccurrence_cap) and zero_cooccurrence_cap >= 0):
+            raise ValueError(
+                f"distance cap must be finite and >= 0, got {zero_cooccurrence_cap}"
+            )
+        return super().__new__(cls, zero_cooccurrence_cap)
 
 
 def distance_from_counts(
@@ -120,8 +126,7 @@ def drop_unusable_terms(terms: Iterable[str], provider: HitCountProvider) -> lis
     return kept
 
 
-@dataclass(frozen=True)
-class RelatednessMatrix:
+class RelatednessMatrix(NamedTuple):
     missing_terms: tuple[str, ...]
     ontology_terms: tuple[str, ...]
     cells: tuple[tuple[float, ...], ...]
@@ -216,22 +221,21 @@ def relatedness(distance: float, denominator: float) -> float:
     return 1.0 - distance / denominator
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
+class SelectionConfig(NamedTuple("SelectionConfig", [
+        ("threshold", float), ("top_k", "int | None")])):
     """Candidate selection knobs: relatedness threshold and per-term cap."""
 
-    threshold: float = 0.5
-    top_k: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
+    def __new__(cls, threshold: float = DEFAULT_THRESHOLD, top_k: int | None = None):
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+        if top_k is not None and top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {top_k}")
+        return super().__new__(cls, threshold, top_k)
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(NamedTuple):
     """Per missing term: ontology terms at or above the threshold, best first."""
 
     per_term: Mapping[str, tuple[tuple[str, float], ...]]

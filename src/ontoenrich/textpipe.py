@@ -15,10 +15,9 @@ from __future__ import annotations
 import importlib.resources
 import os
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .ontology import Concept, Ontology, normalize_label, read_input, records
 
@@ -26,8 +25,7 @@ from .ontology import Concept, Ontology, normalize_label, read_input, records
 MAX_NGRAM_LEN = 3
 
 
-@dataclass(frozen=True)
-class Stoplist:
+class Stoplist(NamedTuple):
     words: frozenset[str]          # case-folded word entries
     punctuation: frozenset[str]    # single-character separators
 
@@ -94,19 +92,23 @@ def load_corpus(root: str | Path) -> list[tuple[str, str]]:
 
 
 def read_documents(articles: Iterable[tuple[str, str]], digest) -> Iterator[tuple[str, str]]:
-    """(doc id, text) of each (doc id, path), the file read as UTF-8 text.
-    Each id and text is fed to digest, prefixed by its UTF-8 byte length, so
-    over ``load_corpus`` order the digest identifies the corpus by content.
+    """(doc id, text) of each (doc id, path), the file read as UTF-8 text
+    with ``\\r\\n`` and a lone ``\\r`` turned into ``\\n``, as text mode reads
+    it. Each id and text is fed to digest, prefixed by its UTF-8 byte length,
+    so over ``load_corpus`` order the digest identifies the corpus by content.
     A text of only whitespace is rejected."""
     for doc_id, path in articles:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb", buffering=0) as handle:  # one read, no buffer
+            data = handle.read()
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+            data = text.encode("utf-8")
         if not text or text.isspace():
             raise ValueError(f"document {doc_id!r} has empty text")
-        for field in (doc_id, text):
-            data = field.encode("utf-8")
-            digest.update(len(data).to_bytes(8, "big"))
-            digest.update(data)
+        for field in (doc_id.encode("utf-8"), data):
+            digest.update(len(field).to_bytes(8, "big"))
+            digest.update(field)
         yield doc_id, text
 
 
@@ -208,8 +210,7 @@ def load_gazetteer(path: str | Path, digest=None) -> frozenset[str]:
     return frozenset(surfaces)
 
 
-@dataclass(frozen=True)
-class TermPartition:
+class TermPartition(NamedTuple):
     concepts: tuple[str, ...]   # known by a concept label
     missing: tuple[str, ...]
 

@@ -349,10 +349,12 @@ def test_snapshot_run_prunes_sides_that_are_no_token_run_of_a_nonzero_key(tmp_pa
 
 
 def test_manifest_corpus_digest_equals_oracle_over_id_order(tmp_path):
-    # Ids sort "a-b/..." before "a/...". Text is read in text mode, so a CRLF
-    # file is hashed with LF line ends.
+    # Ids sort "a-b/..." before "a/...". Line ends are read as text mode reads
+    # them, so a CRLF or CR file is hashed with LF line ends.
     root = tmp_path / "corpus"
     files = {
+        "a/cr.txt": (b"desk lamp\roffice chair\r\rfiling\r\r\n\r",
+                     "desk lamp\noffice chair\n\nfiling\n\n\n"),
         "a/crlf.txt": (b"desk lamp\r\noffice chair\r\n", "desk lamp\noffice chair\n"),
         "a/plain.txt": (b"filing cabinet", "filing cabinet"),
         "a-b/\u00e9t\u00e9.txt": ("Caf\u00e9 \u0399\u03a3 \u0130stanbul stra\u00dfe".encode(),
@@ -375,6 +377,17 @@ def test_blank_document_exits_corpus_code(tmp_path, tiny_corpus, capsys):
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
     assert errors == ["error [corpus] document 'islands/blank.txt' has empty text"]
     assert not (tmp_path / "out").exists()
+
+
+def test_undecodable_document_error_names_the_byte_offset_in_the_file(tmp_path, tiny_corpus,
+                                                                         capsys):
+    (tiny_corpus / "islands" / "bad.txt").write_bytes(b"sea\r\nreef \xff shore")
+    code = run("enrich", "--corpus", tiny_corpus, "--ontology", MINI,
+               "--out-dir", tmp_path / "out")
+    assert code == 4
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == ["error [corpus] 'utf-8' codec can't decode byte 0xff in position 10: "
+                      "invalid start byte"]
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -11,12 +11,14 @@
 * Every class method and static method is referenced as ``Class.method``
   (or ``module.Class.method``) by those same files, whatever other
   functions share its name.
-* Every dataclass field is read as an attribute by those same files. Like
-  the method rule, this goes by name: a field is read when some attribute
-  of that name is loaded. So a field that shares its name with a field of
-  another dataclass passes once either is read; the names that more than
-  one dataclass declares are pinned, and a new one fails until the reads
-  of each of its fields are checked by hand.
+* Every record field is read as an attribute by those same files. A
+  record is a ``NamedTuple`` class, a subclass of a ``NamedTuple(...)``
+  call, a class with ``__slots__`` or a dataclass. Like the method rule,
+  this goes by name: a field is read when some attribute of that name is
+  loaded. So a field that shares its name with a field of another record
+  passes once either is read; the names that more than one record declares
+  are pinned, and a new one fails until the reads of each of its fields are
+  checked by hand.
 * Every private top-level function in ``src/ontoenrich`` is used by the
   package outside its own definition.
 * Every parameter of every function in ``src/ontoenrich`` is read in the
@@ -171,19 +173,37 @@ def test_class_and_static_methods_have_users():
     assert sorted(label for key, label in defined.items() if key not in used) == []
 
 
-def dataclass_fields() -> list[tuple[str, str]]:
-    """(field name, ``module: Class.field``) of every package dataclass field."""
+def field_names(cls: ast.ClassDef) -> list[str]:
+    """The fields of a record class: the annotated names in the body of a
+    dataclass or ``NamedTuple`` class, the names a ``NamedTuple(name,
+    [(field, type), ...])`` base lists, and the names ``__slots__`` holds."""
+    names = []
+    if "dataclass" in decorator_names(cls) or any(
+            "NamedTuple" in node_names(base) for base in cls.bases):
+        names += [item.target.id for item in cls.body
+                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    for base in cls.bases:
+        if isinstance(base, ast.Call) and "NamedTuple" in node_names(base.func):
+            names += [field.elts[0].value for field in base.args[1].elts]
+    for item in cls.body:
+        if isinstance(item, ast.Assign) and "__slots__" in node_names(item.targets[0]):
+            slots = item.value
+            names += [slots.value] if isinstance(slots, ast.Constant) else [
+                element.value for element in slots.elts]
+    return names
+
+
+def record_fields() -> list[tuple[str, str]]:
+    """(field name, ``module: Class.field``) of every package record field."""
     return [
-        (item.target.id, f"{module}: {cls.name}.{item.target.id}")
+        (name, f"{module}: {cls.name}.{name}")
         for module, cls in package_classes()
-        if "dataclass" in decorator_names(cls)
-        for item in cls.body
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        for name in field_names(cls)
     ]
 
 
-def test_dataclass_fields_are_read():
-    fields = dataclass_fields()
+def test_record_fields_are_read():
+    fields = record_fields()
     read = {
         node.attr
         for path in USERS
@@ -193,15 +213,15 @@ def test_dataclass_fields_are_read():
     assert sorted(label for name, label in fields if name not in read) == []
 
 
-# Field names that several dataclasses declare. The reads of each such field
+# Field names that several records declare. The reads of each such field
 # were checked by hand; a name added here needs the same check.
 SHARED_FIELD_NAMES = [
     "hits", "id", "label", "relation", "senses", "suggestion", "threshold", "top_k",
 ]
 
 
-def test_shared_dataclass_field_names_are_pinned():
-    names = Counter(name for name, _ in dataclass_fields())
+def test_shared_record_field_names_are_pinned():
+    names = Counter(name for name, _ in record_fields())
     assert sorted(name for name, count in names.items() if count > 1) == SHARED_FIELD_NAMES
 
 

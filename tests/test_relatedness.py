@@ -531,7 +531,7 @@ def test_property_selection_breaks_ties_like_the_sort_key(matrix, threshold):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(tied_matrices(values=st.floats()), snapshot_batches()))
 def test_property_written_matrix_equals_joined_lines(tmp_path_factory, drawn):
-    if isinstance(drawn, tuple):
+    if not isinstance(drawn, RelatednessMatrix):
         table, rows, cols, cfg = drawn
         drawn = relatedness_matrix(rows, cols, table, cfg)
     out = tmp_path_factory.mktemp("matrix")
