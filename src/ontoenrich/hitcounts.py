@@ -79,8 +79,11 @@ class CorpusIndex:
     ``pair_hits`` memoizes each term's documents as an ``int`` bitset (bit n
     set when document n holds the term), keyed by phrase string, so a batch
     of pairs looks each term up once and a pair costs one ``&`` and one
-    ``bit_count``. A memoized term keeps about N/8 bytes for N documents,
-    however many of them hold it (an ``int`` stores 30 bits per 4 bytes).
+    ``bit_count``; ``hits`` answers a phrase in the memo from its bitset,
+    so sense scoring, which asks ``hits`` for the labels it pairs, looks
+    each label up once. A memoized term keeps about N/8 bytes for N
+    documents, however many of them hold it (an ``int`` stores 30 bits per
+    4 bytes).
     """
 
     def __init__(self, table: PhraseTable):
@@ -109,6 +112,9 @@ class CorpusIndex:
         return table.documents(tokens)
 
     def hits(self, phrase: str) -> int:
+        bits = self._term_docs.get(phrase)
+        if bits is not None:  # a term pair_hits has met: count its bitset
+            return bits.bit_count()
         return len(self._doc_numbers(phrase))
 
     def _bitset(self, phrase: str) -> int:

@@ -180,17 +180,22 @@ class Ontology:
         for inst in sorted(self._instances.values(), key=lambda i: i.id):
             self._by_label.setdefault(normalize_label(inst.label), inst)
 
+        # Every (id, sense) an axiom may name; the error of one it may not
+        # is worded by _endpoint_error.
+        endpoints = {(c.id, sense) for c in self._concepts.values() for sense in c.senses}
+        endpoints.update((inst_id, 1) for inst_id in self._instances)
         checked: list[Axiom] = []
         for a in axioms:
             if a.relation in _CANONICAL_INVERSE:
                 raise OntologyValidationError(
                     f"{RELATION_NAMES[a.relation]} axioms must be canonicalized before storage"
                 )
-            self._check_endpoint(a, a.subject, a.subject_sense)
-            self._check_endpoint(a, a.object, a.object_sense)
-            if a.relation is not RelationKind.SYNONYMY and (
-                (a.subject, a.subject_sense) == (a.object, a.object_sense)
-            ):
+            subject, object_ = (a.subject, a.subject_sense), (a.object, a.object_sense)
+            if subject not in endpoints:
+                raise self._endpoint_error(a, *subject)
+            if object_ not in endpoints:
+                raise self._endpoint_error(a, *object_)
+            if subject == object_ and a.relation is not RelationKind.SYNONYMY:
                 raise OntologyValidationError(
                     f"{RELATION_NAMES[a.relation]} axiom with identical endpoints {a.subject!r}"
                 )
@@ -214,20 +219,17 @@ class Ontology:
             parents.sort()
         self._check_acyclic()
 
-    def _check_endpoint(self, axiom: Axiom, ref: str, sense: int) -> None:
+    def _endpoint_error(self, axiom: Axiom, ref: str, sense: int) -> OntologyValidationError:
+        """Why an axiom may not name sense of ref."""
         concept = self._concepts.get(ref)
         if concept is not None:
-            if sense not in concept.senses:
-                raise OntologyValidationError(
-                    f"axiom {axiom.key} uses sense {sense} of {ref!r}, "
-                    f"which has {len(concept.senses)} sense(s)"
-                )
-            return
+            return OntologyValidationError(
+                f"axiom {axiom.key} uses sense {sense} of {ref!r}, "
+                f"which has {len(concept.senses)} sense(s)"
+            )
         if ref in self._instances:
-            if sense != 1:
-                raise OntologyValidationError(f"instance {ref!r} has no sense {sense}")
-            return
-        raise OntologyValidationError(f"axiom references undeclared id {ref!r}")
+            return OntologyValidationError(f"instance {ref!r} has no sense {sense}")
+        return OntologyValidationError(f"axiom references undeclared id {ref!r}")
 
     def _check_acyclic(self) -> None:
         try:

@@ -42,17 +42,18 @@ leave viable, and a pair they leave none is settled before its queries are
 built. A default desk run issues 59 of its 89,100 queries after 1,980 side
 tests; 8,090 of its 8,100 pairs count nothing.
 
-The audit writes the pairs in ``term_order``, which groups them by lowered
-missing term and sorts each group alone, so no pair holds a sort key tuple.
-Its lines come from two blocks compiled with the catalogue. The zero block
-has the zero counts in it, X's term, plural and article as format fields
-and each of Y's values as a ``%s``. The writer fills the fields once per
-run of pairs with one exact missing term (``%`` escaped), holds that block
-alone, and writes each such pair whose hits are the shared zero tuple and
-whose target is compilable with one ``%`` format. Any other pair of
-compilable terms fills the full block, with a field per hit count, in one
-format call; a pair with a term that is not compilable rebuilds its
-queries with ``PatternCatalogue.queries``.
+The audit writes the pairs in the order given, which in a run is the pair
+order that ``relatedness.select_candidates`` sets and
+``placement.place_all`` checks. Its lines come from two blocks compiled
+with the catalogue. The zero block has the zero counts in it, X's term,
+plural and article as format fields and each of Y's values as a ``%s``. The
+writer fills the fields once per run of pairs with one exact missing term
+(``%`` escaped), holds that block alone, and writes each such pair whose
+hits are the shared zero tuple and whose target is compilable with one
+``%`` format over the target's values, worked out once per target. Any
+other pair of compilable terms fills the full block, with a field per hit
+count, in one format call; a pair with a term that is not compilable
+rebuilds its queries with ``PatternCatalogue.queries``.
 
 Templates never contain negation operators; the catalogue loader rejects
 them, so no negated query is ever issued. Pattern ids are unique within a
@@ -61,11 +62,12 @@ catalogue.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import re
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .hitcounts import HitCountProvider
 from .ontology import RELATION_NAMES, RelationKind, normalize_label, read_input, records
@@ -104,6 +106,11 @@ class PatternTemplate(NamedTuple("PatternTemplate", [
         if relation is RelationKind.RELATED_TO:
             raise ValueError("related-to is the fallback relation, not a pattern relation")
         return super().__new__(cls, id, relation, group, template)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so ``_replace`` checks as well."""
+        return cls(*iterable)
 
 
 # Format fields of a compiled template line: the four slot values, then the
@@ -429,40 +436,26 @@ def slug(surface: str) -> str:
     return normalize_label(surface).replace(" ", "-").replace("#", "-")
 
 
-def term_order(
-    records: Iterable, term: Callable[..., str], second: Callable[..., str]
-) -> Iterator:
-    """The records in the order of a stable sort on ``(term(r).lower(),
-    second(r))``: grouped by lowered term, each group sorted by ``second``
-    alone, so no record holds a key tuple and each term is lowered once."""
-    groups: dict[str, list] = {}
-    for record in records:
-        groups.setdefault(term(record).lower(), []).append(record)
-    for lowered in sorted(groups):
-        yield from sorted(groups[lowered], key=second)
-
-
 def write_pattern_audit(
     suggestions: Iterable[RelationSuggestion], catalogue: PatternCatalogue, path: str | Path
 ) -> None:
     """One line per template and pair: pair, pattern, query string, hit
-    count. Pairs are sorted case-insensitively, and each pair's lines are
-    streamed to the file. A pair of compilable terms whose hits are the
-    catalogue's ``zero_hits`` fills its missing term's ``zero_block``, which
-    is held while the pairs of that exact term follow one another; any
-    other pair writes ``PatternCatalogue.audit_lines``."""
-    ordered = term_order(
-        suggestions, attrgetter("missing_term"), lambda s: s.ontology_term.lower()
-    )
+    count. Pairs are written in the order given, each pair's lines streamed
+    to the file. A pair of compilable terms whose hits are the catalogue's
+    ``zero_hits`` fills its missing term's ``zero_block``, which is held
+    while the pairs of that exact term follow one another, with its
+    target's ``zero_values``, taken once per target; any other pair writes
+    ``PatternCatalogue.audit_lines``."""
     zero_hits = catalogue.zero_hits
+    zero_values = functools.cache(catalogue.zero_values)
     held_term = held = None
     with Path(path).open("w", encoding="utf-8") as out:
         out.write("missing_term\tontology_term\tpattern\tquery\thits\n")
-        for s in ordered:
+        for s in suggestions:
             if s.hits is zero_hits:
                 if s.missing_term != held_term:
                     held_term, held = s.missing_term, catalogue.zero_block(s.missing_term)
-                values = None if held is None else catalogue.zero_values(s.ontology_term)
+                values = None if held is None else zero_values(s.ontology_term)
                 if values is not None:
                     out.write(held % values)
                     continue

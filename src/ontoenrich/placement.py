@@ -9,16 +9,22 @@ Three cases, driven by the sense count of the target concept:
 * case3-composite - one term relates to several targets; each target is
   resolved as case1/case2 and every decision is tagged composite.
 
-``place_all`` resolves each distinct target term to its concept once per
-call, not once per suggestion, and builds composite decisions directly.
-``enrich_ontology`` then visits each placed term once: it resolves the id
-the term is inserted under (the one the ontology already names it by, else
-its slug made unique within the ontology and the batch), checks that no two
+Every stage here reads the pairs in the one order that
+``relatedness.select_candidates`` sets: by lowercased missing term, then
+by lowercased target. ``place_all`` checks that order as it groups the
+suggestions (a misordered or repeated pair raises ``PairOrderError``),
+resolves each distinct target term to its concept once per call, not once
+per suggestion, and builds composite decisions directly; its decisions and
+failures keep the order. ``enrich_ontology`` then visits each placed term
+once, in one pass over the decisions: it resolves the id the term is
+inserted under (the one the ontology already names it by, else its slug
+made unique within the ontology and the batch), checks that no two
 decisions disagree on the relation for one id, target and sense, and emits
 the term's axioms and returns the enriched ontology. The report's writer
-reads each line from a decision and its suggestion, grouped by lowered term
-(``patterns.term_order``); a decision with several senses is a case-2 tie,
-since only case 2 places a term under more than one sense.
+reads each line from a decision and its suggestion in the order given, but
+orders each term's lines by target concept id, which need not sort as the
+target labels do; a decision with several senses is a case-2 tie, since
+only case 2 places a term under more than one sense.
 
 Path scoring takes the run's relatedness denominator D, so placement and
 candidate selection speak the same scale. A path scores 1 - (mean distance
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -50,13 +57,21 @@ from .ontology import (
     Ontology,
     RelationKind,
 )
-from .patterns import FALLBACK_MARKER, RelationSuggestion, slug, term_order
+from .patterns import FALLBACK_MARKER, RelationSuggestion, slug
 from .relatedness import DistanceConfig, distance_from_counts, relatedness
 
 logger = logging.getLogger(__name__)
 
 # Path labels scored per sense, counted from the target.
 MAX_PATH_DEPTH = 5
+
+# Field readers of suggestions and decisions, for groupby, map and sort keys.
+_SUGGESTION_TERM = attrgetter("missing_term")
+_DECISION_TERM = attrgetter("suggestion.missing_term")
+_TARGET_CONCEPT = attrgetter("target_concept")
+_DECISION_RELATION = attrgetter("suggestion.relation")
+_CASE_AND_SUBCASE = attrgetter("case", "subcase")
+_SENSES = attrgetter("senses")
 
 
 class UnresolvedSenseError(ValueError):
@@ -149,6 +164,10 @@ class PlacementFailure(NamedTuple):
     reason: str
 
 
+class PairOrderError(ValueError):
+    """Suggestions that are not in pair order (see ``place_all``)."""
+
+
 def place_all(
     suggestions: Sequence[RelationSuggestion],
     ontology: Ontology,
@@ -158,29 +177,44 @@ def place_all(
 ) -> tuple[list[PlacementDecision], list[PlacementFailure]]:
     """Place every suggestion; terms with several targets become composite.
 
+    The suggestions must come in pair order, the order ``select_candidates``
+    emits: each term's suggestions one after another, terms in strictly
+    increasing lowercased order, and each term's targets in strictly
+    increasing lowercased order. Anything else raises ``PairOrderError``.
+    Decisions and failures keep that order.
+
     Each distinct target term is resolved to its concept once per call.
     Sense paths are scored on the relatedness scale of ``denominator``.
     Sense-path labels skipped for unusable hit counts are summed up in one
     warning per call.
     """
-    by_term: dict[str, list[RelationSuggestion]] = {}
-    targets: dict[str, Concept | LookupError] = {}
-    for suggestion in suggestions:
-        by_term.setdefault(suggestion.missing_term, []).append(suggestion)
-        target = suggestion.ontology_term
-        if target not in targets:
-            try:
-                targets[target] = _target_concept(target, ontology)
-            except LookupError as exc:
-                targets[target] = exc
-
+    targets: dict[str, tuple[str, Concept | LookupError]] = {}  # target -> (lowered, concept)
     decisions, failures = [], []
     skipped: set[str] = set()  # sense-path labels without usable hit counts
-    for term in sorted(by_term, key=str.lower):
-        group = sorted(by_term[term], key=lambda s: s.ontology_term.lower())
+    previous = None  # the term before, and its lowered form
+    for term, run in groupby(suggestions, _SUGGESTION_TERM):
+        lowered_term = term.lower()
+        if previous is not None and lowered_term <= previous[1]:
+            raise PairOrderError(f"suggestions are not in pair order: missing term {term!r} "
+                                 f"follows {previous[0]!r}")
+        previous = term, lowered_term
+        group = list(run)
         composite = len(group) > 1
+        last = None  # the lowered target before, within the term
         for suggestion in group:
-            concept = targets[suggestion.ontology_term]
+            target = suggestion.ontology_term
+            resolved = targets.get(target)
+            if resolved is None:
+                try:
+                    concept = _target_concept(target, ontology)
+                except LookupError as exc:
+                    concept = exc
+                resolved = targets[target] = (target.lower(), concept)
+            lowered, concept = resolved
+            if last is not None and lowered <= last:
+                raise PairOrderError(f"suggestions are not in pair order: target {target!r} "
+                                     f"follows {last!r} for missing term {term!r}")
+            last = lowered
             if isinstance(concept, LookupError):
                 failures.append(PlacementFailure(suggestion, str(concept)))
                 continue
@@ -220,73 +254,91 @@ def enrich_ontology(
 ) -> Ontology:
     """Insert each placed term once and one axiom per decision and sense.
 
-    Terms are visited once each, case-insensitively ordered. A term the
+    The decisions come in ``place_all``'s order, so each term's decisions
+    follow one another; terms are visited in that order. A term the
     ontology already names keeps its id; a new one takes its slug, suffixed
     with -2, -3, ... when the ontology or an earlier term of the batch holds
-    it. The input ontology is untouched (a new value is returned), re-running
-    with the same decisions is a no-op, and new terms are single-sense leaves
-    so the hypernymy structure stays acyclic. Logs one INFO line that counts
-    the decisions by case and by relation, the failures and the case-2 ties.
+    it. A new term whose decisions place it as an instance becomes an
+    instance of the least of their target ids. The input ontology is
+    untouched (a new value is returned), re-running with the same decisions
+    is a no-op, and new terms are single-sense leaves so the hypernymy
+    structure stays acyclic. Two decisions that disagree on the relation for
+    one id, target and sense raise ``ConflictingDecisionError``. With INFO
+    enabled, logs one line that counts the decisions by case and by
+    relation, the failures and the case-2 ties.
     """
-    by_term: dict[str, list[PlacementDecision]] = {}
-    for decision in decisions:
-        by_term.setdefault(decision.term, []).append(decision)
-
     taken = {*ontology.concepts, *ontology.instances}
-    # (id, target, sense) -> relation, kept across terms for ids the ontology
-    # already holds; a fresh id is one term's alone, so its dict goes with it.
+    # (id, target, sense) -> relation of each id the ontology already holds,
+    # kept across terms, since two terms can name one such id.
     chosen: dict[str, dict[tuple[str, str, int], RelationKind]] = {}
     new_concepts: list[Concept] = []
     new_instances: list[Instance] = []
     new_axioms: list[Axiom] = []
     evidences: dict[tuple[str, int], Evidence] = {}  # one value per (pattern, hits)
-    cases: Counter[str] = Counter()  # case, or case/subcase for a composite
-    kinds: Counter[RelationKind] = Counter()
-    for term in sorted(by_term, key=str.lower):
-        group = sorted(by_term[term], key=lambda d: (d.target_concept, d.senses))
+    for term, run in groupby(decisions, _DECISION_TERM):
+        group = list(run)
         existing = ontology.contains_term(term)
         if existing is not None:
             inserted_id = existing.id
-            relations = chosen.setdefault(inserted_id, {})
+            _check_agreement(inserted_id, group, chosen.setdefault(inserted_id, {}))
         else:
             inserted_id = _fresh_id(slug(term), taken)
-            relations = {}
-            anchor = next(
-                (d for d in group if d.suggestion.relation is RelationKind.INSTANCE_OF), None
-            )
-            if anchor is None:
-                new_concepts.append(Concept(inserted_id, term))
-            else:
-                new_instances.append(Instance(inserted_id, term, anchor.target_concept))
-
+            # A fresh id is this term's alone, so its decisions can disagree
+            # only where two of them name one target.
+            if len(set(map(_TARGET_CONCEPT, group))) < len(group):
+                _check_agreement(inserted_id, group, {})
+        anchor = None  # the least target of an instance-of decision
         for decision in group:
             suggestion = decision.suggestion
+            relation, target = suggestion.relation, decision.target_concept
+            if relation is RelationKind.INSTANCE_OF and (anchor is None or target < anchor):
+                anchor = target
             cited = (suggestion.winning_group or FALLBACK_MARKER, suggestion.winner_hits)
             evidence = evidences.get(cited)
             if evidence is None:
                 evidence = evidences[cited] = Evidence(*cited)
             for sense in decision.senses:
-                key = (inserted_id, decision.target_concept, sense)
-                previous = relations.setdefault(key, suggestion.relation)
-                if previous is not suggestion.relation:
-                    raise ConflictingDecisionError(
-                        f"decisions disagree for {key}: {RELATION_NAMES[previous]} vs "
-                        f"{RELATION_NAMES[suggestion.relation]}"
-                    )
-                new_axioms.append(Axiom(suggestion.relation, inserted_id,
-                                        decision.target_concept, 1, sense, "enriched", evidence))
-            cases[decision.case if decision.subcase is None
-                  else f"{decision.case}/{decision.subcase}"] += 1
-            kinds[suggestion.relation] += 1
+                new_axioms.append(Axiom(relation, inserted_id, target, 1, sense, "enriched",
+                                        evidence))
+        if existing is None:
+            if anchor is None:
+                new_concepts.append(Concept(inserted_id, term))
+            else:
+                new_instances.append(Instance(inserted_id, term, anchor))
 
-    logger.info(
-        "enrichment: %d decisions, by case (%s), by relation (%s), %d failures, "
-        "%d case-2 ties", len(decisions),
-        ", ".join(f"{case} {count}" for case, count in sorted(cases.items())),
-        ", ".join(f"{RELATION_NAMES[kind]} {count}" for kind, count in sorted(kinds.items())),
-        len(failures), sum(len(d.senses) > 1 for d in decisions),
-    )
+    if logger.isEnabledFor(logging.INFO):
+        cases = Counter(map(_CASE_AND_SUBCASE, decisions))
+        named = {case if subcase is None else f"{case}/{subcase}": count
+                 for (case, subcase), count in cases.items()}
+        kinds = Counter(map(_DECISION_RELATION, decisions))
+        widths = Counter(map(len, map(_SENSES, decisions)))  # senses per decision
+        logger.info(
+            "enrichment: %d decisions, by case (%s), by relation (%s), %d failures, "
+            "%d case-2 ties", len(decisions),
+            ", ".join(f"{case} {count}" for case, count in sorted(named.items())),
+            ", ".join(f"{RELATION_NAMES[kind]} {count}" for kind, count in sorted(kinds.items())),
+            len(failures), sum(count for width, count in widths.items() if width > 1),
+        )
     return ontology.with_additions(new_concepts, new_instances, new_axioms)
+
+
+def _check_agreement(
+    inserted_id: str,
+    group: Sequence[PlacementDecision],
+    relations: dict[tuple[str, str, int], RelationKind],
+) -> None:
+    """Record each of group's (id, target, sense) in relations with its
+    decision's relation; raise when one is already there with another."""
+    for decision in group:
+        relation = decision.suggestion.relation
+        for sense in decision.senses:
+            key = (inserted_id, decision.target_concept, sense)
+            previous = relations.setdefault(key, relation)
+            if previous is not relation:
+                raise ConflictingDecisionError(
+                    f"decisions disagree for {key}: {RELATION_NAMES[previous]} vs "
+                    f"{RELATION_NAMES[relation]}"
+                )
 
 
 def write_enrichment_report(
@@ -295,23 +347,27 @@ def write_enrichment_report(
     path: str | Path,
 ) -> None:
     """One line per decision, then per failure, then the tie count; the
-    lines are streamed to the file."""
+    lines are streamed to the file. Both come in ``place_all``'s order,
+    which the report keeps, but for each term's decisions, which it orders
+    by target concept id."""
+    ties = 0
     with Path(path).open("w", encoding="utf-8") as out:
         out.write("term\ttarget\tsenses\trelation\tcase\tpattern\thits\tstatus\n")
-        ordered = term_order(decisions, attrgetter("term"), attrgetter("target_concept"))
-        for decision in ordered:
-            suggestion = decision.suggestion
-            out.write(
-                f"{suggestion.missing_term}\t{decision.target_concept}"
-                f"\t{','.join(map(str, decision.senses))}"
-                f"\t{RELATION_NAMES[suggestion.relation]}\t{decision.case}"
-                f"\t{suggestion.winning_group or FALLBACK_MARKER}"
-                f"\t{suggestion.winner_hits}\tapplied\n"
-            )
-        for failure in sorted(failures, key=lambda f: f.suggestion.missing_term.lower()):
+        for _, run in groupby(decisions, _DECISION_TERM):
+            for decision in sorted(run, key=_TARGET_CONCEPT):
+                suggestion, senses = decision.suggestion, decision.senses
+                ties += len(senses) > 1
+                out.write(
+                    f"{suggestion.missing_term}\t{decision.target_concept}"
+                    f"\t{','.join(map(str, senses))}"
+                    f"\t{RELATION_NAMES[suggestion.relation]}\t{decision.case}"
+                    f"\t{suggestion.winning_group or FALLBACK_MARKER}"
+                    f"\t{suggestion.winner_hits}\tapplied\n"
+                )
+        for failure in failures:
             out.write(
                 f"{failure.suggestion.missing_term}\t{failure.suggestion.ontology_term}"
                 f"\t-\t{RELATION_NAMES[failure.suggestion.relation]}\t-\t-\t-"
                 f"\tunresolved: {failure.reason}\n"
             )
-        out.write(f"# case2 ties: {sum(len(d.senses) > 1 for d in decisions)}\n")
+        out.write(f"# case2 ties: {ties}\n")

@@ -40,6 +40,8 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from itertools import compress, repeat
+from operator import ge
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -66,6 +68,11 @@ class DistanceConfig(NamedTuple("DistanceConfig", [("zero_cooccurrence_cap", flo
                 f"distance cap must be finite and >= 0, got {zero_cooccurrence_cap}"
             )
         return super().__new__(cls, zero_cooccurrence_cap)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so ``_replace`` checks as well."""
+        return cls(*iterable)
 
 
 def distance_from_counts(
@@ -234,9 +241,15 @@ class SelectionConfig(NamedTuple("SelectionConfig", [
             raise ValueError(f"top_k must be >= 1, got {top_k}")
         return super().__new__(cls, threshold, top_k)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so ``_replace`` checks as well."""
+        return cls(*iterable)
+
 
 class CandidateSet(NamedTuple):
-    """Per missing term: ontology terms at or above the threshold, best first."""
+    """Per missing term: ontology terms at or above the threshold, in
+    column order."""
 
     per_term: Mapping[str, tuple[tuple[str, float], ...]]
 
@@ -249,25 +262,42 @@ class CandidateSet(NamedTuple):
 
 
 def select_candidates(matrix: RelatednessMatrix, cfg: SelectionConfig) -> CandidateSet:
-    """Per row, the cells at or above the threshold ordered by value, then by
-    (lowercased term, term); with ``top_k``, the first k of that order.
+    """Per row, the cells at or above the threshold in column order; with
+    ``top_k``, the best k of them by value, then by (lowercased term, term),
+    still in column order. A matrix from ``relatedness_matrix`` orders its
+    rows and columns by (lowercased term, term), so the pairs come out in
+    the one order every later stage reads them in.
 
-    Warns once when a threshold above 0 admits every cell of a batch of more
-    than one: batch normalization puts each cell at 1 - distance / sum of the
-    batch's distances, so on a large batch the threshold rejects nothing."""
+    Logs one INFO line with the matrix shape, the denominator, the cells at
+    or above the threshold and the candidate pairs. Warns once when a
+    threshold above 0 admits every cell of a batch of more than one: batch
+    normalization puts each cell at 1 - distance / sum of the batch's
+    distances, so on a large batch the threshold rejects nothing."""
     threshold, top_k = cfg.threshold, cfg.top_k
-    tie_keys = [(term.lower(), term) for term in matrix.ontology_terms]
+    cols = matrix.ontology_terms
+    if top_k is not None:
+        tie_keys = [(term.lower(), term) for term in cols]
+        column = {key: n for n, key in enumerate(tie_keys)}
     per_term = {}
-    cells = admitted = 0
+    cells = admitted = pairs = 0
     for miss, row in zip(matrix.missing_terms, matrix.cells):
-        scored = [(-value, key) for value, key in zip(row, tie_keys) if value >= threshold]
         cells += len(row)
-        admitted += len(scored)
         if top_k is None:
-            scored.sort()
+            chosen = tuple(compress(zip(cols, row), map(ge, row, repeat(threshold))))
+            admitted += len(chosen)
         else:
-            scored = heapq.nsmallest(top_k, scored)
-        per_term[miss] = tuple((key[1], -negated) for negated, key in scored)
+            scored = [(-value, key) for value, key in zip(row, tie_keys) if value >= threshold]
+            admitted += len(scored)
+            best = heapq.nsmallest(top_k, scored)
+            best.sort(key=lambda item: column[item[1]])
+            chosen = tuple((key[1], -negated) for negated, key in best)
+        per_term[miss] = chosen
+        pairs += len(chosen)
+    logger.info(
+        "selection: %d x %d matrix, denominator %.6f, %d of %d cells at or above "
+        "threshold %r, %d candidate pairs", len(matrix.missing_terms), len(cols),
+        matrix.denominator, admitted, cells, threshold, pairs,
+    )
     if threshold > 0 and cells > 1 and admitted == cells:
         logger.warning(
             "threshold %r admits all %d relatedness cells (smallest %.6f): "

@@ -221,7 +221,7 @@ def test_c6_placement_cases(tmp_path):
     )
     suggestions = [
         extract_relation("polder", target, table, catalogue, SideMasks(table.run_test()))
-        for target in ["island", "Java", "concept"]
+        for target in ["concept", "island", "Java"]  # pair order
     ]
     decisions, failures = place_all(suggestions, onto, table, DistanceConfig(), 1.0)
     assert failures == []

@@ -19,6 +19,7 @@ from ontoenrich.placement import PlacementDecision
 from ontoenrich.textpipe import load_corpus, read_documents
 
 from helpers import build_index, corpus_digest, has_axiom, scan_hits
+from test_desk_run import run_cli
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MINI = FIXTURES / "mini_ontology.tsv"
@@ -671,6 +672,28 @@ def test_verbose_tie_count_equals_the_report_line(tmp_path, caplog):
     assert report[-1] == f"# case2 ties: {ties}"
     applied = [line.split("\t") for line in report[1:-1] if line.endswith("\tapplied")]
     assert ties == sum("," in row[2] for row in applied) > 0
+
+
+def test_verbose_relatedness_funnel_equals_traced_counters(tmp_path):
+    report_path, out = tmp_path / "trace.json", tmp_path / "traced"
+    traced = run_cli(FIXTURES.parent / "perfbench" / "harness.py", "trace", report_path,
+                     "enrich", *DESK_ARGS, "--top-k", 3, "-v", "--out-dir", out)
+    counts = json.loads(report_path.read_text(encoding="utf-8"))["counts"]
+    prefix = "INFO ontoenrich.relatedness: selection: "
+    (funnel,) = [line[len(prefix):] for line in traced.stderr.splitlines()
+                 if line.startswith(prefix)]
+    rows, cols, denominator, admitted, cells, threshold, pairs = re.fullmatch(
+        r"(\d+) x (\d+) matrix, denominator (\d+\.\d{6}), (\d+) of (\d+) cells at or above "
+        r"threshold (\S+), (\d+) candidate pairs", funnel).groups()
+    matrix = (out / "relatedness_matrix.tsv").read_text(encoding="utf-8").splitlines()
+    assert (int(rows), int(cols)) == (len(matrix) - 1, len(matrix[0].split("\t")) - 1)
+    assert int(cells) == int(rows) * int(cols) == counts["relatedness.cells"]
+    assert int(admitted) == counts["relatedness.admitted"]
+    assert int(admitted) / int(cells) == counts["relatedness.admitted"] / counts["relatedness.cells"]
+    assert int(pairs) == counts["relatedness.candidate_pairs"] == 270
+    assert float(denominator) > 0 and threshold == "0.5"
+    quiet = run_cli("-m", "ontoenrich.cli", "enrich", *DESK_ARGS, "--out-dir", tmp_path / "quiet")
+    assert len(quiet.stderr.splitlines()) == 2
 
 
 def test_patterns_subcommand_writes_audit_only(tmp_path, capsys):

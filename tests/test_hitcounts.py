@@ -316,6 +316,29 @@ def test_property_punctuated_queries_equal_walk_oracle(case):
         assert index.hits(query) == index.pattern_hits(query) == expected, query
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_corpora(), st.lists(st.lists(_WORDS, min_size=1, max_size=5), min_size=1,
+                                 max_size=4), punctuated_query_cases())
+def test_property_hits_equal_before_and_after_the_pair_memo(texts, phrases, case):
+    # Multi-token terms against the scan oracle, punctuated ones against the
+    # walk oracle. Once pair_hits has memoized a phrase, hits answers it
+    # from the memo's bitset, without looking its documents up again.
+    punctuated_texts, queries = case
+    punctuation = default_stoplist().punctuation
+    for docs, terms, oracle in [
+        (texts, [" ".join(words) for words in phrases],
+         lambda term: scan_hits({d: text.split() for d, text in texts.items()}, term)),
+        (punctuated_texts, queries,
+         lambda term: len(walk_phrase_docs(punctuated_texts, term, punctuation))),
+    ]:
+        index = build_index(docs.items())
+        before = [index.hits(term) for term in terms]
+        for term in terms:
+            index.pair_hits(term, terms[0])
+        index._doc_numbers = None  # a memoized phrase must not need it
+        assert [index.hits(term) for term in terms] == before == list(map(oracle, terms))
+
+
 @pytest.mark.parametrize(
     "text, query, absent_windows",
     [

@@ -10,7 +10,11 @@
   cannot be tied to one class. So are dunder methods, which Python calls.
 * Every class method and static method is referenced as ``Class.method``
   (or ``module.Class.method``) by those same files, whatever other
-  functions share its name.
+  functions share its name. A ``NamedTuple`` record's ``_make`` counts as
+  used: the ``_replace`` that ``NamedTuple`` gives every record calls it.
+* Every ``NamedTuple`` record that checks its values in ``__new__`` also
+  defines ``_make``, so ``_replace``, which builds through ``_make``,
+  checks them too.
 * Every record field is read as an attribute by those same files. A
   record is a ``NamedTuple`` class, a subclass of a ``NamedTuple(...)``
   call, a class with ``__slots__`` or a dataclass. Like the method rule,
@@ -155,6 +159,12 @@ def package_classes() -> list[tuple[str, ast.ClassDef]]:
     ]
 
 
+def is_named_tuple(cls: ast.ClassDef) -> bool:
+    """A ``NamedTuple`` class, or a subclass of a ``NamedTuple(...)`` call."""
+    return any("NamedTuple" in node_names(base.func if isinstance(base, ast.Call) else base)
+               for base in cls.bases)
+
+
 def test_class_and_static_methods_have_users():
     defined = {
         (cls.name, item.name): f"{module}: {cls.name}.{item.name}"
@@ -170,7 +180,19 @@ def test_class_and_static_methods_have_users():
         if isinstance(node, ast.Attribute)
         for owner in node_names(node.value)
     }
+    used |= {(cls.name, "_make") for _, cls in package_classes() if is_named_tuple(cls)}
     assert sorted(label for key, label in defined.items() if key not in used) == []
+
+
+def test_checked_records_check_in_make_too():
+    checked, unchecked = [], []
+    for module, cls in package_classes():
+        methods = {item.name for item in cls.body if isinstance(item, ast.FunctionDef)}
+        if is_named_tuple(cls) and "__new__" in methods:
+            checked.append(cls.name)
+            if "_make" not in methods:
+                unchecked.append(f"{module}: {cls.name}")
+    assert checked and unchecked == []
 
 
 def field_names(cls: ast.ClassDef) -> list[str]:

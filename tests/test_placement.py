@@ -7,16 +7,24 @@ from ontoenrich.hitcounts import SnapshotTable, pair_key
 from ontoenrich.ontology import (
     Concept,
     Evidence,
+    Instance,
     Ontology,
     RelationKind,
     load_ontology,
     parse_ontology,
     save_ontology,
 )
-from ontoenrich.patterns import FALLBACK_MARKER, RelationSuggestion
+from ontoenrich.patterns import (
+    FALLBACK_MARKER,
+    RelationSuggestion,
+    SideMasks,
+    default_catalogue,
+    extract_relation,
+)
 from ontoenrich.placement import (
     MAX_PATH_DEPTH,
     ConflictingDecisionError,
+    PairOrderError,
     PlacementDecision,
     UnresolvedSenseError,
     disambiguate_sense,
@@ -24,7 +32,13 @@ from ontoenrich.placement import (
     place_all,
     write_enrichment_report,
 )
-from ontoenrich.relatedness import DistanceConfig, relatedness_matrix
+from ontoenrich.relatedness import (
+    DistanceConfig,
+    RelatednessMatrix,
+    SelectionConfig,
+    relatedness_matrix,
+    select_candidates,
+)
 
 from helpers import has_axiom, place_one, reference_sense_scores, tuple_key_order
 
@@ -190,8 +204,8 @@ def test_place_all_warns_once_for_skipped_labels(onto, caplog):
 def test_per_decision_records_keep_no_instance_dict(onto, snapshot):
     # A default run keeps one suggestion, decision and axiom per pair.
     suggestions = [
-        suggest("corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700),
         suggest("corporate body", "atlantis"),
+        suggest("corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700),
     ]
     decisions, failures = place_all(suggestions, onto, snapshot, DistanceConfig(), 1.0)
     enriched = enrich_ontology(onto, decisions, failures)
@@ -286,6 +300,22 @@ def test_enrich_instance_of_adds_instance_not_concept(onto, snapshot):
     assert has_axiom(enriched, RelationKind.INSTANCE_OF, "bandung", "city")
 
 
+def test_enrich_instance_of_two_targets_anchors_at_the_least_id(onto):
+    # A new instance hangs from the least target id of its instance-of
+    # decisions, in whichever order the decisions come.
+    decisions = [
+        PlacementDecision(suggest("Bandung", label, RelationKind.INSTANCE_OF, "inst-of", 9),
+                          cid, (1,), "case3-composite", "case1")
+        for label, cid in [("capital city", "capital-city"), ("centre", "centre"),
+                           ("city", "city")]
+    ]
+    for ordered in (decisions, decisions[::-1]):
+        enriched = enrich_ontology(onto, ordered)
+        assert enriched.instances["bandung"].concept_id == "capital-city"
+        assert all(has_axiom(enriched, RelationKind.INSTANCE_OF, "bandung", d.target_concept)
+                   for d in ordered)
+
+
 def test_enrich_conflicting_relations_rejected(onto, snapshot):
     first = place_one(suggest("polder", "island"), onto, snapshot)
     second = place_one(
@@ -307,8 +337,8 @@ def test_enrich_conflict_across_terms_naming_one_concept_rejected(onto, snapshot
 
 def test_enriched_axioms_trace_back_to_suggestions(onto, snapshot):
     suggestions = [
-        suggest("jawa", "Java"),
         suggest("corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700),
+        suggest("jawa", "Java"),
     ]
     decisions, failures = place_all(suggestions, onto, snapshot, DistanceConfig(), 1.0)
     assert not failures
@@ -323,9 +353,9 @@ def test_enriched_axioms_trace_back_to_suggestions(onto, snapshot):
 
 def test_enriched_axioms_share_one_evidence_per_pattern_and_count(onto, snapshot):
     suggestions = [
+        suggest("corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700),
         suggest("jawa", "Java"),
         suggest("notion", "concept"),
-        suggest("corporate body", "organization", RelationKind.HYPONYMY, "hypo-isa", 80_700),
     ]
     decisions, failures = place_all(suggestions, onto, snapshot, DistanceConfig(), 1.0)
     assert not failures
@@ -366,12 +396,12 @@ def test_new_concept_id_collision_gets_suffix(snapshot):
 
 def test_new_terms_sharing_a_slug_get_distinct_ids(onto, snapshot):
     # "marsh cat" and "marsh-cat" both slug to "marsh-cat"; the second term
-    # takes the next free suffix, and relations that differ between the two
-    # terms are not a conflict.
+    # in pair order takes the next free suffix, and relations that differ
+    # between the two terms are not a conflict.
     decisions = [
+        place_one(suggest("marsh cat", "concept"), onto, snapshot),
         place_one(suggest("marsh-cat", "concept", RelationKind.HYPONYMY, "hypo-isa", 3),
                   onto, snapshot),
-        place_one(suggest("marsh cat", "concept"), onto, snapshot),
     ]
     enriched = enrich_ontology(onto, decisions)
     assert enriched.concepts["marsh-cat"].label == "marsh cat"
@@ -380,26 +410,131 @@ def test_new_terms_sharing_a_slug_get_distinct_ids(onto, snapshot):
     assert has_axiom(enriched, RelationKind.HYPONYMY, "marsh-cat-2", "concept")
 
 
+# Target labels and the concept ids they resolve to: the ids sort unlike
+# the labels, and "Lamp" and "lamp" tie under lower().
+_REPORT_TARGETS = {"armchair": "seat", "desk": "table", "lamp": "Lamp", "Lantern": "lamp"}
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    pairs=st.lists(st.tuples(
-        st.sampled_from(["Desk", "desk", "lamp", "desk lamp"]),
-        st.sampled_from(["Lamp", "lamp", "chair"]),  # concept ids that tie under lower()
-    ), max_size=12),
+    terms=st.lists(st.sampled_from(["Desk", "chair", "lamp", "desk lamp"]), max_size=4,
+                   unique_by=str.lower),
     data=st.data(),
 )
-def test_property_report_order_equals_tuple_key_sort(tmp_path_factory, pairs, data):
-    # winner_hits numbers each decision, so the written order names them.
-    decisions = [
-        PlacementDecision(suggest(term, target, hits=number), target, (1,), "case1")
-        for number, (term, target) in enumerate(pairs)
-    ]
-    decisions = data.draw(st.permutations(decisions))
+def test_property_report_order_equals_tuple_key_sort(tmp_path_factory, terms, data):
+    # Decisions in pair order, as place_all makes them: each term's targets
+    # by lowered label. winner_hits numbers each, so the written order names them.
+    decisions = []
+    for term in sorted(terms, key=str.lower):
+        targets = data.draw(st.lists(st.sampled_from(sorted(_REPORT_TARGETS)), unique=True))
+        for target in sorted(targets, key=str.lower):
+            decisions.append(PlacementDecision(suggest(term, target, hits=len(decisions)),
+                                               _REPORT_TARGETS[target], (1,), "case1"))
     path = tmp_path_factory.mktemp("order") / "report.tsv"
     write_enrichment_report(decisions, [], path)
     written = [int(line.split("\t")[6]) for line in path.read_text("utf-8").splitlines()[1:-1]]
     expected = tuple_key_order(decisions, lambda d: d.term, lambda d: d.target_concept)
     assert written == [decision.suggestion.winner_hits for decision in expected]
+
+
+def test_report_orders_a_terms_lines_by_concept_id_not_label(tmp_path):
+    # In pair order "bay" comes before "cove"; their ids sort the other way.
+    onto = Ontology([Concept("zz-bay", "bay"), Concept("aa-cove", "cove")])
+    table = SnapshotTable.from_pairs([], total_docs=10)
+    decisions, failures = place_all([suggest("polder", "bay"), suggest("polder", "cove")],
+                                    onto, table, DistanceConfig(), 1.0)
+    assert [d.target_concept for d in decisions] == ["zz-bay", "aa-cove"] and not failures
+    write_enrichment_report(decisions, failures, tmp_path / "report.tsv")
+    lines = (tmp_path / "report.tsv").read_text(encoding="utf-8").splitlines()[1:-1]
+    assert [line.split("\t")[1] for line in lines] == ["aa-cove", "zz-bay"]
+
+
+def test_misordered_or_repeated_suggestions_raise():
+    onto = Ontology([Concept("bay", "bay"), Concept("cove", "cove")])
+    table = SnapshotTable.from_pairs([], total_docs=10)
+    cases = {
+        "target 'bay' follows 'cove'": [suggest("polder", "cove"), suggest("polder", "bay")],
+        "target 'Bay' follows 'bay'": [suggest("polder", "bay"), suggest("polder", "Bay")],
+        "missing term 'atoll' follows 'polder'": [suggest("polder", "bay"),
+                                                  suggest("atoll", "bay")],
+        "missing term 'Polder' follows 'polder'": [suggest("polder", "bay"),
+                                                   suggest("Polder", "cove")],
+        "missing term 'polder' follows 'reef'": [suggest("polder", "bay"), suggest("reef", "bay"),
+                                                 suggest("polder", "cove")],
+    }
+    for message, suggestions in cases.items():
+        with pytest.raises(PairOrderError, match=message):
+            place_all(suggestions, onto, table, DistanceConfig(), 1.0)
+
+
+_ROW_TERMS = ["atoll", "Atoll", "lagoon", "marsh cat", "Marsh-cat", "polder", "Sandbar"]
+_COLUMN_TERMS = ["bay", "Bay", "cove", "island", "Java", "java", "reef", "sea lion", "Tide"]
+
+
+@st.composite
+def pair_order_runs(draw):
+    """A matrix over mixed-case terms, unique under lower() and ordered as
+    ``relatedness_matrix`` orders them, with tied cells; and an ontology in
+    which each column term names a concept of one or two senses, an
+    instance or nothing, under ids drawn to sort unlike the labels."""
+    def side(pool):
+        terms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6,
+                              unique_by=str.lower))
+        return tuple(sorted(terms, key=lambda t: (t.lower(), t)))
+
+    rows, cols = side(_ROW_TERMS), side(_COLUMN_TERMS)
+    values = st.sampled_from([0.2, 0.5, 0.5, 0.8])
+    cells = tuple(tuple(draw(st.lists(values, min_size=len(cols), max_size=len(cols))))
+                  for _ in rows)
+    ids = draw(st.permutations([f"k{n}" for n in range(len(cols))]))
+    concepts, instances = [Concept("anchor", "anchor")], []
+    for term, cid in zip(cols, ids):
+        kind = draw(st.sampled_from(["one", "one", "two", "instance", "absent"]))
+        if kind == "instance":
+            instances.append(Instance(cid, term, "anchor"))
+        elif kind != "absent":
+            concepts.append(Concept(cid, term, (1,) if kind == "one" else (1, 2)))
+    # Every term counts in 5 of 100 documents and no pair co-occurs, so the
+    # two senses of a concept tie and every pair falls back to related-to.
+    table = SnapshotTable.from_pairs([(term, 5) for term in rows + cols], total_docs=100)
+    return RelatednessMatrix(rows, cols, cells, 1.0), Ontology(concepts, instances), table
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=pair_order_runs(), threshold=st.sampled_from([0.0, 0.5, 0.6]), data=st.data())
+def test_property_pairs_keep_one_order_from_selection_to_the_report(tmp_path_factory, run,
+                                                                    threshold, data):
+    matrix, onto, table = run
+    catalogue = default_catalogue()
+    pair_key_order = (lambda s: s.missing_term, lambda s: s.ontology_term.lower())
+    for top_k in (None, 1, 3):
+        pairs = select_candidates(matrix, SelectionConfig(threshold, top_k)).pairs()
+        sides = SideMasks(table.run_test())
+        suggestions = [extract_relation(miss, target, table, catalogue, sides)
+                       for miss, target in pairs]
+        assert suggestions == tuple_key_order(suggestions, *pair_key_order)
+        decisions, failures = place_all(suggestions, onto, table, DistanceConfig(), 1.0)
+        placed = [d.suggestion for d in decisions]
+        unplaced = [f.suggestion for f in failures]
+        assert placed == tuple_key_order(placed, *pair_key_order)
+        assert unplaced == tuple_key_order(unplaced, *pair_key_order)
+        assert len(placed) + len(unplaced) == len(suggestions)
+
+        path = tmp_path_factory.mktemp("report") / "report.tsv"
+        write_enrichment_report(decisions, failures, path)
+        lines = [line.split("\t") for line in path.read_text("utf-8").splitlines()[1:-1]]
+        by_id = tuple_key_order(decisions, lambda d: d.term, lambda d: d.target_concept)
+        assert [tuple(line[:2]) for line in lines] == (
+            [(d.term, d.target_concept) for d in by_id]
+            + [(s.missing_term, s.ontology_term) for s in unplaced])
+
+        if len(suggestions) > 1:
+            i, j = data.draw(st.lists(st.integers(0, len(suggestions) - 1), min_size=2,
+                                      max_size=2, unique=True))
+            swapped = list(suggestions)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            with pytest.raises(PairOrderError):
+                place_all(swapped, onto, table, DistanceConfig(), 1.0)
 
 
 POOL = [f"c{i:02d}" for i in range(12)]  # ids sort as their index does

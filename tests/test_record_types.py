@@ -12,13 +12,15 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import ontoenrich
 from ontoenrich import cli
 from ontoenrich.hitcounts import SnapshotTable
 from ontoenrich.ontology import RelationKind, load_ontology
-from ontoenrich.patterns import RelationSuggestion
+from ontoenrich.patterns import PatternTemplate, RelationSuggestion
 from ontoenrich.placement import place_all, write_enrichment_report
-from ontoenrich.relatedness import DistanceConfig
+from ontoenrich.relatedness import DistanceConfig, SelectionConfig
 
 from test_desk_run import DESK_ARGS, DESK_SHA256, EXAMPLES_ARGS, EXAMPLES_SHA256, OUTPUTS
 from test_hygiene import PACKAGE, field_names, node_names, package_classes, parse
@@ -100,3 +102,19 @@ def test_package_encodes_no_json():
         if {"dump", "dumps", "JSONEncoder"} & set(node_names(node))
     ]
     assert encoders == []
+
+
+@pytest.mark.parametrize(("record", "field", "value"), [
+    (SelectionConfig(), "threshold", 2.0),
+    (SelectionConfig(), "top_k", 0),
+    (DistanceConfig(), "zero_cooccurrence_cap", -1.0),
+    (PatternTemplate("p", RelationKind.HYPONYMY, "isa", "{X} is a(n) {Y}"), "template", "{X}"),
+    (PatternTemplate("p", RelationKind.HYPONYMY, "isa", "{X} is a(n) {Y}"), "relation",
+     RelationKind.RELATED_TO),
+])
+def test_replace_checks_as_the_constructor_does(record, field, value):
+    with pytest.raises(ValueError) as built:
+        type(record)(**{**record._asdict(), field: value})
+    with pytest.raises(ValueError) as replaced:
+        record._replace(**{field: value})
+    assert str(replaced.value) == str(built.value)

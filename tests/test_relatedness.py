@@ -256,7 +256,7 @@ def row_matrix(values: dict[str, float], miss: str = "jawa") -> RelatednessMatri
 def test_select_candidates_threshold():
     matrix = row_matrix({"Java": 0.72, "island": 0.56, "Indonesia": 0.69})
     chosen = select_candidates(matrix, SelectionConfig(threshold=0.6))
-    assert chosen.per_term["jawa"] == (("Java", 0.72), ("Indonesia", 0.69))
+    assert chosen.per_term["jawa"] == (("Indonesia", 0.69), ("Java", 0.72))
 
 
 def test_select_candidates_threshold_zero_keeps_all():
@@ -274,7 +274,8 @@ def test_select_candidates_threshold_one_empty():
 def test_select_candidates_top_k_and_tie_order():
     matrix = row_matrix({"b": 0.7, "a": 0.7, "c": 0.9})
     chosen = select_candidates(matrix, SelectionConfig(threshold=0.5, top_k=2))
-    assert chosen.per_term["jawa"] == (("c", 0.9), ("a", 0.7))
+    # c, then a over b on the tie, written in column order.
+    assert chosen.per_term["jawa"] == (("a", 0.7), ("c", 0.9))
 
 
 SATURATION = "admits all"
@@ -474,12 +475,14 @@ def snapshot_batches(draw):
 
 
 def reference_selection(matrix: RelatednessMatrix, threshold: float, top_k) -> CandidateSet:
+    """Per row, the first top_k admitted cells by (-value, lowered term,
+    term), listed in column order."""
     per_term = {}
     for miss, row in zip(matrix.missing_terms, matrix.cells):
-        scored = [(t, v) for t, v in zip(matrix.ontology_terms, row) if v >= threshold]
-        per_term[miss] = tuple(
-            sorted(scored, key=lambda pair: (-pair[1], pair[0].lower(), pair[0]))[:top_k]
-        )
+        scored = [(n, t, v) for n, (t, v) in enumerate(zip(matrix.ontology_terms, row))
+                  if v >= threshold]
+        best = sorted(scored, key=lambda cell: (-cell[2], cell[1].lower(), cell[1]))[:top_k]
+        per_term[miss] = tuple((t, v) for _, t, v in sorted(best))
     return CandidateSet(per_term)
 
 
