@@ -44,16 +44,17 @@ tests; 8,090 of its 8,100 pairs count nothing.
 
 The audit writes the pairs in the order given, which in a run is the pair
 order that ``relatedness.select_candidates`` sets and
-``placement.place_all`` checks. Its lines come from two blocks compiled
-with the catalogue. The zero block has the zero counts in it, X's term,
-plural and article as format fields and each of Y's values as a ``%s``. The
-writer fills the fields once per run of pairs with one exact missing term
-(``%`` escaped), holds that block alone, and writes each such pair whose
-hits are the shared zero tuple and whose target is compilable with one
-``%`` format over the target's values, worked out once per target. Any
-other pair of compilable terms fills the full block, with a field per hit
-count, in one format call; a pair with a term that is not compilable
-rebuilds its queries with ``PatternCatalogue.queries``.
+``placement.place_all`` checks. A line's format fields are X's term, plural
+and article (0-2), then Y's (3-5). A pair takes one of two paths. The zero
+block, compiled with the catalogue, has the zero counts in it, X's fields
+and each of Y's as a ``%s``. The writer fills X's fields once per run of
+pairs with one exact missing term (``%`` escaped), holds that block alone,
+and writes each such pair whose hits are the shared zero tuple and whose
+target is compilable with one ``%`` format over the target's values, worked
+out once per target. Any other pair is joined by ``audit_lines`` from
+``queries``. At seed 0 the ``corpus10x``, ``vocab4x`` and ``desk-allpairs``
+benchmark runs write 10 pairs each that way and 260, 890 and 8,090 by the
+zero block.
 
 Templates never contain negation operators; the catalogue loader rejects
 them, so no negated query is ever issued. Pattern ids are unique within a
@@ -65,7 +66,6 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import re
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -113,17 +113,13 @@ class PatternTemplate(NamedTuple("PatternTemplate", [
         return cls(*iterable)
 
 
-# Format fields of a compiled template line: the four slot values, then the
-# article of X and of Y (pluralizing keeps a term's first character).
-_SLOT_FIELDS = {("X", None): "{0}", ("X", ":pl"): "{1}", ("Y", None): "{2}", ("Y", ":pl"): "{3}"}
-_ARTICLE_FIELDS = {"{0}": "{4}", "{1}": "{4}", "{2}": "{5}", "{3}": "{5}"}
+# Format fields of a compiled template line: X's term, plural and article,
+# then Y's (pluralizing keeps a term's first character).
+_SLOT_FIELDS = {("X", None): "{0}", ("X", ":pl"): "{1}", ("Y", None): "{3}", ("Y", ":pl"): "{4}"}
+_ARTICLE_FIELDS = {"{0}": "{2}", "{1}": "{2}", "{3}": "{5}", "{4}": "{5}"}
 # Field numbers of X's and Y's term and plural, and of all of each slot's values.
-_TERM_NUMBERS = (frozenset("01"), frozenset("23"))
-_SLOT_NUMBERS = (frozenset("014"), frozenset("235"))
-# The zero block's field for each of X's values, and the index in a target's
-# (term, plural, article) of the value each of Y's fields takes.
-_ZERO_X_FIELDS = {"0": "{0}", "1": "{1}", "4": "{2}"}
-_ZERO_Y_VALUES = {"2": 0, "3": 1, "5": 2}
+_TERM_NUMBERS = (frozenset("01"), frozenset("34"))
+_SLOT_NUMBERS = (frozenset("012"), frozenset("345"))
 # A format field, or an escaped brace pair that looks like the start of one.
 _FIELD_RE = re.compile(r"\{\{|\{(\d)\}")
 # Tokens that are an "a(n)", or could make one glued to a template literal
@@ -188,9 +184,9 @@ def _compilable(term: str) -> bool:
 
 
 class PatternCatalogue(tuple):
-    """Templates in catalogue order, each compiled into a format line, two
-    side lines and a block of audit lines; the audit lines of all of them
-    are also compiled once with zero counts."""
+    """Templates in catalogue order, each compiled into a format line and
+    two side lines; the audit lines of all of them are also compiled once
+    with zero counts."""
 
     def __new__(cls, templates: Iterable[PatternTemplate]):
         self = super().__new__(cls, templates)
@@ -200,54 +196,39 @@ class PatternCatalogue(tuple):
         self._lines = tuple(_compile(template) for template in self)
         sides = [_side_lines(line) for line in self._lines]
         self._side_formats = tuple("\n".join(side[slot] for side in sides) for slot in (0, 1))
-
-        def audit_block(counts: Iterable[str]) -> str:
-            return "".join(
-                f"{{0}}\t{{2}}\t{_escape(pattern_id)}\t{line}\t{count}\n"
-                for pattern_id, line, count in zip(self.ids, self._lines, counts)
-            )
-
-        # Fields 0-5 are the query fields, then one hit count per template.
-        self._audit = audit_block(f"{{{6 + n}}}" for n in range(len(self)))
-        # The same block with zero counts, in two stages: X's values are
-        # format fields 0-2, each of Y's is a "%s", and a literal "%" is doubled.
+        # The audit lines with zero counts, in two stages: X's fields stay,
+        # each of Y's becomes a "%s", and a literal "%" is doubled. Y's field
+        # n takes value n - 3 of the target's (term, plural, article).
         order: list[int] = []
 
         def zero_field(match: re.Match) -> str:
-            number = match[1]
-            if number in _ZERO_Y_VALUES:
-                order.append(_ZERO_Y_VALUES[number])
+            if match[1] in _SLOT_NUMBERS[1]:
+                order.append(int(match[1]) - 3)
                 return "%s"
-            return _ZERO_X_FIELDS.get(number, match[0])  # an escaped brace stays
+            return match[0]  # one of X's fields, or an escaped brace
 
-        zeros = audit_block("0" * len(self)).replace("%", "%%")
-        self._zero_block = _FIELD_RE.sub(zero_field, zeros)
-        # itemgetter needs an index; an empty catalogue's block takes none.
-        self._zero_values = itemgetter(*order) if order else lambda values: ()
-        self._slots: dict[str, tuple[str, str, bool]] = {}
+        self._zero_block = _FIELD_RE.sub(zero_field, "".join(
+            f"{{0}}\t{{3}}\t{_escape(pattern_id)}\t{line}\t0\n"
+            for pattern_id, line in zip(self.ids, self._lines)
+        ).replace("%", "%%"))
+        self._zero_order = tuple(order)
+        self._slots: dict[str, tuple[tuple[str, str, str], bool]] = {}
         return self
 
-    def _slot(self, term: str) -> tuple[str, str, bool]:
-        """The term's plural, its article and whether it is ``_compilable``."""
+    def _slot(self, term: str) -> tuple[tuple[str, str, str], bool]:
+        """The term's values (term, plural, article); whether it is ``_compilable``."""
         slot = self._slots.get(term)
         if slot is None:
             if not term.strip():
                 raise ValueError("pattern instantiation needs two non-empty terms")
             slot = self._slots[term] = (
-                pluralize_term(term), _article(term.lstrip()[:1]), _compilable(term)
+                (term, pluralize_term(term), _article(term.lstrip()[:1])), _compilable(term)
             )
         return slot
 
-    def _values(self, t_miss: str, t_in: str) -> tuple[tuple[str, ...], bool]:
-        """The pair's six format values and whether both terms are compilable."""
-        plural_miss, article_miss, compilable_miss = self._slot(t_miss)
-        plural_in, article_in, compilable_in = self._slot(t_in)
-        values = (t_miss, plural_miss, t_in, plural_in, article_miss, article_in)
-        return values, compilable_miss and compilable_in
-
     def queries(self, t_miss: str, t_in: str) -> list[str]:
         """Query string of every template for the pair, in catalogue order."""
-        values, _ = self._values(t_miss, t_in)
+        values = self._slot(t_miss)[0] + self._slot(t_in)[0]
         return [_resolve_articles(line.format(*values).split()) for line in self._lines]
 
     def side_queries(self, term: str, slot: int) -> list[str] | None:
@@ -255,34 +236,28 @@ class PatternCatalogue(tuple):
         (Y), in catalogue order. None when the catalogue is empty, or the
         term is not compilable or has no alphanumeric character: a side
         query of punctuation alone counts 0 where its pair's query may not."""
-        plural, article, compilable = self._slot(term)
+        values, compilable = self._slot(term)
         if not (self and compilable and any(map(str.isalnum, term))):
             return None
-        values = (term, plural, term, plural, article, article)
-        return self._side_formats[slot].format(*values).split("\n")
+        return self._side_formats[slot].format(*values, *values).split("\n")
 
     def zero_block(self, t_miss: str) -> str | None:
         """The audit lines of an all-zero pair with t_miss in X, as a ``%``
         format over ``zero_values`` of its target; None when t_miss is not
         ``_compilable``."""
-        plural, article, compilable = self._slot(t_miss)
+        values, compilable = self._slot(t_miss)
         if not compilable:
             return None
-        return self._zero_block.format(
-            *(value.replace("%", "%%") for value in (t_miss, plural, article))
-        )
+        return self._zero_block.format(*(value.replace("%", "%%") for value in values))
 
     def zero_values(self, t_in: str) -> tuple[str, ...] | None:
         """The values a ``zero_block`` takes for t_in in Y; None when t_in
         is not ``_compilable``."""
-        plural, article, compilable = self._slot(t_in)
-        return self._zero_values((t_in, plural, article)) if compilable else None
+        values, compilable = self._slot(t_in)
+        return tuple(values[n] for n in self._zero_order) if compilable else None
 
     def audit_lines(self, t_miss: str, t_in: str, hits: tuple[int, ...]) -> str:
         """One line per template: pair, pattern id, query string, hit count."""
-        values, compilable = self._values(t_miss, t_in)
-        if compilable:
-            return self._audit.format(*values, *hits)
         return "".join(
             f"{t_miss}\t{t_in}\t{pattern_id}\t{query}\t{count}\n"
             for pattern_id, query, count in zip(self.ids, self.queries(t_miss, t_in), hits)

@@ -106,7 +106,8 @@ def disambiguate_sense(
     """The maximally related sense(s) of a multi-sense target.
 
     A path's score is the mean relatedness between the new term and its
-    usable labels. Each label without usable hit counts is added to skipped.
+    usable labels. Each label without usable hit counts is added to skipped,
+    and logged at DEBUG when it first joins it.
     """
     concept = ontology.concept(target)
     if len(concept.senses) < 2:
@@ -129,11 +130,10 @@ def disambiguate_sense(
                     ), denominator)
                 else:
                     related[label] = None
-                    skipped.add(label)
-                    logger.debug(
-                        "sense scoring skips label %r for %r (unusable hit counts)",
-                        label, t_miss,
-                    )
+                    if label not in skipped:
+                        skipped.add(label)
+                        logger.debug("sense scoring skips label %r (hits=%d, total docs=%d)",
+                                     label, f_label, n)
             if related[label] is not None:
                 values.append(related[label])
         if values:

@@ -25,6 +25,10 @@
   checked by hand.
 * Every private top-level function in ``src/ontoenrich`` is used by the
   package outside its own definition.
+* Every top-level constant in ``src/ontoenrich``, a name that a top-level
+  assignment binds, is read (loaded as a name or an attribute) by those
+  same files; a private one by the package itself. Dunder names, which
+  Python reads, are out of scope.
 * Every parameter of every function in ``src/ontoenrich`` is read in the
   function's body, ``self`` and ``cls`` aside. A stub whose body is ``...``,
   as a Protocol method's is, is out of scope.
@@ -121,6 +125,37 @@ def test_private_functions_have_callers():
         return isinstance(node, ast.FunctionDef) and node.name.startswith("_")
 
     assert unused_definitions(top_level(private), sorted(PACKAGE.glob("*.py"))) == []
+
+
+def constants(private: bool) -> list[tuple[str, str]]:
+    """(name, ``module: name``) of each public or private top-level constant."""
+    return [
+        (target.id, f"{path.name}: {target.id}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in parse(path).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and not target.id.startswith("__")
+        and target.id.startswith("_") == private
+    ]
+
+
+def loaded_names(users) -> set[str]:
+    """The names and attribute names that the files load."""
+    return {
+        name
+        for path in users
+        for node in ast.walk(parse(path))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        for name in node_names(node)
+    }
+
+
+def test_constants_are_read():
+    users, package = loaded_names(USERS), loaded_names(sorted(PACKAGE.glob("*.py")))
+    unread = [label for name, label in constants(private=False) if name not in users]
+    unread += [label for name, label in constants(private=True) if name not in package]
+    assert unread == []
 
 
 def test_methods_have_users():

@@ -264,8 +264,10 @@ _AUDIT_TERMS = st.sampled_from(
      "{", "}", "{0}", "{x} bay", "100%", "%s", "50%s off", "%%(y)s",
      "naïve  bay", " jawa", "jawa\t", "(n)", "rex a(n)"]
 )
-# The default catalogue, and one whose ids and literals hold "%", "%s", braces
-# and a literal glued to a slot, which a term's "a(n)" piece can complete.
+# The default catalogue; one whose ids and literals hold "%", "%s", braces
+# and a literal glued to a slot, which a term's "a(n)" piece can complete;
+# and the empty catalogue and a one-template one, whose zero blocks take the
+# fewest of a target's values.
 _AUDIT_CATALOGUES = (
     default_catalogue(),
     parse_catalogue(
@@ -273,6 +275,8 @@ _AUDIT_CATALOGUES = (
         "P\tglued\thyponymy\tisa\t{X} is a{Y}\n"
         "P\tpct-pl\tmeronymy\tpart\t%d {X:pl} {{are}} parts of {Y:pl}%\n"
     ),
+    parse_catalogue(""),
+    parse_catalogue("P\tisa\thyponymy\tisa\t{X} is a(n) {Y}\n"),
 )
 
 
