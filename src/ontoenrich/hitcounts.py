@@ -3,12 +3,8 @@
 Two interchangeable implementations of one contract:
 
 * ``CorpusIndex`` answers exact contiguous-phrase queries over a local corpus
-  (counts are document frequencies, not raw occurrence counts). It reads the
-  ``textpipe.PhraseTable`` that mining filled, so each document is split once
-  per run; a posting is the increasing list of the numbers of the documents
-  that hold a token. Term, pair and pattern queries go through one lookup
-  path, which answers nearly every pattern query from the phrase set's
-  answer for its first window alone.
+  with document frequencies, not occurrence counts. Every query is answered
+  by ``textpipe.PhraseTable.documents``, the table that mining filled.
 * ``SnapshotTable`` replays counts recorded in a file, so runs against
   external engines stay reproducible offline. Absent keys count 0.
 
@@ -29,10 +25,10 @@ file and line.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
 
 from .ontology import normalize_label, read_input, records
-from .textpipe import MAX_NGRAM_LEN, PhraseTable, punctuation_spans
+from .textpipe import PhraseTable
 
 
 class EmptyCorpusError(ValueError):
@@ -55,27 +51,10 @@ def pair_key(a: str, b: str) -> str:
     return f'"{first}" "{second}"'
 
 
-def _phrase_tokens(query: str, punctuation: frozenset[str]) -> list[str] | None:
-    """Normalized tokens of a query that holds punctuation, or None when the
-    query spans it."""
-    spans = punctuation_spans(query, punctuation)
-    if len(spans) != 1:
-        return None
-    return [token.lower() for token in spans[0]]
-
-
 class CorpusIndex:
-    """Inverted index of contiguous token phrases over a phrase table.
+    """Hit counts of a phrase table: a query counts the documents
+    ``PhraseTable.documents`` gives it.
 
-    ``hits``, ``pair_hits`` and ``pattern_hits`` share one lookup path. A
-    query without punctuation is lowercased and split once; punctuation is
-    looked for in the query as given, since ``str.lower`` maps a punctuation
-    character such as ``Ⓐ`` to one that is not. A query answers 0 unless
-    each of its ``MAX_NGRAM_LEN``-token windows (the whole query, when
-    shorter) is in the table's phrase set; the first window is tested here,
-    since that is how nearly every pattern query ends. Otherwise the table
-    answers a single token from its posting and a longer query from its
-    rarest token's posting, filtered by the documents' lowercased texts.
     ``pair_hits`` memoizes each term's documents as an ``int`` bitset (bit n
     set when document n holds the term), keyed by phrase string, so a batch
     of pairs looks each term up once and a pair costs one ``&`` and one
@@ -97,29 +76,15 @@ class CorpusIndex:
         """Index over a table that ``textpipe.tokenize_corpus`` filled."""
         return cls(table)
 
-    def _doc_numbers(self, phrase: str) -> Sequence[int]:
-        table = self._table
-        if table.punctuation.isdisjoint(phrase):
-            tokens = phrase.lower().split()
-        else:
-            tokens = _phrase_tokens(phrase, table.punctuation)
-            if tokens is None:
-                return ()
-        phrases = table.phrases
-        if tuple(tokens[:MAX_NGRAM_LEN]) not in phrases or not phrases.issuperset(
-                zip(*[tokens[i:] for i in range(MAX_NGRAM_LEN)])):
-            return ()
-        return table.documents(tokens)
-
     def hits(self, phrase: str) -> int:
         bits = self._term_docs.get(phrase)
         if bits is not None:  # a term pair_hits has met: count its bitset
             return bits.bit_count()
-        return len(self._doc_numbers(phrase))
+        return len(self._table.documents(phrase))
 
     def _bitset(self, phrase: str) -> int:
         bits = bytearray((len(self._table.doc_ids) + 7) // 8)
-        for number in self._doc_numbers(phrase):
+        for number in self._table.documents(phrase):
             bits[number >> 3] |= 1 << (number & 7)
         return int.from_bytes(bits, "little")
 

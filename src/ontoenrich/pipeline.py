@@ -76,10 +76,17 @@ class ConfigError(ValueError):
 
 
 def _require_inputs(**paths: Path | None) -> None:
-    """Raise ConfigError for the first given input path that does not exist."""
+    """Raise ConfigError for the first given input path that does not exist
+    or is of the wrong kind: a corpus that is not a directory, or any other
+    input that is one."""
     for name, path in paths.items():
-        if path is not None and not Path(path).exists():
+        if path is None:
+            continue
+        if not Path(path).exists():
             raise ConfigError(f"{name} path {path} does not exist")
+        if Path(path).is_dir() != (name == "corpus"):
+            kind = "not a directory" if name == "corpus" else "a directory"
+            raise ConfigError(f"{name} path {path} is {kind}")
 
 
 def _require_output(out_dir: Path) -> None:
@@ -227,7 +234,7 @@ def _run(config: RunConfig, enrich: bool) -> Path:
         partition = partition_terms(table.mined_terms(stoplist), ontology, gazetteer)
         domains = [doc_id.split("/", 1)[0] for doc_id in table.doc_ids]
         term_domains = {
-            surface: {domains[n] for n in table.documents(surface.lower().split())}
+            surface: {domains[n] for n in table.documents(surface)}
             for surface in partition.missing
         }
 

@@ -5,9 +5,11 @@ known/missing split against an ontology plus a gazetteer.
 Each document is read once, split into spans at punctuation and numbered in
 document-id order. One table holds every 1-3 token phrase inside a span, a
 posting list of document numbers per token and each document's lowercased
-text; the corpus index also answers from it. The mined terms are the
-phrases with no stopword token, so they never cross a stopword or a
-punctuation character. Hyphenated words stay single tokens.
+text. ``PhraseTable.documents`` is the one path from query text to document
+numbers: the corpus index and the run's term domains both ask it, and no
+other module reads the table's phrases, postings, texts or surfaces. The
+mined terms are the phrases with no stopword token, so they never cross a
+stopword or a punctuation character. Hyphenated words stay single tokens.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .ontology import Concept, Ontology, normalize_label, read_input, records
 
-# Longest mined term in tokens; the corpus index answers this length from postings.
+# Longest mined term in tokens, and the window a phrase query is tested by.
 MAX_NGRAM_LEN = 3
 
 
@@ -77,6 +79,8 @@ def load_corpus(root: str | Path) -> list[tuple[str, str]]:
     file, so one that holds a tab or a line break is rejected."""
     root = Path(root)
     if not root.is_dir():
+        if root.exists():
+            raise NotADirectoryError(f"corpus path {root} is not a directory")
         raise FileNotFoundError(f"corpus directory {root} does not exist")
     articles = []
     for domain_dir in _sorted_entries(root):
@@ -168,9 +172,25 @@ class PhraseTable:
         self.doc_ids.append(doc_id)
         self.texts.append(" " + " \n ".join(map(" ".join, lowered_spans)) + " ")
 
-    def documents(self, tokens: Sequence[str]) -> list[int]:
-        """Numbers of the documents that hold the lowercased tokens as one
-        run; every token must have a posting."""
+    def documents(self, query: str) -> Sequence[int]:
+        """Increasing numbers of the documents that hold the query as one
+        run of tokens inside a span, matched without case; ``()`` for a
+        query that punctuation cuts in two or that has a window of
+        MAX_NGRAM_LEN tokens (the whole query, when shorter) outside
+        ``phrases``. Punctuation is looked for in the query as given, since
+        ``str.lower`` maps some, such as ``Ⓐ``, to characters that are not."""
+        if self.punctuation.isdisjoint(query):
+            tokens = query.lower().split()
+        else:
+            spans = punctuation_spans(query, self.punctuation)
+            if len(spans) != 1:
+                return ()
+            tokens = [token.lower() for token in spans[0]]
+        # The first window is tested alone: nearly every pattern query ends there.
+        phrases = self.phrases
+        if tuple(tokens[:MAX_NGRAM_LEN]) not in phrases or not phrases.issuperset(
+                zip(*[tokens[i:] for i in range(MAX_NGRAM_LEN)])):
+            return ()
         rarest = min([self.postings[token] for token in tokens], key=len)
         if len(tokens) == 1:
             return rarest

@@ -637,6 +637,38 @@ def test_out_dir_that_is_a_file_exits_config_code(tmp_path, capsys, monkeypatch,
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.parametrize("command, flag", [
+    *[("enrich", flag) for flag in
+      ("corpus", "ontology", "snapshot", "stopwords", "gazetteer", "patterns")],
+    ("relatedness", "corpus"), ("relatedness", "ontology"), ("relatedness", "snapshot"),
+    ("eval", "system"), ("eval", "expert"),
+])
+def test_input_of_the_wrong_kind_exits_config_code(tmp_path, capsys, monkeypatch, command, flag):
+    # A corpus must be a directory and every other input a file; either is
+    # rejected with the config, before any input is read or --out-dir made.
+    def no_corpus(path):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(pipeline, "load_corpus", no_corpus)
+    a_directory = tmp_path / "a-directory"
+    a_directory.mkdir()
+    if command == "eval":
+        inputs = {"system": FIXTURES / "eval" / "system.tsv",
+                  "expert": FIXTURES / "eval" / "expert.tsv"}
+    else:
+        inputs = {"corpus": FIXTURES / "corpus_examples", "ontology": MINI}
+    wrong = MINI if flag == "corpus" else a_directory
+    inputs[flag] = wrong
+    argv = [command, *(arg for key, path in inputs.items() for arg in (f"--{key}", path))]
+    assert run(*argv, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    kind = "is not a directory" if flag == "corpus" else "is a directory"
+    assert [line for line in err.splitlines() if line.startswith("error")] == [
+        f"error [config] {flag} path {wrong} {kind}"
+    ], err
+    assert not (tmp_path / "out").exists()
+
+
 def test_relatedness_subcommand_writes_matrix_only(tmp_path):
     out = tmp_path / "out"
     assert run(

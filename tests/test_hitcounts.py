@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 from ontoenrich.hitcounts import CorpusIndex, EmptyCorpusError, SnapshotTable, pair_key
 from ontoenrich.textpipe import default_stoplist
 
-from helpers import build_index, phrase_table, scan_hits, scan_pair_hits, walk_phrase_docs
+from helpers import (
+    build_index,
+    phrase_table,
+    scan_hits,
+    scan_pair_hits,
+    scan_phrase_docs,
+    walk_phrase_docs,
+)
 
 WORKED_SNAPSHOT = (
     Path(__file__).resolve().parent.parent / "fixtures" / "snapshots" / "worked_examples.tsv"
@@ -220,6 +227,14 @@ def test_property_provider_invariants(texts, a, b):
     assert index.pair_hits(a, b) == index.pair_hits(b, a)
 
 
+def assert_documents(table, query: str, doc_ids: set[str]) -> None:
+    """The table's documents for the query are increasing numbers of the
+    documents named by doc_ids."""
+    numbers = table.documents(query)
+    assert all(a < b for a, b in zip(numbers, numbers[1:])), query
+    assert {table.doc_ids[n] for n in numbers} == doc_ids, query
+
+
 _LONG_WORDS = st.sampled_from(["java", "Java", "sea", "reef", "the", "of", "is", "an"])
 _MARKS = st.sampled_from([""] * 12 + [",", ".", "(", ")"])
 
@@ -251,10 +266,12 @@ def long_phrase_cases(draw):
 @given(long_phrase_cases())
 def test_property_long_phrase_equals_scan_oracle(case):
     texts, queries = case
-    index = build_index(texts.items())
+    table = phrase_table(texts.items())
+    index = CorpusIndex(table)
     doc_tokens = {doc_id: text.split() for doc_id, text in texts.items()}
     for query in queries:
         assert index.hits(query) == scan_hits(doc_tokens, query)
+        assert_documents(table, query, scan_phrase_docs(doc_tokens, query))
 
 
 _CASED_WORDS = st.sampled_from(["java", "Java", "JAVA", "sea", "Reef", "is", "a", "x", "y"])
@@ -310,10 +327,12 @@ def punctuated_query_cases(draw):
 @given(punctuated_query_cases())
 def test_property_punctuated_queries_equal_walk_oracle(case):
     texts, queries = case
-    index = build_index(texts.items())
+    table = phrase_table(texts.items())
+    index = CorpusIndex(table)
     for query in queries:
-        expected = len(walk_phrase_docs(texts, query, default_stoplist().punctuation))
-        assert index.hits(query) == index.pattern_hits(query) == expected, query
+        expected = walk_phrase_docs(texts, query, default_stoplist().punctuation)
+        assert index.hits(query) == index.pattern_hits(query) == len(expected), query
+        assert_documents(table, query, expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -335,7 +354,7 @@ def test_property_hits_equal_before_and_after_the_pair_memo(texts, phrases, case
         before = [index.hits(term) for term in terms]
         for term in terms:
             index.pair_hits(term, terms[0])
-        index._doc_numbers = None  # a memoized phrase must not need it
+        index._table = None  # a memoized phrase must not need the table
         assert [index.hits(term) for term in terms] == before == list(map(oracle, terms))
 
 

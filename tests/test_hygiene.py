@@ -36,6 +36,9 @@
   is read through it.
 * Only ``ontology.RELATION_NAMES`` loads a ``.value`` attribute: every
   relation's output string is read from it, not from ``Enum.value``.
+* Only ``textpipe`` loads a ``phrases``, ``postings``, ``texts`` or
+  ``surfaces`` attribute: every other module asks the phrase table through
+  ``PhraseTable.documents``, so one function maps query text to documents.
 """
 
 import ast
@@ -346,3 +349,16 @@ def test_only_relation_names_reads_enum_value():
     inside, outside = nodes_inside_and_outside(loads_value, "ontology.py", "RELATION_NAMES")
     assert outside == []
     assert len(inside) == 1
+
+
+def test_only_textpipe_reads_the_phrase_table():
+    fields = {"phrases", "postings", "texts", "surfaces"}
+    inside, outside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if (isinstance(node, ast.Attribute) and node.attr in fields
+                    and isinstance(node.ctx, ast.Load)):
+                (inside if path.name == "textpipe.py" else outside).append(
+                    f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert inside

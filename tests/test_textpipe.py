@@ -174,6 +174,14 @@ def test_corpus_loading(tmp_path):
     assert ids == [f"{domain}/{name}" for domain in ("atolls", "islands") for name in expected]
 
 
+def test_corpus_path_must_be_an_existing_directory(tmp_path):
+    (tmp_path / "file").write_text("Java island", encoding="utf-8")
+    with pytest.raises(NotADirectoryError, match="^corpus path .*file is not a directory$"):
+        load_corpus(tmp_path / "file")
+    with pytest.raises(FileNotFoundError, match="^corpus directory .*ghost does not exist$"):
+        load_corpus(tmp_path / "ghost")
+
+
 @pytest.mark.parametrize("name", ["sci\tence", "sci\nence", "sci\rence", "sci\x1cence", "science\n"])
 def test_corpus_rejects_a_domain_name_that_breaks_a_judgments_field(tmp_path, name):
     # A domain is a field of system_judgments.tsv; a tab or line break in it
@@ -188,15 +196,16 @@ def test_corpus_rejects_a_domain_name_that_breaks_a_judgments_field(tmp_path, na
 def test_document_accounting_merges_sources(stoplist):
     table = phrase_table([("d/one", "Java island"), ("d/two", "java coffee")], stoplist.punctuation)
     assert table.postings["java"] == [0, 1]
-    assert table.documents(("java",)) == [0, 1]
+    assert table.documents("java") == table.documents("JAVA") == [0, 1]
     # A mined term's documents are those the index answers from.
     index = CorpusIndex.build(table)
     for surface in table.mined_terms(stoplist):
-        assert index.hits(surface) == len(table.documents(surface.lower().split())) > 0
+        assert index.hits(surface) == len(table.documents(surface)) > 0
 
 
 def test_lowered_surface_splits_into_its_phrase(stoplist):
-    # A run looks a mined surface's documents up by surface.lower().split().
+    # A run looks a mined surface's documents up by the surface, which
+    # PhraseTable.documents lowers whole and splits, as it has no punctuation.
     # "Σ" lowers to "ς" at a token end and to "σ" elsewhere, "İ" to two code
     # points and "ß" to itself; each token of the table is lowered alone.
     table = phrase_table(
@@ -210,7 +219,7 @@ def test_lowered_surface_splits_into_its_phrase(stoplist):
         surface = " ".join(table.surfaces.get(phrase, phrase))
         if surface in mined:
             assert surface.lower().split() == list(phrase)
-            assert table.documents(surface.lower().split()) == table.documents(phrase)
+            assert table.documents(surface) == table.documents(" ".join(phrase))
             checked += 1
     assert checked == len(mined)
 
@@ -233,7 +242,7 @@ def test_first_surface_follows_document_id_order(tmp_path, stoplist):
     documents = read_documents(load_corpus(tmp_path), hashlib.sha256())
     table = tokenize_corpus(documents, stoplist.punctuation)
     assert table.doc_ids == ["a-b/doc.txt", "a/doc.txt"]
-    assert table.documents(["desk"]) == [0, 1]
+    assert table.documents("desk") == [0, 1]
     mined = set(table.mined_terms(stoplist))
     assert "Desk" in mined and "desk" not in mined
 
@@ -312,7 +321,7 @@ def test_property_mined_terms_equal_character_walk(variant, texts):
     got = {}
     for surface in table.mined_terms(stoplist):
         key = tuple(surface.lower().split())
-        got[key] = (tuple(surface.split()), {table.doc_ids[n] for n in table.documents(key)})
+        got[key] = (tuple(surface.split()), {table.doc_ids[n] for n in table.documents(surface)})
     assert got == walk_terms(docs, stoplist, MAX_NGRAM_LEN)
 
 
@@ -329,7 +338,7 @@ def test_property_postings_are_increasing_doc_numbers(texts):
     assert table.phrases == walked.keys()
     assert len(table) == len(walked)
     for key, (_, doc_ids) in walked.items():
-        assert {table.doc_ids[n] for n in table.documents(key)} == doc_ids
+        assert {table.doc_ids[n] for n in table.documents(" ".join(key))} == doc_ids
         assert CorpusIndex.build(table).hits(" ".join(key)) == len(doc_ids)
     assert table.postings.keys() == {key[0] for key in walked if len(key) == 1}
     for token, posting in table.postings.items():
