@@ -13,18 +13,19 @@ Every stage here reads the pairs in the one order that
 ``relatedness.select_candidates`` sets: by lowercased missing term, then
 by lowercased target. ``place_all`` checks that order as it groups the
 suggestions (a misordered or repeated pair raises ``PairOrderError``),
-resolves each distinct target term to its concept once per call, not once
-per suggestion, and builds composite decisions directly; its decisions and
-failures keep the order. ``enrich_ontology`` then visits each placed term
-once, in one pass over the decisions: it resolves the id the term is
-inserted under (the one the ontology already names it by, else its slug
-made unique within the ontology and the batch), checks that no two
-decisions disagree on the relation for one id, target and sense, and emits
-the term's axioms and returns the enriched ontology. The report's writer
-reads each line from a decision and its suggestion in the order given, but
-orders each term's lines by target concept id, which need not sort as the
-target labels do; a decision with several senses is a case-2 tie, since
-only case 2 places a term under more than one sense.
+resolves each distinct target term to its concept, and a multi-sense one
+to its sense paths, once per call, not once per suggestion, and builds
+composite decisions directly; its decisions and failures keep the order.
+``enrich_ontology`` then visits each placed term once, in one pass over
+the decisions: it resolves the id the term is inserted under (the one the
+ontology already names it by, else its slug made unique within the
+ontology and the batch), checks that no two decisions disagree on the
+relation for one id, target and sense, and emits the term's axioms and
+returns the enriched ontology. The report's writer reads each line from a
+decision and its suggestion in the order given, but orders each term's
+lines by target concept id, which need not sort as the target labels do; a
+decision with several senses is a case-2 tie, since only case 2 places a
+term under more than one sense.
 
 Path scoring takes the run's relatedness denominator D, so placement and
 candidate selection speak the same scale. A path scores 1 - (mean distance
@@ -42,8 +43,9 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from functools import reduce
 from itertools import groupby
-from operator import attrgetter
+from operator import add, attrgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -96,28 +98,30 @@ class PlacementDecision(NamedTuple):
 
 def disambiguate_sense(
     t_miss: str,
-    target: str,
+    paths: Sequence[tuple[tuple[str, int], ...]],
     ontology: Ontology,
     provider: HitCountProvider,
     distance: DistanceConfig,
     denominator: float,
     skipped: set[str],
 ) -> tuple[int, ...]:
-    """The maximally related sense(s) of a multi-sense target.
+    """The maximally related sense(s) of a multi-sense target, given its
+    ``Ontology.semantic_paths_from``, one path per sense.
 
     A path's score is the mean relatedness between the new term and its
-    usable labels. Each label without usable hit counts is added to skipped,
-    and logged at DEBUG when it first joins it.
+    usable labels, summed left to right on every Python version. Each label
+    without usable hit counts is added to skipped, and logged at DEBUG when
+    it first joins it.
     """
-    concept = ontology.concept(target)
-    if len(concept.senses) < 2:
+    target = paths[0][0][0]
+    if len(paths) < 2:
         raise ValueError(f"{target!r} has a single sense; nothing to disambiguate")
 
     n = provider.total_docs()
     f_miss = provider.hits(t_miss)
     related: dict[str, float | None] = {}  # label -> relatedness; None if unusable
     scores: list[tuple[int, float]] = []
-    for sense, path in zip(concept.senses, ontology.semantic_paths_from(target)):
+    for path in paths:
         values = []
         for cid, _ in path[:MAX_PATH_DEPTH]:
             label = ontology.concepts[cid].label
@@ -136,8 +140,8 @@ def disambiguate_sense(
                                      label, f_label, n)
             if related[label] is not None:
                 values.append(related[label])
-        if values:
-            scores.append((sense, sum(values) / len(values)))
+        if values:  # not sum(): from Python 3.12 on it compensates float sums
+            scores.append((path[0][1], reduce(add, values) / len(values)))
 
     if not scores:
         raise UnresolvedSenseError(
@@ -183,12 +187,14 @@ def place_all(
     increasing lowercased order. Anything else raises ``PairOrderError``.
     Decisions and failures keep that order.
 
-    Each distinct target term is resolved to its concept once per call.
+    Each distinct target term is resolved to its concept, and a multi-sense
+    concept to its sense paths, once per call.
     Sense paths are scored on the relatedness scale of ``denominator``.
     Sense-path labels skipped for unusable hit counts are summed up in one
     warning per call.
     """
-    targets: dict[str, tuple[str, Concept | LookupError]] = {}  # target -> (lowered, concept)
+    # target -> (lowered, concept, its sense paths when it has several)
+    targets: dict[str, tuple[str, Concept | LookupError, list | None]] = {}
     decisions, failures = [], []
     skipped: set[str] = set()  # sense-path labels without usable hit counts
     previous = None  # the term before, and its lowered form
@@ -205,12 +211,16 @@ def place_all(
             target = suggestion.ontology_term
             resolved = targets.get(target)
             if resolved is None:
+                paths = None
                 try:
                     concept = _target_concept(target, ontology)
                 except LookupError as exc:
                     concept = exc
-                resolved = targets[target] = (target.lower(), concept)
-            lowered, concept = resolved
+                else:
+                    if len(concept.senses) > 1:
+                        paths = ontology.semantic_paths_from(concept.id)
+                resolved = targets[target] = (target.lower(), concept, paths)
+            lowered, concept, paths = resolved
             if last is not None and lowered <= last:
                 raise PairOrderError(f"suggestions are not in pair order: target {target!r} "
                                      f"follows {last!r} for missing term {term!r}")
@@ -218,11 +228,11 @@ def place_all(
             if isinstance(concept, LookupError):
                 failures.append(PlacementFailure(suggestion, str(concept)))
                 continue
-            if len(concept.senses) == 1:
+            if paths is None:
                 senses, case = (1,), "case1"
             else:
                 try:
-                    senses = disambiguate_sense(term, concept.id, ontology, provider,
+                    senses = disambiguate_sense(term, paths, ontology, provider,
                                                 distance, denominator, skipped)
                 except UnresolvedSenseError as exc:
                     failures.append(PlacementFailure(suggestion, str(exc)))

@@ -14,6 +14,7 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -104,11 +105,24 @@ EXAMPLES_INPUTS = ("--corpus", ROOT / "fixtures" / "corpus_examples",
 EXAMPLES_ARGS = (*EXAMPLES_INPUTS, "--snapshot", EXAMPLES_SNAPSHOT)
 
 
-def run_cli(*argv, seed: str = HASH_SEEDS[0]) -> subprocess.CompletedProcess:
+def run_cli(*argv, seed: str = HASH_SEEDS[0], python: str = sys.executable
+            ) -> subprocess.CompletedProcess:
     src = Path(ontoenrich.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
-    return subprocess.run([sys.executable, *map(str, argv)], env=env, cwd=ROOT,
+    return subprocess.run([python, *map(str, argv)], env=env, cwd=ROOT,
                           check=True, capture_output=True, text=True, timeout=300)
+
+
+def other_interpreters() -> list[str]:
+    """Each ``python3.N`` on the PATH, N >= 10 and not this interpreter's
+    minor version, that runs ``-c pass``."""
+    found = []
+    for minor in range(10, 20):
+        python = shutil.which(f"python3.{minor}")
+        if minor != sys.version_info.minor and python and subprocess.run(
+                [python, "-c", "pass"], capture_output=True, timeout=60).returncode == 0:
+            found.append(python)
+    return found
 
 
 def pattern_funnel(stderr: str) -> tuple[int, ...]:
@@ -165,6 +179,21 @@ def test_desk_outputs_match_pinned_sha256(desk_runs):
     out = desk_runs[HASH_SEEDS[0]]
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in OUTPUTS}
     assert got == DESK_SHA256
+
+
+def test_desk_outputs_match_pinned_sha256_under_other_interpreters(tmp_path):
+    # Float sums and orders must not depend on the Python version: the run
+    # writes the pinned bytes under every other CPython found. The manifest
+    # is left aside: it describes the run, not its results.
+    pythons = other_interpreters()
+    if not pythons:
+        pytest.skip("no other python3.N (N >= 10) starts on this PATH")
+    pinned = {name: digest for name, digest in DESK_SHA256.items() if name != "manifest.tsv"}
+    for python in pythons:
+        out = tmp_path / Path(python).name
+        run_cli("-m", "ontoenrich.cli", "enrich", *DESK_ARGS, "--out-dir", out, python=python)
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
+        assert got == pinned, python
 
 
 @pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ontoenrich import placement
 from ontoenrich.hitcounts import SnapshotTable, pair_key
 from ontoenrich.ontology import (
     Concept,
@@ -105,16 +106,37 @@ def test_case2_exact_tie_returns_both_senses():
         total_docs=1000,
     )
     skipped = set()
-    assert disambiguate_sense("slome", "pitch", onto, table, DistanceConfig(), 1.0,
+    paths = onto.semantic_paths_from("pitch")
+    assert disambiguate_sense("slome", paths, onto, table, DistanceConfig(), 1.0,
                               skipped) == (1, 2)
     assert skipped == set()
+
+
+def test_case2_path_scores_add_left_to_right(monkeypatch):
+    # Sense 1 climbs t, a, b and sense 2 climbs t, b, a. Added left to right,
+    # their means are 0.23333333333333336 and 0.2333333333333333; under the
+    # compensated sum() of Python 3.12 and later both are 0.23333333333333336,
+    # a tie.
+    onto = parse_ontology(
+        "C\tt\tt\t2\nC\ta\ta\t2\nC\tb\tb\t2\n"
+        "A\thypernymy\ta#1\tt#1\toriginal\nA\thypernymy\tb#1\ta#1\toriginal\n"
+        "A\thypernymy\tb#2\tt#2\toriginal\nA\thypernymy\ta#2\tb#2\toriginal\n"
+    )
+    table = SnapshotTable.from_pairs([("new", 5), ("t", 5), ("a", 5), ("b", 5)], total_docs=10)
+    related = {"t": 0.1, "a": 0.2, "b": 0.4}
+    monkeypatch.setattr(placement, "distance_from_counts", lambda t_miss, label, *_: label)
+    monkeypatch.setattr(placement, "relatedness", lambda label, _: related[label])
+    assert ((0.1 + 0.2) + 0.4) / 3 > ((0.1 + 0.4) + 0.2) / 3
+    paths = onto.semantic_paths_from("t")
+    assert [[cid for cid, _ in path] for path in paths] == [["t", "a", "b"], ["t", "b", "a"]]
+    assert disambiguate_sense("new", paths, onto, table, DistanceConfig(), 1.0, set()) == (1,)
 
 
 def test_case2_all_labels_unusable_raises(onto):
     table = SnapshotTable.from_pairs([("corporate body", 10)], total_docs=100)
     with pytest.raises(UnresolvedSenseError):
-        disambiguate_sense("corporate body", "organization", onto, table, DistanceConfig(), 1.0,
-                           set())
+        disambiguate_sense("corporate body", onto.semantic_paths_from("organization"), onto,
+                           table, DistanceConfig(), 1.0, set())
 
 
 COMPOSITE_SUGGESTIONS = [
@@ -594,15 +616,15 @@ def test_property_sense_scoring_equals_reference(senses, mirror, cap, denominato
         "novel", "t", range(1, senses + 1), parents, {cid: cid for cid in ["t", *POOL]},
         hits, pair_hits, 100, cap, denominator, MAX_PATH_DEPTH,
     )
-    skipped = set()
+    skipped, paths = set(), onto.semantic_paths_from("t")
     scored = {sense: score for sense, (score, _) in expected.items() if score is not None}
     if not scored:
         with pytest.raises(UnresolvedSenseError):
-            disambiguate_sense("novel", "t", onto, table, DistanceConfig(cap), denominator,
+            disambiguate_sense("novel", paths, onto, table, DistanceConfig(cap), denominator,
                                skipped)
         assert skipped == expected_skipped
         return
-    winners = disambiguate_sense("novel", "t", onto, table, DistanceConfig(cap), denominator,
+    winners = disambiguate_sense("novel", paths, onto, table, DistanceConfig(cap), denominator,
                                  skipped)
     assert skipped == expected_skipped
     best = max(scored.values())

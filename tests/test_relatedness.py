@@ -3,7 +3,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ontoenrich.hitcounts import SnapshotTable, pair_key
 from ontoenrich.relatedness import (
@@ -221,6 +221,17 @@ def test_matrix_cells_share_one_float_per_distinct_distance():
         tracemalloc.stop()
     assert len({id(value) for row in matrix.cells for value in row}) == 1
     assert retained / (300 * 360) <= 10
+
+
+def test_matrix_denominator_adds_left_to_right():
+    # Ten capped cells of 0.1 add up to 0.9999999999999999 left to right;
+    # math.fsum, and builtin sum from Python 3.12 on, give 1.0.
+    known = [f"known {j}" for j in range(10)]
+    table = SnapshotTable.from_pairs([(term, 10) for term in ["missing", *known]], 100)
+    matrix = relatedness_matrix(["missing"], known, table, DistanceConfig(0.1))
+    assert math.fsum([0.1] * 10) == 1.0
+    assert matrix.denominator == 0.9999999999999999
+    assert matrix.cells == ((1.0 - 0.1 / 0.9999999999999999,) * 10,)
 
 
 def test_empty_sets_rejected():
@@ -504,7 +515,7 @@ def test_property_matrix_and_selection_equal_cell_by_cell_reference(batch, thres
         assert chosen == reference_selection(matrix, threshold, top_k)
 
 
-_CELL_VALUES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+_CELL_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 @st.composite
@@ -531,8 +542,21 @@ def test_property_selection_breaks_ties_like_the_sort_key(matrix, threshold):
         assert chosen == reference_selection(matrix, threshold, top_k)
 
 
+def written_examples(*rows):
+    """Explicit matrices of the written-matrix property: one row per cells
+    tuple, over as many columns as its first row has cells."""
+    cols = ("Java", "island", "sea")[: len(rows[0])]
+    misses = ("jawa", "reef", "sea")[: len(rows)]
+    return example(drawn=RelatednessMatrix(misses, cols, rows, denominator=1.0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(tied_matrices(values=st.floats()), snapshot_batches()))
+@written_examples((0.0, -0.0))
+@written_examples((-0.0, 0.0))
+@written_examples((0.0, 0.5), (-0.0, 0.5))
+@written_examples((math.nan, 0.5, -math.nan))
+@written_examples((math.inf, -math.inf))
 def test_property_written_matrix_equals_joined_lines(tmp_path_factory, drawn):
     if not isinstance(drawn, RelatednessMatrix):
         table, rows, cols, cfg = drawn
