@@ -39,22 +39,27 @@ of its tokens, and its test is the side query's count. A snapshot counts 0
 for a key it lacks or holds with 0, and its test is whether the side query
 is a token run of a non-zero key. A pair issues only the queries both masks
 leave viable, and a pair they leave none is settled before its queries are
-built. A default desk run issues 59 of its 89,100 queries after 1,980 side
-tests; 8,090 of its 8,100 pairs count nothing.
+built. ``SideMasks.suggest`` settles a missing term's pairs together: it
+takes the term's X mask once, and when that is 0 gives every target a
+related-to suggestion with the shared zero tuple, taking no Y mask; only the
+pairs both masks leave viable reach ``extract_relation``. A default desk run
+issues 59 of its 89,100 queries after 1,980 side tests, and 59 of its 8,100
+pairs reach ``extract_relation``; 8,090 count nothing.
 
 The audit writes the pairs in the order given, which in a run is the pair
 order that ``relatedness.select_candidates`` sets and
-``placement.place_all`` checks. A line's format fields are X's term, plural
-and article (0-2), then Y's (3-5). A pair takes one of two paths. The zero
-block, compiled with the catalogue, has the zero counts in it, X's fields
-and each of Y's as a ``%s``. The writer fills X's fields once per run of
-pairs with one exact missing term (``%`` escaped), holds that block alone,
-and writes each such pair whose hits are the shared zero tuple and whose
-target is compilable with one ``%`` format over the target's values, worked
-out once per target. Any other pair is joined by ``audit_lines`` from
-``queries``. At seed 0 the ``corpus10x``, ``vocab4x`` and ``desk-allpairs``
-benchmark runs write 10 pairs each that way and 260, 890 and 8,090 by the
-zero block.
+``placement.place_all`` checks. It writes UTF-8 bytes to a file opened in
+binary mode, so its lines end in ``\n`` on every platform. A line's format
+fields are X's term, plural and article (0-2), then Y's (3-5). A pair takes
+one of two paths. The zero block, compiled with the catalogue, has the zero
+counts in it, X's fields and each of Y's as a ``%s``. The writer fills X's
+fields once per run of pairs with one exact missing term (``%`` escaped),
+encodes that block, holds it alone, and writes each such pair whose hits
+are the shared zero tuple and whose target is compilable with one ``bytes``
+``%`` format over the target's encoded values, worked out once per target.
+Any other pair is joined by ``audit_lines`` from ``queries`` and encoded.
+At seed 0 the ``corpus10x``, ``vocab4x`` and ``desk-allpairs`` benchmark
+runs write 10 pairs each that way and 260, 890 and 8,090 by the zero block.
 
 Templates never contain negation operators; the catalogue loader rejects
 them, so no negated query is ever issued. Pattern ids are unique within a
@@ -241,20 +246,24 @@ class PatternCatalogue(tuple):
             return None
         return self._side_formats[slot].format(*values, *values).split("\n")
 
-    def zero_block(self, t_miss: str) -> str | None:
-        """The audit lines of an all-zero pair with t_miss in X, as a ``%``
-        format over ``zero_values`` of its target; None when t_miss is not
-        ``_compilable``."""
+    def zero_block(self, t_miss: str) -> bytes | None:
+        """The UTF-8 audit lines of an all-zero pair with t_miss in X, as a
+        ``bytes`` ``%`` format over ``zero_values`` of its target; None when
+        t_miss is not ``_compilable``."""
         values, compilable = self._slot(t_miss)
         if not compilable:
             return None
-        return self._zero_block.format(*(value.replace("%", "%%") for value in values))
+        return self._zero_block.format(*(value.replace("%", "%%") for value in values)).encode()
 
-    def zero_values(self, t_in: str) -> tuple[str, ...] | None:
-        """The values a ``zero_block`` takes for t_in in Y; None when t_in
-        is not ``_compilable``."""
+    def zero_values(self, t_in: str) -> tuple[bytes, ...] | None:
+        """The UTF-8 values a ``zero_block`` takes for t_in in Y, each of
+        the target's three encoded once; None when t_in is not
+        ``_compilable``."""
         values, compilable = self._slot(t_in)
-        return tuple(values[n] for n in self._zero_order) if compilable else None
+        if not compilable:
+            return None
+        encoded = [value.encode() for value in values]
+        return tuple(encoded[n] for n in self._zero_order)
 
     def audit_lines(self, t_miss: str, t_in: str, hits: tuple[int, ...]) -> str:
         """One line per template: pair, pattern id, query string, hit count."""
@@ -376,6 +385,31 @@ class SideMasks:
         self.full_nonzero += len(hits) - hits.count(0)
         return hits
 
+    def suggest(self, t_miss: str, targets: list[str], provider: HitCountProvider,
+                catalogue: PatternCatalogue,
+                extract: Callable[..., RelationSuggestion]) -> list[RelationSuggestion]:
+        """One suggestion per target of t_miss, in order, settled as ``hits``
+        settles each pair: the term's X mask is taken once, and a target's Y
+        mask only when X's leaves a template viable. A pair the masks leave
+        no template gets a related-to suggestion with the catalogue's
+        ``zero_hits``; the others go to extract, which is ``extract_relation``
+        or a wrapper of it."""
+        related, zero_hits = RelationKind.RELATED_TO, catalogue.zero_hits
+        viable = self._mask(t_miss, 0, catalogue)
+        if not viable:
+            self.settled += len(targets)
+            return [RelationSuggestion(t_miss, t_in, related, None, 0, zero_hits)
+                    for t_in in targets]
+        suggestions = []
+        for t_in in targets:
+            if viable & self._mask(t_in, 1, catalogue):
+                suggestions.append(extract(t_miss, t_in, provider, catalogue, self))
+            else:
+                self.settled += 1
+                suggestions.append(
+                    RelationSuggestion(t_miss, t_in, related, None, 0, zero_hits))
+        return suggestions
+
 
 def extract_relation(
     t_miss: str,
@@ -415,17 +449,17 @@ def write_pattern_audit(
     suggestions: Iterable[RelationSuggestion], catalogue: PatternCatalogue, path: str | Path
 ) -> None:
     """One line per template and pair: pair, pattern, query string, hit
-    count. Pairs are written in the order given, each pair's lines streamed
-    to the file. A pair of compilable terms whose hits are the catalogue's
-    ``zero_hits`` fills its missing term's ``zero_block``, which is held
-    while the pairs of that exact term follow one another, with its
-    target's ``zero_values``, taken once per target; any other pair writes
-    ``PatternCatalogue.audit_lines``."""
+    count, in UTF-8 with ``\n`` line ends. Pairs are written in the order
+    given, each pair's lines streamed to the file. A pair of compilable
+    terms whose hits are the catalogue's ``zero_hits`` fills its missing
+    term's ``zero_block``, which is held while the pairs of that exact term
+    follow one another, with its target's ``zero_values``, taken once per
+    target; any other pair writes ``PatternCatalogue.audit_lines``."""
     zero_hits = catalogue.zero_hits
     zero_values = functools.cache(catalogue.zero_values)
     held_term = held = None
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.write("missing_term\tontology_term\tpattern\tquery\thits\n")
+    with Path(path).open("wb") as out:
+        out.write(b"missing_term\tontology_term\tpattern\tquery\thits\n")
         for s in suggestions:
             if s.hits is zero_hits:
                 if s.missing_term != held_term:
@@ -434,4 +468,4 @@ def write_pattern_audit(
                 if values is not None:
                     out.write(held % values)
                     continue
-            out.write(catalogue.audit_lines(s.missing_term, s.ontology_term, s.hits))
+            out.write(catalogue.audit_lines(s.missing_term, s.ontology_term, s.hits).encode())

@@ -12,6 +12,8 @@ from __future__ import annotations
 import logging
 import time
 from contextlib import contextmanager
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -146,17 +148,22 @@ def _stage(stage: str):
 
 def _suggest(config: RunConfig, matrix: RelatednessMatrix, provider: HitCountProvider,
              catalogue: PatternCatalogue) -> list[RelationSuggestion]:
-    """One suggestion per candidate pair; the side masks go when it returns."""
+    """One suggestion per candidate pair, in pair order, settled one missing
+    term at a time by ``SideMasks.suggest``: only the pairs its side masks
+    leave viable call ``extract_relation``, which perfbench's
+    ``patterns.extract`` span wraps. The side masks go when it returns."""
     with _stage("extraction"):
-        pairs = select_candidates(matrix, SelectionConfig(config.threshold, config.top_k)).pairs()
+        candidates = select_candidates(matrix, SelectionConfig(config.threshold, config.top_k))
         # The index tests a side by its count, so a recorded or traced run
         # sees every side query; the snapshot's runs are freed with sides.
         sides = SideMasks(provider.pattern_hits if config.snapshot is None
                           else provider.run_test())
-        suggestions = [extract_relation(miss, target, provider, catalogue, sides)
-                       for miss, target in pairs]
+        suggestions = []
+        for miss, row in candidates.per_term.items():
+            suggestions += sides.suggest(miss, [term for term, _ in row], provider, catalogue,
+                                         extract_relation)
         logger.info("patterns: %d pairs, %d side tests (%d non-zero), %d full queries "
-                    "(%d non-zero), %d pairs settled without a full query", len(pairs),
+                    "(%d non-zero), %d pairs settled without a full query", len(suggestions),
                     sides.side_tests, sides.side_nonzero, sides.full_queries,
                     sides.full_nonzero, sides.settled)
     return suggestions
@@ -181,31 +188,39 @@ def _write_manifest(config: RunConfig, input_sha256: dict[str, str], provider_id
 
 def _write_system_judgments(eliminated: list[str], retained: list[str],
                             term_domains: dict[str, set[str]], decisions, path: Path) -> None:
-    """The E and X records, sorted. One pass puts a reference to each record
-    in a bucket per (kind, domain); each bucket is then formatted, sorted and
-    written in turn, in the order of its line prefix ``kind\tdomain\t``. A
-    domain holds no tab, so that order is the order of the sorted lines."""
+    """The E and X records, sorted. One pass puts each E record, and each
+    term with decisions, in a bucket per (kind, domain); the buckets are
+    written in the order of their line prefix ``kind\tdomain\t``. An E
+    bucket's lines are formatted and sorted together. An X bucket is
+    written one term at a time, in the order of ``term + "\t"``, each term's
+    lines sorted without the ``X\tdomain\tterm\t`` prefix they share. A
+    domain and a term hold no tab, so that order is the order of the sorted
+    lines, and the writer holds one term's lines at a time."""
     buckets: dict[tuple[str, str], list] = {}
     for status, terms in (("eliminated", eliminated), ("retained", retained)):
         for surface in terms:
             for domain in term_domains[surface]:
                 buckets.setdefault(("E", domain), []).append((status, surface))
-    for decision in decisions:
-        for domain in term_domains[decision.term]:
-            buckets.setdefault(("X", domain), []).append(decision)
+    by_term: dict[str, list] = {}  # in pair order a term's decisions follow one another
+    for term, group in groupby(decisions, attrgetter("suggestion.missing_term")):
+        by_term.setdefault(term, []).extend(group)
+    for term in by_term:
+        for domain in term_domains[term]:
+            buckets.setdefault(("X", domain), []).append(term)
     with path.open("w", encoding="utf-8") as out:
         for kind, domain in sorted(buckets, key=lambda bucket: "\t".join(bucket) + "\t"):
             if kind == "E":
                 lines = [f"E\t{domain}\t{status}\t{surface}"
                          for status, surface in buckets[kind, domain]]
-            else:
-                lines = [
-                    f"X\t{domain}\t{d.term}\t{d.target_concept}"
-                    f"\t{sense}\t{RELATION_NAMES[d.suggestion.relation]}"
-                    for d in buckets[kind, domain] for sense in d.senses
-                ]
-            lines.sort()
-            out.writelines(line + "\n" for line in lines)
+                lines.sort()
+                out.writelines(line + "\n" for line in lines)
+                continue
+            for term in sorted(buckets[kind, domain], key=lambda term: term + "\t"):
+                lines = [f"{d.target_concept}\t{sense}\t{RELATION_NAMES[d.suggestion.relation]}"
+                         for d in by_term[term] for sense in d.senses]
+                lines.sort()
+                prefix = f"X\t{domain}\t{term}\t"
+                out.write(prefix + ("\n" + prefix).join(lines) + "\n")
 
 
 def _run(config: RunConfig, enrich: bool) -> Path:

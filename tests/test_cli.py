@@ -180,18 +180,30 @@ def test_enriched_ontology_with_a_hash_term_loads_again(tmp_path):
 
 def test_system_judgments_written_per_bucket_equal_sorted_lines(tmp_path):
     # "a" sorts before "a-b", "ab" and "a b" as a domain; and "a\x01" sorts
-    # before "a" as a line prefix, though not as a bare name.
+    # before "a" as a line prefix, though not as a bare name. Bucket "ab"
+    # does the same with terms: as a line, "reef\x01" comes before "reef"
+    # and "reef bank" after it, though "reef\n" comes after "reef\x01\n";
+    # and "Sea" comes before "reef", though not when lowercased.
     domains = ["a", "a-b", "ab", "a b", "a\x01"]
-    term_domains = {"marsh cat": set(domains), "reef": {"ab", "a"}, "Reef": {"a b"}}
-    eliminated, retained = ["reef"], ["marsh cat", "Reef"]
+    term_domains = {"marsh cat": set(domains), "reef": {"ab", "a"}, "Reef": {"a b"},
+                    "reef\x01": {"ab"}, "reef bank": {"ab"}, "Sea": {"ab"}}
+    eliminated = ["reef", "reef\x01"]
+    retained = ["marsh cat", "Reef", "reef bank", "Sea"]
 
     def decision(term, target, senses, relation):
         suggestion = RelationSuggestion(term, target, relation, None, 0, ())
         return PlacementDecision(suggestion, target, senses, "case2")
 
+    # One term's decisions need not follow one another.
     decisions = [
         decision("marsh cat", "animal", (2, 1), RelationKind.HYPONYMY),
         decision("Reef", "coast", (1,), RelationKind.RELATED_TO),
+        decision("reef bank", "shore", (1,), RelationKind.MERONYMY),
+        decision("reef", "shore", (1,), RelationKind.RELATED_TO),
+        decision("Sea", "water", (1,), RelationKind.RELATED_TO),
+        decision("reef\x01", "coast", (1,), RelationKind.RELATED_TO),
+        decision("reef bank", "coast", (2, 1), RelationKind.HYPONYMY),
+        decision("reef", "coast", (3, 1), RelationKind.HYPONYMY),
     ]
     path = tmp_path / "system_judgments.tsv"
     pipeline._write_system_judgments(eliminated, retained, term_domains, decisions, path)
@@ -208,9 +220,10 @@ def test_system_judgments_written_per_bucket_equal_sorted_lines(tmp_path):
 
 
 # A streamed writer holds a sort order or one record's text, never its file:
-# on desk defaults the peaks were 99 KiB for a 5,184 KiB audit, 103 KiB for a
-# 598 KiB report and 40 KiB for a 494 KiB ontology. A writer that builds its
-# file as a list of lines holds more than the file's size.
+# on desk defaults the peaks were 46 KiB for a 5,184 KiB audit, 29 KiB for a
+# 598 KiB report, 40 KiB for a 494 KiB ontology and 107 KiB for a 408 KiB
+# judgments file, which holds one term's lines at a time. A writer that
+# builds its file as a list of lines holds more than the file's size.
 STREAMED_PEAK_SHARE = 0.5
 
 
@@ -227,12 +240,14 @@ def test_writers_stream_their_files(tmp_path, monkeypatch):
                 tracemalloc.stop()
         return wrapper
 
-    for name in ("write_pattern_audit", "write_enrichment_report", "save_ontology"):
+    for name in ("write_pattern_audit", "write_enrichment_report", "save_ontology",
+                 "_write_system_judgments"):
         monkeypatch.setattr(pipeline, name, traced(getattr(pipeline, name)))
     out = tmp_path / "out"
     assert run("enrich", *DESK_ARGS, "--out-dir", out) == 0
     sizes = {name: (out / name).stat().st_size for name in peaks}
-    assert sorted(peaks) == ["enriched_ontology.tsv", "enrichment_report.tsv", "pattern_audit.tsv"]
+    assert sorted(peaks) == ["enriched_ontology.tsv", "enrichment_report.tsv", "pattern_audit.tsv",
+                             "system_judgments.tsv"]
     assert {name: (peaks[name], sizes[name]) for name in peaks
             if peaks[name] >= STREAMED_PEAK_SHARE * sizes[name]} == {}
 

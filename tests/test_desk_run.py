@@ -338,6 +338,10 @@ def test_verbose_funnel_counts_every_traced_pattern_query(tmp_path):
     assert 0 < side_nonzero < side and 0 < full_nonzero < full
     assert pairs == report["counts"]["relatedness.candidate_pairs"] == 270
     assert 0 < settled < pairs
+    # A target's Y mask is taken only when its term's X mask leaves a
+    # template viable; taking every target's made 1,925 side tests here.
+    assert (pairs, side, side_nonzero, full, full_nonzero, settled) == (
+        270, 1_287, 25, 11, 10, 259)
     assert full < (pairs - settled) * len(default_catalogue())
     quiet = run_cli("-m", "ontoenrich.cli", "enrich", *DESK_ARGS, "--out-dir", tmp_path / "quiet")
     assert len(quiet.stderr.splitlines()) == 2

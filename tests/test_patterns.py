@@ -1,3 +1,5 @@
+import itertools
+import operator
 import tracemalloc
 
 import pytest
@@ -453,6 +455,28 @@ def prune_templates(draw):
             + "{" + second + draw(_PLURAL) + "}" + draw(_SUFFIXES))
 
 
+@st.composite
+def pruning_runs(draw):
+    """A catalogue, 1-6 pairs and 1-5 documents of words and the pairs'
+    planted queries. A glued template has empty sides, so only a catalogue
+    without one can settle a pair."""
+    templates = draw(st.lists(st.sampled_from(PRUNE_TEMPLATES), min_size=1, unique=True))
+    templates += draw(st.lists(prune_templates(), max_size=3))
+    catalogue = PatternCatalogue(
+        PatternTemplate(f"p{n}", RelationKind.HYPONYMY, f"g{n}", template)
+        for n, template in enumerate(templates)
+    )
+    pairs = draw(st.lists(st.tuples(_PRUNE_TERMS, _PRUNE_TERMS), min_size=1, max_size=6))
+    planted = st.sampled_from(
+        [query for pair in pairs for _, query in reference_instantiate(*pair, catalogue)]
+    )
+    docs = draw(st.lists(
+        st.lists(st.one_of(_PRUNE_WORDS, planted), min_size=1, max_size=8).map(" ".join),
+        min_size=1, max_size=5,
+    ))
+    return catalogue, pairs, {f"d/{n}": text for n, text in enumerate(docs)}
+
+
 def test_property_pruned_hits_equal_unpruned_and_document_scan():
     # Side-query pruning is exact for a provider of document frequencies:
     # per pair, the same counts as every query issued, and as a scan.
@@ -460,25 +484,9 @@ def test_property_pruned_hits_equal_unpruned_and_document_scan():
     seen = set()
 
     @settings(max_examples=250, deadline=None)
-    @given(data=st.data())
-    def check(data):
-        # A glued template has empty sides, so only a catalogue without one
-        # can settle a pair.
-        templates = data.draw(st.lists(st.sampled_from(PRUNE_TEMPLATES), min_size=1, unique=True))
-        templates += data.draw(st.lists(prune_templates(), max_size=3))
-        catalogue = PatternCatalogue(
-            PatternTemplate(f"p{n}", RelationKind.HYPONYMY, f"g{n}", template)
-            for n, template in enumerate(templates)
-        )
-        pairs = data.draw(st.lists(st.tuples(_PRUNE_TERMS, _PRUNE_TERMS), min_size=1, max_size=6))
-        planted = st.sampled_from(
-            [query for pair in pairs for _, query in reference_instantiate(*pair, catalogue)]
-        )
-        docs = data.draw(st.lists(
-            st.lists(st.one_of(_PRUNE_WORDS, planted), min_size=1, max_size=8).map(" ".join),
-            min_size=1, max_size=5,
-        ))
-        texts = {f"d/{n}": text for n, text in enumerate(docs)}
+    @given(run=pruning_runs())
+    def check(run):
+        catalogue, pairs, texts = run
         index = build_index(texts.items())
         sides = SideMasks(index.pattern_hits)
         for miss, target in pairs:
@@ -495,6 +503,58 @@ def test_property_pruned_hits_equal_unpruned_and_document_scan():
 
     check()
     assert seen == {"counted", "zero", "settled", "template pruned"}
+
+
+def side_counters(sides: SideMasks) -> tuple[int, ...]:
+    return (sides.side_tests, sides.side_nonzero, sides.full_queries, sides.full_nonzero,
+            sides.settled)
+
+
+def test_property_per_term_settling_equals_per_pair_extraction():
+    # SideMasks.suggest settles a term's pairs as extract_relation settles
+    # each one, for the index's test and for a snapshot's, taking the same
+    # side tests and full queries; only the pairs it leaves viable reach
+    # extract, and every settled pair shares the zero tuple the audit
+    # writer looks for by identity.
+    seen = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=pruning_runs())
+    def check(run):
+        catalogue, pairs, texts = run
+        index = build_index(texts.items())
+        entries = {}
+        for miss, target in pairs:
+            for query in catalogue.queries(miss, target):
+                entries.setdefault(normalize_label(query), index.pattern_hits(query))
+        table = SnapshotTable.from_pairs(entries.items(), index.total_docs())
+        for provider, test in ((index, index.pattern_hits), (table, table.run_test())):
+            per_pair = SideMasks(test)
+            expected = [extract_relation(miss, target, provider, catalogue, per_pair)
+                        for miss, target in pairs]
+            per_term, extracted = SideMasks(test), []
+
+            def extract(*args):
+                extracted.append(args[:2])
+                return extract_relation(*args)
+
+            suggestions = []
+            for miss, group in itertools.groupby(pairs, key=operator.itemgetter(0)):
+                targets = [target for _, target in group]
+                suggestions += per_term.suggest(miss, targets, provider, catalogue, extract)
+                if not per_term._mask(miss, 0, catalogue):
+                    seen.add("term settled")
+            assert suggestions == expected
+            assert all(s.hits is catalogue.zero_hits for s in suggestions if not any(s.hits))
+            assert side_counters(per_term) == side_counters(per_pair)
+            assert len(extracted) == len(pairs) - per_term.settled
+            if extracted:
+                seen.add("extracted")
+            if per_term.settled > sum(not per_term._mask(miss, 0, catalogue) for miss, _ in pairs):
+                seen.add("target settled")
+
+    check()
+    assert seen == {"term settled", "target settled", "extracted"}
 
 
 # Terms and literals whose lowering is not a plain per-character map: "Σ"
