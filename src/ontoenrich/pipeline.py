@@ -252,6 +252,8 @@ def _run(config: RunConfig, enrich: bool) -> Path:
             surface: {domains[n] for n in table.documents(surface)}
             for surface in partition.missing
         }
+    logger.info("corpus: %d documents, %d phrases, %d known terms, %d missing terms",
+                len(domains), len(table), len(partition.concepts), len(partition.missing))
 
     with _stage("hits"):
         if config.snapshot is not None:

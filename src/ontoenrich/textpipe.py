@@ -24,6 +24,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .ontology import Concept, Ontology, normalize_label, read_input, records
 
 # Longest mined term in tokens, and the window a phrase query is tested by.
+# The window tests write its value out, so change them with it:
+# ``phrases.issuperset(zip(t, t[1:], t[2:]))`` for tokens t of at least
+# MAX_NGRAM_LEN, and ``t in phrases`` for fewer.
 MAX_NGRAM_LEN = 3
 
 
@@ -95,15 +98,28 @@ def load_corpus(root: str | Path) -> list[tuple[str, str]]:
     return sorted(articles)
 
 
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_READ_SIZE = 1 << 16  # reads after the first; they find the end at once unless the file grew
+
+
 def read_documents(articles: Iterable[tuple[str, str]], digest) -> Iterator[tuple[str, str]]:
     """(doc id, text) of each (doc id, path), the file read as UTF-8 text
     with ``\\r\\n`` and a lone ``\\r`` turned into ``\\n``, as text mode reads
     it. Each id and text is fed to digest, prefixed by its UTF-8 byte length,
     so over ``load_corpus`` order the digest identifies the corpus by content.
-    A text of only whitespace is rejected."""
+    A text of only whitespace is rejected.
+
+    A file is read with ``os.read`` into one buffer of its ``fstat`` size
+    plus one byte, then until a read returns nothing, as ``FileIO.readall``
+    does, but with no file object per document."""
     for doc_id, path in articles:
-        with open(path, "rb", buffering=0) as handle:  # one read, no buffer
-            data = handle.read()
+        fd = os.open(path, _READ_FLAGS)
+        try:
+            data = os.read(fd, os.fstat(fd).st_size + 1)
+            while chunk := os.read(fd, _READ_SIZE):
+                data += chunk
+        finally:
+            os.close(fd)
         text = data.decode("utf-8")
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -155,8 +171,8 @@ class PhraseTable:
             # A walk adds every phrase inside its span, so the set holds the
             # sub-phrases of what it holds: only a span with an unseen window
             # of MAX_NGRAM_LEN tokens (or unseen whole, when shorter) is walked.
-            if lowered[:MAX_NGRAM_LEN] in phrases and phrases.issuperset(
-                    zip(*[lowered[i:] for i in range(MAX_NGRAM_LEN)])):
+            if (lowered in phrases if len(lowered) < MAX_NGRAM_LEN
+                    else phrases.issuperset(zip(lowered, lowered[1:], lowered[2:]))):
                 continue
             for length in range(1, MAX_NGRAM_LEN + 1):
                 for start in range(len(lowered) - length + 1):
@@ -167,8 +183,12 @@ class PhraseTable:
                     if (surface := tuple(span[start : start + length])) != phrase:
                         self.surfaces[phrase] = surface
         postings = self.postings
-        for token in set().union(*lowered_spans):
-            postings.setdefault(token, []).append(number)
+        for token in set().union(*lowered_spans):  # a list only for a new token
+            posting = postings.get(token)
+            if posting is None:
+                postings[token] = [number]
+            else:
+                posting.append(number)
         self.doc_ids.append(doc_id)
         self.texts.append(" " + " \n ".join(map(" ".join, lowered_spans)) + " ")
 
@@ -189,7 +209,7 @@ class PhraseTable:
         # The first window is tested alone: nearly every pattern query ends there.
         phrases = self.phrases
         if tuple(tokens[:MAX_NGRAM_LEN]) not in phrases or not phrases.issuperset(
-                zip(*[tokens[i:] for i in range(MAX_NGRAM_LEN)])):
+                zip(tokens, tokens[1:], tokens[2:])):
             return ()
         rarest = min([self.postings[token] for token in tokens], key=len)
         if len(tokens) == 1:

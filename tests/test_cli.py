@@ -721,14 +721,48 @@ def test_verbose_tie_count_equals_the_report_line(tmp_path, caplog):
     assert ties == sum("," in row[2] for row in applied) > 0
 
 
-def test_verbose_relatedness_funnel_equals_traced_counters(tmp_path):
-    report_path, out = tmp_path / "trace.json", tmp_path / "traced"
+@pytest.fixture(scope="module")
+def traced_desk(tmp_path_factory):
+    """(stderr, counts, output directory) of a perfbench-traced desk
+    ``--top-k 3 -v`` run."""
+    work = tmp_path_factory.mktemp("traced")
+    report_path, out = work / "trace.json", work / "out"
     traced = run_cli(FIXTURES.parent / "perfbench" / "harness.py", "trace", report_path,
                      "enrich", *DESK_ARGS, "--top-k", 3, "-v", "--out-dir", out)
-    counts = json.loads(report_path.read_text(encoding="utf-8"))["counts"]
-    prefix = "INFO ontoenrich.relatedness: selection: "
-    (funnel,) = [line[len(prefix):] for line in traced.stderr.splitlines()
-                 if line.startswith(prefix)]
+    return traced.stderr, json.loads(report_path.read_text(encoding="utf-8"))["counts"], out
+
+
+def funnel_line(stderr: str, prefix: str) -> str:
+    (line,) = [line[len(prefix):] for line in stderr.splitlines() if line.startswith(prefix)]
+    return line
+
+
+def test_verbose_corpus_funnel_equals_traced_counters(traced_desk):
+    stderr, counts, out = traced_desk
+    funnel = funnel_line(stderr, "INFO ontoenrich.pipeline: corpus: ")
+    docs, phrases, known, missing = map(int, re.fullmatch(
+        r"(\d+) documents, (\d+) phrases, (\d+) known terms, (\d+) missing terms",
+        funnel).groups())
+    assert docs == len(load_corpus(DESK / "corpus")) == 500
+    assert manifest_of(out)["provider"] == f"index:corpus,docs={docs}"
+    assert phrases == counts["textpipe.ngrams"]
+    assert missing == counts["textpipe.missing_terms"]
+    # Each missing term has one E line per domain it occurs in.
+    judged = {line.split("\t")[3] for line in
+              (out / "system_judgments.tsv").read_text(encoding="utf-8").splitlines()
+              if line.startswith("E\t")}
+    assert len(judged) == missing
+    assert 0 < known < phrases
+    # The line follows the corpus stage's own.
+    lines = stderr.splitlines()
+    stage = [i for i, line in enumerate(lines)
+             if line.startswith("INFO ontoenrich.pipeline: stage corpus: ")]
+    assert lines[stage[0] + 1] == "INFO ontoenrich.pipeline: corpus: " + funnel
+
+
+def test_verbose_relatedness_funnel_equals_traced_counters(tmp_path, traced_desk):
+    stderr, counts, out = traced_desk
+    funnel = funnel_line(stderr, "INFO ontoenrich.relatedness: selection: ")
     rows, cols, denominator, admitted, cells, threshold, pairs = re.fullmatch(
         r"(\d+) x (\d+) matrix, denominator (\d+\.\d{6}), (\d+) of (\d+) cells at or above "
         r"threshold (\S+), (\d+) candidate pairs", funnel).groups()

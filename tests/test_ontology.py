@@ -74,6 +74,46 @@ def test_unknown_relation_rejected():
         parse_ontology("C\ta\ta\t1\nC\tb\tb\t1\nA\tfriend-of\ta\tb\toriginal\n")
 
 
+# A comment and a blank line are skipped but counted: the record under test is line 5.
+_PARSE_BASE = "# two concepts\nC\ta\ta\t1\n\nC\tb\tb\t2\n"
+# record -> (error class, message after the "<source>: line 5: " prefix)
+_PARSE_ERRORS = {
+    "A\trelated-to\t#1\tb\toriginal": (OntologyParseError, "bad reference '#1'"),
+    "A\trelated-to\ta\tb#one\toriginal": (OntologyParseError, "bad sense in 'b#one'"),
+    "C\tc\tc\tmany": (OntologyParseError, "bad sense count 'many'"),
+    "C\tc\tc\t0": (OntologyParseError, "sense count must be >= 1"),
+    "C\tc\tc": (OntologyParseError, "C record needs 4 fields"),
+    "G\ta": (OntologyParseError, "G record needs 3 fields"),
+    "I\ti\ti\ta\textra": (OntologyParseError, "I record needs 4 fields"),
+    "A\trelated-to\ta\tb": (OntologyParseError, "A record needs 5 fields (7 with evidence)"),
+    "A\trelated-to\ta\tb\toriginal\tsyn-same": (
+        OntologyParseError, "A record needs 5 fields (7 with evidence)"),
+    "A\trelated-to\ta\tb\tinvented": (OntologyParseError, "unknown provenance 'invented'"),
+    "A\trelated-to\ta\tb\tenriched\tsyn-same\tmany": (
+        OntologyParseError, "bad evidence hits 'many'"),
+    "X\ta": (OntologyParseError, "unknown record kind 'X'"),
+    "C\ta\tother\t1": (OntologyValidationError, "duplicate concept id 'a'"),
+}
+
+
+@pytest.mark.parametrize("record", sorted(_PARSE_ERRORS))
+def test_parse_error_names_its_source_and_line(record):
+    error, message = _PARSE_ERRORS[record]
+    with pytest.raises(ValueError) as raised:
+        parse_ontology(_PARSE_BASE + record + "\nC\tz\tz\t1\n", source="onto.tsv")
+    assert type(raised.value) is error
+    assert str(raised.value) == f"onto.tsv: line 5: {message}"
+
+
+@pytest.mark.parametrize("name", ["hyponymy", "holonymy"])
+def test_uncanonicalized_axiom_rejected(name):
+    # parse_ontology canonicalizes each axiom; a direct build must do so first.
+    with pytest.raises(OntologyValidationError,
+                       match=f"^{name} axioms must be canonicalized before storage$"):
+        Ontology([Concept("a", "a"), Concept("b", "b")], (),
+                 [Axiom(RelationKind(name), "a", "b")])
+
+
 def test_duplicate_concept_id_rejected():
     with pytest.raises(OntologyValidationError, match="duplicate"):
         parse_ontology("C\ta\ta\t1\nC\ta\tother\t1\n")

@@ -1,9 +1,10 @@
 import hashlib
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ontoenrich.hitcounts import CorpusIndex
 from ontoenrich.ontology import Instance, load_ontology
@@ -18,7 +19,7 @@ from ontoenrich.textpipe import (
     tokenize_corpus,
 )
 
-from helpers import phrase_table, walk_terms
+from helpers import corpus_digest, phrase_table, walk_terms
 
 MINI_ONTOLOGY = Path(__file__).resolve().parent.parent / "fixtures" / "mini_ontology.tsv"
 
@@ -233,6 +234,54 @@ def test_document_rejects_text_of_only_whitespace(tmp_path, text):
         list(read_documents(load_corpus(tmp_path), hashlib.sha256()))
 
 
+def _read_test_files() -> dict[str, bytes]:
+    """Files around the 8 KiB and 64 KiB marks: a multi-byte character and a
+    CRLF across 8,192 bytes, CRLF and lone CR line ends."""
+    body = ("reef sea\r\njava tide\rpalm é bay €\n" * 3000).encode("utf-8")
+    return {
+        "d/8192": b"x" * 8192,
+        "d/70000": (b"y" * 8191 + "é".encode("utf-8") + body)[:70_000],
+        "d/crlf": b"z" * 8191 + b"\r\n" + body[:9000],
+        "d/euro": b"w" * 8190 + "€".encode("utf-8") + b"\rtail\r",
+        "d/small": b"reef sea\r\r\njava\r",
+    }
+
+
+# os.fstat's size as it is, and understated, as it is for a file that grew
+# since, or one that reports no size; reading goes on to the end either way.
+@pytest.mark.parametrize("stat_size", [None, 0, 100])
+def test_read_documents_equals_text_mode_reading(tmp_path, monkeypatch, stat_size):
+    files = _read_test_files()
+    assert len(files["d/70000"]) == 70_000
+    for doc_id, data in files.items():
+        (tmp_path / doc_id).parent.mkdir(exist_ok=True)
+        (tmp_path / doc_id).write_bytes(data)
+    if stat_size is not None:
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=stat_size))
+    digest = hashlib.sha256()
+    got = list(read_documents(load_corpus(tmp_path), digest))
+    expected = [(doc_id, Path(path).read_text(encoding="utf-8"))
+                for doc_id, path in load_corpus(tmp_path)]
+    assert got == expected
+    assert [doc_id for doc_id, _ in got] == sorted(files)
+    assert digest.hexdigest() == corpus_digest(expected)
+
+
+@pytest.mark.parametrize("stat_size", [None, 0])
+def test_read_documents_rejects_empty_and_undecodable_files(tmp_path, monkeypatch, stat_size):
+    if stat_size is not None:
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=stat_size))
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "empty").write_bytes(b"")
+    with pytest.raises(ValueError, match="^document 'd/empty' has empty text$"):
+        list(read_documents(load_corpus(tmp_path), hashlib.sha256()))
+    (tmp_path / "d" / "empty").unlink()
+    # The offset is the byte's in the file, past both the 8 KiB and 64 KiB marks.
+    (tmp_path / "d" / "bad").write_bytes(b"reef\r\n" * 12_000 + b"\xff sea")
+    with pytest.raises(UnicodeDecodeError, match="byte 0xff in position 72000: "):
+        list(read_documents(load_corpus(tmp_path), hashlib.sha256()))
+
+
 def test_first_surface_follows_document_id_order(tmp_path, stoplist):
     # The domain "a" sorts before "a-b", but the id "a-b/..." before "a/...":
     # documents are numbered, and first surfaces taken, in id order.
@@ -310,9 +359,30 @@ _PIECES = st.sampled_from(
 )
 
 
+# Spans that the window test must tell apart; ``PhraseTable.add`` skips a
+# span only when the phrases seen before hold every one of its windows:
+WINDOW_EXAMPLES = [
+    # every 2-token window seen, the 3-token one new
+    ["reef sea", "sea java", "reef sea java"],
+    # a short span seen only inside a longer one, then a new short one
+    ["reef sea java", "Sea Java", "java reef"],
+    # a span of exactly MAX_NGRAM_LEN tokens, seen and then varied
+    ["tide palm bay", "Tide PALM bay", "tide palm reef"],
+    # MAX_NGRAM_LEN + 2 tokens, whose only new window is inside
+    ["reef sea java", "java tide palm", "reef sea java tide palm"],
+]
+
+
+def _window_examples(test):
+    for texts in WINDOW_EXAMPLES:
+        test = example(texts=texts)(test)
+    return test
+
+
 @pytest.mark.parametrize("variant", sorted(STOPLISTS))
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(_PIECES, max_size=40).map("".join), min_size=1, max_size=3))
+@_window_examples
 def test_property_mined_terms_equal_character_walk(variant, texts):
     stoplist = STOPLISTS[variant]
     # Ids sort against load order, so a first surface taken in id order shows.
@@ -327,6 +397,7 @@ def test_property_mined_terms_equal_character_walk(variant, texts):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(_PIECES, max_size=40).map("".join), min_size=1, max_size=6))
+@_window_examples
 def test_property_postings_are_increasing_doc_numbers(texts):
     stoplist = default_stoplist()
     docs = [(f"d{9 - i}/doc", text) for i, text in enumerate(texts) if text.strip()]
