@@ -67,7 +67,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")

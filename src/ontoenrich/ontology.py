@@ -179,6 +179,7 @@ class Ontology:
             self._by_label[normalize_label(c.label)] = c
         for inst in sorted(self._instances.values(), key=lambda i: i.id):
             self._by_label.setdefault(normalize_label(inst.label), inst)
+        self._by_label.pop("", None)  # no surface matches an empty label
 
         # Every (id, sense) an axiom may name; the error of one it may not
         # is worded by _endpoint_error.
@@ -251,6 +252,12 @@ class Ontology:
         return self._instances
 
     @property
+    def labels(self) -> Mapping[str, Concept | Instance]:
+        """Normalized label (``normalize_label``) -> the concept or instance
+        it names; a concept shadows an instance with the same label."""
+        return self._by_label
+
+    @property
     def axioms(self) -> tuple[Axiom, ...]:
         return self._axioms
 
@@ -262,10 +269,7 @@ class Ontology:
 
     def contains_term(self, surface: str) -> Concept | Instance | None:
         """The concept or instance whose label the surface string matches."""
-        key = normalize_label(surface)
-        if not key:
-            return None
-        return self._by_label.get(key)
+        return self._by_label.get(normalize_label(surface))
 
     def semantic_paths_from(self, concept_id: str) -> list[tuple[tuple[str, int], ...]]:
         """One hypernymy path per sense, in sense order: the tuple of

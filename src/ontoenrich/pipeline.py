@@ -139,8 +139,6 @@ def _stage(stage: str):
     start = time.perf_counter()
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(stage, exc) from exc
     logger.info("stage %s: %.3f s", stage, time.perf_counter() - start)
@@ -276,6 +274,9 @@ def _run(config: RunConfig, enrich: bool) -> Path:
             matrix = relatedness_matrix(
                 t_miss, t_in, provider, DistanceConfig(config.distance_cap)
             )
+    logger.info("relatedness: %d retained and %d eliminated missing terms, %d known and %d "
+                "missing terms dropped for unusable counts", len(retained), len(eliminated),
+                len(partition.concepts) - len(t_in), len(retained) - len(t_miss))
 
     if enrich:
         suggestions = ([] if matrix is None

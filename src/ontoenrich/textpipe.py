@@ -139,6 +139,18 @@ def _sorted_entries(directory: str | Path) -> list[os.DirEntry]:
         return sorted(entries, key=lambda entry: entry.name)
 
 
+class _Lowercase(dict):
+    """Surface token -> its ``str.lower`` form, one object per distinct
+    form: a token already lowercase maps to itself, and any other to the
+    object its lowercase form maps to (``str.lower`` is idempotent)."""
+
+    def __missing__(self, token: str) -> str:
+        lower = token.lower()
+        lower = token if lower == token else self[lower]
+        self[token] = lower
+        return lower
+
+
 class PhraseTable:
     """A corpus as the index answers it, documents numbered in the order
     they were added (``load_corpus`` order in a run):
@@ -148,7 +160,9 @@ class PhraseTable:
     joined by ``" "`` and spans by ``" \\n "``, padded with a space, so
     ``" a b "`` is in a text exactly when one span has ``a b``; and
     ``surfaces``, each phrase's first surface in that order where it is not
-    the phrase itself."""
+    the phrase itself. Each distinct lowercase token is one object, shared
+    by every phrase and posting key that holds it, so its hash is computed
+    once and tokens compare by identity."""
 
     def __init__(self, punctuation: frozenset[str]):
         self.punctuation = punctuation
@@ -157,16 +171,17 @@ class PhraseTable:
         self.phrases: set[tuple[str, ...]] = set()
         self.postings: dict[str, list[int]] = {}
         self.surfaces: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._lower = _Lowercase()
 
     def __len__(self) -> int:
         return len(self.phrases)
 
     def add(self, doc_id: str, spans: Iterable[Sequence[str]]) -> None:
         number = len(self.doc_ids)
-        phrases = self.phrases
+        phrases, lower = self.phrases, self._lower.__getitem__
         lowered_spans = []
         for span in spans:
-            lowered = tuple(map(str.lower, span))
+            lowered = tuple(map(lower, span))
             lowered_spans.append(lowered)
             # A walk adds every phrase inside its span, so the set holds the
             # sub-phrases of what it holds: only a span with an unseen window
@@ -261,11 +276,12 @@ def partition_terms(
     """Split mined surfaces into those a concept label knows and the missing
     ones, each sorted by ``str.lower``. A surface whose normalized form the
     gazetteer holds, looked up first, and an instance label are in neither."""
-    concepts, missing = [], []
+    concepts, missing, labels = [], [], ontology.labels
     for surface in sorted(terms, key=str.lower):
-        if normalize_label(surface) in gazetteer:
+        key = normalize_label(surface)
+        if key in gazetteer:
             continue
-        match = ontology.contains_term(surface)
+        match = labels.get(key)
         if match is None:
             missing.append(surface)
         elif isinstance(match, Concept):

@@ -429,6 +429,26 @@ def test_config_file_with_flag_override(tmp_path):
     assert manifest["top_k"] == "1"        # config file fills the gap
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (None, "No such file or directory"),
+        (b"{\"top_k\": ", "Expecting value"),
+        (b"\xff{}", "codec can't decode byte 0xff"),
+    ],
+)
+def test_unreadable_or_invalid_config_file_exits_config_code(tmp_path, capsys, content, reason):
+    config = tmp_path / "run.json"
+    if content is not None:
+        config.write_bytes(content)
+    assert run("enrich", "--config", config, "--out-dir", tmp_path / "o") == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert len(errors) == 1, errors
+    assert errors[0].startswith(f"error [config]: cannot read config file {config}: ")
+    assert reason in errors[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_file_unknown_key_rejected(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"corpsu": "x"}), encoding="utf-8")
@@ -758,6 +778,52 @@ def test_verbose_corpus_funnel_equals_traced_counters(traced_desk):
     stage = [i for i, line in enumerate(lines)
              if line.startswith("INFO ontoenrich.pipeline: stage corpus: ")]
     assert lines[stage[0] + 1] == "INFO ontoenrich.pipeline: corpus: " + funnel
+
+
+def hit_filter_funnel(stderr: str, out: Path) -> tuple[int, int, int, int]:
+    """The retained, eliminated, dropped known and dropped missing terms of
+    a ``-v`` run's relatedness line, checked against its corpus line, the E
+    lines and the matrix file's shape."""
+    retained, eliminated, known_dropped, missing_dropped = map(int, re.fullmatch(
+        r"(\d+) retained and (\d+) eliminated missing terms, (\d+) known and (\d+) missing "
+        r"terms dropped for unusable counts",
+        funnel_line(stderr, "INFO ontoenrich.pipeline: relatedness: ")).groups())
+    known, missing = map(int, re.search(r"(\d+) known terms, (\d+) missing terms$",
+                                        funnel_line(stderr, "INFO ontoenrich.pipeline: corpus: ")
+                                        ).groups())
+    judged = {"retained": set(), "eliminated": set()}
+    for line in (out / "system_judgments.tsv").read_text(encoding="utf-8").splitlines():
+        if line.startswith("E\t"):
+            _, _, verdict, term = line.split("\t")
+            judged[verdict].add(term)
+    assert (retained, eliminated) == (len(judged["retained"]), len(judged["eliminated"]))
+    assert retained + eliminated == missing
+    matrix = (out / "relatedness_matrix.tsv").read_text(encoding="utf-8").splitlines()
+    assert (len(matrix) - 1, len(matrix[0].split("\t")) - 1) == (
+        retained - missing_dropped, known - known_dropped)
+    lines = stderr.splitlines()
+    stage = [i for i, line in enumerate(lines)
+             if line.startswith("INFO ontoenrich.pipeline: stage relatedness: ")]
+    assert lines[stage[0] + 1].startswith("INFO ontoenrich.pipeline: relatedness: ")
+    return retained, eliminated, known_dropped, missing_dropped
+
+
+def test_verbose_hit_filter_funnel_equals_judgments_and_matrix(tmp_path, traced_desk):
+    stderr, _, out = traced_desk
+    assert hit_filter_funnel(stderr, out) == (90, 0, 0, 0)
+    # Through a snapshot: 0 hits eliminates a missing term, and 0 or all of
+    # the snapshot's documents drops a term of either side.
+    corpus = tmp_path / "corpus"
+    (corpus / "islands").mkdir(parents=True)
+    (corpus / "islands" / "one.txt").write_text("Java, island, Indonesia, reef, zorbium, quelp",
+                                                encoding="utf-8")
+    snapshot = tmp_path / "snapshot.tsv"
+    SnapshotTable.from_pairs([("java", 3), ("island", 10), ("indonesia", 0), ("reef", 2),
+                              ("zorbium", 10), ("quelp", 0)], 10).save(snapshot)
+    out = tmp_path / "out"
+    small = run_cli("-m", "ontoenrich.cli", "enrich", "--corpus", corpus, "--ontology", MINI,
+                    "--snapshot", snapshot, "-v", "--out-dir", out)
+    assert hit_filter_funnel(small.stderr, out) == (2, 1, 2, 1)
 
 
 def test_verbose_relatedness_funnel_equals_traced_counters(tmp_path, traced_desk):

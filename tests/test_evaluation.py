@@ -110,6 +110,15 @@ def test_judgments_parse_error_reports_line(tmp_path):
         load_judgments(path)
 
 
+def test_judgments_reject_a_bad_sense(tmp_path):
+    path = tmp_path / "expert.tsv"
+    path.write_text("X\tanimals\tmarsh cat\tanimal\t1\thyponymy\n"
+                    "X\tanimals\tmarsh cat\tanimal\tfirst\thyponymy\n", encoding="utf-8")
+    with pytest.raises(ValueError) as error:
+        load_judgments(path)
+    assert str(error.value) == f"{path}: line 2: bad sense 'first'"
+
+
 def test_judgments_reject_a_second_relation_for_one_placement(tmp_path):
     path = tmp_path / "expert.tsv"
     lines = [

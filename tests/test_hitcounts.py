@@ -187,6 +187,7 @@ def test_snapshot_load_rejects_bad_records(tmp_path, text, message):
         ([("java", 3)], -5, "total must be a positive integer, got -5"),
         ([("java", 3)], 0, "total must be a positive integer, got 0"),
         ([("Java", 3), ("java ", 4)], 10, "duplicate key 'java'"),
+        ([("java", 3), ("Java Sea", -1)], 10, "negative count for 'Java Sea'"),
     ],
 )
 def test_snapshot_from_pairs_rejects_what_load_rejects(pairs, total, message):

@@ -126,6 +126,13 @@ def test_contains_term_case_and_whitespace(small):
     assert small.contains_term("") is None
 
 
+def test_labels_hold_no_empty_label():
+    reef = Concept("reef", "Coral  Reef")
+    onto = Ontology([reef], [Instance("blank", " ", "reef"), Instance("atoll", "coral reef", "reef")])
+    assert onto.labels == {"coral reef": reef}
+    assert onto.contains_term("") is None and onto.contains_term(" ") is None
+
+
 def test_contains_term_matches_instances(small):
     match = small.contains_term("jakarta")
     assert isinstance(match, Instance)

@@ -100,6 +100,15 @@ def test_catalogue_rejects_duplicate_ids():
         parse_catalogue(text)
 
 
+def test_catalogue_rejects_unknown_relations():
+    text = (
+        "P\ta\thyponymy\tg\t{X} is a {Y}\n"
+        "P\tb\tsiblinghood\th\t{X} is a sibling of {Y}\n"
+    )
+    with pytest.raises(ValueError, match="^<string>: line 2: unknown relation 'siblinghood'$"):
+        parse_catalogue(text)
+
+
 def test_catalogue_rejects_mixed_relation_groups():
     text = (
         "P\ta\thyponymy\tg\t{X} is a {Y}\n"

@@ -132,6 +132,15 @@ def test_case2_path_scores_add_left_to_right(monkeypatch):
     assert disambiguate_sense("new", paths, onto, table, DistanceConfig(), 1.0, set()) == (1,)
 
 
+def test_case2_rejects_a_single_path():
+    onto = parse_ontology("C\tt\tt\t1\nC\ta\ta\t1\nA\thypernymy\ta\tt\toriginal\n")
+    table = SnapshotTable.from_pairs([("new", 5), ("t", 5), ("a", 5)], total_docs=10)
+    paths = onto.semantic_paths_from("t")
+    assert paths == [(("t", 1), ("a", 1))]
+    with pytest.raises(ValueError, match="^'t' has a single sense; nothing to disambiguate$"):
+        disambiguate_sense("new", paths, onto, table, DistanceConfig(), 1.0, set())
+
+
 def test_case2_all_labels_unusable_raises(onto):
     table = SnapshotTable.from_pairs([("corporate body", 10)], total_docs=100)
     with pytest.raises(UnresolvedSenseError):

@@ -242,6 +242,15 @@ def test_empty_sets_rejected():
         relatedness_matrix(["a"], [], table)
 
 
+@pytest.mark.parametrize("side", ["missing", "ontology"])
+def test_case_duplicate_surfaces_rejected(side):
+    table = snapshot_of({"reef": 4, "sea": 4}, {}, 64)  # checked before any count is read
+    terms = {"missing": ["sea"], "ontology": ["sea"]}
+    terms[side] = ["reef", "Reef", "sea"]
+    with pytest.raises(ValueError, match=f"^{side} terms contain case-duplicate surfaces$"):
+        relatedness_matrix(terms["missing"], terms["ontology"], table)
+
+
 def test_drop_unusable_terms_warns(caplog):
     table = snapshot_of({"a": 4, "b": 0, "c": 64}, {}, 64)
     with caplog.at_level("DEBUG", logger="ontoenrich.relatedness"):

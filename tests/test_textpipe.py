@@ -296,6 +296,15 @@ def test_first_surface_follows_document_id_order(tmp_path, stoplist):
     assert "Desk" in mined and "desk" not in mined
 
 
+def test_each_lowercase_token_is_one_object():
+    table = phrase_table([("d/0", "The reef, THE sea. İstanbul the reef"),
+                          ("d/1", "the İSTANBUL reef; İstanbul THE")])
+    shared: dict[str, str] = {}
+    for token in [*(token for phrase in table.phrases for token in phrase), *table.postings]:
+        assert shared.setdefault(token, token) is token, token
+    assert shared.keys() == {"the", "reef", "sea", "i\u0307stanbul"}
+
+
 def test_stoplist_requires_words():
     with pytest.raises(ValueError):
         parse_stoplist("(\n)\n")
@@ -352,9 +361,13 @@ def test_stoplist_variants_punctuation():
 
 
 # Pieces are joined without separators, so words, stopwords and punctuation
-# also fuse into single raw tokens such as "The-reef]".
+# also fuse into single raw tokens such as "The-reef]". Of the non-ASCII
+# ones, İ lowercases to two code points and a word-final Σ to ς; ẞ lowercases
+# to ß but ß uppercases to SS; ǅ is titlecase, Ⓐ is not alphanumeric, and
+# the Kelvin sign lowercases to an ASCII k.
 _PIECES = st.sampled_from(
     ["java", "Java", "Reef", "reef", "sea-bay", "Hindu-Buddhist", "the", "The", "OF", "aN",
+     "İstanbul", "ΟΔΟΣ", "οδος", "Straße", "STRASSE", "ẞ", "ǅ", "Ⓐ", "\u212a",
      "-", " ", "\t", "\n", "\x1c", ",", ".", "(", ")", "[", "]", "^", "\\", "|", ":"]
 )
 
