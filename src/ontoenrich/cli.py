@@ -151,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
             out = run_eval(_path("system", args.system), _path("expert", args.expert),
                            _path("out_dir", args.out_dir), not args.ignore_relation)
     except ConfigError as exc:
-        print(f"error [config]: {exc}", file=sys.stderr)
+        print(f"error [config] {exc}", file=sys.stderr)
         return STAGE_EXIT_CODES["config"]
     except StageError as exc:
         print(f"error {exc}", file=sys.stderr)

@@ -38,11 +38,11 @@ query as one contiguous token run, so a query never counts more than a run
 of its tokens, and its test is the side query's count. A snapshot counts 0
 for a key it lacks or holds with 0, and its test is whether the side query
 is a token run of a non-zero key. A pair issues only the queries both masks
-leave viable, and a pair they leave none is settled before its queries are
-built. ``SideMasks.suggest`` settles a missing term's pairs together: it
-takes the term's X mask once, and when that is 0 gives every target a
-related-to suggestion with the shared zero tuple, taking no Y mask; only the
-pairs both masks leave viable reach ``extract_relation``. A default desk run
+leave viable. ``SideMasks.suggest`` is where pairs are settled, a missing
+term's pairs together: it takes the term's X mask once, and when that is 0
+gives every target a related-to suggestion with the shared zero tuple,
+taking no Y mask. Only the pairs both masks leave viable reach
+``extract_relation``, so a settled pair builds no query. A default desk run
 issues 59 of its 89,100 queries after 1,980 side tests, and 59 of its 8,100
 pairs reach ``extract_relation``; 8,090 count nothing.
 
@@ -339,7 +339,8 @@ class SideMasks:
     ``test`` tells whether a side query may count something; it must be
     true for each side query of every full query that counts something.
     It counts the side tests and the full queries it makes, how many of
-    each counted something, and the pairs it settles without a full query."""
+    each counted something, and the pairs ``suggest`` settles without a
+    full query."""
 
     def __init__(self, test: Callable[[str], object]):
         self._test = test
@@ -371,12 +372,7 @@ class SideMasks:
     ) -> tuple[int, ...]:
         """The pair's count per template: 0 without a query where either
         term's mask clears the template's bit."""
-        viable = self._mask(t_miss, 0, catalogue)
-        if viable:
-            viable &= self._mask(t_in, 1, catalogue)
-        if not viable:
-            self.settled += 1
-            return catalogue.zero_hits
+        viable = self._mask(t_miss, 0, catalogue) & self._mask(t_in, 1, catalogue)
         hits = tuple(
             provider.pattern_hits(query) if viable >> n & 1 else 0
             for n, query in enumerate(catalogue.queries(t_miss, t_in))
@@ -388,12 +384,12 @@ class SideMasks:
     def suggest(self, t_miss: str, targets: list[str], provider: HitCountProvider,
                 catalogue: PatternCatalogue,
                 extract: Callable[..., RelationSuggestion]) -> list[RelationSuggestion]:
-        """One suggestion per target of t_miss, in order, settled as ``hits``
-        settles each pair: the term's X mask is taken once, and a target's Y
-        mask only when X's leaves a template viable. A pair the masks leave
-        no template gets a related-to suggestion with the catalogue's
-        ``zero_hits``; the others go to extract, which is ``extract_relation``
-        or a wrapper of it."""
+        """One suggestion per target of t_miss, in order: the term's X mask
+        is taken once, and a target's Y mask only when X's leaves a template
+        viable. A pair the masks leave no template is settled: it gets a
+        related-to suggestion with the catalogue's ``zero_hits``, as
+        ``extract_relation`` would give it. The others go to extract, which
+        is ``extract_relation`` or a wrapper of it."""
         related, zero_hits = RelationKind.RELATED_TO, catalogue.zero_hits
         viable = self._mask(t_miss, 0, catalogue)
         if not viable:

@@ -3,6 +3,10 @@
 Every run is deterministic: identical configuration and inputs produce
 byte-identical output files (fixed orderings, fixed float formatting, no
 timestamps). A manifest records the run's knobs and a sha256 of each input.
+Each stage takes one path whatever the batch holds: a run with no usable
+missing term or no usable known term relates an empty matrix, so its
+selection and pattern stages see 0 pairs and ``write_matrix`` writes the
+matrix file's header alone.
 Creating the output directory and writing into it is the ``output`` stage;
 an output directory that could not be created is rejected with the config.
 """
@@ -26,6 +30,9 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
+# perfbench/harness.py ``trace`` times the stages by replacing the names
+# imported below in this module's namespace, so the stages must call them by
+# these names, not as attributes of their modules.
 from .hitcounts import CorpusIndex, HitCountProvider, SnapshotTable
 from .ontology import RELATION_NAMES, load_ontology, save_ontology
 from .patterns import (
@@ -259,6 +266,8 @@ def _run(config: RunConfig, enrich: bool) -> Path:
             provider: HitCountProvider = SnapshotTable.load(config.snapshot, digest("snapshot"))
             provider_id = f"snapshot:{Path(config.snapshot).name}"
         else:
+            # perfbench/harness.py ``record`` patches CorpusIndex.build to note
+            # every query; the snapshot-allpairs workload's set-up needs that.
             provider = CorpusIndex.build(table)
             provider_id = f"index:{Path(config.corpus).name},docs={provider.total_docs()}"
 
@@ -269,23 +278,18 @@ def _run(config: RunConfig, enrich: bool) -> Path:
 
         t_in = drop_unusable_terms(partition.concepts, provider)
         t_miss = drop_unusable_terms(retained, provider)
-        matrix = None
-        if t_miss and t_in:
-            matrix = relatedness_matrix(
-                t_miss, t_in, provider, DistanceConfig(config.distance_cap)
-            )
+        matrix = (relatedness_matrix(t_miss, t_in, provider, DistanceConfig(config.distance_cap))
+                  if t_miss and t_in else RelatednessMatrix((), (), (), 0.0))
     logger.info("relatedness: %d retained and %d eliminated missing terms, %d known and %d "
                 "missing terms dropped for unusable counts", len(retained), len(eliminated),
                 len(partition.concepts) - len(t_in), len(retained) - len(t_miss))
 
     if enrich:
-        suggestions = ([] if matrix is None
-                       else _suggest(config, matrix, provider, catalogue))
+        suggestions = _suggest(config, matrix, provider, catalogue)
         with _stage("enrichment"):
-            # A run without a matrix has no suggestions, so its denominator is unread.
-            denominator = matrix.denominator if matrix is not None else 0.0
             decisions, failures = place_all(suggestions, ontology, provider,
-                                            DistanceConfig(config.distance_cap), denominator)
+                                            DistanceConfig(config.distance_cap),
+                                            matrix.denominator)
             enriched = enrich_ontology(ontology, decisions, failures)
 
     with _stage("output"):
@@ -293,10 +297,7 @@ def _run(config: RunConfig, enrich: bool) -> Path:
         out.mkdir(parents=True, exist_ok=True)
         if enrich:
             save_ontology(enriched, out / "enriched_ontology.tsv")
-        if matrix is not None:
-            write_matrix(matrix, out / "relatedness_matrix.tsv")
-        else:
-            (out / "relatedness_matrix.tsv").write_text("term\n", encoding="utf-8")
+        write_matrix(matrix, out / "relatedness_matrix.tsv")
         if enrich:
             write_pattern_audit(suggestions, catalogue, out / "pattern_audit.tsv")
             write_enrichment_report(decisions, failures, out / "enrichment_report.tsv")

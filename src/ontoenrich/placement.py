@@ -91,10 +91,6 @@ class PlacementDecision(NamedTuple):
     case: str                          # "case1", "case2" or "case3-composite"
     subcase: str | None = None         # case1/case2 inside a composite decision
 
-    @property
-    def term(self) -> str:
-        return self.suggestion.missing_term
-
 
 def disambiguate_sense(
     t_miss: str,
@@ -113,9 +109,9 @@ def disambiguate_sense(
     without usable hit counts is added to skipped, and logged at DEBUG when
     it first joins it.
     """
-    target = paths[0][0][0]
     if len(paths) < 2:
-        raise ValueError(f"{target!r} has a single sense; nothing to disambiguate")
+        raise ValueError(f"{len(paths)} sense paths given; disambiguation needs 2 or more")
+    target = paths[0][0][0]
 
     n = provider.total_docs()
     f_miss = provider.hits(t_miss)
@@ -193,6 +189,8 @@ def place_all(
     Sense-path labels skipped for unusable hit counts are summed up in one
     warning per call.
     """
+    # The result stays a (decisions, failures) pair: perfbench/harness.py
+    # ``trace`` unpacks it in ``_count_place``.
     # target -> (lowered, concept, its sense paths when it has several)
     targets: dict[str, tuple[str, Concept | LookupError, list | None]] = {}
     decisions, failures = [], []

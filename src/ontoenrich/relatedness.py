@@ -21,7 +21,9 @@ which lands every cell in [0, 1]; 1 means maximally related. ``relatedness``
 is that formula, and sense placement scores its paths with it too.
 
 The batch fetches N and takes log N once, and fetches f1, checks
-0 < f1 < N and takes log f1 once per row and column term. A row then takes
+0 < f1 < N and takes log f1 once per row and column term. A term outside
+that range raises, naming itself, before any cell is computed; a run drops
+such terms first (``drop_unusable_terms``). A row then takes
 the f2 of all its cells in one ``map`` over ``pair_hits``, and starts as the
 cap in every cell: only a cell with f2 > 0 runs Python code, for the
 f2 <= min f1 check, log f2 and the division. Each log takes the argument
@@ -163,28 +165,24 @@ def relatedness_matrix(
 ) -> RelatednessMatrix:
     """Batch relatedness: one row per missing term, one column per known term.
 
-    All terms must already satisfy 0 < hits < total docs; the shared
+    Every term must satisfy 0 < hits < total docs, as the terms that
+    ``drop_unusable_terms`` keeps do. The first term that does not, rows
+    before columns, raises: ``ValueError`` for hits <= 0,
+    ``DegenerateDenominatorError`` for hits >= total docs. The shared
     denominator is the left-to-right sum of the batch's distances in
     row-major order.
-    A term that does not fails as ``distance_from_counts`` does at the first
-    bad cell in row-major order.
     """
     rows = _sorted_unique(missing_terms, "missing")
     cols = _sorted_unique(ontology_terms, "ontology")
     n = provider.total_docs()
     col_hits = [provider.hits(term) for term in cols]
     row_hits = [provider.hits(term) for term in rows]
-    pair_hits = provider.pair_hits
-    if all(0 < count < n for count in col_hits + row_hits):
-        distances = _distances(rows, row_hits, cols, col_hits, n, pair_hits, cfg)
-    else:  # distance_from_counts raises at the first cell of an unusable term
-        distances = [
-            [
-                distance_from_counts(miss, term, f_miss, f_term, pair_hits(miss, term), n, cfg)
-                for term, f_term in zip(cols, col_hits)
-            ]
-            for miss, f_miss in zip(rows, row_hits)
-        ]
+    for term, count in chain(zip(rows, row_hits), zip(cols, col_hits)):
+        if not 0 < count < n:
+            error = ValueError if count <= 0 else DegenerateDenominatorError
+            raise error(f"term {term!r} has {count} hits; a relatedness batch needs "
+                        f"0 < hits < {n}, the collection size")
+    distances = _distances(rows, row_hits, cols, col_hits, n, provider.pair_hits, cfg)
     denominator = reduce(add, chain.from_iterable(distances), 0.0)
     if len(rows) * len(cols) == 1:
         logger.warning(

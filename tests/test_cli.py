@@ -19,7 +19,7 @@ from ontoenrich.placement import PlacementDecision
 from ontoenrich.textpipe import load_corpus, read_documents
 
 from helpers import build_index, corpus_digest, has_axiom, scan_hits
-from test_desk_run import run_cli
+from test_desk_run import pattern_funnel, run_cli
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MINI = FIXTURES / "mini_ontology.tsv"
@@ -212,8 +212,9 @@ def test_system_judgments_written_per_bucket_equal_sorted_lines(tmp_path):
         for status, terms in (("eliminated", eliminated), ("retained", retained))
         for surface in terms for domain in term_domains[surface]
     ] + [
-        f"X\t{domain}\t{d.term}\t{d.target_concept}\t{sense}\t{d.suggestion.relation.value}"
-        for d in decisions for domain in term_domains[d.term] for sense in d.senses
+        f"X\t{domain}\t{s.missing_term}\t{d.target_concept}\t{sense}\t{s.relation.value}"
+        for d in decisions for s in [d.suggestion]
+        for domain in term_domains[s.missing_term] for sense in d.senses
     ]
     assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in sorted(lines))
     assert len(load_judgments(path)) == len(domains)
@@ -444,7 +445,7 @@ def test_unreadable_or_invalid_config_file_exits_config_code(tmp_path, capsys, c
     assert run("enrich", "--config", config, "--out-dir", tmp_path / "o") == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
     assert len(errors) == 1, errors
-    assert errors[0].startswith(f"error [config]: cannot read config file {config}: ")
+    assert errors[0].startswith(f"error [config] cannot read config file {config}: ")
     assert reason in errors[0]
     assert not (tmp_path / "o").exists()
 
@@ -824,6 +825,34 @@ def test_verbose_hit_filter_funnel_equals_judgments_and_matrix(tmp_path, traced_
     small = run_cli("-m", "ontoenrich.cli", "enrich", "--corpus", corpus, "--ontology", MINI,
                     "--snapshot", snapshot, "-v", "--out-dir", out)
     assert hit_filter_funnel(small.stderr, out) == (2, 1, 2, 1)
+
+
+@pytest.mark.parametrize("counts, dropped", [
+    pytest.param({"java": 3, "island": 3, "zorbium": 10}, "0 known and 1 missing",
+                 id="no-usable-missing-term"),
+    pytest.param({"java": 10, "island": 0, "zorbium": 3}, "2 known and 0 missing",
+                 id="no-usable-known-term"),
+])
+def test_empty_batch_writes_the_matrix_header_and_selects_no_pair(tmp_path, counts, dropped):
+    # A batch without a usable term on one side is an empty matrix: the
+    # selection and pattern stages run on it and see no pair.
+    corpus = tmp_path / "corpus"
+    (corpus / "islands").mkdir(parents=True)
+    (corpus / "islands" / "one.txt").write_text("Java, island, zorbium", encoding="utf-8")
+    snapshot = tmp_path / "snapshot.tsv"
+    SnapshotTable.from_pairs(list(counts.items()), 10).save(snapshot)
+    out = tmp_path / "out"
+    result = run_cli("-m", "ontoenrich.cli", "enrich", "--corpus", corpus, "--ontology", MINI,
+                     "--snapshot", snapshot, "-v", "--out-dir", out)
+    assert (out / "relatedness_matrix.tsv").read_bytes() == b"term\n"
+    assert funnel_line(result.stderr, "INFO ontoenrich.pipeline: relatedness: ") == (
+        f"1 retained and 0 eliminated missing terms, {dropped} terms dropped for unusable counts")
+    assert funnel_line(result.stderr, "INFO ontoenrich.relatedness: selection: ") == (
+        "0 x 0 matrix, denominator 0.000000, 0 of 0 cells at or above threshold 0.5, "
+        "0 candidate pairs")
+    assert pattern_funnel(result.stderr) == (0, 0, 0, 0, 0, 0)
+    assert (out / "pattern_audit.tsv").read_bytes() == (
+        b"missing_term\tontology_term\tpattern\tquery\thits\n")
 
 
 def test_verbose_relatedness_funnel_equals_traced_counters(tmp_path, traced_desk):

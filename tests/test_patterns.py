@@ -486,9 +486,22 @@ def pruning_runs(draw):
     return catalogue, pairs, {f"d/{n}": text for n, text in enumerate(docs)}
 
 
+def suggest_pairs(sides: SideMasks, pairs, provider, catalogue, extract=extract_relation):
+    """The suggestions of pairs in order, as a run makes them: one
+    ``SideMasks.suggest`` call per run of pairs with one missing term."""
+    suggestions = []
+    for miss, group in itertools.groupby(pairs, key=operator.itemgetter(0)):
+        suggestions += sides.suggest(miss, [target for _, target in group], provider,
+                                     catalogue, extract)
+    assert len(suggestions) == len(pairs)
+    return suggestions
+
+
 def test_property_pruned_hits_equal_unpruned_and_document_scan():
     # Side-query pruning is exact for a provider of document frequencies:
-    # per pair, the same counts as every query issued, and as a scan.
+    # per pair, SideMasks.suggest gives the same counts as every query
+    # issued, and as a scan, and a pair that counts nothing shares the zero
+    # tuple the audit writer looks for by identity.
     punctuation = default_stoplist().punctuation
     seen = set()
 
@@ -498,12 +511,14 @@ def test_property_pruned_hits_equal_unpruned_and_document_scan():
         catalogue, pairs, texts = run
         index = build_index(texts.items())
         sides = SideMasks(index.pattern_hits)
-        for miss, target in pairs:
-            pruned = extract_relation(miss, target, index, catalogue, sides).hits
+        suggestions = suggest_pairs(sides, pairs, index, catalogue)
+        for (miss, target), suggestion in zip(pairs, suggestions):
+            pruned = suggestion.hits
             unpruned = tuple(map(index.pattern_hits, catalogue.queries(miss, target)))
             scanned = tuple(len(walk_phrase_docs(texts, query, punctuation))
                             for _, query in reference_instantiate(miss, target, catalogue))
             assert pruned == unpruned == scanned, (miss, target)
+            assert any(pruned) or pruned is catalogue.zero_hits, (miss, target)
             seen.add("counted" if any(pruned) else "zero")
         if sides.settled:
             seen.add("settled")
@@ -514,17 +529,14 @@ def test_property_pruned_hits_equal_unpruned_and_document_scan():
     assert seen == {"counted", "zero", "settled", "template pruned"}
 
 
-def side_counters(sides: SideMasks) -> tuple[int, ...]:
-    return (sides.side_tests, sides.side_nonzero, sides.full_queries, sides.full_nonzero,
-            sides.settled)
-
-
 def test_property_per_term_settling_equals_per_pair_extraction():
-    # SideMasks.suggest settles a term's pairs as extract_relation settles
-    # each one, for the index's test and for a snapshot's, taking the same
-    # side tests and full queries; only the pairs it leaves viable reach
-    # extract, and every settled pair shares the zero tuple the audit
-    # writer looks for by identity.
+    # SideMasks.suggest gives each pair what extract_relation gives it with
+    # nothing pruned, for the index's test and for a snapshot's. It takes a
+    # target's Y mask only for a term whose X mask leaves a template viable,
+    # settles exactly the pairs the two masks leave none, and sends the
+    # others to extract, which queries the templates both leave viable.
+    # Every pair that counts nothing shares the zero tuple the audit writer
+    # looks for by identity.
     seen = set()
 
     @settings(max_examples=150, deadline=None)
@@ -538,28 +550,32 @@ def test_property_per_term_settling_equals_per_pair_extraction():
                 entries.setdefault(normalize_label(query), index.pattern_hits(query))
         table = SnapshotTable.from_pairs(entries.items(), index.total_docs())
         for provider, test in ((index, index.pattern_hits), (table, table.run_test())):
-            per_pair = SideMasks(test)
-            expected = [extract_relation(miss, target, provider, catalogue, per_pair)
+            unpruned = SideMasks(lambda query: True)
+            expected = [extract_relation(miss, target, provider, catalogue, unpruned)
                         for miss, target in pairs]
-            per_term, extracted = SideMasks(test), []
+            sides, extracted = SideMasks(test), []
 
             def extract(*args):
                 extracted.append(args[:2])
                 return extract_relation(*args)
 
-            suggestions = []
-            for miss, group in itertools.groupby(pairs, key=operator.itemgetter(0)):
-                targets = [target for _, target in group]
-                suggestions += per_term.suggest(miss, targets, provider, catalogue, extract)
-                if not per_term._mask(miss, 0, catalogue):
-                    seen.add("term settled")
+            suggestions = suggest_pairs(sides, pairs, provider, catalogue, extract)
             assert suggestions == expected
             assert all(s.hits is catalogue.zero_hits for s in suggestions if not any(s.hits))
-            assert side_counters(per_term) == side_counters(per_pair)
-            assert len(extracted) == len(pairs) - per_term.settled
+            x_masks, y_masks = sides._masks
+            assert set(x_masks) == {miss for miss, _ in pairs}
+            assert set(y_masks) == {target for miss, target in pairs if x_masks[miss]}
+            viable = [(miss, target) for miss, target in pairs
+                      if x_masks[miss] and x_masks[miss] & y_masks[target]]
+            assert extracted == viable
+            assert sides.settled == len(pairs) - len(viable)
+            assert sides.full_queries == sum(
+                (x_masks[miss] & y_masks[target]).bit_count() for miss, target in viable)
             if extracted:
                 seen.add("extracted")
-            if per_term.settled > sum(not per_term._mask(miss, 0, catalogue) for miss, _ in pairs):
+            if not all(x_masks.values()):
+                seen.add("term settled")
+            if sides.settled > sum(not x_masks[miss] for miss, _ in pairs):
                 seen.add("target settled")
 
     check()
@@ -578,7 +594,8 @@ _SNAPSHOT_TERMS = st.sampled_from(
 
 def test_property_snapshot_pruned_hits_equal_unpruned():
     # A snapshot prunes with the token runs of its non-zero keys: per pair,
-    # the same counts as every query issued.
+    # SideMasks.suggest gives the same counts as every query issued, and a
+    # pair that counts nothing shares the zero tuple.
     seen = set()
 
     @settings(max_examples=250, deadline=None)
@@ -610,10 +627,12 @@ def test_property_snapshot_pruned_hits_equal_unpruned():
             entries.setdefault(normalize_label(case(key)), count)
         table = SnapshotTable.from_pairs(entries.items(), 1_000)
         sides = SideMasks(table.run_test())
-        for miss, target in pairs:
-            pruned = extract_relation(miss, target, table, catalogue, sides).hits
+        suggestions = suggest_pairs(sides, pairs, table, catalogue)
+        for (miss, target), suggestion in zip(pairs, suggestions):
+            pruned = suggestion.hits
             unpruned = tuple(map(table.pattern_hits, catalogue.queries(miss, target)))
             assert pruned == unpruned, (miss, target)
+            assert any(pruned) or pruned is catalogue.zero_hits, (miss, target)
             seen.add("counted" if any(pruned) else "zero")
         if sides.settled:
             seen.add("settled")

@@ -133,12 +133,15 @@ def test_case2_path_scores_add_left_to_right(monkeypatch):
 
 
 def test_case2_rejects_a_single_path():
+    # and an empty path list, which is checked before any path is read
     onto = parse_ontology("C\tt\tt\t1\nC\ta\ta\t1\nA\thypernymy\ta\tt\toriginal\n")
     table = SnapshotTable.from_pairs([("new", 5), ("t", 5), ("a", 5)], total_docs=10)
     paths = onto.semantic_paths_from("t")
     assert paths == [(("t", 1), ("a", 1))]
-    with pytest.raises(ValueError, match="^'t' has a single sense; nothing to disambiguate$"):
-        disambiguate_sense("new", paths, onto, table, DistanceConfig(), 1.0, set())
+    for given in (paths, []):
+        with pytest.raises(ValueError, match=f"^{len(given)} sense paths given; "
+                                             "disambiguation needs 2 or more$"):
+            disambiguate_sense("new", given, onto, table, DistanceConfig(), 1.0, set())
 
 
 def test_case2_all_labels_unusable_raises(onto):
@@ -464,7 +467,8 @@ def test_property_report_order_equals_tuple_key_sort(tmp_path_factory, terms, da
     path = tmp_path_factory.mktemp("order") / "report.tsv"
     write_enrichment_report(decisions, [], path)
     written = [int(line.split("\t")[6]) for line in path.read_text("utf-8").splitlines()[1:-1]]
-    expected = tuple_key_order(decisions, lambda d: d.term, lambda d: d.target_concept)
+    expected = tuple_key_order(decisions, lambda d: d.suggestion.missing_term,
+                               lambda d: d.target_concept)
     assert written == [decision.suggestion.winner_hits for decision in expected]
 
 
@@ -554,9 +558,10 @@ def test_property_pairs_keep_one_order_from_selection_to_the_report(tmp_path_fac
         path = tmp_path_factory.mktemp("report") / "report.tsv"
         write_enrichment_report(decisions, failures, path)
         lines = [line.split("\t") for line in path.read_text("utf-8").splitlines()[1:-1]]
-        by_id = tuple_key_order(decisions, lambda d: d.term, lambda d: d.target_concept)
+        by_id = tuple_key_order(decisions, lambda d: d.suggestion.missing_term,
+                                lambda d: d.target_concept)
         assert [tuple(line[:2]) for line in lines] == (
-            [(d.term, d.target_concept) for d in by_id]
+            [(d.suggestion.missing_term, d.target_concept) for d in by_id]
             + [(s.missing_term, s.ontology_term) for s in unplaced])
 
         if len(suggestions) > 1:

@@ -428,43 +428,41 @@ def reference_matrix(rows, cols, provider, cfg=DistanceConfig()) -> RelatednessM
 
 
 @pytest.mark.parametrize(
-    "hits, pairs, error, message",
+    "hits, error, message",
     [
         pytest.param(
-            {"a": 16, "d": 0, "b": 8, "c": 4}, {("a", "b"): 2, ("a", "c"): 1},
-            ValueError, "distance needs positive hit counts, got 'd'=0, 'b'=8",
+            {"a": 16, "d": 0, "b": 8, "c": 4}, ValueError,
+            "term 'd' has 0 hits; a relatedness batch needs 0 < hits < 64, the collection size",
             id="row-term-with-zero-hits",
         ),
         pytest.param(
-            {"a": 16, "d": 8, "b": 8, "c": 64}, {("a", "b"): 2, ("d", "b"): 1},
-            DegenerateDenominatorError,
-            "collection size 64 must exceed the hit counts of 'a' and 'c'",
-            id="column-term-with-hits-equal-to-n",
+            {"a": 16, "d": 8, "b": 8, "c": 64}, DegenerateDenominatorError,
+            "term 'c' has 64 hits; a relatedness batch needs 0 < hits < 64, the collection size",
+            id="column-term-with-n-hits",
         ),
         pytest.param(
-            {"a": 16, "d": 8, "b": 8, "c": 4},
-            {("a", "b"): 2, ("a", "c"): 5, ("d", "b"): 99},
-            ValueError,
-            "provider reports joint count 5 above min individual count for ('a', 'c')",
-            id="joint-count-above-min-after-a-good-cell",
-        ),
-        pytest.param(
-            {"a": 16, "d": 0, "b": 8, "c": 64}, {("a", "b"): 2},
-            DegenerateDenominatorError,
-            "collection size 64 must exceed the hit counts of 'a' and 'c'",
-            id="bad-column-cell-before-bad-row",
+            {"a": 16, "d": 0, "b": 8, "c": 64}, ValueError,
+            "term 'd' has 0 hits; a relatedness batch needs 0 < hits < 64, the collection size",
+            id="bad-row-before-bad-column",
         ),
     ],
 )
-def test_matrix_raises_what_the_first_bad_cell_raises(hits, pairs, error, message):
-    table = snapshot_of(hits, pairs, 64)
-    rows, cols = ["a", "d"], ["b", "c"]
-    with pytest.raises(ValueError) as expected:
-        reference_matrix(rows, cols, table)
+def test_matrix_rejects_an_unusable_term_by_name(hits, error, message):
+    table = snapshot_of(hits, {("a", "b"): 2, ("a", "c"): 1, ("d", "b"): 1}, 64)
     with pytest.raises(ValueError) as raised:
-        relatedness_matrix(rows, cols, table)
-    assert type(expected.value) is type(raised.value) is error
-    assert str(expected.value) == str(raised.value) == message
+        relatedness_matrix(["a", "d"], ["b", "c"], table)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_matrix_raises_on_a_joint_count_above_min_after_a_good_cell():
+    table = snapshot_of({"a": 16, "d": 8, "b": 8, "c": 4},
+                        {("a", "b"): 2, ("a", "c"): 5, ("d", "b"): 99}, 64)
+    message = "provider reports joint count 5 above min individual count for ('a', 'c')"
+    with pytest.raises(ValueError) as raised:
+        relatedness_matrix(["a", "d"], ["b", "c"], table)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
 
 
 _BASES = ["java", "island", "sea", "reef"]
