@@ -7,6 +7,12 @@ Each stage takes one path whatever the batch holds: a run with no usable
 missing term or no usable known term relates an empty matrix, so its
 selection and pattern stages see 0 pairs and ``write_matrix`` writes the
 matrix file's header alone.
+No stage holds what no later stage reads. The corpus stage takes the
+article list one domain at a time and keeps one string per domain. A
+snapshot run drops the phrase table once the term domains are taken; an
+index run drops its own reference once the index is built and the index
+once placement returns, so the enriched ontology and the writers reuse
+that memory.
 Creating the output directory and writing into it is the ``output`` stage;
 an output directory that could not be created is rejected with the config.
 """
@@ -14,6 +20,7 @@ an output directory that could not be created is rejected with the config.
 from __future__ import annotations
 
 import logging
+import sys
 import time
 from contextlib import contextmanager
 from itertools import groupby
@@ -252,7 +259,7 @@ def _run(config: RunConfig, enrich: bool) -> Path:
         table = tokenize_corpus(read_documents(load_corpus(config.corpus), digest("corpus")),
                                 stoplist.punctuation)
         partition = partition_terms(table.mined_terms(stoplist), ontology, gazetteer)
-        domains = [doc_id.split("/", 1)[0] for doc_id in table.doc_ids]
+        domains = [sys.intern(doc_id.split("/", 1)[0]) for doc_id in table.doc_ids]
         term_domains = {
             surface: {domains[n] for n in table.documents(surface)}
             for surface in partition.missing
@@ -269,6 +276,7 @@ def _run(config: RunConfig, enrich: bool) -> Path:
             # perfbench/harness.py ``record`` patches CorpusIndex.build to note
             # every query; the snapshot-allpairs workload's set-up needs that.
             provider = CorpusIndex.build(table)
+            del table  # it lives on in the index, until placement is done with it
             provider_id = f"index:{Path(config.corpus).name},docs={provider.total_docs()}"
 
     with _stage("relatedness"):
@@ -290,6 +298,7 @@ def _run(config: RunConfig, enrich: bool) -> Path:
             decisions, failures = place_all(suggestions, ontology, provider,
                                             DistanceConfig(config.distance_cap),
                                             matrix.denominator)
+            del provider  # placement is the last stage that reads hit counts
             enriched = enrich_ontology(ontology, decisions, failures)
 
     with _stage("output"):

@@ -323,18 +323,25 @@ def select_candidates(matrix: RelatednessMatrix, cfg: SelectionConfig) -> Candid
     return CandidateSet(per_term)
 
 
+class _CellTexts(dict):
+    """Cell value -> its ``%.6f`` text, formatted the first time it is asked for."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = "%.6f" % value
+        return text
+
+
 def write_matrix(matrix: RelatednessMatrix, path: str | Path) -> None:
     """Tab-separated export: header row of column terms, one row per missing
     term; the rows are streamed to the file.
 
-    Each distinct cell value is formatted once, and a row joins the texts
-    of its cells. ``0.0`` and ``-0.0`` are one key, so when the matrix holds
-    a zero, each row that holds one formats its cells one by one; a NaN is a
-    key of its own."""
-    text = {value: "%.6f" % value for value in set(chain.from_iterable(matrix.cells))}
-    zeros = 0.0 in text
+    Each distinct cell value is formatted once, when a row first holds it,
+    and a row joins the texts of its cells. ``0.0`` and ``-0.0`` are one
+    key, so a row that holds a zero formats its cells one by one; a NaN is
+    a key of its own."""
+    text = _CellTexts()
     with Path(path).open("w", encoding="utf-8") as out:
         out.write("\t".join(["term", *matrix.ontology_terms]) + "\n")
         for miss, row in zip(matrix.missing_terms, matrix.cells):
-            texts = map("%.6f".__mod__ if zeros and 0.0 in row else text.__getitem__, row)
+            texts = map("%.6f".__mod__ if 0.0 in row else text.__getitem__, row)
             out.write("%s\t%s\n" % (miss, "\t".join(texts)))

@@ -4,7 +4,7 @@ known/missing split against an ontology plus a gazetteer.
 
 Each document is read once, split into spans at punctuation and numbered in
 document-id order. One table holds every 1-3 token phrase inside a span, a
-posting list of document numbers per token and each document's lowercased
+packed posting of document numbers per token and each document's lowercased
 text. ``PhraseTable.documents`` is the one path from query text to document
 numbers: the corpus index and the run's term domains both ask it, and no
 other module reads the table's phrases, postings, texts or surfaces. The
@@ -17,6 +17,7 @@ from __future__ import annotations
 import importlib.resources
 import os
 import re
+import sys
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -75,27 +76,32 @@ def punctuation_spans(text: str, punctuation: frozenset[str]) -> list[list[str]]
 FIELD_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def load_corpus(root: str | Path) -> list[tuple[str, str]]:
+def load_corpus(root: str | Path) -> Iterator[tuple[str, str]]:
     """(doc id, path) of each article, in document-id order. Corpus layout:
     one subdirectory per domain, one text file per article, whose id is
     ``<domain>/<file name>``. A domain name is a field of the judgments
-    file, so one that holds a tab or a line break is rejected."""
+    file, so one that holds a tab or a line break is rejected.
+
+    The root and every domain name are checked before it returns; the
+    articles are then listed one domain at a time as they are taken, so no
+    list of every path is built. Ids sort as strings, so the domains go in
+    the order of ``name + "/"`` (``a-b/`` before ``a/``), each domain's
+    files by name."""
     root = Path(root)
     if not root.is_dir():
         if root.exists():
             raise NotADirectoryError(f"corpus path {root} is not a directory")
         raise FileNotFoundError(f"corpus directory {root} does not exist")
-    articles = []
-    for domain_dir in _sorted_entries(root):
-        if not domain_dir.is_dir():
-            continue
+    domains = [entry for entry in _sorted_entries(root) if entry.is_dir()]
+    for domain_dir in domains:
         if not FIELD_BREAKS.isdisjoint(domain_dir.name):
             raise ValueError(
                 f"corpus domain directory {domain_dir.path!r} has a tab or line break in its name"
             )
-        articles += [(f"{domain_dir.name}/{article.name}", article.path)
-                     for article in _sorted_entries(domain_dir.path) if article.is_file()]
-    return sorted(articles)
+    domains.sort(key=lambda entry: entry.name + "/")
+    return ((f"{domain_dir.name}/{article.name}", article.path)
+            for domain_dir in domains
+            for article in _sorted_entries(domain_dir.path) if article.is_file())
 
 
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
@@ -156,20 +162,27 @@ class PhraseTable:
     they were added (``load_corpus`` order in a run):
     ``phrases``, every lowercased 1..MAX_NGRAM_LEN token phrase inside a
     punctuation span; ``postings``, each lowercased token's strictly
-    increasing document numbers; ``texts``, each document's lowercased tokens
+    increasing document numbers, packed in a ``bytearray`` as native 4-byte
+    unsigned integers (``memoryview`` format ``"I"``, half a list's slots
+    and no ``int`` objects); ``texts``, each document's lowercased tokens
     joined by ``" "`` and spans by ``" \\n "``, padded with a space, so
     ``" a b "`` is in a text exactly when one span has ``a b``; and
     ``surfaces``, each phrase's first surface in that order where it is not
     the phrase itself. Each distinct lowercase token is one object, shared
     by every phrase and posting key that holds it, so its hash is computed
-    once and tokens compare by identity."""
+    once and tokens compare by identity.
+
+    A one-token ``documents`` result is a read-only view of a posting, and a
+    view pins its ``bytearray``: while one lives, an ``add`` that reaches
+    that posting raises ``BufferError`` part way through. So a table is
+    queried only once it is filled, as a run does."""
 
     def __init__(self, punctuation: frozenset[str]):
         self.punctuation = punctuation
         self.doc_ids: list[str] = []
         self.texts: list[str] = []
         self.phrases: set[tuple[str, ...]] = set()
-        self.postings: dict[str, list[int]] = {}
+        self.postings: dict[str, bytearray] = {}
         self.surfaces: dict[tuple[str, ...], tuple[str, ...]] = {}
         self._lower = _Lowercase()
 
@@ -197,19 +210,21 @@ class PhraseTable:
                     phrases.add(phrase)
                     if (surface := tuple(span[start : start + length])) != phrase:
                         self.surfaces[phrase] = surface
-        postings = self.postings
-        for token in set().union(*lowered_spans):  # a list only for a new token
+        postings, entry = self.postings, number.to_bytes(4, sys.byteorder)
+        for token in set().union(*lowered_spans):  # a bytearray only for a new token
             posting = postings.get(token)
             if posting is None:
-                postings[token] = [number]
+                postings[token] = bytearray(entry)
             else:
-                posting.append(number)
+                posting += entry
         self.doc_ids.append(doc_id)
         self.texts.append(" " + " \n ".join(map(" ".join, lowered_spans)) + " ")
 
     def documents(self, query: str) -> Sequence[int]:
         """Increasing numbers of the documents that hold the query as one
-        run of tokens inside a span, matched without case; ``()`` for a
+        run of tokens inside a span, matched without case: for one token a
+        read-only ``memoryview`` of its posting, for more a list of the
+        rarest token's numbers whose text holds the run; ``()`` for a
         query that punctuation cuts in two or that has a window of
         MAX_NGRAM_LEN tokens (the whole query, when shorter) outside
         ``phrases``. Punctuation is looked for in the query as given, since
@@ -227,10 +242,11 @@ class PhraseTable:
                 zip(tokens, tokens[1:], tokens[2:])):
             return ()
         rarest = min([self.postings[token] for token in tokens], key=len)
+        numbers = memoryview(rarest).toreadonly().cast("I")
         if len(tokens) == 1:
-            return rarest
+            return numbers
         needle = " " + " ".join(tokens) + " "
-        return [number for number in rarest if needle in self.texts[number]]
+        return [number for number in numbers if needle in self.texts[number]]
 
     def mined_terms(self, stoplist: Stoplist) -> Iterator[str]:
         """The first surfaces of the phrases with no stopword token; a

@@ -5,6 +5,7 @@ import logging
 import re
 import shutil
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from ontoenrich.evaluation import load_judgments
 from ontoenrich.hitcounts import SnapshotTable
 from ontoenrich.ontology import RelationKind, load_ontology
 from ontoenrich.patterns import RelationSuggestion
-from ontoenrich.placement import PlacementDecision
+from ontoenrich.placement import PlacementDecision, enrich_ontology
 from ontoenrich.textpipe import load_corpus, read_documents
 
 from helpers import build_index, corpus_digest, has_axiom, scan_hits
@@ -647,6 +648,26 @@ def test_interrupt_is_not_a_stage_failure(tmp_path, tiny_corpus, monkeypatch):
         run("enrich", "--corpus", tiny_corpus, "--ontology", MINI, "--out-dir", tmp_path / "out")
 
 
+def test_index_and_its_table_are_freed_before_enrichment(tmp_path, monkeypatch):
+    # Placement is the last stage that reads the index, so the index and the
+    # phrase table it answers from are gone before the axioms are built.
+    build, refs, alive = pipeline.CorpusIndex.build, [], []
+
+    def build_and_note(table):
+        index = build(table)
+        refs.extend([weakref.ref(index), weakref.ref(table)])
+        return index
+
+    def enrich(*args):
+        alive.append([ref() is not None for ref in refs])
+        return enrich_ontology(*args)
+
+    monkeypatch.setattr(pipeline.CorpusIndex, "build", build_and_note)
+    monkeypatch.setattr(pipeline, "enrich_ontology", enrich)
+    assert run("enrich", *DESK_ARGS, "--top-k", 3, "--out-dir", tmp_path / "out") == 0
+    assert alive == [[False, False]]
+
+
 @pytest.mark.parametrize("command", ["enrich", "relatedness", "eval"])
 def test_out_dir_that_is_a_file_exits_config_code(tmp_path, capsys, monkeypatch, command):
     # Rejected with the config, before any corpus is read; so is an out-dir
@@ -764,7 +785,7 @@ def test_verbose_corpus_funnel_equals_traced_counters(traced_desk):
     docs, phrases, known, missing = map(int, re.fullmatch(
         r"(\d+) documents, (\d+) phrases, (\d+) known terms, (\d+) missing terms",
         funnel).groups())
-    assert docs == len(load_corpus(DESK / "corpus")) == 500
+    assert docs == len(list(load_corpus(DESK / "corpus"))) == 500
     assert manifest_of(out)["provider"] == f"index:corpus,docs={docs}"
     assert phrases == counts["textpipe.ngrams"]
     assert missing == counts["textpipe.missing_terms"]

@@ -155,7 +155,7 @@ def test_corpus_loading(tmp_path):
     (tmp_path / "islands").mkdir()
     (tmp_path / "islands" / "a.txt").write_text("Java island", encoding="utf-8")
     (tmp_path / "islands" / "b.txt").write_text("Jawa island", encoding="utf-8")
-    assert load_corpus(tmp_path) == [
+    assert list(load_corpus(tmp_path)) == [
         ("islands/a.txt", str(tmp_path / "islands" / "a.txt")),
         ("islands/b.txt", str(tmp_path / "islands" / "b.txt")),
     ]
@@ -175,7 +175,22 @@ def test_corpus_loading(tmp_path):
     assert ids == [f"{domain}/{name}" for domain in ("atolls", "islands") for name in expected]
 
 
+def test_articles_stream_in_sorted_id_order(tmp_path):
+    # Ids sort as strings, so the domain "a" goes after "a-b" and "a.b" but
+    # before "a0": domains are listed in the order of their name plus "/".
+    for domain in ("a", "a-b", "a.b", "a0", "b"):
+        (tmp_path / domain).mkdir()
+        for name in ("-", "A", "a", "z"):
+            (tmp_path / domain / name).write_text("Java island", encoding="utf-8")
+    articles = load_corpus(tmp_path)
+    assert iter(articles) is articles
+    pairs = list(articles)
+    assert len(pairs) == 20 and pairs == sorted(pairs)
+
+
 def test_corpus_path_must_be_an_existing_directory(tmp_path):
+    # load_corpus raises when called, before any article is taken; so it
+    # does for a domain name that breaks a judgments field.
     (tmp_path / "file").write_text("Java island", encoding="utf-8")
     with pytest.raises(NotADirectoryError, match="^corpus path .*file is not a directory$"):
         load_corpus(tmp_path / "file")
@@ -194,10 +209,33 @@ def test_corpus_rejects_a_domain_name_that_breaks_a_judgments_field(tmp_path, na
     assert repr(str(tmp_path / name)) in str(error.value)
 
 
+def test_domain_names_are_checked_before_any_document_is_read(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "empty.txt").write_text("", encoding="utf-8")
+    (tmp_path / "b\tc").mkdir()
+    (tmp_path / "b\tc" / "a.txt").write_text("Java island", encoding="utf-8")
+    with pytest.raises(ValueError, match="has a tab or line break in its name"):
+        list(read_documents(load_corpus(tmp_path), hashlib.sha256()))
+
+
+def test_postings_pack_document_numbers_in_four_bytes():
+    # Document numbers past 2**8 and 2**16; a one-token result is a
+    # read-only view of its posting, a longer one a filtered list.
+    numbers = range(70_000)
+    table = phrase_table((f"d/{n}", "reef sea" if n % 3 else "reef") for n in numbers)
+    assert list(table.documents("reef")) == list(numbers)
+    assert list(table.documents("sea")) == table.documents("reef sea") == [
+        n for n in numbers if n % 3]
+    assert len(table.postings["reef"]) == 4 * len(numbers)
+    assert len(table.postings["sea"]) == 4 * len(table.documents("reef sea"))
+    with pytest.raises(TypeError):
+        table.documents("reef")[0] = 1
+
+
 def test_document_accounting_merges_sources(stoplist):
     table = phrase_table([("d/one", "Java island"), ("d/two", "java coffee")], stoplist.punctuation)
-    assert table.postings["java"] == [0, 1]
-    assert table.documents("java") == table.documents("JAVA") == [0, 1]
+    assert memoryview(table.postings["java"]).cast("I").tolist() == [0, 1]
+    assert list(table.documents("java")) == list(table.documents("JAVA")) == [0, 1]
     # A mined term's documents are those the index answers from.
     index = CorpusIndex.build(table)
     for surface in table.mined_terms(stoplist):
@@ -291,7 +329,7 @@ def test_first_surface_follows_document_id_order(tmp_path, stoplist):
     documents = read_documents(load_corpus(tmp_path), hashlib.sha256())
     table = tokenize_corpus(documents, stoplist.punctuation)
     assert table.doc_ids == ["a-b/doc.txt", "a/doc.txt"]
-    assert table.documents("desk") == [0, 1]
+    assert list(table.documents("desk")) == [0, 1]
     mined = set(table.mined_terms(stoplist))
     assert "Desk" in mined and "desk" not in mined
 
@@ -425,7 +463,9 @@ def test_property_postings_are_increasing_doc_numbers(texts):
         assert {table.doc_ids[n] for n in table.documents(" ".join(key))} == doc_ids
         assert CorpusIndex.build(table).hits(" ".join(key)) == len(doc_ids)
     assert table.postings.keys() == {key[0] for key in walked if len(key) == 1}
-    for token, posting in table.postings.items():
-        assert type(posting) is list and all(type(n) is int for n in posting)
+    for token, packed in table.postings.items():
+        assert type(packed) is bytearray
+        posting = memoryview(packed).cast("I").tolist()
+        assert all(type(n) is int for n in posting)
         assert all(a < b for a, b in zip(posting, posting[1:]))
         assert {table.doc_ids[n] for n in posting} == walked[(token,)][1]
