@@ -66,7 +66,7 @@ class CorpusIndex:
     """
 
     def __init__(self, table: PhraseTable):
-        if not table.doc_ids:
+        if not table.domains:
             raise EmptyCorpusError("cannot index an empty corpus")
         self._table = table
         self._term_docs: dict[str, int] = {}  # pair_hits memo: phrase -> bitset
@@ -83,7 +83,7 @@ class CorpusIndex:
         return len(self._table.documents(phrase))
 
     def _bitset(self, phrase: str) -> int:
-        bits = bytearray((len(self._table.doc_ids) + 7) // 8)
+        bits = bytearray((len(self._table.domains) + 7) // 8)
         for number in self._table.documents(phrase):
             bits[number >> 3] |= 1 << (number & 7)
         return int.from_bytes(bits, "little")
@@ -101,7 +101,7 @@ class CorpusIndex:
     pattern_hits = hits
 
     def total_docs(self) -> int:
-        return len(self._table.doc_ids)
+        return len(self._table.domains)
 
 
 def _count(text: str) -> int | None:

@@ -8,11 +8,12 @@ missing term or no usable known term relates an empty matrix, so its
 selection and pattern stages see 0 pairs and ``write_matrix`` writes the
 matrix file's header alone.
 No stage holds what no later stage reads. The corpus stage takes the
-article list one domain at a time and keeps one string per domain. A
-snapshot run drops the phrase table once the term domains are taken; an
-index run drops its own reference once the index is built and the index
-once placement returns, so the enriched ontology and the writers reuse
-that memory.
+article list one domain at a time. Its phrase table keeps each document as
+its domain, one string per domain, and its text as token codes, and the
+term domains are read from it. A snapshot run drops the table once the
+term domains are taken; an index run drops its own reference once the
+index is built and the index once placement returns, so the enriched
+ontology and the writers reuse that memory.
 Creating the output directory and writing into it is the ``output`` stage;
 an output directory that could not be created is rejected with the config.
 """
@@ -20,7 +21,6 @@ an output directory that could not be created is rejected with the config.
 from __future__ import annotations
 
 import logging
-import sys
 import time
 from contextlib import contextmanager
 from itertools import groupby
@@ -259,7 +259,7 @@ def _run(config: RunConfig, enrich: bool) -> Path:
         table = tokenize_corpus(read_documents(load_corpus(config.corpus), digest("corpus")),
                                 stoplist.punctuation)
         partition = partition_terms(table.mined_terms(stoplist), ontology, gazetteer)
-        domains = [sys.intern(doc_id.split("/", 1)[0]) for doc_id in table.doc_ids]
+        domains = table.domains
         term_domains = {
             surface: {domains[n] for n in table.documents(surface)}
             for surface in partition.missing

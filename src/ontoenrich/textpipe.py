@@ -4,12 +4,13 @@ known/missing split against an ontology plus a gazetteer.
 
 Each document is read once, split into spans at punctuation and numbered in
 document-id order. One table holds every 1-3 token phrase inside a span, a
-packed posting of document numbers per token and each document's lowercased
-text. ``PhraseTable.documents`` is the one path from query text to document
-numbers: the corpus index and the run's term domains both ask it, and no
-other module reads the table's phrases, postings, texts or surfaces. The
-mined terms are the phrases with no stopword token, so they never cross a
-stopword or a punctuation character. Hyphenated words stay single tokens.
+packed posting of document numbers per token, and each document's domain
+and its text as token codes. ``PhraseTable.documents`` is the one path from
+query text to document numbers: the corpus index and the run's term domains
+both ask it, and no other module reads the table's phrases, postings, texts
+or surfaces. The mined terms are the phrases with no stopword token, so they
+never cross a stopword or a punctuation character. Hyphenated words stay
+single tokens.
 """
 
 from __future__ import annotations
@@ -157,6 +158,22 @@ class _Lowercase(dict):
         return lower
 
 
+class _Codes(dict):
+    """Lowercase token -> its code: ``chr(n)`` for the n-th distinct token
+    met, counting from 1, so codes follow first appearance and not the hash
+    seed. ``"\\0"`` is no token's code. Past the last code point the next
+    token is an error, not a wider code."""
+
+    def __missing__(self, token: str) -> str:
+        number = len(self) + 1
+        if number > sys.maxunicode:
+            raise ValueError(
+                f"corpus has more than {sys.maxunicode:,} distinct lowercase tokens,"
+                " the number of token codes")
+        code = self[token] = chr(number)
+        return code
+
+
 class PhraseTable:
     """A corpus as the index answers it, documents numbered in the order
     they were added (``load_corpus`` order in a run):
@@ -164,13 +181,20 @@ class PhraseTable:
     punctuation span; ``postings``, each lowercased token's strictly
     increasing document numbers, packed in a ``bytearray`` as native 4-byte
     unsigned integers (``memoryview`` format ``"I"``, half a list's slots
-    and no ``int`` objects); ``texts``, each document's lowercased tokens
-    joined by ``" "`` and spans by ``" \\n "``, padded with a space, so
-    ``" a b "`` is in a text exactly when one span has ``a b``; and
-    ``surfaces``, each phrase's first surface in that order where it is not
-    the phrase itself. Each distinct lowercase token is one object, shared
-    by every phrase and posting key that holds it, so its hash is computed
-    once and tokens compare by identity.
+    and no ``int`` objects); ``texts``, each document's spans as token
+    codes (one character per lowercase token, see ``_Codes``) joined by
+    ``"\\0"`` and encoded as UTF-8 with ``"surrogatepass"``; ``domains``,
+    each document's domain (``tokenize_corpus`` passes one string object
+    per domain); and ``surfaces``, each phrase's first surface in that
+    order where it is not the phrase itself. Each distinct lowercase token
+    is one object, shared by every phrase and posting key that holds it, so
+    its hash is computed once and tokens compare by identity.
+
+    UTF-8 is self-synchronizing, so one code string's bytes occur in a
+    text's bytes only on whole characters, and ``"\\0"`` is no code: a
+    token run's codes are in a text exactly when one of its spans holds the
+    run. A code past U+007F takes 2-4 bytes, but only where its token
+    occurs.
 
     A one-token ``documents`` result is a read-only view of a posting, and a
     view pins its ``bytearray``: while one lives, an ``add`` that reaches
@@ -179,23 +203,25 @@ class PhraseTable:
 
     def __init__(self, punctuation: frozenset[str]):
         self.punctuation = punctuation
-        self.doc_ids: list[str] = []
-        self.texts: list[str] = []
+        self.domains: list[str] = []
+        self.texts: list[bytes] = []
         self.phrases: set[tuple[str, ...]] = set()
         self.postings: dict[str, bytearray] = {}
         self.surfaces: dict[tuple[str, ...], tuple[str, ...]] = {}
         self._lower = _Lowercase()
+        self._codes = _Codes()
 
     def __len__(self) -> int:
         return len(self.phrases)
 
-    def add(self, doc_id: str, spans: Iterable[Sequence[str]]) -> None:
-        number = len(self.doc_ids)
-        phrases, lower = self.phrases, self._lower.__getitem__
-        lowered_spans = []
+    def add(self, domain: str, spans: Iterable[Sequence[str]]) -> None:
+        number = len(self.domains)
+        phrases, lower, code = self.phrases, self._lower.__getitem__, self._codes.__getitem__
+        lowered_spans, coded_spans = [], []
         for span in spans:
             lowered = tuple(map(lower, span))
             lowered_spans.append(lowered)
+            coded_spans.append("".join(map(code, lowered)))
             # A walk adds every phrase inside its span, so the set holds the
             # sub-phrases of what it holds: only a span with an unseen window
             # of MAX_NGRAM_LEN tokens (or unseen whole, when shorter) is walked.
@@ -217,18 +243,19 @@ class PhraseTable:
                 postings[token] = bytearray(entry)
             else:
                 posting += entry
-        self.doc_ids.append(doc_id)
-        self.texts.append(" " + " \n ".join(map(" ".join, lowered_spans)) + " ")
+        self.domains.append(domain)
+        self.texts.append("\0".join(coded_spans).encode("utf-8", "surrogatepass"))
 
     def documents(self, query: str) -> Sequence[int]:
         """Increasing numbers of the documents that hold the query as one
         run of tokens inside a span, matched without case: for one token a
         read-only ``memoryview`` of its posting, for more a list of the
-        rarest token's numbers whose text holds the run; ``()`` for a
-        query that punctuation cuts in two or that has a window of
-        MAX_NGRAM_LEN tokens (the whole query, when shorter) outside
-        ``phrases``. Punctuation is looked for in the query as given, since
-        ``str.lower`` maps some, such as ``Ⓐ``, to characters that are not."""
+        rarest token's numbers whose text holds the run's codes, encoded as
+        the text is; ``()`` for a query that punctuation cuts in two or that
+        has a window of MAX_NGRAM_LEN tokens (the whole query, when shorter)
+        outside ``phrases``. Punctuation is looked for in the query as given,
+        since ``str.lower`` maps some, such as ``Ⓐ``, to characters that are
+        not."""
         if self.punctuation.isdisjoint(query):
             tokens = query.lower().split()
         else:
@@ -245,7 +272,8 @@ class PhraseTable:
         numbers = memoryview(rarest).toreadonly().cast("I")
         if len(tokens) == 1:
             return numbers
-        needle = " " + " ".join(tokens) + " "
+        # get, not []: a query adds no code (each of its tokens has one here)
+        needle = "".join(map(self._codes.get, tokens)).encode("utf-8", "surrogatepass")
         return [number for number in numbers if needle in self.texts[number]]
 
     def mined_terms(self, stoplist: Stoplist) -> Iterator[str]:
@@ -258,10 +286,12 @@ class PhraseTable:
 def tokenize_corpus(
     documents: Iterable[tuple[str, str]], punctuation: frozenset[str]
 ) -> PhraseTable:
-    """Split each (doc id, text) at punctuation once and fill one phrase table."""
+    """Split each (doc id, text) at punctuation once and fill one phrase
+    table, keeping each document's domain: the id up to its first ``/``, as
+    ``load_corpus`` lays ids out."""
     table = PhraseTable(punctuation)
     for doc_id, text in documents:
-        table.add(doc_id, punctuation_spans(text, punctuation))
+        table.add(sys.intern(doc_id.split("/", 1)[0]), punctuation_spans(text, punctuation))
     return table
 
 

@@ -23,7 +23,7 @@ from ontoenrich.ontology import Axiom, Ontology, RelationKind, canonicalize_axio
 from ontoenrich.patterns import pluralize_term
 from ontoenrich.placement import PlacementDecision, place_all
 from ontoenrich.relatedness import DistanceConfig, RelatednessMatrix, distance_from_counts
-from ontoenrich.textpipe import PhraseTable, default_stoplist, tokenize_corpus
+from ontoenrich.textpipe import PhraseTable, _Codes, default_stoplist, tokenize_corpus
 
 _SLOT_RE = re.compile(r"\{([XY])(:pl)?\}")
 _VOWELS = "aeiou"
@@ -336,3 +336,15 @@ def has_axiom(
     inverse pair (hyponymy for hypernymy, holonymy for meronymy)."""
     key = canonicalize_axiom(Axiom(relation, subject, object_, subject_sense, object_sense)).key
     return any(axiom.key == key for axiom in ontology.axioms)
+
+
+class OffsetCodes(_Codes):
+    """The phrase table's code map with codes counted from offset + 1, so a
+    test reaches a code boundary without that many distinct tokens."""
+
+    def __init__(self, offset: int):
+        super().__init__()
+        self.offset = offset
+
+    def __len__(self) -> int:
+        return super().__len__() + self.offset

@@ -4,13 +4,15 @@ import json
 import logging
 import re
 import shutil
+import sys
 import tracemalloc
 import weakref
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from ontoenrich import pipeline
+from ontoenrich import pipeline, textpipe
 from ontoenrich.cli import _CONFIG_KEYS, build_parser, main
 from ontoenrich.evaluation import load_judgments
 from ontoenrich.hitcounts import SnapshotTable
@@ -19,7 +21,7 @@ from ontoenrich.patterns import RelationSuggestion
 from ontoenrich.placement import PlacementDecision, enrich_ontology
 from ontoenrich.textpipe import load_corpus, read_documents
 
-from helpers import build_index, corpus_digest, has_axiom, scan_hits
+from helpers import OffsetCodes, build_index, corpus_digest, has_axiom, scan_hits
 from test_desk_run import pattern_funnel, run_cli
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -394,6 +396,18 @@ def test_blank_document_exits_corpus_code(tmp_path, tiny_corpus, capsys):
     assert code == 4
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
     assert errors == ["error [corpus] document 'islands/blank.txt' has empty text"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_token_past_the_last_code_exits_corpus_code(tmp_path, tiny_corpus, capsys, monkeypatch):
+    # tiny_corpus has 8 distinct tokens; codes from the third-last on leave room for 3.
+    monkeypatch.setattr(textpipe, "_Codes", partial(OffsetCodes, sys.maxunicode - 3))
+    code = run("enrich", "--corpus", tiny_corpus, "--ontology", MINI,
+               "--out-dir", tmp_path / "out")
+    assert code == 4
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error")]
+    assert errors == ["error [corpus] corpus has more than 1,114,111 distinct lowercase tokens,"
+                      " the number of token codes"]
     assert not (tmp_path / "out").exists()
 
 

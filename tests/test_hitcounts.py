@@ -1,13 +1,18 @@
+import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ontoenrich import textpipe
 from ontoenrich.hitcounts import CorpusIndex, EmptyCorpusError, SnapshotTable, pair_key
 from ontoenrich.textpipe import default_stoplist
 
 from helpers import (
+    OffsetCodes,
     build_index,
     phrase_table,
     scan_hits,
@@ -228,12 +233,12 @@ def test_property_provider_invariants(texts, a, b):
     assert index.pair_hits(a, b) == index.pair_hits(b, a)
 
 
-def assert_documents(table, query: str, doc_ids: set[str]) -> None:
+def assert_documents(table, ids: list[str], query: str, doc_ids: set[str]) -> None:
     """The table's documents for the query are increasing numbers of the
-    documents named by doc_ids."""
+    documents named by doc_ids; ids names each number, in add order."""
     numbers = table.documents(query)
     assert all(a < b for a, b in zip(numbers, numbers[1:])), query
-    assert {table.doc_ids[n] for n in numbers} == doc_ids, query
+    assert {ids[n] for n in numbers} == doc_ids, query
 
 
 _LONG_WORDS = st.sampled_from(["java", "Java", "sea", "reef", "the", "of", "is", "an"])
@@ -272,7 +277,7 @@ def test_property_long_phrase_equals_scan_oracle(case):
     doc_tokens = {doc_id: text.split() for doc_id, text in texts.items()}
     for query in queries:
         assert index.hits(query) == scan_hits(doc_tokens, query)
-        assert_documents(table, query, scan_phrase_docs(doc_tokens, query))
+        assert_documents(table, list(texts), query, scan_phrase_docs(doc_tokens, query))
 
 
 _CASED_WORDS = st.sampled_from(["java", "Java", "JAVA", "sea", "Reef", "is", "a", "x", "y"])
@@ -333,7 +338,60 @@ def test_property_punctuated_queries_equal_walk_oracle(case):
     for query in queries:
         expected = walk_phrase_docs(texts, query, default_stoplist().punctuation)
         assert index.hits(query) == index.pattern_hits(query) == len(expected), query
-        assert_documents(table, query, expected)
+        assert_documents(table, list(texts), query, expected)
+
+
+# The first code of each UTF-8 width past one byte, the surrogates' first
+# and the first code past them; the last, sys.maxunicode + 1, stands for
+# codes that end at the last code point.
+_CODE_BOUNDARIES = [0x80, 0x800, 0xD800, 0xE000, 0x10000, sys.maxunicode + 1]
+_CODE_WORDS = st.sampled_from(
+    ["java", "Java", "sea", "SEA", "reef", "tide", "palm", "bay", "is", "a"])
+
+
+@st.composite
+def coded_corpus_cases(draw):
+    """Documents with punctuation tokens, 1-6 token queries in mixed case,
+    half of them windows of a document's words, and where the table's codes
+    start: up to 8 tokens below a boundary of ``_CODE_BOUNDARIES``, the rest
+    at or above it."""
+    texts, words_of = {}, {}
+    for i in range(draw(st.integers(1, 6))):
+        words = draw(st.lists(_CODE_WORDS, min_size=1, max_size=20))
+        marks = draw(st.lists(_MARKS, min_size=len(words), max_size=len(words)))
+        texts[f"d/{i}"] = " ".join(f"{word} {mark}" for word, mark in zip(words, marks))
+        words_of[f"d/{i}"] = words
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(st.integers(1, 6))
+        words = words_of[draw(st.sampled_from(sorted(words_of)))]
+        if draw(st.booleans()) and length <= len(words):
+            start = draw(st.integers(0, len(words) - length))
+            tokens = [draw(_CASES)(word) for word in words[start : start + length]]
+        else:
+            tokens = draw(st.lists(_CODE_WORDS, min_size=length, max_size=length))
+        queries.append(" ".join(tokens))
+    distinct = len({word.lower() for words in words_of.values() for word in words})
+    below = draw(st.integers(0, 8))
+    offset = min(draw(st.sampled_from(_CODE_BOUNDARIES)) - 1 - below, sys.maxunicode - distinct)
+    return texts, queries, distinct, offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(coded_corpus_cases())
+def test_property_documents_equal_oracles_across_code_widths(case):
+    # Codes of 1-4 UTF-8 bytes, and surrogates, side by side in one text: a
+    # query's codes match only whole tokens of one span.
+    texts, queries, distinct, offset = case
+    with mock.patch.object(textpipe, "_Codes", partial(OffsetCodes, offset)):
+        table = phrase_table(texts.items())
+    codes = sorted(map(ord, table._codes.values()))
+    assert codes == list(range(offset + 1, offset + distinct + 1))
+    doc_tokens = {doc_id: text.split() for doc_id, text in texts.items()}
+    for query in queries:
+        expected = scan_phrase_docs(doc_tokens, query)
+        assert walk_phrase_docs(texts, query, default_stoplist().punctuation) == expected
+        assert_documents(table, list(texts), query, expected)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from ontoenrich.hitcounts import CorpusIndex
 from ontoenrich.ontology import Instance, load_ontology
 from ontoenrich.textpipe import (
     MAX_NGRAM_LEN,
+    PhraseTable,
     TermPartition,
     default_stoplist,
     load_corpus,
@@ -19,7 +21,7 @@ from ontoenrich.textpipe import (
     tokenize_corpus,
 )
 
-from helpers import corpus_digest, phrase_table, walk_terms
+from helpers import OffsetCodes, corpus_digest, phrase_table, walk_spans, walk_terms
 
 MINI_ONTOLOGY = Path(__file__).resolve().parent.parent / "fixtures" / "mini_ontology.tsv"
 
@@ -328,7 +330,10 @@ def test_first_surface_follows_document_id_order(tmp_path, stoplist):
         (tmp_path / domain / "doc.txt").write_text(text, encoding="utf-8")
     documents = read_documents(load_corpus(tmp_path), hashlib.sha256())
     table = tokenize_corpus(documents, stoplist.punctuation)
-    assert table.doc_ids == ["a-b/doc.txt", "a/doc.txt"]
+    ids = ["a-b/doc.txt", "a/doc.txt"]  # add order
+    assert [ids[n] for n in table.documents("chair")] == ["a-b/doc.txt"]
+    assert [ids[n] for n in table.documents("lamp")] == ["a/doc.txt"]
+    assert table.domains == ["a-b", "a"]
     assert list(table.documents("desk")) == [0, 1]
     mined = set(table.mined_terms(stoplist))
     assert "Desk" in mined and "desk" not in mined
@@ -341,6 +346,68 @@ def test_each_lowercase_token_is_one_object():
     for token in [*(token for phrase in table.phrases for token in phrase), *table.postings]:
         assert shared.setdefault(token, token) is token, token
     assert shared.keys() == {"the", "reef", "sea", "i\u0307stanbul"}
+
+
+def test_documents_of_one_domain_share_one_domain_string():
+    # Each id is its own string object, and so is each split of it.
+    table = phrase_table([("".join(["reef", "/", str(n)]), "sea") for n in range(3)])
+    assert table.domains == ["reef"] * 3
+    assert table.domains[0] is table.domains[1] is table.domains[2]
+
+
+def test_codes_follow_first_appearance_in_document_order():
+    # Codes count from 1 in the order tokens first occur, which no hash
+    # seed changes; a text is its spans' codes joined by "\0", as UTF-8.
+    docs = [("d/0", "The reef, THE sea. İstanbul the reef"),
+            ("d/1", "the İSTANBUL bay; İstanbul THE")]
+    table = phrase_table(docs)
+    cut = SimpleNamespace(words=frozenset(), punctuation=default_stoplist().punctuation)
+    spans = [walk_spans(text, cut) for _, text in docs]
+    first = list(dict.fromkeys(token.lower() for doc in spans for span in doc for token in span))
+    assert first == ["the", "reef", "sea", "i\u0307stanbul", "bay"]
+    assert list(table._codes.items()) == [(token, chr(n)) for n, token in enumerate(first, 1)]
+    assert table.texts == [
+        b"\0".join(bytes(first.index(token.lower()) + 1 for token in span) for span in doc)
+        for doc in spans]
+
+
+@pytest.mark.parametrize("last", [0x7F, 0x7FF, 0xD7FF, 0xDBFF, 0xFFFF])
+def test_codes_cross_utf8_width_boundaries(last):
+    # Three tokens coded last .. last + 2: from 1 to 2 UTF-8 bytes, 2 to 3,
+    # into the surrogates (encoded as "surrogatepass" does), from a high
+    # surrogate to a low one, and from 3 bytes to 4.
+    table = PhraseTable(frozenset(","))
+    table._codes = OffsetCodes(last - 1)
+    table.add("d", [["reef", "sea"], ["java", "reef"]])
+    table.add("d", [["sea", "java", "reef"]])
+    reef, sea, java = (chr(code) for code in range(last, last + 3))
+    assert table._codes == {"reef": reef, "sea": sea, "java": java}
+    assert table.texts == [(reef + sea + "\0" + java + reef).encode("utf-8", "surrogatepass"),
+                           (sea + java + reef).encode("utf-8", "surrogatepass")]
+    widths = [len(code.encode("utf-8", "surrogatepass")) for code in (reef, sea, java)]
+    assert widths in ([1, 2, 2], [2, 3, 3], [3, 3, 3], [3, 4, 4])
+    assert table.documents("reef sea") == [0]
+    assert table.documents("sea java") == table.documents("sea java reef") == [1]  # not across "\0"
+    assert table.documents("java reef") == [0, 1]
+
+
+def test_the_token_past_the_last_code_is_an_error():
+    table = PhraseTable(frozenset())
+    table._codes = OffsetCodes(sys.maxunicode - 1)
+    table.add("d", [["reef"]])
+    assert table._codes == {"reef": chr(sys.maxunicode)}
+    with pytest.raises(ValueError, match="^corpus has more than 1,114,111 distinct lowercase "
+                                         "tokens, the number of token codes$"):
+        table.add("d", [["reef", "sea"]])
+
+
+def test_a_query_adds_no_code():
+    table = phrase_table([("d/0", "The reef, sea java."), ("d/1", "İstanbul reef sea")])
+    codes = dict(table._codes)
+    for query in ["coral", "Coral reef", "reef coral sea", "REEF SEA", "İSTANBUL", "Reef Sea Java",
+                  "sea java reef coral", ", . ;", "(", "", " ", "reef, sea", "\u212aava"]:
+        table.documents(query)
+    assert len(table._codes) == len(codes) and table._codes == codes
 
 
 def test_stoplist_requires_words():
@@ -439,10 +506,11 @@ def test_property_mined_terms_equal_character_walk(variant, texts):
     # Ids sort against load order, so a first surface taken in id order shows.
     docs = [(f"d{9 - i}/doc", text) for i, text in enumerate(texts) if text.strip()]
     table = phrase_table(docs, stoplist.punctuation)
+    ids = [doc_id for doc_id, _ in docs]  # add order
     got = {}
     for surface in table.mined_terms(stoplist):
         key = tuple(surface.lower().split())
-        got[key] = (tuple(surface.split()), {table.doc_ids[n] for n in table.documents(surface)})
+        got[key] = (tuple(surface.split()), {ids[n] for n in table.documents(surface)})
     assert got == walk_terms(docs, stoplist, MAX_NGRAM_LEN)
 
 
@@ -453,14 +521,15 @@ def test_property_postings_are_increasing_doc_numbers(texts):
     stoplist = default_stoplist()
     docs = [(f"d{9 - i}/doc", text) for i, text in enumerate(texts) if text.strip()]
     table = phrase_table(docs, stoplist.punctuation)
-    assert table.doc_ids == [doc_id for doc_id, _ in docs]
+    ids = [doc_id for doc_id, _ in docs]  # add order
+    assert table.domains == [doc_id.split("/", 1)[0] for doc_id in ids]
     # Every phrase, stopwords included: the walk with no stopwords.
     cut = SimpleNamespace(words=frozenset(), punctuation=stoplist.punctuation)
     walked = walk_terms(docs, cut, MAX_NGRAM_LEN)
     assert table.phrases == walked.keys()
     assert len(table) == len(walked)
     for key, (_, doc_ids) in walked.items():
-        assert {table.doc_ids[n] for n in table.documents(" ".join(key))} == doc_ids
+        assert {ids[n] for n in table.documents(" ".join(key))} == doc_ids
         assert CorpusIndex.build(table).hits(" ".join(key)) == len(doc_ids)
     assert table.postings.keys() == {key[0] for key in walked if len(key) == 1}
     for token, packed in table.postings.items():
@@ -468,4 +537,4 @@ def test_property_postings_are_increasing_doc_numbers(texts):
         posting = memoryview(packed).cast("I").tolist()
         assert all(type(n) is int for n in posting)
         assert all(a < b for a, b in zip(posting, posting[1:]))
-        assert {table.doc_ids[n] for n in posting} == walked[(token,)][1]
+        assert {ids[n] for n in posting} == walked[(token,)][1]
