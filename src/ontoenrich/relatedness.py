@@ -24,15 +24,22 @@ The batch fetches N and takes log N once, and fetches f1, checks
 0 < f1 < N and takes log f1 once per row and column term. A term outside
 that range raises, naming itself, before any cell is computed; a run drops
 such terms first (``drop_unusable_terms``). A row then takes
-the f2 of all its cells in one ``map`` over ``pair_hits``, and starts as the
-cap in every cell: only a cell with f2 > 0 runs Python code, for the
-f2 <= min f1 check, log f2 and the division. Each log takes the argument
-``distance_from_counts`` gives it, so every cell is the float that function
-returns. The denominator is a left-to-right sum (``reduce``, not ``sum``,
-which compensates float sums from Python 3.12 on). ``relatedness`` is taken
-once per distinct distance, and every cell of that distance holds the same
-float object. So past the provider's calls, a batch's Python work follows
-its co-occurring cells and its distinct distances, not its cells: on the
+the f2 of all its cells in one ``map`` over ``pair_hits`` and is filled as
+one dense list that starts as the cap in every cell: only a cell with
+f2 > 0 runs Python code, for the f2 <= min f1 check, log f2 and the
+division. Each log takes the argument ``distance_from_counts`` gives it, so
+every cell is the float that function returns. The dense row is added to
+the denominator at once, a left-to-right sum over the rows in order
+(``reduce``, not ``sum``, which compensates float sums from Python 3.12 on),
+and then only its co-occurring cells are kept: their column numbers and
+their distances, one float per distinct distance. Once the denominator is
+known, ``relatedness`` is taken once per distinct distance and once for the
+cap, and each row of cells is a copy of the capped row with its
+co-occurring cells set; every cell of one distance holds the same float
+object, and each kept row is freed as its cells are built. So the batch
+holds the distances of its co-occurring cells, never a dense distance
+matrix, and past the provider's calls its Python work follows its
+co-occurring cells and its distinct distances, not its cells: on the
 ``vocab4x`` benchmark workload 14,402 and 1,924 of 108,000.
 
 ``DEFAULT_DISTANCE_CAP`` and ``DEFAULT_THRESHOLD`` are the defaults of the
@@ -182,35 +189,51 @@ def relatedness_matrix(
             error = ValueError if count <= 0 else DegenerateDenominatorError
             raise error(f"term {term!r} has {count} hits; a relatedness batch needs "
                         f"0 < hits < {n}, the collection size")
-    distances = _distances(rows, row_hits, cols, col_hits, n, provider.pair_hits, cfg)
-    denominator = reduce(add, chain.from_iterable(distances), 0.0)
+    kept, denominator, distinct = _distances(
+        rows, row_hits, cols, col_hits, n, provider.pair_hits, cfg)
     if len(rows) * len(cols) == 1:
         logger.warning(
             "single-pair batch: relatedness is 0 by construction for (%r, %r)",
             rows[0], cols[0],
         )
+    cap = cfg.zero_cooccurrence_cap
     shared = {distance: relatedness(distance, denominator)
-              for distance in set(chain.from_iterable(distances))}
-    cells = tuple(tuple(map(shared.__getitem__, row)) for row in distances)
-    return RelatednessMatrix(rows, cols, cells, denominator)
+              for distance in chain((cap,), distinct)}
+    capped = [shared[cap]] * len(cols)
+    cells = []
+    for i, (where, distances) in enumerate(kept):
+        row = capped.copy()
+        for j, value in zip(where, map(shared.__getitem__, distances)):
+            row[j] = value
+        cells.append(tuple(row))
+        kept[i] = None
+    return RelatednessMatrix(rows, cols, tuple(cells), denominator)
 
 
-def _distances(rows, row_hits, cols, col_hits, n, pair_hits, cfg) -> list[list[float]]:
+def _distances(rows, row_hits, cols, col_hits, n, pair_hits, cfg
+               ) -> tuple[list[tuple[list[int], list[float]]], float, dict[float, float]]:
     """``distance_from_counts`` of every cell, for terms that all satisfy
     0 < hits < n: each log but log f2 is taken once per term, a row's joint
     counts are fetched in one pass, and only its cells with f2 > 0 pick the
-    larger log and the denominator as that function picks them."""
+    larger log and the denominator as that function picks them.
+
+    Returns, per row, the column numbers and distances of its cells with
+    f2 > 0 (every other cell is the cap); the left-to-right sum of all the
+    cells in row-major order; and the distinct distances of those cells,
+    each mapped to itself, the one float every kept cell of it holds."""
     log, cap = math.log, cfg.zero_cooccurrence_cap
     log_n = log(n)
     columns = [(f, log(f), log_n - log(f)) for f in col_hits]
     width = len(cols)
-    distances = []
+    numbers = list(range(width))
+    total, seen, kept = 0.0, {}, []
     for miss, f_miss in zip(rows, row_hits):
         l_miss = log(f_miss)
         d_miss = log_n - l_miss
         joint = list(map(pair_hits, repeat(miss), cols))
         row = [cap] * width
-        for j in compress(range(width), joint):
+        where = list(compress(numbers, joint))
+        for j in where:
             f2 = joint[j]
             f_term, l_term, d_term = columns[j]
             if f2 > f_miss or f2 > f_term:
@@ -219,8 +242,10 @@ def _distances(rows, row_hits, cols, col_hits, n, pair_hits, cfg) -> list[list[f
                 row[j] = (l_term - log(f2)) / d_miss
             else:
                 row[j] = (l_miss - log(f2)) / d_term
-        distances.append(row)
-    return distances
+        total = reduce(add, row, total)
+        values = list(compress(row, joint))
+        kept.append((where, list(map(seen.setdefault, values, values))))
+    return kept, total, seen
 
 
 def relatedness(distance: float, denominator: float) -> float:

@@ -1,5 +1,8 @@
 import math
 import tracemalloc
+from functools import reduce
+from itertools import chain
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -221,6 +224,131 @@ def test_matrix_cells_share_one_float_per_distinct_distance():
         tracemalloc.stop()
     assert len({id(value) for row in matrix.cells for value in row}) == 1
     assert retained / (300 * 360) <= 10
+
+
+_MISSING = [f"missing {i}" for i in range(300)]
+_KNOWN = [f"known {j}" for j in range(360)]
+
+
+def peak_bytes_per_cell(table) -> float:
+    """The ``tracemalloc`` peak while ``relatedness_matrix`` builds the
+    300 x 360 batch of ``_MISSING`` by ``_KNOWN`` over table, per cell."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        relatedness_matrix(_MISSING, _KNOWN, table)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak / (len(_MISSING) * len(_KNOWN))
+
+
+def test_matrix_peak_memory_stays_below_a_dense_distance_matrix():
+    # No pair co-occurs. A dense distance matrix beside the cells takes two
+    # 8 B slots a cell; the batch keeps no distance but the cap.
+    table = SnapshotTable.from_pairs([(term, 10) for term in _MISSING + _KNOWN], 1_000)
+    assert peak_bytes_per_cell(table) <= 12
+
+
+def test_matrix_peak_memory_keeps_one_float_per_distinct_distance():
+    # Every pair co-occurs with one f2, so every cell has one distance, but
+    # each is a float of its own (24 B) until it is interned. The kept
+    # column numbers and distances take two 8 B slots a cell and the cells
+    # one, each kept row freed as its cells are built. Holding every
+    # distance float, dense or sparse, takes 40 B a cell or more; keeping
+    # the kept rows to the end, 24 B and more.
+    entries = [(term, 10) for term in _MISSING + _KNOWN]
+    entries += [(pair_key(miss, term), 5) for miss in _MISSING for term in _KNOWN]
+    table = SnapshotTable.from_pairs(entries, 1_000)
+    assert peak_bytes_per_cell(table) <= 24
+
+
+def dense_oracle(rows, cols, table, cfg=DistanceConfig()):
+    """Every distance from ``distance_from_counts``, row by row, and their
+    left-to-right sum in row-major order."""
+    n = table.total_docs()
+    distances = [
+        [distance_from_counts(miss, term, table.hits(miss), table.hits(term),
+                              table.pair_hits(miss, term), n, cfg) for term in cols]
+        for miss in rows
+    ]
+    return distances, reduce(add, chain.from_iterable(distances), 0.0)
+
+
+def test_matrix_denominator_is_the_row_major_chain_of_cap_runs_and_values():
+    rows, cols, cap = ["m0", "m1"], ["k0", "k1", "k2", "k3"], 0.3
+    table = snapshot_of(
+        {"m0": 38, "m1": 56, "k0": 53, "k1": 50, "k2": 6, "k3": 18},
+        {("m0", "k1"): 8, ("m0", "k2"): 4, ("m1", "k2"): 4}, 100,
+    )
+    cfg = DistanceConfig(cap)
+    distances, chained = dense_oracle(rows, cols, table, cfg)
+    # co-occurring cells between cap runs: cap d d cap / cap cap d cap
+    assert [[value == cap for value in row] for row in distances] == [
+        [True, False, False, True], [True, True, False, True]]
+    flat = list(chain.from_iterable(distances))
+    values = [value for value in flat if value != cap]
+    other_orders = [
+        reduce(add, [reduce(add, row, 0.0) for row in distances], 0.0),
+        cap * (len(flat) - len(values)) + sum(values),
+        cap * (len(flat) - len(values)) + reduce(add, values, 0.0),
+        math.fsum(flat),
+    ]
+    assert all(total != chained for total in other_orders)
+    matrix = relatedness_matrix(rows, cols, table, cfg)
+    assert matrix.denominator.hex() == chained.hex()
+    assert [[value.hex() for value in row] for row in matrix.cells] == [
+        [relatedness(value, chained).hex() for value in row] for row in distances]
+
+
+_EDGE_TEXTS = {
+    "d/1": "m1 k1 k2",
+    "d/2": "m1 k1",
+    "d/3": "m2 k1 k2",
+    "d/4": "m2 k2",
+    "d/5": "m1",
+    "d/6": "k1",
+    "d/7": "m2 k1",
+    "d/8": "m3 filler",
+}
+
+
+def assert_equals_oracle(matrix, texts, cap=1.0):
+    rows, cols = list(matrix.missing_terms), list(matrix.ontology_terms)
+    oracle = oracle_matrix({i: t.split() for i, t in texts.items()}, rows, cols, cap)
+    for (miss, term), expected in oracle.items():
+        assert cell(matrix, miss, term) == pytest.approx(expected, abs=1e-12)
+
+
+def test_matrix_with_every_cell_cooccurring_holds_no_capped_cell():
+    index = build_index(_EDGE_TEXTS.items())
+    matrix = relatedness_matrix(["m1", "m2"], ["k1", "k2"], index)
+    assert all(index.pair_hits(miss, term) for miss in ["m1", "m2"] for term in ["k1", "k2"])
+    assert_equals_oracle(matrix, _EDGE_TEXTS)
+    capped = relatedness(DistanceConfig().zero_cooccurrence_cap, matrix.denominator)
+    assert capped not in set(chain.from_iterable(matrix.cells))
+
+
+def test_matrix_row_with_no_cooccurring_cell_holds_the_cap_everywhere():
+    index = build_index(_EDGE_TEXTS.items())
+    matrix = relatedness_matrix(["m1", "m2", "m3"], ["k1", "k2"], index)
+    assert_equals_oracle(matrix, _EDGE_TEXTS)
+    capped = relatedness(DistanceConfig().zero_cooccurrence_cap, matrix.denominator)
+    assert matrix.cells[2] == (capped, capped)
+    assert capped not in matrix.cells[0] + matrix.cells[1]
+
+
+def test_matrix_zero_cap_and_an_always_cooccurring_pair_share_one_float():
+    texts = {"d/1": "a b c", "d/2": "a b", "d/3": "c e", "d/4": "d", "d/5": "e",
+             "d/6": "filler"}
+    index = build_index(texts.items())
+    matrix = relatedness_matrix(["a", "e"], ["b", "c", "d"], index, DistanceConfig(0.0))
+    assert_equals_oracle(matrix, texts, cap=0.0)
+    # distance 0.0 at (a, b) from always co-occurring, the cap at the rest
+    zero = [value for row in matrix.cells for value in row if value == 1.0]
+    assert len(zero) == 4
+    assert len({id(value) for value in zero}) == 1
+    assert matrix.denominator > 0
 
 
 def test_matrix_denominator_adds_left_to_right():
