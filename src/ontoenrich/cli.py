@@ -22,7 +22,7 @@ from .pipeline import (
     run_eval,
     run_relatedness,
 )
-from .relatedness import DEFAULT_DISTANCE_CAP, DEFAULT_THRESHOLD
+from .relatedness import DEFAULT_DISTANCE_CAP, DEFAULT_THRESHOLD, DistanceConfig, SelectionConfig
 
 STAGE_EXIT_CODES = {
     "config": 2,
@@ -103,14 +103,15 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     if top_k is not None and not isinstance(top_k, int):
         raise ConfigError(f"top_k must be an integer, got {top_k!r}")
     try:
-        return RunConfig(
-            **paths,
-            threshold=float(merged.get("threshold", DEFAULT_THRESHOLD)),
-            distance_cap=float(merged.get("ngd_cap", DEFAULT_DISTANCE_CAP)),
-            top_k=top_k,
-        )
+        threshold = float(merged.get("threshold", DEFAULT_THRESHOLD))
+        cap = float(merged.get("ngd_cap", DEFAULT_DISTANCE_CAP))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+    try:  # out of range: the message of the record that checks the value
+        return RunConfig(**paths, selection=SelectionConfig(threshold, top_k),
+                         distance=DistanceConfig(cap))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from .ontology import normalize_label, records
 
@@ -83,7 +83,7 @@ def load_judgments(path: str | Path) -> dict[str, DomainJudgments]:
     }
 
 
-def _set_precision(system: Iterable[str], expert: Iterable[str]) -> float | None:
+def _set_precision(system: Iterable[Hashable], expert: Iterable[Hashable]) -> float | None:
     system, expert = frozenset(system), frozenset(expert)
     if not system:
         return None
@@ -95,15 +95,13 @@ def enrichment_precision(
     expert: Mapping[PlacementKey, str],
     require_relation: bool = True,
 ) -> float | None:
-    """Share of system placements that agree with an expert placement."""
-    if not system:
-        return None
-    matches = sum(
-        1
-        for key, relation in system.items()
-        if key in expert and (not require_relation or expert[key] == relation)
-    )
-    return matches / len(system)
+    """Share of system placements that agree with an expert placement: the
+    set precision of their (key, relation) items, or of their keys alone
+    when the relation is not required. A mapping gives a key one relation,
+    so the items count each placement once."""
+    if require_relation:
+        return _set_precision(system.items(), expert.items())
+    return _set_precision(system, expert)
 
 
 class DomainPrecision(NamedTuple):

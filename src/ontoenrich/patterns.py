@@ -75,7 +75,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .hitcounts import HitCountProvider
-from .ontology import RELATION_NAMES, RelationKind, normalize_label, read_input, records
+from .ontology import RelationKind, normalize_label, read_input, records
 
 NEGATION_WORDS = frozenset(
     {"no", "not", "never", "none", "neither", "nor", "cannot",
@@ -329,7 +329,7 @@ class RelationSuggestion(NamedTuple):
     missing_term: str
     ontology_term: str
     relation: RelationKind
-    winning_group: str | None          # None on the related-to fallback
+    winning_group: str                 # FALLBACK_MARKER on the related-to fallback
     winner_hits: int
     hits: tuple[int, ...]              # one count per template, catalogue order
 
@@ -392,18 +392,14 @@ class SideMasks:
         is ``extract_relation`` or a wrapper of it."""
         related, zero_hits = RelationKind.RELATED_TO, catalogue.zero_hits
         viable = self._mask(t_miss, 0, catalogue)
-        if not viable:
-            self.settled += len(targets)
-            return [RelationSuggestion(t_miss, t_in, related, None, 0, zero_hits)
-                    for t_in in targets]
         suggestions = []
         for t_in in targets:
-            if viable & self._mask(t_in, 1, catalogue):
+            if viable and viable & self._mask(t_in, 1, catalogue):
                 suggestions.append(extract(t_miss, t_in, provider, catalogue, self))
             else:
                 self.settled += 1
                 suggestions.append(
-                    RelationSuggestion(t_miss, t_in, related, None, 0, zero_hits))
+                    RelationSuggestion(t_miss, t_in, related, FALLBACK_MARKER, 0, zero_hits))
         return suggestions
 
 
@@ -419,7 +415,7 @@ def extract_relation(
     unqueried."""
     hits = sides.hits(t_miss, t_in, provider, catalogue)
     if not any(hits):  # nearly every pair: keep the catalogue's shared zero tuple
-        return RelationSuggestion(t_miss, t_in, RelationKind.RELATED_TO, None, 0,
+        return RelationSuggestion(t_miss, t_in, RelationKind.RELATED_TO, FALLBACK_MARKER, 0,
                                   catalogue.zero_hits)
     group_hits = dict.fromkeys(catalogue.groups, 0)
     for group, count in zip(catalogue.groups, hits):
@@ -428,9 +424,7 @@ def extract_relation(
     group_relation = {template.group: template.relation for template in catalogue}
     winner = min(
         (group for group, count in group_hits.items() if count == best),
-        key=lambda g: (
-            _SPECIFICITY.get(group_relation[g], 99), RELATION_NAMES[group_relation[g]], g
-        ),
+        key=lambda g: (_SPECIFICITY.get(group_relation[g], 99), group_relation[g], g),
     )
     return RelationSuggestion(t_miss, t_in, group_relation[winner], winner, best, hits)
 

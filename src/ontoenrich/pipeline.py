@@ -53,8 +53,6 @@ from .patterns import (
 )
 from .placement import enrich_ontology, place_all, write_enrichment_report
 from .relatedness import (
-    DEFAULT_DISTANCE_CAP,
-    DEFAULT_THRESHOLD,
     DistanceConfig,
     RelatednessMatrix,
     SelectionConfig,
@@ -119,23 +117,17 @@ class RunConfig(NamedTuple):
     corpus: Path
     ontology: Path
     out_dir: Path
+    selection: SelectionConfig
+    distance: DistanceConfig
     snapshot: Path | None = None
     stopwords: Path | None = None
     gazetteer: Path | None = None
     patterns: Path | None = None
-    threshold: float = DEFAULT_THRESHOLD
-    distance_cap: float = DEFAULT_DISTANCE_CAP
-    top_k: int | None = None
 
     def validate(self) -> None:
-        """Reject what SelectionConfig or DistanceConfig rejects, a provider
-        input whose name the manifest cannot hold in one field, a missing
-        input and an unusable out_dir, before any input is read."""
-        try:
-            SelectionConfig(self.threshold, self.top_k)
-            DistanceConfig(self.distance_cap)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        """Reject a provider input whose name the manifest cannot hold in one
+        field, a missing input and an unusable out_dir, before any input is
+        read. The run settings checked themselves when they were built."""
         named = Path(self.corpus if self.snapshot is None else self.snapshot).name
         if not FIELD_BREAKS.isdisjoint(named):
             raise ConfigError(f"input name {named!r} has a tab or line break, "
@@ -165,7 +157,7 @@ def _suggest(config: RunConfig, matrix: RelatednessMatrix, provider: HitCountPro
     leave viable call ``extract_relation``, which perfbench's
     ``patterns.extract`` span wraps. The side masks go when it returns."""
     with _stage("extraction"):
-        candidates = select_candidates(matrix, SelectionConfig(config.threshold, config.top_k))
+        candidates = select_candidates(matrix, config.selection)
         # The index tests a side by its count, so a recorded or traced run
         # sees every side query; the snapshot's runs are freed with sides.
         sides = SideMasks(provider.pattern_hits if config.snapshot is None
@@ -184,15 +176,16 @@ def _suggest(config: RunConfig, matrix: RelatednessMatrix, provider: HitCountPro
 def _write_manifest(config: RunConfig, input_sha256: dict[str, str], provider_id: str,
                     path: Path) -> None:
     """input_sha256 maps a manifest key to the sha256 of the bytes the run parsed."""
+    top_k = config.selection.top_k
     entries = {
         "catalogue_sha256": "builtin", "gazetteer_sha256": "-", "snapshot_sha256": "-",
         "stopwords_sha256": "builtin",
         **input_sha256,
-        "distance_cap": repr(config.distance_cap),
+        "distance_cap": repr(config.distance.zero_cooccurrence_cap),
         "provider": provider_id,
-        "threshold": repr(config.threshold),
+        "threshold": repr(config.selection.threshold),
         "tool_version": __version__,
-        "top_k": "unbounded" if config.top_k is None else str(config.top_k),
+        "top_k": "unbounded" if top_k is None else str(top_k),
     }
     lines = [f"{key}\t{value}" for key, value in sorted(entries.items())]
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -286,7 +279,7 @@ def _run(config: RunConfig, enrich: bool) -> Path:
 
         t_in = drop_unusable_terms(partition.concepts, provider)
         t_miss = drop_unusable_terms(retained, provider)
-        matrix = (relatedness_matrix(t_miss, t_in, provider, DistanceConfig(config.distance_cap))
+        matrix = (relatedness_matrix(t_miss, t_in, provider, config.distance)
                   if t_miss and t_in else RelatednessMatrix((), (), (), 0.0))
     logger.info("relatedness: %d retained and %d eliminated missing terms, %d known and %d "
                 "missing terms dropped for unusable counts", len(retained), len(eliminated),
@@ -295,8 +288,7 @@ def _run(config: RunConfig, enrich: bool) -> Path:
     if enrich:
         suggestions = _suggest(config, matrix, provider, catalogue)
         with _stage("enrichment"):
-            decisions, failures = place_all(suggestions, ontology, provider,
-                                            DistanceConfig(config.distance_cap),
+            decisions, failures = place_all(suggestions, ontology, provider, config.distance,
                                             matrix.denominator)
             del provider  # placement is the last stage that reads hit counts
             enriched = enrich_ontology(ontology, decisions, failures)

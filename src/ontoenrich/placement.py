@@ -59,7 +59,7 @@ from .ontology import (
     Ontology,
     RelationKind,
 )
-from .patterns import FALLBACK_MARKER, RelationSuggestion, slug
+from .patterns import RelationSuggestion, slug
 from .relatedness import DistanceConfig, distance_from_counts, relatedness
 
 logger = logging.getLogger(__name__)
@@ -301,7 +301,7 @@ def enrich_ontology(
             relation, target = suggestion.relation, decision.target_concept
             if relation is RelationKind.INSTANCE_OF and (anchor is None or target < anchor):
                 anchor = target
-            cited = (suggestion.winning_group or FALLBACK_MARKER, suggestion.winner_hits)
+            cited = (suggestion.winning_group, suggestion.winner_hits)
             evidence = evidences.get(cited)
             if evidence is None:
                 evidence = evidences[cited] = Evidence(*cited)
@@ -369,7 +369,7 @@ def write_enrichment_report(
                     f"{suggestion.missing_term}\t{decision.target_concept}"
                     f"\t{','.join(map(str, senses))}"
                     f"\t{RELATION_NAMES[suggestion.relation]}\t{decision.case}"
-                    f"\t{suggestion.winning_group or FALLBACK_MARKER}"
+                    f"\t{suggestion.winning_group}"
                     f"\t{suggestion.winner_hits}\tapplied\n"
                 )
         for failure in failures:

@@ -43,9 +43,10 @@ co-occurring cells and its distinct distances, not its cells: on the
 ``vocab4x`` benchmark workload 14,402 and 1,924 of 108,000.
 
 ``DEFAULT_DISTANCE_CAP`` and ``DEFAULT_THRESHOLD`` are the defaults of the
-cap and the threshold, which ``pipeline.RunConfig`` and the command line
-take too. ``DistanceConfig`` and ``SelectionConfig`` check the valid range
-of each run setting (the cap; the threshold and the per-term cap).
+cap and the threshold, which the command line takes too. ``DistanceConfig``
+and ``SelectionConfig`` check the valid range of each run setting (the cap;
+the threshold and the per-term cap) when they are built, and a
+``pipeline.RunConfig`` holds one of each.
 """
 
 from __future__ import annotations
@@ -123,13 +124,14 @@ def ngram_hits_filter(missing: Iterable[str], provider: HitCountProvider) -> lis
 
 
 def drop_unusable_terms(terms: Iterable[str], provider: HitCountProvider) -> list[str]:
-    """The usable terms (0 < hits < N), case-insensitively ordered.
+    """The usable terms (0 < hits < N), ordered by (lowercased term, term),
+    the matrix's order, so case variants keep one order on every hash seed.
 
     Warns once per call naming the dropped terms; per-term counts go to DEBUG.
     """
     kept, dropped = [], []
     n = provider.total_docs()
-    for term in sorted(set(terms), key=str.lower):
+    for term in sorted(set(terms), key=lambda t: (t.lower(), t)):
         count = provider.hits(term)
         if 0 < count < n:
             kept.append(term)
@@ -349,10 +351,14 @@ def select_candidates(matrix: RelatednessMatrix, cfg: SelectionConfig) -> Candid
 
 
 class _CellTexts(dict):
-    """Cell value -> its ``%.6f`` text, formatted the first time it is asked for."""
+    """Cell value -> its ``%.6f`` text, formatted the first time it is asked
+    for. A zero is formatted each time and never stored: ``0.0`` and ``-0.0``
+    are one key with two texts."""
 
     def __missing__(self, value: float) -> str:
-        text = self[value] = "%.6f" % value
+        text = "%.6f" % value
+        if value:
+            self[value] = text
         return text
 
 
@@ -360,13 +366,11 @@ def write_matrix(matrix: RelatednessMatrix, path: str | Path) -> None:
     """Tab-separated export: header row of column terms, one row per missing
     term; the rows are streamed to the file.
 
-    Each distinct cell value is formatted once, when a row first holds it,
-    and a row joins the texts of its cells. ``0.0`` and ``-0.0`` are one
-    key, so a row that holds a zero formats its cells one by one; a NaN is
-    a key of its own."""
+    Every cell goes through one ``_CellTexts`` map, so each distinct non-zero
+    cell value is formatted once, when a row first holds it, and a row joins
+    the texts of its cells. A NaN is a key of its own."""
     text = _CellTexts()
     with Path(path).open("w", encoding="utf-8") as out:
         out.write("\t".join(["term", *matrix.ontology_terms]) + "\n")
         for miss, row in zip(matrix.missing_terms, matrix.cells):
-            texts = map("%.6f".__mod__ if 0.0 in row else text.__getitem__, row)
-            out.write("%s\t%s\n" % (miss, "\t".join(texts)))
+            out.write("%s\t%s\n" % (miss, "\t".join(map(text.__getitem__, row))))

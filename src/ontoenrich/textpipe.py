@@ -60,17 +60,17 @@ def default_stoplist() -> Stoplist:
 
 
 @lru_cache(maxsize=None)
-def _punctuation_pattern(punctuation: frozenset[str]) -> re.Pattern[str] | None:
+def _punctuation_pattern(punctuation: frozenset[str]) -> re.Pattern[str]:
+    """A run of the punctuation characters; one that never matches for none."""
     if not punctuation:
-        return None
+        return re.compile("(?!)")
     return re.compile("[" + "".join(re.escape(ch) for ch in sorted(punctuation)) + "]+")
 
 
 def punctuation_spans(text: str, punctuation: frozenset[str]) -> list[list[str]]:
     """Whitespace-separated tokens, cut into spans at punctuation characters."""
-    pattern = _punctuation_pattern(punctuation)
-    pieces = pattern.split(text) if pattern is not None else [text]
-    return [tokens for piece in pieces if (tokens := piece.split())]
+    return [tokens for piece in _punctuation_pattern(punctuation).split(text)
+            if (tokens := piece.split())]
 
 
 # A tab, and every character at which ``str.splitlines`` ends a line.

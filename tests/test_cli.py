@@ -17,7 +17,7 @@ from ontoenrich.cli import _CONFIG_KEYS, build_parser, main
 from ontoenrich.evaluation import load_judgments
 from ontoenrich.hitcounts import SnapshotTable
 from ontoenrich.ontology import RelationKind, load_ontology
-from ontoenrich.patterns import RelationSuggestion
+from ontoenrich.patterns import FALLBACK_MARKER, RelationSuggestion
 from ontoenrich.placement import PlacementDecision, enrich_ontology
 from ontoenrich.textpipe import load_corpus, read_documents
 
@@ -194,7 +194,7 @@ def test_system_judgments_written_per_bucket_equal_sorted_lines(tmp_path):
     retained = ["marsh cat", "Reef", "reef bank", "Sea"]
 
     def decision(term, target, senses, relation):
-        suggestion = RelationSuggestion(term, target, relation, None, 0, ())
+        suggestion = RelationSuggestion(term, target, relation, FALLBACK_MARKER, 0, ())
         return PlacementDecision(suggestion, target, senses, "case2")
 
     # One term's decisions need not follow one another.
@@ -513,6 +513,29 @@ def test_bad_knob_values_exit_config_code(tmp_path, capsys, config, flags):
         argv += ["--config", path]
     assert run(*argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+RANGE_ERRORS = [
+    ("threshold", "--threshold", 1.5, "threshold must be in [0, 1], got 1.5"),
+    ("top_k", "--top-k", 0, "top_k must be >= 1, got 0"),
+    ("ngd_cap", "--ngd-cap", -1, "distance cap must be finite and >= 0, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("key, flag, value, message", RANGE_ERRORS)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_out_of_range_knob_prints_its_record_message(tmp_path, capsys, key, flag, value,
+                                                     message, source):
+    argv = ["enrich", "--corpus", FIXTURES / "corpus_examples", "--ontology", MINI,
+            "--snapshot", SNAPSHOT, "--out-dir", tmp_path / "o"]
+    if source == "flag":
+        argv += [flag, value]
+    else:
+        (tmp_path / "run.json").write_text(json.dumps({key: value}), encoding="utf-8")
+        argv += ["--config", tmp_path / "run.json"]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error [config] {message}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -9,6 +9,7 @@ from ontoenrich import patterns
 from ontoenrich.hitcounts import SnapshotTable
 from ontoenrich.ontology import RelationKind, normalize_label
 from ontoenrich.patterns import (
+    FALLBACK_MARKER,
     NEGATION_WORDS,
     PatternCatalogue,
     PatternTemplate,
@@ -155,7 +156,7 @@ def test_extract_all_zero_falls_back_to_related_to(catalogue):
     for pair in [("jawa", "Java"), ("Hindu-Buddhist", "Indonesia")]:
         suggestion = extract(*pair, provider, catalogue)
         assert suggestion.relation is RelationKind.RELATED_TO
-        assert suggestion.winning_group is None
+        assert suggestion.winning_group == FALLBACK_MARKER
         assert suggestion.winner_hits == 0
 
 
@@ -169,7 +170,7 @@ def test_all_zero_pairs_share_the_catalogue_zero_values(catalogue):
         missing_term="jawa",
         ontology_term="Java",
         relation=RelationKind.RELATED_TO,
-        winning_group=None,
+        winning_group=FALLBACK_MARKER,
         winner_hits=0,
         hits=(0,) * len(catalogue),
     )
@@ -309,7 +310,7 @@ def test_property_streamed_audit_equals_joined_audit(tmp_path_factory, data):
             missing_term=_AUDIT_TERMS,
             ontology_term=_AUDIT_TERMS,
             relation=st.just(RelationKind.RELATED_TO),
-            winning_group=st.none(),
+            winning_group=st.just(FALLBACK_MARKER),
             winner_hits=st.just(0),
             hits=hits,
         ),
@@ -337,7 +338,7 @@ def test_property_audit_order_equals_tuple_key_sort(tmp_path_factory, pairs, dat
     catalogue = parse_catalogue("P\tp\thyponymy\tisa\t{X} is a(n) {Y}\n")
     # One template, so one line per pair; its hit count numbers the pair.
     suggestions = [
-        RelationSuggestion(miss, target, RelationKind.RELATED_TO, None, 0, (number,))
+        RelationSuggestion(miss, target, RelationKind.RELATED_TO, FALLBACK_MARKER, 0, (number,))
         for number, (miss, target) in enumerate(pairs)
     ]
     # In pair order, with pairs that tie under lower() in drawn order: the

@@ -56,7 +56,7 @@ def snapshot():
     return SnapshotTable.load(FIXTURES / "snapshots" / "worked_examples.tsv")
 
 
-def suggest(miss, target, relation=RelationKind.RELATED_TO, group=None, hits=0):
+def suggest(miss, target, relation=RelationKind.RELATED_TO, group=FALLBACK_MARKER, hits=0):
     return RelationSuggestion(
         missing_term=miss,
         ontology_term=target,
@@ -379,7 +379,7 @@ def test_enriched_axioms_trace_back_to_suggestions(onto, snapshot):
     enriched = enrich_ontology(onto, decisions)
     added = [a for a in enriched.axioms if a.provenance == "enriched"]
     assert len(added) == len(decisions) == 2
-    by_pattern = {d.suggestion.winning_group or FALLBACK_MARKER: d for d in decisions}
+    by_pattern = {d.suggestion.winning_group: d for d in decisions}
     for axiom in added:
         decision = by_pattern[axiom.evidence.pattern_id]
         assert axiom.evidence.hits == decision.suggestion.winner_hits

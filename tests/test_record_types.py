@@ -18,7 +18,7 @@ import ontoenrich
 from ontoenrich import cli
 from ontoenrich.hitcounts import SnapshotTable
 from ontoenrich.ontology import RelationKind, load_ontology
-from ontoenrich.patterns import PatternTemplate, RelationSuggestion
+from ontoenrich.patterns import FALLBACK_MARKER, PatternTemplate, RelationSuggestion
 from ontoenrich.placement import place_all, write_enrichment_report
 from ontoenrich.relatedness import DistanceConfig, SelectionConfig
 
@@ -86,7 +86,7 @@ def test_runs_use_no_tuple_behaviour_of_a_record(tmp_path, monkeypatch):
     table = SnapshotTable.load(tmp_path / "snapshot.tsv")
     onto = load_ontology(ROOT / "fixtures" / "mini_ontology.tsv")
     pairs = (("corporate body", "organization"), ("polder", "atlantis"))
-    suggestions = [RelationSuggestion(term, target, RelationKind.RELATED_TO, None, 0, ())
+    suggestions = [RelationSuggestion(term, target, RelationKind.RELATED_TO, FALLBACK_MARKER, 0, ())
                    for term, target in pairs]
     decisions, failures = place_all(suggestions, onto, table, DistanceConfig(), 1.0)
     assert (len(decisions), len(failures)) == (0, 2)

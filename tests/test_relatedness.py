@@ -32,6 +32,7 @@ from helpers import (
     scan_hits,
     scan_pair_hits,
 )
+from test_desk_run import run_cli
 
 SNAPSHOTS = Path(__file__).resolve().parent.parent / "fixtures" / "snapshots"
 
@@ -393,6 +394,26 @@ def test_drop_unusable_terms_warns(caplog):
         "dropping term 'b' from the relatedness batch (hits=0, total docs=64)",
         "dropping term 'c' from the relatedness batch (hits=64, total docs=64)",
     ]
+
+
+DROP_UNUSABLE_SCRIPT = """
+import logging, sys
+from ontoenrich.hitcounts import SnapshotTable
+from ontoenrich.relatedness import drop_unusable_terms
+logging.basicConfig(format="%(message)s", stream=sys.stdout)
+table = SnapshotTable.from_pairs([("java", 3)], 9)
+print(drop_unusable_terms(["Java", "java", "JAVA", "Sea", "sea"], table))
+"""
+
+
+def test_drop_unusable_terms_orders_case_variants_alike_under_every_hash_seed():
+    # Ordered by str.lower alone, case variants kept the order of their set,
+    # which differs between these two seeds.
+    outputs = {run_cli("-c", DROP_UNUSABLE_SCRIPT, seed=seed).stdout for seed in ("1", "2")}
+    assert outputs == {
+        "dropping 2 terms from the relatedness batch (hits 0 or >= total docs 9): "
+        "'Sea', 'sea'\n['JAVA', 'Java', 'java']\n"
+    }
 
 
 def row_matrix(values: dict[str, float], miss: str = "jawa") -> RelatednessMatrix:
