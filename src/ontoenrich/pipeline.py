@@ -257,8 +257,10 @@ def _run(config: RunConfig, enrich: bool) -> Path:
             surface: {domains[n] for n in table.documents(surface)}
             for surface in partition.missing
         }
-    logger.info("corpus: %d documents, %d phrases, %d known terms, %d missing terms",
-                len(domains), len(table), len(partition.concepts), len(partition.missing))
+    logger.info("corpus: %d documents, %d phrases, %d known terms, %d missing terms, "
+                "%d gazetteer entries and %d instance labels left out", len(domains), len(table),
+                len(partition.concepts), len(partition.missing), partition.gazetteer_entries,
+                partition.instance_labels)
 
     with _stage("hits"):
         if config.snapshot is not None:
@@ -280,7 +282,7 @@ def _run(config: RunConfig, enrich: bool) -> Path:
         t_in = drop_unusable_terms(partition.concepts, provider)
         t_miss = drop_unusable_terms(retained, provider)
         matrix = (relatedness_matrix(t_miss, t_in, provider, config.distance)
-                  if t_miss and t_in else RelatednessMatrix((), (), (), 0.0))
+                  if t_miss and t_in else RelatednessMatrix((), (), (), 1.0, 0.0))
     logger.info("relatedness: %d retained and %d eliminated missing terms, %d known and %d "
                 "missing terms dropped for unusable counts", len(retained), len(eliminated),
                 len(partition.concepts) - len(t_in), len(retained) - len(t_miss))

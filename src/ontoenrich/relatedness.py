@@ -34,13 +34,16 @@ the denominator at once, a left-to-right sum over the rows in order
 and then only its co-occurring cells are kept: their column numbers and
 their distances, one float per distinct distance. Once the denominator is
 known, ``relatedness`` is taken once per distinct distance and once for the
-cap, and each row of cells is a copy of the capped row with its
-co-occurring cells set; every cell of one distance holds the same float
-object, and each kept row is freed as its cells are built. So the batch
-holds the distances of its co-occurring cells, never a dense distance
-matrix, and past the provider's calls its Python work follows its
+cap, in the one map that interned the distances, and each kept row's
+distances are replaced by their relatedness values. The matrix stays in
+that sparse form: per row its co-occurring cells, and one capped value
+that every other cell shares. Every cell of one distance holds the same
+float object. So the batch never holds a dense distance matrix or a dense
+matrix of cells, and past the provider's calls its Python work follows its
 co-occurring cells and its distinct distances, not its cells: on the
-``vocab4x`` benchmark workload 14,402 and 1,924 of 108,000.
+``vocab4x`` benchmark workload 14,402 and 1,924 of 108,000. Selection, the
+matrix file and the extremes of the ``-v`` selection line read the sparse
+rows too; only ``RelatednessMatrix.cells`` builds the dense rows, on demand.
 
 ``DEFAULT_DISTANCE_CAP`` and ``DEFAULT_THRESHOLD`` are the defaults of the
 cap and the threshold, which the command line takes too. ``DistanceConfig``
@@ -53,9 +56,9 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import reduce
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, ge
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
@@ -150,10 +153,33 @@ def drop_unusable_terms(terms: Iterable[str], provider: HitCountProvider) -> lis
 
 
 class RelatednessMatrix(NamedTuple):
+    """One row per missing term, one column per known term, kept sparse.
+
+    ``cooccurring`` holds, per row, the column numbers of its co-occurring
+    cells in column order and their relatedness values; every other cell of
+    the matrix holds ``capped``, the relatedness of the distance cap."""
+
     missing_terms: tuple[str, ...]
     ontology_terms: tuple[str, ...]
-    cells: tuple[tuple[float, ...], ...]
+    cooccurring: tuple[tuple[tuple[int, ...], tuple[float, ...]], ...]
+    capped: float
     denominator: float
+
+    @property
+    def cells(self) -> tuple[tuple[float, ...], ...]:
+        """Every cell, row by row in column order, built anew on each read.
+        No stage of a run reads it; perfbench's traced counters and the
+        tests do."""
+        capped = [self.capped] * len(self.ontology_terms)
+        return tuple(tuple(_filled(capped, where, values)) for where, values in self.cooccurring)
+
+
+def _filled(base: list, where: Iterable[int], values: Iterable) -> list:
+    """A copy of base with the items at the column numbers where set to values."""
+    row = base.copy()
+    for j, value in zip(where, values):
+        row[j] = value
+    return row
 
 
 def _sorted_unique(terms: Iterable[str], side: str) -> tuple[str, ...]:
@@ -179,7 +205,8 @@ def relatedness_matrix(
     before columns, raises: ``ValueError`` for hits <= 0,
     ``DegenerateDenominatorError`` for hits >= total docs. The shared
     denominator is the left-to-right sum of the batch's distances in
-    row-major order.
+    row-major order. The matrix lists each row's co-occurring cells; every
+    other cell holds its ``capped`` value.
     """
     rows = _sorted_unique(missing_terms, "missing")
     cols = _sorted_unique(ontology_terms, "ontology")
@@ -191,7 +218,7 @@ def relatedness_matrix(
             error = ValueError if count <= 0 else DegenerateDenominatorError
             raise error(f"term {term!r} has {count} hits; a relatedness batch needs "
                         f"0 < hits < {n}, the collection size")
-    kept, denominator, distinct = _distances(
+    kept, denominator, shared = _distances(
         rows, row_hits, cols, col_hits, n, provider.pair_hits, cfg)
     if len(rows) * len(cols) == 1:
         logger.warning(
@@ -199,30 +226,26 @@ def relatedness_matrix(
             rows[0], cols[0],
         )
     cap = cfg.zero_cooccurrence_cap
-    shared = {distance: relatedness(distance, denominator)
-              for distance in chain((cap,), distinct)}
-    capped = [shared[cap]] * len(cols)
-    cells = []
+    shared.setdefault(cap, cap)
+    for distance in shared:  # each distinct distance to its relatedness, in place
+        shared[distance] = relatedness(distance, denominator)
     for i, (where, distances) in enumerate(kept):
-        row = capped.copy()
-        for j, value in zip(where, map(shared.__getitem__, distances)):
-            row[j] = value
-        cells.append(tuple(row))
-        kept[i] = None
-    return RelatednessMatrix(rows, cols, tuple(cells), denominator)
+        kept[i] = (where, tuple(map(shared.__getitem__, distances)))
+    return RelatednessMatrix(rows, cols, tuple(kept), shared[cap], denominator)
 
 
 def _distances(rows, row_hits, cols, col_hits, n, pair_hits, cfg
-               ) -> tuple[list[tuple[list[int], list[float]]], float, dict[float, float]]:
+               ) -> tuple[list[tuple[tuple[int, ...], tuple[float, ...]]], float, dict]:
     """``distance_from_counts`` of every cell, for terms that all satisfy
     0 < hits < n: each log but log f2 is taken once per term, a row's joint
     counts are fetched in one pass, and only its cells with f2 > 0 pick the
     larger log and the denominator as that function picks them.
 
     Returns, per row, the column numbers and distances of its cells with
-    f2 > 0 (every other cell is the cap); the left-to-right sum of all the
-    cells in row-major order; and the distinct distances of those cells,
-    each mapped to itself, the one float every kept cell of it holds."""
+    f2 > 0 (every other cell is the cap), as two tuples; the left-to-right
+    sum of all the cells in row-major order; and the distinct distances of
+    those cells, each mapped to itself, the one float every kept cell of it
+    holds."""
     log, cap = math.log, cfg.zero_cooccurrence_cap
     log_n = log(n)
     columns = [(f, log(f), log_n - log(f)) for f in col_hits]
@@ -234,7 +257,7 @@ def _distances(rows, row_hits, cols, col_hits, n, pair_hits, cfg
         d_miss = log_n - l_miss
         joint = list(map(pair_hits, repeat(miss), cols))
         row = [cap] * width
-        where = list(compress(numbers, joint))
+        where = tuple(compress(numbers, joint))
         for j in where:
             f2 = joint[j]
             f_term, l_term, d_term = columns[j]
@@ -246,7 +269,7 @@ def _distances(rows, row_hits, cols, col_hits, n, pair_hits, cfg
                 row[j] = (l_miss - log(f2)) / d_term
         total = reduce(add, row, total)
         values = list(compress(row, joint))
-        kept.append((where, list(map(seen.setdefault, values, values))))
+        kept.append((where, tuple(map(seen.setdefault, values, values))))
     return kept, total, seen
 
 
@@ -298,54 +321,75 @@ def select_candidates(matrix: RelatednessMatrix, cfg: SelectionConfig) -> Candid
     rows and columns by (lowercased term, term), so the pairs come out in
     the one order every later stage reads them in. Cells are not NaN.
 
-    With ``top_k``, a row is sorted once: a bisect counts its admitted
-    cells, and when there are more than k, the k-th largest value v splits
-    them. One scan in C lists the cells at or above v. If they are more
-    than k, v is tied: every cell above v is kept, and of the cells at v
-    the ones first by their column's (lowercased term, term) rank, taken
-    once per matrix. So a row's Python work is its cells at or above v.
+    A row is read as its co-occurring cells and a count of capped cells. A
+    row whose admitted cells are all chosen is listed whole only when its
+    capped cells are admitted: one row at a time, as a copy of the capped
+    row with its co-occurring cells set. With ``top_k``, a row's
+    co-occurring values are sorted once: a bisect counts its admitted
+    cells, and when there are more than k, the k-th largest value v of the
+    row is found among them and the capped cells. Every cell above v is
+    kept, and of the cells at v the ones first by their column's
+    (lowercased term, term) rank: a scan of the columns in that order,
+    sorted once per matrix, stops once enough are chosen. So a row's
+    Python work is its co-occurring cells, and its capped cells only when
+    they are chosen.
 
-    Logs one INFO line with the matrix shape, the denominator, the cells at
-    or above the threshold and the candidate pairs. Warns once when a
-    threshold above 0 admits every cell of a batch of more than one: batch
-    normalization puts each cell at 1 - distance / sum of the batch's
-    distances, so on a large batch the threshold rejects nothing."""
+    Logs one INFO line with the matrix shape, the denominator, the smallest
+    and largest cell (``nan`` when there is none), the cells at or above the
+    threshold and the candidate pairs. Warns once when a threshold above 0
+    admits every cell of a batch of more than one: batch normalization puts
+    each cell at 1 - distance / sum of the batch's distances, so on a large
+    batch the threshold rejects nothing."""
     threshold, top_k = cfg.threshold, cfg.top_k
-    cols = matrix.ontology_terms
+    cols, capped = matrix.ontology_terms, matrix.capped
+    width = len(cols)
+    capped_row, capped_in = [capped] * width, capped >= threshold
     if top_k is not None:
-        order = sorted(range(len(cols)), key=lambda j: (cols[j].lower(), cols[j]))
-        rank = dict(zip(order, range(len(cols))))  # column -> tie-break rank
+        order = sorted(range(width), key=lambda j: (cols[j].lower(), cols[j]))
     per_term = {}
-    cells = admitted = pairs = 0
-    for miss, row in zip(matrix.missing_terms, matrix.cells):
-        cells += len(row)
+    admitted = pairs = listed = 0
+    for miss, (where, values) in zip(matrix.missing_terms, matrix.cooccurring):
+        listed += len(where)
+        capped_cells = width - len(where)
         if top_k is not None:
-            ranked = sorted(row)
-            count = len(row) - bisect_left(ranked, threshold)
+            ranked = sorted(values)
+            count = len(ranked) - bisect_left(ranked, threshold) + capped_cells * capped_in
         if top_k is None or count <= top_k:
-            chosen = tuple(compress(zip(cols, row), map(ge, row, repeat(threshold))))
+            if capped_in and capped_cells:
+                names, values = cols, _filled(capped_row, where, values)
+            else:
+                names = map(cols.__getitem__, where)
+            chosen = tuple(compress(zip(names, values), map(ge, values, repeat(threshold))))
             count = len(chosen)
         else:
-            kth = ranked[-top_k]
-            picked = list(compress(range(len(row)), map(ge, row, repeat(kth))))
-            if len(picked) > top_k:  # ties at the k-th value: the first by rank
-                above = [j for j in picked if row[j] > kth]
-                tied = sorted((j for j in picked if row[j] == kth), key=rank.__getitem__)
-                picked = sorted(above + tied[:top_k - len(above)])
-            chosen = tuple(zip(map(cols.__getitem__, picked), map(row.__getitem__, picked)))
+            above_capped = len(ranked) - bisect_right(ranked, capped)
+            kth = (ranked[-top_k] if top_k <= above_capped else
+                   capped if top_k <= above_capped + capped_cells else
+                   ranked[capped_cells - top_k])
+            at = dict(zip(where, values))
+            above = [j for j, value in at.items() if value > kth]
+            if capped > kth:
+                above += [j for j in range(width) if j not in at]
+            tied = (j for j in order if at.get(j, capped) == kth)  # in tie-break rank order
+            picked = sorted(chain(above, islice(tied, top_k - len(above))))
+            chosen = tuple(zip(map(cols.__getitem__, picked), map(at.get, picked, repeat(capped))))
         admitted += count
         per_term[miss] = chosen
         pairs += len(chosen)
+    cells = len(matrix.missing_terms) * width
+    rows = [values for _, values in matrix.cooccurring if values]
+    ends = [capped] * (listed < cells)
+    smallest = min(chain(map(min, rows), ends), default=math.nan)
+    largest = max(chain(map(max, rows), ends), default=math.nan)
     logger.info(
-        "selection: %d x %d matrix, denominator %.6f, %d of %d cells at or above "
-        "threshold %r, %d candidate pairs", len(matrix.missing_terms), len(cols),
-        matrix.denominator, admitted, cells, threshold, pairs,
+        "selection: %d x %d matrix, denominator %.6f, relatedness %.6f to %.6f, %d of %d "
+        "cells at or above threshold %r, %d candidate pairs", len(matrix.missing_terms),
+        width, matrix.denominator, smallest, largest, admitted, cells, threshold, pairs,
     )
     if threshold > 0 and cells > 1 and admitted == cells:
         logger.warning(
             "threshold %r admits all %d relatedness cells (smallest %.6f): "
-            "it rejects no candidate pair",
-            threshold, cells, min(map(min, matrix.cells)),
+            "it rejects no candidate pair", threshold, cells, smallest,
         )
     return CandidateSet(per_term)
 
@@ -367,10 +411,13 @@ def write_matrix(matrix: RelatednessMatrix, path: str | Path) -> None:
     term; the rows are streamed to the file.
 
     Every cell goes through one ``_CellTexts`` map, so each distinct non-zero
-    cell value is formatted once, when a row first holds it, and a row joins
-    the texts of its cells. A NaN is a key of its own."""
+    cell value is formatted once, and a NaN is a key of its own. The capped
+    value is formatted once per matrix: each text row is a copy of one
+    capped text row with its co-occurring cells' texts set, joined."""
     text = _CellTexts()
+    capped = [text[matrix.capped]] * len(matrix.ontology_terms)
     with Path(path).open("w", encoding="utf-8") as out:
         out.write("\t".join(["term", *matrix.ontology_terms]) + "\n")
-        for miss, row in zip(matrix.missing_terms, matrix.cells):
-            out.write("%s\t%s\n" % (miss, "\t".join(map(text.__getitem__, row))))
+        for miss, (where, values) in zip(matrix.missing_terms, matrix.cooccurring):
+            row = _filled(capped, where, map(text.__getitem__, values))
+            out.write("%s\t%s\n" % (miss, "\t".join(row)))

@@ -312,8 +312,14 @@ def load_gazetteer(path: str | Path, digest=None) -> frozenset[str]:
 
 
 class TermPartition(NamedTuple):
-    concepts: tuple[str, ...]   # known by a concept label
+    """The mined surfaces a concept label knows and the missing ones, and
+    how many were left out because the gazetteer holds them or an instance
+    label knows them."""
+
+    concepts: tuple[str, ...]
     missing: tuple[str, ...]
+    gazetteer_entries: int
+    instance_labels: int
 
 
 def partition_terms(
@@ -321,15 +327,20 @@ def partition_terms(
 ) -> TermPartition:
     """Split mined surfaces into those a concept label knows and the missing
     ones, each sorted by ``str.lower``. A surface whose normalized form the
-    gazetteer holds, looked up first, and an instance label are in neither."""
+    gazetteer holds, looked up first, and an instance label are in neither;
+    they are counted."""
     concepts, missing, labels = [], [], ontology.labels
+    entries = instances = 0
     for surface in sorted(terms, key=str.lower):
         key = normalize_label(surface)
         if key in gazetteer:
+            entries += 1
             continue
         match = labels.get(key)
         if match is None:
             missing.append(surface)
         elif isinstance(match, Concept):
             concepts.append(surface)
-    return TermPartition(tuple(concepts), tuple(missing))
+        else:
+            instances += 1
+    return TermPartition(tuple(concepts), tuple(missing), entries, instances)

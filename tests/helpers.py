@@ -18,6 +18,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable
 
+from hypothesis import strategies as st
+
 from ontoenrich.hitcounts import CorpusIndex, HitCountProvider
 from ontoenrich.ontology import Axiom, Ontology, RelationKind, canonicalize_axiom
 from ontoenrich.patterns import pluralize_term
@@ -295,6 +297,29 @@ def cell(matrix: RelatednessMatrix, missing_term: str, ontology_term: str) -> fl
     """The matrix cell in the row of missing_term and the column of ontology_term."""
     row = matrix.missing_terms.index(missing_term)
     return matrix.cells[row][matrix.ontology_terms.index(ontology_term)]
+
+
+def listed_matrix(rows, cols, cells, denominator: float = 1.0) -> RelatednessMatrix:
+    """A matrix that lists every one of cells, given as rows of values in
+    column order; its capped value is NaN, which no cell holds."""
+    everything = tuple(range(len(cols)))
+    return RelatednessMatrix(tuple(rows), tuple(cols),
+                             tuple((everything, tuple(row)) for row in cells),
+                             math.nan, denominator)
+
+
+@st.composite
+def sparse_matrices(draw, rows, cols, values) -> RelatednessMatrix:
+    """A matrix over rows and at least one column in the sparse form: a
+    capped value drawn from values and, per row, every column, none or a
+    drawn subset of them listed, each with a value drawn from values."""
+    subsets = st.one_of(st.just(range(len(cols))), st.just(()),
+                        st.sets(st.integers(0, len(cols) - 1)).map(sorted))
+    capped, listed = draw(values), []
+    for _ in rows:
+        where = tuple(draw(subsets))
+        listed.append((where, tuple(draw(values) for _ in where)))
+    return RelatednessMatrix(tuple(rows), tuple(cols), tuple(listed), capped, 1.0)
 
 
 def phrase_table(

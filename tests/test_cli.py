@@ -7,6 +7,7 @@ import shutil
 import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -816,12 +817,21 @@ def funnel_line(stderr: str, prefix: str) -> str:
     return line
 
 
+def corpus_funnel(stderr: str) -> tuple[int, ...]:
+    """The documents, phrases, known terms, missing terms, gazetteer entries
+    and instance labels of a ``-v`` run's corpus line."""
+    return tuple(map(int, re.fullmatch(
+        r"(\d+) documents, (\d+) phrases, (\d+) known terms, (\d+) missing terms, "
+        r"(\d+) gazetteer entries and (\d+) instance labels left out",
+        funnel_line(stderr, "INFO ontoenrich.pipeline: corpus: ")).groups()))
+
+
 def test_verbose_corpus_funnel_equals_traced_counters(traced_desk):
     stderr, counts, out = traced_desk
     funnel = funnel_line(stderr, "INFO ontoenrich.pipeline: corpus: ")
-    docs, phrases, known, missing = map(int, re.fullmatch(
-        r"(\d+) documents, (\d+) phrases, (\d+) known terms, (\d+) missing terms",
-        funnel).groups())
+    docs, phrases, known, missing, entries, instances = corpus_funnel(stderr)
+    # Every known desk term comes from a concept label.
+    assert (entries, instances) == (0, 0)
     assert docs == len(list(load_corpus(DESK / "corpus"))) == 500
     assert manifest_of(out)["provider"] == f"index:corpus,docs={docs}"
     assert phrases == counts["textpipe.ngrams"]
@@ -839,6 +849,23 @@ def test_verbose_corpus_funnel_equals_traced_counters(traced_desk):
     assert lines[stage[0] + 1] == "INFO ontoenrich.pipeline: corpus: " + funnel
 
 
+def test_verbose_corpus_funnel_counts_known_terms_by_source(tmp_path):
+    # Of the nine phrases, Java and island are concept labels, Jakarta is an
+    # instance label and "Meridian Institute" a gazetteer entry; the other
+    # five, its two words among them, are missing.
+    corpus = tmp_path / "corpus"
+    (corpus / "islands").mkdir(parents=True)
+    (corpus / "islands" / "one.txt").write_text(
+        "Java, island, Jakarta, Meridian Institute, zorbium", encoding="utf-8")
+    (corpus / "islands" / "two.txt").write_text("Java, reef, zorbium, quelp", encoding="utf-8")
+    out = tmp_path / "out"
+    run = run_cli("-m", "ontoenrich.cli", "enrich", "--corpus", corpus, "--ontology", MINI,
+                  "--gazetteer", FIXTURES / "gazetteer.tsv", "-v", "--out-dir", out)
+    assert corpus_funnel(run.stderr) == (2, 9, 2, 5, 1, 1)
+    # Java is in both documents, so the batch drops it: island is its one column.
+    assert hit_filter_funnel(run.stderr, out) == (5, 0, 1, 1)
+
+
 def hit_filter_funnel(stderr: str, out: Path) -> tuple[int, int, int, int]:
     """The retained, eliminated, dropped known and dropped missing terms of
     a ``-v`` run's relatedness line, checked against its corpus line, the E
@@ -847,9 +874,7 @@ def hit_filter_funnel(stderr: str, out: Path) -> tuple[int, int, int, int]:
         r"(\d+) retained and (\d+) eliminated missing terms, (\d+) known and (\d+) missing "
         r"terms dropped for unusable counts",
         funnel_line(stderr, "INFO ontoenrich.pipeline: relatedness: ")).groups())
-    known, missing = map(int, re.search(r"(\d+) known terms, (\d+) missing terms$",
-                                        funnel_line(stderr, "INFO ontoenrich.pipeline: corpus: ")
-                                        ).groups())
+    _, _, known, missing, _, _ = corpus_funnel(stderr)
     judged = {"retained": set(), "eliminated": set()}
     for line in (out / "system_judgments.tsv").read_text(encoding="utf-8").splitlines():
         if line.startswith("E\t"):
@@ -906,8 +931,8 @@ def test_empty_batch_writes_the_matrix_header_and_selects_no_pair(tmp_path, coun
     assert funnel_line(result.stderr, "INFO ontoenrich.pipeline: relatedness: ") == (
         f"1 retained and 0 eliminated missing terms, {dropped} terms dropped for unusable counts")
     assert funnel_line(result.stderr, "INFO ontoenrich.relatedness: selection: ") == (
-        "0 x 0 matrix, denominator 0.000000, 0 of 0 cells at or above threshold 0.5, "
-        "0 candidate pairs")
+        "0 x 0 matrix, denominator 0.000000, relatedness nan to nan, 0 of 0 cells at or above "
+        "threshold 0.5, 0 candidate pairs")
     assert pattern_funnel(result.stderr) == (0, 0, 0, 0, 0, 0)
     assert (out / "pattern_audit.tsv").read_bytes() == (
         b"missing_term\tontology_term\tpattern\tquery\thits\n")
@@ -916,11 +941,21 @@ def test_empty_batch_writes_the_matrix_header_and_selects_no_pair(tmp_path, coun
 def test_verbose_relatedness_funnel_equals_traced_counters(tmp_path, traced_desk):
     stderr, counts, out = traced_desk
     funnel = funnel_line(stderr, "INFO ontoenrich.relatedness: selection: ")
-    rows, cols, denominator, admitted, cells, threshold, pairs = re.fullmatch(
-        r"(\d+) x (\d+) matrix, denominator (\d+\.\d{6}), (\d+) of (\d+) cells at or above "
-        r"threshold (\S+), (\d+) candidate pairs", funnel).groups()
+    rows, cols, denominator, smallest, largest, admitted, cells, threshold, pairs = re.fullmatch(
+        r"(\d+) x (\d+) matrix, denominator (\d+\.\d{6}), relatedness (\S+) to (\S+), (\d+) of "
+        r"(\d+) cells at or above threshold (\S+), (\d+) candidate pairs", funnel).groups()
     matrix = (out / "relatedness_matrix.tsv").read_text(encoding="utf-8").splitlines()
     assert (int(rows), int(cols)) == (len(matrix) - 1, len(matrix[0].split("\t")) - 1)
+    written = [float(text) for line in matrix[1:] for text in line.split("\t")[1:]]
+    assert (smallest, largest) == ("%.6f" % min(written), "%.6f" % max(written))
+    # The smallest cell co-occurs: the capped cells, the most common text,
+    # are above it.
+    texts = Counter(text for line in matrix[1:] for text in line.split("\t")[1:])
+    (common, _), = texts.most_common(1)
+    assert (smallest, common, largest) == ("0.999826", "0.999864", "0.999985")
+    assert [line for line in stderr.splitlines() if "admits all" in line] == [
+        f"WARNING ontoenrich.relatedness: threshold 0.5 admits all {cells} relatedness cells "
+        f"(smallest {smallest}): it rejects no candidate pair"]
     assert int(cells) == int(rows) * int(cols) == counts["relatedness.cells"]
     assert int(admitted) == counts["relatedness.admitted"]
     assert int(admitted) / int(cells) == counts["relatedness.admitted"] / counts["relatedness.cells"]

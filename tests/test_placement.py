@@ -35,13 +35,18 @@ from ontoenrich.placement import (
 )
 from ontoenrich.relatedness import (
     DistanceConfig,
-    RelatednessMatrix,
     SelectionConfig,
     relatedness_matrix,
     select_candidates,
 )
 
-from helpers import has_axiom, place_one, reference_sense_scores, tuple_key_order
+from helpers import (
+    has_axiom,
+    place_one,
+    reference_sense_scores,
+    sparse_matrices,
+    tuple_key_order,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -509,18 +514,17 @@ _COLUMN_TERMS = ["bay", "Bay", "cove", "island", "Java", "java", "reef", "sea li
 @st.composite
 def pair_order_runs(draw):
     """A matrix over mixed-case terms, unique under lower() and ordered as
-    ``relatedness_matrix`` orders them, with tied cells; and an ontology in
-    which each column term names a concept of one or two senses, an
-    instance or nothing, under ids drawn to sort unlike the labels."""
+    ``relatedness_matrix`` orders them, with tied cells, capped ones too;
+    and an ontology in which each column term names a concept of one or
+    two senses, an instance or nothing, under ids drawn to sort unlike the
+    labels."""
     def side(pool):
         terms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6,
                               unique_by=str.lower))
         return tuple(sorted(terms, key=lambda t: (t.lower(), t)))
 
     rows, cols = side(_ROW_TERMS), side(_COLUMN_TERMS)
-    values = st.sampled_from([0.2, 0.5, 0.5, 0.8])
-    cells = tuple(tuple(draw(st.lists(values, min_size=len(cols), max_size=len(cols))))
-                  for _ in rows)
+    matrix = draw(sparse_matrices(rows, cols, st.sampled_from([0.2, 0.5, 0.5, 0.8])))
     ids = draw(st.permutations([f"k{n}" for n in range(len(cols))]))
     concepts, instances = [Concept("anchor", "anchor")], []
     for term, cid in zip(cols, ids):
@@ -532,7 +536,7 @@ def pair_order_runs(draw):
     # Every term counts in 5 of 100 documents and no pair co-occurs, so the
     # two senses of a concept tie and every pair falls back to related-to.
     table = SnapshotTable.from_pairs([(term, 5) for term in rows + cols], total_docs=100)
-    return RelatednessMatrix(rows, cols, cells, 1.0), Ontology(concepts, instances), table
+    return matrix, Ontology(concepts, instances), table
 
 
 @settings(max_examples=150, deadline=None)

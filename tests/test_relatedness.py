@@ -26,11 +26,13 @@ from ontoenrich.relatedness import (
 from helpers import (
     build_index,
     cell,
+    listed_matrix,
     log2_distance,
     normalized_distance,
     oracle_matrix,
     scan_hits,
     scan_pair_hits,
+    sparse_matrices,
 )
 from test_desk_run import run_cli
 
@@ -211,8 +213,9 @@ def test_matrix_fetches_each_term_count_once():
 
 
 def test_matrix_cells_share_one_float_per_distinct_distance():
-    # No pair co-occurs, so every cell has the capped distance: 108,000 cells
-    # keep a tuple slot each (8 B) and one shared float, not a float each.
+    # No pair co-occurs, so every cell has the capped distance: the batch
+    # keeps one empty pair of tuples a row and one shared float, about 0.5 B
+    # a cell, where a dense tuple of every cell keeps an 8 B slot a cell.
     missing = [f"missing {i}" for i in range(300)]
     known = [f"known {j}" for j in range(360)]
     table = SnapshotTable.from_pairs([(term, 10) for term in missing + known], total_docs=1_000)
@@ -224,7 +227,8 @@ def test_matrix_cells_share_one_float_per_distinct_distance():
     finally:
         tracemalloc.stop()
     assert len({id(value) for row in matrix.cells for value in row}) == 1
-    assert retained / (300 * 360) <= 10
+    assert matrix.cooccurring == (((), ()),) * 300
+    assert retained / (300 * 360) <= 1
 
 
 _MISSING = [f"missing {i}" for i in range(300)]
@@ -245,23 +249,25 @@ def peak_bytes_per_cell(table) -> float:
 
 
 def test_matrix_peak_memory_stays_below_a_dense_distance_matrix():
-    # No pair co-occurs. A dense distance matrix beside the cells takes two
-    # 8 B slots a cell; the batch keeps no distance but the cap.
+    # No pair co-occurs. A dense row of distances or cells takes an 8 B slot
+    # a cell, so holding one for every row peaks at 8 B a cell or more; the
+    # batch keeps no distance but the cap and lists no cell, about 1 B.
     table = SnapshotTable.from_pairs([(term, 10) for term in _MISSING + _KNOWN], 1_000)
-    assert peak_bytes_per_cell(table) <= 12
+    assert peak_bytes_per_cell(table) <= 2
 
 
 def test_matrix_peak_memory_keeps_one_float_per_distinct_distance():
     # Every pair co-occurs with one f2, so every cell has one distance, but
-    # each is a float of its own (24 B) until it is interned. The kept
-    # column numbers and distances take two 8 B slots a cell and the cells
-    # one, each kept row freed as its cells are built. Holding every
-    # distance float, dense or sparse, takes 40 B a cell or more; keeping
-    # the kept rows to the end, 24 B and more.
+    # each is a float of its own (24 B) until it is interned. The listed
+    # column numbers and values take two 8 B slots a cell, each row's
+    # distances replaced by its values as they are taken: about 17 B a cell
+    # at the peak. Holding every distance float, dense or sparse, takes
+    # 40 B a cell or more; a dense tuple of the cells beside the listed
+    # ones, 24 B and more.
     entries = [(term, 10) for term in _MISSING + _KNOWN]
     entries += [(pair_key(miss, term), 5) for miss in _MISSING for term in _KNOWN]
     table = SnapshotTable.from_pairs(entries, 1_000)
-    assert peak_bytes_per_cell(table) <= 24
+    assert peak_bytes_per_cell(table) <= 20
 
 
 def dense_oracle(rows, cols, table, cfg=DistanceConfig()):
@@ -335,6 +341,8 @@ def test_matrix_row_with_no_cooccurring_cell_holds_the_cap_everywhere():
     matrix = relatedness_matrix(["m1", "m2", "m3"], ["k1", "k2"], index)
     assert_equals_oracle(matrix, _EDGE_TEXTS)
     capped = relatedness(DistanceConfig().zero_cooccurrence_cap, matrix.denominator)
+    assert matrix.capped == capped
+    assert matrix.cooccurring[2] == ((), ())
     assert matrix.cells[2] == (capped, capped)
     assert capped not in matrix.cells[0] + matrix.cells[1]
 
@@ -418,8 +426,7 @@ def test_drop_unusable_terms_orders_case_variants_alike_under_every_hash_seed():
 
 def row_matrix(values: dict[str, float], miss: str = "jawa") -> RelatednessMatrix:
     cols = tuple(sorted(values, key=lambda t: (t.lower(), t)))
-    cells = (tuple(values[c] for c in cols),)
-    return RelatednessMatrix((miss,), cols, cells, denominator=1.0)
+    return listed_matrix((miss,), cols, [[values[c] for c in cols]])
 
 
 def test_select_candidates_threshold():
@@ -451,13 +458,51 @@ SATURATION = "admits all"
 
 
 def test_select_candidates_warns_once_when_threshold_admits_every_cell(caplog):
-    matrix = RelatednessMatrix(("bay", "jawa"), ("island", "Java"), ((0.9, 0.8), (0.7, 0.95)), 1.0)
+    matrix = listed_matrix(("bay", "jawa"), ("island", "Java"), ((0.9, 0.8), (0.7, 0.95)))
     with caplog.at_level("WARNING", logger="ontoenrich.relatedness"):
         chosen = select_candidates(matrix, SelectionConfig(threshold=0.5, top_k=1))
     assert chosen.pairs() == [("bay", "island"), ("jawa", "Java")]
     assert [r.getMessage() for r in caplog.records] == [
         "threshold 0.5 admits all 4 relatedness cells (smallest 0.700000): "
         "it rejects no candidate pair"
+    ]
+
+
+@pytest.mark.parametrize("hits, f2, smallest_capped", [
+    pytest.param(50, 1, False, id="smallest-cooccurs"),  # a distance above the cap
+    pytest.param(10, 5, True, id="smallest-capped"),  # a distance below it
+])
+def test_selection_line_and_warning_report_the_extremes_of_the_written_cells(
+        tmp_path, caplog, hits, f2, smallest_capped):
+    table = snapshot_of({"m1": hits, "m2": hits, "k1": hits, "k2": hits}, {("m1", "k1"): f2}, 100)
+    matrix = relatedness_matrix(["m1", "m2"], ["k1", "k2"], table)
+    write_matrix(matrix, tmp_path / "matrix.tsv")
+    cells = [float(text) for line in (tmp_path / "matrix.tsv").read_text().splitlines()[1:]
+             for text in line.split("\t")[1:]]
+    low, high = "%.6f" % min(cells), "%.6f" % max(cells)
+    with caplog.at_level("INFO", logger="ontoenrich.relatedness"):
+        select_candidates(matrix, SelectionConfig(threshold=0.25, top_k=1))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"selection: 2 x 2 matrix, denominator {matrix.denominator:.6f}, relatedness {low} to "
+        f"{high}, 4 of 4 cells at or above threshold 0.25, 2 candidate pairs",
+        f"threshold 0.25 admits all 4 relatedness cells (smallest {low}): "
+        "it rejects no candidate pair",
+    ]
+    assert (low == "%.6f" % matrix.capped) is smallest_capped
+    assert (high == "%.6f" % matrix.capped) is not smallest_capped
+
+
+@pytest.mark.parametrize("capped", [0.25, 0.9])
+def test_selection_extremes_leave_out_a_capped_value_no_cell_holds(caplog, capped):
+    matrix = RelatednessMatrix(("jawa",), ("island", "Java"), (((0, 1), (0.75, 0.5)),),
+                               capped, 1.0)
+    with caplog.at_level("INFO", logger="ontoenrich.relatedness"):
+        select_candidates(matrix, SelectionConfig(threshold=0.5))
+    assert [r.getMessage() for r in caplog.records] == [
+        "selection: 1 x 2 matrix, denominator 1.000000, relatedness 0.500000 to 0.750000, "
+        "2 of 2 cells at or above threshold 0.5, 2 candidate pairs",
+        "threshold 0.5 admits all 2 relatedness cells (smallest 0.500000): "
+        "it rejects no candidate pair",
     ]
 
 
@@ -572,8 +617,8 @@ def reference_matrix(rows, cols, provider, cfg=DistanceConfig()) -> RelatednessM
     for row in distances:
         for value in row:
             denominator += value
-    cells = tuple(tuple(relatedness(value, denominator) for value in row) for row in distances)
-    return RelatednessMatrix(tuple(rows), tuple(cols), cells, denominator)
+    cells = [[relatedness(value, denominator) for value in row] for row in distances]
+    return listed_matrix(rows, cols, cells, denominator)
 
 
 @pytest.mark.parametrize(
@@ -665,7 +710,10 @@ def reference_write(matrix: RelatednessMatrix, path: Path) -> None:
 def test_property_matrix_and_selection_equal_cell_by_cell_reference(batch, threshold):
     table, rows, cols, cfg = batch
     matrix = relatedness_matrix(rows, cols, table, cfg)
-    assert matrix == reference_matrix(rows, cols, table, cfg)
+    reference = reference_matrix(rows, cols, table, cfg)
+    assert (matrix.missing_terms, matrix.ontology_terms) == (tuple(rows), tuple(cols))
+    assert matrix.denominator == reference.denominator
+    assert matrix.cells == reference.cells
     for top_k in (None, 1, 3):
         chosen = select_candidates(matrix, SelectionConfig(threshold, top_k))
         assert chosen == reference_selection(matrix, threshold, top_k)
@@ -676,22 +724,42 @@ _CELL_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0])
 
 @st.composite
 def tied_matrices(draw, values=_CELL_VALUES):
-    """Matrices with case-variant column terms (``Java`` and ``java``) and
-    cells drawn from a few values, so most rows hold ties."""
+    """Sparse matrices with case-variant column terms (``Java`` and
+    ``java``), a capped value and listed cells drawn from a few values, so
+    most rows hold ties, at the capped value too."""
     cols = draw(st.lists(
         st.sampled_from(["java", "Java", "JAVA", "island", "Island", "sea"]),
         min_size=1, max_size=6, unique=True,
     ))
     rows = draw(st.lists(st.sampled_from(["jawa", "Jawa", "reef"]), min_size=1, unique=True))
-    cells = tuple(
-        tuple(draw(st.lists(values, min_size=len(cols), max_size=len(cols))))
-        for _ in rows
-    )
-    return RelatednessMatrix(tuple(rows), tuple(cols), cells, denominator=1.0)
+    return draw(sparse_matrices(rows, cols, values))
+
+
+def sparse_example(capped, *rows):
+    """An explicit sparse matrix: one row per {column number: value} dict,
+    over the columns ``Java``, ``island`` and ``sea``."""
+    cols = ("Java", "island", "sea")
+    misses = ("jawa", "reef", "sea")[: len(rows)]
+    listed = tuple((tuple(sorted(row)), tuple(row[j] for j in sorted(row))) for row in rows)
+    return RelatednessMatrix(misses, cols, listed, capped, 1.0)
+
+
+# Ties at the capped value across columns that sort unlike their numbers,
+# either zero capped beside the other listed, and a row with none listed.
+_SPARSE_EXAMPLES = [
+    sparse_example(0.5, {1: 0.75}, {}),
+    RelatednessMatrix(("jawa",), ("sea", "Java", "island"), (((1,), (0.75,)),), 0.5, 1.0),
+    sparse_example(0.0, {0: -0.0}, {1: 0.25, 2: -0.0}),
+    sparse_example(-0.0, {1: 0.0}, {}),
+]
 
 
 @settings(max_examples=300, deadline=None)
-@given(tied_matrices(), st.sampled_from([0.0, 0.25, 0.75]))
+@given(tied_matrices(), st.sampled_from([0.0, 0.25, 0.5, 0.75]))
+@example(matrix=_SPARSE_EXAMPLES[0], threshold=0.25)
+@example(matrix=_SPARSE_EXAMPLES[1], threshold=0.25)
+@example(matrix=_SPARSE_EXAMPLES[2], threshold=0.0)
+@example(matrix=_SPARSE_EXAMPLES[3], threshold=0.0)
 def test_property_selection_breaks_ties_like_the_sort_key(matrix, threshold):
     for top_k in (None, 1, 3):
         chosen = select_candidates(matrix, SelectionConfig(threshold, top_k))
@@ -700,10 +768,10 @@ def test_property_selection_breaks_ties_like_the_sort_key(matrix, threshold):
 
 def written_examples(*rows):
     """Explicit matrices of the written-matrix property: one row per cells
-    tuple, over as many columns as its first row has cells."""
+    tuple, each cell listed, over as many columns as its first row has cells."""
     cols = ("Java", "island", "sea")[: len(rows[0])]
     misses = ("jawa", "reef", "sea")[: len(rows)]
-    return example(drawn=RelatednessMatrix(misses, cols, rows, denominator=1.0))
+    return example(drawn=listed_matrix(misses, cols, rows))
 
 
 @settings(max_examples=200, deadline=None)
@@ -713,6 +781,9 @@ def written_examples(*rows):
 @written_examples((0.0, 0.5), (-0.0, 0.5))
 @written_examples((math.nan, 0.5, -math.nan))
 @written_examples((math.inf, -math.inf))
+@example(drawn=_SPARSE_EXAMPLES[2])
+@example(drawn=_SPARSE_EXAMPLES[3])
+@example(drawn=sparse_example(math.nan, {1: 0.5}, {}))
 def test_property_written_matrix_equals_joined_lines(tmp_path_factory, drawn):
     if not isinstance(drawn, RelatednessMatrix):
         table, rows, cols, cfg = drawn

@@ -122,23 +122,23 @@ def test_partition_java_article(stoplist, mini_onto):
 
 def test_partition_instance_match(mini_onto):
     partition = partition_terms(["Jakarta", "Java"], mini_onto, frozenset())
-    assert partition == TermPartition(("Java",), ())
+    assert partition == TermPartition(("Java",), (), 0, 1)
 
 
 def test_partition_empty_input(mini_onto):
-    assert partition_terms([], mini_onto, frozenset()) == TermPartition((), ())
+    assert partition_terms([], mini_onto, frozenset()) == TermPartition((), (), 0, 0)
 
 
 def test_partition_all_in_gazetteer(mini_onto):
     gaz = frozenset({"zorbium", "fennite"})
     partition = partition_terms(["zorbium", "Fennite"], mini_onto, gaz)
-    assert partition == TermPartition((), ())
+    assert partition == TermPartition((), (), 2, 0)
 
 
 def test_partition_gazetteer_checked_before_ontology(mini_onto):
     assert partition_terms(["Java"], mini_onto, frozenset()).concepts == ("Java",)
     gaz = frozenset({"java"})
-    assert partition_terms(["Java"], mini_onto, gaz) == TermPartition((), ())
+    assert partition_terms(["Java"], mini_onto, gaz) == TermPartition((), (), 1, 0)
 
 
 def test_pos_tag_two_categories(mini_onto):
